@@ -1,10 +1,12 @@
 """Mixed Cech/group cochains of holomorphic forms and the tau invariant.
 
 Cells are pairs (Cech multi-index, tuple of group words); the value on a cell
-is a pointwise k-form on the sample cloud of the translated intersection.
-Differentials act on formal signed combinations of pulled-back base values, so
-the pairwise cancellations behind delta^2 = 0 and the bar identities happen
-symbolically before any floating-point addition.
+is a k-form sampled on the cloud of the translated intersection, one array row
+per point. Differentials act on formal signed combinations of pulled-back base
+values, so the pairwise cancellations behind delta^2 = 0 and the bar identities
+happen symbolically before any floating-point addition. Each base value is
+evaluated once on its own cell's cloud; other cells read it by row gather
+(clouds nest) or, under a group word, evaluate it at the moved points.
 
 The tau invariant of an equivariant atlas assigns to each total-degree-n cell
 a signed sum over the (m,q)-shuffles of grid paths, each path contributing the
@@ -19,7 +21,7 @@ import numpy as np
 from .cocycle import ChartSimplex, cf_label_top
 from .errors import ValidationError
 from .forms import SampledForm, ScalarKForm, pullback_kform
-from .holomap import MapChain, compose, identity_map
+from .holomap import MapChain, as_cloud, compose, identity_map
 
 # ---------------------------------------------------------------------------
 # free words over named generators
@@ -92,7 +94,7 @@ class CoverSpec:
 
     Clouds are keyed by the set of indices; the constructor appends every deep
     intersection's points to all enclosing clouds, so restriction maps are
-    literal subset lookups.
+    literal subset lookups: a row gather (see restriction).
     """
 
     def __init__(self, indices, clouds):
@@ -105,6 +107,7 @@ class CoverSpec:
                 raise ValidationError("cloud key %r not within the index set" % (sorted(key),))
             self.clouds[key] = [tuple(complex(c) for c in p) for p in points]
         self._nest()
+        self._rows = {}
 
     def _nest(self):
         for key in sorted(self.clouds, key=len, reverse=True):
@@ -120,6 +123,21 @@ class CoverSpec:
         """Sample cloud of the intersection over a tuple (repeats collapse)."""
         key = frozenset(multi_index)
         return self.clouds.get(key, [])
+
+    def restriction(self, source, target):
+        """Rows of the target's cloud within the source's cloud, as an index array.
+
+        None when some target point is missing from the source cloud (an
+        undeclared source intersection has no cloud to restrict from).
+        """
+        key = (frozenset(source), frozenset(target))
+        rows = self._rows.get(key, False)
+        if rows is False:
+            where = {p: i for i, p in enumerate(self.cloud(source))}
+            found = [where.get(p) for p in self.cloud(target)]
+            rows = None if None in found else np.array(found, dtype=np.intp)
+            self._rows[key] = rows
+        return rows
 
     def declared_sets(self):
         return sorted(self.clouds, key=lambda s: (len(s), sorted(map(str, s))))
@@ -171,7 +189,7 @@ class GroupActionSpec:
         return self._word_maps[word]
 
     def word_chain(self, word, n=None):
-        """rho(word) as a pointwise chain (for pullbacks of sampled values)."""
+        """rho(word) as a chain of generator maps (for pullbacks of base values)."""
         if word.is_identity():
             return MapChain([identity_map(n or self.n)], name=repr(word))
         return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters],
@@ -182,11 +200,10 @@ class GroupActionSpec:
         worst = 0.0
         for name, (fwd, inv) in self.generators.items():
             for key in cover.declared_sets():
-                for p in cover.clouds[key]:
-                    q = fwd.eval(inv.eval(p))
-                    worst = max(worst, max(abs(a - b) for a, b in zip(q, p)))
-                    q = inv.eval(fwd.eval(p))
-                    worst = max(worst, max(abs(a - b) for a, b in zip(q, p)))
+                P = as_cloud(cover.clouds[key], fwd.n)[0]
+                if len(P):
+                    worst = max(worst, float(np.max(np.abs(fwd.eval(inv.eval(P)) - P))),
+                                float(np.max(np.abs(inv.eval(fwd.eval(P)) - P))))
         if worst > tol:
             raise ValidationError(
                 "generator/inverse round trip off by %.3e > %.1e" % (worst, tol))
@@ -229,9 +246,9 @@ class Atlas:
         worst = 0.0
         for index in self.charts:
             chart, inverse = self.charts[index]
-            for p in cover.cloud((index,)):
-                q = inverse.eval(chart.eval(p))
-                worst = max(worst, max(abs(a - b) for a, b in zip(q, p)))
+            P = as_cloud(cover.cloud((index,)), chart.n)[0]
+            if len(P):
+                worst = max(worst, float(np.max(np.abs(inverse.eval(chart.eval(P)) - P))))
         if worst > tol:
             raise ValidationError("atlas chart/inverse round trip off by %.3e" % worst)
         return worst
@@ -248,7 +265,13 @@ def cell_multi_index(action, J, G):
 
 
 class MixedCochain:
-    """Base cochain: per-bidegree providers of pointwise k-forms on cells."""
+    """Base cochain: per-bidegree providers of k-forms on cells.
+
+    Each base value is the provider's form (cached in _cache) and its array on
+    the cell's own cloud (cached in _samples), computed once. Entries are built
+    in full before they are stored, so concurrent checks may duplicate work but
+    never read a partial value.
+    """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain"):
         self.cover = cover
@@ -262,6 +285,7 @@ class MixedCochain:
             self.components[(int(m), int(q))] = provider
         self.name = name
         self._cache = {}
+        self._samples = {}
 
     def bidegrees(self):
         return sorted(self.components)
@@ -275,15 +299,33 @@ class MixedCochain:
             provider = self.components.get(bidegree)
             if provider is None:
                 raise ValidationError("no component in bidegree %r" % (bidegree,))
-            self._cache[key] = _cached_form(provider(tuple(J), tuple(G)))
+            self._cache[key] = provider(tuple(J), tuple(G))
         return self._cache[key]
 
     def cell_points(self, J, G):
         return self.cover.cloud(cell_multi_index(self.action, J, G))
 
     def sample(self, bidegree, J, G):
-        return SampledForm.sample(self.base_value(bidegree, J, G),
-                                  self.cell_points(J, G))
+        """The base value on its cell's cloud: one array, evaluated once."""
+        key = (bidegree, tuple(J), tuple(G))
+        sampled = self._samples.get(key)
+        if sampled is None:
+            sampled = SampledForm.sample(self.base_value(bidegree, J, G),
+                                         self.cell_points(J, G))
+            self._samples[key] = sampled
+        return sampled
+
+    def restricted(self, bidegree, J, G, target):
+        """Values of a base value on the cloud of the multi-index `target`.
+
+        A row gather from the base cell's own array when the clouds nest; a
+        fresh evaluation at the target points otherwise.
+        """
+        rows = self.cover.restriction(cell_multi_index(self.action, J, G), target)
+        if rows is None:
+            return self.base_value(bidegree, J, G).eval(
+                as_cloud(self.cover.cloud(target), self.n)[0])
+        return self.sample(bidegree, J, G).values[rows]
 
     def expression(self):
         return CochainExpression(self, {bd: _identity_terms(bd) for bd in self.components})
@@ -293,19 +335,6 @@ def _identity_terms(bd):
     def at(J, G):
         return {(bd, tuple(J), tuple(G), IDENTITY_WORD): 1}
     return at
-
-
-def _cached_form(form):
-    if form.structurally_zero:
-        return form
-    cache = {}
-
-    def ev(point):
-        if point not in cache:
-            cache[point] = form.eval(point)
-        return cache[point]
-
-    return ScalarKForm(form.n, form.k, ev, provenance=form.provenance)
 
 
 class CochainExpression:
@@ -333,36 +362,40 @@ class CochainExpression:
         return {k: c for k, c in out.items() if c}
 
     def value(self, bidegree, J, G):
-        """Assemble the pointwise form for one cell."""
-        acc = ScalarKForm.zero(self.base.n, self.base.form_degree)
+        """The cell's values on its cloud, summed over its terms in a fixed order."""
+        base = self.base
+        target = cell_multi_index(base.action, J, G)
+        points = base.cover.cloud(target)
+        acc = None
         for (bd, Jb, Gb, pull), coeff in sorted(self.terms(bidegree, J, G).items(),
                                                 key=lambda kv: repr(kv[0])):
-            val = self.base.base_value(bd, Jb, Gb)
-            if not pull.is_identity():
-                val = pullback_kform(self.base.action.word_chain(pull, self.base.n), val)
-            acc = acc + val.scale(coeff)
-        return acc
+            form = base.base_value(bd, Jb, Gb)
+            if form.structurally_zero:
+                continue
+            if pull.is_identity():
+                vals = base.restricted(bd, Jb, Gb, target)
+            else:
+                form = pullback_kform(base.action.word_chain(pull, base.n), form)
+                vals = form.eval(as_cloud(points, base.n)[0])
+            term = coeff * vals
+            acc = term if acc is None else acc + term
+        if acc is None:
+            return SampledForm.zeros(base.n, base.form_degree, points)
+        return SampledForm(base.n, base.form_degree, points, acc)
 
     def sample(self, bidegree, J, G):
-        return SampledForm.sample(self.value(bidegree, J, G),
-                                  self.base.cell_points(J, G))
+        return self.value(bidegree, J, G)
 
     def max_residual(self, bidegree, J, G):
-        points = self.base.cell_points(J, G)
-        if not points:
+        if not self.base.cell_points(J, G):
             return None
-        return self.sample(bidegree, J, G).max_abs()
+        return self.value(bidegree, J, G).max_abs()
 
     def worst_point(self, bidegree, J, G):
         """(point, residual) where the cell's residual peaks; None when empty."""
-        points = self.base.cell_points(J, G)
-        if not points:
+        if not self.base.cell_points(J, G):
             return None
-        sampled = self.sample(bidegree, J, G)
-        per_point = np.max(np.abs(sampled.values), axis=1) if sampled.values.size \
-            else np.zeros(len(points))
-        i = int(np.argmax(per_point))
-        return points[i], float(per_point[i])
+        return self.value(bidegree, J, G).worst_point()
 
     def scale(self, a):
         a = int(a)
@@ -702,14 +735,12 @@ def witness_report(witness, tau_a, tau_b, tol=1e-7, words=None):
     for (m, q) in sorted(set(diff.bidegrees())
                          | set(tau_a.bidegrees()) | set(tau_b.bidegrees())):
         for J, G in enumerate_cells(cover, action, m, q, words=words):
-            points = cover.cloud(cell_multi_index(action, J, G))
-            if not points:
-                continue
             got = diff.value((m, q), J, G)
-            want = tau_a.base_value((m, q), J, G) - tau_b.base_value((m, q), J, G)
-            res = SampledForm.sample(got - want, points).max_abs()
+            want = tau_a.sample((m, q), J, G).sub(tau_b.sample((m, q), J, G))
+            point, res = got.sub(want).worst_point()
             rows.append({"bidegree": [m, q], "indices": list(map(str, J)),
-                         "words": [repr(w) for w in G], "residual": res})
+                         "words": [repr(w) for w in G], "residual": res,
+                         "worst_point": [[c.real, c.imag] for c in point]})
             worst = max(worst, res)
     rows.sort(key=lambda r: -r["residual"])
     return {

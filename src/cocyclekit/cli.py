@@ -180,13 +180,27 @@ def execute_checks(scn):
         return dict(result, name=entry["name"], type=entry["type"],
                     tolerance=entry["tolerance"])
 
-    workers = int(os.environ.get("COCYCLE_THREADS", "0")) or None
+    workers = _thread_cap()
     if workers == 1 or len(scn.checks) <= 1:
         results = [one(e) for e in scn.checks]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, scn.checks))
     return results
+
+
+def _thread_cap():
+    """COCYCLE_THREADS as a pool size: None (the executor default) when unset or 0."""
+    raw = os.environ.get("COCYCLE_THREADS", "").strip()
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValidationError("COCYCLE_THREADS must be a non-negative integer, got %r" % raw)
+    return value or None
 
 
 def build_report(scn, results):

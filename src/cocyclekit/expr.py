@@ -2,11 +2,13 @@
 
 Constants are exact complex rationals; simplification is constant folding and
 sum/product flattening only, so a structurally zero derivative stays the
-literal zero node.
+literal zero node. Numeric evaluation goes through compile_expr, which turns a
+tree into one array function over whole coordinate columns.
 """
 
-import cmath
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, DslSyntaxError, ValidationError
 
@@ -60,9 +62,15 @@ ONE = CRat(1)
 
 
 class Expr:
-    """Base node; subclasses define eval/diff/children."""
+    """Base node; subclasses define compile/diff/children."""
 
     def eval(self, point):
+        """Value at one point: a one-row view of the compiled array function."""
+        cols = np.asarray(point, dtype=complex).reshape(-1, 1)
+        return complex(np.asarray(compile_expr(self)(cols)).reshape(-1)[0])
+
+    def compile(self, memo):
+        """Array function cols -> values; cols[i] holds z_{i+1} over the cloud."""
         raise NotImplementedError
 
     def diff(self, var):
@@ -91,8 +99,9 @@ class Const(Expr):
     def __init__(self, value):
         self.value = value if isinstance(value, CRat) else CRat(value)
 
-    def eval(self, point):
-        return self.value.to_complex()
+    def compile(self, memo):
+        c = self.value.to_complex()
+        return lambda cols: c
 
     def diff(self, var):
         return Const(ZERO)
@@ -110,8 +119,9 @@ class Var(Expr):
         if self.index < 1:
             raise ValidationError("variable index must be >= 1")
 
-    def eval(self, point):
-        return point[self.index - 1]
+    def compile(self, memo):
+        i = self.index - 1
+        return lambda cols: cols[i]
 
     def diff(self, var):
         return Const(ONE if self.index == var else ZERO)
@@ -130,8 +140,16 @@ class Add(Expr):
     def children(self):
         return self.terms
 
-    def eval(self, point):
-        return sum(t.eval(point) for t in self.terms)
+    def compile(self, memo):
+        first, *rest = [compile_expr(t, memo) for t in self.terms]
+
+        def run(cols):
+            v = first(cols)
+            for f in rest:
+                v = v + f(cols)
+            return v
+
+        return run
 
     def diff(self, var):
         return add(*[t.diff(var) for t in self.terms])
@@ -144,11 +162,16 @@ class Mul(Expr):
     def children(self):
         return self.factors
 
-    def eval(self, point):
-        v = 1.0 + 0.0j
-        for f in self.factors:
-            v *= f.eval(point)
-        return v
+    def compile(self, memo):
+        first, *rest = [compile_expr(f, memo) for f in self.factors]
+
+        def run(cols):
+            v = first(cols)
+            for f in rest:
+                v = v * f(cols)
+            return v
+
+        return run
 
     def diff(self, var):
         terms = []
@@ -166,11 +189,15 @@ class Div(Expr):
     def children(self):
         return (self.num, self.den)
 
-    def eval(self, point):
-        d = self.den.eval(point)
-        if abs(d) < 1e-300:
-            raise DomainError("denominator vanished at %r" % (point,))
-        return self.num.eval(point) / d
+    def compile(self, memo):
+        num, den = compile_expr(self.num, memo), compile_expr(self.den, memo)
+
+        def run(cols):
+            d = den(cols)
+            _guard(np.abs(d) < 1e-300, cols, "denominator vanished at %r")
+            return num(cols) / d
+
+        return run
 
     def diff(self, var):
         return div(add(mul(self.num.diff(var), self.den),
@@ -191,11 +218,16 @@ class Pow(Expr):
     def key(self):
         return (self.base, self.exponent)
 
-    def eval(self, point):
-        b = self.base.eval(point)
-        if self.exponent < 0 and abs(b) < 1e-300:
-            raise DomainError("negative power of ~0 at %r" % (point,))
-        return b ** self.exponent
+    def compile(self, memo):
+        base, e = compile_expr(self.base, memo), self.exponent
+
+        def run(cols):
+            b = base(cols)
+            if e < 0:
+                _guard(np.abs(b) < 1e-300, cols, "negative power of ~0 at %r")
+            return b ** e
+
+        return run
 
     def diff(self, var):
         if self.exponent == 0:
@@ -211,8 +243,9 @@ class Exp(Expr):
     def children(self):
         return (self.arg,)
 
-    def eval(self, point):
-        return cmath.exp(self.arg.eval(point))
+    def compile(self, memo):
+        arg = compile_expr(self.arg, memo)
+        return lambda cols: np.exp(arg(cols))
 
     def diff(self, var):
         return mul(Exp(self.arg), self.arg.diff(var))
@@ -227,14 +260,41 @@ class Log(Expr):
     def children(self):
         return (self.arg,)
 
-    def eval(self, point):
-        v = self.arg.eval(point)
-        if abs(v) < 1e-300:
-            raise DomainError("log of ~0 at %r" % (point,))
-        return cmath.log(v)
+    def compile(self, memo):
+        arg = compile_expr(self.arg, memo)
+
+        def run(cols):
+            v = arg(cols)
+            _guard(np.abs(v) < 1e-300, cols, "log of ~0 at %r")
+            return np.log(v)
+
+        return run
 
     def diff(self, var):
         return div(self.arg.diff(var), self.arg)
+
+
+def compile_expr(e, memo=None):
+    """Compile e once into an array function over coordinate columns.
+
+    The function takes cols, a sequence whose i-th entry holds z_{i+1} at every
+    point of a cloud, and returns the values at all points (a plain complex
+    when e is constant; it broadcasts wherever it is stored). Constants become
+    complex here, once. Subtrees shared by reference compile once through
+    memo. Near-zero denominators, negative-power bases and log arguments raise
+    DomainError naming the first offending point.
+    """
+    memo = {} if memo is None else memo
+    fn = memo.get(id(e))
+    if fn is None:
+        fn = memo[id(e)] = e.compile(memo)
+    return fn
+
+
+def _guard(bad, cols, message):
+    if np.any(bad):
+        i = int(np.argmax(np.broadcast_to(bad, np.shape(cols[0]))))
+        raise DomainError(message % (tuple(complex(c[i]) for c in cols),))
 
 
 # Folding constructors. All algebraic construction goes through these so that

@@ -1,22 +1,31 @@
-"""Matrix-valued 1-forms and scalar k-forms as pointwise evaluators.
+"""Matrix-valued 1-forms and scalar k-forms, evaluated on whole sample clouds.
 
 theta(f) is the connection-style form J^{-1} dJ of a map's Jacobian; the sharp
 pullback conjugates the matrix part while pulling back the 1-form part. A
 GL-invariant map applied to k such forms wedges the 1-form parts into a scalar
-k-form. Everything here evaluates at explicit points; nothing is a global
-symbolic object.
+k-form. Nothing here is a global symbolic object: a form is an array function
+of a cloud. On an (N, n) point array, MatrixOneForm.eval returns an
+(N, n, n, n) array indexed [point, dz^a, row, col], and ScalarKForm.eval an
+(N, C(n, k)) array whose columns follow itertools.combinations order. Called
+with a single point, eval is a one-row view of that path (matrices stacked by
+dz^a, or {k-index: coefficient}).
+
+The compiled expression functions behind every evaluation are cached on each
+HoloMap; the values of cochain base cells are cached as one array per base
+value in cechgroup.MixedCochain.
 """
 
 import itertools
 
 import numpy as np
 
-from .errors import SingularJacobianError, ValidationError
+from .errors import ValidationError
+from .holomap import as_cloud, invert_jacobians
 from .invariants import eval_invariant
 
 
 class MatrixOneForm:
-    """point -> list of n complex (n, n) matrices, one per coordinate differential."""
+    """(N, n) points -> (N, n, n, n) coefficient matrices, [point, dz^a, row, col]."""
 
     def __init__(self, n, eval_fn, provenance="", structurally_zero=False):
         self.n = int(n)
@@ -24,11 +33,13 @@ class MatrixOneForm:
         self.provenance = provenance
         self.structurally_zero = structurally_zero
 
-    def eval(self, point):
+    def eval(self, points):
+        P, single = as_cloud(points, self.n)
         if self.structurally_zero:
-            z = np.zeros((self.n, self.n), dtype=complex)
-            return [z.copy() for _ in range(self.n)]
-        return self._eval(tuple(point))
+            out = np.zeros((len(P), self.n, self.n, self.n), dtype=complex)
+        else:
+            out = self._eval(P)
+        return out[0] if single else out
 
     @classmethod
     def zero(cls, n, provenance="0"):
@@ -41,18 +52,13 @@ class MatrixOneForm:
             return other
         if other.structurally_zero:
             return self
-
-        def ev(point):
-            a = self.eval(point)
-            b = other.eval(point)
-            return [x + y for x, y in zip(a, b)]
-
-        return MatrixOneForm(self.n, ev, "(%s + %s)" % (self.provenance, other.provenance))
+        return MatrixOneForm(self.n, lambda P: self.eval(P) + other.eval(P),
+                             "(%s + %s)" % (self.provenance, other.provenance))
 
     def scale(self, a):
         if self.structurally_zero or a == 0:
             return MatrixOneForm.zero(self.n)
-        return MatrixOneForm(self.n, lambda p: [a * m for m in self.eval(p)],
+        return MatrixOneForm(self.n, lambda P: a * self.eval(P),
                              "%r * %s" % (a, self.provenance))
 
     def __sub__(self, other):
@@ -60,15 +66,12 @@ class MatrixOneForm:
 
     def max_norm(self, points):
         """Entrywise max over the coefficient matrices at the given points."""
-        worst = 0.0
-        for p in points:
-            for m in self.eval(p):
-                worst = max(worst, float(np.max(np.abs(m))))
-        return worst
+        values = self.eval(as_cloud(points, self.n)[0])
+        return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 class ScalarKForm:
-    """point -> dict {increasing k-index tuple: coefficient} on C^n."""
+    """(N, n) points -> (N, C(n, k)) coefficients in itertools.combinations order."""
 
     def __init__(self, n, k, eval_fn, provenance="", structurally_zero=False):
         self.n = int(n)
@@ -80,10 +83,16 @@ class ScalarKForm:
     def indices(self):
         return list(itertools.combinations(range(1, self.n + 1), self.k))
 
-    def eval(self, point):
+    def eval(self, points):
+        """Coefficient array on a cloud; for one point, {k-index: coefficient}."""
+        P, single = as_cloud(points, self.n)
         if self.structurally_zero:
-            return {idx: 0.0 + 0.0j for idx in self.indices()}
-        return self._eval(tuple(point))
+            out = np.zeros((len(P), len(self.indices())), dtype=complex)
+        else:
+            out = self._eval(P)
+        if single:
+            return dict(zip(self.indices(), out[0].tolist()))
+        return out
 
     @classmethod
     def zero(cls, n, k, provenance="0"):
@@ -95,20 +104,14 @@ class ScalarKForm:
             return other
         if other.structurally_zero:
             return self
-
-        def ev(point):
-            a = self.eval(point)
-            b = other.eval(point)
-            return {idx: a[idx] + b[idx] for idx in a}
-
-        return ScalarKForm(self.n, self.k, ev)
+        return ScalarKForm(self.n, self.k, lambda P: self.eval(P) + other.eval(P))
 
     def scale(self, a):
         if self.structurally_zero:
             return self
         if a == 0:
             return ScalarKForm.zero(self.n, self.k)
-        return ScalarKForm(self.n, self.k, lambda p: {i: a * v for i, v in self.eval(p).items()})
+        return ScalarKForm(self.n, self.k, lambda P: a * self.eval(P))
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
@@ -118,11 +121,8 @@ class ScalarKForm:
             raise ValidationError("form degree/dimension mismatch")
 
     def max_norm(self, points):
-        worst = 0.0
-        for p in points:
-            for v in self.eval(p).values():
-                worst = max(worst, abs(v))
-        return worst
+        values = self.eval(as_cloud(points, self.n)[0])
+        return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 def theta(f):
@@ -135,17 +135,9 @@ def theta(f):
     if hasattr(f, "is_affine") and f.is_affine():
         return MatrixOneForm.zero(n, provenance="theta(%s)" % getattr(f, "name", "affine"))
 
-    def ev(point):
-        Jinv = f.jacobian_inverse(point)
-        out = []
-        for a in range(1, n + 1):
-            dJ = np.empty((n, n), dtype=complex)
-            exprs = f.djac_exprs(a)
-            for r in range(n):
-                for c in range(n):
-                    dJ[r, c] = exprs[r][c].eval(point)
-            out.append(Jinv @ dJ)
-        return out
+    def ev(P):
+        Jinv = f.jacobian_inverse(P)
+        return Jinv[:, None] @ f.djacobian(P)
 
     return MatrixOneForm(n, ev, provenance="theta(%s)" % (getattr(f, "name", "") or "map"))
 
@@ -159,22 +151,24 @@ def sharp_pullback(phi, omega):
                                   provenance="%s#(0)" % getattr(phi, "name", "phi"))
     n = omega.n
 
-    def ev(point):
-        J = phi.jacobian(point)
-        det = np.linalg.det(J)
-        if abs(det) < 1e-12:
-            raise SingularJacobianError(point)
-        Jinv = np.linalg.inv(J)
-        mats = omega.eval(phi.eval(point))
-        conj = [Jinv @ m @ J for m in mats]
-        return [sum(J[a, b] * conj[a] for a in range(n)) for b in range(n)]
+    def ev(P):
+        J = phi.jacobian(P)
+        Jinv = invert_jacobians(J, P)
+        conj = Jinv[:, None] @ omega.eval(phi.eval(P)) @ J[:, None]
+        # coefficient of dz^b: sum over a of J[a, b] times the dz^a matrix
+        N = len(P)
+        return (np.swapaxes(J, 1, 2) @ conj.reshape(N, n, n * n)).reshape(N, n, n, n)
 
     return MatrixOneForm(n, ev, provenance="%s#(%s)" % (getattr(phi, "name", "phi"),
                                                         omega.provenance))
 
 
 def apply_invariant(T, omegas):
-    """Wedge k matrix 1-forms through a GL-invariant map into a scalar k-form."""
+    """Wedge k matrix 1-forms through a GL-invariant map into a scalar k-form.
+
+    The coefficient of dz^I is the signed sum over the k! orderings of I; all
+    (index, ordering, point) choices are stacked into one eval_invariant call.
+    """
     k = T.arity
     if len(omegas) != k:
         raise ValidationError("expected %d forms for arity %d" % (k, k))
@@ -185,20 +179,21 @@ def apply_invariant(T, omegas):
     if k > n or any(w.structurally_zero for w in omegas):
         return ScalarKForm.zero(n, k, provenance="T[...]=0")
 
-    combos = list(itertools.combinations(range(1, n + 1), k))
-    perms = [(sig, _perm_sign(sig)) for sig in itertools.permutations(range(k))]
+    combos = list(itertools.combinations(range(n), k))
+    perms = list(itertools.permutations(range(k)))
+    signs = [_perm_sign(sig) for sig in perms]
+    # slot r of the (combo, ordering) pair receives the dz^{idx[sig[r]]} matrix
+    slots = [np.array([idx[sig[r]] for idx in combos for sig in perms]) for r in range(k)]
 
-    def ev(point):
-        mats = [w.eval(point) for w in omegas]
-        out = {}
-        for idx in combos:
-            total = 0.0 + 0.0j
-            for sig, sign in perms:
-                # slot r receives the coefficient matrix of dz^{idx[sig[r]]}
-                chosen = [mats[r][idx[sig[r]] - 1] for r in range(k)]
-                total += sign * eval_invariant(T, chosen)
-            out[idx] = total
-        return out
+    def ev(P):
+        N = len(P)
+        chosen = [np.swapaxes(w.eval(P)[:, slot], 0, 1).reshape(-1, n, n)
+                  for w, slot in zip(omegas, slots)]
+        vals = eval_invariant(T, chosen).reshape(len(combos), len(perms), N)
+        total = signs[0] * vals[:, 0]
+        for s in range(1, len(perms)):
+            total = total + signs[s] * vals[:, s]
+        return total.T
 
     return ScalarKForm(n, k, ev, provenance="T[%s]" % ", ".join(w.provenance for w in omegas))
 
@@ -219,21 +214,16 @@ def pullback_kform(phi, w):
     if w.structurally_zero:
         return ScalarKForm.zero(w.n, w.k)
     n, k = w.n, w.k
-    combos = list(itertools.combinations(range(1, n + 1), k))
+    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
 
-    def ev(point):
-        J = phi.jacobian(point)
-        vals = w.eval(phi.eval(point))
-        out = {}
-        for B in combos:
-            cols = [b - 1 for b in B]
-            total = 0.0 + 0.0j
-            for A in combos:
-                rows = [a - 1 for a in A]
-                minor = np.linalg.det(J[np.ix_(rows, cols)]) if k > 0 else 1.0
-                total += vals[A] * minor
-            out[B] = total
-        return out
+    def ev(P):
+        J = phi.jacobian(P)
+        vals = w.eval(phi.eval(P))
+        if k == 0:
+            return vals
+        # minors[p, A, B] = det of J[p] restricted to rows A and columns B
+        minors = np.linalg.det(J[:, combos[:, None, :, None], combos[None, :, None, :]])
+        return (vals[:, None, :] @ minors)[:, 0, :]
 
     return ScalarKForm(n, k, ev, provenance="%s*(%s)" % (getattr(phi, "name", "phi"),
                                                          w.provenance))
@@ -258,13 +248,8 @@ class SampledForm:
 
     @classmethod
     def sample(cls, form, points):
-        idxs = list(itertools.combinations(range(1, form.n + 1), form.k))
-        arr = np.zeros((len(points), len(idxs)), dtype=complex)
-        for i, p in enumerate(points):
-            vals = form.eval(p)
-            for j, idx in enumerate(idxs):
-                arr[i, j] = vals[idx]
-        return cls(form.n, form.k, points, arr)
+        """Evaluate a form on a point list with one call over the whole cloud."""
+        return cls(form.n, form.k, points, form.eval(as_cloud(points, form.n)[0]))
 
     @classmethod
     def zeros(cls, n, k, points):
@@ -288,6 +273,15 @@ class SampledForm:
 
     def max_abs(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+
+    def worst_point(self):
+        """(point, largest coefficient modulus there) where that peaks; None when empty."""
+        if not self.points:
+            return None
+        per_point = np.max(np.abs(self.values), axis=1) if self.values.size \
+            else np.zeros(len(self.points))
+        i = int(np.argmax(per_point))
+        return self.points[i], float(per_point[i])
 
     def is_exactly_zero(self):
         return bool(np.all(self.values == 0))

@@ -1,7 +1,9 @@
 """Holomorphic maps between opens of C^n: evaluation, exact Jacobians, composition.
 
 A map's domain is a named cloud of sample points (plus an optional membership
-predicate); every check downstream is pointwise over such clouds. Inverses are
+predicate); every check downstream is pointwise over such clouds, and every
+evaluation takes the whole cloud at once: an (N, n) point array in, one row per
+point out. A single point is a one-row view of the same path. Inverses are
 never derived symbolically, so anything that needs both directions must carry
 them explicitly.
 """
@@ -29,8 +31,57 @@ class DomainSpec:
         return abs(self.predicate.eval(tuple(point))) > 1e-12
 
 
+def as_cloud(points, n):
+    """(N, n) complex array of a cloud, plus whether `points` was one point."""
+    arr = np.asarray(points, dtype=complex)
+    single = arr.ndim == 1 and arr.size > 0
+    return arr.reshape(-1, n), single
+
+
+def _one_row(values, single):
+    return values[0] if single else values
+
+
+def invert_jacobians(J, points):
+    """Inverses of stacked Jacobians; the DET_TOL test names the first singular point."""
+    det = np.linalg.det(J)
+    bad = np.abs(det) < DET_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularJacobianError(tuple(complex(c) for c in points[i]),
+                                    "|det| = %.3e" % abs(det[i]))
+    return np.linalg.inv(J)
+
+
+def _compile_entries(exprs):
+    """One array function for a flat list of expressions: (N, n) -> (N, len(exprs)).
+
+    Literal-zero entries are never evaluated, so they stay exactly zero.
+    """
+    memo = {}
+    fns = [(j, ex.compile_expr(e, memo)) for j, e in enumerate(exprs)
+           if not ex.is_zero_expr(e)]
+    size = len(exprs)
+
+    def run(points):
+        cols = np.ascontiguousarray(points.T)
+        out = np.zeros((len(points), size), dtype=complex)
+        for j, fn in fns:
+            out[:, j] = fn(cols)
+        return out
+
+    return run
+
+
 class HoloMap:
-    """n expression components over z1..zn with a sample-cloud domain."""
+    """n expression components over z1..zn with a sample-cloud domain.
+
+    Symbolic derivatives (_jac, _djac) and the compiled array functions of the
+    components, the Jacobian and its derivatives (_fns) are built on first use
+    and cached here. Each is computed in full before it is stored, so checks
+    sharing a map across threads may duplicate the work but never see it half
+    built.
+    """
 
     def __init__(self, n, components, domain=None, name="", check=True):
         self.n = int(n)
@@ -45,23 +96,39 @@ class HoloMap:
         self.name = name
         self._jac = None
         self._djac = {}
+        self._fns = {}
         if check:
             self._check_domain()
 
     def _check_domain(self):
-        for p in self.domain.samples:
-            J = self.jacobian(p)
-            if not np.all(np.isfinite(J)):
-                raise ValidationError("Jacobian not finite at %r" % (p,))
-            if abs(np.linalg.det(J)) < DET_TOL:
-                raise ValidationError("Jacobian singular at sample %r" % (p,))
+        samples = self.domain.samples
+        if not samples:
+            return
+        J = self.jacobian(samples)
+        finite = np.all(np.isfinite(J), axis=(1, 2))
+        singular = np.abs(np.linalg.det(J)) < DET_TOL
+        bad = ~finite | singular
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise ValidationError("Jacobian not finite at %r" % (samples[i],))
+            raise ValidationError("Jacobian singular at sample %r" % (samples[i],))
 
-    def __call__(self, point):
-        return self.eval(point)
+    def _compiled(self, kind, exprs):
+        fn = self._fns.get(kind)
+        if fn is None:
+            fn = _compile_entries(exprs())
+            self._fns[kind] = fn
+        return fn
 
-    def eval(self, point):
-        point = tuple(point)
-        return tuple(c.eval(point) for c in self.components)
+    def __call__(self, points):
+        return self.eval(points)
+
+    def eval(self, points):
+        """(N, n) points -> (N, n) values; one point -> a tuple of n complex numbers."""
+        P, single = as_cloud(points, self.n)
+        out = self._compiled("eval", lambda: self.components)(P)
+        return tuple(out[0].tolist()) if single else out
 
     def jac_exprs(self):
         if self._jac is None:
@@ -77,21 +144,23 @@ class HoloMap:
                                   for r in range(self.n))
         return self._djac[a]
 
-    def jacobian(self, point):
-        point = tuple(point)
-        J = self.jac_exprs()
-        out = np.empty((self.n, self.n), dtype=complex)
-        for r in range(self.n):
-            for c in range(self.n):
-                out[r, c] = J[r][c].eval(point)
-        return out
+    def jacobian(self, points):
+        """(N, n) points -> (N, n, n) Jacobians; one point -> one (n, n) matrix."""
+        P, single = as_cloud(points, self.n)
+        fn = self._compiled("jacobian", lambda: [e for row in self.jac_exprs() for e in row])
+        return _one_row(fn(P).reshape(-1, self.n, self.n), single)
 
-    def jacobian_inverse(self, point):
-        J = self.jacobian(point)
-        det = np.linalg.det(J)
-        if abs(det) < DET_TOL:
-            raise SingularJacobianError(point, "|det| = %.3e" % abs(det))
-        return np.linalg.inv(J)
+    def djacobian(self, points):
+        """d/dz_a of the Jacobian at every point, indexed [point, a - 1, row, col]."""
+        P, single = as_cloud(points, self.n)
+        n = self.n
+        fn = self._compiled("djacobian", lambda: [e for a in range(1, n + 1)
+                                                  for row in self.djac_exprs(a) for e in row])
+        return _one_row(fn(P).reshape(-1, n, n, n), single)
+
+    def jacobian_inverse(self, points):
+        P, single = as_cloud(points, self.n)
+        return _one_row(invert_jacobians(self.jacobian(P), P), single)
 
     def is_affine(self):
         """True when every second derivative folds to the literal zero node."""
@@ -199,10 +268,10 @@ def numeric_partial(fn, point, var, h=1e-3):
 
 
 class MapChain:
-    """Pointwise composite of map-like pieces, applied right to left.
+    """Composite of map-like pieces, applied right to left on point arrays.
 
-    Quacks like a HoloMap for evaluation, Jacobians (chain rule) and dimension,
-    which is all the k-form pullback machinery needs.
+    Quacks like a HoloMap for evaluation, Jacobians (chain rule on stacked
+    matrices) and dimension, which is all the k-form pullback machinery needs.
     """
 
     def __init__(self, pieces, name=""):
@@ -216,29 +285,27 @@ class MapChain:
                 raise ValidationError("chain pieces disagree on dimension")
         self.name = name
 
-    def eval(self, point):
-        v = tuple(point)
+    def eval(self, points):
+        P, single = as_cloud(points, self.n)
         for p in reversed(self.pieces):
-            v = p.eval(v)
-        return v
+            P = p.eval(P)
+        return tuple(P[0].tolist()) if single else P
 
-    def __call__(self, point):
-        return self.eval(point)
+    def __call__(self, points):
+        return self.eval(points)
 
-    def jacobian(self, point):
-        v = tuple(point)
-        J = np.eye(self.n, dtype=complex)
+    def jacobian(self, points):
+        P, single = as_cloud(points, self.n)
+        J = None
         for p in reversed(self.pieces):
-            J = p.jacobian(v) @ J
-            v = p.eval(v)
-        return J
+            Jp = p.jacobian(P)
+            J = Jp if J is None else Jp @ J
+            P = p.eval(P)
+        return _one_row(J, single)
 
-    def jacobian_inverse(self, point):
-        J = self.jacobian(point)
-        det = np.linalg.det(J)
-        if abs(det) < DET_TOL:
-            raise SingularJacobianError(point)
-        return np.linalg.inv(J)
+    def jacobian_inverse(self, points):
+        P, single = as_cloud(points, self.n)
+        return _one_row(invert_jacobians(self.jacobian(P), P), single)
 
     def __repr__(self):
         return "MapChain(%s)" % " . ".join(getattr(p, "name", "?") or "?" for p in self.pieces)

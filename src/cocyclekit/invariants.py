@@ -15,10 +15,6 @@ from .errors import ValidationError
 POWER = "power"
 ELEMENTARY = "elementary"
 
-# Full S_k symmetrization is used up to this arity; beyond it, evaluation
-# averages over canonical cyclic arrangements only (same value, fewer terms).
-FULL_SYMMETRIZE_MAX_ARITY = 8
-
 
 def as_partition(parts):
     """Canonicalize to a nonincreasing tuple of positive ints."""
@@ -90,9 +86,11 @@ def _check_mats(k, mats):
     if len(mats) != k:
         raise ValidationError("expected %d matrices, got %d" % (k, len(mats)))
     arrs = [np.asarray(m, dtype=complex) for m in mats]
-    n = arrs[0].shape[0]
+    shape = arrs[0].shape
+    if len(shape) not in (2, 3) or shape[-1] != shape[-2]:
+        raise ValidationError("expected square matrices or (N, n, n) stacks, got %r" % (shape,))
     for a in arrs:
-        if a.shape != (n, n):
+        if a.shape != shape:
             raise ValidationError("matrices must share a square shape, got %r" % (a.shape,))
     return arrs
 
@@ -150,70 +148,71 @@ def symmetrize(p):
     return InvariantMap(p.size, {cycle_type(p): Fraction(1)})
 
 
-def _blocks(partition):
-    """Consecutive index blocks [0..p1), [p1..p1+p2), ... for one arrangement."""
-    out = []
-    start = 0
-    for p in partition:
-        out.append(range(start, start + p))
-        start += p
-    return out
+def _sym_term_value(partition, mats, traces=None):
+    """Value of the symmetrized multi-trace map for one partition key.
 
-
-def _sym_term_value(partition, mats):
-    """Value of the symmetrized multi-trace map for one partition key."""
-    k = len(mats)
-    blocks = _blocks(partition)
-    if k <= FULL_SYMMETRIZE_MAX_ARITY:
-        total = 0.0 + 0.0j
-        for tau in itertools.permutations(range(k)):
-            val = 1.0 + 0.0j
-            for blk in blocks:
-                prod = mats[tau[blk[0]]]
-                for i in blk[1:]:
-                    prod = prod @ mats[tau[i]]
-                val *= np.trace(prod)
-            total += val
-        return total / math.factorial(k)
-    # Large arity: the map depends only on which inputs land in which trace and
-    # their cyclic order, so enumerate block assignments with each block's
-    # cyclic rotation pinned to start at its smallest member.
-    sizes = list(partition)
-    total = 0.0 + 0.0j
+    The map depends only on which inputs land in which trace and their cyclic
+    order, so it averages over the block assignments of _cyclic_arrangements
+    instead of all k! input orders. Inputs may be single matrices or (N, n, n)
+    stacks; the trace of each block product is computed once per `traces`.
+    """
+    traces = {} if traces is None else traces
+    total = None
     count = 0
-    for arrangement in _cyclic_arrangements(tuple(range(k)), sizes):
-        val = 1.0 + 0.0j
+    for arrangement in _cyclic_arrangements(tuple(range(len(mats))), list(partition)):
+        val = None
         for blk in arrangement:
-            prod = mats[blk[0]]
-            for i in blk[1:]:
-                prod = prod @ mats[i]
-            val *= np.trace(prod)
-        total += val
+            t = traces.get(blk)
+            if t is None:
+                prod = mats[blk[0]]
+                for i in blk[1:]:
+                    prod = prod @ mats[i]
+                t = traces[blk] = np.trace(prod, axis1=-2, axis2=-1)
+            val = t if val is None else val * t
+        total = val if total is None else total + val
         count += 1
     return total / count
 
 
-def _cyclic_arrangements(indices, sizes):
-    """All ways to fill trace blocks of the given sizes, cyclic rotation pinned."""
+def _cyclic_arrangements(indices, sizes, after=-1):
+    """All ways to fill trace blocks of the given sizes, cyclic rotation pinned.
+
+    Each block starts at its smallest member, and blocks of equal size come in
+    increasing order of that member, so every distinct product of traces is
+    produced exactly once. `after` is the lower bound for the first block's
+    smallest member.
+    """
     if not sizes:
         yield ()
         return
     p = sizes[0]
     for chosen in itertools.combinations(indices, p):
+        if chosen[0] <= after:
+            continue
         remaining = tuple(i for i in indices if i not in chosen)
+        nxt = chosen[0] if len(sizes) > 1 and sizes[1] == p else -1
         for order in itertools.permutations(chosen[1:]):
             head = (chosen[0],) + order
-            for tail in _cyclic_arrangements(remaining, sizes[1:]):
+            for tail in _cyclic_arrangements(remaining, sizes[1:], nxt):
                 yield (head,) + tail
 
 
 def eval_invariant(T, mats):
-    """Evaluate an InvariantMap on k square matrices of a common size."""
+    """Evaluate an InvariantMap on k square matrices of a common size.
+
+    Given k stacks of shape (N, n, n) instead, it returns the (N,) values at
+    every stacked position in one call; a single tuple of matrices is the
+    one-row view and returns a complex number.
+    """
     mats = _check_mats(T.arity, mats)
-    total = 0.0 + 0.0j
+    traces = {}
+    total = None
     for part, coeff in sorted(T.terms.items()):
-        total += complex(coeff) * _sym_term_value(part, mats)
-    return complex(total)
+        term = complex(coeff) * _sym_term_value(part, mats, traces)
+        total = term if total is None else total + term
+    if total is None:
+        total = np.zeros(mats[0].shape[:-2], dtype=complex)
+    return complex(total) if mats[0].ndim == 2 else total
 
 
 class SymFun:

@@ -86,7 +86,7 @@ def test_word_map_is_composition(rng):
 
 def constant_cochain(cover, action, value=1.0):
     def provider(J, G):
-        return ScalarKForm(2, 2, lambda p: {(1, 2): value})
+        return ScalarKForm(2, 2, lambda P: np.full((len(P), 1), value, dtype=complex))
     return cg.MixedCochain(cover, action, 2, 2, {(0, 0): provider})
 
 
@@ -98,11 +98,11 @@ def poly_cochain(cover, action, bidegrees, seed=0):
             r = np.random.default_rng(key)
             c = r.normal(size=6)
 
-            def ev(p):
-                z1, z2 = p
+            def ev(P):
+                z1, z2 = P[:, 0], P[:, 1]
                 val = (c[0] + c[1] * z1 + c[2] * z2 + c[3] * z1 * z2
                        + c[4] * z1 ** 2 + c[5] * z2 ** 2)
-                return {(1, 2): val}
+                return val[:, None]
 
             return ScalarKForm(2, 2, ev)
         return provider
@@ -155,9 +155,10 @@ def test_group_differential_two_term_bar_formula(rng):
     base = c.base_value((0, 0), ("u",), ())
     pulled = cg.pullback_kform(action.word_chain(g), base)
     got = dc.value((0, 1), ("u",), (g,))
-    for p in pts:
+    assert got.points == pts
+    for p, row in zip(pts, got.values):
         want = base.eval(p)[(1, 2)] - pulled.eval(p)[(1, 2)]
-        assert got.eval(p)[(1, 2)] == pytest.approx(want, abs=1e-12)
+        assert row[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_group_differential_squares_to_zero(rng):
@@ -298,6 +299,10 @@ def test_witness_nonaffine_reparametrization(rng):
     w = cg.cohomologous_witness(cover, action, atlas, atlas_b, T2)
     report = cg.witness_report(w, tau_a, tau_b, tol=1e-7)
     assert report["pass"], report["max_residual"]
+    cloud = [[[c.real, c.imag] for c in p] for p in cover.cloud(("p",))]
+    assert report["cells"]
+    for row in report["cells"]:
+        assert row["worst_point"] in cloud
     # the two cocycles genuinely differ somewhere
     diff = max((tau_a.base_value(bd, J, G) - tau_b.base_value(bd, J, G)).eval(p)[(1, 2)].__abs__()
                for bd in tau_a.bidegrees()

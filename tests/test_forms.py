@@ -63,7 +63,7 @@ def test_sharp_pullback_affine_law(rng):
     A = np.array([[2, 1], [1, 1]], dtype=complex)
     phi = hm.affine_map([[2, 1], [1, 1]], [0, 0])
     M = [np.array([[1, 2], [3, 4]], dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
-    omega = fo.MatrixOneForm(2, lambda p: [m.copy() for m in M])
+    omega = fo.MatrixOneForm(2, lambda P: np.broadcast_to(np.array(M), (len(P), 2, 2, 2)))
     out = fo.sharp_pullback(phi, omega)
     Ainv = np.linalg.inv(A)
     for p in random_points(rng, 3):
@@ -138,7 +138,7 @@ def test_pullback_kform_identity(rng):
 
 
 def test_pullback_kform_top_degree_is_det(rng):
-    w = fo.ScalarKForm(2, 2, lambda p: {(1, 2): 1.0 + 0j})
+    w = fo.ScalarKForm(2, 2, lambda P: np.ones((len(P), 1), dtype=complex))
     phi = hm.henon_map()
     out = fo.pullback_kform(phi, w)
     for p in random_points(rng, 5):

@@ -137,10 +137,19 @@ def test_eval_invariant_symmetric_under_input_permutation(rng):
         assert abs(v - v0) < 1e-11 * (1 + abs(v0))
 
 
-def test_grouped_evaluation_matches_full_average(rng, monkeypatch):
+def test_grouped_evaluation_matches_full_average(rng):
+    # brute-force S_k average: trace blocks (0,1,2)(3,4) over every input order
     mats = random_matrices(rng, 5, 2)
-    full = inv._sym_term_value((3, 2), mats)
-    monkeypatch.setattr(inv, "FULL_SYMMETRIZE_MAX_ARITY", 4)
+    total = 0.0 + 0.0j
+    for tau in itertools.permutations(range(5)):
+        val = 1.0 + 0.0j
+        for blk in ((0, 1, 2), (3, 4)):
+            prod = np.eye(2, dtype=complex)
+            for i in blk:
+                prod = prod @ mats[tau[i]]
+            val *= np.trace(prod)
+        total += val
+    full = total / math.factorial(5)
     grouped = inv._sym_term_value((3, 2), mats)
     assert abs(full - grouped) < 1e-12 * (1 + abs(full))
 

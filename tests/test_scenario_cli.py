@@ -108,6 +108,26 @@ def test_threads_env_var_keeps_order(tmp_path, monkeypatch):
     assert [c["name"] for c in report["checks"]] == ["affine-zero", "closed"]
 
 
+@pytest.mark.parametrize("value", ["", "  "])
+def test_threads_env_var_empty_means_unset(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("COCYCLE_THREADS", value)
+    out = tmp_path / "r.json"
+    assert main(["run", str(SCENARIOS / "affine_torus.scn"), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "-1"])
+def test_threads_env_var_bad_value_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("COCYCLE_THREADS", value)
+    out = tmp_path / "r.json"
+    assert main(["run", str(SCENARIOS / "affine_torus.scn"), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "COCYCLE_THREADS" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_symfun_cli_strings(capsys):
     assert main(["symfun", "todd", "2"]) == 0
     assert capsys.readouterr().out.strip() == "(1/12)(S1^2 + S2) = (1/24)(3 T1^2 - T2)"
