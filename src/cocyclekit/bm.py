@@ -6,6 +6,14 @@ times the full holomorphic d xi wedge. Coefficients follow the paper's
 normalization constant; the classical reproducing constant differs by
 -(2 pi i)^{n-1}, and the reproducing check rescales accordingly (both values
 are reported).
+
+Kernel evaluation works on clouds, like the rest of the package:
+bm_coefficients takes an (N, n) array of xi and returns (N, n) coefficients,
+and a single point is a one-row view of the same path returning
+{i: coefficient}. The dbar check sends every stencil point of every probe and
+step to the coefficient function in one (M, n) cloud; the reproducing
+integral evaluates one (order, order) slab of sphere nodes per kernel call.
+The diagonal guard names the first offending xi of a cloud.
 """
 
 import itertools
@@ -48,65 +56,94 @@ class BMEvaluation:
 
 
 def bm_coefficients(n, z, xi, scale=1.0):
-    """The omitted-index coefficients b_n (-1)^i (xi-bar^i - z-bar^i)/|xi-z|^{2n}."""
+    """The omitted-index coefficients b_n (-1)^i (xi-bar^i - z-bar^i)/|xi-z|^{2n}.
+
+    xi is an (N, n) cloud and the result is (N, n), column i - 1 holding index
+    i. A single point is a one-row view of the same path that returns
+    {i: coefficient}.
+    """
     if n < 2:
         raise ValidationError("the kernel is defined for n >= 2")
-    z = tuple(complex(c) for c in z)
-    xi = tuple(complex(c) for c in xi)
-    if len(z) != n or len(xi) != n:
+    z = np.asarray(z, dtype=complex)
+    xi = np.asarray(xi, dtype=complex)
+    single = xi.ndim == 1
+    cloud = xi.reshape(1, -1) if single else xi
+    if z.shape != (n,) or cloud.ndim != 2 or cloud.shape[1] != n:
         raise ValidationError("points must have %d coordinates" % n)
-    diff = [x - y for x, y in zip(xi, z)]
-    dist2 = sum(abs(d) ** 2 for d in diff)
-    if math.sqrt(dist2) < DIAGONAL_CUTOFF:
-        raise DomainError("points within %.0e of the diagonal" % DIAGONAL_CUTOFF)
-    b = bm_constant(n) * scale
-    denom = dist2 ** n
-    return {i: b * ((-1) ** i) * diff[i - 1].conjugate() / denom for i in range(1, n + 1)}
+    diff = cloud - z
+    dist2 = np.sum(np.abs(diff) ** 2, axis=1)
+    if len(dist2) and math.sqrt(dist2.min()) < DIAGONAL_CUTOFF:
+        i = int(np.argmax(np.sqrt(dist2) < DIAGONAL_CUTOFF))
+        raise DomainError("point xi = %s within %.0e of the diagonal"
+                          % (tuple(complex(c) for c in cloud[i]), DIAGONAL_CUTOFF))
+    signs = (-1.0) ** np.arange(1, n + 1)
+    coeffs = (bm_constant(n) * scale) * signs * np.conj(diff) / (dist2 ** n)[:, None]
+    if single:
+        return {i: complex(c) for i, c in enumerate(coeffs[0], start=1)}
+    return coeffs
 
 
 def bm_eval(n, z, xi):
     return BMEvaluation(n, z, xi, bm_coefficients(n, z, xi))
 
 
-def dbar_residual(n, z, xi, h, coeff_fn=None):
-    """Central-difference estimate of the dbar defect at one probe.
+# +h, -h, +ih, -ih along one coordinate
+_STENCIL = np.array([1.0, -1.0, 1.0j, -1.0j])
+
+
+def _stencil_residuals(n, z, probes, steps, coeff_fn):
+    """Central-difference dbar defects at every (probe, step): a (P, S) array.
 
     In the difference basis the only surviving part of dbar omega^0 is the
     alternating sum of the xi-bar_i derivatives of the omitted-index
-    coefficients, so that single complex number is the residual.
+    coefficients, so that single complex number is the residual. Every
+    stencil point of every probe and step goes to coeff_fn in one (M, n)
+    cloud, stacked as (probe, step, coordinate, stencil direction).
     """
-    coeff_fn = coeff_fn or (lambda xi_pt: bm_coefficients(n, z, xi_pt))
+    coeff_fn = coeff_fn or (lambda pts: bm_coefficients(n, z, pts))
+    steps = np.asarray(steps, dtype=float)
+    # offsets[s, i, k] moves coordinate i by steps[s] * _STENCIL[k]
+    offsets = (steps[:, None, None, None] * _STENCIL[None, None, :, None]
+               * np.eye(n)[None, :, None, :])
+    pts = probes[:, None, None, None, :] + offsets[None]
+    coeffs = np.asarray(coeff_fn(pts.reshape(-1, n))).reshape(pts.shape)
+    # own[p, s, k, i]: coefficient i on the stencil along coordinate i
+    own = np.diagonal(coeffs, axis1=2, axis2=4)
+    h = steps[None, :, None]
+    dx = (own[:, :, 0] - own[:, :, 1]) / (2 * h)
+    dy = (own[:, :, 2] - own[:, :, 3]) / (2 * h)
+    dbar = 0.5 * (dx + 1j * dy)
+    return np.sum((-1.0) ** np.arange(n) * dbar, axis=-1)
 
-    def coef(i, pt):
-        return coeff_fn(pt)[i]
 
-    total = 0.0 + 0.0j
-    for i in range(1, n + 1):
-        def shifted(step):
-            pt = list(xi)
-            pt[i - 1] = pt[i - 1] + step
-            return coef(i, tuple(pt))
+def dbar_residual(n, z, xi, h, coeff_fn=None):
+    """The dbar defect at one probe: a one-row view of the stencil cloud.
 
-        dx = (shifted(h) - shifted(-h)) / (2 * h)
-        dy = (shifted(1j * h) - shifted(-1j * h)) / (2 * h)
-        dbar = 0.5 * (dx + 1j * dy)
-        total += ((-1) ** (i - 1)) * dbar
-    return total
+    coeff_fn, when given, maps an (M, n) cloud to (M, n) coefficients.
+    """
+    probe = np.asarray(xi, dtype=complex).reshape(1, n)
+    return complex(_stencil_residuals(n, np.asarray(z, dtype=complex), probe, (h,),
+                                      coeff_fn)[0, 0])
 
 
 def dbar_closed_check(n, z, probes, h, coeff_fn=None):
     """Residuals at h and h/2 with the order-2 convergence ratio.
 
-    Probes must stay at least 10h away from the diagonal.
+    Probes must stay at least 10h away from the diagonal. coeff_fn, when
+    given, maps an (M, n) cloud to (M, n) coefficients; it is called once.
     """
-    z = tuple(complex(c) for c in z)
-    probes = [tuple(complex(c) for c in p) for p in probes]
-    for p in probes:
-        dist = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p, z)))
-        if dist < 10 * h:
-            raise DomainError("probe %r is %.3e from the diagonal, need >= 10h" % (p, dist))
-    res_h = [abs(dbar_residual(n, z, p, h, coeff_fn)) for p in probes]
-    res_h2 = [abs(dbar_residual(n, z, p, h / 2, coeff_fn)) for p in probes]
+    z = np.asarray(z, dtype=complex)
+    probes = np.asarray(probes, dtype=complex)
+    if probes.ndim != 2 or probes.shape[1] != n or z.shape != (n,):
+        raise ValidationError("probes and z must have %d coordinates" % n)
+    dist = np.sqrt(np.sum(np.abs(probes - z) ** 2, axis=1))
+    bad = dist < 10 * h
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError("probe %r is %.3e from the diagonal, need >= 10h"
+                          % (tuple(complex(c) for c in probes[i]), dist[i]))
+    res = np.abs(_stencil_residuals(n, z, probes, (h, h / 2), coeff_fn))
+    res_h, res_h2 = res[:, 0].tolist(), res[:, 1].tolist()
     max_h, max_h2 = max(res_h), max(res_h2)
     ratio = max_h / max_h2 if max_h2 > 1e-300 else float("inf")
     fitted_c = max_h / h ** 2
@@ -120,17 +157,12 @@ def dbar_closed_check(n, z, probes, h, coeff_fn=None):
         "order_two": bool(max_h2 < 1e-12 or 0.8 * 4 <= ratio <= 1.2 * 4),
         "pass": bool(passes),
         "per_probe": [{"probe": [[c.real, c.imag] for c in p], "residual": r}
-                      for p, r in zip(probes, res_h)],
+                      for p, r in zip(probes.tolist(), res_h)],
     }
 
 
-def _sphere_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
 def _scaled_nodes(order, a, b):
-    x, w = _sphere_nodes(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -141,42 +173,42 @@ def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32, kernel_scale=1.0):
     orientation is fixed so the classical kernel integrates to +1; the raw
     integral of the paper-normalized kernel is the returned value divided by
     classical_constant(2)/bm_constant(2).
+
+    Each eta node contributes one (order, order) slab of (phi1, phi2) nodes,
+    evaluated with one kernel call; slabs are summed in eta order, so the
+    order^3 grid is never held at once.
     """
     if order < 4:
         raise ValidationError("quadrature order must be at least 4")
     if radius <= 0:
         raise ValidationError("radius must be positive")
-    z = tuple(complex(c) for c in z)
+    z = np.asarray(z, dtype=complex)
     eta_x, eta_w = _scaled_nodes(order, 0.0, 0.5 * math.pi)
     phi_x, phi_w = _scaled_nodes(order, 0.0, 2.0 * math.pi)
     rescale = classical_constant(2) / bm_constant(2)
-    total = 0.0 + 0.0j
     r = radius
-    for eta, we in zip(eta_x, eta_w):
-        ce, se = math.cos(eta), math.sin(eta)
-        for p1, w1 in zip(phi_x, phi_w):
-            e1 = complex(math.cos(p1), math.sin(p1))
-            for p2, w2 in zip(phi_x, phi_w):
-                e2 = complex(math.cos(p2), math.sin(p2))
-                xi = (z[0] + r * ce * e1, z[1] + r * se * e2)
-                coeffs = bm_coefficients(2, z, xi, scale=kernel_scale)
-                # tangent rows of (xi_1, xi_2) in (eta, phi1, phi2)
-                d1 = (-r * se * e1, 1j * r * ce * e1, 0.0)
-                d2 = (r * ce * e2, 0.0, 1j * r * se * e2)
-                d1b = tuple(v.conjugate() for v in d1)
-                d2b = tuple(v.conjugate() for v in d2)
-                det1 = _det3(d2b, d1, d2)  # d xi-bar^2 ^ d xi^1 ^ d xi^2
-                det2 = _det3(d1b, d1, d2)  # d xi-bar^1 ^ d xi^1 ^ d xi^2
-                val = coeffs[1] * det1 + coeffs[2] * det2
-                total += we * w1 * w2 * val
+    e1 = (np.cos(phi_x) + 1j * np.sin(phi_x))[:, None]  # phi1 along rows
+    e2 = e1.T                                            # phi2 along columns
+    # With c = cos eta, s = sin eta, the tangent rows of (xi_1, xi_2) in
+    # (eta, phi1, phi2) are (-r s e1, i r c e1, 0) and (r c e2, 0, i r s e2),
+    # and |e1| = |e2| = 1, so the two 3x3 determinants are closed-form:
+    #   det(d xi-bar^2, d xi^1, d xi^2) = -2 r^3 c^2 s e1
+    #   det(d xi-bar^1, d xi^1, d xi^2) =  2 r^3 c s^2 e2
+    # Each slab only rescales these two weighted (phi1, phi2) columns.
+    w12 = phi_w[:, None] * phi_w[None, :]
+    wdet = np.stack([(w12 * (-2 * r ** 3 * e1)).ravel(),
+                     (w12 * (2 * r ** 3 * e2)).ravel()], axis=1)
+    xi = np.empty((order, order, 2), dtype=complex)
+    total = 0.0 + 0.0j
+    for eta, we in zip(eta_x.tolist(), eta_w.tolist()):
+        c, s = math.cos(eta), math.sin(eta)
+        xi[..., 0] = z[0] + r * c * e1
+        xi[..., 1] = z[1] + r * s * e2
+        coeffs = bm_coefficients(2, z, xi.reshape(-1, 2), scale=kernel_scale)
+        sum1, sum2 = np.einsum("ij,ij->j", wdet, coeffs).tolist()
+        total += we * (c * c * s * sum1 + c * s * s * sum2)
     # the (eta, phi1, phi2) chart is negatively oriented for the outward sphere
-    return -rescale * total
-
-
-def _det3(r0, r1, r2):
-    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+    return complex(-rescale * total)
 
 
 # ---------------------------------------------------------------------------

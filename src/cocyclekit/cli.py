@@ -19,12 +19,12 @@ from .bm import dbar_closed_check, reproducing_integral
 from .cechgroup import (cell_multi_index, closedness_report, cohomologous_witness,
                         enumerate_cells, tau_invariant, witness_report)
 from .cocycle import cf_map, shifted_form_complex, verify_telescoping
-from .errors import ScenarioError, ValidationError
+from .errors import DomainError, ScenarioError, ValidationError
 from .forms import sharp_pullback, theta
 from .holomap import compose
 from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
                          format_symfun, newton_convert, todd_component, todd_invariant)
-from .scenario import Scenario
+from .scenario import Scenario, validate_bm_fields
 from .simplicial import dk_validate
 
 SIGN_CONVENTION = "cech + (-1)^m group"
@@ -271,25 +271,20 @@ def cmd_symfun(args):
 
 
 def cmd_bm_check(args):
-    n = args.n
-    z = tuple([0.0] * n)
-    rng = np.random.default_rng(11)
-    probes = []
-    for _ in range(args.probes):
-        v = rng.normal(size=2 * n).reshape(n, 2)
-        v = v / np.linalg.norm(v)
-        probes.append(tuple(z[i] + complex(v[i, 0], v[i, 1]) for i in range(n)))
-    dbar = dbar_closed_check(n, z, probes, args.step)
+    """The bm-dbar and bm-reproducing runners on entries built from the flags."""
+    dbar_entry = {"type": "bm-dbar", "n": args.n, "probes": args.probes,
+                  "step": args.step, "seed": 11}
+    validate_bm_fields(dbar_entry, "bm-check")
+    dbar = run_bm_dbar(None, dbar_entry)
     report = {"dbar": dbar, "sign_convention": SIGN_CONVENTION}
-    ok = dbar["pass"] and dbar["order_two"]
-    if n == 2:
-        rows = []
-        for r in (args.radius, args.radius * 2):
-            val = reproducing_integral(radius=r, order=args.quad_order)
-            rows.append({"radius": r, "value": [val.real, val.imag],
-                         "error": abs(val - 1.0)})
-        report["reproducing"] = rows
-        ok = ok and all(row["error"] <= 1e-3 for row in rows)
+    ok = dbar["status"] == "pass"
+    if args.n == 2:
+        repro_entry = {"type": "bm-reproducing", "order": args.quad_order,
+                       "radii": [args.radius, args.radius * 2], "tolerance": 1e-3}
+        validate_bm_fields(repro_entry, "bm-check")
+        repro = run_bm_reproducing(None, repro_entry)
+        report["reproducing"] = repro["radii"]
+        ok = ok and repro["status"] == "pass"
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if ok else 1
 
@@ -424,7 +419,7 @@ def main(argv=None):
     except ScenarioError as err:
         print("scenario error: %s" % err, file=sys.stderr)
         return 2
-    except (ValidationError, OSError) as err:
+    except (ValidationError, DomainError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -202,6 +202,8 @@ class Scenario:
             for pair in entry.get("pairs", []):
                 for name in pair:
                     self.map_named(name, loc)
+        if ctype in ("bm-dbar", "bm-reproducing"):
+            validate_bm_fields(entry, loc)
 
     def chart_simplex(self, entry, loc="check"):
         """Build the chart simplex a telescoping/dk check describes."""
@@ -224,6 +226,36 @@ class Scenario:
             pair = tuple(corrupt["replace"])
             transitions[pair] = self.map_named(corrupt["with_map"], loc)
         return ChartSimplex(charts, transitions, points, validate=False)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (field, test, what the test requires) for the numeric fields of BM checks
+_BM_FIELDS = (
+    ("n", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    ("probes", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("step", lambda v: _is_real(v) and v > 0, "a positive number"),
+    ("order", lambda v: _is_int(v) and v >= 4, "an integer >= 4"),
+    ("radii", lambda v: isinstance(v, list) and all(_is_real(r) and r > 0 for r in v),
+     "a list of positive numbers"),
+)
+
+
+def validate_bm_fields(entry, location):
+    """The ranges docs/scenario.schema.json gives the fields of a BM check entry."""
+    for key, ok, what in _BM_FIELDS:
+        if key in entry and not ok(entry[key]):
+            raise ScenarioError("%r must be %s, got %r" % (key, what, entry[key]), location)
+    n = entry.get("n", 2)
+    z = entry.get("z", [0.0] * n)
+    if not (isinstance(z, list) and len(z) == n and all(map(_is_real, z))):
+        raise ScenarioError("'z' must list n = %d real numbers, got %r" % (n, z), location)
 
 
 def parse_word(tokens, generators, location):

@@ -52,6 +52,32 @@ def test_bm_eval_diagonal_rejected():
         bm.bm_eval(2, (0.5, 0.5), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_cloud_coefficients_match_transcription(rng, n):
+    z = tuple(complex(a, b) for a, b in rng.uniform(-1, 1, (n, 2)))
+    cloud = rng.uniform(-2, 2, (200, n)) + 1j * rng.uniform(-2, 2, (200, n))
+    got = bm.bm_coefficients(n, z, cloud, scale=1.0)
+    assert got.shape == (200, n)
+    for row, xi in zip(got, cloud):
+        want = transcribed_coefficients(n, z, xi)
+        for i in range(1, n + 1):
+            assert abs(row[i - 1] - want[i]) <= 1e-12 * abs(want[i])
+        # the single-point call is a one-row view of the same path
+        single = bm.bm_coefficients(n, z, tuple(xi))
+        assert sorted(single) == list(range(1, n + 1))
+        assert [single[i] for i in single] == list(row)
+
+
+def test_cloud_diagonal_point_is_named():
+    z = (0.25 - 0.5j, 1.0)
+    # two diagonal points, the exact one second: the first is named
+    near = (0.25 - 0.5j + 1e-13, 1.0)
+    cloud = np.array([(1.0, 0.0), (0.5, 2j), near, z, (3.0, 1.0)], dtype=complex)
+    with pytest.raises(DomainError) as err:
+        bm.bm_coefficients(2, z, cloud)
+    assert str(tuple(complex(c) for c in near)) in str(err.value)
+
+
 def test_bm_eval_dimension_one_rejected():
     with pytest.raises(ValidationError):
         bm.bm_eval(1, (0,), (1,))
@@ -97,9 +123,60 @@ def test_dbar_residual_is_order_two_n3(rng):
 def test_dbar_constant_form_gives_zero_residual(rng):
     z = (0.0, 0.0)
     probes = [(1.0, 0.0), (0.0, 1.0)]
-    const = lambda xi: {1: 2.3 + 1j, 2: -0.5}
+    const = lambda pts: np.broadcast_to([2.3 + 1j, -0.5], (len(pts), 2))
     report = bm.dbar_closed_check(2, z, probes, h=1e-3, coeff_fn=const)
     assert report["max_residual_h"] == 0.0
+
+
+def scalar_dbar_residual(n, z, probe, h, coeff):
+    """Per-probe central-difference stencil, one coefficient call per point."""
+    total = 0j
+    for i in range(1, n + 1):
+        def shifted(step):
+            pt = list(probe)
+            pt[i - 1] = pt[i - 1] + step
+            return coeff(tuple(pt))[i]
+
+        dx = (shifted(h) - shifted(-h)) / (2 * h)
+        dy = (shifted(1j * h) - shifted(-1j * h)) / (2 * h)
+        total += (-1) ** (i - 1) * 0.5 * (dx + 1j * dy)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dbar_stencil_matches_per_probe_oracle(rng, n):
+    z = tuple(complex(a, b) for a, b in rng.uniform(-0.2, 0.2, (n, 2)))
+    probes = []
+    for _ in range(5):
+        v = rng.normal(size=(n, 2))
+        v /= np.linalg.norm(v)
+        probes.append(tuple(z[i] + complex(v[i, 0], v[i, 1]) for i in range(n)))
+    h = 1e-3
+    calls = []
+
+    def cloud_coeffs(pts):
+        calls.append(len(pts))
+        return np.array([[transcribed_coefficients(n, z, p)[i] for i in range(1, n + 1)]
+                         for p in pts])
+
+    report = bm.dbar_closed_check(n, z, probes, h, coeff_fn=cloud_coeffs)
+    assert calls == [len(probes) * 2 * n * 4]
+    want_h = [abs(scalar_dbar_residual(n, z, p, h, lambda xi: transcribed_coefficients(n, z, xi)))
+              for p in probes]
+    want_h2 = [abs(scalar_dbar_residual(n, z, p, h / 2,
+                                        lambda xi: transcribed_coefficients(n, z, xi)))
+               for p in probes]
+    # same coefficients on both sides: only the order of the O(1) sums differs
+    for row, want in zip(report["per_probe"], want_h):
+        assert abs(row["residual"] - want) <= 1e-13
+    assert abs(report["max_residual_h"] - max(want_h)) <= 1e-13
+    assert abs(report["max_residual_h_half"] - max(want_h2)) <= 1e-13
+    # the default kernel path against the scalar stencil on the single-point view
+    default = bm.dbar_closed_check(n, z, probes, h)
+    for row, p in zip(default["per_probe"], probes):
+        want = abs(scalar_dbar_residual(n, z, p, h, lambda xi: bm.bm_coefficients(n, z, xi)))
+        assert abs(row["residual"] - want) <= 1e-12
+        assert abs(abs(bm.dbar_residual(n, z, p, h)) - want) <= 1e-12
 
 
 def test_dbar_probe_too_close_rejected():
@@ -132,6 +209,50 @@ def test_reproducing_integral_converges():
     floor = 1e-12
     for earlier, later in zip(diffs, diffs[1:]):
         assert later <= earlier or later < floor
+
+
+def det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def scalar_reproducing_integral(z, radius, order):
+    """Per-node transcription of the quadrature: one kernel call and two
+    cofactor-expanded tangent determinants per node."""
+    eta_x, eta_w = np.polynomial.legendre.leggauss(order)
+    eta_x, eta_w = 0.25 * math.pi * (eta_x + 1), 0.25 * math.pi * eta_w
+    phi_x, phi_w = np.polynomial.legendre.leggauss(order)
+    phi_x, phi_w = math.pi * (phi_x + 1), math.pi * phi_w
+    total = 0j
+    r = radius
+    for eta, we in zip(eta_x, eta_w):
+        ce, se = math.cos(eta), math.sin(eta)
+        for p1, w1 in zip(phi_x, phi_w):
+            e1 = complex(math.cos(p1), math.sin(p1))
+            for p2, w2 in zip(phi_x, phi_w):
+                e2 = complex(math.cos(p2), math.sin(p2))
+                xi = (z[0] + r * ce * e1, z[1] + r * se * e2)
+                c = transcribed_coefficients(2, z, xi)
+                d1 = (-r * se * e1, 1j * r * ce * e1, 0.0)
+                d2 = (r * ce * e2, 0.0, 1j * r * se * e2)
+                det1 = det3([v.conjugate() for v in d2], d1, d2)
+                det2 = det3([v.conjugate() for v in d1], d1, d2)
+                total += we * w1 * w2 * (c[1] * det1 + c[2] * det2)
+    rescale = (1 / (2j * math.pi) ** 2) / (-1 / (2j * math.pi))
+    return -rescale * total
+
+
+@pytest.mark.parametrize("order", [8, 32])
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_reproducing_integral_matches_per_node_oracle(order, radius):
+    z = (0.3 - 0.1j, -0.25 + 0.4j)
+    want = scalar_reproducing_integral(z, radius, order)
+    # doubling the kernel doubles every term exactly, so 2 * want is the
+    # kernel_scale=2 reference
+    for scale in (1.0, 2.0):
+        got = bm.reproducing_integral(z=z, radius=radius, order=order, kernel_scale=scale)
+        assert abs(got - scale * want) <= 1e-12 * (1 + abs(scale * want))
 
 
 def test_reproducing_integral_rejects_low_order():

@@ -215,6 +215,53 @@ def test_check_error_does_not_abort_batch(tmp_path):
     assert report["checks"][1]["status"] == "pass"
 
 
+@pytest.mark.parametrize("check, field", [
+    ({"type": "bm-dbar", "n": 1}, "'n'"),
+    ({"type": "bm-dbar", "n": 3, "z": [0.0, 0.0]}, "'z'"),
+    ({"type": "bm-dbar", "probes": 0}, "'probes'"),
+    ({"type": "bm-dbar", "step": 0}, "'step'"),
+    ({"type": "bm-reproducing", "order": 3}, "'order'"),
+    ({"type": "bm-reproducing", "radii": [1.0, -0.5]}, "'radii'"),
+])
+def test_bad_bm_field_exits_2_with_location(tmp_path, capsys, check, field):
+    data = load_scn("henon_z.scn")
+    data["checks"] = [{"type": "tau-closedness", "tolerance": 1e-7},
+                      dict(check, name="bad", tolerance=1e-3)]
+    path = write_scn(tmp_path, data)
+    with pytest.raises(ScenarioError) as err:
+        Scenario.load(path)
+    assert err.value.location == "checks[1]"
+    out = tmp_path / "r.json"
+    assert main(["run", path, "--output", str(out)]) == 2
+    msg = capsys.readouterr().err
+    assert "checks[1]" in msg and field in msg
+    assert "Traceback" not in msg
+    assert not out.exists()
+
+
+def test_bm_check_command_n2(capsys):
+    assert main(["bm-check", "--n", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"dbar", "reproducing", "sign_convention"}
+    assert report["dbar"]["order_two"] and report["dbar"]["pass"]
+    assert [row["radius"] for row in report["reproducing"]] == [1.0, 2.0]
+    assert all(row["error"] <= 1e-3 for row in report["reproducing"])
+
+
+def test_bm_check_command_n3(capsys):
+    assert main(["bm-check", "--n", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"dbar", "sign_convention"}
+    assert len(report["dbar"]["per_probe"]) == 12
+
+
+def test_bm_check_step_too_large_exits_2(capsys):
+    # probes lie on the unit sphere, so a step of 0.5 breaks the 10h guard
+    assert main(["bm-check", "--step", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "need >= 10h" in err and "Traceback" not in err
+
+
 def test_thin_cloud_warning(tmp_path):
     data = load_scn("henon_z.scn")
     data["cover"]["clouds"][0]["points"] = data["cover"]["clouds"][0]["points"][:3]
