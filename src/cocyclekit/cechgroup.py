@@ -146,10 +146,12 @@ class CoverSpec:
 class GroupActionSpec:
     """Named generators with inverses, plus the right action on cover indices."""
 
-    def __init__(self, generators, index_action, indices, words=()):
+    def __init__(self, generators, index_action, indices, words=(), n=None):
         self.generators = dict(generators)  # name -> (forward HoloMap, inverse HoloMap)
         self.indices = list(indices)
-        self.n = self.generators[next(iter(self.generators))][0].n if self.generators else None
+        if n is None and self.generators:
+            n = self.generators[next(iter(self.generators))][0].n
+        self.n = n
         self.index_action = {}
         for name in self.generators:
             table = dict(index_action.get(name, {}))
@@ -212,15 +214,7 @@ class GroupActionSpec:
 
 def trivial_action(indices, n):
     """Action of the trivial group: no generators, no index motion."""
-    spec = GroupActionSpec.__new__(GroupActionSpec)
-    spec.generators = {}
-    spec.indices = list(indices)
-    spec.n = n
-    spec.index_action = {}
-    spec._inverse_action = {}
-    spec.words = []
-    spec._word_maps = {}
-    return spec
+    return GroupActionSpec({}, {}, indices, n=n)
 
 
 class Atlas:
@@ -268,9 +262,8 @@ class MixedCochain:
     """Base cochain: per-bidegree providers of k-forms on cells.
 
     Each base value is the provider's form (cached in _cache) and its array on
-    the cell's own cloud (cached in _samples), computed once. Entries are built
-    in full before they are stored, so concurrent checks may duplicate work but
-    never read a partial value.
+    the cell's own cloud (cached in _samples), computed once. A scenario builds
+    each tau once (Scenario.tau), so every check reading it shares both caches.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain"):

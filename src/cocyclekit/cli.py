@@ -1,14 +1,12 @@
 """Command line entry points: scenario runs, symmetric function tables, BM checks.
 
 Exit codes: 0 all checks pass, 1 any check failed or errored, 2 the scenario
-(or arguments) failed validation. Checks never abort the batch; the report is
-written even when some fail. COCYCLE_THREADS caps check-level parallelism.
+(or arguments) failed validation. Checks run in declaration order and never
+abort the batch; the report is written even when some fail.
 """
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 
@@ -17,7 +15,7 @@ import numpy as np
 from . import __version__
 from .bm import dbar_closed_check, reproducing_integral
 from .cechgroup import (cell_multi_index, closedness_report, cohomologous_witness,
-                        enumerate_cells, tau_invariant, witness_report)
+                        enumerate_cells, witness_report)
 from .cocycle import cf_map, shifted_form_complex, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError
 from .forms import sharp_pullback, theta
@@ -35,8 +33,7 @@ SIGN_CONVENTION = "cech + (-1)^m group"
 
 
 def run_affine_vanishing(scn, entry):
-    T = todd_invariant(entry.get("arity", scn.n))
-    tau = tau_invariant(scn.cover, scn.action, scn.atlas, T)
+    tau = scn.tau(scn.atlas, entry.get("arity", scn.n))
     worst = 0.0
     cells = 0
     for (m, q) in tau.bidegrees():
@@ -51,18 +48,21 @@ def run_affine_vanishing(scn, entry):
 
 
 def run_tau_closedness(scn, entry):
-    T = todd_invariant(entry.get("arity", scn.n))
-    tau = tau_invariant(scn.cover, scn.action, scn.atlas, T)
+    tau = scn.tau(scn.atlas, entry.get("arity", scn.n))
     report = closedness_report(tau, tol=entry["tolerance"])
     return _residual_result(report, entry)
 
 
+def scenario_witness_report(scn, arity, tol):
+    """witness_report of the witness between atlas and atlas_b against both taus."""
+    wit = cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
+                               todd_invariant(arity))
+    return witness_report(wit, scn.tau(scn.atlas, arity), scn.tau(scn.atlas_b, arity),
+                          tol=tol)
+
+
 def run_witness(scn, entry):
-    T = todd_invariant(entry.get("arity", scn.n))
-    tau_a = tau_invariant(scn.cover, scn.action, scn.atlas, T)
-    tau_b = tau_invariant(scn.cover, scn.action, scn.atlas_b, T)
-    wit = cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b, T)
-    report = witness_report(wit, tau_a, tau_b, tol=entry["tolerance"])
+    report = scenario_witness_report(scn, entry.get("arity", scn.n), entry["tolerance"])
     return _residual_result(report, entry)
 
 
@@ -168,7 +168,7 @@ CHECK_RUNNERS = {
 
 
 def execute_checks(scn):
-    """Run all checks, preserving declaration order in the report."""
+    """Run all checks in declaration order on the calling thread."""
 
     def one(entry):
         started = time.monotonic()
@@ -180,27 +180,7 @@ def execute_checks(scn):
         return dict(result, name=entry["name"], type=entry["type"],
                     tolerance=entry["tolerance"])
 
-    workers = _thread_cap()
-    if workers == 1 or len(scn.checks) <= 1:
-        results = [one(e) for e in scn.checks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, scn.checks))
-    return results
-
-
-def _thread_cap():
-    """COCYCLE_THREADS as a pool size: None (the executor default) when unset or 0."""
-    raw = os.environ.get("COCYCLE_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValidationError("COCYCLE_THREADS must be a non-negative integer, got %r" % raw)
-    return value or None
+    return [one(e) for e in scn.checks]
 
 
 def build_report(scn, results):
@@ -289,16 +269,9 @@ def cmd_bm_check(args):
     return 0 if ok else 1
 
 
-def _tau_for_scenario(scn, arity=None):
-    T = todd_invariant(arity or scn.n)
-    return T, tau_invariant(scn.cover, scn.action, scn.atlas, T)
-
-
 def cmd_todd_cocycle(args):
     scn = Scenario.load(args.scenario)
-    if scn.cover is None or scn.atlas is None:
-        raise ScenarioError("scenario has no cover/atlas sections")
-    T, tau = _tau_for_scenario(scn)
+    tau = scn.tau(scn.atlas, scn.n)
     cells = []
     for (m, q) in tau.bidegrees():
         for J, G in enumerate_cells(scn.cover, scn.action, m, q):
@@ -313,7 +286,7 @@ def cmd_todd_cocycle(args):
             })
     report = {"tool": "cocyclekit", "version": __version__,
               "scenario_hash": scn.hash, "sign_convention": SIGN_CONVENTION,
-              "arity": T.arity, "cells": cells}
+              "arity": scn.n, "cells": cells}
     out = args.output or "todd-cocycle.json"
     write_report(report, out)
     print("wrote %s (%d cells)" % (out, len(cells)))
@@ -322,8 +295,7 @@ def cmd_todd_cocycle(args):
 
 def cmd_verify_cocycle(args):
     scn = Scenario.load(args.scenario)
-    T, tau = _tau_for_scenario(scn)
-    report = closedness_report(tau, tol=args.tolerance)
+    report = closedness_report(scn.tau(scn.atlas, scn.n), tol=args.tolerance)
     report = {"tool": "cocyclekit", "version": __version__,
               "scenario_hash": scn.hash, "closedness": report,
               "pass": report["pass"]}
@@ -336,9 +308,9 @@ def cmd_verify_cocycle(args):
 
 def cmd_group_invariant(args):
     scn = Scenario.load(args.scenario)
-    T, tau = _tau_for_scenario(scn)
+    tau = scn.tau(scn.atlas, scn.n)
     rows = []
-    q = T.arity
+    q = scn.n
     for J, G in enumerate_cells(scn.cover, scn.action, 0, q):
         sampled = tau.sample((0, q), J, G)
         rows.append({"index": str(J[0]), "words": [repr(w) for w in G],
@@ -351,11 +323,7 @@ def cmd_witness(args):
     scn = Scenario.load(args.scenario)
     if scn.atlas_b is None:
         raise ScenarioError("scenario has no atlas_b section")
-    T = todd_invariant(scn.n)
-    tau_a = tau_invariant(scn.cover, scn.action, scn.atlas, T)
-    tau_b = tau_invariant(scn.cover, scn.action, scn.atlas_b, T)
-    wit = cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b, T)
-    report = witness_report(wit, tau_a, tau_b, tol=args.tolerance)
+    report = scenario_witness_report(scn, scn.n, args.tolerance)
     write_report({"witness": report, "scenario_hash": scn.hash}, args.output)
     status = "PASS" if report["pass"] else "FAIL"
     print("[%s] d(witness) vs tau difference: residual %.3e (tol %.1e)"

@@ -13,14 +13,17 @@ import numpy as np
 from .errors import DomainError, DslSyntaxError, ValidationError
 
 
+_Q0 = Fraction(0)
+
+
 class CRat:
     """Complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re, im=_Q0):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, o):
         return CRat(self.re + o.re, self.im + o.im)
@@ -29,6 +32,8 @@ class CRat:
         return CRat(self.re - o.re, self.im - o.im)
 
     def __mul__(self, o):
+        if not (self.im or o.im):  # real constants, by far the most common
+            return CRat(self.re * o.re)
         return CRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     def __truediv__(self, o):
@@ -48,7 +53,7 @@ class CRat:
         return hash((self.re, self.im))
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def to_complex(self):
         return complex(self.re, self.im)
@@ -177,7 +182,8 @@ class Mul(Expr):
         terms = []
         for i, f in enumerate(self.factors):
             df = f.diff(var)
-            terms.append(mul(*(self.factors[:i] + (df,) + self.factors[i + 1:])))
+            if not is_zero_expr(df):
+                terms.append(mul(*(self.factors[:i] + (df,) + self.factors[i + 1:])))
         return add(*terms)
 
 
@@ -298,7 +304,9 @@ def _guard(bad, cols, message):
 
 
 # Folding constructors. All algebraic construction goes through these so that
-# constant subtrees collapse and sums/products stay flat.
+# constant subtrees collapse and sums/products stay flat. Zero and one constants
+# are skipped rather than folded: the tree built is the same, without the
+# exact-rational arithmetic.
 
 def add(*terms):
     flat = []
@@ -311,7 +319,8 @@ def add(*terms):
     rest = []
     for t in flat:
         if isinstance(t, Const):
-            const = const + t.value
+            if not t.value.is_zero():
+                const = const + t.value
         else:
             rest.append(t)
     if not const.is_zero() or not rest:
@@ -332,11 +341,12 @@ def mul(*factors):
     rest = []
     for f in flat:
         if isinstance(f, Const):
-            const = const * f.value
+            if f.value.is_zero():
+                return Const(ZERO)
+            if f.value != ONE:
+                const = const * f.value
         else:
             rest.append(f)
-    if const.is_zero():
-        return Const(ZERO)
     if const != ONE or not rest:
         rest.insert(0, Const(const))
     if len(rest) == 1:

@@ -78,9 +78,9 @@ class HoloMap:
 
     Symbolic derivatives (_jac, _djac) and the compiled array functions of the
     components, the Jacobian and its derivatives (_fns) are built on first use
-    and cached here. Each is computed in full before it is stored, so checks
-    sharing a map across threads may duplicate the work but never see it half
-    built.
+    and cached here; compositions with this map on the left are memoized in
+    _composed (see compose), so every caller composing the same two maps shares
+    one result and its caches.
     """
 
     def __init__(self, n, components, domain=None, name="", check=True):
@@ -97,6 +97,7 @@ class HoloMap:
         self._jac = None
         self._djac = {}
         self._fns = {}
+        self._composed = {}
         if check:
             self._check_domain()
 
@@ -198,12 +199,24 @@ def print_map(f):
 
 
 def compose(f, g, name="", domain=None, check=True):
-    """f after g, by symbolic substitution of g's components into f."""
-    if f.n != g.n:
-        raise ValidationError("dimension mismatch: %d vs %d" % (f.n, g.n))
-    comps = [ex.substitute(c, list(g.components)) for c in f.components]
-    return HoloMap(f.n, comps, domain=domain or g.domain,
-                   name=name or ("%s.%s" % (f.name or "f", g.name or "g")), check=check)
+    """f after g, by symbolic substitution of g's components into f.
+
+    Memoized on f: composing the same map objects with the same arguments
+    returns the same HoloMap, so its symbolic derivatives and compiled
+    functions are built once. The key holds g and domain themselves (maps and
+    domains hash by identity), which keeps them alive while the entry is.
+    """
+    key = (g, name, domain, check)
+    composed = f._composed.get(key)
+    if composed is None:
+        if f.n != g.n:
+            raise ValidationError("dimension mismatch: %d vs %d" % (f.n, g.n))
+        comps = [ex.substitute(c, list(g.components)) for c in f.components]
+        composed = HoloMap(f.n, comps, domain=domain or g.domain,
+                           name=name or ("%s.%s" % (f.name or "f", g.name or "g")),
+                           check=check)
+        f._composed[key] = composed
+    return composed
 
 
 def identity_map(n, domain=None):

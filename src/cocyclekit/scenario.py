@@ -11,10 +11,12 @@ import warnings
 from fractions import Fraction
 
 from . import holomap
-from .cechgroup import Atlas, CoverSpec, GroupActionSpec, Word, trivial_action
+from .cechgroup import (Atlas, CoverSpec, GroupActionSpec, Word, tau_invariant,
+                        trivial_action)
 from .cocycle import MIN_SAMPLE_WARN, ChartSimplex
 from .errors import DslSyntaxError, ScenarioError, ValidationError
 from .expr import CRat
+from .invariants import todd_invariant
 
 KNOWN_CHECKS = ("affine-vanishing", "tau-closedness", "witness", "telescoping",
                 "dk-validate", "theta-composition", "bm-dbar", "bm-reproducing")
@@ -39,7 +41,12 @@ def _point(obj, n, location):
 
 
 class Scenario:
-    """Validated scenario: named maps, cover, action, atlases and a check list."""
+    """Validated scenario: named maps, cover, action, atlases and a check list.
+
+    The tau cochains the checks need are built on first request and kept
+    here, one per (atlas, arity), so checks that read the same tau share its
+    base values and sampled arrays. A reloaded scenario starts with none.
+    """
 
     def __init__(self, data, source_bytes=b""):
         self.data = data
@@ -57,6 +64,7 @@ class Scenario:
         self.atlas_b = self._load_atlas(data.get("atlas_b"), "atlas_b")
         self.checks = self._load_checks(data.get("checks", []))
         self.output = data.get("output")
+        self._tau = {}
 
     @classmethod
     def load(cls, path):
@@ -67,6 +75,17 @@ class Scenario:
         except json.JSONDecodeError as err:
             raise ScenarioError("not valid JSON: %s" % err, str(path)) from None
         return cls(data, raw)
+
+    def tau(self, atlas, arity):
+        """tau of `atlas` (self.atlas or self.atlas_b) under todd_invariant(arity), once."""
+        key = (atlas, arity)
+        tau = self._tau.get(key)
+        if tau is None:
+            if self.cover is None or atlas is None:
+                raise ScenarioError("scenario has no cover/atlas sections")
+            tau = self._tau[key] = tau_invariant(self.cover, self.action, atlas,
+                                                 todd_invariant(arity))
+        return tau
 
     def _load_constants(self, section):
         out = {}

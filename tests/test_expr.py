@@ -1,11 +1,18 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cocyclekit.expr as ex
+import cocyclekit.holomap as hm
 from cocyclekit.errors import DomainError, DslSyntaxError
 from cocyclekit.holomap import numeric_partial
+from cocyclekit.scenario import Scenario
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = pathlib.Path(__file__).with_name("golden_derivatives.json")
 
 
 def ev(e, *point):
@@ -155,3 +162,50 @@ def test_substitute_folds_constants():
     out = ex.substitute(e, [ex.Const(ex.CRat(2)), ex.Const(ex.CRat(3))])
     assert isinstance(out, ex.Const)
     assert out.value.re == 11
+
+
+def _derivative_texts(f):
+    """to_text of d/dz_a and d^2/dz_a dz_b of every component, in a fixed order."""
+    out = []
+    for c in f.components:
+        for a in range(1, f.n + 1):
+            d = ex.differentiate(c, a)
+            out.append(ex.to_text(d))
+            out.extend(ex.to_text(ex.differentiate(d, b)) for b in range(1, f.n + 1))
+    return out
+
+
+def _golden_maps():
+    """Library maps and pairs, scenario maps, and scenario transitions with words."""
+    maps, pairs = hm.builtin_library()
+    out = {"library/" + name: f for name, f in maps.items()}
+    for a, b in pairs:
+        out["library/%s.%s" % (a, b)] = hm.compose(maps[a], maps[b], check=False)
+    for scn_name in ("cech_todd3", "henon_z"):
+        scn = Scenario.load(REPO / "scenarios" / ("%s.scn" % scn_name))
+        for name, f in scn.maps.items():
+            out["%s/%s" % (scn_name, name)] = f
+        atlas, action = scn.atlas, scn.action
+        words = list(action.words) + [u * v for u in action.words for v in action.words]
+        for i in atlas.indices():
+            for j in atlas.indices():
+                if i != j:
+                    out["%s/%s.%s_inv" % (scn_name, i, j)] = hm.compose(
+                        atlas.chart(i), atlas.inverse(j), check=False)
+                for w in words:
+                    if not w.is_identity():
+                        inner = hm.compose(action.word_map(w), atlas.inverse(j), check=False)
+                        out["%s/%s.%r.%s_inv" % (scn_name, i, w, j)] = hm.compose(
+                            atlas.chart(i), inner, check=False)
+    return out
+
+
+def test_derivative_trees_match_golden_text():
+    """The folding constructors skip zero and one constants instead of folding
+    them; the golden strings were printed by constructors that folded every
+    constant, so equal text means the same trees, zeros and floats."""
+    want = json.loads(GOLDEN.read_text())
+    got = {key: _derivative_texts(f) for key, f in _golden_maps().items()}
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key

@@ -83,6 +83,23 @@ def test_compose_chain_rule(rng):
         assert np.max(np.abs(comp.jacobian(p) - want)) < 1e-9 * (1 + np.max(np.abs(want)))
 
 
+def test_compose_is_memoized_per_map_pair(monkeypatch):
+    f, g = hm.henon_map(), hm.shear_map()
+    calls = []
+    real = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, var: calls.append(var) or real(e, var))
+    first = hm.compose(f, g, check=False)
+    djac = first.djac_exprs(1)
+    assert len(calls) == 8  # four Jacobian entries, then their d/dz1
+    again = hm.compose(f, g, check=False)
+    assert again is first
+    assert again.djac_exprs(1) is djac
+    assert len(calls) == 8
+    # the memo is keyed by map objects and arguments, never by structure
+    assert hm.compose(f, hm.shear_map(), check=False) is not first
+    assert hm.compose(f, g, name="other", check=False) is not first
+
+
 def test_compose_dimension_mismatch():
     one = hm.HoloMap(1, [ex.Var(1)])
     with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cocyclekit.scenario as scenario_mod
 from cocyclekit.cli import main
 from cocyclekit.errors import ScenarioError
 from cocyclekit.scenario import Scenario
@@ -100,32 +101,47 @@ def test_report_deterministic_modulo_timing(tmp_path):
     assert strip(out1) == strip(out2)
 
 
-def test_threads_env_var_keeps_order(tmp_path, monkeypatch):
-    monkeypatch.setenv("COCYCLE_THREADS", "2")
+def test_checks_report_in_declaration_order(tmp_path):
+    data = load_scn("affine_torus.scn")
+    data["checks"].reverse()
     out = tmp_path / "r.json"
-    main(["run", str(SCENARIOS / "affine_torus.scn"), "--output", str(out)])
+    assert main(["run", write_scn(tmp_path, data), "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert [c["name"] for c in report["checks"]] == ["affine-zero", "closed"]
+    assert [c["name"] for c in report["checks"]] == ["closed", "affine-zero"]
 
 
-@pytest.mark.parametrize("value", ["", "  "])
-def test_threads_env_var_empty_means_unset(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("COCYCLE_THREADS", value)
-    out = tmp_path / "r.json"
-    assert main(["run", str(SCENARIOS / "affine_torus.scn"), "--output", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+def test_tau_built_once_per_atlas_per_run(tmp_path, monkeypatch):
+    """Closedness and witness checks share one tau per atlas; a reload starts cold."""
+    built = []
+    real = scenario_mod.tau_invariant
+
+    def recording(cover, action, atlas, T):
+        built.append(atlas.chart("q").name)
+        return real(cover, action, atlas, T)
+
+    monkeypatch.setattr(scenario_mod, "tau_invariant", recording)
+    data = load_scn("witness_reparam.scn")
+    data["checks"].insert(0, {"name": "closed", "type": "tau-closedness",
+                              "tolerance": 1e-7})
+    path = write_scn(tmp_path, data)
+    for run in range(2):
+        built.clear()
+        out = tmp_path / ("r%d.json" % run)
+        assert main(["run", path, "--output", str(out)]) == 0
+        assert built == ["henon", "henon_shear3"]  # atlas, then atlas_b
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"]] == ["closed", "witness-matches"]
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "-1"])
-def test_threads_env_var_bad_value_exits_2(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("COCYCLE_THREADS", value)
-    out = tmp_path / "r.json"
-    assert main(["run", str(SCENARIOS / "affine_torus.scn"), "--output", str(out)]) == 2
+@pytest.mark.parametrize("command", ["todd-cocycle", "verify-cocycle", "group-invariant"])
+def test_tau_subcommands_without_atlas_exit_2(tmp_path, capsys, command):
+    data = load_scn("henon_z.scn")
+    for key in ("cover", "action", "atlas"):
+        data.pop(key)
+    data["checks"] = []
+    assert main([command, write_scn(tmp_path, data)]) == 2
     err = capsys.readouterr().err
-    assert "COCYCLE_THREADS" in err and repr(value) in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert "no cover/atlas" in err and "Traceback" not in err
 
 
 def test_symfun_cli_strings(capsys):
