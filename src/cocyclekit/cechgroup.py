@@ -178,11 +178,11 @@ class GroupActionSpec:
             index = table[index]
         return index
 
-    def word_map(self, word, n=None):
+    def word_map(self, word):
         """rho(word) as one symbolically composed HoloMap (memoized)."""
         if word not in self._word_maps:
             if word.is_identity():
-                m = identity_map(n or self.n)
+                m = identity_map(self.n)
             else:
                 m = self.letter_map(*word.letters[-1])
                 for name, sgn in reversed(word.letters[:-1]):
@@ -190,10 +190,10 @@ class GroupActionSpec:
             self._word_maps[word] = m
         return self._word_maps[word]
 
-    def word_chain(self, word, n=None):
+    def word_chain(self, word):
         """rho(word) as a chain of generator maps (for pullbacks of base values)."""
         if word.is_identity():
-            return MapChain([identity_map(n or self.n)], name=repr(word))
+            return MapChain([identity_map(self.n)], name=repr(word))
         return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters],
                         name=repr(word))
 
@@ -283,9 +283,6 @@ class MixedCochain:
     def bidegrees(self):
         return sorted(self.components)
 
-    def total_degrees(self):
-        return sorted({m + q for m, q in self.components})
-
     def base_value(self, bidegree, J, G):
         key = (bidegree, tuple(J), tuple(G))
         if key not in self._cache:
@@ -349,10 +346,7 @@ class CochainExpression:
         fn = self.comp_terms.get(bidegree)
         if fn is None:
             return {}
-        out = {}
-        for key, coeff in fn(tuple(J), tuple(G)).items():
-            out[key] = out.get(key, 0) + coeff
-        return {k: c for k, c in out.items() if c}
+        return _signed_sum([(1, fn(tuple(J), tuple(G)))])
 
     def value(self, bidegree, J, G):
         """The cell's values on its cloud, summed over its terms in a fixed order."""
@@ -368,7 +362,7 @@ class CochainExpression:
             if pull.is_identity():
                 vals = base.restricted(bd, Jb, Gb, target)
             else:
-                form = pullback_kform(base.action.word_chain(pull, base.n), form)
+                form = pullback_kform(base.action.word_chain(pull), form)
                 vals = form.eval(as_cloud(points, base.n)[0])
             term = coeff * vals
             acc = term if acc is None else acc + term
@@ -384,36 +378,40 @@ class CochainExpression:
             return None
         return self.value(bidegree, J, G).max_abs()
 
-    def worst_point(self, bidegree, J, G):
-        """(point, residual) where the cell's residual peaks; None when empty."""
-        if not self.base.cell_points(J, G):
-            return None
-        return self.value(bidegree, J, G).worst_point()
-
     def scale(self, a):
         a = int(a)
-        out = {}
-        for bd, fn in self.comp_terms.items():
-            def scaled(J, G, fn=fn):
-                return {k: a * c for k, c in fn(J, G).items()}
-            out[bd] = scaled
-        return CochainExpression(self.base, out)
+        return _linear_combination(self.base,
+                                   [(a, bd, fn) for bd, fn in self.comp_terms.items()])
 
     def __add__(self, other):
         if other.base is not self.base:
             raise ValidationError("expressions over different base cochains")
-        out = {}
-        for bd in set(self.comp_terms) | set(other.comp_terms):
-            def summed(J, G, bd=bd):
-                merged = dict(self.terms(bd, J, G))
-                for k, c in other.terms(bd, J, G).items():
-                    merged[k] = merged.get(k, 0) + c
-                return merged
-            out[bd] = summed
-        return CochainExpression(self.base, out)
+        return _linear_combination(self.base, [(1, bd, fn) for e in (self, other)
+                                               for bd, fn in e.comp_terms.items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
+
+
+def _signed_sum(parts):
+    """Sum of sign * terms over (sign, term dict) pairs, zero coefficients dropped."""
+    out = {}
+    for sign, terms in parts:
+        for key, coeff in terms.items():
+            out[key] = out.get(key, 0) + sign * coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def _linear_combination(base, parts):
+    """CochainExpression summing sign * fn per bidegree over (sign, bidegree, fn) parts."""
+    by_bidegree = {}
+    for sign, bd, fn in parts:
+        by_bidegree.setdefault(bd, []).append((sign, fn))
+
+    def component(fns):
+        return lambda J, G: _signed_sum((sign, fn(J, G)) for sign, fn in fns)
+
+    return CochainExpression(base, {bd: component(fns) for bd, fns in by_bidegree.items()})
 
 
 def as_expression(c):
@@ -428,14 +426,9 @@ def cech_differential(c):
         def face_terms(J, G, m=m, q=q):
             if len(J) != m + 2 or len(G) != q:
                 raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m + 1, q))
-            merged = {}
-            for k in range(m + 2):
-                sub = J[:k] + J[k + 1:]
-                sign = (-1) ** k
-                for key, coeff in c.terms((m, q), sub, G).items():
-                    merged[key] = merged.get(key, 0) + sign * coeff
-            return {k: v for k, v in merged.items() if v}
-        out[(m + 1, q)] = _merge_component(out.get((m + 1, q)), face_terms)
+            return _signed_sum(((-1) ** k, c.terms((m, q), J[:k] + J[k + 1:], G))
+                               for k in range(m + 2))
+        out[(m + 1, q)] = face_terms
     return CochainExpression(c.base, out)
 
 
@@ -448,53 +441,29 @@ def group_differential(c):
         def face_terms(J, G, m=m, q=q):
             if len(J) != m + 1 or len(G) != q + 1:
                 raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m, q + 1))
-            merged = {}
-
-            def absorb(terms, sign):
-                for key, coeff in terms.items():
-                    merged[key] = merged.get(key, 0) + sign * coeff
-
             g1 = G[0]
             J_translated = tuple(action.act_index(i, g1) for i in J)
-            absorb(c.terms((m, q), J_translated, G[1:]), 1)
+            parts = [(1, c.terms((m, q), J_translated, G[1:]))]
             for k in range(1, q + 1):
                 G_merged = G[:k - 1] + (G[k - 1] * G[k],) + G[k + 1:]
-                absorb(c.terms((m, q), J, G_merged), (-1) ** k)
+                parts.append(((-1) ** k, c.terms((m, q), J, G_merged)))
+            # right multiplication by one word is injective, so no two keys collide
             last = G[-1]
-            pulled = {}
-            for (bd, Jb, Gb, pull), coeff in c.terms((m, q), J, G[:-1]).items():
-                key = (bd, Jb, Gb, pull * last)
-                pulled[key] = pulled.get(key, 0) + coeff
-            absorb(pulled, (-1) ** (q + 1))
-            return {k: v for k, v in merged.items() if v}
-        out[(m, q + 1)] = _merge_component(out.get((m, q + 1)), face_terms)
+            pulled = {(bd, Jb, Gb, pull * last): coeff
+                      for (bd, Jb, Gb, pull), coeff in c.terms((m, q), J, G[:-1]).items()}
+            parts.append(((-1) ** (q + 1), pulled))
+            return _signed_sum(parts)
+        out[(m, q + 1)] = face_terms
     return CochainExpression(c.base, out)
-
-
-def _merge_component(existing, fn):
-    if existing is None:
-        return fn
-
-    def merged(J, G):
-        a = dict(existing(J, G))
-        for k, c in fn(J, G).items():
-            a[k] = a.get(k, 0) + c
-        return a
-
-    return merged
 
 
 def mixed_differential(c):
     """Total differential: cech + (-1)^{cech degree} * group."""
     c = as_expression(c)
-    out = dict(cech_differential(c).comp_terms)
-    grp = group_differential(c)
-    for (m, q1) in grp.bidegrees():
-        def signed(J, G, m=m, q1=q1):
-            sign = (-1) ** m
-            return {k: sign * v for k, v in grp.terms((m, q1), J, G).items()}
-        out[(m, q1)] = _merge_component(out.get((m, q1)), signed)
-    return CochainExpression(c.base, out)
+    cech = cech_differential(c).comp_terms.items()
+    grp = group_differential(c).comp_terms.items()
+    return _linear_combination(c.base, [(1, bd, fn) for bd, fn in cech]
+                               + [((-1) ** bd[0], bd, fn) for bd, fn in grp])
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +515,11 @@ class PathLabeler:
     symbolically, with an identity shortcut when nothing moves.
     """
 
-    def __init__(self, cover, action, atlases, T, coherence_tol=1e-9):
+    def __init__(self, cover, action, atlases, T):
         self.cover = cover
         self.action = action
         self.atlases = list(atlases)
         self.T = T
-        self.coherence_tol = coherence_tol
         self.n = atlases[0].chart(atlases[0].indices()[0]).n
         self._transitions = {}
         self._tails = {}
@@ -588,7 +556,7 @@ class PathLabeler:
             else:
                 inner = self.atlases[layer_b].inverse(ib)
                 if not w.is_identity():
-                    inner = compose(self.action.word_map(w, self.n), inner, check=False)
+                    inner = compose(self.action.word_map(w), inner, check=False)
                 self._transitions[key] = compose(self.atlases[layer_a].chart(ia), inner,
                                                  check=False)
         return self._transitions[key]
@@ -599,8 +567,7 @@ class PathLabeler:
         for a in range(len(vertices)):
             for b in range(a + 1, len(vertices)):
                 transitions[(a, b)] = self.transition(vertices[a], vertices[b])
-        simplex = ChartSimplex(charts, transitions, points,
-                               coherence_tol=self.coherence_tol, validate=False)
+        simplex = ChartSimplex(charts, transitions, points, validate=False)
         return cf_label_top(simplex, self.T)
 
     def cell_form(self, J, G, step_types):
@@ -623,14 +590,14 @@ class PathLabeler:
         return acc
 
 
-def tau_invariant(cover, action, atlas, T, coherence_tol=1e-9, verify_tol=None):
+def tau_invariant(cover, action, atlas, T, verify_tol=None):
     """The total-degree-n cocycle of an equivariant atlas under the invariant T.
 
     With verify_tol set, the mixed differential is checked over the action's
     declared words before returning; a residual above tolerance raises.
     """
     n_total = T.arity
-    labeler = PathLabeler(cover, action, [atlas], T, coherence_tol)
+    labeler = PathLabeler(cover, action, [atlas], T)
     components = {}
     for m in range(n_total + 1):
         q = n_total - m
@@ -652,7 +619,7 @@ def tau_invariant(cover, action, atlas, T, coherence_tol=1e-9, verify_tol=None):
     return tau
 
 
-def cohomologous_witness(cover, action, atlas_a, atlas_b, T, coherence_tol=1e-9):
+def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
     """Degree-(n-1) cochain whose mixed differential is tau(atlas_a) - tau(atlas_b).
 
     The edge direction enters as one extra step, placed before the Cech and
@@ -660,7 +627,7 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T, coherence_tol=1e-9)
     whose cocycle is subtracted), layer 1 atlas_a.
     """
     n_total = T.arity
-    labeler = PathLabeler(cover, action, [atlas_b, atlas_a], T, coherence_tol)
+    labeler = PathLabeler(cover, action, [atlas_b, atlas_a], T)
     components = {}
     for m in range(n_total):
         q = n_total - 1 - m
@@ -679,67 +646,60 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T, coherence_tol=1e-9)
 # ---------------------------------------------------------------------------
 # residual reports
 
+# sign of the group part in the total differential, stated in every report
+SIGN_CONVENTION = "cech + (-1)^m group"
 
-def enumerate_cells(cover, action, m, q, words=None, index_tuples=None):
+
+def enumerate_cells(cover, action, m, q, words=None):
     """All (J, G) cells of a bidegree with a nonempty translated cloud."""
     words = list(words if words is not None else action.words)
-    if index_tuples is None:
-        index_tuples = itertools.product(cover.indices, repeat=m + 1)
-    for J in index_tuples:
+    for J in itertools.product(cover.indices, repeat=m + 1):
         for G in itertools.product(words, repeat=q):
             if cover.cloud(cell_multi_index(action, J, G)):
                 yield tuple(J), tuple(G)
 
 
-def closedness_report(cochain, tol=1e-7, words=None):
-    """Max residual of the mixed differential over all next-degree cells."""
-    expr = mixed_differential(cochain)
-    base = as_expression(cochain).base
-    cover, action = base.cover, base.action
+def cell_values(source, bidegrees=None):
+    """(bidegree, J, G, SampledForm) for every nonempty cell of a cochain or expression.
+
+    Walks `bidegrees` (default: the source's own) over the action's declared
+    words; an expression reads zero on a bidegree it has no component in.
+    """
+    base = as_expression(source).base
+    for bd in source.bidegrees() if bidegrees is None else bidegrees:
+        for J, G in enumerate_cells(base.cover, base.action, *bd):
+            yield bd, J, G, source.sample(bd, J, G)
+
+
+def residual_report(residuals, tol):
+    """Report over (bidegree, J, G, residual SampledForm) cells, worst cell first."""
     rows = []
     worst = 0.0
-    for (m, q) in expr.bidegrees():
-        for J, G in enumerate_cells(cover, action, m, q, words=words):
-            hit = expr.worst_point((m, q), J, G)
-            if hit is None:
-                continue
-            point, res = hit
-            rows.append({"bidegree": [m, q], "indices": list(map(str, J)),
-                         "words": [repr(w) for w in G], "residual": res,
-                         "worst_point": [[c.real, c.imag] for c in point]})
-            worst = max(worst, res)
+    for (m, q), J, G, residual in residuals:
+        point, res = residual.worst_point()
+        rows.append({"bidegree": [m, q], "indices": list(map(str, J)),
+                     "words": [repr(w) for w in G], "residual": res,
+                     "worst_point": [[c.real, c.imag] for c in point]})
+        worst = max(worst, res)
     rows.sort(key=lambda r: -r["residual"])
     return {
         "max_residual": worst,
         "pass": worst <= tol,
         "tolerance": tol,
-        "sign_convention": "cech + (-1)^m group",
+        "sign_convention": SIGN_CONVENTION,
         "cells": rows,
     }
 
 
-def witness_report(witness, tau_a, tau_b, tol=1e-7, words=None):
+def closedness_report(cochain, tol=1e-7):
+    """Max residual of the mixed differential over all next-degree cells."""
+    return residual_report(cell_values(mixed_differential(cochain)), tol)
+
+
+def witness_report(witness, tau_a, tau_b, tol=1e-7):
     """Residual of d(witness) - (tau_a - tau_b) over all degree-n cells."""
     diff = mixed_differential(witness)
-    base = as_expression(witness).base
-    cover, action = base.cover, base.action
-    rows = []
-    worst = 0.0
-    for (m, q) in sorted(set(diff.bidegrees())
-                         | set(tau_a.bidegrees()) | set(tau_b.bidegrees())):
-        for J, G in enumerate_cells(cover, action, m, q, words=words):
-            got = diff.value((m, q), J, G)
-            want = tau_a.sample((m, q), J, G).sub(tau_b.sample((m, q), J, G))
-            point, res = got.sub(want).worst_point()
-            rows.append({"bidegree": [m, q], "indices": list(map(str, J)),
-                         "words": [repr(w) for w in G], "residual": res,
-                         "worst_point": [[c.real, c.imag] for c in point]})
-            worst = max(worst, res)
-    rows.sort(key=lambda r: -r["residual"])
-    return {
-        "max_residual": worst,
-        "pass": worst <= tol,
-        "tolerance": tol,
-        "sign_convention": "cech + (-1)^m group",
-        "cells": rows,
-    }
+    bidegrees = sorted(set(diff.bidegrees()) | set(tau_a.bidegrees()) | set(tau_b.bidegrees()))
+    return residual_report(
+        ((bd, J, G, got.sub(tau_a.sample(bd, J, G).sub(tau_b.sample(bd, J, G))))
+         for bd, J, G, got in cell_values(diff, bidegrees)), tol)

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import __version__
 from .bm import dbar_closed_check, reproducing_integral
-from .cechgroup import (cell_multi_index, closedness_report, cohomologous_witness,
-                        enumerate_cells, witness_report)
+from .cechgroup import (SIGN_CONVENTION, cell_multi_index, cell_values, closedness_report,
+                        cohomologous_witness, witness_report)
 from .cocycle import cf_map, shifted_form_complex, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError
 from .forms import sharp_pullback, theta
@@ -24,8 +24,6 @@ from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
                          format_symfun, newton_convert, todd_component, todd_invariant)
 from .scenario import Scenario, validate_bm_fields
 from .simplicial import dk_validate
-
-SIGN_CONVENTION = "cech + (-1)^m group"
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +34,9 @@ def run_affine_vanishing(scn, entry):
     tau = scn.tau(scn.atlas, entry.get("arity", scn.n))
     worst = 0.0
     cells = 0
-    for (m, q) in tau.bidegrees():
-        for J, G in enumerate_cells(scn.cover, scn.action, m, q):
-            sampled = tau.sample((m, q), J, G)
-            worst = max(worst, sampled.max_abs())
-            cells += 1
+    for _, _, _, sampled in cell_values(tau):
+        worst = max(worst, sampled.max_abs())
+        cells += 1
     return {"status": "pass" if worst == 0.0 else "fail",
             "max_residual": worst, "cells": cells,
             "detail": "exact zero required; values are bitwise zero" if worst == 0.0
@@ -234,7 +230,16 @@ def cmd_symfun(args):
     elif args.kind == "chern":
         f_power = chern_character_component(k)
     else:
-        payload = json.load(open(args.input) if args.input else sys.stdin)
+        try:
+            if args.input:
+                with open(args.input, encoding="utf-8") as fh:
+                    payload = json.load(fh)
+            else:
+                payload = json.load(sys.stdin)
+        except json.JSONDecodeError as err:
+            raise ValidationError("SymFun input is not valid JSON: %s" % err) from None
+        if not (isinstance(payload, dict) and "basis" in payload and "terms" in payload):
+            raise ValidationError("SymFun JSON needs 'basis' and 'terms'")
         f = SymFun.from_json(payload)
         converted = newton_convert(f, ELEMENTARY if f.basis == POWER else POWER)
         print(format_symfun(converted))
@@ -269,21 +274,24 @@ def cmd_bm_check(args):
     return 0 if ok else 1
 
 
+def tau_cell_rows(scn, bidegrees=None):
+    """One todd-cocycle row per nonempty cell of the scenario's tau (arity n)."""
+    rows = []
+    for (m, q), J, G, sampled in cell_values(scn.tau(scn.atlas, scn.n), bidegrees):
+        rows.append({
+            "bidegree": [m, q],
+            "indices": list(map(str, J)),
+            "words": [repr(w) for w in G],
+            "on": sorted(map(str, cell_multi_index(scn.action, J, G))),
+            "max_abs": sampled.max_abs(),
+            "values": sampled.to_json(),
+        })
+    return rows
+
+
 def cmd_todd_cocycle(args):
     scn = Scenario.load(args.scenario)
-    tau = scn.tau(scn.atlas, scn.n)
-    cells = []
-    for (m, q) in tau.bidegrees():
-        for J, G in enumerate_cells(scn.cover, scn.action, m, q):
-            sampled = tau.sample((m, q), J, G)
-            cells.append({
-                "bidegree": [m, q],
-                "indices": list(map(str, J)),
-                "words": [repr(w) for w in G],
-                "on": sorted(map(str, cell_multi_index(scn.action, J, G))),
-                "max_abs": sampled.max_abs(),
-                "values": sampled.to_json(),
-            })
+    cells = tau_cell_rows(scn)
     report = {"tool": "cocyclekit", "version": __version__,
               "scenario_hash": scn.hash, "sign_convention": SIGN_CONVENTION,
               "arity": scn.n, "cells": cells}
@@ -307,14 +315,11 @@ def cmd_verify_cocycle(args):
 
 
 def cmd_group_invariant(args):
+    """The pure group cells of tau: the (0, n) rows of todd-cocycle."""
     scn = Scenario.load(args.scenario)
-    tau = scn.tau(scn.atlas, scn.n)
-    rows = []
-    q = scn.n
-    for J, G in enumerate_cells(scn.cover, scn.action, 0, q):
-        sampled = tau.sample((0, q), J, G)
-        rows.append({"index": str(J[0]), "words": [repr(w) for w in G],
-                     "max_abs": sampled.max_abs(), "values": sampled.to_json()})
+    rows = [{"index": c["indices"][0], "words": c["words"],
+             "max_abs": c["max_abs"], "values": c["values"]}
+            for c in tau_cell_rows(scn, [(0, scn.n)])]
     print(json.dumps({"cells": rows}, indent=2, sort_keys=True))
     return 0
 

@@ -16,6 +16,7 @@ from .holomap import as_cloud, identity_map
 from .simplicial import DKSimplex, ElementOps, GradedComplex
 
 MIN_SAMPLE_WARN = 8
+COHERENCE_TOL = 1e-9
 
 
 class ChartSimplex:
@@ -26,8 +27,7 @@ class ChartSimplex:
     inversion.
     """
 
-    def __init__(self, charts, transitions, source_points, coherence_tol=1e-9,
-                 validate=True):
+    def __init__(self, charts, transitions, source_points, validate=True):
         self.charts = list(charts)
         self.level = len(self.charts) - 1
         if self.level < 0:
@@ -43,7 +43,6 @@ class ChartSimplex:
             for q in range(p + 1, self.level + 1):
                 if (p, q) not in self.transitions:
                     raise ValidationError("missing transition (%d, %d)" % (p, q))
-        self.coherence_tol = coherence_tol
         if validate:
             self.validate()
 
@@ -53,18 +52,17 @@ class ChartSimplex:
             return identity_map(self.n)
         return self.transitions[(p, q)]
 
-    def validate(self, tol=None):
+    def validate(self):
         """Check every transition reproduces the chart relation on the samples."""
-        tol = tol if tol is not None else self.coherence_tol
         worst = 0.0
         W = as_cloud(self.source_points, self.n)[0]
         for (p, q), phi in self.transitions.items():
             if len(W):
                 lhs = phi.eval(self.charts[q].eval(W))
                 worst = max(worst, float(np.max(np.abs(lhs - self.charts[p].eval(W)))))
-        if worst > tol:
-            raise ValidationError(
-                "chart simplex incoherent: max deviation %.3e > %.1e" % (worst, tol))
+        if worst > COHERENCE_TOL:
+            raise ValidationError("chart simplex incoherent: max deviation %.3e > %.1e"
+                                  % (worst, COHERENCE_TOL))
         return worst
 
     def sub_simplex(self, indices):
@@ -77,8 +75,7 @@ class ChartSimplex:
         for a in range(len(indices)):
             for b in range(a + 1, len(indices)):
                 trans[(a, b)] = self.transition(indices[a], indices[b])
-        return ChartSimplex(charts, trans, self.source_points,
-                            coherence_tol=self.coherence_tol, validate=False)
+        return ChartSimplex(charts, trans, self.source_points, validate=False)
 
 
 def theta_r(s, r):
@@ -168,18 +165,11 @@ def verify_telescoping(s, T, points=None, tol=1e-7):
         cell = tuple(i for i in range(k + 2) if i != j)
         label = cf_label_top(s.sub_simplex(cell), T)
         acc = acc + label.scale((-1) ** j)
-    mags = np.abs(acc.eval(as_cloud(points, s.n)[0]))
-    indices = acc.indices()
-    per_point = []
-    for p, row in zip(points, mags):
-        worst_idx = indices[int(np.argmax(row))] if indices else None
-        per_point.append({"point": [[c.real, c.imag] for c in p],
-                          "residual": float(row.max()) if indices else 0.0,
-                          "worst_index": list(worst_idx) if worst_idx else None})
-    max_res = max((e["residual"] for e in per_point), default=0.0)
+    residual = SampledForm(s.n, k, points, acc.eval(as_cloud(points, s.n)[0]))
+    point, max_res = residual.worst_point() or ((), 0.0)
     return {
         "max_residual": max_res,
         "pass": max_res <= tol,
         "tolerance": tol,
-        "points": per_point,
+        "worst_point": [[c.real, c.imag] for c in point],
     }

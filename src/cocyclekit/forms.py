@@ -27,10 +27,9 @@ from .invariants import eval_invariant
 class MatrixOneForm:
     """(N, n) points -> (N, n, n, n) coefficient matrices, [point, dz^a, row, col]."""
 
-    def __init__(self, n, eval_fn, provenance="", structurally_zero=False):
+    def __init__(self, n, eval_fn, structurally_zero=False):
         self.n = int(n)
         self._eval = eval_fn
-        self.provenance = provenance
         self.structurally_zero = structurally_zero
 
     def eval(self, points):
@@ -42,8 +41,8 @@ class MatrixOneForm:
         return out[0] if single else out
 
     @classmethod
-    def zero(cls, n, provenance="0"):
-        return cls(n, None, provenance=provenance, structurally_zero=True)
+    def zero(cls, n):
+        return cls(n, None, structurally_zero=True)
 
     def __add__(self, other):
         if self.n != other.n:
@@ -52,14 +51,12 @@ class MatrixOneForm:
             return other
         if other.structurally_zero:
             return self
-        return MatrixOneForm(self.n, lambda P: self.eval(P) + other.eval(P),
-                             "(%s + %s)" % (self.provenance, other.provenance))
+        return MatrixOneForm(self.n, lambda P: self.eval(P) + other.eval(P))
 
     def scale(self, a):
         if self.structurally_zero or a == 0:
             return MatrixOneForm.zero(self.n)
-        return MatrixOneForm(self.n, lambda P: a * self.eval(P),
-                             "%r * %s" % (a, self.provenance))
+        return MatrixOneForm(self.n, lambda P: a * self.eval(P))
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
@@ -73,11 +70,10 @@ class MatrixOneForm:
 class ScalarKForm:
     """(N, n) points -> (N, C(n, k)) coefficients in itertools.combinations order."""
 
-    def __init__(self, n, k, eval_fn, provenance="", structurally_zero=False):
+    def __init__(self, n, k, eval_fn, structurally_zero=False):
         self.n = int(n)
         self.k = int(k)
         self._eval = eval_fn
-        self.provenance = provenance
         self.structurally_zero = structurally_zero or self.k > self.n
 
     def indices(self):
@@ -95,8 +91,8 @@ class ScalarKForm:
         return out
 
     @classmethod
-    def zero(cls, n, k, provenance="0"):
-        return cls(n, k, None, provenance=provenance, structurally_zero=True)
+    def zero(cls, n, k):
+        return cls(n, k, None, structurally_zero=True)
 
     def __add__(self, other):
         self._compat(other)
@@ -120,10 +116,6 @@ class ScalarKForm:
         if self.n != other.n or self.k != other.k:
             raise ValidationError("form degree/dimension mismatch")
 
-    def max_norm(self, points):
-        values = self.eval(as_cloud(points, self.n)[0])
-        return float(np.max(np.abs(values))) if values.size else 0.0
-
 
 def theta(f):
     """J^{-1} dJ of the map f: coefficient of dz^a at z is J(z)^{-1} (dJ/dz^a)(z).
@@ -133,13 +125,13 @@ def theta(f):
     """
     n = f.n
     if hasattr(f, "is_affine") and f.is_affine():
-        return MatrixOneForm.zero(n, provenance="theta(%s)" % getattr(f, "name", "affine"))
+        return MatrixOneForm.zero(n)
 
     def ev(P):
         Jinv = f.jacobian_inverse(P)
         return Jinv[:, None] @ f.djacobian(P)
 
-    return MatrixOneForm(n, ev, provenance="theta(%s)" % (getattr(f, "name", "") or "map"))
+    return MatrixOneForm(n, ev)
 
 
 def sharp_pullback(phi, omega):
@@ -147,8 +139,7 @@ def sharp_pullback(phi, omega):
     if phi.n != omega.n:
         raise ValidationError("dimension mismatch")
     if omega.structurally_zero:
-        return MatrixOneForm.zero(omega.n,
-                                  provenance="%s#(0)" % getattr(phi, "name", "phi"))
+        return MatrixOneForm.zero(omega.n)
     n = omega.n
 
     def ev(P):
@@ -159,8 +150,7 @@ def sharp_pullback(phi, omega):
         N = len(P)
         return (np.swapaxes(J, 1, 2) @ conj.reshape(N, n, n * n)).reshape(N, n, n, n)
 
-    return MatrixOneForm(n, ev, provenance="%s#(%s)" % (getattr(phi, "name", "phi"),
-                                                        omega.provenance))
+    return MatrixOneForm(n, ev)
 
 
 def apply_invariant(T, omegas):
@@ -177,7 +167,7 @@ def apply_invariant(T, omegas):
         if w.n != n:
             raise ValidationError("forms live on different dimensions")
     if k > n or any(w.structurally_zero for w in omegas):
-        return ScalarKForm.zero(n, k, provenance="T[...]=0")
+        return ScalarKForm.zero(n, k)
 
     combos = list(itertools.combinations(range(n), k))
     perms = list(itertools.permutations(range(k)))
@@ -195,7 +185,7 @@ def apply_invariant(T, omegas):
             total = total + signs[s] * vals[:, s]
         return total.T
 
-    return ScalarKForm(n, k, ev, provenance="T[%s]" % ", ".join(w.provenance for w in omegas))
+    return ScalarKForm(n, k, ev)
 
 
 def _perm_sign(sig):
@@ -225,8 +215,7 @@ def pullback_kform(phi, w):
         minors = np.linalg.det(J[:, combos[:, None, :, None], combos[None, :, None, :]])
         return (vals[:, None, :] @ minors)[:, 0, :]
 
-    return ScalarKForm(n, k, ev, provenance="%s*(%s)" % (getattr(phi, "name", "phi"),
-                                                         w.provenance))
+    return ScalarKForm(n, k, ev)
 
 
 class SampledForm:

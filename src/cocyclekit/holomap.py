@@ -1,11 +1,10 @@
 """Holomorphic maps between opens of C^n: evaluation, exact Jacobians, composition.
 
-A map's domain is a named cloud of sample points (plus an optional membership
-predicate); every check downstream is pointwise over such clouds, and every
-evaluation takes the whole cloud at once: an (N, n) point array in, one row per
-point out. A single point is a one-row view of the same path. Inverses are
-never derived symbolically, so anything that needs both directions must carry
-them explicitly.
+A map's domain is a named cloud of sample points; every check downstream is
+pointwise over such clouds, and every evaluation takes the whole cloud at once:
+an (N, n) point array in, one row per point out. A single point is a one-row
+view of the same path. Inverses are never derived symbolically, so anything
+that needs both directions must carry them explicitly.
 """
 
 from fractions import Fraction
@@ -19,16 +18,9 @@ DET_TOL = 1e-12
 
 
 class DomainSpec:
-    def __init__(self, samples, predicate=None, name=""):
+    def __init__(self, samples, name=""):
         self.samples = [tuple(complex(c) for c in p) for p in samples]
-        self.predicate = predicate
         self.name = name
-
-    def contains(self, point):
-        """Predicate test; clouds without a predicate accept everything."""
-        if self.predicate is None:
-            return True
-        return abs(self.predicate.eval(tuple(point))) > 1e-12
 
 
 def as_cloud(points, n):
@@ -192,10 +184,6 @@ def parse_map(text, n, constants=None, domain=None, name="", check=True):
             raise ex.DslSyntaxError(err.message, offset + err.offset) from None
         offset += len(piece) + 1
     return HoloMap(n, comps, domain=domain, name=name, check=check)
-
-
-def print_map(f):
-    return "; ".join(ex.to_text(c) for c in f.components)
 
 
 def compose(f, g, name="", domain=None, check=True):

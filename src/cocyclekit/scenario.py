@@ -34,8 +34,9 @@ def _point(obj, n, location):
         raise ScenarioError("point must have %d [re, im] coordinates" % n, location)
     out = []
     for c in obj:
-        if not isinstance(c, list) or len(c) != 2:
-            raise ScenarioError("coordinate must be an [re, im] pair", location)
+        if not (isinstance(c, list) and len(c) == 2 and all(map(_is_real, c))):
+            raise ScenarioError("coordinate must be an [re, im] pair of numbers, got %r"
+                                % (c,), location)
         out.append(complex(float(c[0]), float(c[1])))
     return tuple(out)
 
@@ -53,9 +54,8 @@ class Scenario:
         self.hash = hashlib.sha256(source_bytes).hexdigest()
         if "dimension" not in data:
             raise ScenarioError("missing 'dimension'")
-        self.n = int(data["dimension"])
-        if self.n < 1:
-            raise ScenarioError("dimension must be >= 1")
+        _validate_fields(data, _SCENARIO_FIELDS, "dimension")
+        self.n = data["dimension"]
         self.constants = self._load_constants(data.get("constants", {}))
         self.maps = self._load_maps(data.get("maps", {}))
         self.cover = self._load_cover(data.get("cover"))
@@ -120,6 +120,7 @@ class Scenario:
         if section is None:
             return None
         loc = "cover"
+        _require_object(section, loc)
         indices = section.get("indices")
         if not indices:
             raise ScenarioError("cover needs a nonempty 'indices' list", loc)
@@ -171,12 +172,14 @@ class Scenario:
     def _load_atlas(self, section, key):
         if section is None or self.cover is None:
             return None
+        _require_object(section, key)
         charts = {}
         for index in self.cover.indices:
             if index not in section:
                 raise ScenarioError("missing chart for index %r" % index, key)
             entry = section[index]
             loc = "%s/%s" % (key, index)
+            _require_object(entry, loc)
             chart = self.map_named(entry.get("chart", ""), loc)
             inverse = self.map_named(entry.get("inverse", ""), loc)
             charts[index] = (chart, inverse)
@@ -196,9 +199,8 @@ class Scenario:
             if name in seen:
                 raise ScenarioError("duplicate check name %r" % name, loc)
             seen.add(name)
+            _validate_fields(entry, _CHECK_FIELDS, loc)
             tol = entry.get("tolerance", 1e-7)
-            if not (isinstance(tol, (int, float)) and tol > 0):
-                raise ScenarioError("tolerance must be positive", loc)
             self._validate_check_refs(ctype, entry, loc)
             checks.append(dict(entry, name=name, tolerance=tol))
         return checks
@@ -255,7 +257,15 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# (field, test, what the test requires) for the numeric fields of BM checks
+# (field, test, what the test requires) for the numeric fields of a scenario,
+# of every check and of BM checks
+_SCENARIO_FIELDS = (
+    ("dimension", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+)
+_CHECK_FIELDS = (
+    ("tolerance", lambda v: _is_real(v) and v > 0, "a positive number"),
+    ("arity", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+)
 _BM_FIELDS = (
     ("n", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     ("probes", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
@@ -266,11 +276,21 @@ _BM_FIELDS = (
 )
 
 
-def validate_bm_fields(entry, location):
-    """The ranges docs/scenario.schema.json gives the fields of a BM check entry."""
-    for key, ok, what in _BM_FIELDS:
+def _validate_fields(entry, fields, location):
+    """The ranges docs/scenario.schema.json gives the fields present in `entry`."""
+    for key, ok, what in fields:
         if key in entry and not ok(entry[key]):
             raise ScenarioError("%r must be %s, got %r" % (key, what, entry[key]), location)
+
+
+def _require_object(value, location):
+    if not isinstance(value, dict):
+        raise ScenarioError("must be an object, got %s" % type(value).__name__, location)
+
+
+def validate_bm_fields(entry, location):
+    """The ranges docs/scenario.schema.json gives the fields of a BM check entry."""
+    _validate_fields(entry, _BM_FIELDS, location)
     n = entry.get("n", 2)
     z = entry.get("z", [0.0] * n)
     if not (isinstance(z, list) and len(z) == n and all(map(_is_real, z))):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cocyclekit.scenario as scenario_mod
-from cocyclekit.cli import main
+from cocyclekit.cli import CHECK_RUNNERS, main
 from cocyclekit.errors import ScenarioError
 from cocyclekit.scenario import Scenario
 
@@ -144,6 +144,90 @@ def test_tau_subcommands_without_atlas_exit_2(tmp_path, capsys, command):
     assert "no cover/atlas" in err and "Traceback" not in err
 
 
+def _set_coordinate(data):
+    data["cover"]["clouds"][0]["points"][0][0] = ["x", 0]
+
+
+def _set_atlas_entry(data):
+    data["atlas"]["u"] = "chart"
+
+
+def _set_check(key, value):
+    def edit(data):
+        data["checks"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, location", [
+    (lambda data: data.update(dimension="two"), "dimension"),
+    (lambda data: data.update(dimension=0), "dimension"),
+    (_set_coordinate, "cover"),
+    (lambda data: data.update(cover=[]), "cover"),
+    (lambda data: data.update(atlas=[]), "atlas"),
+    (_set_atlas_entry, "atlas/u"),
+    (_set_check("arity", "3"), "checks[0]"),
+    (_set_check("arity", 0), "checks[0]"),
+    (_set_check("tolerance", True), "checks[0]"),
+], ids=["dimension-string", "dimension-zero", "coordinate-string", "cover-list",
+        "atlas-list", "atlas-entry-string", "arity-string", "arity-zero",
+        "tolerance-bool"])
+def test_bad_scenario_type_exits_2_with_location(tmp_path, capsys, edit, location):
+    data = load_scn("henon_z.scn")
+    edit(data)
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert location in err and "Traceback" not in err
+
+
+def test_check_types_listed_alike_in_loader_runners_and_schema():
+    schema = json.loads((REPO / "docs" / "scenario.schema.json").read_text())
+    enum = schema["properties"]["checks"]["items"]["properties"]["type"]["enum"]
+    assert set(scenario_mod.KNOWN_CHECKS) == set(CHECK_RUNNERS) == set(enum)
+
+
+def test_group_invariant_cells_are_the_pure_group_rows_of_todd_cocycle(tmp_path, capsys):
+    scn = str(SCENARIOS / "henon_z.scn")
+    out = tmp_path / "t.json"
+    assert main(["todd-cocycle", scn, "--output", str(out)]) == 0
+    assert main(["group-invariant", scn]) == 0
+    printed = capsys.readouterr().out
+    cells = json.loads(printed[printed.index("{"):])["cells"]
+    dump = json.loads(out.read_text())["cells"]
+    expected = [{"index": c["indices"][0], "words": c["words"], "max_abs": c["max_abs"],
+                 "values": c["values"]} for c in dump if c["bidegree"] == [0, 2]]
+    assert cells and cells == expected
+
+
+def _run_check(tmp_path, name, check_type):
+    out = tmp_path / ("run-%s.json" % check_type)
+    main(["run", str(SCENARIOS / name), "--output", str(out)])
+    report = json.loads(out.read_text())
+    return next(c for c in report["checks"] if c["type"] == check_type)
+
+
+def test_verify_cocycle_residual_is_the_run_residual(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify-cocycle", str(SCENARIOS / "henon_z.scn"), "--output", str(out)]) == 0
+    residual = json.loads(out.read_text())["closedness"]["max_residual"]
+    assert residual == _run_check(tmp_path, "henon_z.scn", "tau-closedness")["max_residual"]
+
+
+def test_witness_command_residual_is_the_run_residual(tmp_path):
+    out = tmp_path / "w.json"
+    assert main(["witness", str(SCENARIOS / "witness_reparam.scn"), "--output", str(out)]) == 0
+    residual = json.loads(out.read_text())["witness"]["max_residual"]
+    assert residual == _run_check(tmp_path, "witness_reparam.scn", "witness")["max_residual"]
+
+
+def test_affine_vanishing_residual_is_the_todd_cocycle_maximum(tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["todd-cocycle", str(SCENARIOS / "affine_torus.scn"),
+                 "--output", str(out)]) == 0
+    dumped = max(c["max_abs"] for c in json.loads(out.read_text())["cells"])
+    checked = _run_check(tmp_path, "affine_torus.scn", "affine-vanishing")["max_residual"]
+    assert dumped == checked == 0.0
+
+
 def test_symfun_cli_strings(capsys):
     assert main(["symfun", "todd", "2"]) == 0
     assert capsys.readouterr().out.strip() == "(1/12)(S1^2 + S2) = (1/24)(3 T1^2 - T2)"
@@ -170,6 +254,19 @@ def test_symfun_convert_round_trip(tmp_path, capsys):
     assert lines[0] == "(S1^2 - 2 S2)"
     converted = json.loads(lines[1])
     assert converted["basis"] == "elementary"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON"),
+    (json.dumps({"terms": []}), "'basis' and 'terms'"),
+    (json.dumps({"basis": "power"}), "'basis' and 'terms'"),
+])
+def test_symfun_convert_bad_input_exits_2(tmp_path, capsys, text, message):
+    src = tmp_path / "f.json"
+    src.write_text(text)
+    assert main(["symfun", "convert", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_cli_entry_point_subprocess():
