@@ -1,12 +1,13 @@
 """Mixed Cech/group cochains of holomorphic forms and the tau invariant.
 
 Cells are pairs (Cech multi-index, tuple of group words); the value on a cell
-is a k-form sampled on the cloud of the translated intersection, one array row
-per point. Differentials act on formal signed combinations of pulled-back base
-values, so the pairwise cancellations behind delta^2 = 0 and the bar identities
-happen symbolically before any floating-point addition. Each base value is
-evaluated once on its own cell's cloud; other cells read it by row gather
-(clouds nest) or, under a group word, evaluate it at the moved points.
+is a SampledForm: a k-form on the cloud of the translated intersection, one
+array row per point. Differentials act on formal signed combinations of
+pulled-back base values, so the pairwise cancellations behind delta^2 = 0 and
+the bar identities happen symbolically before any floating-point addition.
+Each base value is evaluated once on its own cell's cloud; other cells read it
+by row gather when clouds nest, and otherwise evaluate it on their own cloud
+or, under a group word, at the moved points.
 
 The tau invariant of an equivariant atlas assigns to each total-degree-n cell
 a signed sum over the (m,q)-shuffles of grid paths, each path contributing the
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cocycle import ChartSimplex, cf_label_top
 from .errors import ValidationError
-from .forms import SampledForm, ScalarKForm, pullback_kform
+from .forms import SampledForm, pullback_kform, signed_sum
 from .holomap import MapChain, as_cloud, compose, identity_map
 
 # ---------------------------------------------------------------------------
@@ -101,6 +102,7 @@ class CoverSpec:
         self.indices = list(indices)
         index_set = set(self.indices)
         self.clouds = {}
+        self._arrays = {}
         for key, points in clouds.items():
             key = frozenset(key)
             if not key or not key <= index_set:
@@ -123,6 +125,14 @@ class CoverSpec:
         """Sample cloud of the intersection over a tuple (repeats collapse)."""
         key = frozenset(multi_index)
         return self.clouds.get(key, [])
+
+    def cloud_array(self, multi_index, n):
+        """The same cloud as an (N, n) complex array, built once per intersection."""
+        key = frozenset(multi_index)
+        P = self._arrays.get(key)
+        if P is None:
+            P = self._arrays[key] = as_cloud(self.cloud(key), n)[0]
+        return P
 
     def restriction(self, source, target):
         """Rows of the target's cloud within the source's cloud, as an index array.
@@ -261,9 +271,11 @@ def cell_multi_index(action, J, G):
 class MixedCochain:
     """Base cochain: per-bidegree providers of k-forms on cells.
 
-    Each base value is the provider's form (cached in _cache) and its array on
-    the cell's own cloud (cached in _samples), computed once. A scenario builds
-    each tau once (Scenario.tau), so every check reading it shares both caches.
+    provider(J, G, points) returns the base value of the cell (J, G) as a
+    SampledForm on the (N, n) cloud `points`. Its value on the cell's own cloud
+    is computed once and cached in _cache; that value also tells whether the
+    base value is structurally zero. A scenario builds each tau once
+    (Scenario.tau), so every check reading it shares the cache.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain"):
@@ -278,44 +290,50 @@ class MixedCochain:
             self.components[(int(m), int(q))] = provider
         self.name = name
         self._cache = {}
-        self._samples = {}
 
     def bidegrees(self):
         return sorted(self.components)
 
     def base_value(self, bidegree, J, G):
+        """The base value on its cell's own cloud, evaluated once."""
         key = (bidegree, tuple(J), tuple(G))
         if key not in self._cache:
-            provider = self.components.get(bidegree)
-            if provider is None:
-                raise ValidationError("no component in bidegree %r" % (bidegree,))
-            self._cache[key] = provider(tuple(J), tuple(G))
+            self._cache[key] = self.evaluate(bidegree, J, G, self.cell_points(J, G))
         return self._cache[key]
 
+    def evaluate(self, bidegree, J, G, points):
+        """The provider's base value of (J, G) on an (N, n) cloud."""
+        provider = self.components.get(bidegree)
+        if provider is None:
+            raise ValidationError("no component in bidegree %r" % (bidegree,))
+        return provider(tuple(J), tuple(G), points)
+
     def cell_points(self, J, G):
-        return self.cover.cloud(cell_multi_index(self.action, J, G))
+        return self.cover.cloud_array(cell_multi_index(self.action, J, G), self.n)
 
     def sample(self, bidegree, J, G):
-        """The base value on its cell's cloud: one array, evaluated once."""
-        key = (bidegree, tuple(J), tuple(G))
-        sampled = self._samples.get(key)
-        if sampled is None:
-            sampled = SampledForm.sample(self.base_value(bidegree, J, G),
-                                         self.cell_points(J, G))
-            self._samples[key] = sampled
-        return sampled
+        """The cell's value on its own cloud (cochains and expressions alike)."""
+        return self.base_value(bidegree, J, G)
 
-    def restricted(self, bidegree, J, G, target):
-        """Values of a base value on the cloud of the multi-index `target`.
+    def term_value(self, term, target, points):
+        """A term (bd, J, G, word) as a form on `points`, the cloud of `target`.
 
-        A row gather from the base cell's own array when the clouds nest; a
-        fresh evaluation at the target points otherwise.
+        A structurally zero base value is returned as cached, with nothing
+        evaluated. Otherwise: a row gather from the base cell's own values when
+        the clouds nest, an evaluation at `points` when they do not, or, under a
+        group word, an evaluation at the moved points pulled back along it.
         """
-        rows = self.cover.restriction(cell_multi_index(self.action, J, G), target)
-        if rows is None:
-            return self.base_value(bidegree, J, G).eval(
-                as_cloud(self.cover.cloud(target), self.n)[0])
-        return self.sample(bidegree, J, G).values[rows]
+        bd, J, G, pull = term
+        own = self.base_value(bd, J, G)
+        if own.structurally_zero:
+            return own
+        if pull.is_identity():
+            rows = self.cover.restriction(cell_multi_index(self.action, J, G), target)
+            if rows is None:
+                return self.evaluate(bd, J, G, points)
+            return SampledForm(self.n, self.form_degree, points, own.values[rows])
+        chain = self.action.word_chain(pull)
+        return pullback_kform(chain, self.evaluate(bd, J, G, chain.eval(points)), points)
 
     def expression(self):
         return CochainExpression(self, {bd: _identity_terms(bd) for bd in self.components})
@@ -352,29 +370,17 @@ class CochainExpression:
         """The cell's values on its cloud, summed over its terms in a fixed order."""
         base = self.base
         target = cell_multi_index(base.action, J, G)
-        points = base.cover.cloud(target)
-        acc = None
-        for (bd, Jb, Gb, pull), coeff in sorted(self.terms(bidegree, J, G).items(),
-                                                key=lambda kv: repr(kv[0])):
-            form = base.base_value(bd, Jb, Gb)
-            if form.structurally_zero:
-                continue
-            if pull.is_identity():
-                vals = base.restricted(bd, Jb, Gb, target)
-            else:
-                form = pullback_kform(base.action.word_chain(pull), form)
-                vals = form.eval(as_cloud(points, base.n)[0])
-            term = coeff * vals
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return SampledForm.zeros(base.n, base.form_degree, points)
-        return SampledForm(base.n, base.form_degree, points, acc)
+        points = base.cover.cloud_array(target, base.n)
+        terms = sorted(self.terms(bidegree, J, G).items(), key=lambda kv: repr(kv[0]))
+        return signed_sum(base.n, base.form_degree, points,
+                          ((coeff, base.term_value(term, target, points))
+                           for term, coeff in terms))
 
     def sample(self, bidegree, J, G):
         return self.value(bidegree, J, G)
 
     def max_residual(self, bidegree, J, G):
-        if not self.base.cell_points(J, G):
+        if not len(self.base.cell_points(J, G)):
             return None
         return self.value(bidegree, J, G).max_abs()
 
@@ -568,26 +574,27 @@ class PathLabeler:
             for b in range(a + 1, len(vertices)):
                 transitions[(a, b)] = self.transition(vertices[a], vertices[b])
         simplex = ChartSimplex(charts, transitions, points, validate=False)
-        return cf_label_top(simplex, self.T)
+        return cf_label_top(simplex, self.T, points)
 
-    def cell_form(self, J, G, step_types):
-        """Signed shuffle sum of path labels for one cell."""
-        points = self.cover.cloud(cell_multi_index(self.action, J, G))
-        acc = ScalarKForm.zero(self.n, self.T.arity)
-        for seq, sign in _shuffles(step_types):
-            layer, r, s = 0, 0, 0
-            vertices = [self.vertex(layer, J, G, r, s)]
-            for kind in seq:
-                if kind == E_STEP:
-                    layer = 1
-                elif kind == C_STEP:
-                    r += 1
-                else:
-                    s += 1
-                vertices.append(self.vertex(layer, J, G, r, s))
-            label = self.label_path(vertices, points)
-            acc = acc + label.scale(sign)
-        return acc
+    def cell_form(self, J, G, step_types, points):
+        """Signed shuffle sum of the path labels of one cell, on an (N, n) cloud."""
+        return signed_sum(self.n, self.T.arity, points,
+                          ((sign, self.label_path(self.path(J, G, seq), points))
+                           for seq, sign in _shuffles(step_types)))
+
+    def path(self, J, G, seq):
+        """Vertices of the grid path that takes the steps `seq` through cell (J, G)."""
+        layer, r, s = 0, 0, 0
+        vertices = [self.vertex(layer, J, G, r, s)]
+        for kind in seq:
+            if kind == E_STEP:
+                layer = 1
+            elif kind == C_STEP:
+                r += 1
+            else:
+                s += 1
+            vertices.append(self.vertex(layer, J, G, r, s))
+        return vertices
 
 
 def tau_invariant(cover, action, atlas, T, verify_tol=None):
@@ -604,10 +611,10 @@ def tau_invariant(cover, action, atlas, T, verify_tol=None):
         if q > 0 and not action.generators:
             continue
 
-        def provider(J, G, m=m, q=q):
+        def provider(J, G, points, m=m, q=q):
             if len(J) != m + 1 or len(G) != q:
                 raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-            return labeler.cell_form(J, G, (C_STEP,) * m + (G_STEP,) * q)
+            return labeler.cell_form(J, G, (C_STEP,) * m + (G_STEP,) * q, points)
 
         components[(m, q)] = provider
     tau = MixedCochain(cover, action, labeler.n, n_total, components, name="tau")
@@ -634,10 +641,11 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
         if q > 0 and not action.generators:
             continue
 
-        def provider(J, G, m=m, q=q):
+        def provider(J, G, points, m=m, q=q):
             if len(J) != m + 1 or len(G) != q:
                 raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-            return labeler.cell_form(J, G, (E_STEP,) + (C_STEP,) * m + (G_STEP,) * q)
+            return labeler.cell_form(J, G, (E_STEP,) + (C_STEP,) * m + (G_STEP,) * q,
+                                     points)
 
         components[(m, q)] = provider
     return MixedCochain(cover, action, labeler.n, n_total, components, name="witness")

@@ -19,7 +19,7 @@ from .cechgroup import (SIGN_CONVENTION, cell_multi_index, cell_values, closedne
 from .cocycle import cf_map, shifted_form_complex, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError
 from .forms import sharp_pullback, theta
-from .holomap import compose
+from .holomap import as_cloud, compose
 from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
                          format_symfun, newton_convert, todd_component, todd_invariant)
 from .scenario import Scenario, validate_bm_fields
@@ -85,13 +85,11 @@ def run_theta_composition(scn, entry):
     for fname, gname in entry.get("pairs", []):
         f = scn.map_named(fname, "theta-composition")
         g = scn.map_named(gname, "theta-composition")
-        points = entry.get("points")
-        pts = [tuple(complex(c[0], c[1]) for c in p) for p in points] if points \
-            else g.domain.samples
-        lhs = theta(compose(f, g, check=False))
-        rhs = sharp_pullback(g, theta(f)) + theta(g)
-        resid = (lhs - rhs).max_norm(pts)
-        scale_ref = 1.0 + lhs.max_norm(pts)
+        P = as_cloud(entry.get("points") or g.domain.samples, g.n)[0]
+        lhs = theta(compose(f, g, check=False), P)
+        rhs = sharp_pullback(g, theta(f, g.eval(P)), P).add(theta(g, P))
+        resid = lhs.sub(rhs).max_abs()
+        scale_ref = 1.0 + lhs.max_abs()
         rel = resid / scale_ref
         rows.append({"pair": [fname, gname], "residual": rel})
         worst = max(worst, rel)

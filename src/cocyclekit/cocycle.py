@@ -2,16 +2,20 @@
 
 A level-l chart simplex is l+1 charts off a common source together with the
 transition maps between their images. Applying a GL-invariant map of arity k
-labels each k-cell with a holomorphic k-form pulled back to the source; the
-alternating face sums of those labels telescope to zero, which is what
-verify_telescoping and dk_validate measure.
+labels each k-cell with a holomorphic k-form pulled back to the source and
+sampled on a cloud there (a SampledForm); the alternating face sums of those
+labels telescope to zero, which is what verify_telescoping and dk_validate
+measure.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 
 from .errors import ValidationError
-from .forms import (SampledForm, ScalarKForm, apply_invariant, pullback_kform,
-                    sharp_pullback, theta)
+from .forms import (SampledForm, apply_invariant, pullback_kform, sharp_pullback,
+                    signed_sum, theta, theta_vanishes)
 from .holomap import as_cloud, identity_map
 from .simplicial import DKSimplex, ElementOps, GradedComplex
 
@@ -33,7 +37,7 @@ class ChartSimplex:
         if self.level < 0:
             raise ValidationError("need at least one chart")
         self.n = self.charts[0].n
-        self.source_points = [tuple(p) for p in source_points]
+        self.source_points = as_cloud(source_points, self.n)[0]
         self.transitions = {}
         for (p, q), m in transitions.items():
             if not 0 <= p < q <= self.level:
@@ -55,7 +59,7 @@ class ChartSimplex:
     def validate(self):
         """Check every transition reproduces the chart relation on the samples."""
         worst = 0.0
-        W = as_cloud(self.source_points, self.n)[0]
+        W = self.source_points
         for (p, q), phi in self.transitions.items():
             if len(W):
                 lhs = phi.eval(self.charts[q].eval(W))
@@ -78,48 +82,52 @@ class ChartSimplex:
         return ChartSimplex(charts, trans, self.source_points, validate=False)
 
 
-def theta_r(s, r):
-    """Pull theta of the (r-1, r) transition back to the top image via phi[r, l]."""
+def theta_r(s, r, points):
+    """theta of the (r-1, r) transition pulled back to the top image via phi[r, l].
+
+    `points` lie in the top image V_l.
+    """
     if not 1 <= r <= s.level:
         raise ValidationError("r must be in 1..%d" % s.level)
-    base = theta(s.transition(r - 1, r))
+    f = s.transition(r - 1, r)
     if r == s.level:
-        return base
-    return sharp_pullback(s.transition(r, s.level), base)
+        return theta(f, points)
+    phi = s.transition(r, s.level)
+    return sharp_pullback(phi, theta(f, phi.eval(points)), points)
 
 
-def cf_label_top(s, T):
-    """Top-cell label: the invariant applied to theta_1..theta_k, pulled back to the source."""
+def cf_label_top(s, T, points):
+    """Top-cell label on source `points`: T applied to theta_1..theta_k, pulled back.
+
+    The label is structurally zero, and nothing is evaluated, when k > n or
+    some theta_r comes from an affine transition.
+    """
     k = T.arity
     if s.level != k:
         raise ValidationError("level %d does not match arity %d" % (s.level, k))
-    if k > s.n:
-        return ScalarKForm.zero(s.n, k)
-    thetas = [theta_r(s, r) for r in range(1, k + 1)]
-    kform = apply_invariant(T, thetas)
-    return pullback_kform(s.charts[-1], kform)
+    P = as_cloud(points, s.n)[0]
+    if k > s.n or any(theta_vanishes(s.transition(r - 1, r)) for r in range(1, k + 1)):
+        return SampledForm.zeros(s.n, k, P, ())
+    top = s.charts[-1]
+    Q = top.eval(P)
+    kform = apply_invariant(T, [theta_r(s, r, Q) for r in range(1, k + 1)])
+    return pullback_kform(top, kform, P)
 
 
-def cf_map(s, T, sample_points=None):
+def cf_map(s, T):
     """Dold-Kan labeling of a chart simplex: k-cells get face labels, the rest zero."""
     k = T.arity
-    points = [tuple(p) for p in (sample_points or s.source_points)]
+    P = s.source_points
     labels = {}
     for l in range(1, s.level + 1):
-        for cell in _increasing_cells(s.level, l):
+        for cell in itertools.combinations(range(s.level + 1), l + 1):
             if l == k and s.level >= k:
-                form = cf_label_top(s.sub_simplex(cell), T)
-                labels[cell] = SampledForm.sample(form, points)
+                labels[cell] = cf_label_top(s.sub_simplex(cell), T, P)
             else:
-                labels[cell] = SampledForm.zeros(s.n, min(l, s.n), points)
+                labels[cell] = SampledForm.zeros(s.n, min(l, s.n), P, ())
     for i in range(s.level + 1):
-        labels[(i,)] = SampledForm.zeros(s.n, 0, points)
+        labels[(i,)] = SampledForm.zeros(s.n, 0, P, ())
     return DKSimplex(s.level, labels)
-
-
-def _increasing_cells(dim, length_minus_one):
-    import itertools
-    return list(itertools.combinations(range(dim + 1), length_minus_one + 1))
 
 
 def shifted_form_complex(n, k, points):
@@ -128,7 +136,7 @@ def shifted_form_complex(n, k, points):
     Elements are SampledForms on a fixed cloud; the differential is the zero
     map, so the DK condition reduces to vanishing alternating face sums.
     """
-    points = [tuple(p) for p in points]
+    P = as_cloud(points, n)[0]
 
     def degree_k(degree):
         return min(-degree, n) if degree != -k else k
@@ -137,7 +145,7 @@ def shifted_form_complex(n, k, points):
         add=lambda x, y: x.add(y),
         scale=lambda a, x: x.scale(a),
         norm=lambda x: x.max_abs(),
-        zero=lambda degree: SampledForm.zeros(n, degree_k(degree), points),
+        zero=lambda degree: SampledForm.zeros(n, degree_k(degree), P, ()),
     )
 
     def diff(degree, x):
@@ -146,7 +154,7 @@ def shifted_form_complex(n, k, points):
     return GradedComplex(range(-max(k, 1), 1), diff, ops)
 
 
-def verify_telescoping(s, T, points=None, tol=1e-7):
+def verify_telescoping(s, T, tol=1e-7):
     """Directly evaluate the alternating face sum of cf labels on a level-(k+1) simplex.
 
     Every face label is built from the supplied transitions, so an incoherent
@@ -155,17 +163,15 @@ def verify_telescoping(s, T, points=None, tol=1e-7):
     k = T.arity
     if s.level != k + 1:
         raise ValidationError("need a level-%d simplex for arity %d" % (k + 1, k))
-    points = [tuple(p) for p in (points or s.source_points)]
-    if len(points) < MIN_SAMPLE_WARN:
-        import warnings
+    P = s.source_points
+    if len(P) < MIN_SAMPLE_WARN:
         warnings.warn("only %d sample points supplied; pointwise verification is weak"
-                      % len(points))
-    acc = ScalarKForm.zero(s.n, k)
+                      % len(P))
+    labels = []
     for j in range(k + 2):
-        cell = tuple(i for i in range(k + 2) if i != j)
-        label = cf_label_top(s.sub_simplex(cell), T)
-        acc = acc + label.scale((-1) ** j)
-    residual = SampledForm(s.n, k, points, acc.eval(as_cloud(points, s.n)[0]))
+        face = s.sub_simplex(tuple(i for i in range(k + 2) if i != j))
+        labels.append(((-1) ** j, cf_label_top(face, T, P)))
+    residual = signed_sum(s.n, k, P, labels)
     point, max_res = residual.worst_point() or ((), 0.0)
     return {
         "max_residual": max_res,

@@ -88,6 +88,7 @@ class Scenario:
         return tau
 
     def _load_constants(self, section):
+        _require_object(section, "constants")
         out = {}
         for name, spec in section.items():
             loc = "constants/%s" % name
@@ -97,6 +98,7 @@ class Scenario:
         return out
 
     def _load_maps(self, section):
+        _require_object(section, "maps")
         out = {}
         for name, spec in section.items():
             loc = "maps/%s" % name
@@ -112,6 +114,8 @@ class Scenario:
         return out
 
     def map_named(self, name, location):
+        if not isinstance(name, str):
+            raise ScenarioError("map name must be a string, got %r" % (name,), location)
         if name not in self.maps:
             raise ScenarioError("undefined map %r" % name, location)
         return self.maps[name]
@@ -125,7 +129,8 @@ class Scenario:
         if not indices:
             raise ScenarioError("cover needs a nonempty 'indices' list", loc)
         clouds = {}
-        for entry in section.get("clouds", []):
+        for i, entry in enumerate(_require_list(section.get("clouds", []), "cover/clouds")):
+            _require_object(entry, "cover/clouds[%d]" % i)
             on = entry.get("on")
             if not on:
                 raise ScenarioError("cloud needs an 'on' index list", loc)
@@ -145,22 +150,29 @@ class Scenario:
     def _load_action(self, section):
         if self.cover is None:
             return None
+        if section is not None:
+            _require_object(section, "action")
         if section is None or not section.get("generators"):
             return trivial_action(self.cover.indices, self.n)
         loc = "action"
         generators = {}
         index_action = {}
-        for gen in section["generators"]:
+        for i, gen in enumerate(_require_list(section["generators"], "action/generators")):
+            _require_object(gen, "action/generators[%d]" % i)
             name = gen.get("name")
-            if not name:
-                raise ScenarioError("generator needs a name", loc)
+            if not name or not isinstance(name, str):
+                raise ScenarioError("generator needs a name string", "action/generators[%d]" % i)
             gloc = "action/%s" % name
             fwd = self.map_named(gen.get("map", ""), gloc)
             inv = self.map_named(gen.get("inverse", ""), gloc)
             table = gen.get("index_action", {})
+            _require_object(table, gloc + "/index_action")
             generators[name] = (fwd, inv)
             index_action[name] = table
-        words = [parse_word(w, generators, loc) for w in section.get("words", [])]
+        words = []
+        for i, w in enumerate(_require_list(section.get("words", []), "action/words")):
+            wloc = "action/words[%d]" % i
+            words.append(parse_word(_require_list(w, wloc), generators, wloc))
         try:
             action = GroupActionSpec(generators, index_action, self.cover.indices,
                                      words=words)
@@ -190,20 +202,29 @@ class Scenario:
     def _load_checks(self, section):
         checks = []
         seen = set()
-        for k, entry in enumerate(section):
+        for k, entry in enumerate(_require_list(section, "checks")):
             loc = "checks[%d]" % k
+            _require_object(entry, loc)
             ctype = entry.get("type")
             if ctype not in KNOWN_CHECKS:
-                raise ScenarioError("unknown check type %r" % ctype, loc)
+                raise ScenarioError("unknown check type %r" % (ctype,), loc)
             name = entry.get("name", "%s-%d" % (ctype, k))
+            if not isinstance(name, str):
+                raise ScenarioError("check name must be a string, got %r" % (name,), loc)
             if name in seen:
                 raise ScenarioError("duplicate check name %r" % name, loc)
             seen.add(name)
             _validate_fields(entry, _CHECK_FIELDS, loc)
             tol = entry.get("tolerance", 1e-7)
             self._validate_check_refs(ctype, entry, loc)
-            checks.append(dict(entry, name=name, tolerance=tol))
+            checks.append(dict(entry, name=name, tolerance=tol,
+                               **self._parse_check_points(entry, loc)))
         return checks
+
+    def _parse_check_points(self, entry, loc):
+        """The point lists of a check entry as tuples of complex coordinates."""
+        return {key: [_point(p, self.n, loc) for p in _require_list(entry[key], loc)]
+                for key in ("points", "source_points") if key in entry}
 
     def _validate_check_refs(self, ctype, entry, loc):
         if ctype in ("affine-vanishing", "tau-closedness"):
@@ -213,11 +234,18 @@ class Scenario:
             if self.atlas is None or self.atlas_b is None:
                 raise ScenarioError("witness needs atlas and atlas_b", loc)
         if ctype in ("telescoping", "dk-validate"):
-            for chart in entry.get("charts", []):
+            charts = _require_list(entry.get("charts", []), loc)
+            if len(charts) < 2:
+                raise ScenarioError("need at least two charts", loc)
+            if not entry.get("source_points"):
+                raise ScenarioError("need source_points", loc)
+            for chart in charts:
+                _require_object(chart, loc)
                 self.map_named(chart.get("chart", ""), loc)
                 self.map_named(chart.get("inverse", ""), loc)
             corrupt = entry.get("corrupt")
             if corrupt:
+                _require_object(corrupt, loc)
                 self.map_named(corrupt.get("with_map", ""), loc)
         if ctype == "theta-composition":
             for pair in entry.get("pairs", []):
@@ -226,27 +254,18 @@ class Scenario:
         if ctype in ("bm-dbar", "bm-reproducing"):
             validate_bm_fields(entry, loc)
 
-    def chart_simplex(self, entry, loc="check"):
-        """Build the chart simplex a telescoping/dk check describes."""
-        charts = []
-        inverses = []
-        for spec in entry.get("charts", []):
-            charts.append(self.map_named(spec["chart"], loc))
-            inverses.append(self.map_named(spec["inverse"], loc))
-        if len(charts) < 2:
-            raise ScenarioError("need at least two charts", loc)
-        points = [_point(p, self.n, loc) for p in entry.get("source_points", [])]
-        if not points:
-            raise ScenarioError("need source_points", loc)
+    def chart_simplex(self, entry):
+        """Build the chart simplex a telescoping/dk check describes (checked at load)."""
+        charts = [self.maps[spec["chart"]] for spec in entry["charts"]]
+        inverses = [self.maps[spec["inverse"]] for spec in entry["charts"]]
         transitions = {}
         for p in range(len(charts)):
             for q in range(p + 1, len(charts)):
                 transitions[(p, q)] = holomap.compose(charts[p], inverses[q], check=False)
         corrupt = entry.get("corrupt")
         if corrupt:
-            pair = tuple(corrupt["replace"])
-            transitions[pair] = self.map_named(corrupt["with_map"], loc)
-        return ChartSimplex(charts, transitions, points, validate=False)
+            transitions[tuple(corrupt["replace"])] = self.maps[corrupt["with_map"]]
+        return ChartSimplex(charts, transitions, entry["source_points"], validate=False)
 
 
 def _is_int(v):
@@ -288,6 +307,12 @@ def _require_object(value, location):
         raise ScenarioError("must be an object, got %s" % type(value).__name__, location)
 
 
+def _require_list(value, location):
+    if not isinstance(value, list):
+        raise ScenarioError("must be an array, got %s" % type(value).__name__, location)
+    return value
+
+
 def validate_bm_fields(entry, location):
     """The ranges docs/scenario.schema.json gives the fields of a BM check entry."""
     _validate_fields(entry, _BM_FIELDS, location)
@@ -301,6 +326,8 @@ def parse_word(tokens, generators, location):
     """["h", "h^-1", ...] -> Word."""
     letters = []
     for tok in tokens:
+        if not isinstance(tok, str):
+            raise ScenarioError("word letter must be a string, got %r" % (tok,), location)
         if tok.endswith("^-1"):
             name, sgn = tok[:-3], -1
         else:

@@ -132,10 +132,11 @@ def test_criterion_04_theta_composition_identity(rng):
             f, g = maps[fname], maps[gname]
             if not (f.is_affine() and g.is_affine()):
                 nonaffine += 1
-            lhs = theta(hm.compose(f, g, check=False))
-            rhs = sharp_pullback(g, theta(f)) + theta(g)
-            resid = (lhs - rhs).max_norm(pts_pool)
-            scale = 1.0 + lhs.max_norm(pts_pool)
+            lhs = theta(hm.compose(f, g, check=False), pts_pool)
+            rhs = sharp_pullback(g, theta(f, g.eval(pts_pool)), pts_pool).add(
+                theta(g, pts_pool))
+            resid = lhs.sub(rhs).max_abs()
+            scale = 1.0 + lhs.max_abs()
             assert resid <= 1e-8 * scale, (fname, gname, resid)
         assert nonaffine >= 6
 

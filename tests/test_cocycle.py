@@ -68,43 +68,64 @@ def test_coherence_validation_rejects_corruption(rng):
 
 def test_theta_r_at_top_is_plain_theta(rng):
     s, pts = library_simplex(rng, count=3)
-    top = co.theta_r(s, s.level)
-    direct = fo.theta(s.transition(s.level - 1, s.level))
-    for w in pts[:5]:
-        p = s.charts[-1].eval(w)
-        a, b = top.eval(p), direct.eval(p)
+    P = s.charts[-1].eval(pts[:5])
+    top = co.theta_r(s, s.level, P)
+    direct = fo.theta(s.transition(s.level - 1, s.level), P)
+    for a, b in zip(top.values, direct.values):
         assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-12
 
 
 def test_theta_r_affine_simplex_vanishes(rng):
     s, _ = affine_simplex(rng)
     for r in range(1, s.level + 1):
-        assert co.theta_r(s, r).structurally_zero
+        assert co.theta_r(s, r, s.charts[-1].eval(s.source_points)).structurally_zero
 
 
 def test_theta_r_matches_direct_composition(rng):
     # pull theta back by hand at 10 points
     s, pts = library_simplex(rng, count=3)
     r = 1
-    th = co.theta_r(s, r)
+    X = s.charts[-1].eval(pts[:10])
+    th = co.theta_r(s, r, X)
     phi = s.transition(r, s.level)
-    base = fo.theta(s.transition(r - 1, r))
-    for w in pts[:10]:
-        x = s.charts[-1].eval(w)
+    for x, got in zip(X, th.values):
         J = phi.jacobian(x)
         Jinv = np.linalg.inv(J)
-        mats = base.eval(phi.eval(x))
+        mats = fo.theta(s.transition(r - 1, r), [phi.eval(x)]).values[0]
         conj = [Jinv @ m @ J for m in mats]
         want = [sum(J[a, b] * conj[a] for a in range(2)) for b in range(2)]
-        got = th.eval(x)
         assert max(np.max(np.abs(x_ - y_)) for x_, y_ in zip(got, want)) < 1e-10
 
 
 def test_cf_label_top_affine_is_zero(rng):
     s, _ = affine_simplex(rng, count=3)
     T2 = todd_invariant(2)
-    label = co.cf_label_top(s, T2)
+    label = co.cf_label_top(s, T2, s.source_points)
     assert label.structurally_zero
+    assert label.values.shape == (len(s.source_points), 1)
+
+
+def test_cf_label_top_with_one_affine_transition_evaluates_no_map(rng, monkeypatch):
+    # theta_1 comes from the affine transition aff o id^-1, theta_2 from the
+    # Henon-type henon o aff^-1: the label is zero before any map is evaluated
+    pts = random_points(rng, 10, radius=0.4)
+    aff = hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")
+    aff_inv = hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")
+    s = make_simplex([aff, hm.identity_map(2), hm.henon_map()],
+                     [aff_inv, hm.identity_map(2), hm.henon_inverse()], pts)
+    assert s.transition(0, 1).is_affine() and not s.transition(1, 2).is_affine()
+    calls = []
+    for cls in (hm.HoloMap, hm.MapChain):
+        for name in ("eval", "jacobian", "jacobian_inverse", "djacobian"):
+            original = vars(cls).get(name)
+            if original is not None:
+                def counted(self, points, _original=original, _name=name):
+                    calls.append(_name)
+                    return _original(self, points)
+                monkeypatch.setattr(cls, name, counted)
+    label = co.cf_label_top(s, todd_invariant(2), pts)
+    assert label.structurally_zero and label.is_exactly_zero()
+    assert calls == []
 
 
 def test_cf_label_top_trace_on_square_transition(rng):
@@ -117,18 +138,17 @@ def test_cf_label_top_trace_on_square_transition(rng):
     transitions = {(0, 1): sq}
     s = co.ChartSimplex(charts, transitions, pts, validate=True)
     T = InvariantMap(1, {(1,): F(1, 2)})
-    label = co.cf_label_top(s, T)
-    for w in pts:
-        vals = label.eval(w)
+    label = co.cf_label_top(s, T, pts)
+    for w, vals in zip(pts, label.values):
         # top chart is the identity: label = (1/2) tr(theta(sq)) = dz1/(2 z1)
-        assert vals[(1,)] == pytest.approx(0.5 / w[0])
-        assert vals[(2,)] == pytest.approx(0.0)
+        assert vals[0] == pytest.approx(0.5 / w[0])
+        assert vals[1] == pytest.approx(0.0)
 
 
 def test_cf_label_top_wedge_beyond_dimension(rng):
     s, _ = library_simplex(rng, count=4)
     T3 = todd_invariant(3)
-    assert co.cf_label_top(s, T3).structurally_zero
+    assert co.cf_label_top(s, T3, s.source_points).structurally_zero
 
 
 def test_cf_map_low_level_is_zero(rng):
@@ -156,7 +176,7 @@ def test_cf_map_face_labels_match_independent_recomputation(rng):
     labeling = co.cf_map(s, T2)
     for cell in labeling.cells(3):
         face = s.sub_simplex(cell)
-        direct = fo.SampledForm.sample(co.cf_label_top(face, T2), s.source_points)
+        direct = co.cf_label_top(face, T2, s.source_points)
         assert labeling.label(cell).sub(direct).max_abs() < 1e-12
 
 
@@ -200,7 +220,7 @@ def test_cf_map_naturality_under_restriction(rng):
     restricted = co.cf_map(restricted_simplex, T2)
     for cell in full.cells():
         a = full.label(cell)
-        keep = [a.points.index(p) for p in sub_pts]
+        keep = [a.points.tolist().index(list(p)) for p in sub_pts]
         assert np.allclose(a.values[keep], restricted.label(cell).values)
 
 

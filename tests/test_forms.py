@@ -10,28 +10,33 @@ from conftest import random_points
 TRACE = InvariantMap(1, {(1,): 1})
 
 
+def cloud(points):
+    return np.array(points, dtype=complex)
+
+
 def test_theta_identity_is_structural_zero():
-    th = fo.theta(hm.identity_map(2))
+    th = fo.theta(hm.identity_map(2), [(0.3, 0.4)])
     assert th.structurally_zero
-    assert all(np.all(m == 0) for m in th.eval((0.3, 0.4)))
+    assert th.values.shape == (1, 2, 2, 2)
+    assert np.all(th.values == 0)
 
 
 def test_theta_affine_is_structural_zero():
     m = hm.affine_map([[2, 1], [1, 1]], [0, 0])
-    assert fo.theta(m).structurally_zero
+    assert fo.theta(m, [(0.3, 0.4)]).structurally_zero
 
 
 def test_theta_square_map_worked_value():
-    th = fo.theta(hm.diagonal_square_map())
-    mats = th.eval((2.0, 1.0))
+    mats = fo.theta(hm.diagonal_square_map(), [(2.0, 1.0)]).values[0]
     assert np.allclose(mats[0], np.diag([0.5, 0.0]))
     assert np.allclose(mats[1], np.zeros((2, 2)))
 
 
 def test_theta_matches_numeric_jacobian_derivative(rng):
     m = hm.henon_map()
-    for p in random_points(rng, 5, radius=0.4):
-        mats = fo.theta(m).eval(p)
+    pts = random_points(rng, 5, radius=0.4)
+    th = fo.theta(m, pts).values
+    for mats, p in zip(th, pts):
         Jinv = np.linalg.inv(m.jacobian(p))
         for a in (1, 2):
             dJ = np.empty((2, 2), dtype=complex)
@@ -43,18 +48,16 @@ def test_theta_matches_numeric_jacobian_derivative(rng):
 
 
 def test_theta_singular_jacobian_error_names_point():
-    th = fo.theta(hm.diagonal_square_map())
     with pytest.raises(SingularJacobianError) as err:
-        th.eval((0.0, 1.0))
+        fo.theta(hm.diagonal_square_map(), [(0.0, 1.0)])
     assert err.value.point == (0.0, 1.0)
 
 
 def test_sharp_pullback_identity(rng):
-    omega = fo.theta(hm.henon_map())
-    back = fo.sharp_pullback(hm.identity_map(2), omega)
-    for p in random_points(rng, 4, radius=0.4):
-        a, b = omega.eval(p), back.eval(p)
-        assert all(np.allclose(x, y) for x, y in zip(a, b))
+    P = cloud(random_points(rng, 4, radius=0.4))
+    omega = fo.theta(hm.henon_map(), P)
+    back = fo.sharp_pullback(hm.identity_map(2), omega, P)
+    assert np.allclose(omega.values, back.values)
 
 
 def test_sharp_pullback_affine_law(rng):
@@ -63,11 +66,11 @@ def test_sharp_pullback_affine_law(rng):
     A = np.array([[2, 1], [1, 1]], dtype=complex)
     phi = hm.affine_map([[2, 1], [1, 1]], [0, 0])
     M = [np.array([[1, 2], [3, 4]], dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
-    omega = fo.MatrixOneForm(2, lambda P: np.broadcast_to(np.array(M), (len(P), 2, 2, 2)))
-    out = fo.sharp_pullback(phi, omega)
+    P = cloud(random_points(rng, 3))
+    omega = fo.SampledForm(2, 1, phi.eval(P), np.broadcast_to(np.array(M), (len(P), 2, 2, 2)))
+    out = fo.sharp_pullback(phi, omega, P)
     Ainv = np.linalg.inv(A)
-    for p in random_points(rng, 3):
-        got = out.eval(p)
+    for got in out.values:
         for b in range(2):
             want = sum(A[a, b] * (Ainv @ M[a] @ A) for a in range(2))
             assert np.allclose(got[b], want)
@@ -75,110 +78,117 @@ def test_sharp_pullback_affine_law(rng):
 
 def test_sharp_pullback_functoriality(rng):
     f, g = hm.shear_map(), hm.henon_map()
-    omega = fo.theta(hm.mobius_like_map())
-    lhs = fo.sharp_pullback(g, fo.sharp_pullback(f, omega))
-    rhs = fo.sharp_pullback(hm.compose(f, g, check=False), omega)
-    for p in random_points(rng, 6, radius=0.3):
-        a, b = lhs.eval(p), rhs.eval(p)
+    fg = hm.compose(f, g, check=False)
+    omega = hm.mobius_like_map()
+    P = cloud(random_points(rng, 6, radius=0.3))
+    G = g.eval(P)
+    lhs = fo.sharp_pullback(g, fo.sharp_pullback(f, fo.theta(omega, f.eval(G)), G), P)
+    rhs = fo.sharp_pullback(fg, fo.theta(omega, fg.eval(P)), P)
+    for a, b in zip(lhs.values, rhs.values):
         scale = 1 + max(np.max(np.abs(m)) for m in b)
         assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-8 * scale
 
 
 def test_apply_invariant_wedge_beyond_dimension():
-    omega = fo.theta(hm.henon_map())
+    omega = fo.theta(hm.henon_map(), [(0.2, 0.1)])
     T3 = todd_invariant(3)
     out = fo.apply_invariant(T3, [omega, omega, omega])
     assert out.structurally_zero
-    assert out.eval((0.2, 0.1)) == {}
+    assert out.values.shape == (1, 0)
 
 
 def test_apply_invariant_trace_on_square_map():
-    th = fo.theta(hm.diagonal_square_map())
-    out = fo.apply_invariant(TRACE, [th])
-    vals = out.eval((2.0, 1.0))
-    assert vals[(1,)] == pytest.approx(0.5)
-    assert vals[(2,)] == pytest.approx(0.0)
+    th = fo.theta(hm.diagonal_square_map(), [(2.0, 1.0)])
+    vals = fo.apply_invariant(TRACE, [th]).values[0]
+    assert vals[0] == pytest.approx(0.5)
+    assert vals[1] == pytest.approx(0.0)
 
 
 def test_apply_invariant_pullback_naturality(rng):
     # T[phi# w1, ..., phi# wk] = phi^* T[w1, ..., wk] over the map library,
     # for Todd_1 and Todd_2
-    w1 = fo.theta(hm.henon_map())
-    w2 = fo.theta(hm.mobius_like_map())
+    m1, m2 = hm.henon_map(), hm.mobius_like_map()
     maps, _ = hm.builtin_library()
     for name in ("shear", "henon", "affine21", "mobius"):
         phi = maps[name]
+        P = cloud(random_points(rng, 6, radius=0.3))
+        Q = phi.eval(P)
+        w1, w2 = fo.theta(m1, Q), fo.theta(m2, Q)
         for T, omegas in ((todd_invariant(1), [w1]), (todd_invariant(2), [w1, w2])):
-            lhs = fo.apply_invariant(T, [fo.sharp_pullback(phi, w) for w in omegas])
-            rhs = fo.pullback_kform(phi, fo.apply_invariant(T, omegas))
-            for p in random_points(rng, 6, radius=0.3):
-                a, b = lhs.eval(p), rhs.eval(p)
-                scale = 1 + max(abs(v) for v in b.values())
-                assert max(abs(a[i] - b[i]) for i in a) < 1e-8 * scale, name
+            lhs = fo.apply_invariant(T, [fo.sharp_pullback(phi, w, P) for w in omegas])
+            rhs = fo.pullback_kform(phi, fo.apply_invariant(T, omegas), P)
+            for a, b in zip(lhs.values, rhs.values):
+                scale = 1 + max(abs(v) for v in b)
+                assert max(abs(a - b)) < 1e-8 * scale, name
 
 
 def test_apply_invariant_antisymmetry(rng):
     # symmetric T of arity 2: swapping the two form slots flips the sign
     T2 = todd_invariant(2)
-    w1 = fo.theta(hm.henon_map())
-    w2 = fo.theta(hm.shear_map())
+    P = cloud(random_points(rng, 5, radius=0.4))
+    w1 = fo.theta(hm.henon_map(), P)
+    w2 = fo.theta(hm.shear_map(), P)
     ab = fo.apply_invariant(T2, [w1, w2])
     ba = fo.apply_invariant(T2, [w2, w1])
-    for p in random_points(rng, 5, radius=0.4):
-        va, vb = ab.eval(p), ba.eval(p)
-        for idx in va:
-            assert va[idx] == pytest.approx(-vb[idx], abs=1e-12)
+    for va, vb in zip(ab.values, ba.values):
+        for x, y in zip(va, vb):
+            assert x == pytest.approx(-y, abs=1e-12)
 
 
 def test_pullback_kform_identity(rng):
-    w = fo.apply_invariant(todd_invariant(1), [fo.theta(hm.henon_map())])
-    back = fo.pullback_kform(hm.identity_map(2), w)
-    for p in random_points(rng, 4, radius=0.4):
-        assert back.eval(p) == pytest.approx(w.eval(p))
+    P = cloud(random_points(rng, 4, radius=0.4))
+    w = fo.apply_invariant(todd_invariant(1), [fo.theta(hm.henon_map(), P)])
+    back = fo.pullback_kform(hm.identity_map(2), w, P)
+    for a, b in zip(back.values, w.values):
+        assert a == pytest.approx(b)
 
 
 def test_pullback_kform_top_degree_is_det(rng):
-    w = fo.ScalarKForm(2, 2, lambda P: np.ones((len(P), 1), dtype=complex))
     phi = hm.henon_map()
-    out = fo.pullback_kform(phi, w)
-    for p in random_points(rng, 5):
-        got = out.eval(p)[(1, 2)]
+    pts = random_points(rng, 5)
+    w = fo.SampledForm(2, 2, phi.eval(pts), np.ones((len(pts), 1), dtype=complex))
+    out = fo.pullback_kform(phi, w, pts)
+    for got, p in zip(out.values[:, 0], pts):
         assert got == pytest.approx(np.linalg.det(phi.jacobian(p)))
 
 
 def test_pullback_kform_functoriality(rng):
-    w = fo.apply_invariant(todd_invariant(2),
-                           [fo.theta(hm.henon_map()), fo.theta(hm.mobius_like_map())])
+    def w_at(Q):
+        return fo.apply_invariant(todd_invariant(2), [fo.theta(hm.henon_map(), Q),
+                                                      fo.theta(hm.mobius_like_map(), Q)])
+
     f, g = hm.shear_map(), hm.henon_map()
-    lhs = fo.pullback_kform(g, fo.pullback_kform(f, w))
-    rhs = fo.pullback_kform(hm.compose(f, g, check=False), w)
-    for p in random_points(rng, 6, radius=0.3):
-        a, b = lhs.eval(p), rhs.eval(p)
-        scale = 1 + max(abs(v) for v in b.values())
-        assert max(abs(a[i] - b[i]) for i in a) < 1e-8 * scale
+    fg = hm.compose(f, g, check=False)
+    P = cloud(random_points(rng, 6, radius=0.3))
+    G = g.eval(P)
+    lhs = fo.pullback_kform(g, fo.pullback_kform(f, w_at(f.eval(G)), G), P)
+    rhs = fo.pullback_kform(fg, w_at(fg.eval(P)), P)
+    for a, b in zip(lhs.values, rhs.values):
+        scale = 1 + max(abs(v) for v in b)
+        assert max(abs(a - b)) < 1e-8 * scale
 
 
 def test_matrix_one_form_linearity(rng):
-    w1 = fo.theta(hm.henon_map())
-    w2 = fo.theta(hm.shear_map())
-    s = w1 + w2
-    for p in random_points(rng, 4, radius=0.4):
-        got = s.eval(p)
-        want = [a + b for a, b in zip(w1.eval(p), w2.eval(p))]
-        assert all(np.allclose(x, y) for x, y in zip(got, want))
+    P = cloud(random_points(rng, 4, radius=0.4))
+    w1 = fo.theta(hm.henon_map(), P)
+    w2 = fo.theta(hm.shear_map(), P)
+    s = w1.add(w2)
+    assert s.values.shape == (4, 2, 2, 2)
+    for got, a, b in zip(s.values, w1.values, w2.values):
+        assert all(np.allclose(x, y + z) for x, y, z in zip(got, a, b))
 
 
 def test_sampled_form_round_trip(rng):
-    w = fo.apply_invariant(todd_invariant(1), [fo.theta(hm.henon_map())])
     pts = random_points(rng, 5, radius=0.4)
-    s = fo.SampledForm.sample(w, pts)
+    s = fo.apply_invariant(todd_invariant(1), [fo.theta(hm.henon_map(), pts)])
     payload = s.to_json()
     assert len(payload) == 5
     assert set(payload[0]["coefficients"]) == {"1", "2"}
+    assert payload[0]["point"] == [[c.real, c.imag] for c in pts[0]]
     diff = s.sub(s)
     assert diff.is_exactly_zero()
 
 
 def test_apply_invariant_arity_mismatch():
     with pytest.raises(ValidationError):
-        fo.apply_invariant(todd_invariant(2), [fo.theta(hm.henon_map())])
+        fo.apply_invariant(todd_invariant(2), [fo.theta(hm.henon_map(), [(0.1, 0.2)])])

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -144,39 +145,93 @@ def test_tau_subcommands_without_atlas_exit_2(tmp_path, capsys, command):
     assert "no cover/atlas" in err and "Traceback" not in err
 
 
-def _set_coordinate(data):
-    data["cover"]["clouds"][0]["points"][0][0] = ["x", 0]
-
-
-def _set_atlas_entry(data):
-    data["atlas"]["u"] = "chart"
-
-
-def _set_check(key, value):
+def _set(path, value):
+    """Edit that replaces the value at `path`, a sequence of keys and list indices."""
     def edit(data):
-        data["checks"][0][key] = value
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     return edit
 
 
+# a chart-simplex check over maps henon_z.scn defines
+TELESCOPING = {"type": "telescoping", "tolerance": 1e-7,
+               "charts": [{"chart": "ident", "inverse": "ident"},
+                          {"chart": "shear", "inverse": "shear_inv"},
+                          {"chart": "henon", "inverse": "henon_inv"}],
+               "source_points": [[[0.1, 0.2], [0.3, -0.1]]] * 9}
+
+
+def _append_check(entry):
+    return lambda data: data["checks"].append(entry)
+
+
 @pytest.mark.parametrize("edit, location", [
-    (lambda data: data.update(dimension="two"), "dimension"),
-    (lambda data: data.update(dimension=0), "dimension"),
-    (_set_coordinate, "cover"),
-    (lambda data: data.update(cover=[]), "cover"),
-    (lambda data: data.update(atlas=[]), "atlas"),
-    (_set_atlas_entry, "atlas/u"),
-    (_set_check("arity", "3"), "checks[0]"),
-    (_set_check("arity", 0), "checks[0]"),
-    (_set_check("tolerance", True), "checks[0]"),
+    (_set(["dimension"], "two"), "dimension"),
+    (_set(["dimension"], 0), "dimension"),
+    (_set(["cover", "clouds", 0, "points", 0, 0], ["x", 0]), "cover"),
+    (_set(["cover"], []), "cover"),
+    (_set(["atlas"], []), "atlas"),
+    (_set(["atlas", "u"], "chart"), "atlas/u"),
+    (_set(["checks", 0, "arity"], "3"), "checks[0]"),
+    (_set(["checks", 0, "arity"], 0), "checks[0]"),
+    (_set(["checks", 0, "tolerance"], True), "checks[0]"),
+    (_set(["constants"], []), "constants"),
+    (_set(["maps"], []), "maps"),
+    (_set(["cover", "clouds", 0], "u"), "cover/clouds[0]"),
+    (_set(["action", "generators", 0], "h"), "action/generators[0]"),
+    (_set(["checks", 0], "tau-closedness"), "checks[0]"),
+    (_set(["atlas", "u", "chart"], ["ident"]), "atlas/u"),
+    (_set(["checks", 0, "name"], ["closed"]), "checks[0]"),
+    (_set(["action", "generators", 0, "index_action"], ["u"]), "action/h/index_action"),
+    (_set(["checks"], {}), "checks"),
+    (_set(["action", "words", 0], "h"), "action/words[0]"),
+    (_set(["action", "words", 0], [1]), "action/words[0]"),
+    (_append_check(dict(TELESCOPING, charts=["ident", "shear", "henon"])), "checks[1]"),
+    (_append_check(dict(TELESCOPING, corrupt=[[0, 2], "henon"])), "checks[1]"),
+    (_append_check(dict(TELESCOPING, charts=TELESCOPING["charts"][:1])), "checks[1]"),
+    (_append_check(dict(TELESCOPING, source_points=[])), "checks[1]"),
 ], ids=["dimension-string", "dimension-zero", "coordinate-string", "cover-list",
         "atlas-list", "atlas-entry-string", "arity-string", "arity-zero",
-        "tolerance-bool"])
+        "tolerance-bool", "constants-list", "maps-list", "cloud-string",
+        "generator-string", "check-string", "chart-list", "check-name-list",
+        "index-action-list", "checks-object", "word-string", "word-letter-number",
+        "simplex-chart-string", "corrupt-list", "one-chart", "no-source-points"])
 def test_bad_scenario_type_exits_2_with_location(tmp_path, capsys, edit, location):
     data = load_scn("henon_z.scn")
     edit(data)
     assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert location in err and "Traceback" not in err
+
+
+BAD_POINT = [[["x", 0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("entry", [
+    {"type": "theta-composition", "pairs": [["henon", "shear"]], "points": BAD_POINT},
+    dict(TELESCOPING, source_points=BAD_POINT),
+    dict(TELESCOPING, type="dk-validate", source_points=BAD_POINT),
+], ids=["theta-composition-points", "telescoping-source-points",
+        "dk-validate-source-points"])
+def test_bad_point_in_check_exits_2_at_load(tmp_path, capsys, entry):
+    data = load_scn("henon_z.scn")
+    data["checks"].append(entry)
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[1]" in err and "coordinate" in err and "Traceback" not in err
+
+
+def test_check_points_are_parsed_once_at_load(tmp_path):
+    data = load_scn("henon_z.scn")
+    data["checks"] = [dict(TELESCOPING, name="t"),
+                      {"type": "theta-composition", "name": "th", "pairs": [["henon", "shear"]],
+                       "points": [[[0.1, 0.2], [0.3, -0.1]]]}]
+    scn = Scenario.load(write_scn(tmp_path, data))
+    assert scn.checks[0]["source_points"][0] == (0.1 + 0.2j, 0.3 - 0.1j)
+    assert scn.checks[1]["points"] == [(0.1 + 0.2j, 0.3 - 0.1j)]
+    assert scn.chart_simplex(scn.checks[0]).source_points.tolist()[0] == [0.1 + 0.2j, 0.3 - 0.1j]
 
 
 def test_check_types_listed_alike_in_loader_runners_and_schema():
@@ -223,9 +278,14 @@ def test_affine_vanishing_residual_is_the_todd_cocycle_maximum(tmp_path):
     out = tmp_path / "t.json"
     assert main(["todd-cocycle", str(SCENARIOS / "affine_torus.scn"),
                  "--output", str(out)]) == 0
-    dumped = max(c["max_abs"] for c in json.loads(out.read_text())["cells"])
+    cells = json.loads(out.read_text())["cells"]
+    dumped = max(c["max_abs"] for c in cells)
     checked = _run_check(tmp_path, "affine_torus.scn", "affine-vanishing")["max_residual"]
     assert dumped == checked == 0.0
+    # structural zeros are never the result of arithmetic, so no -0.0 appears
+    coefficients = [part for c in cells for row in c["values"]
+                    for pair in row["coefficients"].values() for part in pair]
+    assert coefficients and all(math.copysign(1.0, v) == 1.0 for v in coefficients)
 
 
 def test_symfun_cli_strings(capsys):
