@@ -298,7 +298,7 @@ def compile_expr(e, memo=None):
 
 
 def _guard(bad, cols, message):
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(np.broadcast_to(bad, np.shape(cols[0]))))
         raise DomainError(message % (tuple(complex(c[i]) for c in cols),))
 

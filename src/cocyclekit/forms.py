@@ -115,8 +115,9 @@ def theta(f, points):
     P = as_cloud(points, n)[0]
     if theta_vanishes(f):
         return SampledForm.zeros(n, 1, P, (n, n))
-    Jinv = f.jacobian_inverse(P)
-    return SampledForm(n, 1, P, Jinv[:, None] @ f.djacobian(P))
+    Jinv, dJ = f.jacobian_inverse(P), f.djacobian(P)
+    # order="F" makes the point axis the innermost loop of the contraction
+    return SampledForm(n, 1, P, np.einsum("pij,pajk->paik", Jinv, dJ, order="F"))
 
 
 def sharp_pullback(phi, omega, points):
@@ -132,19 +133,18 @@ def sharp_pullback(phi, omega, points):
     if omega.structurally_zero:
         return SampledForm.zeros(n, 1, P, (n, n))
     J = phi.jacobian(P)
-    Jinv = invert_jacobians(J, P)
-    conj = Jinv[:, None] @ omega.values @ J[:, None]
-    # coefficient of dz^b: sum over a of J[a, b] times the dz^a matrix
-    N = len(P)
-    return SampledForm(n, 1, P,
-                       (np.swapaxes(J, 1, 2) @ conj.reshape(N, n, n * n)).reshape(N, n, n, n))
+    # coefficient of dz^b: sum over a of J[a, b] times the dz^a matrix, conjugated;
+    # the point axis is the innermost loop of each contraction, as in theta
+    pulled = np.einsum("pab,pajk->pbjk", J, omega.values, order="F")
+    left = np.einsum("pij,pbjk->pbik", invert_jacobians(J, P), pulled, order="F")
+    return SampledForm(n, 1, P, np.einsum("pbik,pkl->pbil", left, J, order="F"))
 
 
 def apply_invariant(T, omegas):
     """Wedge k matrix 1-forms on one cloud through a GL-invariant map into a k-form.
 
     The coefficient of dz^I is the signed sum over the k! orderings of I; all
-    (index, ordering, point) choices are stacked into one eval_invariant call.
+    (point, index, ordering) choices are stacked into one eval_invariant call.
     """
     k = T.arity
     if len(omegas) != k:
@@ -162,14 +162,14 @@ def apply_invariant(T, omegas):
     signs = [_perm_sign(sig) for sig in perms]
     # slot r of the (combo, ordering) pair receives the dz^{idx[sig[r]]} matrix
     slots = [np.array([idx[sig[r]] for idx in combos for sig in perms]) for r in range(k)]
-    N = len(P)
-    chosen = [np.swapaxes(w.values[:, slot], 0, 1).reshape(-1, n, n)
-              for w, slot in zip(omegas, slots)]
-    vals = eval_invariant(T, chosen).reshape(len(combos), len(perms), N)
-    total = signs[0] * vals[:, 0]
+    # the (N, pairs, n, n) gathers go in unreshaped: with the point axis
+    # innermost, a reshape to (N * pairs, n, n) would copy every value
+    vals = eval_invariant(T, [w.values[:, slot] for w, slot in zip(omegas, slots)])
+    vals = vals.reshape(len(P), len(combos), len(perms))
+    total = signs[0] * vals[..., 0]
     for s in range(1, len(perms)):
-        total = total + signs[s] * vals[:, s]
-    return SampledForm(n, k, P, total.T)
+        total = total + signs[s] * vals[..., s]
+    return SampledForm(n, k, P, total)
 
 
 def _perm_sign(sig):

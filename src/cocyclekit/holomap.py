@@ -34,10 +34,18 @@ def _one_row(values, single):
     return values[0] if single else values
 
 
-def invert_jacobians(J, points):
-    """Inverses of stacked Jacobians; the DET_TOL test names the first singular point."""
+def singular_jacobians(J):
+    """(det J, mask) of stacked Jacobians, singular where |det J| <= DET_TOL * ||J||_F^n.
+
+    The test is scale-invariant, and the zero matrix counts as singular.
+    """
     det = np.linalg.det(J)
-    bad = np.abs(det) < DET_TOL
+    return det, np.abs(det) <= DET_TOL * np.linalg.norm(J, axis=(-2, -1)) ** J.shape[-1]
+
+
+def invert_jacobians(J, points):
+    """Inverses of stacked Jacobians; names the first point singular_jacobians flags."""
+    det, bad = singular_jacobians(J)
     if bad.any():
         i = int(np.argmax(bad))
         raise SingularJacobianError(tuple(complex(c) for c in points[i]),
@@ -90,6 +98,7 @@ class HoloMap:
         self._djac = {}
         self._fns = {}
         self._composed = {}
+        self._affine = None
         if check:
             self._check_domain()
 
@@ -99,8 +108,7 @@ class HoloMap:
             return
         J = self.jacobian(samples)
         finite = np.all(np.isfinite(J), axis=(1, 2))
-        singular = np.abs(np.linalg.det(J)) < DET_TOL
-        bad = ~finite | singular
+        bad = ~finite | singular_jacobians(J)[1]
         if bad.any():
             i = int(np.argmax(bad))
             if not finite[i]:
@@ -156,13 +164,11 @@ class HoloMap:
         return _one_row(invert_jacobians(self.jacobian(P), P), single)
 
     def is_affine(self):
-        """True when every second derivative folds to the literal zero node."""
-        for a in range(1, self.n + 1):
-            for row in self.djac_exprs(a):
-                for e in row:
-                    if not ex.is_zero_expr(e):
-                        return False
-        return True
+        """True when every second derivative folds to the literal zero node; decided once."""
+        if self._affine is None:
+            self._affine = all(ex.is_zero_expr(e) for a in range(1, self.n + 1)
+                               for row in self.djac_exprs(a) for e in row)
+        return self._affine
 
     def __repr__(self):
         label = self.name or "; ".join(ex.to_text(c) for c in self.components)
@@ -296,12 +302,14 @@ class MapChain:
         return self.eval(points)
 
     def jacobian(self, points):
+        """Chain rule; each piece but the outermost moves the points on to the next."""
         P, single = as_cloud(points, self.n)
-        J = None
-        for p in reversed(self.pieces):
-            Jp = p.jacobian(P)
-            J = Jp if J is None else Jp @ J
-            P = p.eval(P)
+        inner, *outer = reversed(self.pieces)
+        J = inner.jacobian(P)
+        for p in outer:
+            P = inner.eval(P)
+            J = p.jacobian(P) @ J
+            inner = p
         return _one_row(J, single)
 
     def jacobian_inverse(self, points):

@@ -87,8 +87,8 @@ def _check_mats(k, mats):
         raise ValidationError("expected %d matrices, got %d" % (k, len(mats)))
     arrs = [np.asarray(m, dtype=complex) for m in mats]
     shape = arrs[0].shape
-    if len(shape) not in (2, 3) or shape[-1] != shape[-2]:
-        raise ValidationError("expected square matrices or (N, n, n) stacks, got %r" % (shape,))
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise ValidationError("expected square matrices or (..., n, n) stacks, got %r" % (shape,))
     for a in arrs:
         if a.shape != shape:
             raise ValidationError("matrices must share a square shape, got %r" % (a.shape,))
@@ -153,8 +153,9 @@ def _sym_term_value(partition, mats, traces=None):
 
     The map depends only on which inputs land in which trace and their cyclic
     order, so it averages over the block assignments of _cyclic_arrangements
-    instead of all k! input orders. Inputs may be single matrices or (N, n, n)
-    stacks; the trace of each block product is computed once per `traces`.
+    instead of all k! input orders. Inputs may be single matrices or (..., n, n)
+    stacks; the trace of each block product is computed once per `traces`, as
+    one contraction of the block's leading product against its last factor.
     """
     traces = {} if traces is None else traces
     total = None
@@ -164,10 +165,14 @@ def _sym_term_value(partition, mats, traces=None):
         for blk in arrangement:
             t = traces.get(blk)
             if t is None:
-                prod = mats[blk[0]]
-                for i in blk[1:]:
-                    prod = prod @ mats[i]
-                t = traces[blk] = np.trace(prod, axis1=-2, axis2=-1)
+                if len(blk) == 1:
+                    t = np.einsum("...ii->...", mats[blk[0]])
+                else:
+                    prod = mats[blk[0]]
+                    for i in blk[1:-1]:
+                        prod = prod @ mats[i]
+                    t = np.einsum("...ij,...ji->...", prod, mats[blk[-1]])
+                traces[blk] = t
             val = t if val is None else val * t
         total = val if total is None else total + val
         count += 1
@@ -200,8 +205,8 @@ def _cyclic_arrangements(indices, sizes, after=-1):
 def eval_invariant(T, mats):
     """Evaluate an InvariantMap on k square matrices of a common size.
 
-    Given k stacks of shape (N, n, n) instead, it returns the (N,) values at
-    every stacked position in one call; a single tuple of matrices is the
+    Given k stacks of shape (..., n, n) instead, it returns the (...) values
+    at every stacked position in one call; a single tuple of matrices is the
     one-row view and returns a complex number.
     """
     mats = _check_mats(T.arity, mats)

@@ -5,7 +5,7 @@ import pytest
 
 import cocyclekit.expr as ex
 import cocyclekit.holomap as hm
-from cocyclekit.errors import DslSyntaxError, ValidationError
+from cocyclekit.errors import DslSyntaxError, SingularJacobianError, ValidationError
 from conftest import random_points
 
 F = Fraction
@@ -110,6 +110,69 @@ def test_domain_check_rejects_singular_jacobian():
     dom = hm.DomainSpec([(0.0, 0.5)])
     with pytest.raises(ValidationError):
         hm.diagonal_square_map(domain=dom)
+
+
+def test_scaled_identity_jacobian_inverts():
+    # J = 1e-5 I has |det| = 1e-15, yet it is as far from singular as I itself
+    tiny = hm.parse_map("z1/100000; z2/100000; z3/100000", 3,
+                        domain=hm.DomainSpec([(0.1 + 0.1j, 0.2, 0.3)]))
+    Jinv = tiny.jacobian_inverse([[0.1 + 0.1j, 0.2, 0.3]])
+    assert np.allclose(Jinv, 1e5 * np.eye(3), rtol=1e-14)
+
+
+def test_singular_test_is_relative_to_the_jacobian_scale():
+    J = np.array([np.diag([1e5, 1e5, 1e-10]), 1e-5 * np.eye(3), np.zeros((3, 3))])
+    assert hm.singular_jacobians(J)[1].tolist() == [True, False, True]
+    big = hm.parse_map("100000*z1; 100000*z2; z3/10000000000", 3, check=False)
+    with pytest.raises(SingularJacobianError):
+        big.jacobian_inverse([(0.1, 0.2, 0.3)])
+    with pytest.raises(ValidationError):
+        hm.parse_map("100000*z1; 100000*z2; z3/10000000000", 3,
+                     domain=hm.DomainSpec([(0.1, 0.2, 0.3)]))
+
+
+def test_zero_determinant_point_is_named():
+    # det J = 2 z1 vanishes at z1 = 0 with J != 0, and the error names that point
+    sq = hm.diagonal_square_map()
+    pts = [(0.5, 0.1), (0.0, 0.3 + 0.2j), (0.7j, 0.4)]
+    with pytest.raises(SingularJacobianError) as err:
+        sq.jacobian_inverse(pts)
+    assert err.value.point == (0.0, 0.3 + 0.2j)
+
+
+def test_is_affine_is_decided_once(monkeypatch):
+    lookups = []
+    original = hm.HoloMap.djac_exprs
+
+    def counted(self, a):
+        lookups.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(hm.HoloMap, "djac_exprs", counted)
+    for f in (hm.affine_map([[1, 2], [0, 1]], [0, 1]), hm.henon_map()):
+        first = f.is_affine()
+        before = len(lookups)
+        assert before > 0
+        assert f.is_affine() is first
+        assert len(lookups) == before
+
+
+def test_map_chain_jacobian_evaluates_all_but_the_outermost_piece(monkeypatch, rng):
+    calls = []
+    original = hm.HoloMap.eval
+
+    def counted(self, points):
+        calls.append(self.name)
+        return original(self, points)
+
+    monkeypatch.setattr(hm.HoloMap, "eval", counted)
+    pieces = [hm.shear_map(), hm.henon_map(), hm.shear_inverse(), hm.henon_inverse()]
+    pts = random_points(rng, 4, radius=0.3)
+    for m in range(1, len(pieces) + 1):
+        chain = hm.MapChain(pieces[:m])
+        calls.clear()
+        chain.jacobian(pts)
+        assert calls == [p.name for p in reversed(pieces[1:m])]
 
 
 def test_henon_inverse_round_trip(rng):
