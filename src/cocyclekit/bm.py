@@ -8,12 +8,14 @@ normalization constant; the classical reproducing constant differs by
 are reported).
 
 Kernel evaluation works on clouds, like the rest of the package:
-bm_coefficients takes an (N, n) array of xi and returns (N, n) coefficients,
-and a single point is a one-row view of the same path returning
-{i: coefficient}. The dbar check sends every stencil point of every probe and
-step to the coefficient function in one (M, n) cloud; the reproducing
-integral evaluates one (order, order) slab of sphere nodes per kernel call.
-The diagonal guard names the first offending xi of a cloud.
+bm_coefficients takes an (N, n) array of xi, with one z or an (N, n) array of
+z aligned row by row, and returns (N, n) coefficients; a single point is a
+one-row view of the same path returning {i: coefficient}. The dbar check
+sends every stencil point of every probe and step to the coefficient function
+in one (M, n) cloud; the reproducing integral evaluates one (order, order)
+slab of sphere nodes per kernel call. The diagonal guard names the first
+offending xi of a cloud. Pair forms (the kernel on W x W, its pullbacks and
+their dbar) are SampledForms on (N, 2n) pair clouds.
 """
 
 import itertools
@@ -22,7 +24,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .holomap import compose
+from .forms import SampledForm, minor_pullback, signed_sum
+from .holomap import MapChain, as_cloud
 
 DIAGONAL_CUTOFF = 1e-12
 
@@ -38,29 +41,14 @@ def classical_constant(n):
     return math.factorial(n - 1) / (2j * math.pi) ** n
 
 
-class BMEvaluation:
-    """Kernel coefficients at one off-diagonal pair (z, xi).
-
-    coefficients[i] multiplies the wedge of all (d xi-bar^j - d z-bar^j) with
-    j != i, times d xi^1 ... d xi^n.
-    """
-
-    def __init__(self, n, z, xi, coefficients):
-        self.n = n
-        self.z = tuple(z)
-        self.xi = tuple(xi)
-        self.coefficients = dict(coefficients)
-
-    def __repr__(self):
-        return "BMEvaluation(n=%d, %r)" % (self.n, self.coefficients)
-
-
 def bm_coefficients(n, z, xi, scale=1.0):
     """The omitted-index coefficients b_n (-1)^i (xi-bar^i - z-bar^i)/|xi-z|^{2n}.
 
-    xi is an (N, n) cloud and the result is (N, n), column i - 1 holding index
-    i. A single point is a one-row view of the same path that returns
-    {i: coefficient}.
+    Coefficient i multiplies the wedge of all (d xi-bar^j - d z-bar^j) with
+    j != i, times d xi^1 ... d xi^n. xi is an (N, n) cloud and z one point or
+    an (N, n) array aligned row by row with xi; the result is (N, n), column
+    i - 1 holding index i. A single xi is a one-row view of the same path that
+    returns {i: coefficient}.
     """
     if n < 2:
         raise ValidationError("the kernel is defined for n >= 2")
@@ -68,7 +56,7 @@ def bm_coefficients(n, z, xi, scale=1.0):
     xi = np.asarray(xi, dtype=complex)
     single = xi.ndim == 1
     cloud = xi.reshape(1, -1) if single else xi
-    if z.shape != (n,) or cloud.ndim != 2 or cloud.shape[1] != n:
+    if cloud.ndim != 2 or cloud.shape[1] != n or z.shape not in ((n,), cloud.shape):
         raise ValidationError("points must have %d coordinates" % n)
     diff = cloud - z
     dist2 = np.sum(np.abs(diff) ** 2, axis=1)
@@ -83,12 +71,26 @@ def bm_coefficients(n, z, xi, scale=1.0):
     return coeffs
 
 
-def bm_eval(n, z, xi):
-    return BMEvaluation(n, z, xi, bm_coefficients(n, z, xi))
-
-
 # +h, -h, +ih, -ih along one coordinate
 _STENCIL = np.array([1.0, -1.0, 1.0j, -1.0j])
+
+
+def _stencil_cloud(points, steps):
+    """(P, S, m, 4, m): the (P, m) points, coordinate b moved by steps[s] * _STENCIL[k]."""
+    m = points.shape[1]
+    steps = np.asarray(steps, dtype=float)
+    offsets = (steps[:, None, None, None] * _STENCIL[None, None, :, None]
+               * np.eye(m)[None, :, None, :])
+    return points[:, None, None, None, :] + offsets[None]
+
+
+def _stencil_dbar(values, steps):
+    """Wirtinger d/dw-bar_b by central differences: (P, S, m, 4, F) values on the
+    _stencil_cloud to (P, S, m, F) derivatives."""
+    h = np.asarray(steps, dtype=float)[None, :, None, None]
+    dx = (values[:, :, :, 0] - values[:, :, :, 1]) / (2 * h)
+    dy = (values[:, :, :, 2] - values[:, :, :, 3]) / (2 * h)
+    return 0.5 * (dx + 1j * dy)
 
 
 def _stencil_residuals(n, z, probes, steps, coeff_fn):
@@ -98,32 +100,14 @@ def _stencil_residuals(n, z, probes, steps, coeff_fn):
     alternating sum of the xi-bar_i derivatives of the omitted-index
     coefficients, so that single complex number is the residual. Every
     stencil point of every probe and step goes to coeff_fn in one (M, n)
-    cloud, stacked as (probe, step, coordinate, stencil direction).
+    cloud.
     """
     coeff_fn = coeff_fn or (lambda pts: bm_coefficients(n, z, pts))
-    steps = np.asarray(steps, dtype=float)
-    # offsets[s, i, k] moves coordinate i by steps[s] * _STENCIL[k]
-    offsets = (steps[:, None, None, None] * _STENCIL[None, None, :, None]
-               * np.eye(n)[None, :, None, :])
-    pts = probes[:, None, None, None, :] + offsets[None]
+    pts = _stencil_cloud(probes, steps)
     coeffs = np.asarray(coeff_fn(pts.reshape(-1, n))).reshape(pts.shape)
-    # own[p, s, k, i]: coefficient i on the stencil along coordinate i
-    own = np.diagonal(coeffs, axis1=2, axis2=4)
-    h = steps[None, :, None]
-    dx = (own[:, :, 0] - own[:, :, 1]) / (2 * h)
-    dy = (own[:, :, 2] - own[:, :, 3]) / (2 * h)
-    dbar = 0.5 * (dx + 1j * dy)
+    # dbar[p, s, i]: the xi-bar_i derivative of coefficient i
+    dbar = np.diagonal(_stencil_dbar(coeffs, steps), axis1=2, axis2=3)
     return np.sum((-1.0) ** np.arange(n) * dbar, axis=-1)
-
-
-def dbar_residual(n, z, xi, h, coeff_fn=None):
-    """The dbar defect at one probe: a one-row view of the stencil cloud.
-
-    coeff_fn, when given, maps an (M, n) cloud to (M, n) coefficients.
-    """
-    probe = np.asarray(xi, dtype=complex).reshape(1, n)
-    return complex(_stencil_residuals(n, np.asarray(z, dtype=complex), probe, (h,),
-                                      coeff_fn)[0, 0])
 
 
 def dbar_closed_check(n, z, probes, h, coeff_fn=None):
@@ -212,211 +196,155 @@ def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32, kernel_scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# pair forms: forms on W x W minus the diagonal, in full (z-bar, xi-bar) basis
+# pair forms: forms on W x W minus the diagonal, sampled on pair clouds
+#
+# A pair form maps an (N, 2n) pair cloud with rows (w1, w2) to a SampledForm
+# of dimension 2n. Its k-indices are the antiholomorphic differentials
+# d z-bar_1..d z-bar_n (indices 0..n-1, first factor) and d xi-bar_1..d xi-bar_n
+# (indices n..2n-1, second factor) in combinations order. The holomorphic
+# d xi^1..d xi^n wedge rides along implicitly: a pullback multiplies every
+# coefficient by its Jacobian determinant.
+
+# Wirtinger step of the layer condition's dbar
+PARAMETRIX_STEP = 1e-4
 
 
-class PairForm:
-    """Antiholomorphic-degree-d form on pairs, times the full d xi wedge.
-
-    eval(w1, w2) returns {key: coefficient} where a key is an increasing tuple
-    of (side, index) with side 0 for the first factor (z-bar differentials)
-    and 1 for the second (xi-bar); the holomorphic part d xi^1..d xi^n rides
-    along implicitly through pullbacks (its Jacobian determinant multiplies
-    every coefficient).
-    """
-
-    def __init__(self, n, degree, eval_fn, name="pairform"):
-        self.n = int(n)
-        self.degree = int(degree)
-        self._eval = eval_fn
-        self.name = name
-
-    def keys(self):
-        sides = [(s, j) for s in (0, 1) for j in range(1, self.n + 1)]
-        return list(itertools.combinations(sorted(sides), self.degree))
-
-    def eval(self, w1, w2):
-        return self._eval(tuple(w1), tuple(w2))
-
-    def scale(self, a):
-        return PairForm(self.n, self.degree,
-                        lambda w1, w2: {k: a * v for k, v in self.eval(w1, w2).items()})
-
-    def __add__(self, other):
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise ValidationError("pair form mismatch")
-
-        def ev(w1, w2):
-            a = self.eval(w1, w2)
-            for k, v in other.eval(w1, w2).items():
-                a[k] = a.get(k, 0) + v
-            return a
-
-        return PairForm(self.n, self.degree, ev)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
+def _split_pairs(pairs, n):
+    P = as_cloud(pairs, 2 * n)[0]
+    return P, P[:, :n], P[:, n:]
 
 
-def bm_pairform(n, scale=1.0):
-    """The kernel as a PairForm: difference-basis wedges expanded into sides."""
-
-    def ev(w1, w2):
-        coeffs = bm_coefficients(n, w1, w2, scale=scale)
-        out = {}
-        for i, c in coeffs.items():
-            rest = [j for j in range(1, n + 1) if j != i]
-            # expand the product of (xi-bar_j - z-bar_j) over j in rest
-            for choice in itertools.product((0, 1), repeat=len(rest)):
-                keys = [(1 if pick else 0, j) for pick, j in zip(choice, rest)]
-                sign = (-1) ** sum(1 for pick in choice if not pick)
-                skeys, perm_sign = _sort_wedge(keys)
-                if skeys is None:
-                    continue
-                out[skeys] = out.get(skeys, 0) + sign * perm_sign * c
-        return out
-
-    return PairForm(n, n - 1, ev, name="bm_kernel")
+def _difference_expansion(n):
+    """E[i, K]: coefficient of d w-bar_K in prod_{j != i, increasing} (d xi-bar_j - d z-bar_j)."""
+    cols = {K: c for c, K in enumerate(itertools.combinations(range(2 * n), n - 1))}
+    E = np.zeros((n, len(cols)))
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        for sides in itertools.product((0, 1), repeat=n - 1):
+            keys = [j + n * side for j, side in zip(rest, sides)]
+            inversions = sum(a > b for a, b in itertools.combinations(keys, 2))
+            E[i, cols[tuple(sorted(keys))]] = (-1) ** (n - 1 - sum(sides) + inversions)
+    return E
 
 
-def _sort_wedge(keys):
-    """Sort wedge factors, tracking the permutation sign; repeats kill the term."""
-    if len(set(keys)) != len(keys):
-        return None, 0
-    sign = 1
-    keys = list(keys)
-    for i in range(len(keys)):
-        for j in range(len(keys) - 1 - i):
-            if keys[j] > keys[j + 1]:
-                keys[j], keys[j + 1] = keys[j + 1], keys[j]
-                sign = -sign
-    return tuple(keys), sign
+def bm_pairform(n):
+    """The kernel as a pair form of degree n - 1."""
+    expansion = _difference_expansion(n)
+
+    def form(pairs):
+        P, w1, w2 = _split_pairs(pairs, n)
+        return SampledForm(2 * n, n - 1, P, bm_coefficients(n, w1, w2) @ expansion)
+
+    return form
 
 
 def pair_pullback(psi, form):
-    """(psi x psi)^* on a PairForm; psi needs eval and jacobian."""
+    """(psi x psi)^* of a pair form; psi needs eval and jacobian on clouds.
 
-    def ev(w1, w2):
-        J1 = psi.jacobian(w1)
+    The antiholomorphic part pulls back through the minors of
+    conj(blockdiag(J1, J2)), the implicit d xi wedge through det J2.
+    """
+    n = psi.n
+
+    def pulled(pairs):
+        P, w1, w2 = _split_pairs(pairs, n)
+        inner = form(np.concatenate([psi.eval(w1), psi.eval(w2)], axis=1))
         J2 = psi.jacobian(w2)
-        det_hol = np.linalg.det(J2)
-        vals = form.eval(psi.eval(w1), psi.eval(w2))
-        out = {}
-        for key, coeff in vals.items():
-            if coeff == 0:
-                continue
-            # each (side, j) factor expands along its factor's conjugate Jacobian
-            ranges = []
-            for side, j in key:
-                J = J1 if side == 0 else J2
-                ranges.append([(side, b + 1, J[j - 1, b].conjugate())
-                               for b in range(form.n)])
-            for combo in itertools.product(*ranges):
-                keys = [(side, b) for side, b, _ in combo]
-                skeys, perm_sign = _sort_wedge(keys)
-                if skeys is None:
-                    continue
-                factor = coeff * perm_sign * det_hol
-                for _, _, jac in combo:
-                    factor *= jac
-                out[skeys] = out.get(skeys, 0) + factor
-        return out
+        J = np.zeros((len(P), 2 * n, 2 * n), dtype=complex)
+        J[:, :n, :n], J[:, n:, n:] = psi.jacobian(w1), J2
+        values = minor_pullback(inner.values, np.conj(J), inner.k)
+        return SampledForm(2 * n, inner.k, P, values * np.linalg.det(J2)[:, None])
 
-    return PairForm(form.n, form.degree, ev, name="(psi x psi)*%s" % form.name)
+    return pulled
 
 
-def bm_vertex(rho, scale=1.0):
+def bm_vertex(rho):
     """The vertex assignment: pull the kernel back along rho x rho."""
-    return pair_pullback(rho, bm_pairform(rho.n, scale=scale))
+    return pair_pullback(rho, bm_pairform(rho.n))
 
 
-def pairform_dbar(form, w1, w2, h):
-    """Numeric dbar of a PairForm at one pair, via Wirtinger central differences."""
-    out = {}
-    for side in (0, 1):
-        for b in range(1, form.n + 1):
-            def shifted(step):
-                p1, p2 = list(w1), list(w2)
-                (p1 if side == 0 else p2)[b - 1] += step
-                return form.eval(tuple(p1), tuple(p2))
-
-            plus_x, minus_x = shifted(h), shifted(-h)
-            plus_y, minus_y = shifted(1j * h), shifted(-1j * h)
-            keys = set(plus_x) | set(minus_x) | set(plus_y) | set(minus_y)
-            for key in keys:
-                dx = (plus_x.get(key, 0) - minus_x.get(key, 0)) / (2 * h)
-                dy = (plus_y.get(key, 0) - minus_y.get(key, 0)) / (2 * h)
-                dbar = 0.5 * (dx + 1j * dy)
-                if dbar == 0:
-                    continue
-                skeys, sign = _sort_wedge([(side, b)] + list(key))
-                if skeys is None:
-                    continue
-                out[skeys] = out.get(skeys, 0) + sign * dbar
-    return out
+def _wedge_table(m, k):
+    """table[b, K, L] = s where d w-bar_b ^ d w-bar_K = s d w-bar_L."""
+    rows = list(itertools.combinations(range(m), k))
+    cols = {L: c for c, L in enumerate(itertools.combinations(range(m), k + 1))}
+    table = np.zeros((m, len(rows), len(cols)))
+    for b in range(m):
+        for r, K in enumerate(rows):
+            if b not in K:
+                table[b, r, cols[tuple(sorted(K + (b,)))]] = (-1) ** sum(a < b for a in K)
+    return table
 
 
-def parametrix_layer_residual(omega_q, omega_qm1, chain, pairs, h=1e-4):
+def pairform_dbar(form, pairs, h):
+    """Numeric dbar of a pair form on an (N, 2n) pair cloud, by Wirtinger central differences.
+
+    The form is evaluated once, on the stencil points of every pair.
+    """
+    P = np.asarray(pairs, dtype=complex)
+    pts = _stencil_cloud(P, (h,))
+    shifted = form(pts.reshape(-1, P.shape[1]))
+    dbar = _stencil_dbar(shifted.values.reshape(pts.shape[:-1] + (-1,)), (h,))[:, 0]
+    return SampledForm(P.shape[1], shifted.k + 1, P,
+                       np.einsum("pbK,bKL->pL", dbar, _wedge_table(P.shape[1], shifted.k)))
+
+
+def parametrix_layer_residual(omega_q, omega_qm1, chain, pairs):
     """Residual of the layer condition dbar(omega^q) = delta(omega^{q-1}).
 
-    omega_q and omega_qm1 map a tuple of composable maps to a PairForm; chain
-    is the tuple (phi_1, ..., phi_q). This is the verifier interface for
-    externally supplied parametrix cochain data.
+    omega_q and omega_qm1 map a tuple of composable maps to a pair form; chain
+    is the tuple (phi_1, ..., phi_q) and pairs a nonempty (N, 2n) pair cloud,
+    evaluated all at once. This is the verifier interface for externally
+    supplied parametrix cochain data.
     """
     q = len(chain)
     if q < 1:
         raise ValidationError("need at least one map in the chain")
-    lhs_form = omega_q(chain)
-    rhs_parts = []
-    if q == 1:
-        rhs_parts.append((1.0, omega_qm1(()), None))
-    else:
-        rhs_parts.append((1.0, omega_qm1(chain[1:]), None))
-        for j in range(1, q):
-            merged = chain[:j - 1] + (compose(chain[j - 1], chain[j], check=False),) \
-                + chain[j + 1:]
-            rhs_parts.append(((-1.0) ** j, omega_qm1(merged), None))
-        rhs_parts.append(((-1.0) ** q, omega_qm1(chain[:-1]), chain[-1]))
-    worst = 0.0
-    for w1, w2 in pairs:
-        lhs = pairform_dbar(lhs_form, w1, w2, h)
-        rhs = {}
-        for sign, form, pull in rhs_parts:
-            vals = pair_pullback(pull, form).eval(w1, w2) if pull is not None \
-                else form.eval(w1, w2)
-            for k, v in vals.items():
-                rhs[k] = rhs.get(k, 0) + sign * v
-        keys = set(lhs) | set(rhs)
-        for k in keys:
-            worst = max(worst, abs(lhs.get(k, 0) - rhs.get(k, 0)))
-    return worst
+    n = chain[0].n
+    P = as_cloud(pairs, 2 * n)[0]
+    if not len(P):
+        raise ValidationError("no pairs to check the layer condition on")
+    lhs = pairform_dbar(omega_q(chain), P, PARAMETRIX_STEP)
+    # delta drops phi_1, merges each adjacent pair, and pulls back along phi_q
+    faces = [(1.0, omega_qm1(chain[1:]))]
+    faces += [((-1.0) ** j, omega_qm1(chain[:j - 1] + (MapChain(chain[j - 1:j + 1]),)
+                                      + chain[j + 1:]))
+              for j in range(1, q)]
+    faces.append(((-1.0) ** q, pair_pullback(chain[-1], omega_qm1(chain[:-1]))))
+    rhs = signed_sum(2 * n, lhs.k, P, ((sign, face(P)) for sign, face in faces))
+    return lhs.sub(rhs).max_abs()
 
 
 # ---------------------------------------------------------------------------
 # Hartogs diagonal restriction by extrapolation
 
+# the ladder eps = HARTOGS_EPS0 / 2^j, j < HARTOGS_LEVELS, along each direction
+HARTOGS_EPS0 = 0.25
+HARTOGS_LEVELS = 7
+# directions may disagree by this many error estimates
+HARTOGS_DISAGREEMENT = 10.0
 
-def hartogs_diagonal(F, diagonal_points, directions=None, eps0=0.25, levels=7,
-                     disagreement_factor=10.0):
+
+def hartogs_diagonal(F, diagonal_points):
     """Extrapolated limit of F(z, z + eps v) as eps -> 0 along each direction.
 
-    F is the scalar coefficient of a holomorphic (0, n)-type pair form. Returns
-    one entry per diagonal point with the value and an error estimate; raises
+    F is the scalar coefficient of a holomorphic (0, n)-type pair form; the
+    directions are the coordinate axes and one oblique vector. Returns one
+    entry per diagonal point with the value and an error estimate; raises
     DomainError when the ladder diverges or directions disagree beyond
-    disagreement_factor times the estimate (no holomorphic extension in the
+    HARTOGS_DISAGREEMENT times the estimate (no holomorphic extension in the
     sampled data).
     """
     out = []
     for z in diagonal_points:
         z = tuple(complex(c) for c in z)
-        dirs = directions or _default_directions(len(z))
+        dirs = _default_directions(len(z))
         limits = []
         estimates = []
         for v in dirs:
             v = tuple(complex(c) for c in v)
             ladder = []
-            for j in range(levels):
-                eps = eps0 / 2 ** j
+            for j in range(HARTOGS_LEVELS):
+                eps = HARTOGS_EPS0 / 2 ** j
                 xi = tuple(a + eps * b for a, b in zip(z, v))
                 ladder.append(complex(F(z, xi)))
             # a genuine singularity keeps growing geometrically at the
@@ -433,7 +361,7 @@ def hartogs_diagonal(F, diagonal_points, directions=None, eps0=0.25, levels=7,
             estimates.append(est)
         est = max(max(estimates), 1e-15)
         spread = max(abs(a - b) for a in limits for b in limits)
-        if spread > disagreement_factor * est:
+        if spread > HARTOGS_DISAGREEMENT * est:
             raise DomainError(
                 "direction-dependent limits at %r: spread %.3e vs estimate %.3e"
                 % (z, spread, est))

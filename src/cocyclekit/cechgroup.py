@@ -24,6 +24,11 @@ from .errors import ValidationError
 from .forms import SampledForm, pullback_kform, signed_sum
 from .holomap import MapChain, as_cloud, compose, identity_map
 
+# largest round-trip error, over the declared clouds, of a generator against its
+# inverse and of a chart against its inverse
+GENERATOR_ROUND_TRIP_TOL = 1e-10
+CHART_ROUND_TRIP_TOL = 1e-9
+
 # ---------------------------------------------------------------------------
 # free words over named generators
 
@@ -207,8 +212,8 @@ class GroupActionSpec:
         return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters],
                         name=repr(word))
 
-    def validate(self, cover, tol=1e-10):
-        """Generator/inverse round trips on every base cloud."""
+    def validate(self, cover):
+        """Generator/inverse round trips on every base cloud, within GENERATOR_ROUND_TRIP_TOL."""
         worst = 0.0
         for name, (fwd, inv) in self.generators.items():
             for key in cover.declared_sets():
@@ -216,9 +221,9 @@ class GroupActionSpec:
                 if len(P):
                     worst = max(worst, float(np.max(np.abs(fwd.eval(inv.eval(P)) - P))),
                                 float(np.max(np.abs(inv.eval(fwd.eval(P)) - P))))
-        if worst > tol:
-            raise ValidationError(
-                "generator/inverse round trip off by %.3e > %.1e" % (worst, tol))
+        if worst > GENERATOR_ROUND_TRIP_TOL:
+            raise ValidationError("generator/inverse round trip off by %.3e > %.1e"
+                                  % (worst, GENERATOR_ROUND_TRIP_TOL))
         return worst
 
 
@@ -245,15 +250,15 @@ class Atlas:
     def indices(self):
         return list(self.charts)
 
-    def validate(self, cover, tol=1e-9):
-        """Chart/inverse round trip on the index's own cloud."""
+    def validate(self, cover):
+        """Chart/inverse round trip on the index's own cloud, within CHART_ROUND_TRIP_TOL."""
         worst = 0.0
         for index in self.charts:
             chart, inverse = self.charts[index]
             P = as_cloud(cover.cloud((index,)), chart.n)[0]
             if len(P):
                 worst = max(worst, float(np.max(np.abs(inverse.eval(chart.eval(P)) - P))))
-        if worst > tol:
+        if worst > CHART_ROUND_TRIP_TOL:
             raise ValidationError("atlas chart/inverse round trip off by %.3e" % worst)
         return worst
 
@@ -679,8 +684,16 @@ def cell_values(source, bidegrees=None):
             yield bd, J, G, source.sample(bd, J, G)
 
 
-def residual_report(residuals, tol):
-    """Report over (bidegree, J, G, residual SampledForm) cells, worst cell first."""
+def require_cells(count, bidegrees):
+    """A check that visited no cell checked nothing: refuse it, naming the bidegrees walked."""
+    if not count:
+        raise ValidationError("no nonempty cells in bidegrees %s: nothing to check"
+                              % ", ".join("(%d, %d)" % tuple(bd) for bd in bidegrees))
+
+
+def residual_report(residuals, bidegrees, tol):
+    """Report over (bidegree, J, G, residual SampledForm) cells of `bidegrees`, worst
+    cell first; no cells at all is a ValidationError."""
     rows = []
     worst = 0.0
     for (m, q), J, G, residual in residuals:
@@ -689,6 +702,7 @@ def residual_report(residuals, tol):
                      "words": [repr(w) for w in G], "residual": res,
                      "worst_point": [[c.real, c.imag] for c in point]})
         worst = max(worst, res)
+    require_cells(len(rows), bidegrees)
     rows.sort(key=lambda r: -r["residual"])
     return {
         "max_residual": worst,
@@ -701,7 +715,8 @@ def residual_report(residuals, tol):
 
 def closedness_report(cochain, tol=1e-7):
     """Max residual of the mixed differential over all next-degree cells."""
-    return residual_report(cell_values(mixed_differential(cochain)), tol)
+    diff = mixed_differential(cochain)
+    return residual_report(cell_values(diff), diff.bidegrees(), tol)
 
 
 def witness_report(witness, tau_a, tau_b, tol=1e-7):
@@ -710,4 +725,4 @@ def witness_report(witness, tau_a, tau_b, tol=1e-7):
     bidegrees = sorted(set(diff.bidegrees()) | set(tau_a.bidegrees()) | set(tau_b.bidegrees()))
     return residual_report(
         ((bd, J, G, got.sub(tau_a.sample(bd, J, G).sub(tau_b.sample(bd, J, G))))
-         for bd, J, G, got in cell_values(diff, bidegrees)), tol)
+         for bd, J, G, got in cell_values(diff, bidegrees)), bidegrees, tol)

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .bm import dbar_closed_check, reproducing_integral
 from .cechgroup import (SIGN_CONVENTION, cell_multi_index, cell_values, closedness_report,
-                        cohomologous_witness, witness_report)
+                        cohomologous_witness, require_cells, witness_report)
 from .cocycle import cf_map, shifted_form_complex, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError
 from .forms import sharp_pullback, theta
@@ -37,6 +37,7 @@ def run_affine_vanishing(scn, entry):
     for _, _, _, sampled in cell_values(tau):
         worst = max(worst, sampled.max_abs())
         cells += 1
+    require_cells(cells, tau.bidegrees())
     return {"status": "pass" if worst == 0.0 else "fail",
             "max_residual": worst, "cells": cells,
             "detail": "exact zero required; values are bitwise zero" if worst == 0.0
@@ -82,10 +83,10 @@ def run_theta_composition(scn, entry):
     tol = entry["tolerance"]
     worst = 0.0
     rows = []
-    for fname, gname in entry.get("pairs", []):
+    for fname, gname in entry["pairs"]:
         f = scn.map_named(fname, "theta-composition")
         g = scn.map_named(gname, "theta-composition")
-        P = as_cloud(entry.get("points") or g.domain.samples, g.n)[0]
+        P = as_cloud(entry["points"], g.n)[0]
         lhs = theta(compose(f, g, check=False), P)
         rhs = sharp_pullback(g, theta(f, g.eval(P)), P).add(theta(g, P))
         resid = lhs.sub(rhs).max_abs()

@@ -191,8 +191,14 @@ def pullback_kform(phi, w, points):
         return SampledForm.zeros(n, k, P, ())
     if k == 0:
         return SampledForm(n, k, P, w.values)
-    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    J = phi.jacobian(P)
-    # minors[p, A, B] = det of J[p] restricted to rows A and columns B
+    return SampledForm(n, k, P, minor_pullback(w.values, phi.jacobian(P), k))
+
+
+def minor_pullback(values, J, k):
+    """k-form coefficients (N, C(m, k)) pulled back through the k x k minors of J (N, m, m).
+
+    Coefficient B of the result sums values[p, A] * det(J[p] on rows A, columns B).
+    """
+    combos = np.array(list(itertools.combinations(range(J.shape[-1]), k)), dtype=np.intp)
     minors = np.linalg.det(J[:, combos[:, None, :, None], combos[None, :, None, :]])
-    return SampledForm(n, k, P, (w.values[:, None, :] @ minors)[:, 0, :])
+    return (values[:, None, :] @ minors)[:, 0, :]

@@ -23,8 +23,10 @@ KNOWN_CHECKS = ("affine-vanishing", "tau-closedness", "witness", "telescoping",
 
 
 def _rational(s, location):
+    if not isinstance(s, str):
+        raise ScenarioError("rational must be a string like \"3/10\", got %r" % (s,), location)
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ScenarioError("bad rational %r" % (s,), location) from None
 
@@ -64,6 +66,8 @@ class Scenario:
         self.atlas_b = self._load_atlas(data.get("atlas_b"), "atlas_b")
         self.checks = self._load_checks(data.get("checks", []))
         self.output = data.get("output")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ScenarioError("must be a report path string, got %r" % (self.output,), "output")
         self._tau = {}
 
     @classmethod
@@ -94,7 +98,7 @@ class Scenario:
             loc = "constants/%s" % name
             if not isinstance(spec, dict) or "re" not in spec:
                 raise ScenarioError("constant needs {re, im} rational strings", loc)
-            out[name] = CRat(_rational(spec["re"], loc), _rational(spec.get("im", 0), loc))
+            out[name] = CRat(_rational(spec["re"], loc), _rational(spec.get("im", "0"), loc))
         return out
 
     def _load_maps(self, section):
@@ -102,7 +106,7 @@ class Scenario:
         out = {}
         for name, spec in section.items():
             loc = "maps/%s" % name
-            if not isinstance(spec, dict) or "components" not in spec:
+            if not isinstance(spec, dict) or not isinstance(spec.get("components"), str):
                 raise ScenarioError("map needs a 'components' string", loc)
             try:
                 out[name] = holomap.parse_map(spec["components"], self.n,
@@ -125,19 +129,16 @@ class Scenario:
             return None
         loc = "cover"
         _require_object(section, loc)
-        indices = section.get("indices")
-        if not indices:
-            raise ScenarioError("cover needs a nonempty 'indices' list", loc)
+        indices = _index_list(section.get("indices"), "cover/indices")
         clouds = {}
-        for i, entry in enumerate(_require_list(section.get("clouds", []), "cover/clouds")):
-            _require_object(entry, "cover/clouds[%d]" % i)
-            on = entry.get("on")
-            if not on:
-                raise ScenarioError("cloud needs an 'on' index list", loc)
+        for k, entry in enumerate(_require_list(section.get("clouds", []), "cover/clouds")):
+            cloc = "cover/clouds[%d]" % k
+            _require_object(entry, cloc)
+            on = _index_list(entry.get("on"), cloc + "/on")
             for i in on:
                 if i not in indices:
-                    raise ScenarioError("cloud over unknown index %r" % i, loc)
-            pts = [_point(p, self.n, loc) for p in entry.get("points", [])]
+                    raise ScenarioError("cloud over unknown index %r" % i, cloc)
+            pts = [_point(p, self.n, cloc) for p in _require_list(entry.get("points", []), cloc)]
             clouds[frozenset(on)] = clouds.get(frozenset(on), []) + pts
         cover = CoverSpec(indices, clouds)
         thin = [sorted(map(str, key)) for key, pts in cover.clouds.items()
@@ -152,7 +153,10 @@ class Scenario:
             return None
         if section is not None:
             _require_object(section, "action")
-        if section is None or not section.get("generators"):
+        if section is None or not _require_list(section.get("generators", []),
+                                                "action/generators"):
+            if section and section.get("words"):
+                raise ScenarioError("words need generators", "action/words")
             return trivial_action(self.cover.indices, self.n)
         loc = "action"
         generators = {}
@@ -167,6 +171,8 @@ class Scenario:
             inv = self.map_named(gen.get("inverse", ""), gloc)
             table = gen.get("index_action", {})
             _require_object(table, gloc + "/index_action")
+            if not all(isinstance(v, str) for v in table.values()):
+                raise ScenarioError("index images must be index strings", gloc + "/index_action")
             generators[name] = (fwd, inv)
             index_action[name] = table
         words = []
@@ -243,12 +249,22 @@ class Scenario:
                 _require_object(chart, loc)
                 self.map_named(chart.get("chart", ""), loc)
                 self.map_named(chart.get("inverse", ""), loc)
-            corrupt = entry.get("corrupt")
-            if corrupt:
+            if "corrupt" in entry:
+                corrupt = entry["corrupt"]
                 _require_object(corrupt, loc)
+                face = corrupt.get("replace")
+                if not (isinstance(face, list) and len(face) == 2 and all(map(_is_int, face))
+                        and 0 <= face[0] < face[1] < len(charts)):
+                    raise ScenarioError("'replace' must be two chart positions p < q < %d, got %r"
+                                        % (len(charts), face), loc)
                 self.map_named(corrupt.get("with_map", ""), loc)
         if ctype == "theta-composition":
-            for pair in entry.get("pairs", []):
+            pairs = _require_list(entry.get("pairs", []), loc)
+            if not pairs or not entry.get("points"):
+                raise ScenarioError("need at least one map pair and one point", loc)
+            for pair in pairs:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ScenarioError("a pair must name two maps, got %r" % (pair,), loc)
                 for name in pair:
                     self.map_named(name, loc)
         if ctype in ("bm-dbar", "bm-reproducing"):
@@ -276,7 +292,7 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# (field, test, what the test requires) for the numeric fields of a scenario,
+# (field, test, what the test requires) for the scalar fields of a scenario,
 # of every check and of BM checks
 _SCENARIO_FIELDS = (
     ("dimension", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
@@ -284,6 +300,8 @@ _SCENARIO_FIELDS = (
 _CHECK_FIELDS = (
     ("tolerance", lambda v: _is_real(v) and v > 0, "a positive number"),
     ("arity", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("expect", lambda v: v in ("pass", "fail"), "'pass' or 'fail'"),
+    ("seed", _is_int, "an integer"),
 )
 _BM_FIELDS = (
     ("n", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
@@ -310,6 +328,14 @@ def _require_object(value, location):
 def _require_list(value, location):
     if not isinstance(value, list):
         raise ScenarioError("must be an array, got %s" % type(value).__name__, location)
+    return value
+
+
+def _index_list(value, location):
+    """A nonempty list of cover index strings."""
+    if not (_require_list(value, location) and all(isinstance(i, str) for i in value)):
+        raise ScenarioError("must be a nonempty list of index strings, got %r" % (value,),
+                            location)
     return value
 
 

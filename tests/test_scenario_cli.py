@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -449,3 +450,161 @@ def test_shipped_scenarios_conform_to_schema():
     for name in ("affine_torus.scn", "henon_z.scn", "cech_todd3.scn",
                  "witness_reparam.scn"):
         validator.validate(load_scn(name))
+
+
+# --- schema-driven bad input -----------------------------------------------------
+
+SCHEMA = json.loads((REPO / "docs" / "scenario.schema.json").read_text())
+# Scenarios that together hold every property of the schema: the shipped ones,
+# and a fixture for the check fields no shipped scenario uses.
+FIELD_SOURCES = [SCENARIOS / name for name in sorted(p.name for p in SCENARIOS.glob("*.scn"))] \
+    + [REPO / "tests" / "every_check_field.scn"]
+# values of other JSON types per declared type: True is the bool that Python
+# takes for an integer, {} an empty container, 7 and "x" are not containers
+WRONG_TYPE = {"string": [1, ["x"]], "integer": [True, "1"], "number": [True, "1"],
+              "array": [{}, 7], "object": [[], "x"]}
+
+
+def _resolve(node):
+    while "$ref" in node:
+        node = SCHEMA["$defs"][node["$ref"].rsplit("/", 1)[-1]]
+    return node
+
+
+def _typed_values(node, value, path=()):
+    """(path, schema node) for every value in a scenario that the schema types."""
+    node = _resolve(node)
+    if path and ("type" in node or "enum" in node):
+        yield path, node
+    if isinstance(value, dict):
+        for key, child in value.items():
+            sub = node.get("properties", {}).get(key, node.get("additionalProperties"))
+            if isinstance(sub, dict):
+                yield from _typed_values(sub, child, path + (key,))
+    elif isinstance(value, list) and "items" in node:
+        for i, child in enumerate(value):
+            yield from _typed_values(node["items"], child, path + (i,))
+
+
+def _schema_cases():
+    """One (scenario, path, schema node) per typed schema property, first instance wins."""
+    cases = {}
+    for source in FIELD_SOURCES:
+        data = json.loads(source.read_text())
+        for path, node in _typed_values(SCHEMA, data):
+            # indices and additionalProperties keys name the same schema property
+            pattern = tuple("*" if isinstance(k, int) or _under_map(path[:i]) else k
+                            for i, k in enumerate(path))
+            cases.setdefault(pattern, (source, path, node))
+    return cases
+
+
+def _under_map(parent):
+    """True when the key after `parent` is a free name (a map, constant or chart index)."""
+    return parent in (("maps",), ("constants",), ("atlas",), ("atlas_b",)) \
+        or (len(parent) == 4 and parent[-1] == "index_action")
+
+
+SCHEMA_CASES = _schema_cases()
+
+
+def _location(path):
+    """Where the loader must point: the entry of a keyed section, else the section."""
+    if len(path) > 2 and path[0] in ("checks", "maps", "constants", "atlas", "atlas_b"):
+        return path[0] + ("[%d]" % path[1] if isinstance(path[1], int) else "/%s" % path[1])
+    return path[0]
+
+
+def test_schema_cases_cover_every_typed_property():
+    def walk(node, pattern):
+        node = _resolve(node)
+        if pattern and ("type" in node or "enum" in node):
+            yield pattern
+        for key, sub in node.get("properties", {}).items():
+            yield from walk(sub, pattern + (key,))
+        if isinstance(node.get("additionalProperties"), dict):
+            yield from walk(node["additionalProperties"], pattern + ("*",))
+        if "items" in node:
+            yield from walk(node["items"], pattern + ("*",))
+
+    assert set(walk(SCHEMA, ())) == set(SCHEMA_CASES)
+    # the fixture is itself a valid scenario whose checks pass
+    assert main(["run", str(FIELD_SOURCES[-1]), "--output", os.devnull]) == 0
+
+
+def _wrong_values(node):
+    return WRONG_TYPE[node["type"]] if "type" in node else ["not-" + str(node["enum"][0]), 1]
+
+
+BAD_VALUES = [(pattern, bad) for pattern in sorted(SCHEMA_CASES, key=repr)
+              for bad in _wrong_values(SCHEMA_CASES[pattern][2])]
+
+
+@pytest.mark.parametrize("pattern, bad", BAD_VALUES,
+                         ids=["%s=%s" % ("/".join(map(str, p)), json.dumps(b))
+                              for p, b in BAD_VALUES])
+def test_schema_typed_property_of_wrong_type_exits_2(tmp_path, capsys, pattern, bad):
+    source, path, _ = SCHEMA_CASES[pattern]
+    data = json.loads(source.read_text())
+    _set(list(path), bad)(data)
+    code = main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, (path, bad)
+    assert _location(path) in err and "Traceback" not in err, (path, err)
+
+
+# --- a check that visits nothing does not pass -------------------------------------
+
+
+def _without_points(name):
+    data = load_scn(name)
+    for cloud in data["cover"]["clouds"]:
+        cloud["points"] = []
+    return data
+
+
+@pytest.mark.parametrize("expect", ["pass", "fail"])
+@pytest.mark.parametrize("name, check_type", [("affine_torus.scn", "affine-vanishing"),
+                                              ("henon_z.scn", "tau-closedness"),
+                                              ("witness_reparam.scn", "witness")])
+def test_check_over_no_cells_is_an_error(tmp_path, name, check_type, expect):
+    data = _without_points(name)
+    data["checks"] = [{"type": check_type, "name": "empty", "tolerance": 1e-7,
+                       "expect": expect}]
+    out = tmp_path / "r.json"
+    with pytest.warns(UserWarning, match="fewer than 8"):
+        assert main(["run", write_scn(tmp_path, data), "--output", str(out)]) == 1
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["status"] == "error"
+    assert "ValidationError: no nonempty cells in bidegrees (" in check["error"]
+
+
+@pytest.mark.parametrize("command, name", [("verify-cocycle", "henon_z.scn"),
+                                           ("witness", "witness_reparam.scn")])
+def test_residual_subcommand_over_no_cells_exits_2(tmp_path, capsys, command, name):
+    path = write_scn(tmp_path, _without_points(name))
+    with pytest.warns(UserWarning, match="fewer than 8"):
+        code = main([command, path, "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no nonempty cells in bidegrees" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [{"pairs": [], "points": [[[0.1, 0.2], [0.3, -0.1]]]},
+                                   {"pairs": [["henon", "shear"]]}],
+                         ids=["no-pairs", "no-points"])
+def test_theta_composition_over_nothing_exits_2(tmp_path, capsys, entry):
+    data = load_scn("henon_z.scn")
+    data["checks"].append(dict(entry, type="theta-composition"))
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[1]" in err and "one map pair and one point" in err
+    assert "Traceback" not in err
+
+
+def test_words_without_generators_exit_2(tmp_path, capsys):
+    data = load_scn("henon_z.scn")
+    data["action"]["generators"] = []
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "action/words" in err and "Traceback" not in err
