@@ -41,7 +41,7 @@ def classical_constant(n):
     return math.factorial(n - 1) / (2j * math.pi) ** n
 
 
-def bm_coefficients(n, z, xi, scale=1.0):
+def bm_coefficients(n, z, xi):
     """The omitted-index coefficients b_n (-1)^i (xi-bar^i - z-bar^i)/|xi-z|^{2n}.
 
     Coefficient i multiplies the wedge of all (d xi-bar^j - d z-bar^j) with
@@ -65,7 +65,7 @@ def bm_coefficients(n, z, xi, scale=1.0):
         raise DomainError("point xi = %s within %.0e of the diagonal"
                           % (tuple(complex(c) for c in cloud[i]), DIAGONAL_CUTOFF))
     signs = (-1.0) ** np.arange(1, n + 1)
-    coeffs = (bm_constant(n) * scale) * signs * np.conj(diff) / (dist2 ** n)[:, None]
+    coeffs = bm_constant(n) * signs * np.conj(diff) / (dist2 ** n)[:, None]
     if single:
         return {i: complex(c) for i, c in enumerate(coeffs[0], start=1)}
     return coeffs
@@ -150,7 +150,7 @@ def _scaled_nodes(order, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32, kernel_scale=1.0):
+def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32):
     """Integral of the classically normalized kernel over |xi - z| = radius (n = 2).
 
     Gauss-Legendre product quadrature in Hopf-style angles. The parametrization
@@ -188,7 +188,7 @@ def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32, kernel_scale=1.0):
         c, s = math.cos(eta), math.sin(eta)
         xi[..., 0] = z[0] + r * c * e1
         xi[..., 1] = z[1] + r * s * e2
-        coeffs = bm_coefficients(2, z, xi.reshape(-1, 2), scale=kernel_scale)
+        coeffs = bm_coefficients(2, z, xi.reshape(-1, 2))
         sum1, sum2 = np.einsum("ij,ij->j", wdet, coeffs).tolist()
         total += we * (c * c * s * sum1 + c * s * s * sum2)
     # the (eta, phi1, phi2) chart is negatively oriented for the outward sphere

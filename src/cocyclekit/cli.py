@@ -274,9 +274,14 @@ def cmd_bm_check(args):
 
 
 def tau_cell_rows(scn, bidegrees=None):
-    """One todd-cocycle row per nonempty cell of the scenario's tau (arity n)."""
+    """One todd-cocycle row per nonempty cell of the scenario's tau (arity n).
+
+    No nonempty cell in the bidegrees walked is a ValidationError.
+    """
+    tau = scn.tau(scn.atlas, scn.n)
+    bidegrees = tau.bidegrees() if bidegrees is None else bidegrees
     rows = []
-    for (m, q), J, G, sampled in cell_values(scn.tau(scn.atlas, scn.n), bidegrees):
+    for (m, q), J, G, sampled in cell_values(tau, bidegrees):
         rows.append({
             "bidegree": [m, q],
             "indices": list(map(str, J)),
@@ -285,6 +290,7 @@ def tau_cell_rows(scn, bidegrees=None):
             "max_abs": sampled.max_abs(),
             "values": sampled.to_json(),
         })
+    require_cells(len(rows), bidegrees)
     return rows
 
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .holomap import as_cloud, invert_jacobians
+from .holomap import as_cloud
 from .invariants import eval_invariant
 
 
@@ -124,7 +124,8 @@ def sharp_pullback(phi, omega, points):
     """phi-sharp of a matrix 1-form sampled at phi(points), on `points`.
 
     The 1-form part is pulled back along phi, the matrices are conjugated by
-    its Jacobian.
+    its Jacobian. The inverse comes from phi.jacobian_inverse, which a HoloMap
+    memoizes, so theta of phi on the same cloud shares it.
     """
     n = omega.n
     if phi.n != n:
@@ -136,7 +137,7 @@ def sharp_pullback(phi, omega, points):
     # coefficient of dz^b: sum over a of J[a, b] times the dz^a matrix, conjugated;
     # the point axis is the innermost loop of each contraction, as in theta
     pulled = np.einsum("pab,pajk->pbjk", J, omega.values, order="F")
-    left = np.einsum("pij,pbjk->pbik", invert_jacobians(J, P), pulled, order="F")
+    left = np.einsum("pij,pbjk->pbik", phi.jacobian_inverse(P), pulled, order="F")
     return SampledForm(n, 1, P, np.einsum("pbik,pkl->pbil", left, J, order="F"))
 
 

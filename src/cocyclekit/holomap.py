@@ -81,6 +81,14 @@ class HoloMap:
     and cached here; compositions with this map on the left are memoized in
     _composed (see compose), so every caller composing the same two maps shares
     one result and its caches.
+
+    The values, Jacobians and inverse Jacobians on a cloud are memoized in
+    _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
+    arrays (as_cloud views, row gathers, equal clouds of different cells), so
+    only the point content identifies a cloud. The memo lives as long as the
+    map. Second derivatives (djacobian) are not memoized: at n times the size
+    of a Jacobian they would cost more memory than the time they save (README,
+    "Evaluation on clouds").
     """
 
     def __init__(self, n, components, domain=None, name="", check=True):
@@ -99,6 +107,7 @@ class HoloMap:
         self._fns = {}
         self._composed = {}
         self._affine = None
+        self._memo = {}
         if check:
             self._check_domain()
 
@@ -122,13 +131,27 @@ class HoloMap:
             self._fns[kind] = fn
         return fn
 
+    def _memoized(self, kind, P, compute):
+        """compute(P), run once per kind and distinct point content of the cloud P.
+
+        The stored array is read-only, since every caller shares it. A raised
+        error is never stored, so a failing cloud fails on every call.
+        """
+        entry = self._memo.setdefault(P.tobytes(), {})
+        out = entry.get(kind)
+        if out is None:
+            out = compute(P)
+            out.flags.writeable = False
+            entry[kind] = out
+        return out
+
     def __call__(self, points):
         return self.eval(points)
 
     def eval(self, points):
         """(N, n) points -> (N, n) values; one point -> a tuple of n complex numbers."""
         P, single = as_cloud(points, self.n)
-        out = self._compiled("eval", lambda: self.components)(P)
+        out = self._memoized("eval", P, self._compiled("eval", lambda: self.components))
         return tuple(out[0].tolist()) if single else out
 
     def jac_exprs(self):
@@ -149,7 +172,8 @@ class HoloMap:
         """(N, n) points -> (N, n, n) Jacobians; one point -> one (n, n) matrix."""
         P, single = as_cloud(points, self.n)
         fn = self._compiled("jacobian", lambda: [e for row in self.jac_exprs() for e in row])
-        return _one_row(fn(P).reshape(-1, self.n, self.n), single)
+        J = self._memoized("jacobian", P, lambda P: fn(P).reshape(-1, self.n, self.n))
+        return _one_row(J, single)
 
     def djacobian(self, points):
         """d/dz_a of the Jacobian at every point, indexed [point, a - 1, row, col]."""
@@ -161,7 +185,9 @@ class HoloMap:
 
     def jacobian_inverse(self, points):
         P, single = as_cloud(points, self.n)
-        return _one_row(invert_jacobians(self.jacobian(P), P), single)
+        Jinv = self._memoized("jacobian_inverse", P,
+                              lambda P: invert_jacobians(self.jacobian(P), P))
+        return _one_row(Jinv, single)
 
     def is_affine(self):
         """True when every second derivative folds to the literal zero node; decided once."""

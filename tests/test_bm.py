@@ -58,7 +58,7 @@ def test_bm_eval_diagonal_rejected():
 def test_cloud_coefficients_match_transcription(rng, n):
     z = tuple(complex(a, b) for a, b in rng.uniform(-1, 1, (n, 2)))
     cloud = rng.uniform(-2, 2, (200, n)) + 1j * rng.uniform(-2, 2, (200, n))
-    got = bm.bm_coefficients(n, z, cloud, scale=1.0)
+    got = bm.bm_coefficients(n, z, cloud)
     assert got.shape == (200, n)
     for row, xi in zip(got, cloud):
         want = transcribed_coefficients(n, z, xi)
@@ -201,11 +201,6 @@ def test_reproducing_integral_radius_independent():
         assert abs(v - 1.0) < 1e-3
 
 
-def test_reproducing_integral_linearity():
-    val = bm.reproducing_integral(radius=1.0, order=32, kernel_scale=2.0)
-    assert abs(val - 2.0) < 2e-3
-
-
 def test_reproducing_integral_converges():
     # Cauchy differences shrink monotonically beyond order 16, up to an
     # epsilon floor once the quadrature hits machine precision
@@ -254,11 +249,8 @@ def scalar_reproducing_integral(z, radius, order):
 def test_reproducing_integral_matches_per_node_oracle(order, radius):
     z = (0.3 - 0.1j, -0.25 + 0.4j)
     want = scalar_reproducing_integral(z, radius, order)
-    # doubling the kernel doubles every term exactly, so 2 * want is the
-    # kernel_scale=2 reference
-    for scale in (1.0, 2.0):
-        got = bm.reproducing_integral(z=z, radius=radius, order=order, kernel_scale=scale)
-        assert abs(got - scale * want) <= 1e-12 * (1 + abs(scale * want))
+    got = bm.reproducing_integral(z=z, radius=radius, order=order)
+    assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_reproducing_integral_rejects_low_order():

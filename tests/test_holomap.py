@@ -1,14 +1,21 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cocyclekit.cechgroup as cg
 import cocyclekit.expr as ex
 import cocyclekit.holomap as hm
+from cocyclekit.cli import execute_checks
 from cocyclekit.errors import DslSyntaxError, SingularJacobianError, ValidationError
+from cocyclekit.forms import SampledForm
+from cocyclekit.scenario import Scenario
 from conftest import random_points
 
 F = Fraction
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_parse_map_identity():
@@ -173,6 +180,82 @@ def test_map_chain_jacobian_evaluates_all_but_the_outermost_piece(monkeypatch, r
         calls.clear()
         chain.jacobian(pts)
         assert calls == [p.name for p in reversed(pieces[1:m])]
+
+
+def compiled_runs(monkeypatch):
+    """(map name, kind, cloud bytes) of every run of a compiled array function."""
+    runs = []
+    real = hm.HoloMap._compiled
+
+    def counted(self, kind, exprs):
+        fn = real(self, kind, exprs)
+        return lambda P: runs.append((self.name, kind, P.tobytes())) or fn(P)
+
+    monkeypatch.setattr(hm.HoloMap, "_compiled", counted)
+    return runs
+
+
+def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once(monkeypatch, rng):
+    runs = compiled_runs(monkeypatch)
+    f = hm.henon_map()
+    pts = np.array(random_points(rng, 5))
+    first = f.jacobian(pts)
+    assert f.jacobian(pts.copy()) is first
+    assert np.array_equal(f.jacobian([tuple(p) for p in pts]), first)
+    assert [kind for _, kind, _ in runs] == ["jacobian"]
+    # the inverse reuses the memoized Jacobian; a different cloud is a new run
+    f.jacobian_inverse(pts.copy())
+    f.jacobian(pts[:3])
+    assert [kind for _, kind, _ in runs] == ["jacobian", "jacobian"]
+
+
+def test_memoized_results_are_read_only(rng):
+    f = hm.henon_map()
+    pts = np.array(random_points(rng, 3))
+    for out in (f.eval(pts), f.jacobian(pts), f.jacobian_inverse(pts), f.jacobian(pts[0])):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 0
+
+
+def test_singular_cloud_raises_on_every_call(monkeypatch):
+    runs = compiled_runs(monkeypatch)
+    sq = hm.diagonal_square_map()
+    pts = [(0.5, 0.1), (0.0, 0.3 + 0.2j)]
+    for _ in range(2):
+        with pytest.raises(SingularJacobianError) as err:
+            sq.jacobian_inverse(pts)
+        assert err.value.point == (0.0, 0.3 + 0.2j)
+    assert [kind for _, kind, _ in runs] == ["jacobian"]
+
+
+def test_word_pullback_evaluates_each_generator_piece_once_per_cloud(monkeypatch, rng):
+    runs = compiled_runs(monkeypatch)
+    cover = cg.CoverSpec(["u"], {frozenset(["u"]): random_points(rng, 6, radius=0.3)})
+    action = cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
+                                {"h": {"u": "u"}}, ["u"])
+    cochain = cg.MixedCochain(cover, action, 2, 2, {
+        (0, 0): lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None])})
+    P = cover.cloud_array(("u",), 2)
+    hh = cg.Word([("h", 1), ("h", 1)])
+    cochain.term_value(((0, 0), ("u",), (), hh), ("u",), P)
+    # h on the points and on their image, each evaluated and differentiated once
+    assert sorted(kind for _, kind, _ in runs) == ["eval", "eval", "jacobian", "jacobian"]
+    assert len(set(runs)) == len(runs)
+
+
+def _check_results(scn):
+    return {r["name"]: json.dumps(dict(r, seconds=None), sort_keys=True)
+            for r in execute_checks(scn)}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.name)
+def test_checks_in_reverse_order_give_bitwise_equal_results(path):
+    # later checks read maps memoized by earlier ones; the order must not show
+    want = _check_results(Scenario.load(path))
+    scn = Scenario.load(path)
+    scn.checks = scn.checks[::-1]
+    assert _check_results(scn) == want
 
 
 def test_henon_inverse_round_trip(rng):

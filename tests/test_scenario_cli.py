@@ -580,11 +580,14 @@ def test_check_over_no_cells_is_an_error(tmp_path, name, check_type, expect):
 
 
 @pytest.mark.parametrize("command, name", [("verify-cocycle", "henon_z.scn"),
-                                           ("witness", "witness_reparam.scn")])
+                                           ("witness", "witness_reparam.scn"),
+                                           ("todd-cocycle", "henon_z.scn"),
+                                           ("group-invariant", "henon_z.scn")])
 def test_residual_subcommand_over_no_cells_exits_2(tmp_path, capsys, command, name):
     path = write_scn(tmp_path, _without_points(name))
+    output = [] if command == "group-invariant" else ["--output", str(tmp_path / "r.json")]
     with pytest.warns(UserWarning, match="fewer than 8"):
-        code = main([command, path, "--output", str(tmp_path / "r.json")])
+        code = main([command, path] + output)
     assert code == 2
     err = capsys.readouterr().err
     assert "no nonempty cells in bidegrees" in err and "Traceback" not in err
