@@ -5,9 +5,10 @@ is a SampledForm: a k-form on the cloud of the translated intersection, one
 array row per point. Differentials act on formal signed combinations of
 pulled-back base values, so the pairwise cancellations behind delta^2 = 0 and
 the bar identities happen symbolically before any floating-point addition.
-Each base value is evaluated once on its own cell's cloud; other cells read it
-by row gather when clouds nest, and otherwise evaluate it on their own cloud
-or, under a group word, at the moved points.
+A TermPlan does that bookkeeping once for all cells of a bidegree, as integer
+arrays. Each base value is evaluated once on its own cell's cloud; other cells
+read it by row gather when clouds nest, and otherwise evaluate it on their own
+cloud or, under a group word, at the moved points.
 
 The tau invariant of an equivariant atlas assigns to each total-degree-n cell
 a signed sum over the (m,q)-shuffles of grid paths, each path contributing the
@@ -16,6 +17,7 @@ cells reduce to the single interleaved simplex.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -320,66 +322,51 @@ class MixedCochain:
         """The cell's value on its own cloud (cochains and expressions alike)."""
         return self.base_value(bidegree, J, G)
 
-    def term_value(self, term, target, points):
-        """A term (bd, J, G, word) as a form on `points`, the cloud of `target`.
+    def evaluate_term(self, term, points):
+        """A term (bd, J, G, word) evaluated on the (N, n) cloud `points`.
 
-        A structurally zero base value is returned as cached, with nothing
-        evaluated. Otherwise: a row gather from the base cell's own values when
-        the clouds nest, an evaluation at `points` when they do not, or, under a
-        group word, an evaluation at the moved points pulled back along it.
+        Without a word the base value is evaluated at `points` (a cloud it does
+        not nest in); under a group word it is evaluated at the moved points and
+        pulled back along the word.
         """
         bd, J, G, pull = term
-        own = self.base_value(bd, J, G)
-        if own.structurally_zero:
-            return own
         if pull.is_identity():
-            rows = self.cover.restriction(cell_multi_index(self.action, J, G), target)
-            if rows is None:
-                return self.evaluate(bd, J, G, points)
-            return SampledForm(self.n, self.form_degree, points, own.values[rows])
+            return self.evaluate(bd, J, G, points)
         chain = self.action.word_chain(pull)
         return pullback_kform(chain, self.evaluate(bd, J, G, chain.eval(points)), points)
 
     def expression(self):
-        return CochainExpression(self, {bd: _identity_terms(bd) for bd in self.components})
-
-
-def _identity_terms(bd):
-    def at(J, G):
-        return {(bd, tuple(J), tuple(G), IDENTITY_WORD): 1}
-    return at
+        return CochainExpression(self, {bd: ("base", bd) for bd in self.components})
 
 
 class CochainExpression:
     """Formal integer combination of base-cochain values pulled back along words.
 
-    A term key is (base bidegree, base J, base G, pullback word); differentials
-    only rewrite keys, so equal keys with opposite signs cancel exactly and
-    never reach floating point.
+    A term key is (base bidegree, base J, base G, pullback word). Each
+    component says how a cell's terms arise, as a tree of tuples:
+
+    - ("base", bd): the cell's own base value, key (bd, J, G, e);
+    - ("cech", m, q, node): sum over k of (-1)^k node(J without J[k], G), where
+      node is a component of bidegree (m, q);
+    - ("group", m, q, node): the bar differential of node;
+    - ("sum", ((a, node), ...)): an integer combination.
+
+    Differentials only rewrite keys, so equal keys with opposite signs cancel
+    exactly in integers (TermPlan) and never reach floating point.
     """
 
-    def __init__(self, base, comp_terms):
+    def __init__(self, base, components):
         self.base = base
-        self.comp_terms = dict(comp_terms)
+        self.components = dict(components)
 
     def bidegrees(self):
-        return sorted(self.comp_terms)
-
-    def terms(self, bidegree, J, G):
-        fn = self.comp_terms.get(bidegree)
-        if fn is None:
-            return {}
-        return _signed_sum([(1, fn(tuple(J), tuple(G)))])
+        return sorted(self.components)
 
     def value(self, bidegree, J, G):
-        """The cell's values on its cloud, summed over its terms in a fixed order."""
-        base = self.base
-        target = cell_multi_index(base.action, J, G)
-        points = base.cover.cloud_array(target, base.n)
-        terms = sorted(self.terms(bidegree, J, G).items(), key=lambda kv: repr(kv[0]))
-        return signed_sum(base.n, base.form_degree, points,
-                          ((coeff, base.term_value(term, target, points))
-                           for term, coeff in terms))
+        """The cell's values on its cloud: a term plan over this one cell."""
+        plan = TermPlan(self, bidegree, [(J, G)])
+        (_, _, _, total), = plan.sums()
+        return plan.form(0, None if total is None else total[0])
 
     def sample(self, bidegree, J, G):
         return self.value(bidegree, J, G)
@@ -390,39 +377,25 @@ class CochainExpression:
         return self.value(bidegree, J, G).max_abs()
 
     def scale(self, a):
-        a = int(a)
-        return _linear_combination(self.base,
-                                   [(a, bd, fn) for bd, fn in self.comp_terms.items()])
+        return CochainExpression(self.base, {bd: ("sum", ((int(a), node),))
+                                             for bd, node in self.components.items()})
 
     def __add__(self, other):
         if other.base is not self.base:
             raise ValidationError("expressions over different base cochains")
-        return _linear_combination(self.base, [(1, bd, fn) for e in (self, other)
-                                               for bd, fn in e.comp_terms.items()])
+        return _combination(self.base, [(1, bd, node) for e in (self, other)
+                                        for bd, node in e.components.items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
 
-def _signed_sum(parts):
-    """Sum of sign * terms over (sign, term dict) pairs, zero coefficients dropped."""
-    out = {}
-    for sign, terms in parts:
-        for key, coeff in terms.items():
-            out[key] = out.get(key, 0) + sign * coeff
-    return {k: c for k, c in out.items() if c}
-
-
-def _linear_combination(base, parts):
-    """CochainExpression summing sign * fn per bidegree over (sign, bidegree, fn) parts."""
+def _combination(base, parts):
+    """CochainExpression summing sign * node per bidegree over (sign, bidegree, node) parts."""
     by_bidegree = {}
-    for sign, bd, fn in parts:
-        by_bidegree.setdefault(bd, []).append((sign, fn))
-
-    def component(fns):
-        return lambda J, G: _signed_sum((sign, fn(J, G)) for sign, fn in fns)
-
-    return CochainExpression(base, {bd: component(fns) for bd, fns in by_bidegree.items()})
+    for sign, bd, node in parts:
+        by_bidegree.setdefault(bd, []).append((sign, node))
+    return CochainExpression(base, {bd: ("sum", tuple(p)) for bd, p in by_bidegree.items()})
 
 
 def as_expression(c):
@@ -432,49 +405,335 @@ def as_expression(c):
 def cech_differential(c):
     """Alternating sum over dropped Cech indices; restrictions are literal."""
     c = as_expression(c)
-    out = {}
-    for (m, q) in c.bidegrees():
-        def face_terms(J, G, m=m, q=q):
-            if len(J) != m + 2 or len(G) != q:
-                raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m + 1, q))
-            return _signed_sum(((-1) ** k, c.terms((m, q), J[:k] + J[k + 1:], G))
-                               for k in range(m + 2))
-        out[(m + 1, q)] = face_terms
-    return CochainExpression(c.base, out)
+    return CochainExpression(c.base, {(m + 1, q): ("cech", m, q, node)
+                                      for (m, q), node in c.components.items()})
 
 
 def group_differential(c):
     """Bar differential: drop-and-translate, merge adjacent letters, act on the last."""
     c = as_expression(c)
-    action = c.base.action
-    out = {}
-    for (m, q) in c.bidegrees():
-        def face_terms(J, G, m=m, q=q):
-            if len(J) != m + 1 or len(G) != q + 1:
-                raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m, q + 1))
-            g1 = G[0]
-            J_translated = tuple(action.act_index(i, g1) for i in J)
-            parts = [(1, c.terms((m, q), J_translated, G[1:]))]
-            for k in range(1, q + 1):
-                G_merged = G[:k - 1] + (G[k - 1] * G[k],) + G[k + 1:]
-                parts.append(((-1) ** k, c.terms((m, q), J, G_merged)))
-            # right multiplication by one word is injective, so no two keys collide
-            last = G[-1]
-            pulled = {(bd, Jb, Gb, pull * last): coeff
-                      for (bd, Jb, Gb, pull), coeff in c.terms((m, q), J, G[:-1]).items()}
-            parts.append(((-1) ** (q + 1), pulled))
-            return _signed_sum(parts)
-        out[(m, q + 1)] = face_terms
-    return CochainExpression(c.base, out)
+    return CochainExpression(c.base, {(m, q + 1): ("group", m, q, node)
+                                      for (m, q), node in c.components.items()})
 
 
 def mixed_differential(c):
     """Total differential: cech + (-1)^{cech degree} * group."""
     c = as_expression(c)
-    cech = cech_differential(c).comp_terms.items()
-    grp = group_differential(c).comp_terms.items()
-    return _linear_combination(c.base, [(1, bd, fn) for bd, fn in cech]
-                               + [((-1) ** bd[0], bd, fn) for bd, fn in grp])
+    parts = [(1, (m + 1, q), ("cech", m, q, node)) for (m, q), node in c.components.items()]
+    parts += [((-1) ** m, (m, q + 1), ("group", m, q, node))
+              for (m, q), node in c.components.items()]
+    return _combination(c.base, parts)
+
+
+# ---------------------------------------------------------------------------
+# term plans: a differential's cells as integer arrays
+
+# largest gathered array, in complex entries, of one batch of ordered sums
+SUM_BATCH_ENTRIES = 1 << 16
+
+
+class _Ids:
+    """Integer ids of the cover indices, words and index sets met by one plan."""
+
+    def __init__(self, action):
+        self.action = action
+        self.indices, self.words, self.sets = [], [], []
+        self._ids = ({}, {}, {})
+        self.word(IDENTITY_WORD)  # id 0
+
+    def _intern(self, table, ids, x):
+        i = ids.get(x)
+        if i is None:
+            i = ids[x] = len(table)
+            table.append(x)
+        return i
+
+    def index(self, i):
+        return self._intern(self.indices, self._ids[0], i)
+
+    def word(self, w):
+        return self._intern(self.words, self._ids[1], w)
+
+    def index_set(self, s):
+        return self._intern(self.sets, self._ids[2], s)
+
+    @staticmethod
+    def _pairwise(a, b, fn):
+        """fn(x, y) once per distinct pair of two broadcast id arrays, as an id array."""
+        a, b = np.broadcast_arrays(a, b)
+        if not a.size:
+            return np.zeros(a.shape, dtype=np.int64)
+        pairs, _, inverse = _unique_rows(np.stack([a.ravel(), b.ravel()], axis=1))
+        out = np.array([fn(x, y) for x, y in pairs.tolist()], dtype=np.int64)
+        return out[inverse].reshape(a.shape)
+
+    def mul(self, a, b):
+        """Word ids of the products a * b."""
+        words = self.words
+        return self._pairwise(a, b, lambda x, y: self.word(words[x] * words[y]))
+
+    def act(self, w, J):
+        """Index ids of the (C, r) rows J, each index moved by its row's word in w."""
+        indices, words = self.indices, self.words
+        return self._pairwise(J, w[:, None], lambda i, x: self.index(
+            self.action.act_index(indices[i], words[x])))
+
+    def cell_sets(self, J, G):
+        """Index-set ids of the cells (J, G) translated as in cell_multi_index."""
+        if not len(J):
+            return np.zeros(0, dtype=np.int64)
+        w = np.zeros(len(J), dtype=np.int64)
+        for column in G.T:
+            w = self.mul(w, column)
+        moved = self.act(w, J)
+        # one bit per index id, so equal sets give equal rows
+        mask = np.zeros((len(J), len(self.indices) // 64 + 1), dtype=np.uint64)
+        rows = np.arange(len(J))
+        for column in moved.T:
+            mask[rows, column // 64] |= np.left_shift(np.uint64(1),
+                                                      (column % 64).astype(np.uint64))
+        if mask.shape[1] == 1:
+            masks, inverse = np.unique(mask[:, 0], return_inverse=True)
+            masks = masks[:, None]
+        else:
+            masks, inverse = np.unique(mask, axis=0, return_inverse=True)
+        ids = [self.index_set(frozenset(self.indices[64 * k + b]
+                                        for k, word in enumerate(row) for b in range(64)
+                                        if word >> b & 1))
+               for row in masks.tolist()]
+        return np.array(ids, dtype=np.int64)[inverse.reshape(-1)]
+
+
+def _unique_rows(M):
+    """(distinct rows, index of each one's first row, row -> distinct) of an (R, w)
+    array of non-negative integer ids, rows in lexicographic order as np.unique gives.
+
+    Rows are packed into one int64 key, mixed radix, when that fits.
+    """
+    M = np.asarray(M, dtype=np.int64)
+    radix = M.max(axis=0) + 1 if len(M) else np.ones(M.shape[1], dtype=np.int64)
+    if np.sum(np.log2(radix)) < 62:
+        packed = np.zeros(len(M), dtype=np.int64)
+        for column, r in zip(M.T, radix.tolist()):
+            packed = packed * r + column
+        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(M, axis=0, return_index=True, return_inverse=True)
+    return M[first], first, inverse.reshape(-1)
+
+
+def _expand(node, J, G, ids):
+    """Signed term blocks (bd, cell, J, G, pull, coeff) of a component over cells.
+
+    J (C, r) and G (C, s) hold index and word ids, one cell per row; `cell` in
+    each block is that row. The differentials act on whole columns.
+    """
+    kind = node[0]
+    C = len(J)
+    if kind == "base":
+        return [(node[1], np.arange(C), J, G, np.zeros(C, dtype=np.int64),
+                 np.ones(C, dtype=np.int64))]
+    if kind == "sum":
+        return [_scaled(block, sign) for sign, child in node[1]
+                for block in _expand(child, J, G, ids)]
+    _, m, q, child = node
+    if kind == "cech":
+        if J.shape[1] != m + 2 or G.shape[1] != q:
+            raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m + 1, q))
+        return [_scaled(block, (-1) ** k) for k in range(m + 2)
+                for block in _expand(child, np.delete(J, k, axis=1), G, ids)]
+    if J.shape[1] != m + 1 or G.shape[1] != q + 1:
+        raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m, q + 1))
+    blocks = _expand(child, ids.act(G[:, 0], J), G[:, 1:], ids)
+    for k in range(1, q + 1):
+        merged = np.column_stack([G[:, :k - 1], ids.mul(G[:, k - 1], G[:, k]), G[:, k + 1:]])
+        blocks += [_scaled(block, (-1) ** k) for block in _expand(child, J, merged, ids)]
+    # right multiplication by one word is injective, so no two keys collide
+    for bd, cell, Jb, Gb, pull, coeff in _expand(child, J, G[:, :-1], ids):
+        blocks.append((bd, cell, Jb, Gb, ids.mul(pull, G[cell, -1]),
+                       (-1) ** (q + 1) * coeff))
+    return blocks
+
+
+def _scaled(block, sign):
+    return block[:5] + (sign * block[5],)
+
+
+class TermPlan:
+    """The terms of one expression in one bidegree over a list of cells, as integer arrays.
+
+    Built once, without evaluating any term: the component is expanded over all
+    cells at once, equal keys of a cell cancel in integer coefficients, and each
+    cell's terms are ordered by repr(key), ranked once per distinct key. A base
+    value that is structurally zero on its own cloud drops its terms here. Each
+    remaining term has a signed coefficient, a slot in one table of term values
+    and a row gather into that slot: the base cell's own values when its cloud
+    nests the cell's, or a value evaluated on the cell's cloud (clouds that do
+    not nest, or a pullback along a group word).
+    """
+
+    def __init__(self, expr, bidegree, cells):
+        base = self.base = expr.base
+        self.cells = [(tuple(J), tuple(G)) for J, G in cells]
+        node = expr.components.get(bidegree)
+        ids = _Ids(base.action)
+        C = len(self.cells)
+        J = np.array([[ids.index(i) for i in c[0]] for c in self.cells],
+                     dtype=np.int64).reshape(C, -1 if C else 0)
+        G = np.array([[ids.word(g) for g in c[1]] for c in self.cells],
+                     dtype=np.int64).reshape(C, -1 if C else 0)
+        self._ids = ids
+        self._target = ids.cell_sets(J, G)
+        blocks = [] if node is None or not C else _expand(node, J, G, ids)
+        cell, key, coeff = self._cancel(blocks, ids)
+        order = np.lexsort((self._rank[key], cell))
+        self._build_slots(cell[order], key[order], coeff[order])
+
+    def _cancel(self, blocks, ids):
+        """Sum equal (cell, key) coefficients, drop zeros; name and rank the keys."""
+        groups = {}
+        for bd, cell, Jb, Gb, pull, coeff in blocks:
+            groups.setdefault((bd, Jb.shape[1], Gb.shape[1]), []).append(
+                (np.column_stack([cell, Jb, Gb, pull]), coeff))
+        self.keys, own, cells, keys, coeffs = [], [], [], [], []
+        for (bd, r, s), parts in groups.items():
+            rows, _, inverse = _unique_rows(np.concatenate([p[0] for p in parts]))
+            total = np.zeros(len(rows), dtype=np.int64)
+            np.add.at(total, inverse, np.concatenate([p[1] for p in parts]))
+            rows, total = rows[total != 0], total[total != 0]
+            key_rows, _, key_of = _unique_rows(rows[:, 1:])
+            cells.append(rows[:, 0])
+            keys.append(key_of + len(self.keys))
+            coeffs.append(total)
+            own.append(ids.cell_sets(key_rows[:, :r], key_rows[:, r:r + s]))
+            self.keys += [(bd, tuple(ids.indices[i] for i in k[:r]),
+                           tuple(ids.words[g] for g in k[r:r + s]), ids.words[k[-1]])
+                          for k in key_rows.tolist()]
+        reprs = [repr(k) for k in self.keys]
+        self._rank = np.empty(len(reprs), dtype=np.int64)
+        self._rank[sorted(range(len(reprs)), key=reprs.__getitem__)] = np.arange(len(reprs))
+        self._own = np.concatenate(own) if own else np.zeros(0, dtype=np.int64)
+        if not cells:
+            return (np.zeros(0, dtype=np.int64),) * 3
+        return np.concatenate(cells), np.concatenate(keys), np.concatenate(coeffs)
+
+    def _build_slots(self, cell, key, coeff):
+        """Drop structural zeros; give every term its slot and row gather."""
+        base, ids = self.base, self._ids
+        # each base value once, in the order its first term is summed
+        distinct, first = np.unique(key, return_index=True)
+        zero = np.zeros(len(self.keys), dtype=bool)
+        for k in distinct[np.argsort(first)].tolist():
+            zero[k] = base.base_value(*self.keys[k][:3]).structurally_zero
+        live = ~zero[key]
+        cell, key, coeff = cell[live], key[live], coeff[live]
+        target = self._target[cell]
+        sizes = np.array([len(self.points_of(s)) for s in range(len(ids.sets))],
+                         dtype=np.int64)
+        self._size = sizes[self._target]
+        # rows 0..N-1 of a value evaluated on the cell's own cloud, one per size
+        wanted = sorted(set(sizes[target].tolist()))
+        rows = [np.arange(N, dtype=np.intp) for N in wanted]
+        row_of_size = np.zeros(int(sizes.max(initial=0)) + 1, dtype=np.int64)
+        row_of_size[wanted] = np.arange(len(wanted))
+        row = row_of_size[sizes[target]]
+        slots, slot = [], np.full(len(key), -1, dtype=np.int64)
+        # a base value without a word is read by row gather where its cloud nests
+        plain = np.flatnonzero(np.array([k[3].is_identity() for k in self.keys],
+                                        dtype=bool)[key])
+        if len(plain):
+            pairs, _, pair_of = _unique_rows(np.stack([self._own[key[plain]], target[plain]], 1))
+            pair_row = np.full(len(pairs), -1, dtype=np.int64)
+            for p, (own, tgt) in enumerate(pairs.tolist()):
+                r = base.cover.restriction(ids.sets[own], ids.sets[tgt])
+                if r is not None:
+                    pair_row[p] = len(rows)
+                    rows.append(r)
+            nested = plain[pair_row[pair_of] >= 0]
+            row[nested] = pair_row[pair_of][pair_row[pair_of] >= 0]
+            own_slot = {}
+            for k in key[nested].tolist():
+                if k not in own_slot:
+                    own_slot[k] = len(slots)
+                    slots.append(base.base_value(*self.keys[k][:3]).values)
+            slot[nested] = [own_slot[k] for k in key[nested].tolist()]
+        # every other term is evaluated on the cell's cloud, once per (key, cloud)
+        moved = np.flatnonzero(slot < 0)
+        if len(moved):
+            pairs, first, pair_of = _unique_rows(np.stack([key[moved], target[moved]], 1))
+            pair_slot = np.full(len(pairs), -1, dtype=np.int64)
+            for p in np.argsort(first).tolist():
+                k, tgt = pairs[p].tolist()
+                value = base.evaluate_term(self.keys[k], self.points_of(tgt))
+                if not value.structurally_zero:
+                    pair_slot[p] = len(slots)
+                    slots.append(value.values)
+            slot[moved] = pair_slot[pair_of]
+        keep = slot >= 0
+        self.term_key, self.coeff = key[keep], coeff[keep]
+        self.table = np.concatenate(slots) if slots else np.zeros((0, 0), dtype=complex)
+        self._slot_start = np.cumsum([0] + [len(v) for v in slots])[slot[keep]]
+        self._row_start = np.cumsum([0] + [len(r) for r in rows])[row[keep]]
+        self._rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+        self.count = np.bincount(cell[keep], minlength=len(self.cells))
+        self._first = np.cumsum(self.count) - self.count
+
+    def points_of(self, set_id):
+        return self.base.cover.cloud_array(self._ids.sets[set_id], self.base.n)
+
+    def points(self, c):
+        """The cloud of cell c."""
+        return self.points_of(self._target[c])
+
+    def form(self, c, total):
+        """Cell c's value as a SampledForm; total None is the structural zero."""
+        base = self.base
+        if total is None:
+            return SampledForm.zeros(base.n, base.form_degree, self.points(c), ())
+        return SampledForm(base.n, base.form_degree, self.points(c), total)
+
+    def sums(self):
+        """(cells, terms, values, total) per batch of cells with equal term count and size.
+
+        `cells` (B,) are positions in the plan's cell list, `terms` (B, t) the
+        plan's term positions in sum order, `values` (B, t, N, ...) the gathered
+        term values and `total` (B, N, ...) the sum of coeff * value, left to
+        right as in forms.signed_sum. A batch of cells without terms has values
+        and total None: those cells are the structural zero. A batch holds at
+        most SUM_BATCH_ENTRIES gathered entries, or one cell.
+        """
+        if not self.cells:
+            return
+        per_point = int(np.prod(self.table.shape[1:]))
+        shapes, _, inverse = _unique_rows(np.stack([self.count, self._size], 1))
+        for s, (t, N) in enumerate(shapes.tolist()):
+            cells = np.flatnonzero(inverse == s)
+            step = max(1, SUM_BATCH_ENTRIES // max(1, t * N * per_point))
+            for lo in range(0, len(cells), step):
+                batch = cells[lo:lo + step]
+                terms = self._first[batch][:, None] + np.arange(t)
+                if not t:
+                    yield batch, terms, None, None
+                    continue
+                gather = (self._slot_start[terms][..., None]
+                          + self._rows[self._row_start[terms][..., None] + np.arange(N)])
+                values = self.table[gather]
+                coeff = self.coeff[terms].reshape(terms.shape + (1,) * (values.ndim - 2))
+                total = coeff[:, 0] * values[:, 0]
+                for j in range(1, t):
+                    total = total + coeff[:, j] * values[:, j]
+                yield batch, terms, values, total
+
+    def describe(self, term, modulus):
+        """The dominant_term entry of a report row for one of the plan's terms."""
+        bd, J, G, pull = self.keys[self.term_key[term]]
+        return _term_entry(self.base.name, bd, J, G, pull, int(self.coeff[term]), modulus)
+
+
+def _term_entry(cochain, bd, J, G, pull, coeff, modulus):
+    return {"cochain": cochain, "bidegree": list(bd), "indices": list(map(str, J)),
+            "words": [repr(w) for w in G], "pullback": repr(pull), "coefficient": coeff,
+            "modulus": modulus}
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +925,14 @@ SIGN_CONVENTION = "cech + (-1)^m group"
 def enumerate_cells(cover, action, m, q, words=None):
     """All (J, G) cells of a bidegree with a nonempty translated cloud."""
     words = list(words if words is not None else action.words)
+    moves = []
+    for G in itertools.product(words, repeat=q):
+        w = Word.product(G)
+        moves.append((tuple(G), {i: action.act_index(i, w) for i in cover.indices}))
     for J in itertools.product(cover.indices, repeat=m + 1):
-        for G in itertools.product(words, repeat=q):
-            if cover.cloud(cell_multi_index(action, J, G)):
-                yield tuple(J), tuple(G)
+        for G, move in moves:
+            if cover.cloud(tuple(move[i] for i in J)):
+                yield tuple(J), G
 
 
 def cell_values(source, bidegrees=None):
@@ -691,18 +954,79 @@ def require_cells(count, bidegrees):
                               % ", ".join("(%d, %d)" % tuple(bd) for bd in bidegrees))
 
 
-def residual_report(residuals, bidegrees, tol):
-    """Report over (bidegree, J, G, residual SampledForm) cells of `bidegrees`, worst
-    cell first; no cells at all is a ValidationError."""
-    rows = []
-    worst = 0.0
-    for (m, q), J, G, residual in residuals:
-        point, res = residual.worst_point()
-        rows.append({"bidegree": [m, q], "indices": list(map(str, J)),
-                     "words": [repr(w) for w in G], "residual": res,
-                     "worst_point": [[c.real, c.imag] for c in point]})
-        worst = max(worst, res)
+def residual_rows(diff, bidegree, subtracted=()):
+    """Report rows of the cells of one bidegree, in cell order, from one term plan.
+
+    The residual of a cell is its value under `diff`, minus the difference of
+    the `subtracted` cochains' samples when two are given (as in witness_report:
+    d(witness) - (tau_a - tau_b)). Each row names its worst point and the term
+    that dominates there: the largest |coeff * value| over the cell's terms in
+    sum order, the subtracted samples counting as terms with coefficients -1
+    and +1; on a tie the first.
+    """
+    base = diff.base
+    plan = TermPlan(diff, bidegree, enumerate_cells(base.cover, base.action, *bidegree))
+    rows = [None] * len(plan.cells)
+    names = ("tau_a", "tau_b")
+    for cells, terms, values, total in plan.sums():
+        B = len(cells)
+        N = len(plan.points(cells[0]))
+        if total is None:
+            total = np.zeros((B, N, math.comb(base.n, base.form_degree)), dtype=complex)
+        extra = []
+        if subtracted:
+            a, b = ([c.sample(bidegree, *plan.cells[i]) for i in cells] for c in subtracted)
+            A = np.stack([f.values for f in a])
+            Bv = np.stack([f.values for f in b])
+            total = total - (A - Bv)
+            extra = [(-1, A, [f.structurally_zero for f in a]),
+                     (1, Bv, [f.structurally_zero for f in b])]
+        flat = np.abs(total).reshape(B, N, -1)
+        per_point = flat.max(axis=2) if flat.shape[2] else np.zeros((B, N))
+        worst = per_point.argmax(axis=1)
+        at = np.arange(B)
+        moduli = []
+        if values is not None:
+            coeff = plan.coeff[terms].reshape(terms.shape + (1,) * (values.ndim - 3))
+            moduli.append(_moduli(coeff * values[at, :, worst]))
+        for sign, X, zero in extra:
+            m = _moduli(sign * X[at, worst][:, None])
+            m[np.array(zero)] = -1.0
+            moduli.append(m)
+        moduli = np.concatenate(moduli, axis=1) if moduli else np.full((B, 1), -1.0)
+        best = moduli.argmax(axis=1)
+        best_modulus = moduli[at, best].tolist()
+        t = terms.shape[1]
+        for r, c in enumerate(cells.tolist()):
+            J, G = plan.cells[c]
+            i, j, modulus = int(worst[r]), int(best[r]), best_modulus[r]
+            if modulus < 0:
+                dominant = None
+            elif j < t:
+                dominant = plan.describe(int(terms[r, j]), modulus)
+            else:
+                dominant = _term_entry(names[j - t], bidegree, J, G, IDENTITY_WORD,
+                                       extra[j - t][0], modulus)
+            rows[c] = {"bidegree": list(bidegree), "indices": list(map(str, J)),
+                       "words": [repr(w) for w in G], "residual": float(per_point[r, i]),
+                       "worst_point": [[z.real, z.imag] for z in plan.points(c)[i].tolist()],
+                       "dominant_term": dominant}
+    return rows
+
+
+def _moduli(contributions):
+    """max |entry| per (cell, term) of (B, t, ...) term contributions at one point."""
+    flat = np.abs(contributions).reshape(contributions.shape[:2] + (-1,))
+    return flat.max(axis=2) if flat.shape[2] else np.zeros(flat.shape[:2])
+
+
+def residual_report(rows, bidegrees, tol):
+    """Report over the residual rows of `bidegrees`, worst cell first; no rows at all
+    is a ValidationError."""
     require_cells(len(rows), bidegrees)
+    worst = 0.0
+    for row in rows:
+        worst = max(worst, row["residual"])
     rows.sort(key=lambda r: -r["residual"])
     return {
         "max_residual": worst,
@@ -716,13 +1040,13 @@ def residual_report(residuals, bidegrees, tol):
 def closedness_report(cochain, tol=1e-7):
     """Max residual of the mixed differential over all next-degree cells."""
     diff = mixed_differential(cochain)
-    return residual_report(cell_values(diff), diff.bidegrees(), tol)
+    return residual_report([row for bd in diff.bidegrees() for row in residual_rows(diff, bd)],
+                           diff.bidegrees(), tol)
 
 
 def witness_report(witness, tau_a, tau_b, tol=1e-7):
     """Residual of d(witness) - (tau_a - tau_b) over all degree-n cells."""
     diff = mixed_differential(witness)
     bidegrees = sorted(set(diff.bidegrees()) | set(tau_a.bidegrees()) | set(tau_b.bidegrees()))
-    return residual_report(
-        ((bd, J, G, got.sub(tau_a.sample(bd, J, G).sub(tau_b.sample(bd, J, G))))
-         for bd, J, G, got in cell_values(diff, bidegrees)), bidegrees, tol)
+    return residual_report([row for bd in bidegrees
+                            for row in residual_rows(diff, bd, (tau_a, tau_b))], bidegrees, tol)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_group_differential_squares_to_zero(rng):
     cover, action, _ = one_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0), (0, 1)])
     dd = cg.group_differential(cg.group_differential(c))
-    assert max_residual(dd, cover, action) <= 1e-9
+    assert max_residual(dd, cover, action) == 0.0
 
 
 def test_mixed_differential_reduces_to_cech_for_trivial_group(rng):
@@ -196,7 +197,62 @@ def test_mixed_differential_squares_to_zero(rng):
                                 ["a", "b"], words=[cg.Word.gen("s")])
     c = poly_cochain(cover, action, [(1, 1)])
     dd = cg.mixed_differential(cg.mixed_differential(c))
-    assert max_residual(dd, cover, action) <= 1e-9
+    assert max_residual(dd, cover, action) == 0.0
+
+
+def constant_forms(values):
+    """Base values constant on the cloud, one constant per cell (keyed by J, G)."""
+    def provider(J, G, P):
+        return SampledForm(2, 2, P, np.full((len(P), 1), values[J], dtype=complex))
+    return provider
+
+
+def two_index_cover(rng):
+    pts = random_points(rng, 5, radius=0.3)
+    cover = cg.CoverSpec(["a", "b"], {frozenset(s): pts for s in ("a", "b", "ab")})
+    return cover, cg.trivial_action(["a", "b"], 2)
+
+
+def test_report_rows_name_the_dominant_term(rng):
+    cover, action = two_index_cover(rng)
+    c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
+        {("a",): 1.0, ("b",): 5.0})}, name="c")
+    rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1.0)["cells"]}
+    # (dc)(a, b) = c_b - c_a: the c_b term dominates, with its sign
+    assert rows[("a", "b")]["dominant_term"] == {
+        "cochain": "c", "bidegree": [0, 0], "indices": ["b"], "words": [], "pullback": "e",
+        "coefficient": 1, "modulus": 5.0}
+    assert rows[("b", "a")]["dominant_term"]["coefficient"] == -1
+    # equal indices cancel exactly: the structural zero has no term
+    assert rows[("a", "a")]["residual"] == 0.0
+    assert rows[("a", "a")]["dominant_term"] is None
+
+
+def test_dominant_term_tie_goes_to_the_first_in_sum_order(rng):
+    cover, action = two_index_cover(rng)
+    c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
+        {("a",): 2.0, ("b",): 2.0})})
+    rows = {tuple(r["indices"]): r for r in cg.closedness_report(c)["cells"]}
+    assert rows[("a", "b")]["residual"] == 0.0
+    dominant = rows[("a", "b")]["dominant_term"]
+    assert (dominant["indices"], dominant["coefficient"], dominant["modulus"]) == (["a"], -1, 2.0)
+
+
+def test_witness_dominant_term_can_be_a_tau_sample(rng):
+    cover, action = two_index_cover(rng)
+    w = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
+        {("a",): 1.0, ("b",): 2.0})}, name="witness")
+    pair_values = {J: 0.5 for J in itertools.product("ab", repeat=2)}
+    tau_a = cg.MixedCochain(cover, action, 2, 2, {(1, 0): constant_forms(pair_values)})
+    tau_b = cg.MixedCochain(cover, action, 2, 2, {(1, 0): constant_forms(
+        {J: 7.0 for J in pair_values})})
+    report = cg.witness_report(w, tau_a, tau_b, tol=1.0)
+    rows = {tuple(r["indices"]): r for r in report["cells"]}
+    # d(w) - (tau_a - tau_b) on (a, b): 1.0 + 6.5, the tau_b sample dominates
+    assert rows[("a", "b")]["residual"] == 7.5
+    assert rows[("a", "b")]["dominant_term"] == {
+        "cochain": "tau_b", "bidegree": [1, 0], "indices": ["a", "b"], "words": [],
+        "pullback": "e", "coefficient": 1, "modulus": 7.0}
 
 
 # --- tau ---------------------------------------------------------------------

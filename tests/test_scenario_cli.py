@@ -372,6 +372,8 @@ def test_cocycle_report_has_per_cell_and_per_point_data(tmp_path):
     assert payload["pass"] is True
     cells = payload["closedness"]["cells"]
     assert cells and all("residual" in c and "worst_point" in c for c in cells)
+    assert set(cells[0]["dominant_term"]) == {"cochain", "bidegree", "indices", "words",
+                                              "pullback", "coefficient", "modulus"}
 
 
 def test_check_error_does_not_abort_batch(tmp_path):

@@ -1,0 +1,204 @@
+"""Term plans against the per-cell term expansion they replace.
+
+The oracle below is the walk `cechgroup` did for every cell before term plans:
+expand the cell's component into a dict of term keys with nested signed sums,
+order the keys by repr, evaluate each term (row gather from the base cell's own
+values where clouds nest, evaluation at the cell's points where they do not, a
+pullback along a group word otherwise) and add them left to right with
+forms.signed_sum. Plan-evaluated cells must match it bit for bit, including the
+structural-zero flag.
+"""
+
+import itertools
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cocyclekit.cechgroup as cg
+import cocyclekit.holomap as hm
+from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
+
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+GENERATORS = {
+    "h": (hm.henon_map(), hm.henon_inverse()),
+    "s": (hm.shear_map(), hm.shear_inverse()),
+    "t": (hm.affine_map([[0, 1], [1, 0]], [0, 0], name="swap"),
+          hm.affine_map([[0, 1], [1, 0]], [0, 0], name="swap")),
+}
+
+
+# ---------------------------------------------------------------------------
+# the oracle: per-cell term dicts summed in repr order
+
+
+def _signed_sum(parts):
+    out = {}
+    for sign, terms in parts:
+        for key, coeff in terms.items():
+            out[key] = out.get(key, 0) + sign * coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_terms(node, J, G, action):
+    if node is None:
+        return {}
+    kind = node[0]
+    if kind == "base":
+        return {(node[1], tuple(J), tuple(G), cg.IDENTITY_WORD): 1}
+    if kind == "sum":
+        return _signed_sum((sign, oracle_terms(child, J, G, action)) for sign, child in node[1])
+    _, m, q, child = node
+    if kind == "cech":
+        return _signed_sum(((-1) ** k, oracle_terms(child, J[:k] + J[k + 1:], G, action))
+                           for k in range(m + 2))
+    g1 = G[0]
+    parts = [(1, oracle_terms(child, tuple(action.act_index(i, g1) for i in J), G[1:], action))]
+    for k in range(1, q + 1):
+        merged = G[:k - 1] + (G[k - 1] * G[k],) + G[k + 1:]
+        parts.append(((-1) ** k, oracle_terms(child, J, merged, action)))
+    pulled = {(bd, Jb, Gb, pull * G[-1]): c
+              for (bd, Jb, Gb, pull), c in oracle_terms(child, J, G[:-1], action).items()}
+    parts.append(((-1) ** (q + 1), pulled))
+    return _signed_sum(parts)
+
+
+def oracle_term_value(base, term, target, points):
+    bd, J, G, pull = term
+    own = base.base_value(bd, J, G)
+    if own.structurally_zero:
+        return own
+    if pull.is_identity():
+        rows = base.cover.restriction(cg.cell_multi_index(base.action, J, G), target)
+        if rows is None:
+            return base.evaluate(bd, J, G, points)
+        return SampledForm(base.n, base.form_degree, points, own.values[rows])
+    chain = base.action.word_chain(pull)
+    return pullback_kform(chain, base.evaluate(bd, J, G, chain.eval(points)), points)
+
+
+def oracle_value(expr, bd, J, G):
+    base = expr.base
+    target = cg.cell_multi_index(base.action, J, G)
+    points = base.cover.cloud_array(target, base.n)
+    terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
+                   key=lambda kv: repr(kv[0]))
+    return signed_sum(base.n, base.form_degree, points,
+                      ((c, oracle_term_value(base, t, target, points)) for t, c in terms))
+
+
+def same_bits(got, want):
+    """Equal flags, shapes and bytes: -0.0 and 0.0 differ, as they would in a report."""
+    return (got.structurally_zero == want.structurally_zero
+            and got.values.shape == want.values.shape
+            and got.values.tobytes() == want.values.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# generated covers, actions and cochains
+
+
+@st.composite
+def setups(draw):
+    """(cover, action) with 1-3 indices, some intersections undeclared, 0-2 generators."""
+    indices = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    subsets = [s for r in range(1, len(indices) + 1) for s in itertools.combinations(indices, r)]
+    declared = [s for s in subsets if draw(st.booleans())] or [subsets[-1]]
+    clouds = {frozenset(s): [tuple(0.3 * complex(*rng.uniform(-1, 1, 2)) for _ in range(2))
+                             for _ in range(draw(st.integers(1, 4)))] for s in declared}
+    cover = cg.CoverSpec(indices, clouds)
+    names = draw(st.lists(st.sampled_from(sorted(GENERATORS)), max_size=2, unique=True))
+    tables = {g: dict(zip(indices, draw(st.permutations(indices)))) for g in names}
+    letters = [cg.Word.gen(g, sgn) for g in names for sgn in (1, -1)]
+    words = draw(st.lists(st.sampled_from(letters), max_size=2, unique=True)) if letters else []
+    if len(words) == 2 and draw(st.booleans()):
+        words.append(words[0] * words[1])
+    action = cg.GroupActionSpec({g: GENERATORS[g] for g in names}, tables, indices,
+                                words=words, n=2)
+    return cover, action
+
+
+def cochain(cover, action, bidegrees, zero_every):
+    """Analytic base values, distinct per cell; every zero_every-th cell is structurally zero."""
+    def make(bd):
+        def provider(J, G, P):
+            key = zlib.crc32(repr((bd, J, G)).encode())
+            if zero_every and key % zero_every == 0:
+                return SampledForm.zeros(2, 2, P, ())
+            c = np.random.default_rng(key).normal(size=(4, 2)) @ np.array([1, 1j])
+            z1, z2 = P[:, 0], P[:, 1]
+            return SampledForm(2, 2, P, (c[0] + c[1] * z1 + c[2] * z2 ** 2 + c[3] * z1 * z2)[:, None])
+        return provider
+    return cg.MixedCochain(cover, action, 2, 2, {bd: make(bd) for bd in bidegrees})
+
+
+EXPRESSIONS = {
+    "cech": lambda c: cg.cech_differential(c),
+    "group": lambda c: cg.group_differential(c),
+    "mixed": lambda c: cg.mixed_differential(c),
+    "mixed-mixed": lambda c: cg.mixed_differential(cg.mixed_differential(c)),
+    "cech-cech": lambda c: cg.cech_differential(cg.cech_differential(c)),
+    "group-group": lambda c: cg.group_differential(cg.group_differential(c)),
+    "combination": lambda c: (cg.mixed_differential(c).scale(3) - cg.cech_differential(c)
+                              + cg.group_differential(c).scale(-2)),
+    "difference": lambda c: cg.mixed_differential(c) - cg.mixed_differential(c),
+    "base": lambda c: c.expression().scale(2) + c.expression(),
+}
+
+
+def plan_values(expr, bd, cells):
+    """{cell: SampledForm} from one plan over all cells, batch by batch."""
+    plan = cg.TermPlan(expr, bd, cells)
+    out = {}
+    for batch, _, _, total in plan.sums():
+        for r, c in enumerate(batch.tolist()):
+            out[plan.cells[c]] = plan.form(c, None if total is None else total[r])
+    assert sorted(out, key=repr) == sorted(plan.cells, key=repr)
+    return out
+
+
+@SETTINGS
+@given(setups(), st.sampled_from(sorted(EXPRESSIONS)),
+       st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]), min_size=1, unique=True),
+       st.sampled_from([0, 2, 3]), st.sampled_from([1, 8, cg.SUM_BATCH_ENTRIES]))
+def test_plan_values_equal_the_per_cell_oracle_bitwise(setup, name, bidegrees, zero_every,
+                                                      batch):
+    cover, action = setup
+    expr = EXPRESSIONS[name](cochain(cover, action, bidegrees, zero_every))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "SUM_BATCH_ENTRIES", batch)
+        for bd in expr.bidegrees():
+            cells = list(cg.enumerate_cells(cover, action, *bd))
+            got = plan_values(expr, bd, cells)
+            for J, G in cells:
+                want = oracle_value(expr, bd, J, G)
+                assert same_bits(got[(J, G)], want), (name, bd, J, G)
+                assert same_bits(expr.value(bd, J, G), want), (name, bd, J, G)
+                if name in ("difference", "mixed-mixed", "cech-cech", "group-group"):
+                    assert want.structurally_zero
+
+
+def test_all_cancelling_cell_is_the_structural_zero(rng):
+    pts = [tuple(complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2)) for _ in range(4)]
+    cover = cg.CoverSpec(["a", "b"], {frozenset(["a", "b"]): pts})
+    action = cg.trivial_action(["a", "b"], 2)
+    expr = cg.cech_differential(cg.cech_differential(cochain(cover, action, [(0, 0)], 0)))
+    plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
+    assert plan.cells and not plan.count.any() and not len(plan.table)
+    value = expr.value((2, 0), ("a", "b", "a"), ())
+    assert value.structurally_zero and value.values.shape == (4, 1)
+
+
+def test_structurally_zero_base_values_leave_no_slot(rng):
+    pts = [tuple(complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2)) for _ in range(3)]
+    cover = cg.CoverSpec(["a"], {frozenset(["a"]): pts})
+    action = cg.trivial_action(["a"], 2)
+    c = cg.MixedCochain(cover, action, 2, 2,
+                        {(0, 0): lambda J, G, P: SampledForm.zeros(2, 2, P, ())})
+    plan = cg.TermPlan(cg.cech_differential(c).scale(1) + c.expression(), (0, 0),
+                       [(("a",), ())])
+    assert len(plan.keys) == 1 and not len(plan.term_key) and not len(plan.table)
