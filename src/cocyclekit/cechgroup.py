@@ -8,7 +8,8 @@ the bar identities happen symbolically before any floating-point addition.
 A TermPlan does that bookkeeping once for all cells of a bidegree, as integer
 arrays. Each base value is evaluated once on its own cell's cloud; other cells
 read it by row gather when clouds nest, and otherwise evaluate it on their own
-cloud or, under a group word, at the moved points.
+cloud or, under a group word, at the moved points. All the base values a plan
+needs are evaluated together, so the path labels of tau read one LabelPlan.
 
 The tau invariant of an equivariant atlas assigns to each total-degree-n cell
 a signed sum over the (m,q)-shuffles of grid paths, each path contributing the
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .cocycle import ChartSimplex, cf_label_top
+from .cocycle import ChartSimplex, LabelPlan, label_vanishes
 from .errors import ValidationError
 from .forms import SampledForm, pullback_kform, signed_sum
 from .holomap import MapChain, as_cloud, compose, identity_map
@@ -279,13 +280,15 @@ class MixedCochain:
     """Base cochain: per-bidegree providers of k-forms on cells.
 
     provider(J, G, points) returns the base value of the cell (J, G) as a
-    SampledForm on the (N, n) cloud `points`. Its value on the cell's own cloud
-    is computed once and cached in _cache; that value also tells whether the
-    base value is structurally zero. A scenario builds each tau once
-    (Scenario.tau), so every check reading it shares the cache.
+    SampledForm on the (N, n) cloud `points`. With a labeler (PathLabeler),
+    components hold the step types of each bidegree instead, and every batch
+    of base values is one labeler.cell_forms call. The value on the cell's
+    own cloud is computed once and cached in _cache. A scenario builds each
+    tau once (Scenario.tau), so every check reading it shares the cache.
     """
 
-    def __init__(self, cover, action, n, form_degree, components, name="cochain"):
+    def __init__(self, cover, action, n, form_degree, components, name="cochain",
+                 labeler=None):
         self.cover = cover
         self.action = action
         self.n = int(n)
@@ -296,6 +299,7 @@ class MixedCochain:
                 raise ValidationError("bad bidegree (%d, %d)" % (m, q))
             self.components[(int(m), int(q))] = provider
         self.name = name
+        self.labeler = labeler
         self._cache = {}
 
     def bidegrees(self):
@@ -303,17 +307,38 @@ class MixedCochain:
 
     def base_value(self, bidegree, J, G):
         """The base value on its cell's own cloud, evaluated once."""
-        key = (bidegree, tuple(J), tuple(G))
-        if key not in self._cache:
-            self._cache[key] = self.evaluate(bidegree, J, G, self.cell_points(J, G))
-        return self._cache[key]
+        return self.base_values([(bidegree, J, G)])[0]
+
+    def base_values(self, keys):
+        """Own-cloud base values of (bidegree, J, G) keys, in key order; those not yet
+        cached are evaluated through one evaluate_all."""
+        keys = [(bd, tuple(J), tuple(G)) for bd, J, G in keys]
+        fresh = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        values = self.evaluate_all([k + (self.cell_points(*k[1:]),) for k in fresh])
+        self._cache.update(zip(fresh, values))
+        return [self._cache[k] for k in keys]
+
+    def structurally_zero(self, bidegree, J, G):
+        """True when the base value of (J, G) is known to vanish before it is evaluated:
+        with a labeler, when every path label of the cell does (PathLabeler.cell_vanishes)."""
+        return self.labeler is not None and self.labeler.cell_vanishes(
+            J, G, self.components[bidegree])
 
     def evaluate(self, bidegree, J, G, points):
-        """The provider's base value of (J, G) on an (N, n) cloud."""
-        provider = self.components.get(bidegree)
-        if provider is None:
-            raise ValidationError("no component in bidegree %r" % (bidegree,))
-        return provider(tuple(J), tuple(G), points)
+        """The base value of (J, G) on an (N, n) cloud."""
+        return self.evaluate_all([(bidegree, J, G, points)])[0]
+
+    def evaluate_all(self, requests):
+        """Base values of (bidegree, J, G, points) requests, in request order."""
+        for (m, q), J, G, _ in requests:
+            if (m, q) not in self.components:
+                raise ValidationError("no component in bidegree %r" % ((m, q),))
+            if len(J) != m + 1 or len(G) != q:
+                raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
+        if self.labeler is not None:
+            return self.labeler.cell_forms([(tuple(J), tuple(G), self.components[bd], P)
+                                            for bd, J, G, P in requests])
+        return [self.components[bd](tuple(J), tuple(G), P) for bd, J, G, P in requests]
 
     def cell_points(self, J, G):
         return self.cover.cloud_array(cell_multi_index(self.action, J, G), self.n)
@@ -323,17 +348,22 @@ class MixedCochain:
         return self.base_value(bidegree, J, G)
 
     def evaluate_term(self, term, points):
-        """A term (bd, J, G, word) evaluated on the (N, n) cloud `points`.
+        """A term (bd, J, G, word) evaluated on the (N, n) cloud `points`."""
+        return self.evaluate_terms([(term, points)])[0]
+
+    def evaluate_terms(self, terms):
+        """Terms (bd, J, G, word) on (N, n) clouds, from (term, points) pairs, in order.
 
         Without a word the base value is evaluated at `points` (a cloud it does
         not nest in); under a group word it is evaluated at the moved points and
-        pulled back along the word.
+        pulled back along the word. All go through one evaluate_all.
         """
-        bd, J, G, pull = term
-        if pull.is_identity():
-            return self.evaluate(bd, J, G, points)
-        chain = self.action.word_chain(pull)
-        return pullback_kform(chain, self.evaluate(bd, J, G, chain.eval(points)), points)
+        chains = [None if pull.is_identity() else self.action.word_chain(pull)
+                  for (_, _, _, pull), _ in terms]
+        values = self.evaluate_all([(bd, J, G, P if chain is None else chain.eval(P))
+                                    for ((bd, J, G, _), P), chain in zip(terms, chains)])
+        return [value if chain is None else pullback_kform(chain, value, P)
+                for value, chain, (_, P) in zip(values, chains, terms)]
 
     def expression(self):
         return CochainExpression(self, {bd: ("base", bd) for bd in self.components})
@@ -562,14 +592,15 @@ def _scaled(block, sign):
 class TermPlan:
     """The terms of one expression in one bidegree over a list of cells, as integer arrays.
 
-    Built once, without evaluating any term: the component is expanded over all
-    cells at once, equal keys of a cell cancel in integer coefficients, and each
-    cell's terms are ordered by repr(key), ranked once per distinct key. A base
-    value that is structurally zero on its own cloud drops its terms here. Each
-    remaining term has a signed coefficient, a slot in one table of term values
-    and a row gather into that slot: the base cell's own values when its cloud
-    nests the cell's, or a value evaluated on the cell's cloud (clouds that do
-    not nest, or a pullback along a group word).
+    Built once: the component is expanded over all cells at once, equal keys
+    of a cell cancel in integer coefficients, and each cell's terms are ordered
+    by repr(key), ranked once per distinct key. Then every value the terms read
+    is evaluated in one batch (_build_slots), and a term whose value is
+    structurally zero is dropped. Each remaining term has a signed coefficient,
+    a slot among the term values and a row gather into that slot: the base
+    cell's own values when its cloud nests the cell's, or a value evaluated on
+    the cell's cloud (clouds that do not nest, or a pullback along a group
+    word).
     """
 
     def __init__(self, expr, bidegree, cells):
@@ -618,14 +649,19 @@ class TermPlan:
         return np.concatenate(cells), np.concatenate(keys), np.concatenate(coeffs)
 
     def _build_slots(self, cell, key, coeff):
-        """Drop structural zeros; give every term its slot and row gather."""
+        """Give every term its slot and row gather; drop the structurally zero ones.
+
+        A term reads its base value's own values by row gather where that
+        cloud nests the cell's, and otherwise a value evaluated once per (key,
+        cloud) on the cell's cloud. Both kinds are evaluated by one
+        evaluate_terms call, so the labels of all of them share one label
+        plan, and a term is dropped when the value it reads is structurally
+        zero. Base values first evaluated here are stored once, in the own
+        table, and the cochain's _cache keeps views into it; the rest table
+        holds what the cache does not keep, for the life of the plan.
+        """
         base, ids = self.base, self._ids
-        # each base value once, in the order its first term is summed
-        distinct, first = np.unique(key, return_index=True)
-        zero = np.zeros(len(self.keys), dtype=bool)
-        for k in distinct[np.argsort(first)].tolist():
-            zero[k] = base.base_value(*self.keys[k][:3]).structurally_zero
-        live = ~zero[key]
+        live = ~np.array([base.structurally_zero(*k[:3]) for k in self.keys], dtype=bool)[key]
         cell, key, coeff = cell[live], key[live], coeff[live]
         target = self._target[cell]
         sizes = np.array([len(self.points_of(s)) for s in range(len(ids.sets))],
@@ -637,7 +673,7 @@ class TermPlan:
         row_of_size = np.zeros(int(sizes.max(initial=0)) + 1, dtype=np.int64)
         row_of_size[wanted] = np.arange(len(wanted))
         row = row_of_size[sizes[target]]
-        slots, slot = [], np.full(len(key), -1, dtype=np.int64)
+        nested = np.zeros(len(key), dtype=bool)
         # a base value without a word is read by row gather where its cloud nests
         plain = np.flatnonzero(np.array([k[3].is_identity() for k in self.keys],
                                         dtype=bool)[key])
@@ -649,30 +685,44 @@ class TermPlan:
                 if r is not None:
                     pair_row[p] = len(rows)
                     rows.append(r)
-            nested = plain[pair_row[pair_of] >= 0]
-            row[nested] = pair_row[pair_of][pair_row[pair_of] >= 0]
-            own_slot = {}
-            for k in key[nested].tolist():
-                if k not in own_slot:
-                    own_slot[k] = len(slots)
-                    slots.append(base.base_value(*self.keys[k][:3]).values)
-            slot[nested] = [own_slot[k] for k in key[nested].tolist()]
-        # every other term is evaluated on the cell's cloud, once per (key, cloud)
-        moved = np.flatnonzero(slot < 0)
-        if len(moved):
-            pairs, first, pair_of = _unique_rows(np.stack([key[moved], target[moved]], 1))
-            pair_slot = np.full(len(pairs), -1, dtype=np.int64)
-            for p in np.argsort(first).tolist():
-                k, tgt = pairs[p].tolist()
-                value = base.evaluate_term(self.keys[k], self.points_of(tgt))
-                if not value.structurally_zero:
-                    pair_slot[p] = len(slots)
-                    slots.append(value.values)
-            slot[moved] = pair_slot[pair_of]
+            hit = plain[pair_row[pair_of] >= 0]
+            row[hit] = pair_row[pair_of][pair_row[pair_of] >= 0]
+            nested[hit] = True
+        # each own value once, and every other term once per (key, cloud)
+        own_keys = list(dict.fromkeys(key[nested].tolist()))
+        moved = np.flatnonzero(~nested)
+        pairs, _, pair_of = _unique_rows(np.stack([key[moved], target[moved]], 1))
+        cache = base._cache
+        fresh = [k for k in own_keys if self.keys[k][:3] not in cache]
+        values = base.evaluate_terms(
+            [(self.keys[k][:3] + (IDENTITY_WORD,), self.points_of(self._own[k])) for k in fresh]
+            + [(self.keys[k], self.points_of(tgt)) for k, tgt in pairs.tolist()])
+        cache.update((self.keys[k][:3], v) for k, v in zip(fresh, values))
+        # slots: the fresh own values (the own table), then the cached own values
+        # and the moved values (the rest table); structural zeros get none
+        fresh_set = set(fresh)
+        own_order = fresh + [k for k in own_keys if k not in fresh_set]
+        forms = [cache[self.keys[k][:3]] for k in own_order] + values[len(fresh):]
+        del values
+        live = np.array([not v.structurally_zero for v in forms], dtype=bool)
+        form_slot = np.where(live, np.cumsum(live) - 1, -1)
+        position = np.zeros(len(self.keys), dtype=np.int64)
+        position[own_order] = np.arange(len(own_order))
+        slot = np.empty(len(key), dtype=np.int64)
+        slot[nested] = form_slot[position[key[nested]]]
+        slot[moved] = form_slot[len(own_order) + pair_of]
+        arrays = [v.values for v, ok in zip(forms, live) if ok]
+        split = int(live[:len(fresh)].sum())
+        tail = arrays[0].shape[1:] if arrays else (math.comb(base.n, base.form_degree),)
+        self.tables = (_table(arrays[:split], tail), _table(arrays[split:], tail))
+        sizes = [len(a) for a in arrays]
+        # the cache keeps views into the own table, not a second copy
+        for v, lo, hi in zip((v for v in forms[:len(fresh)] if not v.structurally_zero),
+                             np.cumsum([0] + sizes), np.cumsum(sizes)):
+            v.values = self.tables[0][lo:hi]
         keep = slot >= 0
         self.term_key, self.coeff = key[keep], coeff[keep]
-        self.table = np.concatenate(slots) if slots else np.zeros((0, 0), dtype=complex)
-        self._slot_start = np.cumsum([0] + [len(v) for v in slots])[slot[keep]]
+        self._slot_start = np.cumsum([0] + sizes)[slot[keep]]
         self._row_start = np.cumsum([0] + [len(r) for r in rows])[row[keep]]
         self._rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
         self.count = np.bincount(cell[keep], minlength=len(self.cells))
@@ -704,7 +754,7 @@ class TermPlan:
         """
         if not self.cells:
             return
-        per_point = int(np.prod(self.table.shape[1:]))
+        per_point = int(np.prod(self.tables[0].shape[1:]))
         shapes, _, inverse = _unique_rows(np.stack([self.count, self._size], 1))
         for s, (t, N) in enumerate(shapes.tolist()):
             cells = np.flatnonzero(inverse == s)
@@ -715,19 +765,38 @@ class TermPlan:
                 if not t:
                     yield batch, terms, None, None
                     continue
-                gather = (self._slot_start[terms][..., None]
-                          + self._rows[self._row_start[terms][..., None] + np.arange(N)])
-                values = self.table[gather]
+                values = self._gather(self._slot_start[terms][..., None]
+                                      + self._rows[self._row_start[terms][..., None]
+                                                   + np.arange(N)])
                 coeff = self.coeff[terms].reshape(terms.shape + (1,) * (values.ndim - 2))
                 total = coeff[:, 0] * values[:, 0]
                 for j in range(1, t):
                     total = total + coeff[:, j] * values[:, j]
                 yield batch, terms, values, total
+                # the consumer drops its batch too, so only one is alive at a time
+                del values, total
+
+    def _gather(self, index):
+        """Rows `index` of the own table followed by the rest table, without joining them."""
+        own, rest = self.tables
+        if not len(rest):
+            return own[index]
+        if not len(own):
+            return rest[index]
+        in_own = index < len(own)
+        out = np.empty(index.shape + own.shape[1:], dtype=complex)
+        out[in_own] = own[index[in_own]]
+        out[~in_own] = rest[index[~in_own] - len(own)]
+        return out
 
     def describe(self, term, modulus):
         """The dominant_term entry of a report row for one of the plan's terms."""
         bd, J, G, pull = self.keys[self.term_key[term]]
         return _term_entry(self.base.name, bd, J, G, pull, int(self.coeff[term]), modulus)
+
+
+def _table(arrays, tail):
+    return np.concatenate(arrays) if arrays else np.zeros((0,) + tail, dtype=complex)
 
 
 def _term_entry(cochain, bd, J, G, pull, coeff, modulus):
@@ -831,20 +900,49 @@ class PathLabeler:
                                                  check=False)
         return self._transitions[key]
 
-    def label_path(self, vertices, points):
+    def simplex(self, vertices, points):
+        """The chart simplex of a path's vertices, on the source cloud `points`."""
         charts = [self.chart_for(v) for v in vertices]
         transitions = {}
         for a in range(len(vertices)):
             for b in range(a + 1, len(vertices)):
                 transitions[(a, b)] = self.transition(vertices[a], vertices[b])
-        simplex = ChartSimplex(charts, transitions, points, validate=False)
-        return cf_label_top(simplex, self.T, points)
+        return ChartSimplex(charts, transitions, points, validate=False)
 
     def cell_form(self, J, G, step_types, points):
         """Signed shuffle sum of the path labels of one cell, on an (N, n) cloud."""
-        return signed_sum(self.n, self.T.arity, points,
-                          ((sign, self.label_path(self.path(J, G, seq), points))
-                           for seq, sign in _shuffles(step_types)))
+        return self.cell_forms([(J, G, step_types, points)])[0]
+
+    def vanishes(self, vertices):
+        """True when the label of a path is structurally zero (label_vanishes)."""
+        return label_vanishes(self.T, self.n, (self.transition(a, b)
+                                               for a, b in zip(vertices, vertices[1:])))
+
+    def cell_vanishes(self, J, G, step_types):
+        """True when every path label of the cell vanishes, so its cell form does."""
+        return all(self.vanishes(self.path(J, G, seq)) for seq, _ in _shuffles(step_types))
+
+    def cell_forms(self, requests):
+        """cell_form of each (J, G, step_types, points) request, in request order.
+
+        Every path label of every request is counted in one LabelPlan before
+        any is evaluated, so a request whose labels are all structurally zero
+        is the structural zero without a map being evaluated. The others are
+        evaluated in the rank order of their labels, so that requests sharing
+        label keys run together and the plan drops each key soon after its
+        first use. Each sum still adds its labels in shuffle order.
+        """
+        plan = LabelPlan(self.T)
+        paths = [[(sign, self.path(J, G, seq)) for seq, sign in _shuffles(steps)]
+                 for J, G, steps, _ in requests]
+        labels = [[(sign, plan.add(self.simplex(vertices, P), P)) for sign, vertices in cell
+                   if not self.vanishes(vertices)] for cell, (_, _, _, P) in zip(paths, requests)]
+        ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
+        out = [None] * len(requests)
+        for i in sorted(range(len(requests)), key=ranks.__getitem__):
+            out[i] = signed_sum(self.n, self.T.arity, requests[i][3],
+                                ((sign, plan.take(key)) for sign, key in labels[i]))
+        return out
 
     def path(self, J, G, seq):
         """Vertices of the grid path that takes the steps `seq` through cell (J, G)."""
@@ -869,19 +967,9 @@ def tau_invariant(cover, action, atlas, T, verify_tol=None):
     """
     n_total = T.arity
     labeler = PathLabeler(cover, action, [atlas], T)
-    components = {}
-    for m in range(n_total + 1):
-        q = n_total - m
-        if q > 0 and not action.generators:
-            continue
-
-        def provider(J, G, points, m=m, q=q):
-            if len(J) != m + 1 or len(G) != q:
-                raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-            return labeler.cell_form(J, G, (C_STEP,) * m + (G_STEP,) * q, points)
-
-        components[(m, q)] = provider
-    tau = MixedCochain(cover, action, labeler.n, n_total, components, name="tau")
+    steps = {(m, n_total - m): (C_STEP,) * m + (G_STEP,) * (n_total - m)
+             for m in range(n_total + 1) if m == n_total or action.generators}
+    tau = MixedCochain(cover, action, labeler.n, n_total, steps, name="tau", labeler=labeler)
     if verify_tol is not None:
         report = closedness_report(tau, tol=verify_tol)
         if not report["pass"]:
@@ -899,20 +987,10 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
     """
     n_total = T.arity
     labeler = PathLabeler(cover, action, [atlas_b, atlas_a], T)
-    components = {}
-    for m in range(n_total):
-        q = n_total - 1 - m
-        if q > 0 and not action.generators:
-            continue
-
-        def provider(J, G, points, m=m, q=q):
-            if len(J) != m + 1 or len(G) != q:
-                raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-            return labeler.cell_form(J, G, (E_STEP,) + (C_STEP,) * m + (G_STEP,) * q,
-                                     points)
-
-        components[(m, q)] = provider
-    return MixedCochain(cover, action, labeler.n, n_total, components, name="witness")
+    steps = {(m, n_total - 1 - m): (E_STEP,) + (C_STEP,) * m + (G_STEP,) * (n_total - 1 - m)
+             for m in range(n_total) if m == n_total - 1 or action.generators}
+    return MixedCochain(cover, action, labeler.n, n_total, steps, name="witness",
+                        labeler=labeler)
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +1021,10 @@ def cell_values(source, bidegrees=None):
     """
     base = as_expression(source).base
     for bd in source.bidegrees() if bidegrees is None else bidegrees:
-        for J, G in enumerate_cells(base.cover, base.action, *bd):
+        cells = list(enumerate_cells(base.cover, base.action, *bd))
+        if source is base:
+            base.base_values([(bd, J, G) for J, G in cells])
+        for J, G in cells:
             yield bd, J, G, source.sample(bd, J, G)
 
 
@@ -968,6 +1049,8 @@ def residual_rows(diff, bidegree, subtracted=()):
     plan = TermPlan(diff, bidegree, enumerate_cells(base.cover, base.action, *bidegree))
     rows = [None] * len(plan.cells)
     names = ("tau_a", "tau_b")
+    for c in subtracted:
+        c.base_values([(bidegree,) + cell for cell in plan.cells])
     for cells, terms, values, total in plan.sums():
         B = len(cells)
         N = len(plan.points(cells[0]))
@@ -1011,6 +1094,7 @@ def residual_rows(diff, bidegree, subtracted=()):
                        "words": [repr(w) for w in G], "residual": float(per_point[r, i]),
                        "worst_point": [[z.real, z.imag] for z in plan.points(c)[i].tolist()],
                        "dominant_term": dominant}
+        del values, total, extra, flat
     return rows
 
 

@@ -86,9 +86,11 @@ class HoloMap:
     _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
     arrays (as_cloud views, row gathers, equal clouds of different cells), so
     only the point content identifies a cloud. The memo lives as long as the
-    map. Second derivatives (djacobian) are not memoized: at n times the size
-    of a Jacobian they would cost more memory than the time they save (README,
-    "Evaluation on clouds").
+    map, except that a label plan (cocycle.LabelPlan) drops the entries of a
+    transition on a cloud once none of its labels reads them again. Second
+    derivatives (djacobian) are not memoized here; the label plan evaluates
+    theta, which reads them, once per (map, cloud) (README, "Evaluation on
+    clouds").
     """
 
     def __init__(self, n, components, domain=None, name="", check=True):

@@ -188,7 +188,7 @@ def test_all_cancelling_cell_is_the_structural_zero(rng):
     action = cg.trivial_action(["a", "b"], 2)
     expr = cg.cech_differential(cg.cech_differential(cochain(cover, action, [(0, 0)], 0)))
     plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
-    assert plan.cells and not plan.count.any() and not len(plan.table)
+    assert plan.cells and not plan.count.any() and not any(len(t) for t in plan.tables)
     value = expr.value((2, 0), ("a", "b", "a"), ())
     assert value.structurally_zero and value.values.shape == (4, 1)
 
@@ -201,4 +201,4 @@ def test_structurally_zero_base_values_leave_no_slot(rng):
                         {(0, 0): lambda J, G, P: SampledForm.zeros(2, 2, P, ())})
     plan = cg.TermPlan(cg.cech_differential(c).scale(1) + c.expression(), (0, 0),
                        [(("a",), ())])
-    assert len(plan.keys) == 1 and not len(plan.term_key) and not len(plan.table)
+    assert len(plan.keys) == 1 and not len(plan.term_key) and not any(len(t) for t in plan.tables)
