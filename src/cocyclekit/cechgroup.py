@@ -279,16 +279,17 @@ def cell_multi_index(action, J, G):
 class MixedCochain:
     """Base cochain: per-bidegree providers of k-forms on cells.
 
-    provider(J, G, points) returns the base value of the cell (J, G) as a
-    SampledForm on the (N, n) cloud `points`. With a labeler (PathLabeler),
-    components hold the step types of each bidegree instead, and every batch
-    of base values is one labeler.cell_forms call. The value on the cell's
-    own cloud is computed once and cached in _cache. A scenario builds each
-    tau once (Scenario.tau), so every check reading it shares the cache.
+    provider(requests) returns the base values of a list of (J, G, points)
+    requests, each a SampledForm on the (N, n) cloud `points`, in request
+    order; every batch of base values in a bidegree is one provider call. The
+    optional vanishes(bidegree, J, G) is True when a base value is known to be
+    structurally zero before it is evaluated. The value on the cell's own
+    cloud is computed once and cached in _cache. A scenario builds each tau
+    once (Scenario.tau), so every check reading it shares the cache.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain",
-                 labeler=None):
+                 vanishes=None):
         self.cover = cover
         self.action = action
         self.n = int(n)
@@ -299,7 +300,7 @@ class MixedCochain:
                 raise ValidationError("bad bidegree (%d, %d)" % (m, q))
             self.components[(int(m), int(q))] = provider
         self.name = name
-        self.labeler = labeler
+        self._vanishes = vanishes
         self._cache = {}
 
     def bidegrees(self):
@@ -319,26 +320,29 @@ class MixedCochain:
         return [self._cache[k] for k in keys]
 
     def structurally_zero(self, bidegree, J, G):
-        """True when the base value of (J, G) is known to vanish before it is evaluated:
-        with a labeler, when every path label of the cell does (PathLabeler.cell_vanishes)."""
-        return self.labeler is not None and self.labeler.cell_vanishes(
-            J, G, self.components[bidegree])
+        """True when the base value of (J, G) is known to vanish before it is evaluated."""
+        return self._vanishes is not None and self._vanishes(bidegree, tuple(J), tuple(G))
 
     def evaluate(self, bidegree, J, G, points):
         """The base value of (J, G) on an (N, n) cloud."""
         return self.evaluate_all([(bidegree, J, G, points)])[0]
 
     def evaluate_all(self, requests):
-        """Base values of (bidegree, J, G, points) requests, in request order."""
-        for (m, q), J, G, _ in requests:
+        """Base values of (bidegree, J, G, points) requests, in request order: one
+        provider call per bidegree."""
+        batches = {}
+        for i, ((m, q), J, G, P) in enumerate(requests):
             if (m, q) not in self.components:
                 raise ValidationError("no component in bidegree %r" % ((m, q),))
             if len(J) != m + 1 or len(G) != q:
                 raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-        if self.labeler is not None:
-            return self.labeler.cell_forms([(tuple(J), tuple(G), self.components[bd], P)
-                                            for bd, J, G, P in requests])
-        return [self.components[bd](tuple(J), tuple(G), P) for bd, J, G, P in requests]
+            batches.setdefault((m, q), []).append((i, (tuple(J), tuple(G), P)))
+        out = [None] * len(requests)
+        for bd, batch in batches.items():
+            values = self.components[bd]([request for _, request in batch])
+            for (i, _), value in zip(batch, values):
+                out[i] = value
+        return out
 
     def cell_points(self, J, G):
         return self.cover.cloud_array(cell_multi_index(self.action, J, G), self.n)
@@ -653,12 +657,12 @@ class TermPlan:
 
         A term reads its base value's own values by row gather where that
         cloud nests the cell's, and otherwise a value evaluated once per (key,
-        cloud) on the cell's cloud. Both kinds are evaluated by one
-        evaluate_terms call, so the labels of all of them share one label
-        plan, and a term is dropped when the value it reads is structurally
-        zero. Base values first evaluated here are stored once, in the own
-        table, and the cochain's _cache keeps views into it; the rest table
-        holds what the cache does not keep, for the life of the plan.
+        cloud) on the cell's cloud. Own values not yet cached and the others
+        are evaluated by one evaluate_terms call, so the labels of all of them
+        share one label plan per base bidegree, and a term is dropped when the
+        value it reads is structurally zero. Every own value is stored once,
+        in the own table, and the cochain's _cache keeps views into it; the
+        rest table holds the values on other clouds, for the life of the plan.
         """
         base, ids = self.base, self._ids
         live = ~np.array([base.structurally_zero(*k[:3]) for k in self.keys], dtype=bool)[key]
@@ -698,26 +702,24 @@ class TermPlan:
             [(self.keys[k][:3] + (IDENTITY_WORD,), self.points_of(self._own[k])) for k in fresh]
             + [(self.keys[k], self.points_of(tgt)) for k, tgt in pairs.tolist()])
         cache.update((self.keys[k][:3], v) for k, v in zip(fresh, values))
-        # slots: the fresh own values (the own table), then the cached own values
-        # and the moved values (the rest table); structural zeros get none
-        fresh_set = set(fresh)
-        own_order = fresh + [k for k in own_keys if k not in fresh_set]
-        forms = [cache[self.keys[k][:3]] for k in own_order] + values[len(fresh):]
+        # slots: the own values (the own table), then the moved values (the rest
+        # table); structural zeros get none
+        forms = [cache[self.keys[k][:3]] for k in own_keys] + values[len(fresh):]
         del values
         live = np.array([not v.structurally_zero for v in forms], dtype=bool)
         form_slot = np.where(live, np.cumsum(live) - 1, -1)
         position = np.zeros(len(self.keys), dtype=np.int64)
-        position[own_order] = np.arange(len(own_order))
+        position[own_keys] = np.arange(len(own_keys))
         slot = np.empty(len(key), dtype=np.int64)
         slot[nested] = form_slot[position[key[nested]]]
-        slot[moved] = form_slot[len(own_order) + pair_of]
+        slot[moved] = form_slot[len(own_keys) + pair_of]
         arrays = [v.values for v, ok in zip(forms, live) if ok]
-        split = int(live[:len(fresh)].sum())
+        split = int(live[:len(own_keys)].sum())
         tail = arrays[0].shape[1:] if arrays else (math.comb(base.n, base.form_degree),)
         self.tables = (_table(arrays[:split], tail), _table(arrays[split:], tail))
         sizes = [len(a) for a in arrays]
         # the cache keeps views into the own table, not a second copy
-        for v, lo, hi in zip((v for v in forms[:len(fresh)] if not v.structurally_zero),
+        for v, lo, hi in zip((v for v in forms[:len(own_keys)] if not v.structurally_zero),
                              np.cumsum([0] + sizes), np.cumsum(sizes)):
             v.values = self.tables[0][lo:hi]
         keep = slot >= 0
@@ -909,10 +911,6 @@ class PathLabeler:
                 transitions[(a, b)] = self.transition(vertices[a], vertices[b])
         return ChartSimplex(charts, transitions, points, validate=False)
 
-    def cell_form(self, J, G, step_types, points):
-        """Signed shuffle sum of the path labels of one cell, on an (N, n) cloud."""
-        return self.cell_forms([(J, G, step_types, points)])[0]
-
     def vanishes(self, vertices):
         """True when the label of a path is structurally zero (label_vanishes)."""
         return label_vanishes(self.T, self.n, (self.transition(a, b)
@@ -922,8 +920,8 @@ class PathLabeler:
         """True when every path label of the cell vanishes, so its cell form does."""
         return all(self.vanishes(self.path(J, G, seq)) for seq, _ in _shuffles(step_types))
 
-    def cell_forms(self, requests):
-        """cell_form of each (J, G, step_types, points) request, in request order.
+    def cell_forms(self, step_types, requests):
+        """Signed shuffle sums of the path labels of (J, G, points) requests, in order.
 
         Every path label of every request is counted in one LabelPlan before
         any is evaluated, so a request whose labels are all structurally zero
@@ -933,16 +931,27 @@ class PathLabeler:
         first use. Each sum still adds its labels in shuffle order.
         """
         plan = LabelPlan(self.T)
-        paths = [[(sign, self.path(J, G, seq)) for seq, sign in _shuffles(steps)]
-                 for J, G, steps, _ in requests]
-        labels = [[(sign, plan.add(self.simplex(vertices, P), P)) for sign, vertices in cell
-                   if not self.vanishes(vertices)] for cell, (_, _, _, P) in zip(paths, requests)]
+        shuffles = list(_shuffles(step_types))
+        labels = []
+        for J, G, P in requests:
+            keys = ((sign, plan.add(self.simplex(self.path(J, G, seq), P), P))
+                    for seq, sign in shuffles)
+            labels.append([(sign, key) for sign, key in keys if key is not None])
         ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
         out = [None] * len(requests)
         for i in sorted(range(len(requests)), key=ranks.__getitem__):
-            out[i] = signed_sum(self.n, self.T.arity, requests[i][3],
+            out[i] = signed_sum(self.n, self.T.arity, requests[i][2],
                                 ((sign, plan.take(key)) for sign, key in labels[i]))
         return out
+
+    def cochain(self, form_degree, steps, name):
+        """The MixedCochain whose base value in bidegree bd is the signed shuffle sum
+        of the path labels over the step types steps[bd] (cell_forms)."""
+        return MixedCochain(
+            self.cover, self.action, self.n, form_degree,
+            {bd: (lambda requests, s=s: self.cell_forms(s, requests))
+             for bd, s in steps.items()},
+            name=name, vanishes=lambda bd, J, G: self.cell_vanishes(J, G, steps[bd]))
 
     def path(self, J, G, seq):
         """Vertices of the grid path that takes the steps `seq` through cell (J, G)."""
@@ -969,7 +978,7 @@ def tau_invariant(cover, action, atlas, T, verify_tol=None):
     labeler = PathLabeler(cover, action, [atlas], T)
     steps = {(m, n_total - m): (C_STEP,) * m + (G_STEP,) * (n_total - m)
              for m in range(n_total + 1) if m == n_total or action.generators}
-    tau = MixedCochain(cover, action, labeler.n, n_total, steps, name="tau", labeler=labeler)
+    tau = labeler.cochain(n_total, steps, "tau")
     if verify_tol is not None:
         report = closedness_report(tau, tol=verify_tol)
         if not report["pass"]:
@@ -989,8 +998,7 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
     labeler = PathLabeler(cover, action, [atlas_b, atlas_a], T)
     steps = {(m, n_total - 1 - m): (E_STEP,) + (C_STEP,) * m + (G_STEP,) * (n_total - 1 - m)
              for m in range(n_total) if m == n_total - 1 or action.generators}
-    return MixedCochain(cover, action, labeler.n, n_total, steps, name="witness",
-                        labeler=labeler)
+    return labeler.cochain(n_total, steps, "witness")
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,13 @@ class LabelPlan:
     - the map memo entries that evaluation fills: phi on Q and f on X.
 
     A label's key is its transitions, its top chart and its source cloud.
-    Clouds enter keys as ids of their exact bytes, as HoloMap._memo keys them,
-    so equal clouds in distinct arrays share keys. take(key) evaluates each
-    key on its first use, holds it until its last, then drops it, together
-    with the map memo entries no later key reads. A raised error changes no
-    count, so taking the key again raises it again. A structurally zero label
-    (label_vanishes) has the key None and reads no map.
+    Clouds enter keys as ids of their exact bytes, so equal clouds in distinct
+    arrays share keys. take(key) evaluates each key on its first use, holds it
+    until its last, then drops it. A map memo entry that the plan fills is
+    forgotten (HoloMap.forget) once no later key reads it; one it finds filled
+    is kept. A raised error changes no count, so taking the key again raises
+    it again. A structurally zero label (label_vanishes) has the key None and
+    reads no map.
     """
 
     def __init__(self, T):
@@ -116,9 +117,9 @@ class LabelPlan:
         self._held = {}    # key -> value, from its first use to its last
         self._parts = {}   # key -> (function, arguments) that evaluate it
         self._ranks = {}   # label key -> sort key of the clouds it reads
-        self._memo = {}    # (map, cloud id) -> keys still to read that memo entry
+        self._memo = {}    # (map, cloud id) -> keys still to read a memo entry it filled
         self._clouds = {}  # exact bytes of a cloud -> its id
-        self._bytes = []   # cloud id -> exact bytes
+        self._points = []  # cloud id -> the cloud
 
     def __len__(self):
         """Keys counted or held and not yet released."""
@@ -128,8 +129,8 @@ class LabelPlan:
         data = P.tobytes()
         cid = self._clouds.get(data)
         if cid is None:
-            cid = self._clouds[data] = len(self._bytes)
-            self._bytes.append(data)
+            cid = self._clouds[data] = len(self._points)
+            self._points.append(P)
         return cid
 
     def _count(self, key):
@@ -139,7 +140,13 @@ class LabelPlan:
         return not uses
 
     def _count_memo(self, m, cid):
-        self._memo[(m, cid)] = self._memo.get((m, cid), 0) + 1
+        """One more read of m's memo entry on a cloud, before anything fills it; an
+        entry already filled is not the plan's and is not counted."""
+        reads = self._memo.get((m, cid))
+        if reads is not None:
+            self._memo[(m, cid)] = reads + 1
+        elif not m.remembers(self._points[cid]):
+            self._memo[(m, cid)] = 1
 
     def take(self, key):
         """The value of a counted key, evaluated on its first use; dropped after its last."""
@@ -165,12 +172,14 @@ class LabelPlan:
             self._ranks.pop(key, None)
 
     def _release(self, m, cid):
-        """One read of m's memo entry on a cloud done; the last drops the entry."""
-        left = self._memo.pop((m, cid)) - 1
-        if left:
-            self._memo[(m, cid)] = left
+        """One read of m's memo entry on a cloud done; the last forgets an entry it filled."""
+        reads = self._memo.pop((m, cid), None)
+        if reads is None:
+            return
+        if reads > 1:
+            self._memo[(m, cid)] = reads - 1
         else:
-            m._memo.pop(self._bytes[cid], None)
+            m.forget(self._points[cid])
 
     def _add_theta(self, f, X):
         """Count theta(f) on the cloud X; its key."""
@@ -194,8 +203,8 @@ class LabelPlan:
         qid = self._cloud(Q)
         key = (f, phi, qid)
         if self._count(key):
-            self._parts[key] = (self._theta_r, (self._add_theta(f, phi.eval(Q)), phi, Q, qid))
             self._count_memo(phi, qid)
+            self._parts[key] = (self._theta_r, (self._add_theta(f, phi.eval(Q)), phi, Q, qid))
         return key
 
     def add(self, s, points):
@@ -268,10 +277,7 @@ def cf_label_top(s, T, points):
     nothing is evaluated, when k > n or some theta_r comes from an affine
     transition.
     """
-    P = as_cloud(points, s.n)[0]
-    plan = LabelPlan(T)
-    key = plan.add(s, P)
-    return SampledForm.zeros(s.n, T.arity, P, ()) if key is None else plan.take(key)
+    return face_labels([s], T, as_cloud(points, s.n)[0])[0]
 
 
 def face_labels(faces, T, P):

@@ -85,12 +85,12 @@ class HoloMap:
     The values, Jacobians and inverse Jacobians on a cloud are memoized in
     _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
     arrays (as_cloud views, row gathers, equal clouds of different cells), so
-    only the point content identifies a cloud. The memo lives as long as the
-    map, except that a label plan (cocycle.LabelPlan) drops the entries of a
-    transition on a cloud once none of its labels reads them again. Second
-    derivatives (djacobian) are not memoized here; the label plan evaluates
-    theta, which reads them, once per (map, cloud) (README, "Evaluation on
-    clouds").
+    only the point content identifies a cloud. An entry lives as long as the
+    map or until forget(points) drops it: a label plan (cocycle.LabelPlan)
+    forgets the entries it filled once none of its labels reads them again,
+    and keeps those it found. Second derivatives (djacobian) are not memoized
+    here; the label plan evaluates theta, which reads them, once per (map,
+    cloud) (README, "Evaluation on clouds").
     """
 
     def __init__(self, n, components, domain=None, name="", check=True):
@@ -146,6 +146,14 @@ class HoloMap:
             out.flags.writeable = False
             entry[kind] = out
         return out
+
+    def remembers(self, points):
+        """True when _memo holds an entry for the point content of the cloud `points`."""
+        return as_cloud(points, self.n)[0].tobytes() in self._memo
+
+    def forget(self, points):
+        """Drop the _memo entry of the cloud `points`, if there is one."""
+        self._memo.pop(as_cloud(points, self.n)[0].tobytes(), None)
 
     def __call__(self, points):
         return self.eval(points)

@@ -11,6 +11,11 @@ def random_matrices(rng, k, n):
     return [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(k)]
 
 
+def per_cell(provider):
+    """A MixedCochain provider of (J, G, points) requests from a one-cell provider(J, G, points)."""
+    return lambda requests: [provider(J, G, P) for J, G, P in requests]
+
+
 def random_points(rng, count, n=2, radius=0.5, center=0.0):
     return [tuple(center + radius * complex(a, b) for a, b in rng.uniform(-1, 1, (n, 2)))
             for _ in range(count)]

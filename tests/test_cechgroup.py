@@ -9,7 +9,7 @@ import cocyclekit.holomap as hm
 from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
-from conftest import random_points
+from conftest import per_cell, random_points
 
 F = Fraction
 T2 = todd_invariant(2)
@@ -88,7 +88,7 @@ def test_word_map_is_composition(rng):
 def constant_cochain(cover, action, value=1.0):
     def provider(J, G, P):
         return SampledForm(2, 2, P, np.full((len(P), 1), value, dtype=complex))
-    return cg.MixedCochain(cover, action, 2, 2, {(0, 0): provider})
+    return cg.MixedCochain(cover, action, 2, 2, {(0, 0): per_cell(provider)})
 
 
 def poly_cochain(cover, action, bidegrees, seed=0):
@@ -104,7 +104,7 @@ def poly_cochain(cover, action, bidegrees, seed=0):
             return SampledForm(2, 2, P, val[:, None])
         return provider
     return cg.MixedCochain(cover, action, 2, 2,
-                           {bd: make_provider(bd) for bd in bidegrees})
+                           {bd: per_cell(make_provider(bd)) for bd in bidegrees})
 
 
 def max_residual(expr, cover, action, words=None):
@@ -204,7 +204,7 @@ def constant_forms(values):
     """Base values constant on the cloud, one constant per cell (keyed by J, G)."""
     def provider(J, G, P):
         return SampledForm(2, 2, P, np.full((len(P), 1), values[J], dtype=complex))
-    return provider
+    return per_cell(provider)
 
 
 def two_index_cover(rng):

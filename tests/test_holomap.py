@@ -12,7 +12,7 @@ from cocyclekit.cli import execute_checks
 from cocyclekit.errors import DslSyntaxError, SingularJacobianError, ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.scenario import Scenario
-from conftest import random_points
+from conftest import per_cell, random_points
 
 F = Fraction
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -235,7 +235,7 @@ def test_word_pullback_evaluates_each_generator_piece_once_per_cloud(monkeypatch
     action = cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
                                 {"h": {"u": "u"}}, ["u"])
     cochain = cg.MixedCochain(cover, action, 2, 2, {
-        (0, 0): lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None])})
+        (0, 0): per_cell(lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None]))})
     P = cover.cloud_array(("u",), 2)
     hh = cg.Word([("h", 1), ("h", 1)])
     cochain.evaluate_term(((0, 0), ("u",), (), hh), P)

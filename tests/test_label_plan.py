@@ -19,6 +19,7 @@ from cocyclekit.errors import SingularJacobianError
 from cocyclekit.forms import signed_sum
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
+from conftest import per_cell
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIOS.glob("*.scn"))
@@ -30,17 +31,27 @@ def same_bits(got, want):
             and got.values.tobytes() == want.values.tobytes())
 
 
-def per_path_cochain(labeled):
-    """The labeled cochain's twin whose base values sum cf_label_top once per path."""
-    labeler = labeled.labeler
+def labeler_of(scn, *atlases):
+    """The PathLabeler of a tau (one atlas) or a witness (two) of the scenario."""
+    return cg.PathLabeler(scn.cover, scn.action, list(atlases), todd_invariant(scn.n))
 
+
+def step_types(labeled, bd):
+    """The path steps of a base value of tau or the witness (tau_invariant,
+    cohomologous_witness): an edge step for the witness, then m Cech and q group steps."""
+    m, q = bd
+    return (cg.E_STEP,) * (labeled.name == "witness") + (cg.C_STEP,) * m + (cg.G_STEP,) * q
+
+
+def per_path_cochain(labeled, labeler):
+    """The labeled cochain's twin whose base values sum cf_label_top once per path."""
     def provider(bd):
         def value(J, G, P):
             return signed_sum(labeler.n, labeler.T.arity, P, (
                 (sign, co.cf_label_top(labeler.simplex(labeler.path(J, G, seq), P),
                                        labeler.T, P))
-                for seq, sign in cg._shuffles(labeled.components[bd])))
-        return value
+                for seq, sign in cg._shuffles(step_types(labeled, bd))))
+        return per_cell(value)
 
     return cg.MixedCochain(labeled.cover, labeled.action, labeled.n, labeled.form_degree,
                            {bd: provider(bd) for bd in labeled.components},
@@ -78,32 +89,54 @@ def test_each_theta_and_theta_r_key_is_evaluated_once_per_pass(monkeypatch):
 
 
 def test_plans_hold_no_live_entry_after_a_pass(monkeypatch):
-    plans = []
+    plans, filled = [], []
 
     class Recorded(co.LabelPlan):
         def __init__(self, T):
             super().__init__(T)
             plans.append(self)
 
+        def _count_memo(self, m, cid):
+            super()._count_memo(m, cid)
+            if (m, cid) in self._memo:
+                filled.append((m, self._points[cid]))
+
     monkeypatch.setattr(cg, "LabelPlan", Recorded)
     scn = Scenario.load(SCENARIOS / "cech_todd3.scn")
     assert closedness_pass(scn)["status"] == "pass"
     assert plans and all(len(plan) == 0 for plan in plans)
-    # the transitions' memo entries on the clouds the labels read are gone too
-    labeler = scn.tau(scn.atlas, scn.n).labeler
-    assert not any(m._memo for m in labeler._transitions.values())
+    # the map memo entries the plans filled are gone too
+    assert filled and not any(m.remembers(P) for m, P in filled)
+
+
+def test_a_plan_keeps_the_memo_entries_it_found():
+    P = [(0.3 + 0.1j, 0.2, 0.1j), (0.1, 0.4, 0.2), (-0.1, 0.3j, 0.5)]
+    ident = hm.identity_map(3)
+    s1, s2, s3 = (hm.parse_map(text, 3) for text in (
+        "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2"))
+    transitions = {(0, 1): s1, (0, 2): ident, (0, 3): ident, (1, 2): s2, (1, 3): s2,
+                   (2, 3): s3}
+    s = co.ChartSimplex([ident] * 4, transitions, P, validate=False)
+    s3.jacobian(P)
+    assert not s2.remembers(P)
+    label = co.cf_label_top(s, todd_invariant(3), P)
+    assert not label.structurally_zero
+    # theta_3 read s3 on the top image (equal to P), filled before the label
+    assert s3.remembers(P)
+    # theta_1 read the pullback map s2 on the top image, filled by the plan
+    assert not s2.remembers(P)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_planned_labels_equal_one_plan_per_label(name):
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
-    labeler = tau.labeler
+    labeler = labeler_of(scn, scn.atlas)
     plan = co.LabelPlan(labeler.T)
     planned = []
     for bd, J, G in base_cells(tau):
         P = tau.cell_points(J, G)
-        for seq, _ in cg._shuffles(tau.components[bd]):
+        for seq, _ in cg._shuffles(step_types(tau, bd)):
             simplex = labeler.simplex(labeler.path(J, G, seq), P)
             planned.append((simplex, P, plan.add(simplex, P)))
     assert planned
@@ -121,7 +154,8 @@ def test_planned_base_values_equal_per_path_sums(name):
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
     cells = base_cells(tau)
-    for got, want in zip(tau.base_values(cells), per_path_cochain(tau).base_values(cells)):
+    twin = per_path_cochain(tau, labeler_of(scn, scn.atlas))
+    for got, want in zip(tau.base_values(cells), twin.base_values(cells)):
         assert same_bits(got, want)
 
 
@@ -131,14 +165,16 @@ def test_report_rows_equal_per_path_sums(name):
     tau = scn.tau(scn.atlas, scn.n)
     if scn.atlas_b is None:
         got = cg.closedness_report(tau)
-        want = cg.closedness_report(per_path_cochain(tau))
+        want = cg.closedness_report(per_path_cochain(tau, labeler_of(scn, scn.atlas)))
     else:
         tau_b = scn.tau(scn.atlas_b, scn.n)
         witness = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
                                           todd_invariant(scn.n))
         got = cg.witness_report(witness, tau, tau_b)
-        want = cg.witness_report(per_path_cochain(witness), per_path_cochain(tau),
-                                 per_path_cochain(tau_b))
+        want = cg.witness_report(
+            per_path_cochain(witness, labeler_of(scn, scn.atlas_b, scn.atlas)),
+            per_path_cochain(tau, labeler_of(scn, scn.atlas)),
+            per_path_cochain(tau_b, labeler_of(scn, scn.atlas_b)))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert got["cells"]
 

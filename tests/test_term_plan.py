@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import cocyclekit.cechgroup as cg
 import cocyclekit.holomap as hm
 from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
+from conftest import per_cell
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -133,7 +134,7 @@ def cochain(cover, action, bidegrees, zero_every):
             z1, z2 = P[:, 0], P[:, 1]
             return SampledForm(2, 2, P, (c[0] + c[1] * z1 + c[2] * z2 ** 2 + c[3] * z1 * z2)[:, None])
         return provider
-    return cg.MixedCochain(cover, action, 2, 2, {bd: make(bd) for bd in bidegrees})
+    return cg.MixedCochain(cover, action, 2, 2, {bd: per_cell(make(bd)) for bd in bidegrees})
 
 
 EXPRESSIONS = {
@@ -198,7 +199,7 @@ def test_structurally_zero_base_values_leave_no_slot(rng):
     cover = cg.CoverSpec(["a"], {frozenset(["a"]): pts})
     action = cg.trivial_action(["a"], 2)
     c = cg.MixedCochain(cover, action, 2, 2,
-                        {(0, 0): lambda J, G, P: SampledForm.zeros(2, 2, P, ())})
+                        {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()))})
     plan = cg.TermPlan(cg.cech_differential(c).scale(1) + c.expression(), (0, 0),
                        [(("a",), ())])
     assert len(plan.keys) == 1 and not len(plan.term_key) and not any(len(t) for t in plan.tables)

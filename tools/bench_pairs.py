@@ -5,10 +5,11 @@
     python tools/bench_pairs.py build RAW --pr 11 --parent-commit SHA --change TEXT \\
         [--claim todd3-cech:verify_s] [--extra extra.json] > BENCH_11.json
 
-`run` runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-from the root of each tree, one pair per seed and workload, one run at a time;
-the side that runs first alternates (the parent on odd seeds). Each run's
-last output line is kept as RAW/<workload>-<seed>-<side>.json.
+`run` runs `python3 perfbench/run.py --workload W --seed S --seconds 60 --trace 0`
+from the root of each tree, for every workload of BENCHMARK.json and its
+run_seconds (60), one pair per seed and workload, one run at a time; the side
+that runs first alternates (the parent on odd seeds). Each run's last output
+line is kept as RAW/<workload>-<seed>-<side>.json.
 
 `build` reads those files and prints the BENCH JSON: every pair, and per
 workload and end-to-end metric of BENCHMARK.json the medians and quartiles of
@@ -28,6 +29,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def parse_args(argv):
@@ -37,8 +39,6 @@ def parse_args(argv):
     run.add_argument("--parent", required=True, help="root of the parent tree")
     run.add_argument("--change", required=True, help="root of the change tree")
     run.add_argument("--seeds", type=int, nargs="+", required=True)
-    run.add_argument("--workloads", nargs="+", default=["todd3-cech", "mixed-checks"])
-    run.add_argument("--seconds", type=float, default=60)
     run.add_argument("--out", required=True)
     build = sub.add_parser("build", help="BENCH JSON from the runs in a directory")
     build.add_argument("raw")
@@ -54,13 +54,13 @@ def run_pairs(args):
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     roots = {"parent": args.parent, "change": args.change}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             for position, side in enumerate(order):
                 done = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-                     str(seed), "--seconds", str(args.seconds), "--trace", "0"],
+                     str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
                     cwd=roots[side], capture_output=True, text=True, check=True)
                 result = json.loads(done.stdout.strip().splitlines()[-1])
                 result.update(workload=workload, seed=seed, side=side, position=position)
@@ -90,8 +90,7 @@ def summarize(pairs, name, bound):
 
 
 def build(args):
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
     runs = {}
     for path in sorted(pathlib.Path(args.raw).glob("*.json")):
         r = json.loads(path.read_text(encoding="utf-8"))
@@ -114,7 +113,7 @@ def build(args):
         summary[workload] = {name: summarize(mine, name, bound) for name, bound in bounds.items()}
         summary[workload]["failed"] = sum(p[s]["failed"] for p in mine for s in SIDES)
     result = {"pr": args.pr, "change": args.change, "parent_commit": args.parent_commit,
-              "harness": "python3 perfbench/run.py --workload <w> --seed <s> --seconds <t> "
+              "harness": "python3 perfbench/run.py --workload <w> --seed <s> --seconds 60 "
                          "--trace 0, from the root of each tree (tools/bench_pairs.py run)",
               "seeds": sorted({p["seed"] for p in pairs}), "summary": summary}
     if args.claim:

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Points sweep: the todd3-cech workload regenerated at larger clouds.
 
-    python tools/points_sweep.py [--src DIR] [--sizes 32 256 1024 4096] [--passes 3] [--seed 2]
+    python tools/points_sweep.py [--src DIR] [--sizes 32 256 1024 4096] [--passes 3]
 
 Outside the gated benchmark workloads. For each size, one fresh interpreter
-writes `perfbench/workloads.todd3_cech(seed)` with that many points, imports
+writes `perfbench/workloads.todd3_cech(SEED)` with that many points, imports
 cocyclekit from --src (default: this checkout's src/), loads the scenario and
 times --passes verification passes, each on a freshly loaded scenario, as
 `perfbench/fresh.py` runs them (execute_checks, build_report, write_report).
@@ -24,6 +24,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SEED = 2
 
 
 def parse_args(argv):
@@ -31,7 +32,6 @@ def parse_args(argv):
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding cocyclekit/")
     p.add_argument("--sizes", type=int, nargs="+", default=[32, 256, 1024, 4096])
     p.add_argument("--passes", type=int, default=3)
-    p.add_argument("--seed", type=int, default=2)
     p.add_argument("--child", type=int, help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
@@ -47,7 +47,7 @@ def child(args, workdir):
 
     workloads.TODD3_POINTS = args.child
     path = pathlib.Path(workdir) / "todd3-cech.scn"
-    path.write_text(json.dumps(workloads.todd3_cech(args.seed)), encoding="utf-8")
+    path.write_text(json.dumps(workloads.todd3_cech(SEED)), encoding="utf-8")
     warnings.simplefilter("ignore")
     started = time.perf_counter()
     sys.path.insert(0, args.src)
@@ -79,7 +79,7 @@ def main(argv=None):
         for size in args.sizes:
             out = subprocess.run(
                 [sys.executable, __file__, "--src", args.src, "--passes", str(args.passes),
-                 "--seed", str(args.seed), "--child", str(size)],
+                 "--child", str(size)],
                 capture_output=True, text=True, check=False)
             if out.returncode:
                 sys.stderr.write(out.stderr)
