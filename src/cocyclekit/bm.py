@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .forms import SampledForm, minor_pullback, signed_sum
+from .forms import SampledForm, jacobian_minors, minor_pullback, signed_sum
 from .holomap import MapChain, as_cloud
 
 DIAGONAL_CUTOFF = 1e-12
@@ -252,7 +252,7 @@ def pair_pullback(psi, form):
         J2 = psi.jacobian(w2)
         J = np.zeros((len(P), 2 * n, 2 * n), dtype=complex)
         J[:, :n, :n], J[:, n:, n:] = psi.jacobian(w1), J2
-        values = minor_pullback(inner.values, np.conj(J), inner.k)
+        values = minor_pullback(inner.values, jacobian_minors(np.conj(J), inner.k))
         return SampledForm(2 * n, inner.k, P, values * np.linalg.det(J2)[:, None])
 
     return pulled

@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError
-from .forms import (SampledForm, apply_invariant, pullback_kform, sharp_pullback,
-                    signed_sum, theta, theta_vanishes)
+from .forms import (SampledForm, apply_invariant, jacobian_minors, pullback_kform,
+                    sharp_pullback, signed_sum, theta, theta_vanishes)
 from .holomap import as_cloud, identity_map
 from .simplicial import DKSimplex, ElementOps, GradedComplex
 
@@ -99,6 +99,8 @@ class LabelPlan:
       map phi = phi[r, l] and the top-image cloud Q; at r = l, theta_r is
       theta(f) on Q and its key is the theta key (f, Q);
     - a theta key (f, X), once per distinct theta_r key, on X = phi(Q);
+    - a minors key (the top chart's pieces, P): the k x k minors of the top
+      chart's Jacobian on the source cloud P, which the label's pullback reads;
     - the map memo entries that evaluation fills: phi on Q and f on X.
 
     A label's key is its transitions, its top chart and its source cloud.
@@ -216,13 +218,16 @@ class LabelPlan:
         if label_vanishes(self.T, s.n, (s.transition(r - 1, r) for r in range(1, k + 1))):
             return None
         top = s.charts[-1]
+        pieces, pid = tuple(getattr(top, "pieces", (top,))), self._cloud(P)
         key = (tuple(s.transition(r - 1, r) for r in range(1, k + 1)),
-               tuple(s.transition(r, k) for r in range(1, k)),
-               tuple(getattr(top, "pieces", (top,))), self._cloud(P))
+               tuple(s.transition(r, k) for r in range(1, k)), pieces, pid)
         if self._count(key):
             Q = top.eval(P)
             reads = [self.add_theta_r(s, r, Q) for r in range(1, k + 1)]
-            self._parts[key] = (self._label, (top, P, reads))
+            minors = (pieces, pid)
+            if self._count(minors):
+                self._parts[minors] = (self._minors, (top, P))
+            self._parts[key] = (self._label, (top, P, reads, minors))
             self._ranks[key] = tuple(self._theta_cloud(read) for read in reversed(reads))
         return key
 
@@ -252,9 +257,13 @@ class LabelPlan:
         self._release(phi, qid)
         return value
 
-    def _label(self, top, P, reads):
-        value = pullback_kform(top, apply_invariant(self.T, [self._get(r) for r in reads]), P)
-        for r in reads:
+    def _minors(self, top, P):
+        return jacobian_minors(top.jacobian(P), self.T.arity)
+
+    def _label(self, top, P, reads, minors):
+        value = pullback_kform(top, apply_invariant(self.T, [self._get(r) for r in reads]), P,
+                               self._get(minors))
+        for r in reads + [minors]:
             self._use(r)
         return value
 

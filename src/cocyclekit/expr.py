@@ -2,10 +2,29 @@
 
 Constants are exact complex rationals; simplification is constant folding and
 sum/product flattening only, so a structurally zero derivative stays the
-literal zero node. Numeric evaluation goes through compile_expr, which turns a
-tree into one array function over whole coordinate columns.
+literal zero node.
+
+Expressions are DAGs: substitute and differentiate share subtrees by reference
+rather than copying them, and every walk goes over distinct nodes once.
+
+- differentiate keeps each node's derivative by each variable on the node
+  (Expr.derivative), so a subtree shared by many parents is differentiated
+  once, and second derivatives reuse the first ones' nodes.
+- substitute rebuilds each distinct node once per memo (by identity), so the
+  sharing of its input survives composition.
+- max_var is computed once per node.
+- Program compiles a list of expressions into one straight-line program over
+  their distinct nodes: each node is evaluated once per cloud, and its value
+  is dropped after its last reader.
+
+These memos live on nodes and programs, so they go with the maps that hold
+them; none is keyed by structure or kept at module level. The README
+("Evaluation on clouds") gives the node, derivative and compile counts they
+save.
 """
 
+import functools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -67,22 +86,47 @@ ONE = CRat(1)
 
 
 class Expr:
-    """Base node; subclasses define compile/diff/children."""
+    """Base node; subclasses define emit/diff/children.
+
+    Nodes are never changed after construction and are shared by reference:
+    substitute keeps the subtrees shared in its input shared in its output, and
+    a derivative reuses the subtrees of what it differentiates. So a composite
+    map's components form a DAG. What depends only on a node is computed once
+    and kept on it: its derivative by each variable (_derivs, see derivative)
+    and its highest variable index (_max_var).
+    """
+
+    _derivs = None
+    _max_var = None
 
     def eval(self, point):
-        """Value at one point: a one-row view of the compiled array function."""
-        cols = np.asarray(point, dtype=complex).reshape(-1, 1)
-        return complex(np.asarray(compile_expr(self)(cols)).reshape(-1)[0])
+        """Value at one point: a one-row run of the compiled program."""
+        row = np.asarray(point, dtype=complex).reshape(1, -1)
+        return complex(Program([self])(row)[0, 0])
 
-    def compile(self, memo):
-        """Array function cols -> values; cols[i] holds z_{i+1} over the cloud."""
+    def emit(self, program):
+        """Append the steps computing this node to `program`; the slot of its value."""
         raise NotImplementedError
 
     def diff(self, var):
+        """The derivative rule of this node; children are differentiated through derivative."""
         raise NotImplementedError
 
+    def derivative(self, var):
+        """d/dz_var, built by diff once per node and variable and kept on the node."""
+        derivs = self._derivs
+        if derivs is None:
+            derivs = self._derivs = {}
+        d = derivs.get(var)
+        if d is None:
+            d = derivs[var] = self.diff(var)
+        return d
+
     def max_var(self):
-        return max((c.max_var() for c in self.children()), default=0)
+        m = self._max_var
+        if m is None:
+            m = self._max_var = max((c.max_var() for c in self.children()), default=0)
+        return m
 
     def children(self):
         return ()
@@ -104,9 +148,8 @@ class Const(Expr):
     def __init__(self, value):
         self.value = value if isinstance(value, CRat) else CRat(value)
 
-    def compile(self, memo):
-        c = self.value.to_complex()
-        return lambda cols: c
+    def emit(self, program):
+        return program.constant(self.value.to_complex())
 
     def diff(self, var):
         return Const(ZERO)
@@ -124,9 +167,8 @@ class Var(Expr):
         if self.index < 1:
             raise ValidationError("variable index must be >= 1")
 
-    def compile(self, memo):
-        i = self.index - 1
-        return lambda cols: cols[i]
+    def emit(self, program):
+        return program.column(self.index - 1)
 
     def diff(self, var):
         return Const(ONE if self.index == var else ZERO)
@@ -145,19 +187,11 @@ class Add(Expr):
     def children(self):
         return self.terms
 
-    def compile(self, memo):
-        first, *rest = [compile_expr(t, memo) for t in self.terms]
-
-        def run(cols):
-            v = first(cols)
-            for f in rest:
-                v = v + f(cols)
-            return v
-
-        return run
+    def emit(self, program):
+        return program.step(_sum, [program.value(t) for t in self.terms])
 
     def diff(self, var):
-        return add(*[t.diff(var) for t in self.terms])
+        return add(*[t.derivative(var) for t in self.terms])
 
 
 class Mul(Expr):
@@ -167,21 +201,13 @@ class Mul(Expr):
     def children(self):
         return self.factors
 
-    def compile(self, memo):
-        first, *rest = [compile_expr(f, memo) for f in self.factors]
-
-        def run(cols):
-            v = first(cols)
-            for f in rest:
-                v = v * f(cols)
-            return v
-
-        return run
+    def emit(self, program):
+        return program.step(_product, [program.value(f) for f in self.factors])
 
     def diff(self, var):
         terms = []
         for i, f in enumerate(self.factors):
-            df = f.diff(var)
+            df = f.derivative(var)
             if not is_zero_expr(df):
                 terms.append(mul(*(self.factors[:i] + (df,) + self.factors[i + 1:])))
         return add(*terms)
@@ -195,19 +221,14 @@ class Div(Expr):
     def children(self):
         return (self.num, self.den)
 
-    def compile(self, memo):
-        num, den = compile_expr(self.num, memo), compile_expr(self.den, memo)
-
-        def run(cols):
-            d = den(cols)
-            _guard(np.abs(d) < 1e-300, cols, "denominator vanished at %r")
-            return num(cols) / d
-
-        return run
+    def emit(self, program):
+        # the denominator is computed and checked before the numerator
+        den = program.nonzero(self.den, "denominator vanished at %r")
+        return program.step(operator.truediv, [program.value(self.num), den])
 
     def diff(self, var):
-        return div(add(mul(self.num.diff(var), self.den),
-                       neg(mul(self.num, self.den.diff(var)))),
+        return div(add(mul(self.num.derivative(var), self.den),
+                       neg(mul(self.num, self.den.derivative(var)))),
                    pow_(self.den, 2))
 
 
@@ -224,22 +245,17 @@ class Pow(Expr):
     def key(self):
         return (self.base, self.exponent)
 
-    def compile(self, memo):
-        base, e = compile_expr(self.base, memo), self.exponent
-
-        def run(cols):
-            b = base(cols)
-            if e < 0:
-                _guard(np.abs(b) < 1e-300, cols, "negative power of ~0 at %r")
-            return b ** e
-
-        return run
+    def emit(self, program):
+        e = self.exponent
+        base = (program.nonzero(self.base, "negative power of ~0 at %r") if e < 0
+                else program.value(self.base))
+        return program.step(lambda b: b ** e, [base])
 
     def diff(self, var):
         if self.exponent == 0:
             return Const(ZERO)
         return mul(Const(CRat(self.exponent)), pow_(self.base, self.exponent - 1),
-                   self.base.diff(var))
+                   self.base.derivative(var))
 
 
 class Exp(Expr):
@@ -249,12 +265,11 @@ class Exp(Expr):
     def children(self):
         return (self.arg,)
 
-    def compile(self, memo):
-        arg = compile_expr(self.arg, memo)
-        return lambda cols: np.exp(arg(cols))
+    def emit(self, program):
+        return program.step(np.exp, [program.value(self.arg)])
 
     def diff(self, var):
-        return mul(Exp(self.arg), self.arg.diff(var))
+        return mul(Exp(self.arg), self.arg.derivative(var))
 
 
 class Log(Expr):
@@ -266,41 +281,137 @@ class Log(Expr):
     def children(self):
         return (self.arg,)
 
-    def compile(self, memo):
-        arg = compile_expr(self.arg, memo)
-
-        def run(cols):
-            v = arg(cols)
-            _guard(np.abs(v) < 1e-300, cols, "log of ~0 at %r")
-            return np.log(v)
-
-        return run
+    def emit(self, program):
+        return program.step(np.log, [program.nonzero(self.arg, "log of ~0 at %r")])
 
     def diff(self, var):
-        return div(self.arg.diff(var), self.arg)
+        return div(self.arg.derivative(var), self.arg)
 
 
-def compile_expr(e, memo=None):
-    """Compile e once into an array function over coordinate columns.
-
-    The function takes cols, a sequence whose i-th entry holds z_{i+1} at every
-    point of a cloud, and returns the values at all points (a plain complex
-    when e is constant; it broadcasts wherever it is stored). Constants become
-    complex here, once. Subtrees shared by reference compile once through
-    memo. Near-zero denominators, negative-power bases and log arguments raise
-    DomainError naming the first offending point.
-    """
-    memo = {} if memo is None else memo
-    fn = memo.get(id(e))
-    if fn is None:
-        fn = memo[id(e)] = e.compile(memo)
-    return fn
+def _sum(first, *rest):
+    """first + rest[0] + ..., left to right."""
+    for r in rest:
+        first = first + r
+    return first
 
 
-def _guard(bad, cols, message):
+def _product(first, *rest):
+    """first * rest[0] * ..., left to right; never in place, since numpy's in-place
+    complex multiply can round differently."""
+    for r in rest:
+        first = first * r
+    return first
+
+
+class _Vanished(Exception):
+    """A nonzero check failed; the program names the point (see Program.__call__)."""
+
+    def __init__(self, message, bad):
+        super().__init__(message)
+        self.message, self.bad = message, bad
+
+
+def _nonzero(message, v):
+    bad = np.abs(v) < 1e-300
     if bad.any():
-        i = int(np.argmax(np.broadcast_to(bad, np.shape(cols[0]))))
-        raise DomainError(message % (tuple(complex(c[i]) for c in cols),))
+        raise _Vanished(message, bad)
+    return v
+
+
+class Program:
+    """A list of expressions compiled once into one array function over clouds.
+
+    Program(exprs)(points) maps (N, n) points to the (N, len(exprs)) values,
+    the i-th coordinate column standing for z_{i+1}. It is a straight-line
+    program: building it visits the entries in order and each entry's DAG in
+    first-visit post-order, children in the order a node computes them, and
+    emits one step per distinct node (by identity) and one per entry that
+    stores its value. Steps read and write numbered slots, and a slot is
+    dropped right after its last reader, so a value shared by several parents
+    is computed once per run and held no longer than it is needed.
+
+    Constants become complex here, once. Literal-zero entries are never
+    evaluated, so they stay exactly zero. Near-zero denominators,
+    negative-power bases and log arguments raise DomainError naming the first
+    offending point; each is checked where the node computing it would check
+    it, so the point is the one a walk of the tree would name.
+    """
+
+    def __init__(self, exprs):
+        self.size = len(exprs)
+        self.slots = 0
+        self.constants = []  # (slot, complex value), preset on every run
+        self.columns = {}    # coordinate index -> slot, preset on every run
+        self.steps = []      # (function, argument slots, result slot or entry index)
+        self._values = {}    # id(node) -> slot
+        self._checked = set()
+        for j, e in enumerate(exprs):
+            if not is_zero_expr(e):
+                self.steps.append((None, (self.value(e),), j))
+        last = {}
+        for i, (_, args, _) in enumerate(self.steps):
+            for a in args:
+                last[a] = i
+        self.steps = [(fn, args, dest, tuple({a for a in args if last[a] == i}))
+                      for i, (fn, args, dest) in enumerate(self.steps)]
+        del self._values, self._checked
+
+    def _slot(self):
+        self.slots += 1
+        return self.slots - 1
+
+    def value(self, e):
+        """Slot of e's value, emitting e's steps on its first visit."""
+        slot = self._values.get(id(e))
+        if slot is None:
+            slot = self._values[id(e)] = e.emit(self)
+        return slot
+
+    def nonzero(self, e, message):
+        """Slot of e's value, checked nonzero at every point once in the program."""
+        slot = self.value(e)
+        if slot not in self._checked:
+            self._checked.add(slot)
+            self.steps.append((functools.partial(_nonzero, message), (slot,), slot))
+        return slot
+
+    def constant(self, c):
+        slot = self._slot()
+        self.constants.append((slot, c))
+        return slot
+
+    def column(self, i):
+        slot = self.columns.get(i)
+        if slot is None:
+            slot = self.columns[i] = self._slot()
+        return slot
+
+    def step(self, fn, args):
+        """Slot of fn(*values of args), appended as one step."""
+        slot = self._slot()
+        self.steps.append((fn, tuple(args), slot))
+        return slot
+
+    def __call__(self, points):
+        cols = np.ascontiguousarray(points.T)
+        out = np.zeros((len(points), self.size), dtype=complex)
+        slots = [None] * self.slots
+        for slot, c in self.constants:
+            slots[slot] = c
+        for i, slot in self.columns.items():
+            slots[slot] = cols[i]
+        try:
+            for fn, args, dest, dead in self.steps:
+                if fn is None:
+                    out[:, dest] = slots[args[0]]
+                else:
+                    slots[dest] = fn(*[slots[a] for a in args])
+                for a in dead:
+                    slots[a] = None
+        except _Vanished as err:
+            i = int(np.argmax(np.broadcast_to(err.bad, np.shape(cols[0]))))
+            raise DomainError(err.message % (tuple(complex(c[i]) for c in cols),)) from None
+        return out
 
 
 # Folding constructors. All algebraic construction goes through these so that
@@ -403,33 +514,51 @@ def log(arg):
 
 
 def differentiate(e, var):
-    """Exact partial derivative of e with respect to z_var."""
+    """Exact partial derivative of e with respect to z_var, kept on e (Expr.derivative)."""
     if var < 1:
         raise ValidationError("variable index must be >= 1")
-    return e.diff(var)
+    return e.derivative(var)
 
 
-def substitute(e, replacements):
-    """Replace Var(j) by replacements[j-1], rebuilding through the folding constructors."""
-    if isinstance(e, Var):
-        if e.index > len(replacements):
-            raise ValidationError("no replacement for z%d" % e.index)
-        return replacements[e.index - 1]
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return add(*[substitute(t, replacements) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[substitute(f, replacements) for f in e.factors])
-    if isinstance(e, Div):
-        return div(substitute(e.num, replacements), substitute(e.den, replacements))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, replacements), e.exponent)
-    if isinstance(e, Exp):
-        return exp(substitute(e.arg, replacements))
-    if isinstance(e, Log):
-        return log(substitute(e.arg, replacements))
-    raise TypeError("unknown node %r" % (e,))
+def substitute(e, replacements, memo=None):
+    """Replace Var(j) by replacements[j-1], rebuilding through the folding constructors.
+
+    Each distinct node is rebuilt once, memoized by identity in `memo`, so
+    subtrees shared in e stay shared in the result. The memo is made per call
+    unless the caller passes one for several calls with the same replacements:
+    compose passes one for all components of a map, whose subtrees are shared
+    between components too.
+    """
+    memo = {} if memo is None else memo
+
+    def sub(e):
+        out = memo.get(id(e))
+        if out is None:
+            out = memo[id(e)] = rebuild(e)
+        return out
+
+    def rebuild(e):
+        if isinstance(e, Var):
+            if e.index > len(replacements):
+                raise ValidationError("no replacement for z%d" % e.index)
+            return replacements[e.index - 1]
+        if isinstance(e, Const):
+            return e
+        if isinstance(e, Add):
+            return add(*[sub(t) for t in e.terms])
+        if isinstance(e, Mul):
+            return mul(*[sub(f) for f in e.factors])
+        if isinstance(e, Div):
+            return div(sub(e.num), sub(e.den))
+        if isinstance(e, Pow):
+            return pow_(sub(e.base), e.exponent)
+        if isinstance(e, Exp):
+            return exp(sub(e.arg))
+        if isinstance(e, Log):
+            return log(sub(e.arg))
+        raise TypeError("unknown node %r" % (e,))
+
+    return sub(e)
 
 
 def is_zero_expr(e):

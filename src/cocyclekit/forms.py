@@ -182,8 +182,12 @@ def _perm_sign(sig):
     return sign
 
 
-def pullback_kform(phi, w, points):
-    """Holomorphic pullback of a scalar k-form sampled at phi(points), via Jacobian minors."""
+def pullback_kform(phi, w, points, minors=None):
+    """Holomorphic pullback of a scalar k-form sampled at phi(points), via Jacobian minors.
+
+    `minors` are phi's jacobian_minors on `points`, for a caller that holds them
+    across several pullbacks; by default they are computed here.
+    """
     n, k = w.n, w.k
     if phi.n != n:
         raise ValidationError("dimension mismatch")
@@ -192,14 +196,24 @@ def pullback_kform(phi, w, points):
         return SampledForm.zeros(n, k, P, ())
     if k == 0:
         return SampledForm(n, k, P, w.values)
-    return SampledForm(n, k, P, minor_pullback(w.values, phi.jacobian(P), k))
+    if minors is None:
+        minors = jacobian_minors(phi.jacobian(P), k)
+    return SampledForm(n, k, P, minor_pullback(w.values, minors))
 
 
-def minor_pullback(values, J, k):
-    """k-form coefficients (N, C(m, k)) pulled back through the k x k minors of J (N, m, m).
+def jacobian_minors(J, k):
+    """The k x k minors of stacked (N, m, m) matrices: (N, C(m, k), C(m, k)).
 
-    Coefficient B of the result sums values[p, A] * det(J[p] on rows A, columns B).
+    Entry [p, A, B] is det(J[p] on rows A, columns B), index sets in
+    itertools.combinations order.
     """
     combos = np.array(list(itertools.combinations(range(J.shape[-1]), k)), dtype=np.intp)
-    minors = np.linalg.det(J[:, combos[:, None, :, None], combos[None, :, None, :]])
+    return np.linalg.det(J[:, combos[:, None, :, None], combos[None, :, None, :]])
+
+
+def minor_pullback(values, minors):
+    """k-form coefficients (N, C(m, k)) pulled back through jacobian_minors (N, C(m, k), C(m, k)).
+
+    Coefficient B of the result sums values[p, A] * minors[p, A, B].
+    """
     return (values[:, None, :] @ minors)[:, 0, :]

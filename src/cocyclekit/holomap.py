@@ -53,34 +53,19 @@ def invert_jacobians(J, points):
     return np.linalg.inv(J)
 
 
-def _compile_entries(exprs):
-    """One array function for a flat list of expressions: (N, n) -> (N, len(exprs)).
-
-    Literal-zero entries are never evaluated, so they stay exactly zero.
-    """
-    memo = {}
-    fns = [(j, ex.compile_expr(e, memo)) for j, e in enumerate(exprs)
-           if not ex.is_zero_expr(e)]
-    size = len(exprs)
-
-    def run(points):
-        cols = np.ascontiguousarray(points.T)
-        out = np.zeros((len(points), size), dtype=complex)
-        for j, fn in fns:
-            out[:, j] = fn(cols)
-        return out
-
-    return run
-
-
 class HoloMap:
     """n expression components over z1..zn with a sample-cloud domain.
 
-    Symbolic derivatives (_jac, _djac) and the compiled array functions of the
-    components, the Jacobian and its derivatives (_fns) are built on first use
-    and cached here; compositions with this map on the left are memoized in
-    _composed (see compose), so every caller composing the same two maps shares
-    one result and its caches.
+    The components are expression DAGs (see expr): a composite's components
+    share the subtrees of its pieces. Symbolic derivatives (_jac, _djac) are
+    built on first use through the node memos of expr.differentiate, so a
+    subtree shared by several entries is differentiated once. The components,
+    the Jacobian and its derivatives each compile once, on first numeric use,
+    into one straight-line program over their distinct nodes
+    (expr.Program, kept in _fns): a run evaluates each node once on the
+    cloud and drops its value after its last reader. Compositions with this
+    map on the left are memoized in _composed (see compose), so every caller
+    composing the same two maps shares one result and its caches.
 
     The values, Jacobians and inverse Jacobians on a cloud are memoized in
     _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
@@ -129,7 +114,7 @@ class HoloMap:
     def _compiled(self, kind, exprs):
         fn = self._fns.get(kind)
         if fn is None:
-            fn = _compile_entries(exprs())
+            fn = ex.Program(exprs())
             self._fns[kind] = fn
         return fn
 
@@ -231,6 +216,9 @@ def parse_map(text, n, constants=None, domain=None, name="", check=True):
 def compose(f, g, name="", domain=None, check=True):
     """f after g, by symbolic substitution of g's components into f.
 
+    One substitution memo serves all of f's components, so a subtree shared
+    between them is rebuilt once and stays shared in the result.
+
     Memoized on f: composing the same map objects with the same arguments
     returns the same HoloMap, so its symbolic derivatives and compiled
     functions are built once. The key holds g and domain themselves (maps and
@@ -241,7 +229,8 @@ def compose(f, g, name="", domain=None, check=True):
     if composed is None:
         if f.n != g.n:
             raise ValidationError("dimension mismatch: %d vs %d" % (f.n, g.n))
-        comps = [ex.substitute(c, list(g.components)) for c in f.components]
+        memo, inner = {}, list(g.components)
+        comps = [ex.substitute(c, inner, memo) for c in f.components]
         composed = HoloMap(f.n, comps, domain=domain or g.domain,
                            name=name or ("%s.%s" % (f.name or "f", g.name or "g")),
                            check=check)

@@ -100,7 +100,9 @@ class InvariantMap:
 
     Terms are keyed by partitions of k (the multiset of trace-block sizes);
     each key stands for the symmetrized map that averages the corresponding
-    product of traces over all assignments of the k inputs.
+    product of traces over all assignments of the k inputs. The block
+    assignments of a partition are enumerated once, on first evaluation, and
+    kept (_arrangements).
     """
 
     def __init__(self, arity, terms):
@@ -117,6 +119,15 @@ class InvariantMap:
             if coeff != 0:
                 self.terms[part] = self.terms.get(part, Fraction(0)) + coeff
         self.terms = {p: c for p, c in self.terms.items() if c != 0}
+        self._arrangements = {}
+
+    def arrangements(self, partition):
+        """The _cyclic_arrangements of the k inputs into blocks of `partition`, as a tuple."""
+        out = self._arrangements.get(partition)
+        if out is None:
+            out = self._arrangements[partition] = tuple(
+                _cyclic_arrangements(tuple(range(self.arity)), list(partition)))
+        return out
 
     def __repr__(self):
         return "InvariantMap(arity=%d, terms=%r)" % (self.arity, self.terms)
@@ -148,19 +159,20 @@ def symmetrize(p):
     return InvariantMap(p.size, {cycle_type(p): Fraction(1)})
 
 
-def _sym_term_value(partition, mats, traces=None):
+def _sym_term_value(arrangements, mats, traces=None):
     """Value of the symmetrized multi-trace map for one partition key.
 
     The map depends only on which inputs land in which trace and their cyclic
-    order, so it averages over the block assignments of _cyclic_arrangements
-    instead of all k! input orders. Inputs may be single matrices or (..., n, n)
-    stacks; the trace of each block product is computed once per `traces`, as
-    one contraction of the block's leading product against its last factor.
+    order, so it averages over the block assignments of the partition
+    (InvariantMap.arrangements) instead of all k! input orders. Inputs may be
+    single matrices or (..., n, n) stacks; the trace of each block product is
+    computed once per `traces`, as one contraction of the block's leading
+    product against its last factor.
     """
     traces = {} if traces is None else traces
     total = None
     count = 0
-    for arrangement in _cyclic_arrangements(tuple(range(len(mats))), list(partition)):
+    for arrangement in arrangements:
         val = None
         for blk in arrangement:
             t = traces.get(blk)
@@ -213,7 +225,7 @@ def eval_invariant(T, mats):
     traces = {}
     total = None
     for part, coeff in sorted(T.terms.items()):
-        term = complex(coeff) * _sym_term_value(part, mats, traces)
+        term = complex(coeff) * _sym_term_value(T.arrangements(part), mats, traces)
         total = term if total is None else total + term
     if total is None:
         total = np.zeros(mats[0].shape[:-2], dtype=complex)

@@ -150,7 +150,7 @@ def test_grouped_evaluation_matches_full_average(rng):
             val *= np.trace(prod)
         total += val
     full = total / math.factorial(5)
-    grouped = inv._sym_term_value((3, 2), mats)
+    grouped = inv.eval_invariant(inv.InvariantMap(5, {(3, 2): 1}), mats)
     assert abs(full - grouped) < 1e-12 * (1 + abs(full))
 
 
