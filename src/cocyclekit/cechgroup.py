@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from . import forms
 from .cocycle import ChartSimplex, LabelPlan, label_vanishes
 from .errors import ValidationError
 from .forms import SampledForm, pullback_kform, signed_sum
@@ -462,9 +463,6 @@ def mixed_differential(c):
 # ---------------------------------------------------------------------------
 # term plans: a differential's cells as integer arrays
 
-# largest gathered array, in complex entries, of one batch of ordered sums
-SUM_BATCH_ENTRIES = 1 << 16
-
 
 class _Ids:
     """Integer ids of the cover indices, words and index sets met by one plan."""
@@ -752,7 +750,7 @@ class TermPlan:
         term values and `total` (B, N, ...) the sum of coeff * value, left to
         right as in forms.signed_sum. A batch of cells without terms has values
         and total None: those cells are the structural zero. A batch holds at
-        most SUM_BATCH_ENTRIES gathered entries, or one cell.
+        most forms.BATCH_ENTRIES gathered entries, or one cell.
         """
         if not self.cells:
             return
@@ -760,7 +758,7 @@ class TermPlan:
         shapes, _, inverse = _unique_rows(np.stack([self.count, self._size], 1))
         for s, (t, N) in enumerate(shapes.tolist()):
             cells = np.flatnonzero(inverse == s)
-            step = max(1, SUM_BATCH_ENTRIES // max(1, t * N * per_point))
+            step = max(1, forms.BATCH_ENTRIES // max(1, t * N * per_point))
             for lo in range(0, len(cells), step):
                 batch = cells[lo:lo + step]
                 terms = self._first[batch][:, None] + np.arange(t)
@@ -864,6 +862,7 @@ class PathLabeler:
         self.n = atlases[0].chart(atlases[0].indices()[0]).n
         self._transitions = {}
         self._tails = {}
+        self._labels = {}
 
     def _tail_word(self, G, s):
         key = (tuple(G), s)
@@ -911,14 +910,26 @@ class PathLabeler:
                 transitions[(a, b)] = self.transition(vertices[a], vertices[b])
         return ChartSimplex(charts, transitions, points, validate=False)
 
-    def vanishes(self, vertices):
-        """True when the label of a path is structurally zero (label_vanishes)."""
-        return label_vanishes(self.T, self.n, (self.transition(a, b)
-                                               for a, b in zip(vertices, vertices[1:])))
+    def labels(self, J, G, step_types):
+        """The cell's path labels that are not structurally zero (label_vanishes), in
+        shuffle order: (sign, ladder, pullback maps, top chart), the maps that
+        LabelPlan.add_label reads. Each cell's paths are built once; only the
+        transitions of those maps are composed."""
+        key = (J, G, step_types)
+        labels = self._labels.get(key)
+        if labels is None:
+            labels = self._labels[key] = []
+            for seq, sign in _shuffles(step_types):
+                v = self.path(J, G, seq)
+                ladder = tuple(self.transition(a, b) for a, b in zip(v, v[1:]))
+                if not label_vanishes(self.T, self.n, ladder):
+                    labels.append((sign, ladder, tuple(self.transition(u, v[-1]) for u in v[1:-1]),
+                                   self.chart_for(v[-1])))
+        return labels
 
     def cell_vanishes(self, J, G, step_types):
         """True when every path label of the cell vanishes, so its cell form does."""
-        return all(self.vanishes(self.path(J, G, seq)) for seq, _ in _shuffles(step_types))
+        return not self.labels(J, G, step_types)
 
     def cell_forms(self, step_types, requests):
         """Signed shuffle sums of the path labels of (J, G, points) requests, in order.
@@ -931,12 +942,9 @@ class PathLabeler:
         first use. Each sum still adds its labels in shuffle order.
         """
         plan = LabelPlan(self.T)
-        shuffles = list(_shuffles(step_types))
-        labels = []
-        for J, G, P in requests:
-            keys = ((sign, plan.add(self.simplex(self.path(J, G, seq), P), P))
-                    for seq, sign in shuffles)
-            labels.append([(sign, key) for sign, key in keys if key is not None])
+        labels = [[(sign, plan.add_label(ladder, pullbacks, top, P))
+                   for sign, ladder, pullbacks, top in self.labels(J, G, step_types)]
+                  for J, G, P in requests]
         ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
         out = [None] * len(requests)
         for i in sorted(range(len(requests)), key=ranks.__getitem__):

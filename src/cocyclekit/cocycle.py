@@ -9,14 +9,16 @@ measure.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
 
-from .errors import ValidationError
+from . import forms
+from .errors import DomainError, ValidationError
 from .forms import (SampledForm, apply_invariant, jacobian_minors, pullback_kform,
-                    sharp_pullback, signed_sum, theta, theta_vanishes)
-from .holomap import as_cloud, identity_map
+                    sharp_values, signed_sum, theta_values, theta_vanishes)
+from .holomap import as_cloud, identity_map, split_rows, stack
 from .simplicial import DKSimplex, ElementOps, GradedComplex
 
 MIN_SAMPLE_WARN = 8
@@ -92,8 +94,9 @@ def label_vanishes(T, n, ladder):
 class LabelPlan:
     """Top Chern-Weil labels of chart simplices, read through shared, counted keys.
 
-    add(s, points) counts one use of a label before anything is evaluated and,
-    once per distinct label, the keys it reads:
+    add(s, points), or add_label with a path's maps, counts one use of a label
+    before anything is evaluated and, once per distinct label, the keys it
+    reads:
 
     - a theta_r key (f, phi, Q): the transition f = phi[r-1, r], the pullback
       map phi = phi[r, l] and the top-image cloud Q; at r = l, theta_r is
@@ -105,23 +108,40 @@ class LabelPlan:
 
     A label's key is its transitions, its top chart and its source cloud.
     Clouds enter keys as ids of their exact bytes, so equal clouds in distinct
-    arrays share keys. take(key) evaluates each key on its first use, holds it
-    until its last, then drops it. A map memo entry that the plan fills is
-    forgotten (HoloMap.forget) once no later key reads it; one it finds filled
-    is kept. A raised error changes no count, so taking the key again raises
-    it again. A structurally zero label (label_vanishes) has the key None and
-    reads no map.
+    arrays share keys. A structurally zero label (label_vanishes) has the key
+    None and reads no map.
+
+    Keys are evaluated in batches, one stage at a time: the theta keys of one
+    transition f, the theta_r keys of one pullback map phi, the minors keys of
+    one top chart, and the labels of one top chart. take(key) evaluates a key
+    that is not held together with the other counted keys of its stage and
+    map not yet evaluated, in count order, while the batch's largest array
+    stays within forms.BATCH_ENTRIES complex entries (the first key always
+    joins). A batch stacks its clouds into one array for one kernel call per
+    step (a map's program, the inversion, each einsum, apply_invariant) and
+    splits the rows back per key; maps memoize only the real clouds
+    (HoloMap.stacked). Each key is held from its evaluation to its last use,
+    then dropped. A map memo entry that the plan fills is forgotten
+    (HoloMap.forget) once no later key reads it; one it finds filled is kept.
+
+    When a batch raises (SingularJacobianError, DomainError), the key taken is
+    evaluated again alone, so the error is the one that key raises on its own
+    cloud, and the other keys wait for their own takes. A key's reads are used
+    up only once its value exists, so an error changes no count, and taking
+    the key again raises it again.
     """
 
     def __init__(self, T):
         self.T = T
-        self._uses = {}    # key -> uses not yet taken
-        self._held = {}    # key -> value, from its first use to its last
-        self._parts = {}   # key -> (function, arguments) that evaluate it
-        self._ranks = {}   # label key -> sort key of the clouds it reads
-        self._memo = {}    # (map, cloud id) -> keys still to read a memo entry it filled
-        self._clouds = {}  # exact bytes of a cloud -> its id
-        self._points = []  # cloud id -> the cloud
+        self._uses = {}     # key -> uses not yet taken
+        self._held = {}     # key -> value, from its evaluation to its last use
+        self._stage = {}    # key not yet evaluated -> its (stage, map)
+        self._pending = {}  # (stage, map) -> {key: (entries, arguments)}, in count order
+        self._ranks = {}    # label key -> sort key of the clouds it reads
+        self._memo = {}     # (map, cloud id) -> keys still to read a memo entry it filled
+        self._images = {}   # (map, cloud id) -> id of the map's image of the cloud
+        self._clouds = {}   # exact bytes of a cloud -> its id
+        self._points = []   # cloud id -> the cloud
 
     def __len__(self):
         """Keys counted or held and not yet released."""
@@ -135,11 +155,24 @@ class LabelPlan:
             self._points.append(P)
         return cid
 
+    def _image(self, phi, qid):
+        """Id of the cloud phi(Q) of the cloud with id qid."""
+        xid = self._images.get((phi, qid))
+        if xid is None:
+            xid = self._images[(phi, qid)] = self._cloud(phi.eval(self._points[qid]))
+        return xid
+
     def _count(self, key):
-        """One more use of key; True on the first, when the caller records its parts."""
+        """One more use of key; True on the first, when the caller records how to evaluate it."""
         uses = self._uses.get(key, 0)
         self._uses[key] = uses + 1
         return not uses
+
+    def _pend(self, key, stage, m, entries, args):
+        """Key waits in the batch of its stage and map m, with the complex entries of its
+        largest array and the arguments that the stage evaluates it from."""
+        self._stage[key] = (stage, m)
+        self._pending.setdefault((stage, m), {})[key] = (entries, args)
 
     def _count_memo(self, m, cid):
         """One more read of m's memo entry on a cloud, before anything fills it; an
@@ -151,18 +184,42 @@ class LabelPlan:
             self._memo[(m, cid)] = 1
 
     def take(self, key):
-        """The value of a counted key, evaluated on its first use; dropped after its last."""
+        """The value of a counted key, evaluated with its batch if not held; dropped after
+        its last use."""
         value = self._get(key)
         self._use(key)
         return value
 
     def _get(self, key):
-        """The value of a counted key, evaluated if it is not held, and held."""
-        value = self._held.get(key)
-        if value is None:
-            fn, args = self._parts[key]
-            value = self._held[key] = fn(*args)
-        return value
+        """The value of a counted key, evaluated with its batch if it is not held, and held."""
+        if key not in self._held:
+            self._evaluate(key)
+        return self._held[key]
+
+    def _evaluate(self, key):
+        """Evaluate key's batch, or key alone when the batch raises."""
+        group = self._stage[key]
+        pending = self._pending[group]
+        batch, total = [key], pending[key][0]
+        for other, (entries, _) in pending.items():
+            if other != key:
+                if total + entries > forms.BATCH_ENTRIES:
+                    break
+                batch.append(other)
+                total += entries
+        stage = group[0]
+        try:
+            values = stage([pending[k][1] for k in batch])
+        except DomainError:
+            if len(batch) == 1:
+                raise
+            batch = [key]
+            values = stage([pending[key][1]])
+        for k, value in zip(batch, values):
+            self._held[k] = value
+            del pending[k], self._stage[k]
+        if not pending:
+            del self._pending[group]
 
     def _use(self, key):
         """One use of a held key taken; the last drops it."""
@@ -170,7 +227,7 @@ class LabelPlan:
         if uses:
             self._uses[key] = uses
         else:
-            del self._held[key], self._parts[key]
+            del self._held[key]
             self._ranks.pop(key, None)
 
     def _release(self, m, cid):
@@ -183,13 +240,26 @@ class LabelPlan:
         else:
             m.forget(self._points[cid])
 
-    def _add_theta(self, f, X):
-        """Count theta(f) on the cloud X; its key."""
-        xid = self._cloud(X)
+    def _add_theta(self, f, xid):
+        """Count theta(f) on the cloud with id xid; its key."""
         key = (f, xid)
         if self._count(key):
-            self._parts[key] = (self._theta, (f, X, xid))
+            X = self._points[xid]
+            self._pend(key, self._thetas, f, len(X) * f.n ** 3, (f, X, xid))
             self._count_memo(f, xid)
+        return key
+
+    def _add_theta_r(self, f, phi, qid):
+        """Count theta_r of the transition f pulled back along phi (None at the top) on
+        the cloud with id qid; its key."""
+        if phi is None:
+            return self._add_theta(f, qid)
+        key = (f, phi, qid)
+        if self._count(key):
+            self._count_memo(phi, qid)
+            Q = self._points[qid]
+            self._pend(key, self._theta_rs, phi, len(Q) * phi.n ** 3,
+                       (phi, self._add_theta(f, self._image(phi, qid)), Q, qid))
         return key
 
     def add_theta_r(self, s, r, Q):
@@ -199,15 +269,8 @@ class LabelPlan:
         f = s.transition(r - 1, r)
         if theta_vanishes(f):
             return None
-        if r == s.level:
-            return self._add_theta(f, Q)
-        phi = s.transition(r, s.level)
-        qid = self._cloud(Q)
-        key = (f, phi, qid)
-        if self._count(key):
-            self._count_memo(phi, qid)
-            self._parts[key] = (self._theta_r, (self._add_theta(f, phi.eval(Q)), phi, Q, qid))
-        return key
+        return self._add_theta_r(f, s.transition(r, s.level) if r < s.level else None,
+                                 self._cloud(Q))
 
     def add(self, s, points):
         """Count the top label of s on `points`; its key, None for a structural zero."""
@@ -215,25 +278,35 @@ class LabelPlan:
         if s.level != k:
             raise ValidationError("level %d does not match arity %d" % (s.level, k))
         P = as_cloud(points, s.n)[0]
-        if label_vanishes(self.T, s.n, (s.transition(r - 1, r) for r in range(1, k + 1))):
+        ladder = tuple(s.transition(r - 1, r) for r in range(1, k + 1))
+        if label_vanishes(self.T, s.n, ladder):
             return None
-        top = s.charts[-1]
+        return self.add_label(ladder, tuple(s.transition(r, k) for r in range(1, k)),
+                              s.charts[-1], P)
+
+    def add_label(self, ladder, pullbacks, top, P):
+        """Count the top label of a chart path on the (N, n) source cloud P; its key.
+
+        `ladder` holds the transitions phi[r-1, r] for r = 1..k, none affine
+        (label_vanishes), `pullbacks` the maps phi[r, k] for r = 1..k-1 and
+        `top` the top chart.
+        """
         pieces, pid = tuple(getattr(top, "pieces", (top,))), self._cloud(P)
-        key = (tuple(s.transition(r - 1, r) for r in range(1, k + 1)),
-               tuple(s.transition(r, k) for r in range(1, k)), pieces, pid)
+        key = (ladder, pullbacks, pieces, pid)
         if self._count(key):
-            Q = top.eval(P)
-            reads = [self.add_theta_r(s, r, Q) for r in range(1, k + 1)]
+            n, k = top.n, self.T.arity
+            qid = self._cloud(top.eval(P))
+            reads = [self._add_theta_r(f, phi, qid) for f, phi in zip(ladder, pullbacks + (None,))]
             minors = (pieces, pid)
             if self._count(minors):
-                self._parts[minors] = (self._minors, (top, P))
-            self._parts[key] = (self._label, (top, P, reads, minors))
-            self._ranks[key] = tuple(self._theta_cloud(read) for read in reversed(reads))
+                self._pend(minors, self._minors, pieces, len(P) * (math.comb(n, k) * k) ** 2,
+                           (top, P))
+            self._pend(key, self._labels, pieces,
+                       len(P) * k * math.comb(n, k) * math.factorial(k) * n * n,
+                       (top, P, reads, minors))
+            self._ranks[key] = (qid,) + tuple(self._images[(phi, qid)]
+                                              for phi in reversed(pullbacks))
         return key
-
-    def _theta_cloud(self, key):
-        """Id of the cloud that the theta of a theta or theta_r key is evaluated on."""
-        return key[1] if len(key) == 2 else self._parts[key][1][0][1]
 
     def rank(self, key):
         """Sort key of a counted label: ids of the clouds its theta ladder reads, top first.
@@ -243,29 +316,43 @@ class LabelPlan:
         """
         return self._ranks[key]
 
-    def _theta(self, f, X, xid):
-        value = theta(f, X)
-        self._release(f, xid)
-        return value
+    # the stages: each evaluates a batch of argument tuples, one value per tuple,
+    # and uses up the batch's reads only once every value exists
 
-    # a key's reads are used up only once its own value exists, so an error
-    # leaves every count as it was and a retry raises it again
+    def _thetas(self, batch):
+        f, clouds = batch[0][0], [X for _, X, _ in batch]
+        values = theta_values(f.stacked("jacobian_inverse", clouds), f.djacobian(stack(clouds)))
+        for _, _, xid in batch:
+            self._release(f, xid)
+        return [SampledForm(f.n, 1, X, v) for X, v in zip(clouds, split_rows(values, clouds))]
 
-    def _theta_r(self, theta_key, phi, Q, qid):
-        value = sharp_pullback(phi, self._get(theta_key), Q)
-        self._use(theta_key)
-        self._release(phi, qid)
-        return value
+    def _theta_rs(self, batch):
+        phi, clouds = batch[0][0], [Q for _, _, Q, _ in batch]
+        omegas = stack([self._get(theta_key).values for _, theta_key, _, _ in batch])
+        values = sharp_values(phi.stacked("jacobian", clouds),
+                              phi.stacked("jacobian_inverse", clouds), omegas)
+        for _, theta_key, _, qid in batch:
+            self._use(theta_key)
+            self._release(phi, qid)
+        return [SampledForm(phi.n, 1, Q, v) for Q, v in zip(clouds, split_rows(values, clouds))]
 
-    def _minors(self, top, P):
-        return jacobian_minors(top.jacobian(P), self.T.arity)
+    def _minors(self, batch):
+        clouds = [P for _, P in batch]
+        values = jacobian_minors(stack([top.jacobian(P) for top, P in batch]), self.T.arity)
+        return split_rows(values, clouds)
 
-    def _label(self, top, P, reads, minors):
-        value = pullback_kform(top, apply_invariant(self.T, [self._get(r) for r in reads]), P,
-                               self._get(minors))
-        for r in reads + [minors]:
-            self._use(r)
-        return value
+    def _labels(self, batch):
+        top, clouds, k = batch[0][0], [P for _, P, _, _ in batch], self.T.arity
+        thetas = [[self._get(r) for r in reads] for _, _, reads, _ in batch]
+        minors = stack([self._get(m) for _, _, _, m in batch])
+        Q = stack([omegas[0].points for omegas in thetas])
+        wedge = apply_invariant(self.T, [SampledForm(top.n, 1, Q, stack(
+            [omegas[r].values for omegas in thetas])) for r in range(k)])
+        values = pullback_kform(top, wedge, stack(clouds), minors).values
+        for _, _, reads, m in batch:
+            for r in reads + [m]:
+                self._use(r)
+        return [SampledForm(top.n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
 
 
 def theta_r(s, r, points):

@@ -24,6 +24,10 @@ from .errors import ValidationError
 from .holomap import as_cloud
 from .invariants import eval_invariant
 
+# largest array, in complex entries, that one batch builds: a stage of a label
+# plan (cocycle.LabelPlan) or the gathered term values of a term plan's sums
+BATCH_ENTRIES = 1 << 16
+
 
 class SampledForm:
     """Values of a form on a cloud, with exact linear algebra on the arrays."""
@@ -115,9 +119,14 @@ def theta(f, points):
     P = as_cloud(points, n)[0]
     if theta_vanishes(f):
         return SampledForm.zeros(n, 1, P, (n, n))
-    Jinv, dJ = f.jacobian_inverse(P), f.djacobian(P)
+    return SampledForm(n, 1, P, theta_values(f.jacobian_inverse(P), f.djacobian(P)))
+
+
+def theta_values(Jinv, dJ):
+    """theta's values from stacked inverse Jacobians (N, n, n) and their derivatives
+    (N, n, n, n); the rows may come from several clouds."""
     # order="F" makes the point axis the innermost loop of the contraction
-    return SampledForm(n, 1, P, np.einsum("pij,pajk->paik", Jinv, dJ, order="F"))
+    return np.einsum("pij,pajk->paik", Jinv, dJ, order="F")
 
 
 def sharp_pullback(phi, omega, points):
@@ -133,12 +142,18 @@ def sharp_pullback(phi, omega, points):
     P = as_cloud(points, n)[0]
     if omega.structurally_zero:
         return SampledForm.zeros(n, 1, P, (n, n))
-    J = phi.jacobian(P)
+    return SampledForm(n, 1, P, sharp_values(phi.jacobian(P), phi.jacobian_inverse(P),
+                                             omega.values))
+
+
+def sharp_values(J, Jinv, omega):
+    """The sharp pullback's values from stacked Jacobians, their inverses and the
+    matrix 1-form's values at the image points; the rows may come from several clouds."""
     # coefficient of dz^b: sum over a of J[a, b] times the dz^a matrix, conjugated;
     # the point axis is the innermost loop of each contraction, as in theta
-    pulled = np.einsum("pab,pajk->pbjk", J, omega.values, order="F")
-    left = np.einsum("pij,pbjk->pbik", phi.jacobian_inverse(P), pulled, order="F")
-    return SampledForm(n, 1, P, np.einsum("pbik,pkl->pbil", left, J, order="F"))
+    pulled = np.einsum("pab,pajk->pbjk", J, omega, order="F")
+    left = np.einsum("pij,pbjk->pbik", Jinv, pulled, order="F")
+    return np.einsum("pbik,pkl->pbil", left, J, order="F")
 
 
 def apply_invariant(T, omegas):

@@ -34,6 +34,20 @@ def _one_row(values, single):
     return values[0] if single else values
 
 
+def stack(arrays):
+    """The rows of several arrays in one array; the array itself when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def split_rows(array, parts):
+    """Consecutive row blocks of `array` (views), as long as the arrays `parts` are."""
+    blocks, lo = [], 0
+    for part in parts:
+        blocks.append(array[lo:lo + len(part)])
+        lo += len(part)
+    return blocks
+
+
 def singular_jacobians(J):
     """(det J, mask) of stacked Jacobians, singular where |det J| <= DET_TOL * ||J||_F^n.
 
@@ -70,8 +84,10 @@ class HoloMap:
     The values, Jacobians and inverse Jacobians on a cloud are memoized in
     _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
     arrays (as_cloud views, row gathers, equal clouds of different cells), so
-    only the point content identifies a cloud. An entry lives as long as the
-    map or until forget(points) drops it: a label plan (cocycle.LabelPlan)
+    only the point content identifies a cloud. stacked() evaluates several
+    clouds on their stack and stores each cloud's rows under its own key, so
+    a stack is never a key. An entry lives as long as the map or until
+    forget(points) drops it: a label plan (cocycle.LabelPlan)
     forgets the entries it filled once none of its labels reads them again,
     and keeps those it found. Second derivatives (djacobian) are not memoized
     here; the label plan evaluates theta, which reads them, once per (map,
@@ -118,19 +134,37 @@ class HoloMap:
             self._fns[kind] = fn
         return fn
 
-    def _memoized(self, kind, P, compute):
-        """compute(P), run once per kind and distinct point content of the cloud P.
+    def stacked(self, kind, clouds):
+        """The "eval", "jacobian" or "jacobian_inverse" rows of several (N_i, n) clouds,
+        stacked into one array; computed once per kind and distinct point content.
 
-        The stored array is read-only, since every caller shares it. A raised
+        The clouds without a stored entry are computed together, by one run of
+        the program (and one inversion) on their stack, and each cloud's rows
+        are stored under that cloud's own bytes, never under a stack's. The
+        stored arrays are read-only, since every caller shares them. A raised
         error is never stored, so a failing cloud fails on every call.
         """
-        entry = self._memo.setdefault(P.tobytes(), {})
-        out = entry.get(kind)
-        if out is None:
-            out = compute(P)
+        keys = [P.tobytes() for P in clouds]
+        fresh = {}
+        for key, P in zip(keys, clouds):
+            if kind not in self._memo.get(key, ()):
+                fresh.setdefault(key, P)
+        if fresh:
+            out = getattr(self, "_" + kind)(list(fresh.values()))
             out.flags.writeable = False
-            entry[kind] = out
-        return out
+            for key, rows in zip(fresh, split_rows(out, fresh.values())):
+                self._memo.setdefault(key, {})[kind] = rows
+        return stack([self._memo[key][kind] for key in keys])
+
+    def _eval(self, clouds):
+        return self._compiled("eval", lambda: self.components)(stack(clouds))
+
+    def _jacobian(self, clouds):
+        fn = self._compiled("jacobian", lambda: [e for row in self.jac_exprs() for e in row])
+        return fn(stack(clouds)).reshape(-1, self.n, self.n)
+
+    def _jacobian_inverse(self, clouds):
+        return invert_jacobians(self.stacked("jacobian", clouds), stack(clouds))
 
     def remembers(self, points):
         """True when _memo holds an entry for the point content of the cloud `points`."""
@@ -146,7 +180,7 @@ class HoloMap:
     def eval(self, points):
         """(N, n) points -> (N, n) values; one point -> a tuple of n complex numbers."""
         P, single = as_cloud(points, self.n)
-        out = self._memoized("eval", P, self._compiled("eval", lambda: self.components))
+        out = self.stacked("eval", [P])
         return tuple(out[0].tolist()) if single else out
 
     def jac_exprs(self):
@@ -166,9 +200,7 @@ class HoloMap:
     def jacobian(self, points):
         """(N, n) points -> (N, n, n) Jacobians; one point -> one (n, n) matrix."""
         P, single = as_cloud(points, self.n)
-        fn = self._compiled("jacobian", lambda: [e for row in self.jac_exprs() for e in row])
-        J = self._memoized("jacobian", P, lambda P: fn(P).reshape(-1, self.n, self.n))
-        return _one_row(J, single)
+        return _one_row(self.stacked("jacobian", [P]), single)
 
     def djacobian(self, points):
         """d/dz_a of the Jacobian at every point, indexed [point, a - 1, row, col]."""
@@ -180,9 +212,7 @@ class HoloMap:
 
     def jacobian_inverse(self, points):
         P, single = as_cloud(points, self.n)
-        Jinv = self._memoized("jacobian_inverse", P,
-                              lambda P: invert_jacobians(self.jacobian(P), P))
-        return _one_row(Jinv, single)
+        return _one_row(self.stacked("jacobian_inverse", [P]), single)
 
     def is_affine(self):
         """True when every second derivative folds to the literal zero node; decided once."""

@@ -9,10 +9,14 @@ import collections
 import json
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
 import cocyclekit.cocycle as co
+import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 from cocyclekit import cli
 from cocyclekit.errors import SingularJacobianError
@@ -21,8 +25,13 @@ from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 from conftest import per_cell
 
-SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIOS.glob("*.scn"))
+# batch bounds: one key per batch, a bound that splits a map's keys of the shipped
+# 8-12 point clouds (a 2-dimensional theta on 12 points is 96 entries) across
+# batches, and the default
+BOUNDS = [1, 256, fo.BATCH_ENTRIES]
 
 
 def same_bits(got, want):
@@ -71,18 +80,18 @@ def closedness_pass(scn):
 
 def test_each_theta_and_theta_r_key_is_evaluated_once_per_pass(monkeypatch):
     thetas, theta_rs = collections.Counter(), collections.Counter()
-    theta, theta_r = co.theta, co.LabelPlan._theta_r
+    theta_stage, theta_r_stage = co.LabelPlan._thetas, co.LabelPlan._theta_rs
 
-    def counted_theta(f, X):
-        thetas[(f, X.tobytes())] += 1
-        return theta(f, X)
+    def counted_thetas(self, batch):
+        thetas.update((f, X.tobytes()) for f, X, _ in batch)
+        return theta_stage(self, batch)
 
-    def counted_theta_r(self, theta_key, phi, Q, qid):
-        theta_rs[(theta_key[0], phi, Q.tobytes())] += 1
-        return theta_r(self, theta_key, phi, Q, qid)
+    def counted_theta_rs(self, batch):
+        theta_rs.update((theta_key[0], phi, Q.tobytes()) for phi, theta_key, Q, _ in batch)
+        return theta_r_stage(self, batch)
 
-    monkeypatch.setattr(co, "theta", counted_theta)
-    monkeypatch.setattr(co.LabelPlan, "_theta_r", counted_theta_r)
+    monkeypatch.setattr(co.LabelPlan, "_thetas", counted_thetas)
+    monkeypatch.setattr(co.LabelPlan, "_theta_rs", counted_theta_rs)
     assert closedness_pass(Scenario.load(SCENARIOS / "cech_todd3.scn"))["status"] == "pass"
     assert thetas and set(thetas.values()) == {1}
     assert theta_rs and set(theta_rs.values()) == {1}
@@ -149,8 +158,10 @@ def test_planned_labels_equal_one_plan_per_label(name):
     assert len(plan) == 0
 
 
+@pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("name", SHIPPED)
-def test_planned_base_values_equal_per_path_sums(name):
+def test_planned_base_values_equal_per_path_sums(name, bound, monkeypatch):
+    monkeypatch.setattr(fo, "BATCH_ENTRIES", bound)
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
     cells = base_cells(tau)
@@ -159,8 +170,10 @@ def test_planned_base_values_equal_per_path_sums(name):
         assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("name", SHIPPED)
-def test_report_rows_equal_per_path_sums(name):
+def test_report_rows_equal_per_path_sums(name, bound, monkeypatch):
+    monkeypatch.setattr(fo, "BATCH_ENTRIES", bound)
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
     if scn.atlas_b is None:
@@ -177,6 +190,110 @@ def test_report_rows_equal_per_path_sums(name):
             per_path_cochain(tau_b, labeler_of(scn, scn.atlas_b)))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert got["cells"]
+
+
+def test_a_split_bound_splits_a_maps_keys_across_batches(monkeypatch):
+    batches = collections.defaultdict(list)
+    theta_stage = co.LabelPlan._thetas
+
+    def recorded(self, batch):
+        batches[(id(self), batch[0][0])].append(len(batch))
+        return theta_stage(self, batch)
+
+    monkeypatch.setattr(co.LabelPlan, "_thetas", recorded)
+    monkeypatch.setattr(fo, "BATCH_ENTRIES", BOUNDS[1])
+    assert closedness_pass(Scenario.load(SCENARIOS / "cech_todd3.scn"))["status"] == "pass"
+    assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in batches.values())
+
+
+def test_memos_see_only_real_clouds(monkeypatch, tmp_path):
+    """A stack of several clouds never becomes a map memo key, on the benchmark's
+    todd3-cech and group-witness scenarios; every plan ends empty and forgets what it filled."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    plans, filled, maps = [], [], []
+    init = hm.HoloMap.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        maps.append(self)
+
+    class Recorded(co.LabelPlan):
+        def __init__(self, T):
+            super().__init__(T)
+            plans.append(self)
+
+        def _count_memo(self, m, cid):
+            super()._count_memo(m, cid)
+            if (m, cid) in self._memo:
+                filled.append((m, self._points[cid]))
+
+    monkeypatch.setattr(hm.HoloMap, "__init__", recorded_init)
+    monkeypatch.setattr(cg, "LabelPlan", Recorded)
+    for make in (workloads.todd3_cech, workloads.group_witness):
+        path = tmp_path / "scenario.scn"
+        path.write_text(json.dumps(make(2)), encoding="utf-8")
+        scn = Scenario.load(path)
+        assert all(result["status"] == "pass" for result in cli.execute_checks(scn))
+        assert plans and all(len(plan) == 0 for plan in plans)
+        assert filled and not any(m.remembers(P) for m, P in filled)
+        largest = max(len(points) for points in scn.cover.clouds.values())
+        rows = [len(key) // (16 * m.n) for m in maps for key in m._memo]
+        assert rows and max(rows) <= largest
+        for recorded in (plans, filled, maps):
+            recorded.clear()
+
+
+MAPS = {
+    2: [hm.henon_map(), hm.henon_inverse(), hm.shear_map(), hm.shear_inverse(),
+        hm.mobius_like_map(), hm.identity_map(2),
+        hm.affine_map([[2, 1], [1, 1]], [0, 1], name="affine")],
+    3: [hm.parse_map(text, 3) for text in (
+        "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2", "z2; z1; z3 + z1*z2",
+        "z1 + z3^2; z2 - z1^2; z3", "z1; z2; z3")],
+}
+
+
+@st.composite
+def chart_paths(draw):
+    """(n, clouds of unequal sizes, [(chart simplex, cloud index)], take order): chart
+    simplices of level n over a few shared maps and two top charts, so keys and
+    batches repeat across simplices."""
+    n = draw(st.sampled_from(sorted(MAPS)))
+    pool = st.sampled_from(MAPS[n])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))
+    clouds = [0.3 * (rng.uniform(-1, 1, (N, n)) + 1j * rng.uniform(-1, 1, (N, n)))
+              for N in sizes]
+    simplices = []
+    for _ in range(draw(st.integers(1, 10))):
+        c = draw(st.integers(0, len(clouds) - 1))
+        top = draw(st.sampled_from(MAPS[n][:2]))
+        if draw(st.booleans()):
+            top = hm.MapChain([top, MAPS[n][2]])
+        charts = [draw(pool) for _ in range(n)] + [top]
+        transitions = {(p, q): draw(pool) for q in range(n + 1) for p in range(q)}
+        simplices.append((co.ChartSimplex(charts, transitions, clouds[c], validate=False), c))
+    return n, clouds, simplices, draw(st.permutations(range(len(simplices))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chart_paths())
+def test_batched_labels_equal_one_plan_per_label_at_every_bound(case):
+    n, clouds, simplices, order = case
+    T = todd_invariant(n)
+    want = [co.cf_label_top(s, T, clouds[c]) for s, c in simplices]
+    for bound in BOUNDS[:1] + [2 * max(len(P) for P in clouds) * n ** 3] + BOUNDS[2:]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fo, "BATCH_ENTRIES", bound)
+            plan = co.LabelPlan(T)
+            keys = [plan.add(s, clouds[c]) for s, c in simplices]
+            for i in order:
+                got = (fo.SampledForm.zeros(n, n, clouds[simplices[i][1]], ())
+                       if keys[i] is None else plan.take(keys[i]))
+                assert same_bits(got, want[i]), (bound, i)
+            assert len(plan) == 0
 
 
 def singular_setup():

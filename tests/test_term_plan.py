@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
+import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
 from conftest import per_cell
@@ -165,13 +166,13 @@ def plan_values(expr, bd, cells):
 @SETTINGS
 @given(setups(), st.sampled_from(sorted(EXPRESSIONS)),
        st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]), min_size=1, unique=True),
-       st.sampled_from([0, 2, 3]), st.sampled_from([1, 8, cg.SUM_BATCH_ENTRIES]))
+       st.sampled_from([0, 2, 3]), st.sampled_from([1, 8, fo.BATCH_ENTRIES]))
 def test_plan_values_equal_the_per_cell_oracle_bitwise(setup, name, bidegrees, zero_every,
                                                       batch):
     cover, action = setup
     expr = EXPRESSIONS[name](cochain(cover, action, bidegrees, zero_every))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cg, "SUM_BATCH_ENTRIES", batch)
+        mp.setattr(fo, "BATCH_ENTRIES", batch)
         for bd in expr.bidegrees():
             cells = list(cg.enumerate_cells(cover, action, *bd))
             got = plan_values(expr, bd, cells)

@@ -74,7 +74,7 @@ def outputs(tree, scenario, command, writes, workdir):
     argv = [sys.executable, "-m", "cocyclekit.cli", command, str(scenario)]
     if writes:
         argv += ["--output", str(report)]
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree) / "src"))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree).resolve() / "src"))
     out = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True,
                          check=False)
     written = (without_seconds(json.loads(report.read_text(encoding="utf-8")))
