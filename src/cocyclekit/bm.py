@@ -14,18 +14,18 @@ one-row view of the same path returning {i: coefficient}. The dbar check
 sends every stencil point of every probe and step to the coefficient function
 in one (M, n) cloud; the reproducing integral evaluates one (order, order)
 slab of sphere nodes per kernel call. The diagonal guard names the first
-offending xi of a cloud. Pair forms (the kernel on W x W, its pullbacks and
-their dbar) are SampledForms on (N, 2n) pair clouds.
+offending xi of a cloud.
+
+The bm-dbar and bm-reproducing checks (and bm-check) reach this module;
+hartogs_diagonal, the extrapolated restriction of a pair coefficient to the
+diagonal, is the subject of acceptance criterion 10.
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .forms import SampledForm, jacobian_minors, minor_pullback, signed_sum
-from .holomap import MapChain, as_cloud
 
 DIAGONAL_CUTOFF = 1e-12
 
@@ -193,125 +193,6 @@ def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32):
         total += we * (c * c * s * sum1 + c * s * s * sum2)
     # the (eta, phi1, phi2) chart is negatively oriented for the outward sphere
     return complex(-rescale * total)
-
-
-# ---------------------------------------------------------------------------
-# pair forms: forms on W x W minus the diagonal, sampled on pair clouds
-#
-# A pair form maps an (N, 2n) pair cloud with rows (w1, w2) to a SampledForm
-# of dimension 2n. Its k-indices are the antiholomorphic differentials
-# d z-bar_1..d z-bar_n (indices 0..n-1, first factor) and d xi-bar_1..d xi-bar_n
-# (indices n..2n-1, second factor) in combinations order. The holomorphic
-# d xi^1..d xi^n wedge rides along implicitly: a pullback multiplies every
-# coefficient by its Jacobian determinant.
-
-# Wirtinger step of the layer condition's dbar
-PARAMETRIX_STEP = 1e-4
-
-
-def _split_pairs(pairs, n):
-    P = as_cloud(pairs, 2 * n)[0]
-    return P, P[:, :n], P[:, n:]
-
-
-def _difference_expansion(n):
-    """E[i, K]: coefficient of d w-bar_K in prod_{j != i, increasing} (d xi-bar_j - d z-bar_j)."""
-    cols = {K: c for c, K in enumerate(itertools.combinations(range(2 * n), n - 1))}
-    E = np.zeros((n, len(cols)))
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        for sides in itertools.product((0, 1), repeat=n - 1):
-            keys = [j + n * side for j, side in zip(rest, sides)]
-            inversions = sum(a > b for a, b in itertools.combinations(keys, 2))
-            E[i, cols[tuple(sorted(keys))]] = (-1) ** (n - 1 - sum(sides) + inversions)
-    return E
-
-
-def bm_pairform(n):
-    """The kernel as a pair form of degree n - 1."""
-    expansion = _difference_expansion(n)
-
-    def form(pairs):
-        P, w1, w2 = _split_pairs(pairs, n)
-        return SampledForm(2 * n, n - 1, P, bm_coefficients(n, w1, w2) @ expansion)
-
-    return form
-
-
-def pair_pullback(psi, form):
-    """(psi x psi)^* of a pair form; psi needs eval and jacobian on clouds.
-
-    The antiholomorphic part pulls back through the minors of
-    conj(blockdiag(J1, J2)), the implicit d xi wedge through det J2.
-    """
-    n = psi.n
-
-    def pulled(pairs):
-        P, w1, w2 = _split_pairs(pairs, n)
-        inner = form(np.concatenate([psi.eval(w1), psi.eval(w2)], axis=1))
-        J2 = psi.jacobian(w2)
-        J = np.zeros((len(P), 2 * n, 2 * n), dtype=complex)
-        J[:, :n, :n], J[:, n:, n:] = psi.jacobian(w1), J2
-        values = minor_pullback(inner.values, jacobian_minors(np.conj(J), inner.k))
-        return SampledForm(2 * n, inner.k, P, values * np.linalg.det(J2)[:, None])
-
-    return pulled
-
-
-def bm_vertex(rho):
-    """The vertex assignment: pull the kernel back along rho x rho."""
-    return pair_pullback(rho, bm_pairform(rho.n))
-
-
-def _wedge_table(m, k):
-    """table[b, K, L] = s where d w-bar_b ^ d w-bar_K = s d w-bar_L."""
-    rows = list(itertools.combinations(range(m), k))
-    cols = {L: c for c, L in enumerate(itertools.combinations(range(m), k + 1))}
-    table = np.zeros((m, len(rows), len(cols)))
-    for b in range(m):
-        for r, K in enumerate(rows):
-            if b not in K:
-                table[b, r, cols[tuple(sorted(K + (b,)))]] = (-1) ** sum(a < b for a in K)
-    return table
-
-
-def pairform_dbar(form, pairs, h):
-    """Numeric dbar of a pair form on an (N, 2n) pair cloud, by Wirtinger central differences.
-
-    The form is evaluated once, on the stencil points of every pair.
-    """
-    P = np.asarray(pairs, dtype=complex)
-    pts = _stencil_cloud(P, (h,))
-    shifted = form(pts.reshape(-1, P.shape[1]))
-    dbar = _stencil_dbar(shifted.values.reshape(pts.shape[:-1] + (-1,)), (h,))[:, 0]
-    return SampledForm(P.shape[1], shifted.k + 1, P,
-                       np.einsum("pbK,bKL->pL", dbar, _wedge_table(P.shape[1], shifted.k)))
-
-
-def parametrix_layer_residual(omega_q, omega_qm1, chain, pairs):
-    """Residual of the layer condition dbar(omega^q) = delta(omega^{q-1}).
-
-    omega_q and omega_qm1 map a tuple of composable maps to a pair form; chain
-    is the tuple (phi_1, ..., phi_q) and pairs a nonempty (N, 2n) pair cloud,
-    evaluated all at once. This is the verifier interface for externally
-    supplied parametrix cochain data.
-    """
-    q = len(chain)
-    if q < 1:
-        raise ValidationError("need at least one map in the chain")
-    n = chain[0].n
-    P = as_cloud(pairs, 2 * n)[0]
-    if not len(P):
-        raise ValidationError("no pairs to check the layer condition on")
-    lhs = pairform_dbar(omega_q(chain), P, PARAMETRIX_STEP)
-    # delta drops phi_1, merges each adjacent pair, and pulls back along phi_q
-    faces = [(1.0, omega_qm1(chain[1:]))]
-    faces += [((-1.0) ** j, omega_qm1(chain[:j - 1] + (MapChain(chain[j - 1:j + 1]),)
-                                      + chain[j + 1:]))
-              for j in range(1, q)]
-    faces.append(((-1.0) ** q, pair_pullback(chain[-1], omega_qm1(chain[:-1]))))
-    rhs = signed_sum(2 * n, lhs.k, P, ((sign, face(P)) for sign, face in faces))
-    return lhs.sub(rhs).max_abs()
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,8 @@ import numpy as np
 from . import forms
 from .cocycle import ChartSimplex, LabelPlan, label_vanishes
 from .errors import ValidationError
-from .forms import SampledForm, pullback_kform, signed_sum
+from .forms import pullback_kform, signed_sum
 from .holomap import MapChain, as_cloud, compose, identity_map
-
-# largest round-trip error, over the declared clouds, of a generator against its
-# inverse and of a chart against its inverse
-GENERATOR_ROUND_TRIP_TOL = 1e-10
-CHART_ROUND_TRIP_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # free words over named generators
@@ -216,18 +211,17 @@ class GroupActionSpec:
         return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters],
                         name=repr(word))
 
-    def validate(self, cover):
-        """Generator/inverse round trips on every base cloud, within GENERATOR_ROUND_TRIP_TOL."""
-        worst = 0.0
+    def round_trip(self, cover):
+        """(error, generator) of the worst generator/inverse round trip on the declared clouds."""
+        worst = (0.0, None)
         for name, (fwd, inv) in self.generators.items():
             for key in cover.declared_sets():
                 P = as_cloud(cover.clouds[key], fwd.n)[0]
                 if len(P):
-                    worst = max(worst, float(np.max(np.abs(fwd.eval(inv.eval(P)) - P))),
+                    error = max(float(np.max(np.abs(fwd.eval(inv.eval(P)) - P))),
                                 float(np.max(np.abs(inv.eval(fwd.eval(P)) - P))))
-        if worst > GENERATOR_ROUND_TRIP_TOL:
-            raise ValidationError("generator/inverse round trip off by %.3e > %.1e"
-                                  % (worst, GENERATOR_ROUND_TRIP_TOL))
+                    if error > worst[0]:
+                        worst = (error, name)
         return worst
 
 
@@ -254,16 +248,15 @@ class Atlas:
     def indices(self):
         return list(self.charts)
 
-    def validate(self, cover):
-        """Chart/inverse round trip on the index's own cloud, within CHART_ROUND_TRIP_TOL."""
-        worst = 0.0
-        for index in self.charts:
-            chart, inverse = self.charts[index]
+    def round_trip(self, cover):
+        """(error, index) of the worst chart/inverse round trip on the indices' own clouds."""
+        worst = (0.0, None)
+        for index, (chart, inverse) in self.charts.items():
             P = as_cloud(cover.cloud((index,)), chart.n)[0]
             if len(P):
-                worst = max(worst, float(np.max(np.abs(inverse.eval(chart.eval(P)) - P))))
-        if worst > CHART_ROUND_TRIP_TOL:
-            raise ValidationError("atlas chart/inverse round trip off by %.3e" % worst)
+                error = float(np.max(np.abs(inverse.eval(chart.eval(P)) - P)))
+                if error > worst[0]:
+                    worst = (error, index)
         return worst
 
 
@@ -324,10 +317,6 @@ class MixedCochain:
         """True when the base value of (J, G) is known to vanish before it is evaluated."""
         return self._vanishes is not None and self._vanishes(bidegree, tuple(J), tuple(G))
 
-    def evaluate(self, bidegree, J, G, points):
-        """The base value of (J, G) on an (N, n) cloud."""
-        return self.evaluate_all([(bidegree, J, G, points)])[0]
-
     def evaluate_all(self, requests):
         """Base values of (bidegree, J, G, points) requests, in request order: one
         provider call per bidegree."""
@@ -349,12 +338,8 @@ class MixedCochain:
         return self.cover.cloud_array(cell_multi_index(self.action, J, G), self.n)
 
     def sample(self, bidegree, J, G):
-        """The cell's value on its own cloud (cochains and expressions alike)."""
+        """The cell's value on its own cloud."""
         return self.base_value(bidegree, J, G)
-
-    def evaluate_term(self, term, points):
-        """A term (bd, J, G, word) evaluated on the (N, n) cloud `points`."""
-        return self.evaluate_terms([(term, points)])[0]
 
     def evaluate_terms(self, terms):
         """Terms (bd, J, G, word) on (N, n) clouds, from (term, points) pairs, in order.
@@ -396,20 +381,6 @@ class CochainExpression:
 
     def bidegrees(self):
         return sorted(self.components)
-
-    def value(self, bidegree, J, G):
-        """The cell's values on its cloud: a term plan over this one cell."""
-        plan = TermPlan(self, bidegree, [(J, G)])
-        (_, _, _, total), = plan.sums()
-        return plan.form(0, None if total is None else total[0])
-
-    def sample(self, bidegree, J, G):
-        return self.value(bidegree, J, G)
-
-    def max_residual(self, bidegree, J, G):
-        if not len(self.base.cell_points(J, G)):
-            return None
-        return self.value(bidegree, J, G).max_abs()
 
     def scale(self, a):
         return CochainExpression(self.base, {bd: ("sum", ((int(a), node),))
@@ -735,13 +706,6 @@ class TermPlan:
         """The cloud of cell c."""
         return self.points_of(self._target[c])
 
-    def form(self, c, total):
-        """Cell c's value as a SampledForm; total None is the structural zero."""
-        base = self.base
-        if total is None:
-            return SampledForm.zeros(base.n, base.form_degree, self.points(c), ())
-        return SampledForm(base.n, base.form_degree, self.points(c), total)
-
     def sums(self):
         """(cells, terms, values, total) per batch of cells with equal term count and size.
 
@@ -976,23 +940,13 @@ class PathLabeler:
         return vertices
 
 
-def tau_invariant(cover, action, atlas, T, verify_tol=None):
-    """The total-degree-n cocycle of an equivariant atlas under the invariant T.
-
-    With verify_tol set, the mixed differential is checked over the action's
-    declared words before returning; a residual above tolerance raises.
-    """
+def tau_invariant(cover, action, atlas, T):
+    """The total-degree-n cocycle of an equivariant atlas under the invariant T."""
     n_total = T.arity
     labeler = PathLabeler(cover, action, [atlas], T)
     steps = {(m, n_total - m): (C_STEP,) * m + (G_STEP,) * (n_total - m)
              for m in range(n_total + 1) if m == n_total or action.generators}
-    tau = labeler.cochain(n_total, steps, "tau")
-    if verify_tol is not None:
-        report = closedness_report(tau, tol=verify_tol)
-        if not report["pass"]:
-            raise ValidationError("tau is not closed: residual %.3e > %.1e"
-                                  % (report["max_residual"], verify_tol))
-    return tau
+    return labeler.cochain(n_total, steps, "tau")
 
 
 def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
@@ -1029,19 +983,16 @@ def enumerate_cells(cover, action, m, q, words=None):
                 yield tuple(J), G
 
 
-def cell_values(source, bidegrees=None):
-    """(bidegree, J, G, SampledForm) for every nonempty cell of a cochain or expression.
+def cell_values(cochain, bidegrees=None):
+    """(bidegree, J, G, SampledForm) for every nonempty cell of a MixedCochain.
 
-    Walks `bidegrees` (default: the source's own) over the action's declared
-    words; an expression reads zero on a bidegree it has no component in.
+    Walks `bidegrees` (default: the cochain's own) over the action's declared
+    words; the base values of each bidegree are evaluated in one batch.
     """
-    base = as_expression(source).base
-    for bd in source.bidegrees() if bidegrees is None else bidegrees:
-        cells = list(enumerate_cells(base.cover, base.action, *bd))
-        if source is base:
-            base.base_values([(bd, J, G) for J, G in cells])
-        for J, G in cells:
-            yield bd, J, G, source.sample(bd, J, G)
+    for bd in cochain.bidegrees() if bidegrees is None else bidegrees:
+        cells = list(enumerate_cells(cochain.cover, cochain.action, *bd))
+        for (J, G), value in zip(cells, cochain.base_values([(bd, J, G) for J, G in cells])):
+            yield bd, J, G, value
 
 
 def require_cells(count, bidegrees):

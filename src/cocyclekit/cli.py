@@ -65,14 +65,13 @@ def run_witness(scn, entry):
 
 def run_telescoping(scn, entry):
     simplex = scn.chart_simplex(entry)
-    T = todd_invariant(entry.get("arity", simplex.level - 1))
-    report = verify_telescoping(simplex, T, tol=entry["tolerance"])
+    report = verify_telescoping(simplex, todd_invariant(entry["arity"]), tol=entry["tolerance"])
     return _residual_result(report, entry)
 
 
 def run_dk_validate(scn, entry):
     simplex = scn.chart_simplex(entry)
-    T = todd_invariant(entry.get("arity", min(simplex.level, scn.n)))
+    T = todd_invariant(entry["arity"])
     labeling = cf_map(simplex, T)
     complex_ = shifted_form_complex(scn.n, T.arity, simplex.source_points)
     report = dk_validate(labeling, complex_, tol=entry["tolerance"])

@@ -93,7 +93,8 @@ class Expr:
     a derivative reuses the subtrees of what it differentiates. So a composite
     map's components form a DAG. What depends only on a node is computed once
     and kept on it: its derivative by each variable (_derivs, see derivative)
-    and its highest variable index (_max_var).
+    and its highest variable index (_max_var). Nodes compare and hash by
+    identity, which is how every memo keys them.
     """
 
     _derivs = None
@@ -131,15 +132,6 @@ class Expr:
     def children(self):
         return ()
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.key()))
-
-    def key(self):
-        return self.children()
-
     def __repr__(self):
         return to_text(self)
 
@@ -153,9 +145,6 @@ class Const(Expr):
 
     def diff(self, var):
         return Const(ZERO)
-
-    def key(self):
-        return (self.value,)
 
     def is_zero(self):
         return self.value.is_zero()
@@ -175,9 +164,6 @@ class Var(Expr):
 
     def max_var(self):
         return self.index
-
-    def key(self):
-        return (self.index,)
 
 
 class Add(Expr):
@@ -241,9 +227,6 @@ class Pow(Expr):
 
     def children(self):
         return (self.base,)
-
-    def key(self):
-        return (self.base, self.exponent)
 
     def emit(self, program):
         e = self.exponent

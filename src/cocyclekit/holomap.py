@@ -367,10 +367,6 @@ class MapChain:
             inner = p
         return _one_row(J, single)
 
-    def jacobian_inverse(self, points):
-        P, single = as_cloud(points, self.n)
-        return _one_row(invert_jacobians(self.jacobian(P), P), single)
-
     def __repr__(self):
         return "MapChain(%s)" % " . ".join(getattr(p, "name", "?") or "?" for p in self.pieces)
 

@@ -139,20 +139,6 @@ class InvariantMap:
     def __call__(self, mats):
         return eval_invariant(self, mats)
 
-    def to_json(self):
-        return {
-            "basis": "trace-map",
-            "arity": self.arity,
-            "terms": [{"partition": list(p), "num": str(c.numerator), "den": str(c.denominator)}
-                      for p, c in sorted(self.terms.items())],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        terms = {as_partition(t["partition"]): Fraction(int(t["num"]), int(t["den"]))
-                 for t in obj["terms"]}
-        return cls(obj["arity"], terms)
-
 
 def symmetrize(p):
     """The symmetrized multi-trace map of a permutation: one term, its cycle type."""
@@ -264,9 +250,6 @@ class SymFun:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def is_homogeneous(self):
-        return self.degree() is not None
 
     def __eq__(self, other):
         return (isinstance(other, SymFun) and self.basis == other.basis
@@ -409,18 +392,6 @@ def newton_convert(f, target_basis):
                 raise ValidationError("conversion produced a constant term")
             out[p] = out.get(p, Fraction(0)) + coeff * c
     return SymFun(target_basis, out, f.rank_coeff)
-
-
-def _series_mul(a, b, depth):
-    out = [Fraction(0)] * (depth + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > depth:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > depth:
-                break
-            out[i + j] += ai * bj
-    return out
 
 
 def _series_log(s, depth):

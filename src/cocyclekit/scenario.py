@@ -21,6 +21,11 @@ from .invariants import todd_invariant
 KNOWN_CHECKS = ("affine-vanishing", "tau-closedness", "witness", "telescoping",
                 "dk-validate", "theta-composition", "bm-dbar", "bm-reproducing")
 
+# largest round-trip error, over the declared clouds, of a generator against its
+# inverse and of a chart against its inverse
+GENERATOR_ROUND_TRIP_TOL = 1e-10
+CHART_ROUND_TRIP_TOL = 1e-9
+
 
 def _rational(s, location):
     if not isinstance(s, str):
@@ -54,6 +59,7 @@ class Scenario:
     def __init__(self, data, source_bytes=b""):
         self.data = data
         self.hash = hashlib.sha256(source_bytes).hexdigest()
+        _require_object(data, "scenario")
         if "dimension" not in data:
             raise ScenarioError("missing 'dimension'")
         _validate_fields(data, _SCENARIO_FIELDS, "dimension")
@@ -184,7 +190,8 @@ class Scenario:
                                      words=words)
         except ValidationError as err:
             raise ScenarioError(str(err), loc) from None
-        action.validate(self.cover)
+        _require_round_trip(action.round_trip(self.cover), GENERATOR_ROUND_TRIP_TOL,
+                            "generator/inverse", "action")
         return action
 
     def _load_atlas(self, section, key):
@@ -202,7 +209,8 @@ class Scenario:
             inverse = self.map_named(entry.get("inverse", ""), loc)
             charts[index] = (chart, inverse)
         atlas = Atlas(charts)
-        atlas.validate(self.cover)
+        _require_round_trip(atlas.round_trip(self.cover), CHART_ROUND_TRIP_TOL,
+                            "chart/inverse", key)
         return atlas
 
     def _load_checks(self, section):
@@ -225,7 +233,32 @@ class Scenario:
             self._validate_check_refs(ctype, entry, loc)
             checks.append(dict(entry, name=name, tolerance=tol,
                                **self._parse_check_points(entry, loc)))
+            if ctype in ("telescoping", "dk-validate"):
+                checks[-1]["arity"] = self._simplex_arity(ctype, entry, loc)
         return checks
+
+    def _simplex_arity(self, ctype, entry, loc):
+        """The arity of a telescoping/dk-validate entry, refused unless the simplex has
+        an (arity+1)-cell, where the labels' face sums are checked.
+
+        The default is level - 1 for telescoping and min(level - 1, n) for
+        dk-validate, the level being the chart count less one. A telescoping
+        simplex is exactly one level above its arity; a dk-validate simplex at
+        least one.
+        """
+        charts = len(entry.get("charts", []))
+        default = charts - 2 if ctype == "telescoping" else min(charts - 2, self.n)
+        arity = entry.get("arity", default)
+        if not 1 <= arity <= self.n:
+            raise ScenarioError("arity %d%s is outside 1..%d, the dimension"
+                                % (arity, "" if "arity" in entry else
+                                   " (the default for %d charts)" % charts, self.n), loc)
+        exact = ctype == "telescoping"
+        if charts < arity + 2 or (exact and charts > arity + 2):
+            raise ScenarioError("%d charts leave no (arity+1)-cell at arity %d: %s needs %s %d"
+                                % (charts, arity, ctype, "exactly" if exact else "at least",
+                                   arity + 2), loc)
+        return arity
 
     def _parse_check_points(self, entry, loc):
         """The point lists of a check entry as tuples of complex coordinates."""
@@ -241,8 +274,6 @@ class Scenario:
                 raise ScenarioError("witness needs atlas and atlas_b", loc)
         if ctype in ("telescoping", "dk-validate"):
             charts = _require_list(entry.get("charts", []), loc)
-            if len(charts) < 2:
-                raise ScenarioError("need at least two charts", loc)
             if not entry.get("source_points"):
                 raise ScenarioError("need source_points", loc)
             for chart in charts:
@@ -284,6 +315,14 @@ class Scenario:
         return ChartSimplex(charts, transitions, entry["source_points"], validate=False)
 
 
+def _require_round_trip(worst, tol, what, section):
+    """Refuse a worst (error, name) round trip above tol, naming section/name."""
+    error, name = worst
+    if error > tol:
+        raise ScenarioError("%s round trip off by %.3e > %.1e" % (what, error, tol),
+                            "%s/%s" % (section, name))
+
+
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -308,8 +347,8 @@ _BM_FIELDS = (
     ("probes", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     ("step", lambda v: _is_real(v) and v > 0, "a positive number"),
     ("order", lambda v: _is_int(v) and v >= 4, "an integer >= 4"),
-    ("radii", lambda v: isinstance(v, list) and all(_is_real(r) and r > 0 for r in v),
-     "a list of positive numbers"),
+    ("radii", lambda v: isinstance(v, list) and len(v) > 0
+     and all(_is_real(r) and r > 0 for r in v), "a nonempty list of positive numbers"),
 )
 
 

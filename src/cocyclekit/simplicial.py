@@ -1,10 +1,14 @@
-"""Graded complexes, explicit Dold-Kan labelings, and total complexes.
+"""Graded complexes and explicit Dold-Kan labelings.
 
 A DKSimplex labels every cell (i0 < ... < il) of a standard simplex with an
 element of degree -l; the boundary condition ties the alternating face sum of
 each cell to the differential of its label. Elements are abstract: any carrier
 with add/scale/norm supplied through ElementOps works (exact rational vectors
 in the tests, sampled holomorphic forms in the cocycle pipeline).
+
+dk_validate is what the dk-validate check runs. dk_face, dk_degeneracy and
+vector_ops are the simplicial structure maps and exact elements that
+acceptance criterion 11 tests the labelings against.
 """
 
 import itertools
@@ -17,24 +21,17 @@ class ElementOps:
     """Pluggable element arithmetic for one complex.
 
     zero(degree) must produce the additive zero of the given degree's carrier;
-    norm is the residual magnitude used by tolerance checks; eq is optional
-    exact equality (falls back to norm of the difference being zero).
+    norm is the residual magnitude used by tolerance checks.
     """
 
-    def __init__(self, add, scale, norm, zero, eq=None):
+    def __init__(self, add, scale, norm, zero):
         self.add = add
         self.scale = scale
         self.norm = norm
         self.zero = zero
-        self._eq = eq
 
     def sub(self, x, y):
         return self.add(x, self.scale(-1, y))
-
-    def eq(self, x, y):
-        if self._eq is not None:
-            return self._eq(x, y)
-        return self.norm(self.sub(x, y)) == 0
 
 
 def vector_ops(dims_by_degree):
@@ -53,54 +50,20 @@ def vector_ops(dims_by_degree):
     def zero(degree):
         return tuple(Fraction(0) for _ in range(dims_by_degree.get(degree, 0)))
 
-    return ElementOps(add, scale, norm, zero, eq=lambda x, y: x == y)
+    return ElementOps(add, scale, norm, zero)
 
 
 class GradedComplex:
     """Finite-support Z-graded cochain complex with differential of degree +1."""
 
-    def __init__(self, degrees, diff, ops, membership=None):
+    def __init__(self, degrees, diff, ops):
         self.degrees = sorted(set(int(d) for d in degrees))
         self._diff = diff
         self.ops = ops
-        self.membership = membership or {}
 
     def d(self, degree, x):
         """Apply the differential to an element of the given degree."""
         return self._diff(degree, x)
-
-    def contains(self, degree, x):
-        pred = self.membership.get(degree)
-        return True if pred is None else pred(x)
-
-    def check_d_squared(self, degree, samples, tol=1e-10):
-        worst = 0.0
-        for x in samples:
-            ddx = self.d(degree + 1, self.d(degree, x))
-            worst = max(worst, float(self.ops.norm(ddx)))
-        return worst <= tol, worst
-
-
-def smart_truncate(C, tol=1e-10):
-    """Keep negative degrees, replace degree 0 by the kernel of d, drop the rest.
-
-    Closedness is enforced through the degree-0 membership predicate; elements
-    failing it are rejected wherever insertion is validated.
-    """
-    degrees = [p for p in C.degrees if p <= 0]
-
-    def diff(degree, x):
-        if degree >= 0:
-            return C.ops.zero(degree + 1)
-        return C.d(degree, x)
-
-    membership = dict(C.membership)
-
-    def closed_at_zero(x):
-        return float(C.ops.norm(C.d(0, x))) <= tol and C.contains(0, x)
-
-    membership[0] = closed_at_zero
-    return GradedComplex(degrees, diff, C.ops, membership)
 
 
 def _cells(dim, min_len=1):
@@ -131,9 +94,6 @@ class DKSimplex:
         if length is None:
             return list(self.labels)
         return [c for c in self.labels if len(c) == length]
-
-    def to_json(self, encode=lambda v: v):
-        return {",".join(map(str, cell)): encode(v) for cell, v in sorted(self.labels.items())}
 
 
 def dk_validate(s, complex_, tol=1e-10):
@@ -197,60 +157,3 @@ def dk_degeneracy(j, s, ops):
         else:
             labels[cell] = s.label(image)
     return DKSimplex(s.dim + 1, labels)
-
-
-class DoubleComplex:
-    """Bigraded complex with commuting differentials d_cech (first index +1)
-    and d_int (second index +1)."""
-
-    def __init__(self, bidegrees, d_cech, d_int, ops):
-        self.bidegrees = sorted(set(tuple(b) for b in bidegrees))
-        self.d_cech = d_cech
-        self.d_int = d_int
-        self.ops = ops
-
-
-def total_complex(D):
-    """Collapse a double complex to degree p = sum of bidegrees.
-
-    Elements are dicts {bidegree: element}; the differential is
-    d_cech + (-1)^{cech degree} d_int, which squares to zero when the two
-    differentials commute.
-    """
-    degrees = sorted({a + b for a, b in D.bidegrees})
-    by_total = {}
-    for (a, b) in D.bidegrees:
-        by_total.setdefault(a + b, []).append((a, b))
-
-    ops = D.ops
-
-    def add(x, y):
-        out = dict(x)
-        for key, v in y.items():
-            out[key] = ops.add(out[key], v) if key in out else v
-        return out
-
-    def scale(a, x):
-        return {key: ops.scale(a, v) for key, v in x.items()}
-
-    def norm(x):
-        return max((ops.norm(v) for v in x.values()), default=0)
-
-    def zero(degree):
-        return {bd: ops.zero(bd) for bd in by_total.get(degree, [])}
-
-    tot_ops = ElementOps(add, scale, norm, zero)
-
-    def diff(degree, x):
-        out = {}
-        for (a, b), v in x.items():
-            for target, piece in (((a + 1, b), D.d_cech((a, b), v)),
-                                  ((a, b + 1), ops.scale((-1) ** a, D.d_int((a, b), v)))):
-                if target in out:
-                    out[target] = ops.add(out[target], piece)
-                else:
-                    out[target] = piece
-        # keep only bidegrees the double complex carries
-        return {bd: v for bd, v in out.items() if bd in set(by_total.get(sum(bd), []))}
-
-    return GradedComplex(degrees, diff, tot_ops)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from cocyclekit.cechgroup import TermPlan
+from cocyclekit.forms import SampledForm
+
 
 @pytest.fixture
 def rng():
@@ -14,6 +17,22 @@ def random_matrices(rng, k, n):
 def per_cell(provider):
     """A MixedCochain provider of (J, G, points) requests from a one-cell provider(J, G, points)."""
     return lambda requests: [provider(J, G, P) for J, G, P in requests]
+
+
+def plan_form(plan, c, total):
+    """Cell c of a TermPlan as a SampledForm from its row of a batch total; a total
+    of None is the structural zero."""
+    base = plan.base
+    if total is None:
+        return SampledForm.zeros(base.n, base.form_degree, plan.points(c), ())
+    return SampledForm(base.n, base.form_degree, plan.points(c), total)
+
+
+def cell_value(expr, bidegree, J, G):
+    """An expression's value on one cell, from a TermPlan over that cell alone."""
+    plan = TermPlan(expr, bidegree, [(J, G)])
+    (_, _, _, total), = plan.sums()
+    return plan_form(plan, 0, None if total is None else total[0])
 
 
 def random_points(rng, count, n=2, radius=0.5, center=0.0):

@@ -20,7 +20,7 @@ import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 import cocyclekit.invariants as inv
 from cocyclekit.errors import DomainError, SingularJacobianError
-from conftest import per_cell, random_matrices, random_points
+from conftest import cell_value, per_cell, random_matrices, random_points
 
 RTOL = 1e-12
 
@@ -333,7 +333,7 @@ def test_cech_face_on_undeclared_cloud_is_evaluated_at_the_cell_points():
         (0, 0): per_cell(lambda J, G, P: fo.apply_invariant(T1, [fo.theta(charts[J[0]], P)]))})
     assert cover.cloud(("p",)) == []
     assert cover.restriction(("p",), ("p", "q")) is None
-    got = cg.cech_differential(c).value((1, 0), ("p", "q"), ())
+    got = cell_value(cg.cech_differential(c), (1, 0), ("p", "q"), ())
     want = [wedge_at(T1, [theta_at(charts["q"], p)], 2)
             - wedge_at(T1, [theta_at(charts["p"], p)], 2) for p in pts]
     assert_close(got.values, want)

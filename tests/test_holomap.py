@@ -238,7 +238,7 @@ def test_word_pullback_evaluates_each_generator_piece_once_per_cloud(monkeypatch
         (0, 0): per_cell(lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None]))})
     P = cover.cloud_array(("u",), 2)
     hh = cg.Word([("h", 1), ("h", 1)])
-    cochain.evaluate_term(((0, 0), ("u",), (), hh), P)
+    cochain.evaluate_terms([(((0, 0), ("u",), (), hh), P)])
     # h on the points and on their image, each evaluated and differentiated once
     assert sorted(kind for _, kind, _ in runs) == ["eval", "eval", "jacobian", "jacobian"]
     assert len(set(runs)) == len(runs)

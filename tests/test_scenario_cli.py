@@ -193,18 +193,70 @@ def _append_check(entry):
     (_append_check(dict(TELESCOPING, corrupt=[[0, 2], "henon"])), "checks[1]"),
     (_append_check(dict(TELESCOPING, charts=TELESCOPING["charts"][:1])), "checks[1]"),
     (_append_check(dict(TELESCOPING, source_points=[])), "checks[1]"),
+    (_append_check({k: v for k, v in TELESCOPING.items() if k != "charts"}), "checks[1]"),
+    (_append_check(dict(TELESCOPING, charts=TELESCOPING["charts"][:2])), "checks[1]"),
+    (_append_check(dict(TELESCOPING, arity=3)), "checks[1]"),
+    (_append_check(dict(TELESCOPING, arity=1, charts=TELESCOPING["charts"] * 2)), "checks[1]"),
+    (_append_check(dict(TELESCOPING, type="dk-validate", charts=TELESCOPING["charts"][:2])),
+     "checks[1]"),
+    (_append_check(dict(TELESCOPING, type="dk-validate", arity=2)), "checks[1]"),
+    (_append_check(dict(TELESCOPING, type="dk-validate", arity=3,
+                        charts=TELESCOPING["charts"] * 2)), "checks[1]"),
+    (_set(["atlas", "u", "inverse"], "shear_inv"), "atlas/u"),
+    (_set(["atlas_b"], {"u": {"chart": "henon", "inverse": "shear_inv"}}), "atlas_b/u"),
+    (_set(["action", "generators", 0, "inverse"], "shear_inv"), "action/h"),
 ], ids=["dimension-string", "dimension-zero", "coordinate-string", "cover-list",
         "atlas-list", "atlas-entry-string", "arity-string", "arity-zero",
         "tolerance-bool", "constants-list", "maps-list", "cloud-string",
         "generator-string", "check-string", "chart-list", "check-name-list",
         "index-action-list", "checks-object", "word-string", "word-letter-number",
-        "simplex-chart-string", "corrupt-list", "one-chart", "no-source-points"])
+        "simplex-chart-string", "corrupt-list", "one-chart", "no-source-points",
+        "no-charts", "telescoping-two-charts", "telescoping-arity-above-dimension",
+        "telescoping-charts-beyond-arity", "dk-two-charts", "dk-no-cell-above-arity",
+        "dk-arity-above-dimension", "atlas-round-trip", "atlas-b-round-trip",
+        "generator-round-trip"])
 def test_bad_scenario_type_exits_2_with_location(tmp_path, capsys, edit, location):
     data = load_scn("henon_z.scn")
     edit(data)
     assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert location in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", [5, None, True, [1, 2], "x"],
+                         ids=["number", "null", "bool", "array", "string"])
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys, top):
+    assert main(["run", write_scn(tmp_path, top), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario: must be an object" in err and "Traceback" not in err
+
+
+def test_three_chart_dk_validate_corrupt_control_trips(tmp_path):
+    # at level 2 the default arity is 1, so the one 2-cell checks the face sum of
+    # the three theta labels, the corrupted (0, 2) transition's included
+    data = load_scn("henon_z.scn")
+    data["maps"]["sq"] = {"components": "z1^2; z2"}
+    corrupt = {"replace": [0, 2], "with_map": "sq"}
+    data["checks"] = [dict(TELESCOPING, name=t, type=t, corrupt=corrupt)
+                      for t in ("telescoping", "dk-validate")]
+    out = tmp_path / "r.json"
+    assert main(["run", write_scn(tmp_path, data), "--output", str(out)]) == 1
+    telescoping, dk = json.loads(out.read_text())["checks"]
+    assert telescoping["status"] == dk["status"] == "fail"
+    assert dk["max_residual"] == pytest.approx(telescoping["max_residual"], rel=1e-12)
+    assert dk["max_residual"] > 1.0
+
+
+def test_chart_simplex_default_arities(tmp_path):
+    data = load_scn("henon_z.scn")
+    four = TELESCOPING["charts"] + [{"chart": "shear3", "inverse": "shear3_inv"}]
+    data["checks"] = [dict(TELESCOPING, name="t3"), dict(TELESCOPING, name="t4", charts=four),
+                      dict(TELESCOPING, name="d3", type="dk-validate"),
+                      dict(TELESCOPING, name="d4", type="dk-validate", charts=four),
+                      dict(TELESCOPING, name="d5", type="dk-validate",
+                           charts=four + TELESCOPING["charts"][:1])]
+    scn = Scenario.load(write_scn(tmp_path, data))
+    assert [c["arity"] for c in scn.checks] == [1, 2, 1, 2, 2]
 
 
 BAD_POINT = [[["x", 0], [0.0, 0.0]]]
@@ -398,6 +450,7 @@ def test_check_error_does_not_abort_batch(tmp_path):
     ({"type": "bm-dbar", "step": 0}, "'step'"),
     ({"type": "bm-reproducing", "order": 3}, "'order'"),
     ({"type": "bm-reproducing", "radii": [1.0, -0.5]}, "'radii'"),
+    ({"type": "bm-reproducing", "radii": []}, "'radii'"),
 ])
 def test_bad_bm_field_exits_2_with_location(tmp_path, capsys, check, field):
     data = load_scn("henon_z.scn")

@@ -10,7 +10,7 @@ from cocyclekit.errors import ValidationError
 F = Fraction
 
 
-# --- exact linear algebra helpers (the rank oracle) -------------------------
+# --- exact linear algebra helpers --------------------------------------------
 
 
 def frac_rref(rows):
@@ -49,10 +49,6 @@ def nullspace(rows, cols):
             v[pc] = -rref[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def matrix_rank(rows):
-    return len(frac_rref(rows)[1])
 
 
 # --- random exact complexes and valid simplices ------------------------------
@@ -127,49 +123,6 @@ def random_valid_simplex(rnd, C, dims, dim):
 
 def labels_equal(a, b):
     return a.dim == b.dim and all(a.label(c) == b.label(c) for c in a.cells())
-
-
-# --- smart truncation --------------------------------------------------------
-
-
-def _two_term_complex():
-    # C^0 = Q^2 --d0--> C^1 = Q^1, d0 = [1 0]
-    dims = {0: 2, 1: 1}
-    ops = sim.vector_ops(dims)
-
-    def diff(degree, x):
-        if degree == 0:
-            return (x[0],)
-        return ops.zero(degree + 1)
-
-    return sim.GradedComplex([0, 1], diff, ops)
-
-
-def test_smart_truncate_kernel_membership():
-    C = sim.smart_truncate(_two_term_complex())
-    assert C.contains(0, (F(0), F(5)))
-    assert not C.contains(0, (F(1), F(0)))
-    assert C.degrees == [0]
-
-
-def test_smart_truncate_zero_differential_is_identity_below_zero():
-    dims = {0: 2, -1: 2}
-    ops = sim.vector_ops(dims)
-    C = sim.GradedComplex([-1, 0], lambda d, x: ops.zero(d + 1), ops)
-    T = sim.smart_truncate(C)
-    x = (F(1), F(2))
-    assert T.d(-1, x) == ops.zero(0)
-    assert T.contains(0, x)
-
-
-def test_smart_truncate_pretruncated_unchanged(rng):
-    rnd = random.Random(4)
-    C, dims = random_complex(rnd)
-    T = sim.smart_truncate(C)
-    # negative degrees keep the original differential
-    for p in [d for d in C.degrees if d < 0]:
-        x = tuple(F(1) for _ in range(dims[p]))
-        assert T.d(p, x) == C.d(p, x)
 
 
 # --- dk_validate -------------------------------------------------------------
@@ -338,113 +291,3 @@ def test_simplicial_identities_sample():
     for _ in range(25):
         C, dims = random_complex(rnd)
         _check_five_identities(rnd, C, dims, rnd.randint(2, 3))
-
-
-def test_dk_simplex_serialization():
-    rnd = random.Random(29)
-    C, dims = random_complex(rnd)
-    s = random_valid_simplex(rnd, C, dims, 2)
-    payload = s.to_json(encode=lambda v: [str(x) for x in v])
-    assert set(payload) == {"0", "1", "2", "0,1", "0,2", "1,2", "0,1,2"}
-    assert payload["0,1,2"] == [str(x) for x in s.label((0, 1, 2))]
-
-
-# --- total complex ------------------------------------------------------------
-
-
-def _tensor_double_complex():
-    # A: Q^2 -[1 0;0 0]-> Q^2 tensored with B: Q -0-> Q
-    bidegrees = [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-    def add(x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def scale(a, x):
-        return tuple(F(a) * v for v in x)
-
-    def norm(x):
-        return max((abs(v) for v in x), default=F(0))
-
-    def zero(bd):
-        return (F(0), F(0))
-
-    ops = sim.ElementOps(add, scale, norm, zero)
-    dA = lambda x: (x[0], F(0))
-
-    def d_cech(bd, x):
-        return dA(x) if bd[0] == 0 else zero(bd)
-
-    def d_int(bd, x):
-        return zero(bd)
-
-    return sim.DoubleComplex(bidegrees, d_cech, d_int, ops)
-
-
-def test_total_complex_one_row_is_the_row():
-    bidegrees = [(0, 0), (1, 0)]
-
-    def add(x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    ops = sim.ElementOps(add, lambda a, x: tuple(F(a) * v for v in x),
-                         lambda x: max((abs(v) for v in x), default=F(0)),
-                         lambda bd: (F(0),))
-    D = sim.DoubleComplex(bidegrees, lambda bd, x: x if bd[0] == 0 else (F(0),),
-                          lambda bd, x: (F(0),), ops)
-    T = sim.total_complex(D)
-    assert T.degrees == [0, 1]
-    out = T.d(0, {(0, 0): (F(3),)})
-    assert out[(1, 0)] == (F(3),)
-
-
-def test_total_complex_one_column_is_the_column():
-    bidegrees = [(0, 0), (0, 1)]
-    ops = sim.ElementOps(lambda x, y: tuple(a + b for a, b in zip(x, y)),
-                         lambda a, x: tuple(F(a) * v for v in x),
-                         lambda x: max((abs(v) for v in x), default=F(0)),
-                         lambda bd: (F(0),))
-    D = sim.DoubleComplex(bidegrees, lambda bd, x: (F(0),),
-                          lambda bd, x: x if bd[1] == 0 else (F(0),), ops)
-    T = sim.total_complex(D)
-    out = T.d(0, {(0, 0): (F(2),)})
-    assert out[(0, 1)] == (F(2),)  # cech degree 0: sign +1
-
-
-def test_total_complex_rank_oracle():
-    D = _tensor_double_complex()
-    T = sim.total_complex(D)
-
-    def basis(degree):
-        out = []
-        for bd in D.bidegrees:
-            if sum(bd) != degree:
-                continue
-            for i in range(2):
-                v = [F(0), F(0)]
-                v[i] = F(1)
-                out.append({b: (tuple(v) if b == bd else (F(0), F(0)))
-                            for b in D.bidegrees if sum(b) == degree})
-        return out
-
-    def matrix(degree):
-        cols = []
-        for vec in basis(degree):
-            img = T.d(degree, vec)
-            col = []
-            for bd in D.bidegrees:
-                if sum(bd) == degree + 1:
-                    col.extend(img.get(bd, (F(0), F(0))))
-            cols.append(col)
-        return [[cols[c][r] for c in range(len(cols))]
-                for r in range(len(cols[0]))] if cols else []
-
-    dims = {0: 2, 1: 4, 2: 2}
-    r0 = matrix_rank(matrix(0))
-    r1 = matrix_rank(matrix(1))
-    # hand computation by exact elimination: H^0, H^1, H^2 = 1, 2, 1
-    assert dims[0] - r0 == 1
-    assert dims[1] - r1 - r0 == 2
-    assert dims[2] - 0 - r1 == 1
-    # d^2 = 0 on basis elements
-    ok, worst = T.check_d_squared(0, basis(0))
-    assert ok and worst == 0

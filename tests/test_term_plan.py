@@ -21,7 +21,7 @@ import cocyclekit.cechgroup as cg
 import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
-from conftest import per_cell
+from conftest import cell_value, per_cell, plan_form
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -76,10 +76,10 @@ def oracle_term_value(base, term, target, points):
     if pull.is_identity():
         rows = base.cover.restriction(cg.cell_multi_index(base.action, J, G), target)
         if rows is None:
-            return base.evaluate(bd, J, G, points)
+            return base.evaluate_all([(bd, J, G, points)])[0]
         return SampledForm(base.n, base.form_degree, points, own.values[rows])
     chain = base.action.word_chain(pull)
-    return pullback_kform(chain, base.evaluate(bd, J, G, chain.eval(points)), points)
+    return pullback_kform(chain, base.evaluate_all([(bd, J, G, chain.eval(points))])[0], points)
 
 
 def oracle_value(expr, bd, J, G):
@@ -158,7 +158,7 @@ def plan_values(expr, bd, cells):
     out = {}
     for batch, _, _, total in plan.sums():
         for r, c in enumerate(batch.tolist()):
-            out[plan.cells[c]] = plan.form(c, None if total is None else total[r])
+            out[plan.cells[c]] = plan_form(plan, c, None if total is None else total[r])
     assert sorted(out, key=repr) == sorted(plan.cells, key=repr)
     return out
 
@@ -179,7 +179,7 @@ def test_plan_values_equal_the_per_cell_oracle_bitwise(setup, name, bidegrees, z
             for J, G in cells:
                 want = oracle_value(expr, bd, J, G)
                 assert same_bits(got[(J, G)], want), (name, bd, J, G)
-                assert same_bits(expr.value(bd, J, G), want), (name, bd, J, G)
+                assert same_bits(cell_value(expr, bd, J, G), want), (name, bd, J, G)
                 if name in ("difference", "mixed-mixed", "cech-cech", "group-group"):
                     assert want.structurally_zero
 
@@ -191,7 +191,7 @@ def test_all_cancelling_cell_is_the_structural_zero(rng):
     expr = cg.cech_differential(cg.cech_differential(cochain(cover, action, [(0, 0)], 0)))
     plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
     assert plan.cells and not plan.count.any() and not any(len(t) for t in plan.tables)
-    value = expr.value((2, 0), ("a", "b", "a"), ())
+    value = cell_value(expr, (2, 0), ("a", "b", "a"), ())
     assert value.structurally_zero and value.values.shape == (4, 1)
 
 
