@@ -608,6 +608,32 @@ def test_schema_typed_property_of_wrong_type_exits_2(tmp_path, capsys, pattern, 
     assert _location(path) in err and "Traceback" not in err, (path, err)
 
 
+def _miscounted(source, path, node):
+    """The array at `path` cut one item short of minItems and grown one past maxItems."""
+    value = json.loads(source.read_text())
+    for key in path:
+        value = value[key]
+    return ([value[:node["minItems"] - 1]] if "minItems" in node else []) \
+        + ([value + value[-1:] * (node["maxItems"] + 1 - len(value))] if "maxItems" in node else [])
+
+
+BAD_COUNTS = [(pattern, bad) for pattern in sorted(SCHEMA_CASES, key=repr)
+              for bad in _miscounted(*SCHEMA_CASES[pattern])]
+
+
+@pytest.mark.parametrize("pattern, bad", BAD_COUNTS,
+                         ids=["%s=%s" % ("/".join(map(str, p)), json.dumps(b))
+                              for p, b in BAD_COUNTS])
+def test_schema_array_of_wrong_length_exits_2(tmp_path, capsys, pattern, bad):
+    source, path, _ = SCHEMA_CASES[pattern]
+    data = json.loads(source.read_text())
+    _set(list(path), bad)(data)
+    code = main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, (path, bad)
+    assert _location(path) in err and "Traceback" not in err, (path, err)
+
+
 # --- a check that visits nothing does not pass -------------------------------------
 
 
