@@ -9,8 +9,7 @@ are reported).
 
 Kernel evaluation works on clouds, like the rest of the package:
 bm_coefficients takes an (N, n) array of xi, with one z or an (N, n) array of
-z aligned row by row, and returns (N, n) coefficients; a single point is a
-one-row view of the same path returning {i: coefficient}. The dbar check
+z aligned row by row, and returns (N, n) coefficients. The dbar check
 sends every stencil point of every probe and step to the coefficient function
 in one (M, n) cloud; the reproducing integral evaluates one (order, order)
 slab of sphere nodes per kernel call. The diagonal guard names the first
@@ -47,28 +46,22 @@ def bm_coefficients(n, z, xi):
     Coefficient i multiplies the wedge of all (d xi-bar^j - d z-bar^j) with
     j != i, times d xi^1 ... d xi^n. xi is an (N, n) cloud and z one point or
     an (N, n) array aligned row by row with xi; the result is (N, n), column
-    i - 1 holding index i. A single xi is a one-row view of the same path that
-    returns {i: coefficient}.
+    i - 1 holding index i.
     """
     if n < 2:
         raise ValidationError("the kernel is defined for n >= 2")
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    single = xi.ndim == 1
-    cloud = xi.reshape(1, -1) if single else xi
-    if cloud.ndim != 2 or cloud.shape[1] != n or z.shape not in ((n,), cloud.shape):
+    if xi.ndim != 2 or xi.shape[1] != n or z.shape not in ((n,), xi.shape):
         raise ValidationError("points must have %d coordinates" % n)
-    diff = cloud - z
+    diff = xi - z
     dist2 = np.sum(np.abs(diff) ** 2, axis=1)
     if len(dist2) and math.sqrt(dist2.min()) < DIAGONAL_CUTOFF:
         i = int(np.argmax(np.sqrt(dist2) < DIAGONAL_CUTOFF))
         raise DomainError("point xi = %s within %.0e of the diagonal"
-                          % (tuple(complex(c) for c in cloud[i]), DIAGONAL_CUTOFF))
+                          % (tuple(complex(c) for c in xi[i]), DIAGONAL_CUTOFF))
     signs = (-1.0) ** np.arange(1, n + 1)
-    coeffs = bm_constant(n) * signs * np.conj(diff) / (dist2 ** n)[:, None]
-    if single:
-        return {i: complex(c) for i, c in enumerate(coeffs[0], start=1)}
-    return coeffs
+    return bm_constant(n) * signs * np.conj(diff) / (dist2 ** n)[:, None]
 
 
 # +h, -h, +ih, -ih along one coordinate

@@ -135,7 +135,7 @@ class CoverSpec:
         key = frozenset(multi_index)
         P = self._arrays.get(key)
         if P is None:
-            P = self._arrays[key] = as_cloud(self.cloud(key), n)[0]
+            P = self._arrays[key] = as_cloud(self.cloud(key), n)
         return P
 
     def restriction(self, source, target):
@@ -200,23 +200,22 @@ class GroupActionSpec:
             else:
                 m = self.letter_map(*word.letters[-1])
                 for name, sgn in reversed(word.letters[:-1]):
-                    m = compose(self.letter_map(name, sgn), m, check=False)
+                    m = compose(self.letter_map(name, sgn), m)
             self._word_maps[word] = m
         return self._word_maps[word]
 
     def word_chain(self, word):
         """rho(word) as a chain of generator maps (for pullbacks of base values)."""
         if word.is_identity():
-            return MapChain([identity_map(self.n)], name=repr(word))
-        return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters],
-                        name=repr(word))
+            return MapChain([identity_map(self.n)])
+        return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters])
 
     def round_trip(self, cover):
         """(error, generator) of the worst generator/inverse round trip on the declared clouds."""
         worst = (0.0, None)
         for name, (fwd, inv) in self.generators.items():
             for key in cover.declared_sets():
-                P = as_cloud(cover.clouds[key], fwd.n)[0]
+                P = as_cloud(cover.clouds[key], fwd.n)
                 if len(P):
                     error = max(float(np.max(np.abs(fwd.eval(inv.eval(P)) - P))),
                                 float(np.max(np.abs(inv.eval(fwd.eval(P)) - P))))
@@ -252,7 +251,7 @@ class Atlas:
         """(error, index) of the worst chart/inverse round trip on the indices' own clouds."""
         worst = (0.0, None)
         for index, (chart, inverse) in self.charts.items():
-            P = as_cloud(cover.cloud((index,)), chart.n)[0]
+            P = as_cloud(cover.cloud((index,)), chart.n)
             if len(P):
                 error = float(np.max(np.abs(inverse.eval(chart.eval(P)) - P)))
                 if error > worst[0]:
@@ -337,10 +336,6 @@ class MixedCochain:
     def cell_points(self, J, G):
         return self.cover.cloud_array(cell_multi_index(self.action, J, G), self.n)
 
-    def sample(self, bidegree, J, G):
-        """The cell's value on its own cloud."""
-        return self.base_value(bidegree, J, G)
-
     def evaluate_terms(self, terms):
         """Terms (bd, J, G, word) on (N, n) clouds, from (term, points) pairs, in order.
 
@@ -381,19 +376,6 @@ class CochainExpression:
 
     def bidegrees(self):
         return sorted(self.components)
-
-    def scale(self, a):
-        return CochainExpression(self.base, {bd: ("sum", ((int(a), node),))
-                                             for bd, node in self.components.items()})
-
-    def __add__(self, other):
-        if other.base is not self.base:
-            raise ValidationError("expressions over different base cochains")
-        return _combination(self.base, [(1, bd, node) for e in (self, other)
-                                        for bd, node in e.components.items()])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
 
 def _combination(base, parts):
@@ -842,11 +824,8 @@ class PathLabeler:
 
     def chart_for(self, vertex):
         layer, index, tail = vertex
-        chart = self.atlases[layer].chart(index)
-        if tail.is_identity():
-            return MapChain([chart], name="%s" % (getattr(chart, "name", "chart"),))
-        pieces = [chart] + [self.action.letter_map(name, sgn) for name, sgn in tail.letters]
-        return MapChain(pieces)
+        return MapChain([self.atlases[layer].chart(index)]
+                        + [self.action.letter_map(name, sgn) for name, sgn in tail.letters])
 
     def transition(self, va, vb):
         """Map V_b -> V_a between the images of two vertex charts."""
@@ -860,9 +839,8 @@ class PathLabeler:
             else:
                 inner = self.atlases[layer_b].inverse(ib)
                 if not w.is_identity():
-                    inner = compose(self.action.word_map(w), inner, check=False)
-                self._transitions[key] = compose(self.atlases[layer_a].chart(ia), inner,
-                                                 check=False)
+                    inner = compose(self.action.word_map(w), inner)
+                self._transitions[key] = compose(self.atlases[layer_a].chart(ia), inner)
         return self._transitions[key]
 
     def simplex(self, vertices, points):
@@ -872,7 +850,7 @@ class PathLabeler:
         for a in range(len(vertices)):
             for b in range(a + 1, len(vertices)):
                 transitions[(a, b)] = self.transition(vertices[a], vertices[b])
-        return ChartSimplex(charts, transitions, points, validate=False)
+        return ChartSimplex(charts, transitions, points)
 
     def labels(self, J, G, step_types):
         """The cell's path labels that are not structurally zero (label_vanishes), in
@@ -1006,11 +984,11 @@ def residual_rows(diff, bidegree, subtracted=()):
     """Report rows of the cells of one bidegree, in cell order, from one term plan.
 
     The residual of a cell is its value under `diff`, minus the difference of
-    the `subtracted` cochains' samples when two are given (as in witness_report:
-    d(witness) - (tau_a - tau_b)). Each row names its worst point and the term
-    that dominates there: the largest |coeff * value| over the cell's terms in
-    sum order, the subtracted samples counting as terms with coefficients -1
-    and +1; on a tie the first.
+    the `subtracted` cochains' base values when two are given (as in
+    witness_report: d(witness) - (tau_a - tau_b)). Each row names its worst
+    point and the term that dominates there: the largest |coeff * value| over
+    the cell's terms in sum order, the subtracted base values counting as terms
+    with coefficients -1 and +1; on a tie the first.
     """
     base = diff.base
     plan = TermPlan(diff, bidegree, enumerate_cells(base.cover, base.action, *bidegree))
@@ -1025,7 +1003,8 @@ def residual_rows(diff, bidegree, subtracted=()):
             total = np.zeros((B, N, math.comb(base.n, base.form_degree)), dtype=complex)
         extra = []
         if subtracted:
-            a, b = ([c.sample(bidegree, *plan.cells[i]) for i in cells] for c in subtracted)
+            a, b = (c.base_values([(bidegree,) + plan.cells[i] for i in cells])
+                    for c in subtracted)
             A = np.stack([f.values for f in a])
             Bv = np.stack([f.values for f in b])
             total = total - (A - Bv)

@@ -85,8 +85,8 @@ def run_theta_composition(scn, entry):
     for fname, gname in entry["pairs"]:
         f = scn.map_named(fname, "theta-composition")
         g = scn.map_named(gname, "theta-composition")
-        P = as_cloud(entry["points"], g.n)[0]
-        lhs = theta(compose(f, g, check=False), P)
+        P = as_cloud(entry["points"], g.n)
+        lhs = theta(compose(f, g), P)
         rhs = sharp_pullback(g, theta(f, g.eval(P)), P).add(theta(g, P))
         resid = lhs.sub(rhs).max_abs()
         scale_ref = 1.0 + lhs.max_abs()
@@ -195,15 +195,15 @@ def write_report(report, path):
             fh.write("\n")
 
 
-def _print_check_lines(report, stream=sys.stdout):
+def _print_check_lines(report):
     for r in report["checks"]:
         line = "[%s] %s" % (r["status"].upper(), r["name"])
         if "max_residual" in r:
             line += "  max_residual=%.3e" % r["max_residual"]
         if "error" in r:
             line += "  " + r["error"]
-        print(line, file=stream)
-    print("overall: %s" % ("PASS" if report["pass"] else "FAIL"), file=stream)
+        print(line)
+    print("overall: %s" % ("PASS" if report["pass"] else "FAIL"))
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,19 @@ COHERENCE_TOL = 1e-9
 class ChartSimplex:
     """Charts rho_0..rho_l on a common source cloud plus transitions phi[p,q].
 
-    Transitions are scenario-supplied maps V_q -> V_p for p < q; coherence
-    (phi[p,q] of rho_q = rho_p on the samples) is checked, never derived by
-    inversion.
+    Transitions are scenario-supplied maps V_q -> V_p for p < q, never derived
+    by inversion. The constructor checks only the shape (a transition for
+    every p < q); coherence (phi[p,q] of rho_q = rho_p on the samples) is
+    checked by validate(), which a caller runs when it needs it.
     """
 
-    def __init__(self, charts, transitions, source_points, validate=True):
+    def __init__(self, charts, transitions, source_points):
         self.charts = list(charts)
         self.level = len(self.charts) - 1
         if self.level < 0:
             raise ValidationError("need at least one chart")
         self.n = self.charts[0].n
-        self.source_points = as_cloud(source_points, self.n)[0]
+        self.source_points = as_cloud(source_points, self.n)
         self.transitions = {}
         for (p, q), m in transitions.items():
             if not 0 <= p < q <= self.level:
@@ -49,8 +50,6 @@ class ChartSimplex:
             for q in range(p + 1, self.level + 1):
                 if (p, q) not in self.transitions:
                     raise ValidationError("missing transition (%d, %d)" % (p, q))
-        if validate:
-            self.validate()
 
     def transition(self, p, q):
         """phi[p,q]: V_q -> V_p; the diagonal is the identity."""
@@ -81,7 +80,7 @@ class ChartSimplex:
         for a in range(len(indices)):
             for b in range(a + 1, len(indices)):
                 trans[(a, b)] = self.transition(indices[a], indices[b])
-        return ChartSimplex(charts, trans, self.source_points, validate=False)
+        return ChartSimplex(charts, trans, self.source_points)
 
 
 def label_vanishes(T, n, ladder):
@@ -277,7 +276,7 @@ class LabelPlan:
         k = self.T.arity
         if s.level != k:
             raise ValidationError("level %d does not match arity %d" % (s.level, k))
-        P = as_cloud(points, s.n)[0]
+        P = as_cloud(points, s.n)
         ladder = tuple(s.transition(r - 1, r) for r in range(1, k + 1))
         if label_vanishes(self.T, s.n, ladder):
             return None
@@ -360,7 +359,7 @@ def theta_r(s, r, points):
 
     `points` lie in the top image V_l. A plan of this one theta_r (LabelPlan).
     """
-    Q = as_cloud(points, s.n)[0]
+    Q = as_cloud(points, s.n)
     plan = LabelPlan(None)
     key = plan.add_theta_r(s, r, Q)
     return SampledForm.zeros(s.n, 1, Q, (s.n, s.n)) if key is None else plan.take(key)
@@ -373,7 +372,7 @@ def cf_label_top(s, T, points):
     nothing is evaluated, when k > n or some theta_r comes from an affine
     transition.
     """
-    return face_labels([s], T, as_cloud(points, s.n)[0])[0]
+    return face_labels([s], T, as_cloud(points, s.n))[0]
 
 
 def face_labels(faces, T, P):
@@ -405,7 +404,7 @@ def shifted_form_complex(n, k, points):
     Elements are SampledForms on a fixed cloud; the differential is the zero
     map, so the DK condition reduces to vanishing alternating face sums.
     """
-    P = as_cloud(points, n)[0]
+    P = as_cloud(points, n)
 
     def degree_k(degree):
         return min(-degree, n) if degree != -k else k

@@ -100,11 +100,6 @@ class Expr:
     _derivs = None
     _max_var = None
 
-    def eval(self, point):
-        """Value at one point: a one-row run of the compiled program."""
-        row = np.asarray(point, dtype=complex).reshape(1, -1)
-        return complex(Program([self])(row)[0, 0])
-
     def emit(self, program):
         """Append the steps computing this node to `program`; the slot of its value."""
         raise NotImplementedError

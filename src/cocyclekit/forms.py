@@ -35,7 +35,7 @@ class SampledForm:
     def __init__(self, n, k, points, values):
         self.n = int(n)
         self.k = int(k)
-        self.points = as_cloud(points, self.n)[0]
+        self.points = as_cloud(points, self.n)
         self.values = np.asarray(values, dtype=complex)
         self.structurally_zero = False
         expect = (len(self.points), math.comb(self.n, self.k))
@@ -46,7 +46,7 @@ class SampledForm:
     @classmethod
     def zeros(cls, n, k, points, fibre):
         """The structurally zero form of degree k with the given fibre shape."""
-        P = as_cloud(points, n)[0]
+        P = as_cloud(points, n)
         form = cls(n, k, P, np.zeros((len(P), math.comb(n, k)) + tuple(fibre), dtype=complex))
         form.structurally_zero = True
         return form
@@ -79,9 +79,6 @@ class SampledForm:
             else np.zeros(N)
         i = int(np.argmax(per_point))
         return tuple(self.points[i].tolist()), float(per_point[i])
-
-    def is_exactly_zero(self):
-        return bool(np.all(self.values == 0))
 
     def to_json(self):
         indices = itertools.combinations(range(1, self.n + 1), self.k)
@@ -116,7 +113,7 @@ def theta_vanishes(f):
 def theta(f, points):
     """J^{-1} dJ of the map f: coefficient of dz^a at z is J(z)^{-1} (dJ/dz^a)(z)."""
     n = f.n
-    P = as_cloud(points, n)[0]
+    P = as_cloud(points, n)
     if theta_vanishes(f):
         return SampledForm.zeros(n, 1, P, (n, n))
     return SampledForm(n, 1, P, theta_values(f.jacobian_inverse(P), f.djacobian(P)))
@@ -139,7 +136,7 @@ def sharp_pullback(phi, omega, points):
     n = omega.n
     if phi.n != n:
         raise ValidationError("dimension mismatch")
-    P = as_cloud(points, n)[0]
+    P = as_cloud(points, n)
     if omega.structurally_zero:
         return SampledForm.zeros(n, 1, P, (n, n))
     return SampledForm(n, 1, P, sharp_values(phi.jacobian(P), phi.jacobian_inverse(P),
@@ -206,7 +203,7 @@ def pullback_kform(phi, w, points, minors=None):
     n, k = w.n, w.k
     if phi.n != n:
         raise ValidationError("dimension mismatch")
-    P = as_cloud(points, n)[0]
+    P = as_cloud(points, n)
     if w.structurally_zero:
         return SampledForm.zeros(n, k, P, ())
     if k == 0:

@@ -1,10 +1,9 @@
 """Holomorphic maps between opens of C^n: evaluation, exact Jacobians, composition.
 
-A map's domain is a named cloud of sample points; every check downstream is
-pointwise over such clouds, and every evaluation takes the whole cloud at once:
-an (N, n) point array in, one row per point out. A single point is a one-row
-view of the same path. Inverses are never derived symbolically, so anything
-that needs both directions must carry them explicitly.
+Every check downstream is pointwise over sample clouds, and every evaluation
+takes the whole cloud at once: an (N, n) point array in, one row per point
+out. Inverses are never derived symbolically, so anything that needs both
+directions must carry them explicitly.
 """
 
 from fractions import Fraction
@@ -17,21 +16,9 @@ from .errors import SingularJacobianError, ValidationError
 DET_TOL = 1e-12
 
 
-class DomainSpec:
-    def __init__(self, samples, name=""):
-        self.samples = [tuple(complex(c) for c in p) for p in samples]
-        self.name = name
-
-
 def as_cloud(points, n):
-    """(N, n) complex array of a cloud, plus whether `points` was one point."""
-    arr = np.asarray(points, dtype=complex)
-    single = arr.ndim == 1 and arr.size > 0
-    return arr.reshape(-1, n), single
-
-
-def _one_row(values, single):
-    return values[0] if single else values
+    """(N, n) complex array of a cloud."""
+    return np.asarray(points, dtype=complex).reshape(-1, n)
 
 
 def stack(arrays):
@@ -68,7 +55,7 @@ def invert_jacobians(J, points):
 
 
 class HoloMap:
-    """n expression components over z1..zn with a sample-cloud domain.
+    """n expression components over z1..zn.
 
     The components are expression DAGs (see expr): a composite's components
     share the subtrees of its pieces. Symbolic derivatives (_jac, _djac) are
@@ -94,7 +81,7 @@ class HoloMap:
     cloud) (README, "Evaluation on clouds").
     """
 
-    def __init__(self, n, components, domain=None, name="", check=True):
+    def __init__(self, n, components, name=""):
         self.n = int(n)
         self.components = tuple(components)
         if len(self.components) != self.n:
@@ -103,7 +90,6 @@ class HoloMap:
         for c in self.components:
             if c.max_var() > self.n:
                 raise ValidationError("component uses a coordinate beyond z%d" % self.n)
-        self.domain = domain or DomainSpec([])
         self.name = name
         self._jac = None
         self._djac = {}
@@ -111,21 +97,6 @@ class HoloMap:
         self._composed = {}
         self._affine = None
         self._memo = {}
-        if check:
-            self._check_domain()
-
-    def _check_domain(self):
-        samples = self.domain.samples
-        if not samples:
-            return
-        J = self.jacobian(samples)
-        finite = np.all(np.isfinite(J), axis=(1, 2))
-        bad = ~finite | singular_jacobians(J)[1]
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not finite[i]:
-                raise ValidationError("Jacobian not finite at %r" % (samples[i],))
-            raise ValidationError("Jacobian singular at sample %r" % (samples[i],))
 
     def _compiled(self, kind, exprs):
         fn = self._fns.get(kind)
@@ -168,20 +139,15 @@ class HoloMap:
 
     def remembers(self, points):
         """True when _memo holds an entry for the point content of the cloud `points`."""
-        return as_cloud(points, self.n)[0].tobytes() in self._memo
+        return as_cloud(points, self.n).tobytes() in self._memo
 
     def forget(self, points):
         """Drop the _memo entry of the cloud `points`, if there is one."""
-        self._memo.pop(as_cloud(points, self.n)[0].tobytes(), None)
-
-    def __call__(self, points):
-        return self.eval(points)
+        self._memo.pop(as_cloud(points, self.n).tobytes(), None)
 
     def eval(self, points):
-        """(N, n) points -> (N, n) values; one point -> a tuple of n complex numbers."""
-        P, single = as_cloud(points, self.n)
-        out = self.stacked("eval", [P])
-        return tuple(out[0].tolist()) if single else out
+        """(N, n) points -> (N, n) values."""
+        return self.stacked("eval", [as_cloud(points, self.n)])
 
     def jac_exprs(self):
         if self._jac is None:
@@ -198,21 +164,19 @@ class HoloMap:
         return self._djac[a]
 
     def jacobian(self, points):
-        """(N, n) points -> (N, n, n) Jacobians; one point -> one (n, n) matrix."""
-        P, single = as_cloud(points, self.n)
-        return _one_row(self.stacked("jacobian", [P]), single)
+        """(N, n) points -> (N, n, n) Jacobians."""
+        return self.stacked("jacobian", [as_cloud(points, self.n)])
 
     def djacobian(self, points):
         """d/dz_a of the Jacobian at every point, indexed [point, a - 1, row, col]."""
-        P, single = as_cloud(points, self.n)
         n = self.n
         fn = self._compiled("djacobian", lambda: [e for a in range(1, n + 1)
                                                   for row in self.djac_exprs(a) for e in row])
-        return _one_row(fn(P).reshape(-1, n, n, n), single)
+        return fn(as_cloud(points, n)).reshape(-1, n, n, n)
 
     def jacobian_inverse(self, points):
-        P, single = as_cloud(points, self.n)
-        return _one_row(self.stacked("jacobian_inverse", [P]), single)
+        """(N, n) points -> (N, n, n) inverse Jacobians."""
+        return self.stacked("jacobian_inverse", [as_cloud(points, self.n)])
 
     def is_affine(self):
         """True when every second derivative folds to the literal zero node; decided once."""
@@ -226,7 +190,7 @@ class HoloMap:
         return "HoloMap(n=%d, %s)" % (self.n, label)
 
 
-def parse_map(text, n, constants=None, domain=None, name="", check=True):
+def parse_map(text, n, constants=None, name=""):
     """Parse a semicolon-separated list of n component expressions."""
     pieces = text.split(";")
     if len(pieces) != n:
@@ -240,39 +204,36 @@ def parse_map(text, n, constants=None, domain=None, name="", check=True):
         except ex.DslSyntaxError as err:
             raise ex.DslSyntaxError(err.message, offset + err.offset) from None
         offset += len(piece) + 1
-    return HoloMap(n, comps, domain=domain, name=name, check=check)
+    return HoloMap(n, comps, name=name)
 
 
-def compose(f, g, name="", domain=None, check=True):
+def compose(f, g):
     """f after g, by symbolic substitution of g's components into f.
 
     One substitution memo serves all of f's components, so a subtree shared
     between them is rebuilt once and stays shared in the result.
 
-    Memoized on f: composing the same map objects with the same arguments
-    returns the same HoloMap, so its symbolic derivatives and compiled
-    functions are built once. The key holds g and domain themselves (maps and
-    domains hash by identity), which keeps them alive while the entry is.
+    Memoized on f: composing the same two map objects returns the same
+    HoloMap, so its symbolic derivatives and compiled functions are built
+    once. The key is g itself (maps hash by identity), which keeps it alive
+    while the entry is.
     """
-    key = (g, name, domain, check)
-    composed = f._composed.get(key)
+    composed = f._composed.get(g)
     if composed is None:
         if f.n != g.n:
             raise ValidationError("dimension mismatch: %d vs %d" % (f.n, g.n))
         memo, inner = {}, list(g.components)
         comps = [ex.substitute(c, inner, memo) for c in f.components]
-        composed = HoloMap(f.n, comps, domain=domain or g.domain,
-                           name=name or ("%s.%s" % (f.name or "f", g.name or "g")),
-                           check=check)
-        f._composed[key] = composed
+        composed = HoloMap(f.n, comps, name="%s.%s" % (f.name or "f", g.name or "g"))
+        f._composed[g] = composed
     return composed
 
 
-def identity_map(n, domain=None):
-    return HoloMap(n, [ex.Var(i + 1) for i in range(n)], domain=domain, name="id")
+def identity_map(n):
+    return HoloMap(n, [ex.Var(i + 1) for i in range(n)], name="id")
 
 
-def affine_map(A, b, domain=None, name="affine"):
+def affine_map(A, b, name="affine"):
     """z -> Az + b with exact rational entries."""
     n = len(b)
     comps = []
@@ -281,7 +242,7 @@ def affine_map(A, b, domain=None, name="affine"):
                  for c in range(n)]
         terms.append(ex.Const(ex.CRat(*_crat_pair(b[r]))))
         comps.append(ex.add(*terms))
-    return HoloMap(n, comps, domain=domain, name=name)
+    return HoloMap(n, comps, name=name)
 
 
 def _crat_pair(v):
@@ -298,31 +259,16 @@ def numeric_jacobian(f, point, h=1e-3):
     Averaging the two central differences kills the h^2 term for holomorphic
     components, which is the independent check the symbolic Jacobian is held to.
     """
-    point = tuple(point)
-    n = f.n
-    out = np.empty((n, n), dtype=complex)
-    for b in range(n):
-        e = [0.0] * n
-        e[b] = 1.0
-
-        def at(step):
-            return f.eval(tuple(p + step * d for p, d in zip(point, e)))
-
-        re = [(x - y) / (2 * h) for x, y in zip(at(h), at(-h))]
-        im = [(x - y) / (2j * h) for x, y in zip(at(1j * h), at(-1j * h))]
-        for a in range(n):
-            out[a, b] = 0.5 * (re[a] + im[a])
-    return out
+    return np.stack([numeric_partial(f.eval, point, b + 1, h) for b in range(f.n)], axis=1)
 
 
 def numeric_partial(fn, point, var, h=1e-3):
-    """Same stencil for a scalar complex-differentiable callable."""
-    point = tuple(point)
-
+    """Same stencil along z_var for a complex-differentiable function of (N, n)
+    clouds, evaluated on one-row clouds: d/dz_var of its first row of values."""
     def at(step):
-        q = list(point)
-        q[var - 1] += step
-        return fn(tuple(q))
+        q = np.array([point], dtype=complex)
+        q[0, var - 1] += step
+        return fn(q)[0]
 
     re = (at(h) - at(-h)) / (2 * h)
     im = (at(1j * h) - at(-1j * h)) / (2j * h)
@@ -336,7 +282,7 @@ class MapChain:
     matrices) and dimension, which is all the k-form pullback machinery needs.
     """
 
-    def __init__(self, pieces, name=""):
+    def __init__(self, pieces):
         pieces = [p for p in pieces if p is not None]
         if not pieces:
             raise ValidationError("empty map chain")
@@ -345,27 +291,23 @@ class MapChain:
         for p in pieces:
             if p.n != self.n:
                 raise ValidationError("chain pieces disagree on dimension")
-        self.name = name
 
     def eval(self, points):
-        P, single = as_cloud(points, self.n)
+        P = as_cloud(points, self.n)
         for p in reversed(self.pieces):
             P = p.eval(P)
-        return tuple(P[0].tolist()) if single else P
-
-    def __call__(self, points):
-        return self.eval(points)
+        return P
 
     def jacobian(self, points):
         """Chain rule; each piece but the outermost moves the points on to the next."""
-        P, single = as_cloud(points, self.n)
+        P = as_cloud(points, self.n)
         inner, *outer = reversed(self.pieces)
         J = inner.jacobian(P)
         for p in outer:
             P = inner.eval(P)
             J = p.jacobian(P) @ J
             inner = p
-        return _one_row(J, single)
+        return J
 
     def __repr__(self):
         return "MapChain(%s)" % " . ".join(getattr(p, "name", "?") or "?" for p in self.pieces)
@@ -377,75 +319,75 @@ class MapChain:
 
 def _disc_points(n, count, radius, seed, center=0.0):
     rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < count:
-        p = tuple(center + radius * complex(a, b)
-                  for a, b in rng.uniform(-1, 1, size=(n, 2)))
-        pts.append(p)
-    return pts
+    return as_cloud([[center + radius * complex(a, b) for a, b in rng.uniform(-1, 1, size=(n, 2))]
+                     for _ in range(count)], n)
 
 
-def henon_map(c_num=3, c_den=10, domain=None, name="henon"):
+HENON_C = Fraction(3, 10)
+
+
+def henon_map():
     """(z1, z2) -> (z2, z2^2 + c - z1), a polynomial automorphism of C^2."""
-    c = ex.Const(ex.CRat(Fraction(c_num, c_den)))
+    c = ex.Const(ex.CRat(HENON_C))
     comps = [ex.Var(2), ex.add(ex.pow_(ex.Var(2), 2), c, ex.neg(ex.Var(1)))]
-    return HoloMap(2, comps, domain=domain, name=name)
+    return HoloMap(2, comps, name="henon")
 
 
-def henon_inverse(c_num=3, c_den=10, domain=None, name="henon_inv"):
+def henon_inverse():
     """(w1, w2) -> (w1^2 + c - w2, w1)."""
-    c = ex.Const(ex.CRat(Fraction(c_num, c_den)))
+    c = ex.Const(ex.CRat(HENON_C))
     comps = [ex.add(ex.pow_(ex.Var(1), 2), c, ex.neg(ex.Var(2))), ex.Var(1)]
-    return HoloMap(2, comps, domain=domain, name=name)
+    return HoloMap(2, comps, name="henon_inv")
 
 
-def shear_map(domain=None, name="shear"):
+def shear_map():
     """(z1, z2) -> (z1, z2 + z1^2), an elementary polynomial automorphism."""
     comps = [ex.Var(1), ex.add(ex.Var(2), ex.pow_(ex.Var(1), 2))]
-    return HoloMap(2, comps, domain=domain, name=name)
+    return HoloMap(2, comps, name="shear")
 
 
-def shear_inverse(domain=None, name="shear_inv"):
+def shear_inverse():
     comps = [ex.Var(1), ex.add(ex.Var(2), ex.neg(ex.pow_(ex.Var(1), 2)))]
-    return HoloMap(2, comps, domain=domain, name=name)
+    return HoloMap(2, comps, name="shear_inv")
 
 
-def diagonal_square_map(domain=None, name="sq1"):
+def diagonal_square_map():
     """(z1, z2) -> (z1^2, z2); invertible away from z1 = 0."""
-    return HoloMap(2, [ex.pow_(ex.Var(1), 2), ex.Var(2)], domain=domain, name=name)
+    return HoloMap(2, [ex.pow_(ex.Var(1), 2), ex.Var(2)], name="sq1")
 
 
-def mobius_like_map(domain=None, name="mobius"):
+def mobius_like_map():
     """(z1, z2) -> (z1 / (1 + z2), z2 + 1); rational, regular near the origin."""
     one = ex.Const(ex.CRat(1))
     comps = [ex.div(ex.Var(1), ex.add(one, ex.Var(2))), ex.add(ex.Var(2), one)]
-    return HoloMap(2, comps, domain=domain, name=name)
+    return HoloMap(2, comps, name="mobius")
 
 
 def builtin_library(seed=7, count=12):
-    """Named maps plus composable non-affine pairs on shared sample clouds."""
+    """Named maps, each map's (count, 2) sample cloud, and composable non-affine pairs.
+
+    Every map samples the disc cloud of radius 0.45, except sq1, which samples a
+    shifted disc away from its singular line z1 = 0.
+    """
     cloud = _disc_points(2, count, 0.45, seed)
     shifted = _disc_points(2, count, 0.35, seed + 1, center=0.2)
-    dom = DomainSpec(cloud, name="disc")
-    dom2 = DomainSpec(shifted, name="disc2")
-    a1 = affine_map([[2, 1], [1, 1]], [Fraction(1, 4), Fraction(-1, 5)], domain=dom,
-                    name="affine21")
-    a2 = affine_map([[1, 0], [Fraction(1, 2), 1]], [0, Fraction(1, 3)], domain=dom,
-                    name="affine_lower")
     maps = {
-        "id": identity_map(2, domain=dom),
-        "affine21": a1,
-        "affine_lower": a2,
-        "henon": henon_map(domain=dom),
-        "henon_inv": henon_inverse(domain=dom),
-        "shear": shear_map(domain=dom),
-        "shear_inv": shear_inverse(domain=dom),
-        "sq1": diagonal_square_map(domain=dom2, name="sq1"),
-        "mobius": mobius_like_map(domain=dom, name="mobius"),
+        "id": identity_map(2),
+        "affine21": affine_map([[2, 1], [1, 1]], [Fraction(1, 4), Fraction(-1, 5)],
+                               name="affine21"),
+        "affine_lower": affine_map([[1, 0], [Fraction(1, 2), 1]], [0, Fraction(1, 3)],
+                                   name="affine_lower"),
+        "henon": henon_map(),
+        "henon_inv": henon_inverse(),
+        "shear": shear_map(),
+        "shear_inv": shear_inverse(),
+        "sq1": diagonal_square_map(),
+        "mobius": mobius_like_map(),
     }
+    clouds = {name: shifted if name == "sq1" else cloud for name in maps}
     pairs = [
         ("henon", "shear"), ("shear", "henon"), ("henon", "henon"),
         ("shear", "mobius"), ("mobius", "henon"), ("shear", "shear"),
         ("henon", "affine21"), ("affine_lower", "shear"), ("mobius", "affine21"),
     ]
-    return maps, pairs
+    return maps, clouds, pairs

@@ -5,7 +5,9 @@ numeric (complex) inputs at evaluation time.
 """
 
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -135,9 +137,6 @@ class InvariantMap:
     def __eq__(self, other):
         return (isinstance(other, InvariantMap)
                 and self.arity == other.arity and self.terms == other.terms)
-
-    def __call__(self, mats):
-        return eval_invariant(self, mats)
 
 
 def symmetrize(p):
@@ -322,15 +321,42 @@ class SymFun:
 
     @classmethod
     def from_json(cls, obj):
+        """The SymFun of to_json's output; a malformed term is a ValidationError naming
+        terms[i]."""
+        if not isinstance(obj["terms"], list):
+            raise ValidationError("terms: must be an array of term objects")
         terms = {}
         rank = Fraction(0)
-        for t in obj["terms"]:
-            c = Fraction(int(t["num"]), int(t["den"]))
-            if not t["partition"]:
+        for i, t in enumerate(obj["terms"]):
+            part, c = _term_from_json(t, "terms[%d]" % i)
+            if not part:
                 rank += c
             else:
-                terms[as_partition(t["partition"])] = c
+                part = as_partition(part)
+                terms[part] = terms.get(part, Fraction(0)) + c
         return cls(obj["basis"], terms, rank)
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _term_from_json(t, location):
+    """(partition, coefficient) of one to_json term: the partition a list of positive
+    integers, num and den integer strings, den nonzero."""
+    if not isinstance(t, dict):
+        raise ValidationError("%s: must be an object" % location)
+    part = t.get("partition")
+    if not (isinstance(part, list) and all(
+            isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in part)):
+        raise ValidationError("%s: 'partition' must be a list of positive integers, got %s"
+                              % (location, json.dumps(part)))
+    for key in ("num", "den"):
+        if not (isinstance(t.get(key), str) and _INTEGER.fullmatch(t[key])):
+            raise ValidationError("%s: %r must be an integer string, got %s"
+                                  % (location, key, json.dumps(t.get(key))))
+    if int(t["den"]) == 0:
+        raise ValidationError("%s: 'den' must be nonzero" % location)
+    return part, Fraction(int(t["num"]), int(t["den"]))
 
 
 def _poly_mul(a, b, max_degree=None):
@@ -410,24 +436,23 @@ def _series_log(s, depth):
     return out
 
 
-def todd_log_coefficients(depth=12):
+def todd_log_coefficients(depth):
     """Exact coefficients c_m of log(t / (1 - e^{-t})) up to t^depth."""
     # (1 - e^{-t}) / t = sum_m (-1)^m t^m / (m+1)!
     u = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(depth + 1)]
     return [-c for c in _series_log(u, depth)]
 
 
-def todd_component(k, depth=12):
+def todd_component(k):
     """Degree-k homogeneous part of the Todd symmetric function, power-sum basis.
 
     Computed by exponentiating sum_m c_m T_m, where the c_m are the exact log
-    series coefficients of t/(1-e^{-t}).
+    series coefficients of t/(1-e^{-t}) up to t^k.
     """
     k = int(k)
     if k < 1:
         raise ValidationError("todd component degree must be >= 1")
-    depth = max(depth, k)
-    c = todd_log_coefficients(depth)
+    c = todd_log_coefficients(k)
     x = {(m,): c[m] for m in range(1, k + 1) if c[m] != 0}
     # exp(x), truncated beyond total degree k
     result = {(): Fraction(1)}
@@ -469,17 +494,17 @@ def invariant_from_symfun(f):
     return InvariantMap(k, dict(f.terms))
 
 
-def todd_invariant(k, depth=12):
-    return invariant_from_symfun(todd_component(k, depth))
+def todd_invariant(k):
+    return invariant_from_symfun(todd_component(k))
 
 
 def chern_invariant(k):
     return invariant_from_symfun(chern_character_component(k))
 
 
-def format_symfun(f, symbol=None):
+def format_symfun(f):
     """Render with a factored common denominator, e.g. (1/24)(3 T1^2 - T2)."""
-    symbol = symbol or ("T" if f.basis == POWER else "S")
+    symbol = "T" if f.basis == POWER else "S"
     items = sorted(f.terms.items(), key=lambda kv: (weight(kv[0]), kv[0]))
     if f.rank_coeff != 0:
         items = [((), f.rank_coeff)] + items

@@ -61,7 +61,7 @@ class Scenario:
         self.hash = hashlib.sha256(source_bytes).hexdigest()
         _require_object(data, "scenario")
         if "dimension" not in data:
-            raise ScenarioError("missing 'dimension'")
+            raise ScenarioError("missing 'dimension'", "scenario")
         _validate_fields(data, _SCENARIO_FIELDS, "dimension")
         self.n = data["dimension"]
         self.constants = self._load_constants(data.get("constants", {}))
@@ -308,11 +308,11 @@ class Scenario:
         transitions = {}
         for p in range(len(charts)):
             for q in range(p + 1, len(charts)):
-                transitions[(p, q)] = holomap.compose(charts[p], inverses[q], check=False)
+                transitions[(p, q)] = holomap.compose(charts[p], inverses[q])
         corrupt = entry.get("corrupt")
         if corrupt:
             transitions[tuple(corrupt["replace"])] = self.maps[corrupt["with_map"]]
-        return ChartSimplex(charts, transitions, entry["source_points"], validate=False)
+        return ChartSimplex(charts, transitions, entry["source_points"])
 
 
 def _require_round_trip(worst, tol, what, section):
@@ -359,14 +359,25 @@ def _validate_fields(entry, fields, location):
             raise ScenarioError("%r must be %s, got %r" % (key, what, entry[key]), location)
 
 
+def _json_type(value):
+    """The JSON name of the type of a parsed JSON value."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
 def _require_object(value, location):
     if not isinstance(value, dict):
-        raise ScenarioError("must be an object, got %s" % type(value).__name__, location)
+        raise ScenarioError("must be an object, got %s" % _json_type(value), location)
 
 
 def _require_list(value, location):
     if not isinstance(value, list):
-        raise ScenarioError("must be an array, got %s" % type(value).__name__, location)
+        raise ScenarioError("must be an array, got %s" % _json_type(value), location)
     return value
 
 

@@ -66,8 +66,8 @@ class GradedComplex:
         return self._diff(degree, x)
 
 
-def _cells(dim, min_len=1):
-    for l in range(min_len - 1, dim + 1):
+def _cells(dim):
+    for l in range(dim + 1):
         for c in itertools.combinations(range(dim + 1), l + 1):
             yield c
 

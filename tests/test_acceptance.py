@@ -125,14 +125,14 @@ def test_criterion_03_gl_invariance_suite(rng):
 
 def test_criterion_04_theta_composition_identity(rng):
     with Budget(4, "theta composition identity over the map library", 10):
-        maps, pairs = hm.builtin_library(seed=11, count=25)
+        maps, _, pairs = hm.builtin_library(seed=11, count=25)
         nonaffine = 0
         pts_pool = random_points(rng, 50, radius=0.35)
         for fname, gname in pairs:
             f, g = maps[fname], maps[gname]
             if not (f.is_affine() and g.is_affine()):
                 nonaffine += 1
-            lhs = theta(hm.compose(f, g, check=False), pts_pool)
+            lhs = theta(hm.compose(f, g), pts_pool)
             rhs = sharp_pullback(g, theta(f, g.eval(pts_pool)), pts_pool).add(
                 theta(g, pts_pool))
             resid = lhs.sub(rhs).max_abs()
@@ -151,8 +151,9 @@ def test_criterion_05_telescoping_and_dk(rng):
         transitions = {}
         for p in range(4):
             for q in range(p + 1, 4):
-                transitions[(p, q)] = hm.compose(charts[p], invs[q], check=False)
+                transitions[(p, q)] = hm.compose(charts[p], invs[q])
         s = co.ChartSimplex(charts, transitions, pts)
+        s.validate()
         T2 = inv.todd_invariant(2)
         tel = co.verify_telescoping(s, T2, tol=1e-7)
         assert tel["pass"], tel["max_residual"]
@@ -161,7 +162,7 @@ def test_criterion_05_telescoping_and_dk(rng):
         assert dk["pass"], dk["max_residual"]
         bad = dict(transitions)
         bad[(0, 2)] = hm.henon_map()
-        s_bad = co.ChartSimplex(charts, bad, pts, validate=False)
+        s_bad = co.ChartSimplex(charts, bad, pts)
         tel_bad = co.verify_telescoping(s_bad, T2, tol=1e-7)
         assert not tel_bad["pass"]
 
@@ -178,7 +179,7 @@ def test_criterion_06_affine_vanishing():
         tau = cg.tau_invariant(scn.cover, scn.action, scn.atlas, T)
         for (m, q) in tau.bidegrees():
             for J, G in cg.enumerate_cells(scn.cover, scn.action, m, q):
-                sampled = tau.sample((m, q), J, G)
+                sampled = tau.base_value((m, q), J, G)
                 assert np.all(sampled.values == 0)
 
 
@@ -191,7 +192,7 @@ def test_criterion_07_henon_cocycle_closedness():
         assert report["pass"], report["max_residual"]
         # nonzero cocycle, so the check is not vacuous
         h = cg.Word.gen("h")
-        assert tau.sample((0, 2), ("u",), (h, h)).max_abs() > 1e-6
+        assert tau.base_value((0, 2), ("u",), (h, h)).max_abs() > 1e-6
 
 
 def test_criterion_08_cohomologous_witness():

@@ -137,16 +137,16 @@ def square_transitions():
                              "c": ("z1; z2^2; z3", "z1; exp(log(z2)/2); z3"),
                              "d": ("z1; z2; z3^2", "z1; z2; exp(log(z3)/2)")}.items():
         charts[key] = (hm.parse_map(fwd, 3, name=key), hm.parse_map(back, 3, name=key + "inv"))
-    return [hm.compose(charts[x][0], charts[y][1], check=False, name=x + y)
+    return [hm.compose(charts[x][0], charts[y][1])
             for x, y in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d"))]
 
 
-LIBRARY, _ = hm.builtin_library()
+LIBRARY, CLOUDS, _ = hm.builtin_library()
 NONAFFINE = ["henon", "henon_inv", "shear", "shear_inv", "mobius", "sq1"]
 
 
 def cloud_of(name):
-    return LIBRARY[name].domain.samples
+    return [tuple(p) for p in CLOUDS[name].tolist()]
 
 
 # --- layer by layer --------------------------------------------------------------
@@ -159,15 +159,6 @@ def test_map_eval_and_jacobian_match_oracle(name):
     assert_close(f.eval(pts), [map_at(f, p) for p in pts])
     assert_close(f.jacobian(pts), [jac_at(f, p) for p in pts])
     assert_close(f.jacobian_inverse(pts), [np.linalg.inv(jac_at(f, p)) for p in pts])
-
-
-def test_single_point_is_one_row_of_the_cloud():
-    f = square_transitions()[1]
-    pts = right_half_cloud(3, 6, 5)
-    rows = f.jacobian(pts)
-    for i, p in enumerate(pts):
-        assert_close(f.jacobian(p), rows[i])
-        assert f.eval(p) == pytest.approx(tuple(f.eval(pts)[i]), rel=RTOL)
 
 
 def test_map_chain_applies_chain_rule_on_arrays():
@@ -314,7 +305,7 @@ def test_affine_atlas_tau_cells_exactly_zero():
     cells = 0
     for (m, q) in tau.bidegrees():
         for J, G in cg.enumerate_cells(cover, action, m, q):
-            assert tau.sample((m, q), J, G).is_exactly_zero()
+            assert np.all(tau.base_value((m, q), J, G).values == 0)
             cells += 1
     assert cells > 0
     report = cg.closedness_report(tau)

@@ -125,7 +125,7 @@ def test_a_plan_keeps_the_memo_entries_it_found():
         "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2"))
     transitions = {(0, 1): s1, (0, 2): ident, (0, 3): ident, (1, 2): s2, (1, 3): s2,
                    (2, 3): s3}
-    s = co.ChartSimplex([ident] * 4, transitions, P, validate=False)
+    s = co.ChartSimplex([ident] * 4, transitions, P)
     s3.jacobian(P)
     assert not s2.remembers(P)
     label = co.cf_label_top(s, todd_invariant(3), P)
@@ -274,7 +274,7 @@ def chart_paths(draw):
             top = hm.MapChain([top, MAPS[n][2]])
         charts = [draw(pool) for _ in range(n)] + [top]
         transitions = {(p, q): draw(pool) for q in range(n + 1) for p in range(q)}
-        simplices.append((co.ChartSimplex(charts, transitions, clouds[c], validate=False), c))
+        simplices.append((co.ChartSimplex(charts, transitions, clouds[c]), c))
     return n, clouds, simplices, draw(st.permutations(range(len(simplices))))
 
 
@@ -334,7 +334,7 @@ def test_an_error_after_a_shared_key_leaves_every_count_whole():
     def simplex(t12):
         transitions = {(0, 1): s1, (0, 2): ident, (0, 3): ident, (1, 2): t12, (1, 3): s4,
                        (2, 3): s3}
-        return co.ChartSimplex([ident] * 4, transitions, P, validate=False)
+        return co.ChartSimplex([ident] * 4, transitions, P)
 
     plan = co.LabelPlan(todd_invariant(3))
     good, bad = plan.add(simplex(s2), P), plan.add(simplex(sq), P)

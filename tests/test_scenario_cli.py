@@ -10,6 +10,7 @@ import pytest
 import cocyclekit.scenario as scenario_mod
 from cocyclekit.cli import CHECK_RUNNERS, main
 from cocyclekit.errors import ScenarioError
+from cocyclekit.invariants import POWER, SymFun, newton_convert
 from cocyclekit.scenario import Scenario
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -223,12 +224,23 @@ def test_bad_scenario_type_exits_2_with_location(tmp_path, capsys, edit, locatio
     assert location in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("top", [5, None, True, [1, 2], "x"],
+@pytest.mark.parametrize("top, kind", [(5, "number"), (None, "null"), (True, "boolean"),
+                                       ([1, 2], "array"), ("x", "string")],
                          ids=["number", "null", "bool", "array", "string"])
-def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys, top):
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys, top, kind):
     assert main(["run", write_scn(tmp_path, top), "--output", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert "scenario: must be an object" in err and "Traceback" not in err
+    assert "scenario: must be an object, got %s\n" % kind in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "scenario: missing 'dimension'"),
+    ({"dimension": 2, "checks": {}}, "checks: must be an array, got object"),
+], ids=["empty-object", "checks-object"])
+def test_refusals_name_the_location_and_the_json_type(tmp_path, capsys, data, message):
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_three_chart_dk_validate_corrupt_control_trips(tmp_path):
@@ -369,10 +381,34 @@ def test_symfun_convert_round_trip(tmp_path, capsys):
     assert converted["basis"] == "elementary"
 
 
+def test_symfun_convert_sums_terms_of_equal_partitions(tmp_path, capsys):
+    payload = {"basis": "power", "terms": [{"partition": [1, 2], "num": "1", "den": "1"},
+                                           {"partition": [2, 1], "num": "2", "den": "1"},
+                                           {"partition": [1], "num": "1", "den": "2"},
+                                           {"partition": [1], "num": "1", "den": "2"}]}
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(payload))
+    assert main(["symfun", "convert", "--input", str(src), "--json"]) == 0
+    converted = json.loads(capsys.readouterr().out.strip().splitlines()[1])
+    back = SymFun.from_json(converted)
+    assert newton_convert(back, POWER).terms == {(2, 1): 3, (1,): 1}
+
+
 @pytest.mark.parametrize("text, message", [
     ("{not json", "not valid JSON"),
     (json.dumps({"terms": []}), "'basis' and 'terms'"),
     (json.dumps({"basis": "power"}), "'basis' and 'terms'"),
+    (json.dumps({"basis": "power", "terms": 5}), "terms: must be an array"),
+    (json.dumps({"basis": "power", "terms": [{"partition": [1], "num": "1", "den": "0"}]}),
+     "terms[0]: 'den' must be nonzero"),
+    (json.dumps({"basis": "power", "terms": [{"partition": [1], "den": "2"}]}),
+     "terms[0]: 'num' must be an integer string"),
+    (json.dumps({"basis": "power", "terms": [{"partition": [2], "num": "1", "den": "1"},
+                                             {"partition": [1], "num": "a", "den": "1"}]}),
+     "terms[1]: 'num' must be an integer string"),
+    (json.dumps({"basis": "power", "terms": [{"partition": 1, "num": "1", "den": "1"}]}),
+     "terms[0]: 'partition' must be a list"),
+    (json.dumps({"basis": "power", "terms": [7]}), "terms[0]: must be an object"),
 ])
 def test_symfun_convert_bad_input_exits_2(tmp_path, capsys, text, message):
     src = tmp_path / "f.json"

@@ -138,6 +138,17 @@ def cochain(cover, action, bidegrees, zero_every):
     return cg.MixedCochain(cover, action, 2, 2, {bd: per_cell(make(bd)) for bd in bidegrees})
 
 
+def combination(*parts):
+    """The sum of a * e over (a, expression e) parts, as one ("sum", ((a, node), ...))
+    node per bidegree."""
+    nodes = {}
+    for a, e in parts:
+        for bd, node in e.components.items():
+            nodes.setdefault(bd, []).append((a, node))
+    return cg.CochainExpression(parts[0][1].base,
+                                {bd: ("sum", tuple(p)) for bd, p in nodes.items()})
+
+
 EXPRESSIONS = {
     "cech": lambda c: cg.cech_differential(c),
     "group": lambda c: cg.group_differential(c),
@@ -145,10 +156,12 @@ EXPRESSIONS = {
     "mixed-mixed": lambda c: cg.mixed_differential(cg.mixed_differential(c)),
     "cech-cech": lambda c: cg.cech_differential(cg.cech_differential(c)),
     "group-group": lambda c: cg.group_differential(cg.group_differential(c)),
-    "combination": lambda c: (cg.mixed_differential(c).scale(3) - cg.cech_differential(c)
-                              + cg.group_differential(c).scale(-2)),
-    "difference": lambda c: cg.mixed_differential(c) - cg.mixed_differential(c),
-    "base": lambda c: c.expression().scale(2) + c.expression(),
+    "combination": lambda c: combination((3, cg.mixed_differential(c)),
+                                         (-1, cg.cech_differential(c)),
+                                         (-2, cg.group_differential(c))),
+    "difference": lambda c: combination((1, cg.mixed_differential(c)),
+                                        (-1, cg.mixed_differential(c))),
+    "base": lambda c: combination((2, c.expression()), (1, c.expression())),
 }
 
 
@@ -201,6 +214,6 @@ def test_structurally_zero_base_values_leave_no_slot(rng):
     action = cg.trivial_action(["a"], 2)
     c = cg.MixedCochain(cover, action, 2, 2,
                         {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()))})
-    plan = cg.TermPlan(cg.cech_differential(c).scale(1) + c.expression(), (0, 0),
-                       [(("a",), ())])
+    plan = cg.TermPlan(combination((1, cg.cech_differential(c)), (1, c.expression())),
+                       (0, 0), [(("a",), ())])
     assert len(plan.keys) == 1 and not len(plan.term_key) and not any(len(t) for t in plan.tables)
