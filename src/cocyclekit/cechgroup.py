@@ -24,9 +24,9 @@ import numpy as np
 
 from . import forms
 from .cocycle import ChartSimplex, LabelPlan, label_vanishes
-from .errors import ValidationError
+from .errors import ValidationError, nan_worst
 from .forms import pullback_kform, signed_sum
-from .holomap import MapChain, as_cloud, compose, identity_map
+from .holomap import MapChain, compose, identity_map
 
 # ---------------------------------------------------------------------------
 # free words over named generators
@@ -97,64 +97,67 @@ IDENTITY_WORD = Word()
 class CoverSpec:
     """Index set plus sample clouds per multi-index set.
 
-    Clouds are keyed by the set of indices; the constructor appends every deep
-    intersection's points to all enclosing clouds, so restriction maps are
-    literal subset lookups: a row gather (see restriction).
+    Clouds are (N, n) complex arrays keyed by the set of indices, (0, n) when
+    undeclared; the constructor appends every deep intersection's points to all
+    enclosing clouds, so restriction maps are literal subset lookups: a row
+    gather (see restriction).
     """
 
-    def __init__(self, indices, clouds):
+    def __init__(self, indices, clouds, n):
         self.indices = list(indices)
+        self.n = n
         index_set = set(self.indices)
         self.clouds = {}
-        self._arrays = {}
         for key, points in clouds.items():
             key = frozenset(key)
             if not key or not key <= index_set:
                 raise ValidationError("cloud key %r not within the index set" % (sorted(key),))
-            self.clouds[key] = [tuple(complex(c) for c in p) for p in points]
+            self.clouds[key] = points
         self._nest()
         self._rows = {}
 
     def _nest(self):
+        rows = {key: _row_keys(P) for key, P in self.clouds.items()}
         for key in sorted(self.clouds, key=len, reverse=True):
-            for other in self.clouds:
-                if other < key:
-                    have = set(self.clouds[other])
-                    for p in self.clouds[key]:
-                        if p not in have:
-                            self.clouds[other].append(p)
-                            have.add(p)
+            for other in (other for other in self.clouds if other < key):
+                have = set(rows[other])
+                if have.issuperset(rows[key]):
+                    continue
+                # each row of key absent from other, once (set.add returns None)
+                new = [i for i, row in enumerate(rows[key]) if not (row in have or have.add(row))]
+                self.clouds[other] = np.concatenate([self.clouds[other], self.clouds[key][new]])
+                rows[other] += [rows[key][i] for i in new]
 
     def cloud(self, multi_index):
         """Sample cloud of the intersection over a tuple (repeats collapse)."""
-        key = frozenset(multi_index)
-        return self.clouds.get(key, [])
-
-    def cloud_array(self, multi_index, n):
-        """The same cloud as an (N, n) complex array, built once per intersection."""
-        key = frozenset(multi_index)
-        P = self._arrays.get(key)
-        if P is None:
-            P = self._arrays[key] = as_cloud(self.cloud(key), n)
-        return P
+        P = self.clouds.get(frozenset(multi_index))
+        return np.zeros((0, self.n), dtype=complex) if P is None else P
 
     def restriction(self, source, target):
         """Rows of the target's cloud within the source's cloud, as an index array.
 
-        None when some target point is missing from the source cloud (an
-        undeclared source intersection has no cloud to restrict from).
+        Of equal source rows the last. None when some target point is missing
+        from the source cloud (an undeclared source has no cloud to restrict from).
         """
         key = (frozenset(source), frozenset(target))
         rows = self._rows.get(key, False)
         if rows is False:
-            where = {p: i for i, p in enumerate(self.cloud(source))}
-            found = [where.get(p) for p in self.cloud(target)]
+            where = {row: i for i, row in enumerate(_row_keys(self.cloud(source)))}
+            found = [where.get(row) for row in _row_keys(self.cloud(target))]
             rows = None if None in found else np.array(found, dtype=np.intp)
             self._rows[key] = rows
         return rows
 
     def declared_sets(self):
         return sorted(self.clouds, key=lambda s: (len(s), sorted(map(str, s))))
+
+
+def _row_keys(P):
+    """The bytes of each row of a cloud after + 0.0, which turns -0.0 into 0.0, so
+    points that compare equal get equal keys; the cloud keeps its signs."""
+    flat = (P + 0.0).tobytes()
+    step = P.itemsize * P.shape[1]
+    return [flat[i:i + step] for i in range(0, len(flat), step)]
 
 
 class GroupActionSpec:
@@ -214,13 +217,11 @@ class GroupActionSpec:
         """(error, generator) of the worst generator/inverse round trip on the declared clouds."""
         worst = (0.0, None)
         for name, (fwd, inv) in self.generators.items():
-            for key in cover.declared_sets():
-                P = as_cloud(cover.clouds[key], fwd.n)
+            for P in map(cover.cloud, cover.declared_sets()):
                 if len(P):
-                    error = max(float(np.max(np.abs(fwd.eval(inv.eval(P)) - P))),
-                                float(np.max(np.abs(inv.eval(fwd.eval(P)) - P))))
-                    if error > worst[0]:
-                        worst = (error, name)
+                    error = float(np.max(np.abs(np.stack([fwd.eval(inv.eval(P)),
+                                                          inv.eval(fwd.eval(P))]) - P)))
+                    worst = max(worst, (error, name), key=lambda t: nan_worst(t[0]))
         return worst
 
 
@@ -233,10 +234,7 @@ class Atlas:
     """Charts (with explicit inverses) per cover index."""
 
     def __init__(self, charts):
-        self.charts = {}
-        for index, pair in charts.items():
-            chart, inverse = pair
-            self.charts[index] = (chart, inverse)
+        self.charts = dict(charts)  # index -> (chart HoloMap, inverse HoloMap)
 
     def chart(self, index):
         return self.charts[index][0]
@@ -251,11 +249,10 @@ class Atlas:
         """(error, index) of the worst chart/inverse round trip on the indices' own clouds."""
         worst = (0.0, None)
         for index, (chart, inverse) in self.charts.items():
-            P = as_cloud(cover.cloud((index,)), chart.n)
+            P = cover.cloud((index,))
             if len(P):
                 error = float(np.max(np.abs(inverse.eval(chart.eval(P)) - P)))
-                if error > worst[0]:
-                    worst = (error, index)
+                worst = max(worst, (error, index), key=lambda t: nan_worst(t[0]))
         return worst
 
 
@@ -334,7 +331,7 @@ class MixedCochain:
         return out
 
     def cell_points(self, J, G):
-        return self.cover.cloud_array(cell_multi_index(self.action, J, G), self.n)
+        return self.cover.cloud(cell_multi_index(self.action, J, G))
 
     def evaluate_terms(self, terms):
         """Terms (bd, J, G, word) on (N, n) clouds, from (term, points) pairs, in order.
@@ -682,7 +679,7 @@ class TermPlan:
         self._first = np.cumsum(self.count) - self.count
 
     def points_of(self, set_id):
-        return self.base.cover.cloud_array(self._ids.sets[set_id], self.base.n)
+        return self.base.cover.cloud(self._ids.sets[set_id])
 
     def points(self, c):
         """The cloud of cell c."""
@@ -957,7 +954,7 @@ def enumerate_cells(cover, action, m, q, words=None):
         moves.append((tuple(G), {i: action.act_index(i, w) for i in cover.indices}))
     for J in itertools.product(cover.indices, repeat=m + 1):
         for G, move in moves:
-            if cover.cloud(tuple(move[i] for i in J)):
+            if len(cover.cloud(tuple(move[i] for i in J))):
                 yield tuple(J), G
 
 
@@ -1054,10 +1051,8 @@ def residual_report(rows, bidegrees, tol):
     """Report over the residual rows of `bidegrees`, worst cell first; no rows at all
     is a ValidationError."""
     require_cells(len(rows), bidegrees)
-    worst = 0.0
-    for row in rows:
-        worst = max(worst, row["residual"])
-    rows.sort(key=lambda r: -r["residual"])
+    rows.sort(key=lambda r: nan_worst(r["residual"]), reverse=True)
+    worst = rows[0]["residual"]
     return {
         "max_residual": worst,
         "pass": worst <= tol,

@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the rank of NaN among residuals."""
+
+
+def nan_worst(x):
+    """Key ranking NaN above every number: max(..., key=nan_worst) keeps a NaN residual."""
+    return (x != x, x)
 
 
 class ValidationError(ValueError):

@@ -253,28 +253,6 @@ def _crat_pair(v):
     return Fraction(v), Fraction(0)
 
 
-def numeric_jacobian(f, point, h=1e-3):
-    """Fourth-order stencil along real and imaginary steps of each coordinate.
-
-    Averaging the two central differences kills the h^2 term for holomorphic
-    components, which is the independent check the symbolic Jacobian is held to.
-    """
-    return np.stack([numeric_partial(f.eval, point, b + 1, h) for b in range(f.n)], axis=1)
-
-
-def numeric_partial(fn, point, var, h=1e-3):
-    """Same stencil along z_var for a complex-differentiable function of (N, n)
-    clouds, evaluated on one-row clouds: d/dz_var of its first row of values."""
-    def at(step):
-        q = np.array([point], dtype=complex)
-        q[0, var - 1] += step
-        return fn(q)[0]
-
-    re = (at(h) - at(-h)) / (2 * h)
-    im = (at(1j * h) - at(-1j * h)) / (2j * h)
-    return 0.5 * (re + im)
-
-
 class MapChain:
     """Composite of map-like pieces, applied right to left on point arrays.
 
@@ -283,7 +261,6 @@ class MapChain:
     """
 
     def __init__(self, pieces):
-        pieces = [p for p in pieces if p is not None]
         if not pieces:
             raise ValidationError("empty map chain")
         self.pieces = pieces

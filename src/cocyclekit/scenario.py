@@ -1,14 +1,20 @@
 """Scenario files: JSON descriptions of covers, actions, atlases and checks.
 
-Complex numbers are [re, im] pairs; rationals are decimal strings like "3/10";
-every cross-reference (map names, cover indices, generator names) is resolved
-at load time with errors naming the offending symbol.
+Complex numbers are [re, im] pairs of finite numbers; rationals are decimal
+strings like "3/10"; every cross-reference (map names, cover indices,
+generator names) is resolved at load time with errors naming the offending
+symbol. Cover clouds and check point lists are (N, n) complex arrays from
+load on.
 """
 
+import contextlib
 import hashlib
 import json
+import sys
 import warnings
 from fractions import Fraction
+
+import numpy as np
 
 from . import holomap
 from .cechgroup import (Atlas, CoverSpec, GroupActionSpec, Word, tau_invariant,
@@ -36,16 +42,29 @@ def _rational(s, location):
         raise ScenarioError("bad rational %r" % (s,), location) from None
 
 
+def _cloud(points, n, location):
+    """A JSON list of points as an (N, n) complex array, checked as one array: shape
+    (N, n, 2), int or float entries, all finite. Only a refused list is walked
+    point by point, to name the bad entry."""
+    A = np.array(_require_list(points, location), dtype=object)
+    if A.shape == (len(points), n, 2) and set(map(type, A.flat)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            X = A.astype(float)
+            if np.isfinite(X).all():
+                return X.view(complex)[..., 0]
+    for p in points:
+        _point(p, n, location)
+    return np.zeros((0, n), dtype=complex)  # only an empty list gets here
+
+
 def _point(obj, n, location):
+    """Refuse a point that is not n [re, im] pairs of finite numbers."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ScenarioError("point must have %d [re, im] coordinates" % n, location)
-    out = []
     for c in obj:
-        if not (isinstance(c, list) and len(c) == 2 and all(map(_is_real, c))):
-            raise ScenarioError("coordinate must be an [re, im] pair of numbers, got %r"
-                                % (c,), location)
-        out.append(complex(float(c[0]), float(c[1])))
-    return tuple(out)
+        if not (isinstance(c, list) and len(c) == 2 and all(map(_is_finite, c))):
+            raise ScenarioError("coordinate must be an [re, im] pair of finite numbers, "
+                                "got %.60r" % (c,), location)
 
 
 class Scenario:
@@ -144,9 +163,9 @@ class Scenario:
             for i in on:
                 if i not in indices:
                     raise ScenarioError("cloud over unknown index %r" % i, cloc)
-            pts = [_point(p, self.n, cloc) for p in _require_list(entry.get("points", []), cloc)]
-            clouds[frozenset(on)] = clouds.get(frozenset(on), []) + pts
-        cover = CoverSpec(indices, clouds)
+            key, P = frozenset(on), _cloud(entry.get("points", []), self.n, cloc)
+            clouds[key] = np.concatenate([clouds[key], P]) if key in clouds else P
+        cover = CoverSpec(indices, clouds, self.n)
         thin = [sorted(map(str, key)) for key, pts in cover.clouds.items()
                 if len(pts) < MIN_SAMPLE_WARN]
         if thin:
@@ -261,8 +280,8 @@ class Scenario:
         return arity
 
     def _parse_check_points(self, entry, loc):
-        """The point lists of a check entry as tuples of complex coordinates."""
-        return {key: [_point(p, self.n, loc) for p in _require_list(entry[key], loc)]
+        """The point lists of a check entry as (N, n) complex arrays."""
+        return {key: _cloud(entry[key], self.n, loc)
                 for key in ("points", "source_points") if key in entry}
 
     def _validate_check_refs(self, ctype, entry, loc):
@@ -318,7 +337,7 @@ class Scenario:
 def _require_round_trip(worst, tol, what, section):
     """Refuse a worst (error, name) round trip above tol, naming section/name."""
     error, name = worst
-    if error > tol:
+    if not error <= tol:
         raise ScenarioError("%s round trip off by %.3e > %.1e" % (what, error, tol),
                             "%s/%s" % (section, name))
 
@@ -329,6 +348,11 @@ def _is_int(v):
 
 def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    """A real number within the float range: NaN, the infinities and larger ints are not."""
+    return _is_real(v) and abs(v) <= sys.float_info.max
 
 
 # (field, test, what the test requires) for the scalar fields of a scenario,

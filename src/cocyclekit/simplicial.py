@@ -14,7 +14,7 @@ acceptance criterion 11 tests the labelings against.
 import itertools
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, nan_worst
 
 
 class ElementOps:
@@ -114,7 +114,7 @@ def dk_validate(s, complex_, tol=1e-10):
             acc = term if acc is None else ops.add(acc, term)
         rhs = complex_.d(-l, s.label(cell))
         residuals[cell] = float(ops.norm(ops.sub(acc, rhs)))
-    worst_cell = max(residuals, key=residuals.get) if residuals else None
+    worst_cell = max(residuals, key=lambda c: nan_worst(residuals[c])) if residuals else None
     worst = residuals.get(worst_cell, 0.0)
     return {
         "residuals": {",".join(map(str, c)): r for c, r in sorted(residuals.items())},

@@ -25,7 +25,7 @@ def test_word_reduction_and_inverse():
 
 def one_chart_setup(rng, atlas_chart=None, count=10):
     pts = random_points(rng, count, radius=0.35)
-    cover = cg.CoverSpec(["u"], {frozenset(["u"]): pts})
+    cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(pts)}, 2)
     action = cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
                                 {"h": {"u": "u"}}, ["u"],
                                 words=[cg.Word.gen("h"), cg.Word.gen("h", -1)])
@@ -37,7 +37,7 @@ def one_chart_setup(rng, atlas_chart=None, count=10):
 def three_chart_setup(rng, charts=None):
     pts = random_points(rng, 10, radius=0.3)
     sets = [("p",), ("q",), ("r",), ("p", "q"), ("p", "r"), ("q", "r"), ("p", "q", "r")]
-    cover = cg.CoverSpec(["p", "q", "r"], {frozenset(s): pts for s in sets})
+    cover = cg.CoverSpec(["p", "q", "r"], {frozenset(s): np.array(pts) for s in sets}, 2)
     action = cg.trivial_action(["p", "q", "r"], 2)
     charts = charts or {
         "p": (hm.identity_map(2), hm.identity_map(2)),
@@ -50,19 +50,19 @@ def three_chart_setup(rng, charts=None):
 def test_cover_nesting_makes_restrictions_literal(rng):
     deep = random_points(rng, 3)
     shallow = random_points(rng, 4)
-    cover = cg.CoverSpec(["a", "b"], {frozenset(["a"]): shallow,
-                                      frozenset(["a", "b"]): deep,
-                                      frozenset(["b"]): []})
-    for p in cover.cloud(("a", "b")):
-        assert p in cover.cloud(("a",))
-        assert p in cover.cloud(("b",))
+    cover = cg.CoverSpec(["a", "b"], {frozenset(["a"]): np.array(shallow),
+                                      frozenset(["a", "b"]): np.array(deep),
+                                      frozenset(["b"]): np.zeros((0, 2), dtype=complex)}, 2)
+    for p in cover.cloud(("a", "b")).tolist():
+        assert p in cover.cloud(("a",)).tolist()
+        assert p in cover.cloud(("b",)).tolist()
     # repeats collapse to the set
-    assert cover.cloud(("a", "a")) == cover.cloud(("a",))
+    assert cover.cloud(("a", "a")) is cover.cloud(("a",))
 
 
 def test_cover_rejects_foreign_indices(rng):
     with pytest.raises(ValidationError):
-        cg.CoverSpec(["a"], {frozenset(["z"]): random_points(rng, 2)})
+        cg.CoverSpec(["a"], {frozenset(["z"]): np.array(random_points(rng, 2))}, 2)
 
 
 def test_action_validation_round_trip(rng):
@@ -192,7 +192,7 @@ def test_mixed_differential_reduces_to_bar_for_singleton_cover(rng):
 def test_mixed_differential_squares_to_zero(rng):
     pts = random_points(rng, 6, radius=0.3)
     sets = [("a",), ("b",), ("a", "b")]
-    cover = cg.CoverSpec(["a", "b"], {frozenset(s): pts for s in sets})
+    cover = cg.CoverSpec(["a", "b"], {frozenset(s): np.array(pts) for s in sets}, 2)
     neg = hm.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
     action = cg.GroupActionSpec({"s": (neg, neg)}, {"s": {"a": "b", "b": "a"}},
                                 ["a", "b"], words=[cg.Word.gen("s")])
@@ -210,7 +210,7 @@ def constant_forms(values):
 
 def two_index_cover(rng):
     pts = random_points(rng, 5, radius=0.3)
-    cover = cg.CoverSpec(["a", "b"], {frozenset(s): pts for s in ("a", "b", "ab")})
+    cover = cg.CoverSpec(["a", "b"], {frozenset(s): np.array(pts) for s in ("a", "b", "ab")}, 2)
     return cover, cg.trivial_action(["a", "b"], 2)
 
 
@@ -261,7 +261,7 @@ def test_witness_dominant_term_can_be_a_tau_sample(rng):
 
 def test_tau_affine_atlas_and_action_exactly_zero(rng):
     pts = random_points(rng, 8)
-    cover = cg.CoverSpec(["u"], {frozenset(["u"]): pts})
+    cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(pts)}, 2)
     tr = hm.affine_map([[1, 0], [0, 1]], [1, 2], name="tr")
     tr_inv = hm.affine_map([[1, 0], [0, 1]], [-1, -2], name="tr_inv")
     action = cg.GroupActionSpec({"t": (tr, tr_inv)}, {"t": {"u": "u"}}, ["u"],
@@ -300,7 +300,7 @@ def test_tau_mixed_cover_and_action(rng):
     pts_half = random_points(rng, 6, radius=0.3, center=0.1)
     pts = pts_half + [tuple(-c for c in p) for p in pts_half]
     sets = [("a",), ("b",), ("a", "b")]
-    cover = cg.CoverSpec(["a", "b"], {frozenset(s): pts for s in sets})
+    cover = cg.CoverSpec(["a", "b"], {frozenset(s): np.array(pts) for s in sets}, 2)
     neg = hm.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
     action = cg.GroupActionSpec({"s": (neg, neg)}, {"s": {"a": "b", "b": "a"}},
                                 ["a", "b"], words=[cg.Word.gen("s")])
@@ -383,7 +383,7 @@ def test_tau_nonconstant_jacobian_determinant_n2(rng):
     pts = right_half_cloud(2, 10, 41)
     sets = [("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
             ("a", "b", "c")]
-    cover = cg.CoverSpec(["a", "b", "c"], {frozenset(s): pts for s in sets})
+    cover = cg.CoverSpec(["a", "b", "c"], {frozenset(s): np.array(pts) for s in sets}, 2)
     action = cg.trivial_action(["a", "b", "c"], 2)
     atlas = cg.Atlas({"a": (hm.identity_map(2), hm.identity_map(2)),
                       "b": (sq_a, sqrt_a), "c": (sq_b, sqrt_b)})
@@ -414,7 +414,7 @@ def test_tau_dimension_three(rng):
     indices = ["a", "b", "c", "d"]
     sets = [frozenset(c) for r in range(1, 5)
             for c in itertools.combinations(indices, r)]
-    cover = cg.CoverSpec(indices, {s: pts for s in sets})
+    cover = cg.CoverSpec(indices, {s: np.array(pts) for s in sets}, 2)
     action = cg.trivial_action(indices, 3)
     atlas = cg.Atlas(charts)
     tau = cg.tau_invariant(cover, action, atlas, todd_invariant(3))
@@ -425,7 +425,7 @@ def test_tau_dimension_three(rng):
 
 def test_tau_two_generator_free_action(rng):
     pts = random_points(rng, 8, radius=0.3)
-    cover = cg.CoverSpec(["u"], {frozenset(["u"]): pts})
+    cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(pts)}, 2)
     action = cg.GroupActionSpec(
         {"h": (hm.henon_map(), hm.henon_inverse()),
          "s": (hm.shear_map(), hm.shear_inverse())},
@@ -448,3 +448,67 @@ def test_witness_group_direction(rng):
     w = cg.cohomologous_witness(cover, action, atlas, atlas_b, T2)
     report = cg.witness_report(w, tau_a, tau_b, tol=1e-7)
     assert report["pass"], report["max_residual"]
+
+
+def test_signed_zero_copies_of_a_point_are_one_point_and_keep_their_signs():
+    # the pair intersection holds a point with real part +0.0; {a} holds it with
+    # -0.0, and {b} with +0.0 and then again with -0.0
+    shared = [0.0 + 0.1j, 0.2 + 0.3j]
+    minus = [complex(-0.0, 0.1), 0.2 + 0.3j]
+    a = np.array([minus, [0.4 + 0.0j, 0.1 - 0.2j]])
+    b = np.array([shared, [0.3 + 0.1j, 0.2 - 0.1j], minus])
+    cover = cg.CoverSpec(["a", "b"], {frozenset(["a"]): a, frozenset(["b"]): b,
+                                      frozenset(["a", "b"]): np.array([shared])}, 2)
+    # nesting appends nothing: both clouds already hold the pair's point
+    assert len(cover.cloud(("a",))) == 2 and len(cover.cloud(("b",))) == 3
+    assert cover.restriction(("a",), ("a", "b")).tolist() == [0]
+    # of equal source rows, restriction takes the last, as a dict over tuples does
+    assert cover.restriction(("b",), ("a", "b")).tolist() == [2]
+    assert np.signbit(cover.cloud(("a",))[0, 0].real)
+    assert np.signbit(cover.cloud(("b",))[2, 0].real)
+    assert not np.signbit(cover.cloud(("a", "b"))[0, 0].real)
+
+
+def test_restriction_after_nesting_matches_the_tuple_rows(rng):
+    # the rows a dict over tuples of complex would choose, cloud by cloud
+    pts = random_points(rng, 5, radius=0.3)
+    extra = random_points(rng, 3, radius=0.3)
+    clouds = {frozenset("a"): np.array(pts[:3] + extra), frozenset("b"): np.array(pts[2:]),
+              frozenset("ab"): np.array(pts[1:4] + pts[1:2])}
+    cover = cg.CoverSpec(["a", "b"], clouds, 2)
+    for source in ("a", "b"):
+        where = {tuple(p): i for i, p in enumerate(cover.cloud(tuple(source)).tolist())}
+        want = [where[tuple(p)] for p in cover.cloud(("a", "b")).tolist()]
+        assert cover.restriction(tuple(source), ("a", "b")).tolist() == want
+    # deep points are appended in their order, each once, after the declared ones
+    assert cover.cloud(("a",)).tolist() == [list(p) for p in pts[:3] + extra + [pts[3]]]
+
+
+def test_residual_report_keeps_a_nan_residual_as_the_worst():
+    rows = [{"residual": 0.5}, {"residual": float("nan")}, {"residual": 0.25}]
+    report = cg.residual_report(rows, [(1, 0)], tol=1.0)
+    assert np.isnan(report["max_residual"]) and not report["pass"]
+    assert np.isnan(report["cells"][0]["residual"])
+    assert [r["residual"] for r in report["cells"][1:]] == [0.5, 0.25]
+
+
+def nan_then_finite_cover():
+    """{a} with a NaN coordinate, declared before a finite {b}."""
+    return cg.CoverSpec(["a", "b"], {
+        frozenset("a"): np.array([[np.nan, 0.1], [0.2, 0.3]], dtype=complex),
+        frozenset("b"): np.array([[0.1, 0.2j], [0.3, 0.1]], dtype=complex)}, 2)
+
+
+def test_atlas_round_trip_keeps_a_nan_error():
+    # the shear chart of b with the identity as inverse is off by a finite amount
+    ident = hm.identity_map(2)
+    atlas = cg.Atlas({"a": (ident, ident), "b": (hm.shear_map(), ident)})
+    error, index = atlas.round_trip(nan_then_finite_cover())
+    assert np.isnan(error) and index == "a"
+
+
+def test_generator_round_trip_keeps_a_nan_error():
+    action = cg.GroupActionSpec({"g": (hm.shear_map(), hm.identity_map(2))},
+                                {"g": {"a": "a", "b": "b"}}, ["a", "b"])
+    error, name = action.round_trip(nan_then_finite_cover())
+    assert np.isnan(error) and name == "g"

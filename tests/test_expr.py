@@ -8,8 +8,8 @@ import pytest
 import cocyclekit.expr as ex
 import cocyclekit.holomap as hm
 from cocyclekit.errors import DomainError, DslSyntaxError
-from cocyclekit.holomap import numeric_partial
 from cocyclekit.scenario import Scenario
+from conftest import numeric_partial
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).with_name("golden_derivatives.json")

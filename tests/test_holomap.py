@@ -12,7 +12,7 @@ from cocyclekit.cli import execute_checks
 from cocyclekit.errors import DslSyntaxError, SingularJacobianError, ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.scenario import Scenario
-from conftest import per_cell, random_points
+from conftest import numeric_jacobian, per_cell, random_points
 
 F = Fraction
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,7 +59,7 @@ def test_jacobian_henon_matches_numeric(rng):
     m = hm.henon_map()
     for p in random_points(rng, 6):
         J = m.jacobian([p])[0]
-        Jn = hm.numeric_jacobian(m, p, h=1e-4)
+        Jn = numeric_jacobian(m, p, h=1e-4)
         assert np.max(np.abs(J - Jn)) < 1e-9 * (1 + np.max(np.abs(J)))
 
 
@@ -220,12 +220,12 @@ def test_singular_cloud_raises_on_every_call(monkeypatch):
 
 def test_word_pullback_evaluates_each_generator_piece_once_per_cloud(monkeypatch, rng):
     runs = compiled_runs(monkeypatch)
-    cover = cg.CoverSpec(["u"], {frozenset(["u"]): random_points(rng, 6, radius=0.3)})
+    cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(random_points(rng, 6, radius=0.3))}, 2)
     action = cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
                                 {"h": {"u": "u"}}, ["u"])
     cochain = cg.MixedCochain(cover, action, 2, 2, {
         (0, 0): per_cell(lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None]))})
-    P = cover.cloud_array(("u",), 2)
+    P = cover.cloud(("u",))
     hh = cg.Word([("h", 1), ("h", 1)])
     cochain.evaluate_terms([(((0, 0), ("u",), (), hh), P)])
     # h on the points and on their image, each evaluated and differentiated once
@@ -276,7 +276,7 @@ def test_library_jacobians_match_numeric_oracle():
     for name, m in maps.items():
         for p in clouds[name][:5]:
             J = m.jacobian([p])[0]
-            Jn = hm.numeric_jacobian(m, p, h=1e-4)
+            Jn = numeric_jacobian(m, p, h=1e-4)
             scale = 1 + np.max(np.abs(J))
             assert np.max(np.abs(J - Jn)) < 1e-9 * scale, name
 

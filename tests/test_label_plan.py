@@ -300,9 +300,9 @@ def singular_setup():
     """Three charts on one cloud with a point on z1 = 0, where sq1 is singular."""
     pts = [(0.3 + 0.1j, 0.5 - 0.2j), (0.0, 0.5 + 0.1j), (-0.2 + 0.3j, 0.4 + 0.2j)]
     indices = ["a", "b", "c"]
-    cover = cg.CoverSpec(indices, {frozenset(s): pts for s in
+    cover = cg.CoverSpec(indices, {frozenset(s): np.array(pts) for s in
                                    (["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
-                                    ["a", "b", "c"])})
+                                    ["a", "b", "c"])}, 2)
     ident = hm.identity_map(2)
     sq2 = hm.HoloMap(2, [hm.ex.Var(1), hm.ex.pow_(hm.ex.Var(2), 2)], name="sq2")
     atlas = cg.Atlas({"a": (ident, ident), "b": (hm.diagonal_square_map(), ident),

@@ -5,11 +5,16 @@ import pathlib
 import subprocess
 import sys
 
+import types
+
+import numpy as np
 import pytest
 
+import cocyclekit.cli as cli
 import cocyclekit.scenario as scenario_mod
-from cocyclekit.cli import CHECK_RUNNERS, main
+from cocyclekit.cli import CHECK_RUNNERS, MAX_SYMFUN_DEGREE, main
 from cocyclekit.errors import ScenarioError
+from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import POWER, SymFun, newton_convert
 from cocyclekit.scenario import Scenario
 
@@ -288,14 +293,94 @@ def test_bad_point_in_check_exits_2_at_load(tmp_path, capsys, entry):
     assert "checks[1]" in err and "coordinate" in err and "Traceback" not in err
 
 
+# JSON numbers that are no finite float: the NaN and infinities Python's json
+# reads, a float beyond the range and an integer too large for a float
+BAD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("token", BAD_NUMBERS, ids=["nan", "inf", "minus-inf", "1e400", "10^400"])
+@pytest.mark.parametrize("edit, location", [
+    (_set(["cover", "clouds", 0, "points", 3, 1], [0.1, "@"]), "cover/clouds[0]"),
+    (_append_check({"type": "theta-composition", "pairs": [["henon", "shear"]],
+                    "points": [[[0.1, 0.2], ["@", 0]]]}), "checks[1]"),
+    (_append_check(dict(TELESCOPING, source_points=[[["@", 0.2], [0.3, -0.1]]] * 9)),
+     "checks[1]"),
+    (_append_check(dict(TELESCOPING, type="dk-validate",
+                        source_points=[[[0.1, 0.2], [0.3, "@"]]] * 9)), "checks[1]"),
+], ids=["cover-cloud", "theta-composition-points", "telescoping-source-points",
+        "dk-validate-source-points"])
+def test_coordinate_that_is_no_finite_float_exits_2_at_load(tmp_path, capsys, edit, location,
+                                                           token):
+    data = load_scn("henon_z.scn")
+    edit(data)
+    path = tmp_path / "case.scn"
+    path.write_text(json.dumps(data).replace('"@"', token))
+    assert main(["run", str(path), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert location in err and "finite numbers" in err and "Traceback" not in err
+
+
+def test_round_trip_that_overflows_to_nan_exits_2(tmp_path, capsys):
+    # a finite 1e200 coordinate overflows in the henon generator; the round trip
+    # error is NaN, which no tolerance admits
+    data = load_scn("henon_z.scn")
+    data["cover"]["clouds"][0]["points"][0][1] = [1e200, 0.0]
+    with np.errstate(all="ignore"):
+        code = main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "action/h: generator/inverse round trip off by nan" in err
+
+
+def test_require_round_trip_refuses_nan():
+    with pytest.raises(ScenarioError, match="atlas/u: chart/inverse round trip off by nan"):
+        scenario_mod._require_round_trip((math.nan, "u"), 1e-9, "chart/inverse", "atlas")
+
+
+def test_affine_vanishing_fails_on_a_nan_value(monkeypatch):
+    P = np.zeros((1, 2), dtype=complex)
+    forms = [SampledForm(2, 2, P, [[0j]]), SampledForm(2, 2, P, [[complex(math.nan, 0)]]),
+             SampledForm(2, 2, P, [[0j]])]
+    monkeypatch.setattr(cli, "cell_values", lambda tau: [((0, 2), ("u",), (), f) for f in forms])
+    tau = types.SimpleNamespace(bidegrees=lambda: [(0, 2)])
+    scn = types.SimpleNamespace(n=2, atlas=None, tau=lambda atlas, arity: tau)
+    result = cli.run_affine_vanishing(scn, {})
+    assert result["status"] == "fail" and math.isnan(result["max_residual"])
+
+
+def test_theta_composition_fails_on_a_nan_residual(tmp_path, monkeypatch):
+    data = load_scn("henon_z.scn")
+    data["checks"] = [{"type": "theta-composition",
+                       "pairs": [["henon", "shear"], ["shear", "ident"]],
+                       "points": [[[0.1, 0.2], [0.3, -0.1]]]}]
+    scn = Scenario.load(write_scn(tmp_path, data))
+    theta = cli.theta
+    # theta of the first pair's composite is NaN; the second pair is finite
+    monkeypatch.setattr(cli, "theta", lambda f, P: SampledForm(
+        f.n, 1, P, np.full((len(P), f.n, f.n, f.n), math.nan)) if "henon" in str(f.name)
+        else theta(f, P))
+    result = cli.run_theta_composition(scn, scn.checks[0])
+    assert math.isnan(result["pairs"][0]["residual"]) and result["pairs"][1]["residual"] < 1e-12
+    assert result["status"] == "fail" and math.isnan(result["max_residual"])
+
+
+def test_bm_reproducing_fails_on_a_nan_value(monkeypatch):
+    monkeypatch.setattr(cli, "reproducing_integral",
+                        lambda radius, order: complex(math.nan if radius < 1 else 1.0, 0.0))
+    result = cli.run_bm_reproducing(None, {"radii": [0.5, 1.0], "tolerance": 1e-3})
+    assert [math.isnan(r["error"]) for r in result["radii"]] == [True, False]
+    assert result["status"] == "fail" and math.isnan(result["max_residual"])
+
+
 def test_check_points_are_parsed_once_at_load(tmp_path):
     data = load_scn("henon_z.scn")
     data["checks"] = [dict(TELESCOPING, name="t"),
                       {"type": "theta-composition", "name": "th", "pairs": [["henon", "shear"]],
                        "points": [[[0.1, 0.2], [0.3, -0.1]]]}]
     scn = Scenario.load(write_scn(tmp_path, data))
-    assert scn.checks[0]["source_points"][0] == (0.1 + 0.2j, 0.3 - 0.1j)
-    assert scn.checks[1]["points"] == [(0.1 + 0.2j, 0.3 - 0.1j)]
+    assert scn.checks[0]["source_points"].shape == (9, 2)
+    assert scn.checks[0]["source_points"].tolist()[0] == [0.1 + 0.2j, 0.3 - 0.1j]
+    assert scn.checks[1]["points"].tolist() == [[0.1 + 0.2j, 0.3 - 0.1j]]
     assert scn.chart_simplex(scn.checks[0]).source_points.tolist()[0] == [0.1 + 0.2j, 0.3 - 0.1j]
 
 
@@ -367,6 +452,19 @@ def test_symfun_cli_strings(capsys):
 
 def test_symfun_rejects_degree_zero(capsys):
     assert main(["symfun", "todd", "0"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["todd", "chern"])
+def test_symfun_refuses_degrees_above_the_bound(capsys, kind):
+    assert main(["symfun", kind, str(MAX_SYMFUN_DEGREE + 1)]) == 2
+    assert "1..%d" % MAX_SYMFUN_DEGREE in capsys.readouterr().err
+
+
+def test_symfun_degree_bound_is_accepted_and_in_the_help(capsys):
+    assert main(["symfun", "chern", str(MAX_SYMFUN_DEGREE)]) == 0
+    with pytest.raises(SystemExit):
+        main(["symfun", "--help"])
+    assert "1..%d" % MAX_SYMFUN_DEGREE in capsys.readouterr().out
 
 
 def test_symfun_convert_round_trip(tmp_path, capsys):

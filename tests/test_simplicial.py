@@ -181,6 +181,19 @@ def test_dk_validate_perturbation_hits_exactly_the_cofaces():
     assert report["max_residual"] == pytest.approx(float(eps))
 
 
+def test_dk_validate_keeps_a_nan_residual_as_the_worst():
+    # a NaN edge label leaves the edges' residuals 0 and makes the triangle's NaN
+    ops = sim.vector_ops({-1: 1})
+    C = sim.GradedComplex([-1, 0], lambda d, x: ops.zero(d + 1), ops)
+    labels = {cell: ops.zero(1 - len(cell)) for l in range(3)
+              for cell in itertools.combinations(range(3), l + 1)}
+    labels[(0, 1)] = (float("nan"),)
+    report = sim.dk_validate(sim.DKSimplex(2, labels), C)
+    assert report["residuals"]["0,1"] == 0.0
+    assert report["worst_cell"] == (0, 1, 2)
+    assert report["max_residual"] != report["max_residual"] and not report["pass"]
+
+
 def test_dk_validate_missing_label():
     with pytest.raises(ValidationError):
         sim.DKSimplex(1, {(0,): (F(0),), (1,): (F(0),)})

@@ -85,7 +85,7 @@ def oracle_term_value(base, term, target, points):
 def oracle_value(expr, bd, J, G):
     base = expr.base
     target = cg.cell_multi_index(base.action, J, G)
-    points = base.cover.cloud_array(target, base.n)
+    points = base.cover.cloud(target)
     terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
                    key=lambda kv: repr(kv[0]))
     return signed_sum(base.n, base.form_degree, points,
@@ -110,9 +110,10 @@ def setups(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     subsets = [s for r in range(1, len(indices) + 1) for s in itertools.combinations(indices, r)]
     declared = [s for s in subsets if draw(st.booleans())] or [subsets[-1]]
-    clouds = {frozenset(s): [tuple(0.3 * complex(*rng.uniform(-1, 1, 2)) for _ in range(2))
-                             for _ in range(draw(st.integers(1, 4)))] for s in declared}
-    cover = cg.CoverSpec(indices, clouds)
+    clouds = {frozenset(s): np.array([[0.3 * complex(*rng.uniform(-1, 1, 2)) for _ in range(2)]
+                                      for _ in range(draw(st.integers(1, 4)))])
+              for s in declared}
+    cover = cg.CoverSpec(indices, clouds, 2)
     names = draw(st.lists(st.sampled_from(sorted(GENERATORS)), max_size=2, unique=True))
     tables = {g: dict(zip(indices, draw(st.permutations(indices)))) for g in names}
     letters = [cg.Word.gen(g, sgn) for g in names for sgn in (1, -1)]
@@ -199,7 +200,7 @@ def test_plan_values_equal_the_per_cell_oracle_bitwise(setup, name, bidegrees, z
 
 def test_all_cancelling_cell_is_the_structural_zero(rng):
     pts = [tuple(complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2)) for _ in range(4)]
-    cover = cg.CoverSpec(["a", "b"], {frozenset(["a", "b"]): pts})
+    cover = cg.CoverSpec(["a", "b"], {frozenset(["a", "b"]): np.array(pts)}, 2)
     action = cg.trivial_action(["a", "b"], 2)
     expr = cg.cech_differential(cg.cech_differential(cochain(cover, action, [(0, 0)], 0)))
     plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
@@ -210,7 +211,7 @@ def test_all_cancelling_cell_is_the_structural_zero(rng):
 
 def test_structurally_zero_base_values_leave_no_slot(rng):
     pts = [tuple(complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2)) for _ in range(3)]
-    cover = cg.CoverSpec(["a"], {frozenset(["a"]): pts})
+    cover = cg.CoverSpec(["a"], {frozenset(["a"]): np.array(pts)}, 2)
     action = cg.trivial_action(["a"], 2)
     c = cg.MixedCochain(cover, action, 2, 2,
                         {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()))})

@@ -8,7 +8,9 @@ writes `perfbench/workloads.todd3_cech(SEED)` with that many points, imports
 cocyclekit from --src (default: this checkout's src/), loads the scenario and
 times --passes verification passes, each on a freshly loaded scenario, as
 `perfbench/fresh.py` runs them (execute_checks, build_report, write_report).
-It prints one JSON line per size: the load time, every pass time, their
+It prints one JSON line per size: the time of the first Scenario.load
+(`load_s`, after the import) and of json.loads on the same file (`json_s`), so
+`load_s - json_s` is the load outside JSON parsing; every pass time, their
 median and the process's peak RSS (ru_maxrss). Pointing --src at another
 tree, for example a git worktree of an older commit, runs that tree in the
 same harness. perfbench/ is imported, never changed.
@@ -49,13 +51,16 @@ def child(args, workdir):
     path = pathlib.Path(workdir) / "todd3-cech.scn"
     path.write_text(json.dumps(workloads.todd3_cech(SEED)), encoding="utf-8")
     warnings.simplefilter("ignore")
-    started = time.perf_counter()
     sys.path.insert(0, args.src)
     from cocyclekit import cli
     from cocyclekit.scenario import Scenario
 
+    started = time.perf_counter()
     Scenario.load(path)
     load_s = time.perf_counter() - started
+    started = time.perf_counter()
+    json.loads(path.read_bytes())
+    json_s = time.perf_counter() - started
     passes = []
     for k in range(args.passes):
         scn = Scenario.load(path)
@@ -65,6 +70,7 @@ def child(args, workdir):
             raise SystemExit("pass %d at %d points failed: %r" % (k, args.child, results))
         passes.append(round(wall, 4))
     print(json.dumps({"points": args.child, "src": args.src, "load_s": round(load_s, 4),
+                      "json_s": round(json_s, 4),
                       "pass_s": passes, "median_s": statistics.median(passes),
                       "peak_rss_mb": round(resource.getrusage(
                           resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)}))
