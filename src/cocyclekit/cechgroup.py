@@ -26,7 +26,7 @@ from . import forms
 from .cocycle import ChartSimplex, LabelPlan, label_vanishes
 from .errors import ValidationError, nan_worst
 from .forms import pullback_kform, signed_sum
-from .holomap import MapChain, compose, identity_map
+from .holomap import MapChain, compose, inverse_pairs
 
 # ---------------------------------------------------------------------------
 # free words over named generators
@@ -35,10 +35,11 @@ from .holomap import MapChain, compose, identity_map
 class Word:
     """Reduced free word; letters are (generator name, +1 or -1)."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters=()):
         self.letters = self._reduce(tuple(letters))
+        self._hash = hash(self.letters)
 
     @staticmethod
     def _reduce(letters):
@@ -52,11 +53,24 @@ class Word:
                 out.append((name, sgn))
         return tuple(out)
 
+    @classmethod
+    def _of(cls, letters):
+        """The Word of letters that are already reduced."""
+        w = cls.__new__(cls)
+        w.letters = letters
+        w._hash = hash(letters)
+        return w
+
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        """The product; two reduced words cancel only where they meet."""
+        a, b = self.letters, other.letters
+        i = 0
+        while i < min(len(a), len(b)) and a[-1 - i] == (b[i][0], -b[i][1]):
+            i += 1
+        return Word._of(a[:len(a) - i] + b[i:])
 
     def inverse(self):
-        return Word(tuple((name, -sgn) for name, sgn in reversed(self.letters)))
+        return Word._of(tuple((name, -sgn) for name, sgn in reversed(self.letters)))
 
     def is_identity(self):
         return not self.letters
@@ -68,7 +82,7 @@ class Word:
         return self.letters < other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        return self._hash
 
     def __repr__(self):
         if not self.letters:
@@ -183,7 +197,8 @@ class GroupActionSpec:
             for name, table in self.index_action.items()
         }
         self.words = [w if isinstance(w, Word) else Word.gen(w) for w in words]
-        self._word_maps = {}
+        self.inverses = inverse_pairs(self.generators.values())
+        self._folds = {}
 
     def letter_map(self, name, sgn):
         fwd, inv = self.generators[name]
@@ -195,23 +210,38 @@ class GroupActionSpec:
             index = table[index]
         return index
 
-    def word_map(self, word):
-        """rho(word) as one symbolically composed HoloMap (memoized)."""
-        if word not in self._word_maps:
-            if word.is_identity():
-                m = identity_map(self.n)
+    def letter_maps(self, word):
+        """The generator maps of a word's letters, outermost first; two adjacent
+        letters whose composite is affine (a relation of the action) are one piece,
+        that composite (see fold)."""
+        maps, folded = [], False
+        for name, sgn in word.letters:
+            m = self.letter_map(name, sgn)
+            fg = None if not maps or folded else self.fold(maps[-1], m)
+            if fg is None:
+                maps.append(m)
             else:
-                m = self.letter_map(*word.letters[-1])
-                for name, sgn in reversed(word.letters[:-1]):
-                    m = compose(self.letter_map(name, sgn), m)
-            self._word_maps[word] = m
-        return self._word_maps[word]
+                maps[-1] = fg
+            folded = fg is not None
+        return maps
+
+    def fold(self, f, g):
+        """The composite f . g of two non-affine letter maps when it is affine, else None:
+        a relation such as henon^-1 . shear keeps its labels exactly zero, where the
+        composition rule's two terms would cancel only to rounding. Decided once per
+        pair by symbolic composition, the one place the pass composes maps."""
+        key = (f, g)
+        if key not in self._folds:
+            self._folds[key] = None
+            if (f, g) not in self.inverses and not (f.is_affine() or g.is_affine()):
+                fg = compose(f, g)
+                if fg.is_affine():
+                    self._folds[key] = fg
+        return self._folds[key]
 
     def word_chain(self, word):
-        """rho(word) as a chain of generator maps (for pullbacks of base values)."""
-        if word.is_identity():
-            return MapChain([identity_map(self.n)])
-        return MapChain([self.letter_map(name, sgn) for name, sgn in word.letters])
+        """rho(word) as a chain of generator maps."""
+        return MapChain(self.letter_maps(word), self.n, self.inverses)
 
     def round_trip(self, cover):
         """(error, generator) of the worst generator/inverse round trip on the declared clouds."""
@@ -235,6 +265,7 @@ class Atlas:
 
     def __init__(self, charts):
         self.charts = dict(charts)  # index -> (chart HoloMap, inverse HoloMap)
+        self.inverses = inverse_pairs(self.charts.values())
 
     def chart(self, index):
         return self.charts[index][0]
@@ -792,9 +823,13 @@ def _shuffles(step_types):
 class PathLabeler:
     """Builds chart simplices for grid paths through a cell and labels them.
 
-    Vertices carry (atlas layer, cover index, remaining word tail); transitions
-    between two vertices compose chart, word map and inverse chart
-    symbolically, with an identity shortcut when nothing moves.
+    Vertices carry (atlas layer, cover index, remaining word tail). A vertex
+    chart is the chain chart . tail letters, and the transition between two
+    vertices the chain chart_a . letters of ta tb^-1 . inverse_b of named maps
+    (holomap.MapChain), which drops declared inverse pairs: the identity when
+    nothing moves. Only pairs of letters are composed symbolically, once each
+    (GroupActionSpec.fold); the label plan evaluates theta of a chain from its
+    pieces.
     """
 
     def __init__(self, cover, action, atlases, T):
@@ -803,41 +838,48 @@ class PathLabeler:
         self.atlases = list(atlases)
         self.T = T
         self.n = atlases[0].chart(atlases[0].indices()[0]).n
+        self.inverses = action.inverses.union(*(atlas.inverses for atlas in self.atlases))
         self._transitions = {}
-        self._tails = {}
+        self._products = {}  # word tuple G -> its prefix and suffix products
+        self._vertices = {}
+        self._shuffles = {}
         self._labels = {}
 
-    def _tail_word(self, G, s):
-        key = (tuple(G), s)
-        if key not in self._tails:
-            self._tails[key] = Word.product(G[s:])
-        return self._tails[key]
+    def _words(self, G):
+        """(heads, tails) of the word tuple G: heads[s] = G[0] ... G[s-1] and
+        tails[s] = G[s] ... G[-1], each product built once per G."""
+        words = self._products.get(G)
+        if words is None:
+            heads, tails = [IDENTITY_WORD], [IDENTITY_WORD]
+            for g, h in zip(G, reversed(G)):
+                heads.append(heads[-1] * g)
+                tails.append(h * tails[-1])
+            words = self._products[G] = (heads, tails[::-1])
+        return words
 
     def vertex(self, layer, J, G, r, s):
-        """(atlas layer, translated index, word tail) for grid state (r, s)."""
-        head = Word.product(G[:s])
-        index = self.action.act_index(J[r], head)
-        return (layer, index, self._tail_word(G, s))
+        """(atlas layer, translated index, word tail) for grid state (r, s), built once."""
+        key = (layer, J[r], G, s)
+        v = self._vertices.get(key)
+        if v is None:
+            heads, tails = self._words(G)
+            v = self._vertices[key] = (layer, self.action.act_index(J[r], heads[s]), tails[s])
+        return v
 
     def chart_for(self, vertex):
         layer, index, tail = vertex
-        return MapChain([self.atlases[layer].chart(index)]
-                        + [self.action.letter_map(name, sgn) for name, sgn in tail.letters])
+        return MapChain([self.atlases[layer].chart(index)] + self.action.letter_maps(tail),
+                        self.n, self.inverses)
 
     def transition(self, va, vb):
-        """Map V_b -> V_a between the images of two vertex charts."""
+        """Map V_b -> V_a between the images of two vertex charts, as a chain."""
         key = (va, vb)
         if key not in self._transitions:
             layer_a, ia, ta = va
             layer_b, ib, tb = vb
-            w = ta * tb.inverse()
-            if layer_a == layer_b and ia == ib and w.is_identity():
-                self._transitions[key] = identity_map(self.n)
-            else:
-                inner = self.atlases[layer_b].inverse(ib)
-                if not w.is_identity():
-                    inner = compose(self.action.word_map(w), inner)
-                self._transitions[key] = compose(self.atlases[layer_a].chart(ia), inner)
+            self._transitions[key] = MapChain(
+                [self.atlases[layer_a].chart(ia)] + self.action.letter_maps(ta * tb.inverse())
+                + [self.atlases[layer_b].inverse(ib)], self.n, self.inverses)
         return self._transitions[key]
 
     def simplex(self, vertices, points):
@@ -851,14 +893,16 @@ class PathLabeler:
 
     def labels(self, J, G, step_types):
         """The cell's path labels that are not structurally zero (label_vanishes), in
-        shuffle order: (sign, ladder, pullback maps, top chart), the maps that
-        LabelPlan.add_label reads. Each cell's paths are built once; only the
-        transitions of those maps are composed."""
+        shuffle order: (sign, ladder, pullback maps, top chart), the chains that
+        LabelPlan.add_label reads. Each cell's paths are built once."""
         key = (J, G, step_types)
         labels = self._labels.get(key)
         if labels is None:
             labels = self._labels[key] = []
-            for seq, sign in _shuffles(step_types):
+            shuffles = self._shuffles.get(step_types)
+            if shuffles is None:
+                shuffles = self._shuffles[step_types] = list(_shuffles(step_types))
+            for seq, sign in shuffles:
                 v = self.path(J, G, seq)
                 ladder = tuple(self.transition(a, b) for a, b in zip(v, v[1:]))
                 if not label_vanishes(self.T, self.n, ladder):

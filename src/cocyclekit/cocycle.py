@@ -15,10 +15,10 @@ import warnings
 import numpy as np
 
 from . import forms
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, nan_worst
 from .forms import (SampledForm, apply_invariant, jacobian_minors, pullback_kform,
                     sharp_values, signed_sum, theta_values, theta_vanishes)
-from .holomap import as_cloud, identity_map, split_rows, stack
+from .holomap import MapChain, as_chain, as_cloud, identity_map, reduced, split_rows, stack
 from .simplicial import DKSimplex, ElementOps, GradedComplex
 
 MIN_SAMPLE_WARN = 8
@@ -29,7 +29,7 @@ class ChartSimplex:
     """Charts rho_0..rho_l on a common source cloud plus transitions phi[p,q].
 
     Transitions are scenario-supplied maps V_q -> V_p for p < q, never derived
-    by inversion. The constructor checks only the shape (a transition for
+    by inversion: named maps, or chains of them (holomap.MapChain). The constructor checks only the shape (a transition for
     every p < q); coherence (phi[p,q] of rho_q = rho_p on the samples) is
     checked by validate(), which a caller runs when it needs it.
     """
@@ -58,14 +58,16 @@ class ChartSimplex:
         return self.transitions[(p, q)]
 
     def validate(self):
-        """Check every transition reproduces the chart relation on the samples."""
+        """Check every transition reproduces the chart relation on the samples; the
+        worst deviation, NaN ranking above every number."""
         worst = 0.0
         W = self.source_points
         for (p, q), phi in self.transitions.items():
             if len(W):
                 lhs = phi.eval(self.charts[q].eval(W))
-                worst = max(worst, float(np.max(np.abs(lhs - self.charts[p].eval(W)))))
-        if worst > COHERENCE_TOL:
+                worst = max(worst, float(np.max(np.abs(lhs - self.charts[p].eval(W)))),
+                            key=nan_worst)
+        if not worst <= COHERENCE_TOL:
             raise ValidationError("chart simplex incoherent: max deviation %.3e > %.1e"
                                   % (worst, COHERENCE_TOL))
         return worst
@@ -86,42 +88,53 @@ class ChartSimplex:
 def label_vanishes(T, n, ladder):
     """True when a top label is structurally zero before any map is evaluated: the
     arity of T exceeds the dimension n, or a transition of the theta ladder
-    (phi[r-1, r] for r = 1..k) is affine."""
+    (phi[r-1, r] for r = 1..k) is affine, every piece of its chain being affine."""
     return T.arity > n or any(theta_vanishes(f) for f in ladder)
 
 
 class LabelPlan:
     """Top Chern-Weil labels of chart simplices, read through shared, counted keys.
 
+    Transitions are chains of named maps (holomap.MapChain; a HoloMap is a
+    chain of one piece). By the composition rule theta(f . g) = g^# theta(f) +
+    theta(g), for f = p_1 . ... . p_m and a pullback chain phi,
+    phi^# theta(f) = sum over j of (p_{j+1} . ... . p_m . phi)^# theta(p_j),
+    an affine piece adding no term; so only named maps are differentiated.
+
     add(s, points), or add_label with a path's maps, counts one use of a label
     before anything is evaluated and, once per distinct label, the keys it
     reads:
 
-    - a theta_r key (f, phi, Q): the transition f = phi[r-1, r], the pullback
-      map phi = phi[r, l] and the top-image cloud Q; at r = l, theta_r is
-      theta(f) on Q and its key is the theta key (f, Q);
-    - a theta key (f, X), once per distinct theta_r key, on X = phi(Q);
+    - a theta_r key (p, psi, Q) per term of the rung r: a non-affine piece p of
+      the transition f = phi[r-1, r], the pieces psi of its tail chain after
+      phi = phi[r, l] (reduced as MapChain reduces) and the top-image cloud Q;
+      when psi is empty the term is the theta key (p, Q);
+    - a theta key (p, X), once per distinct theta_r key, on X = psi(Q);
     - a minors key (the top chart's pieces, P): the k x k minors of the top
       chart's Jacobian on the source cloud P, which the label's pullback reads;
-    - the map memo entries that evaluation fills: phi on Q and f on X.
+    - the map memo entries that evaluation fills: each piece of psi and of the
+      top chart on the cloud it maps, and p on X.
 
-    A label's key is its transitions, its top chart and its source cloud.
-    Clouds enter keys as ids of their exact bytes, so equal clouds in distinct
-    arrays share keys. A structurally zero label (label_vanishes) has the key
-    None and reads no map.
+    A label's key is its transition chains, its top chart's pieces and its
+    source cloud. Clouds enter keys as ids of their exact bytes, so equal
+    clouds in distinct arrays share keys. A structurally zero label
+    (label_vanishes) has the key None and reads no map.
 
     Keys are evaluated in batches, one stage at a time: the theta keys of one
-    transition f, the theta_r keys of one pullback map phi, the minors keys of
-    one top chart, and the labels of one top chart. take(key) evaluates a key
-    that is not held together with the other counted keys of its stage and
-    map not yet evaluated, in count order, while the batch's largest array
-    stays within forms.BATCH_ENTRIES complex entries (the first key always
-    joins). A batch stacks its clouds into one array for one kernel call per
-    step (a map's program, the inversion, each einsum, apply_invariant) and
-    splits the rows back per key; maps memoize only the real clouds
-    (HoloMap.stacked). Each key is held from its evaluation to its last use,
-    then dropped. A map memo entry that the plan fills is forgotten
-    (HoloMap.forget) once no later key reads it; one it finds filled is kept.
+    named map, all theta_r keys, the minors keys of one top chart, and the
+    labels of one top chart. take(key) evaluates a key that is not held
+    together with the other counted keys of its stage and map not yet
+    evaluated, in count order, while the batch's largest array stays within
+    forms.BATCH_ENTRIES complex entries (the first key always joins). A batch
+    stacks its clouds into one array for one kernel call per step (a map's
+    program, the inversion, each einsum, apply_invariant) and splits the rows
+    back per key. A theta_r batch runs each named map once on the clouds its
+    chains bring to it; a chain's Jacobian is the product of its pieces', its
+    inverse the reversed product of theirs, so no composite is inverted. Maps
+    memoize only the real clouds (HoloMap.stacked). Each key is held from its
+    evaluation to its last use, then dropped. A map memo entry that the plan
+    fills is forgotten (HoloMap.forget) once no later key reads it; one it
+    finds filled is kept.
 
     When a batch raises (SingularJacobianError, DomainError), the key taken is
     evaluated again alone, so the error is the one that key raises on its own
@@ -139,6 +152,7 @@ class LabelPlan:
         self._ranks = {}    # label key -> sort key of the clouds it reads
         self._memo = {}     # (map, cloud id) -> keys still to read a memo entry it filled
         self._images = {}   # (map, cloud id) -> id of the map's image of the cloud
+        self._rungs = {}    # (transition, pullback) chains -> (piece, pieces of psi) per term
         self._clouds = {}   # exact bytes of a cloud -> its id
         self._points = []   # cloud id -> the cloud
 
@@ -154,12 +168,21 @@ class LabelPlan:
             self._points.append(P)
         return cid
 
-    def _image(self, phi, qid):
-        """Id of the cloud phi(Q) of the cloud with id qid."""
-        xid = self._images.get((phi, qid))
+    def _image(self, m, cid):
+        """Id of the cloud m(P) of the cloud P with id cid, for a named map m."""
+        xid = self._images.get((m, cid))
         if xid is None:
-            xid = self._images[(phi, qid)] = self._cloud(phi.eval(self._points[qid]))
+            xid = self._images[(m, cid)] = self._cloud(m.eval(self._points[cid]))
         return xid
+
+    def _walk(self, psi, cid):
+        """Ids of the clouds the pieces of the chain psi map, innermost first, from the
+        cloud with id cid; each image was made when psi's key was counted."""
+        cids = []
+        for m in reversed(psi):
+            cids.append(cid)
+            cid = self._images[(m, cid)]
+        return cids
 
     def _count(self, key):
         """One more use of key; True on the first, when the caller records how to evaluate it."""
@@ -239,37 +262,51 @@ class LabelPlan:
         else:
             m.forget(self._points[cid])
 
-    def _add_theta(self, f, xid):
-        """Count theta(f) on the cloud with id xid; its key."""
-        key = (f, xid)
+    def _add_theta(self, p, xid):
+        """Count theta(p) of a named map p on the cloud with id xid; its key."""
+        key = (p, xid)
         if self._count(key):
             X = self._points[xid]
-            self._pend(key, self._thetas, f, len(X) * f.n ** 3, (f, X, xid))
-            self._count_memo(f, xid)
+            self._pend(key, self._thetas, p, len(X) * p.n ** 3, (p, X, xid))
+            self._count_memo(p, xid)
         return key
 
-    def _add_theta_r(self, f, phi, qid):
-        """Count theta_r of the transition f pulled back along phi (None at the top) on
-        the cloud with id qid; its key."""
-        if phi is None:
-            return self._add_theta(f, qid)
-        key = (f, phi, qid)
-        if self._count(key):
-            self._count_memo(phi, qid)
+    def _add_term(self, p, psi, qid):
+        """Count psi^# theta(p), for a named map p and the pieces psi of a chain, on the
+        cloud with id qid; (its key, the id of the cloud psi(Q) that theta(p) reads)."""
+        if not psi:
+            return self._add_theta(p, qid), qid
+        key = (p, psi, qid)
+        first, xid = self._count(key), qid
+        for m in reversed(psi):
+            if first:
+                self._count_memo(m, xid)
+            xid = self._image(m, xid)
+        if first:
             Q = self._points[qid]
-            self._pend(key, self._theta_rs, phi, len(Q) * phi.n ** 3,
-                       (phi, self._add_theta(f, self._image(phi, qid)), Q, qid))
-        return key
+            self._pend(key, self._theta_rs, None, len(Q) * p.n ** 3,
+                       (psi, self._add_theta(p, xid), Q, qid))
+        return key, xid
+
+    def _add_rung(self, f, phi, qid):
+        """Count theta_r of the transition chain f pulled back along the chain phi on the
+        cloud with id qid, one term per non-affine piece of f; (term keys, their clouds)."""
+        pieces = self._rungs.get((f, phi))
+        if pieces is None:
+            inverses = f.inverses | phi.inverses
+            pieces = self._rungs[(f, phi)] = [(p, reduced(f.pieces[j + 1:] + phi.pieces, inverses))
+                                              for j, p in enumerate(f.pieces) if not p.is_affine()]
+        terms = [self._add_term(p, psi, qid) for p, psi in pieces]
+        return tuple(key for key, _ in terms), tuple(xid for _, xid in terms)
 
     def add_theta_r(self, s, r, Q):
-        """Count theta_r of s on the top-image cloud Q; its key, None when f is affine."""
+        """Count theta_r of s on the top-image cloud Q; its term keys, none when the
+        transition is affine."""
         if not 1 <= r <= s.level:
             raise ValidationError("r must be in 1..%d" % s.level)
-        f = s.transition(r - 1, r)
-        if theta_vanishes(f):
-            return None
-        return self._add_theta_r(f, s.transition(r, s.level) if r < s.level else None,
-                                 self._cloud(Q))
+        f = as_chain(s.transition(r - 1, r))
+        phi = as_chain(s.transition(r, s.level)) if r < s.level else MapChain((), s.n)
+        return self._add_rung(f, phi, self._cloud(Q))[0]
 
     def add(self, s, points):
         """Count the top label of s on `points`; its key, None for a structural zero."""
@@ -277,41 +314,45 @@ class LabelPlan:
         if s.level != k:
             raise ValidationError("level %d does not match arity %d" % (s.level, k))
         P = as_cloud(points, s.n)
-        ladder = tuple(s.transition(r - 1, r) for r in range(1, k + 1))
+        ladder = tuple(as_chain(s.transition(r - 1, r)) for r in range(1, k + 1))
         if label_vanishes(self.T, s.n, ladder):
             return None
-        return self.add_label(ladder, tuple(s.transition(r, k) for r in range(1, k)),
+        return self.add_label(ladder, tuple(as_chain(s.transition(r, k)) for r in range(1, k)),
                               s.charts[-1], P)
 
     def add_label(self, ladder, pullbacks, top, P):
         """Count the top label of a chart path on the (N, n) source cloud P; its key.
 
-        `ladder` holds the transitions phi[r-1, r] for r = 1..k, none affine
-        (label_vanishes), `pullbacks` the maps phi[r, k] for r = 1..k-1 and
-        `top` the top chart.
+        `ladder` holds the transition chains phi[r-1, r] for r = 1..k, none
+        affine (label_vanishes), `pullbacks` the chains phi[r, k] for
+        r = 1..k-1 and `top` the top chart.
         """
         pieces, pid = tuple(getattr(top, "pieces", (top,))), self._cloud(P)
         key = (ladder, pullbacks, pieces, pid)
         if self._count(key):
             n, k = top.n, self.T.arity
-            qid = self._cloud(top.eval(P))
-            reads = [self._add_theta_r(f, phi, qid) for f, phi in zip(ladder, pullbacks + (None,))]
             minors = (pieces, pid)
-            if self._count(minors):
+            first, qid = self._count(minors), pid
+            for m in reversed(pieces):
+                if first:
+                    self._count_memo(m, qid)
+                qid = self._image(m, qid)
+            if first:
                 self._pend(minors, self._minors, pieces, len(P) * (math.comb(n, k) * k) ** 2,
-                           (top, P))
+                           (top, P, pid))
+            rungs = [self._add_rung(f, phi, qid)
+                     for f, phi in zip(ladder, pullbacks + (MapChain((), n),))]
             self._pend(key, self._labels, pieces,
                        len(P) * k * math.comb(n, k) * math.factorial(k) * n * n,
-                       (top, P, reads, minors))
-            self._ranks[key] = (qid,) + tuple(self._images[(phi, qid)]
-                                              for phi in reversed(pullbacks))
+                       (top, P, [terms for terms, _ in rungs], minors, qid))
+            self._ranks[key] = (qid,) + tuple(x for _, xids in reversed(rungs) for x in xids)
         return key
 
     def rank(self, key):
-        """Sort key of a counted label: ids of the clouds its theta ladder reads, top first.
+        """Sort key of a counted label: ids of the clouds its theta terms read, top rung first.
 
         Labels evaluated in rank order run those that share a top image, and
-        then a theta_r, together, so few keys are held at once.
+        then theta terms, together, so few keys are held at once.
         """
         return self._ranks[key]
 
@@ -323,46 +364,86 @@ class LabelPlan:
         values = theta_values(f.stacked("jacobian_inverse", clouds), f.djacobian(stack(clouds)))
         for _, _, xid in batch:
             self._release(f, xid)
-        return [SampledForm(f.n, 1, X, v) for X, v in zip(clouds, split_rows(values, clouds))]
+        return split_rows(values, clouds)
 
     def _theta_rs(self, batch):
-        phi, clouds = batch[0][0], [Q for _, _, Q, _ in batch]
-        omegas = stack([self._get(theta_key).values for _, theta_key, _, _ in batch])
-        values = sharp_values(phi.stacked("jacobian", clouds),
-                              phi.stacked("jacobian_inverse", clouds), omegas)
-        for _, theta_key, _, qid in batch:
+        walks = [self._walk(psi, qid) for psi, _, _, qid in batch]
+        clouds = [Q for _, _, Q, _ in batch]
+        ends = np.cumsum([len(Q) for Q in clouds])
+        rows = [np.arange(end - len(Q), end) for Q, end in zip(clouds, ends)]
+        # the keys each named map moves at each depth, innermost piece first
+        groups = {}
+        for i, (psi, _, _, _) in enumerate(batch):
+            for depth, m in enumerate(reversed(psi)):
+                groups.setdefault((depth, m), []).append(i)
+        # each named map runs once, on every cloud the batch's chains bring to it
+        runs = {}
+        for (depth, m), members in groups.items():
+            runs.setdefault(m, {}).update((walks[i][depth], None) for i in members)
+        for m, cids in runs.items():
+            m.stacked("jacobian_inverse", [self._points[c] for c in cids])
+        # the chains' Jacobians, products of their pieces', and the inverses, the
+        # reversed products of the pieces' inverses
+        n = clouds[0].shape[1]
+        J = np.empty((int(ends[-1]), n, n), dtype=complex)
+        Jinv = np.empty_like(J)
+        for depth, m in sorted(groups, key=lambda group: group[0]):
+            members = groups[(depth, m)]
+            at = np.concatenate([rows[i] for i in members])
+            points = [self._points[walks[i][depth]] for i in members]
+            Jm, Im = m.stacked("jacobian", points), m.stacked("jacobian_inverse", points)
+            if depth:
+                J[at], Jinv[at] = Jm @ J[at], Jinv[at] @ Im
+            else:
+                J[at], Jinv[at] = Jm, Im
+        omegas = stack([self._get(theta_key) for _, theta_key, _, _ in batch])
+        values = split_rows(sharp_values(J, Jinv, omegas), clouds)
+        for (psi, theta_key, _, _), cids in zip(batch, walks):
             self._use(theta_key)
-            self._release(phi, qid)
-        return [SampledForm(phi.n, 1, Q, v) for Q, v in zip(clouds, split_rows(values, clouds))]
+            for m, cid in zip(reversed(psi), cids):
+                self._release(m, cid)
+        return values
 
     def _minors(self, batch):
-        clouds = [P for _, P in batch]
-        values = jacobian_minors(stack([top.jacobian(P) for top, P in batch]), self.T.arity)
+        clouds = [P for _, P, _ in batch]
+        pieces = tuple(getattr(batch[0][0], "pieces", (batch[0][0],)))
+        values = jacobian_minors(stack([top.jacobian(P) for top, P, _ in batch]), self.T.arity)
+        for _, _, pid in batch:
+            for m, cid in zip(reversed(pieces), self._walk(pieces, pid)):
+                self._release(m, cid)
         return split_rows(values, clouds)
 
     def _labels(self, batch):
-        top, clouds, k = batch[0][0], [P for _, P, _, _ in batch], self.T.arity
-        thetas = [[self._get(r) for r in reads] for _, _, reads, _ in batch]
-        minors = stack([self._get(m) for _, _, _, m in batch])
-        Q = stack([omegas[0].points for omegas in thetas])
+        top, clouds, k = batch[0][0], [P for _, P, _, _, _ in batch], self.T.arity
+        # each rung's terms added left to right, as theta_r adds them
+        rungs = [[sum((self._get(t) for t in terms[1:]), self._get(terms[0])) for terms in reads]
+                 for _, _, reads, _, _ in batch]
+        minors = stack([self._get(m) for _, _, _, m, _ in batch])
+        Q = stack([self._points[qid] for _, _, _, _, qid in batch])
         wedge = apply_invariant(self.T, [SampledForm(top.n, 1, Q, stack(
-            [omegas[r].values for omegas in thetas])) for r in range(k)])
+            [values[r] for values in rungs])) for r in range(k)])
         values = pullback_kform(top, wedge, stack(clouds), minors).values
-        for _, _, reads, m in batch:
-            for r in reads + [m]:
-                self._use(r)
+        for _, _, reads, m, _ in batch:
+            for terms in reads:
+                for t in terms:
+                    self._use(t)
+            self._use(m)
         return [SampledForm(top.n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
 
 
 def theta_r(s, r, points):
     """theta of the (r-1, r) transition pulled back to the top image via phi[r, l].
 
-    `points` lie in the top image V_l. A plan of this one theta_r (LabelPlan).
+    `points` lie in the top image V_l. A plan of this one theta_r (LabelPlan):
+    the sum of its terms.
     """
     Q = as_cloud(points, s.n)
     plan = LabelPlan(None)
-    key = plan.add_theta_r(s, r, Q)
-    return SampledForm.zeros(s.n, 1, Q, (s.n, s.n)) if key is None else plan.take(key)
+    keys = plan.add_theta_r(s, r, Q)
+    if not keys:
+        return SampledForm.zeros(s.n, 1, Q, (s.n, s.n))
+    values = [plan.take(key) for key in keys]
+    return SampledForm(s.n, 1, Q, sum(values[1:], values[0]))
 
 
 def cf_label_top(s, T, points):

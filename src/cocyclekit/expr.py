@@ -11,7 +11,10 @@ rather than copying them, and every walk goes over distinct nodes once.
   (Expr.derivative), so a subtree shared by many parents is differentiated
   once, and second derivatives reuse the first ones' nodes.
 - substitute rebuilds each distinct node once per memo (by identity), so the
-  sharing of its input survives composition.
+  sharing of its input survives composition. The pass composes maps as
+  chains of named maps (holomap.MapChain) and differentiates only those;
+  substitution serves the symbolic compose oracle and the letter pairs that
+  GroupActionSpec.fold checks for an affine composite.
 - max_var is computed once per node.
 - Program compiles a list of expressions into one straight-line program over
   their distinct nodes: each node is evaluated once per cloud, and its value

@@ -1,4 +1,4 @@
-"""Holomorphic maps between opens of C^n: evaluation, exact Jacobians, composition.
+"""Holomorphic maps between opens of C^n: evaluation, exact Jacobians, chains.
 
 Every check downstream is pointwise over sample clouds, and every evaluation
 takes the whole cloud at once: an (N, n) point array in, one row per point
@@ -64,9 +64,9 @@ class HoloMap:
     the Jacobian and its derivatives each compile once, on first numeric use,
     into one straight-line program over their distinct nodes
     (expr.Program, kept in _fns): a run evaluates each node once on the
-    cloud and drops its value after its last reader. Compositions with this
-    map on the left are memoized in _composed (see compose), so every caller
-    composing the same two maps shares one result and its caches.
+    cloud and drops its value after its last reader. Symbolic composites with
+    this map on the left, built only by the compose oracle, are memoized in
+    _composed.
 
     The values, Jacobians and inverse Jacobians on a cloud are memoized in
     _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
@@ -91,6 +91,9 @@ class HoloMap:
             if c.max_var() > self.n:
                 raise ValidationError("component uses a coordinate beyond z%d" % self.n)
         self.name = name
+        # components z1..zn in order: a chain drops such a piece
+        self._identity = all(isinstance(c, ex.Var) and c.index == i + 1
+                             for i, c in enumerate(self.components))
         self._jac = None
         self._djac = {}
         self._fns = {}
@@ -210,6 +213,10 @@ def parse_map(text, n, constants=None, name=""):
 def compose(f, g):
     """f after g, by symbolic substitution of g's components into f.
 
+    The pass composes maps as MapChains; this symbolic composite is the
+    independent oracle that the theta-composition check and the tests
+    compare chains and the composition rule against.
+
     One substitution memo serves all of f's components, so a subtree shared
     between them is rebuilt once and stays shared in the result.
 
@@ -254,20 +261,43 @@ def _crat_pair(v):
 
 
 class MapChain:
-    """Composite of map-like pieces, applied right to left on point arrays.
+    """Composite p_1 . ... . p_m of named maps, applied right to left on point arrays.
 
-    Quacks like a HoloMap for evaluation, Jacobians (chain rule on stacked
-    matrices) and dimension, which is all the k-form pullback machinery needs.
+    This is how the pass composes maps: transitions, word maps and chart
+    simplices are chains of the scenario's named maps, never new expressions.
+    The constructor drops identity pieces and every adjacent pair (f, g)
+    listed in `inverses` (declared f . g = id), as Word reduces letters, so a
+    chain that is the identity holds no piece. Chains compare and hash by
+    their pieces. Values and Jacobians come from the pieces' memos (chain rule
+    on stacked matrices); theta of a chain follows from the pieces' thetas by
+    the composition rule (cocycle.LabelPlan), so only named maps are
+    differentiated.
     """
 
-    def __init__(self, pieces):
-        if not pieces:
-            raise ValidationError("empty map chain")
-        self.pieces = pieces
-        self.n = pieces[0].n
-        for p in pieces:
-            if p.n != self.n:
-                raise ValidationError("chain pieces disagree on dimension")
+    def __init__(self, pieces, n=None, inverses=frozenset()):
+        if n is None:
+            if not pieces:
+                raise ValidationError("empty map chain")
+            n = pieces[0].n
+        if any(p.n != n for p in pieces):
+            raise ValidationError("chain pieces disagree on dimension")
+        self.n = n
+        self.inverses = inverses
+        self.pieces = reduced(pieces, inverses)
+        self._hash = hash(self.pieces)
+        self._affine = None
+
+    def __eq__(self, other):
+        return isinstance(other, MapChain) and self.pieces == other.pieces
+
+    def __hash__(self):
+        return self._hash
+
+    def is_affine(self):
+        """True when every piece is affine; theta of the chain then vanishes structurally."""
+        if self._affine is None:
+            self._affine = all(p.is_affine() for p in self.pieces)
+        return self._affine
 
     def eval(self, points):
         P = as_cloud(points, self.n)
@@ -278,6 +308,8 @@ class MapChain:
     def jacobian(self, points):
         """Chain rule; each piece but the outermost moves the points on to the next."""
         P = as_cloud(points, self.n)
+        if not self.pieces:
+            return np.broadcast_to(np.eye(self.n, dtype=complex), (len(P), self.n, self.n))
         inner, *outer = reversed(self.pieces)
         J = inner.jacobian(P)
         for p in outer:
@@ -287,84 +319,28 @@ class MapChain:
         return J
 
     def __repr__(self):
-        return "MapChain(%s)" % " . ".join(getattr(p, "name", "?") or "?" for p in self.pieces)
+        return "MapChain(%s)" % " . ".join(p.name or "?" for p in self.pieces)
 
 
-# ---------------------------------------------------------------------------
-# built-in library: a spread of affine and polynomial-automorphism maps used by
-# the composition/pullback identity suites.
-
-def _disc_points(n, count, radius, seed, center=0.0):
-    rng = np.random.default_rng(seed)
-    return as_cloud([[center + radius * complex(a, b) for a, b in rng.uniform(-1, 1, size=(n, 2))]
-                     for _ in range(count)], n)
-
-
-HENON_C = Fraction(3, 10)
-
-
-def henon_map():
-    """(z1, z2) -> (z2, z2^2 + c - z1), a polynomial automorphism of C^2."""
-    c = ex.Const(ex.CRat(HENON_C))
-    comps = [ex.Var(2), ex.add(ex.pow_(ex.Var(2), 2), c, ex.neg(ex.Var(1)))]
-    return HoloMap(2, comps, name="henon")
+def reduced(pieces, inverses):
+    """The maps `pieces` without identities and adjacent pairs (f, g) in `inverses`,
+    cancelling as a free word reduces."""
+    kept = []
+    for p in pieces:
+        if p._identity:
+            continue
+        if kept and (kept[-1], p) in inverses:
+            kept.pop()
+        else:
+            kept.append(p)
+    return tuple(kept)
 
 
-def henon_inverse():
-    """(w1, w2) -> (w1^2 + c - w2, w1)."""
-    c = ex.Const(ex.CRat(HENON_C))
-    comps = [ex.add(ex.pow_(ex.Var(1), 2), c, ex.neg(ex.Var(2))), ex.Var(1)]
-    return HoloMap(2, comps, name="henon_inv")
+def as_chain(m):
+    """A map as a chain: a MapChain itself, a HoloMap as its one piece."""
+    return m if isinstance(m, MapChain) else MapChain([m])
 
 
-def shear_map():
-    """(z1, z2) -> (z1, z2 + z1^2), an elementary polynomial automorphism."""
-    comps = [ex.Var(1), ex.add(ex.Var(2), ex.pow_(ex.Var(1), 2))]
-    return HoloMap(2, comps, name="shear")
-
-
-def shear_inverse():
-    comps = [ex.Var(1), ex.add(ex.Var(2), ex.neg(ex.pow_(ex.Var(1), 2)))]
-    return HoloMap(2, comps, name="shear_inv")
-
-
-def diagonal_square_map():
-    """(z1, z2) -> (z1^2, z2); invertible away from z1 = 0."""
-    return HoloMap(2, [ex.pow_(ex.Var(1), 2), ex.Var(2)], name="sq1")
-
-
-def mobius_like_map():
-    """(z1, z2) -> (z1 / (1 + z2), z2 + 1); rational, regular near the origin."""
-    one = ex.Const(ex.CRat(1))
-    comps = [ex.div(ex.Var(1), ex.add(one, ex.Var(2))), ex.add(ex.Var(2), one)]
-    return HoloMap(2, comps, name="mobius")
-
-
-def builtin_library(seed=7, count=12):
-    """Named maps, each map's (count, 2) sample cloud, and composable non-affine pairs.
-
-    Every map samples the disc cloud of radius 0.45, except sq1, which samples a
-    shifted disc away from its singular line z1 = 0.
-    """
-    cloud = _disc_points(2, count, 0.45, seed)
-    shifted = _disc_points(2, count, 0.35, seed + 1, center=0.2)
-    maps = {
-        "id": identity_map(2),
-        "affine21": affine_map([[2, 1], [1, 1]], [Fraction(1, 4), Fraction(-1, 5)],
-                               name="affine21"),
-        "affine_lower": affine_map([[1, 0], [Fraction(1, 2), 1]], [0, Fraction(1, 3)],
-                                   name="affine_lower"),
-        "henon": henon_map(),
-        "henon_inv": henon_inverse(),
-        "shear": shear_map(),
-        "shear_inv": shear_inverse(),
-        "sq1": diagonal_square_map(),
-        "mobius": mobius_like_map(),
-    }
-    clouds = {name: shifted if name == "sq1" else cloud for name in maps}
-    pairs = [
-        ("henon", "shear"), ("shear", "henon"), ("henon", "henon"),
-        ("shear", "mobius"), ("mobius", "henon"), ("shear", "shear"),
-        ("henon", "affine21"), ("affine_lower", "shear"), ("mobius", "affine21"),
-    ]
-    return maps, clouds, pairs
+def inverse_pairs(pairs):
+    """The pairs (f, g) with f . g = id that chains drop, from declared (map, inverse) pairs."""
+    return frozenset(pair for f, g in pairs for pair in ((f, g), (g, f)))

@@ -321,13 +321,15 @@ class Scenario:
             validate_bm_fields(entry, loc)
 
     def chart_simplex(self, entry):
-        """Build the chart simplex a telescoping/dk check describes (checked at load)."""
+        """Build the chart simplex a telescoping/dk check describes (checked at load):
+        the transition phi[p, q] is the chain chart_p . inverse_q."""
         charts = [self.maps[spec["chart"]] for spec in entry["charts"]]
         inverses = [self.maps[spec["inverse"]] for spec in entry["charts"]]
+        pairs = holomap.inverse_pairs(zip(charts, inverses))
         transitions = {}
         for p in range(len(charts)):
             for q in range(p + 1, len(charts)):
-                transitions[(p, q)] = holomap.compose(charts[p], inverses[q])
+                transitions[(p, q)] = holomap.MapChain([charts[p], inverses[q]], self.n, pairs)
         corrupt = entry.get("corrupt")
         if corrupt:
             transitions[tuple(corrupt["replace"])] = self.maps[corrupt["with_map"]]
@@ -346,13 +348,9 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_finite(v):
     """A real number within the float range: NaN, the infinities and larger ints are not."""
-    return _is_real(v) and abs(v) <= sys.float_info.max
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 # (field, test, what the test requires) for the scalar fields of a scenario,
@@ -361,7 +359,7 @@ _SCENARIO_FIELDS = (
     ("dimension", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
 )
 _CHECK_FIELDS = (
-    ("tolerance", lambda v: _is_real(v) and v > 0, "a positive number"),
+    ("tolerance", lambda v: _is_finite(v) and v > 0, "a finite positive number"),
     ("arity", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     ("expect", lambda v: v in ("pass", "fail"), "'pass' or 'fail'"),
     ("seed", _is_int, "an integer"),
@@ -369,10 +367,11 @@ _CHECK_FIELDS = (
 _BM_FIELDS = (
     ("n", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     ("probes", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    ("step", lambda v: _is_real(v) and v > 0, "a positive number"),
+    ("step", lambda v: _is_finite(v) and v > 0, "a finite positive number"),
     ("order", lambda v: _is_int(v) and v >= 4, "an integer >= 4"),
     ("radii", lambda v: isinstance(v, list) and len(v) > 0
-     and all(_is_real(r) and r > 0 for r in v), "a nonempty list of positive numbers"),
+     and all(_is_finite(r) and r > 0 for r in v),
+     "a nonempty list of finite positive numbers"),
 )
 
 
@@ -418,8 +417,9 @@ def validate_bm_fields(entry, location):
     _validate_fields(entry, _BM_FIELDS, location)
     n = entry.get("n", 2)
     z = entry.get("z", [0.0] * n)
-    if not (isinstance(z, list) and len(z) == n and all(map(_is_real, z))):
-        raise ScenarioError("'z' must list n = %d real numbers, got %r" % (n, z), location)
+    if not (isinstance(z, list) and len(z) == n and all(map(_is_finite, z))):
+        raise ScenarioError("'z' must list n = %d finite real numbers, got %r" % (n, z),
+                            location)
 
 
 def parse_word(tokens, generators, location):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cocyclekit.cechgroup import TermPlan
+from cocyclekit.holomap import compose
 from cocyclekit.forms import SampledForm
 
 
@@ -68,3 +69,12 @@ def numeric_partial(fn, point, var, h=1e-3):
     re = (at(h) - at(-h)) / (2 * h)
     im = (at(1j * h) - at(-1j * h)) / (2j * h)
     return 0.5 * (re + im)
+
+
+def word_composite(action, word):
+    """rho(word) of a non-identity word as one symbolic composite, innermost letter
+    first: the oracle for the chains the pass builds (GroupActionSpec.word_chain)."""
+    m = action.letter_map(*word.letters[-1])
+    for name, sgn in reversed(word.letters[:-1]):
+        m = compose(action.letter_map(name, sgn), m)
+    return m

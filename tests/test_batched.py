@@ -20,6 +20,7 @@ import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 import cocyclekit.invariants as inv
 from cocyclekit.errors import DomainError, SingularJacobianError
+import library as lib
 from conftest import cell_value, per_cell, random_matrices, random_points
 
 RTOL = 1e-12
@@ -141,7 +142,7 @@ def square_transitions():
             for x, y in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d"))]
 
 
-LIBRARY, CLOUDS, _ = hm.builtin_library()
+LIBRARY, CLOUDS, _ = lib.builtin_library()
 NONAFFINE = ["henon", "henon_inv", "shear", "shear_inv", "mobius", "sq1"]
 
 
@@ -263,7 +264,7 @@ def test_stacked_eval_invariant_matches_oracle(k, n):
 
 
 def test_singular_point_in_cloud_is_named():
-    sq = hm.diagonal_square_map()
+    sq = lib.diagonal_square_map()
     pts = random_points(np.random.default_rng(12), 6, radius=0.3, center=0.5)
     pts.insert(3, (0.0, 0.4 + 0.1j))
     pts.append((0.0, -0.2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cocyclekit.bm as bm
+import hartogs
 from cocyclekit.errors import DomainError, ValidationError
 
 
@@ -262,7 +263,7 @@ def test_hartogs_polynomial_recovered_exactly(rng):
         return (xi[0] + 2 * xi[1]) ** 2 + z[0] * xi[1] + 3
 
     pts = [(0.3 + 0.1j, -0.2j), (0.1, 0.5)]
-    out = bm.hartogs_diagonal(F, pts)
+    out = hartogs.hartogs_diagonal(F, pts)
     for entry, z in zip(out, pts):
         z = tuple(complex(c) for c in z)
         want = (z[0] + 2 * z[1]) ** 2 + z[0] * z[1] + 3
@@ -271,7 +272,7 @@ def test_hartogs_polynomial_recovered_exactly(rng):
 
 def test_hartogs_pole_flagged():
     with pytest.raises(DomainError):
-        bm.hartogs_diagonal(lambda z, xi: 1.0 / (xi[0] - z[0]), [(0.1, 0.2)])
+        hartogs.hartogs_diagonal(lambda z, xi: 1.0 / (xi[0] - z[0]), [(0.1, 0.2)])
 
 
 def test_hartogs_removable_singularity():
@@ -281,6 +282,6 @@ def test_hartogs_removable_singularity():
         return payload if abs(d) < 1e-30 else cmath.sin(d) / d * payload
 
     z = (0.2 + 0.1j, 0.4 - 0.3j)
-    out = bm.hartogs_diagonal(F, [z])
+    out = hartogs.hartogs_diagonal(F, [z])
     want = cmath.exp(z[1]) + z[1]
     assert abs(out[0]["value"] - want) <= 1e-9

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
 import cocyclekit.holomap as hm
 from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
-from conftest import cell_value, per_cell, random_points
+import library as lib
+from conftest import cell_value, per_cell, random_points, word_composite
 
 F = Fraction
 T2 = todd_invariant(2)
@@ -23,10 +26,19 @@ def test_word_reduction_and_inverse():
     assert repr(cg.Word([("h", 1), ("h", 1)])) == "h*h"
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(*[st.lists(st.tuples(st.sampled_from("gh"), st.sampled_from([1, -1])), max_size=6)] * 2)
+def test_word_product_cancels_at_the_junction_as_a_full_reduction_does(a, b):
+    u, v = cg.Word(a), cg.Word(b)
+    want = cg.Word(u.letters + v.letters)
+    assert u * v == want and hash(u * v) == hash(want)
+    assert u.inverse() == cg.Word((name, -sgn) for name, sgn in reversed(a))
+
+
 def one_chart_setup(rng, atlas_chart=None, count=10):
     pts = random_points(rng, count, radius=0.35)
     cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(pts)}, 2)
-    action = cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
+    action = cg.GroupActionSpec({"h": (lib.henon_map(), lib.henon_inverse())},
                                 {"h": {"u": "u"}}, ["u"],
                                 words=[cg.Word.gen("h"), cg.Word.gen("h", -1)])
     chart = atlas_chart or (hm.identity_map(2), hm.identity_map(2))
@@ -41,8 +53,8 @@ def three_chart_setup(rng, charts=None):
     action = cg.trivial_action(["p", "q", "r"], 2)
     charts = charts or {
         "p": (hm.identity_map(2), hm.identity_map(2)),
-        "q": (hm.shear_map(), hm.shear_inverse()),
-        "r": (hm.henon_map(), hm.henon_inverse()),
+        "q": (lib.shear_map(), lib.shear_inverse()),
+        "r": (lib.henon_map(), lib.henon_inverse()),
     }
     return cover, action, cg.Atlas(charts)
 
@@ -73,17 +85,18 @@ def test_action_validation_round_trip(rng):
 
 def test_action_rejects_non_bijective_index_table():
     with pytest.raises(ValidationError):
-        cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
+        cg.GroupActionSpec({"h": (lib.henon_map(), lib.henon_inverse())},
                            {"h": {"a": "a", "b": "a"}}, ["a", "b"])
 
 
-def test_word_map_is_composition(rng):
+def test_word_chain_is_composition(rng):
     _, action, _ = one_chart_setup(rng)
     w = cg.Word([("h", 1), ("h", 1)])
-    m = action.word_map(w)
-    h = hm.henon_map()
+    m = action.word_chain(w)
+    h = lib.henon_map()
     for p in random_points(rng, 5, radius=0.3):
-        assert np.allclose(m.eval(p), h.eval(h.eval(p)))
+        assert np.allclose(m.eval([p]), h.eval(h.eval([p])))
+        assert np.allclose(m.eval([p]), word_composite(action, w).eval([p]))
 
 
 def constant_cochain(cover, action, value=1.0):
@@ -304,8 +317,8 @@ def test_tau_mixed_cover_and_action(rng):
     neg = hm.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
     action = cg.GroupActionSpec({"s": (neg, neg)}, {"s": {"a": "b", "b": "a"}},
                                 ["a", "b"], words=[cg.Word.gen("s")])
-    atlas = cg.Atlas({"a": (hm.shear_map(), hm.shear_inverse()),
-                      "b": (hm.henon_map(), hm.henon_inverse())})
+    atlas = cg.Atlas({"a": (lib.shear_map(), lib.shear_inverse()),
+                      "b": (lib.henon_map(), lib.henon_inverse())})
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
@@ -427,8 +440,8 @@ def test_tau_two_generator_free_action(rng):
     pts = random_points(rng, 8, radius=0.3)
     cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(pts)}, 2)
     action = cg.GroupActionSpec(
-        {"h": (hm.henon_map(), hm.henon_inverse()),
-         "s": (hm.shear_map(), hm.shear_inverse())},
+        {"h": (lib.henon_map(), lib.henon_inverse()),
+         "s": (lib.shear_map(), lib.shear_inverse())},
         {"h": {"u": "u"}, "s": {"u": "u"}}, ["u"],
         words=[cg.Word.gen("h"), cg.Word.gen("s")])
     atlas = cg.Atlas({"u": (hm.identity_map(2), hm.identity_map(2))})
@@ -442,7 +455,7 @@ def test_tau_two_generator_free_action(rng):
 
 def test_witness_group_direction(rng):
     cover, action, atlas = one_chart_setup(rng)
-    atlas_b = cg.Atlas({"u": (hm.shear_map(), hm.shear_inverse())})
+    atlas_b = cg.Atlas({"u": (lib.shear_map(), lib.shear_inverse())})
     tau_a = cg.tau_invariant(cover, action, atlas, T2)
     tau_b = cg.tau_invariant(cover, action, atlas_b, T2)
     w = cg.cohomologous_witness(cover, action, atlas, atlas_b, T2)
@@ -502,13 +515,13 @@ def nan_then_finite_cover():
 def test_atlas_round_trip_keeps_a_nan_error():
     # the shear chart of b with the identity as inverse is off by a finite amount
     ident = hm.identity_map(2)
-    atlas = cg.Atlas({"a": (ident, ident), "b": (hm.shear_map(), ident)})
+    atlas = cg.Atlas({"a": (ident, ident), "b": (lib.shear_map(), ident)})
     error, index = atlas.round_trip(nan_then_finite_cover())
     assert np.isnan(error) and index == "a"
 
 
 def test_generator_round_trip_keeps_a_nan_error():
-    action = cg.GroupActionSpec({"g": (hm.shear_map(), hm.identity_map(2))},
+    action = cg.GroupActionSpec({"g": (lib.shear_map(), hm.identity_map(2))},
                                 {"g": {"a": "a", "b": "b"}}, ["a", "b"])
     error, name = action.round_trip(nan_then_finite_cover())
     assert np.isnan(error) and name == "g"

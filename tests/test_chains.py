@@ -1,0 +1,225 @@
+"""Composite maps as chains of named maps (holomap.MapChain).
+
+The pass never composes two maps into a new expression: a transition is a
+chain, and the label plan evaluates theta of a chain from its pieces by the
+composition rule. The oracle here is the symbolic composite (holomap.compose),
+differentiated as one map.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cocyclekit.cechgroup as cg
+import cocyclekit.cocycle as co
+import cocyclekit.holomap as hm
+import library as lib
+from cocyclekit import cli
+from cocyclekit.errors import ValidationError
+from cocyclekit.invariants import todd_invariant
+from cocyclekit.scenario import Scenario
+from conftest import word_composite
+from test_batched import assert_close
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SEEDS = (2, 3, 7)
+MAPS, CLOUDS, PAIRS = lib.builtin_library()
+
+
+def simplex_of(f01, f12, f02, P):
+    """A level-2 chart simplex whose theta_r read only its transitions; the charts
+    are identities on the cloud P."""
+    ident = hm.identity_map(2)
+    return co.ChartSimplex([ident] * 3, {(0, 1): f01, (1, 2): f12, (0, 2): f02}, P)
+
+
+def composite(pieces):
+    """The symbolic composite of maps, outermost first."""
+    m = pieces[-1]
+    for p in reversed(pieces[:-1]):
+        m = hm.compose(p, m)
+    return m
+
+
+def assert_theta_rs_match(chains, P):
+    """theta_1 and theta_2 of a simplex of chains against the simplex of their composites:
+    equal values, and the chain structurally zero wherever the composite is."""
+    got = simplex_of(*[hm.MapChain(c) for c in chains], P)
+    want = simplex_of(*[composite(c) for c in chains], P)
+    for r in (1, 2):
+        a, b = co.theta_r(got, r, P), co.theta_r(want, r, P)
+        assert a.structurally_zero >= b.structurally_zero
+        assert_close(a.values, b.values)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(PAIRS), min_size=3, max_size=3), st.integers(1, 12))
+def test_library_chains_match_their_symbolic_composites(pairs, count):
+    P = CLOUDS["henon"][:count]
+    assert_theta_rs_match([[MAPS[f], MAPS[g]] for f, g in pairs], P)
+
+
+LETTERS = [("h", 1), ("h", -1), ("s", 1), ("s", -1)]
+
+
+def group_witness(seed, tmp_path):
+    import workloads
+
+    path = tmp_path / "group-witness.scn"
+    path.write_text(json.dumps(workloads.group_witness(seed)), encoding="utf-8")
+    return Scenario.load(path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_group_witness_word_chains_match_their_symbolic_composites(seed, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    scn = group_witness(seed, tmp_path)
+    action, P = scn.action, scn.cover.cloud(("u",))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4),
+                    min_size=3, max_size=3))
+    def words_match(letters):
+        words = [cg.Word(w) for w in letters]
+        if any(w.is_identity() for w in words):
+            return
+        got = simplex_of(*[action.word_chain(w) for w in words], P)
+        want = simplex_of(*[word_composite(action, w) for w in words], P)
+        for r in (1, 2):
+            a, b = co.theta_r(got, r, P), co.theta_r(want, r, P)
+            # a chain may be found zero where symbolic folding misses it (h^-1 s h^-1 s
+            # is the affine fold of h^-1 s, twice), never the other way round
+            assert a.structurally_zero >= b.structurally_zero
+            assert_close(a.values, b.values)
+
+    words_match()
+
+
+def test_chains_drop_identity_pieces_and_declared_inverse_pairs():
+    h, h_inv, s, s_inv = lib.henon_map(), lib.henon_inverse(), lib.shear_map(), lib.shear_inverse()
+    ident = hm.parse_map("z1; z2", 2, name="ident")
+    pairs = hm.inverse_pairs([(h, h_inv), (s, s_inv)])
+    assert hm.MapChain([ident, h, ident], 2, pairs).pieces == (h,)
+    assert hm.MapChain([h, h_inv], 2, pairs).pieces == ()
+    assert hm.MapChain([h_inv, h], 2, pairs).pieces == ()
+    # drops cascade, as in a reduced word, and an identity between a pair is no barrier
+    assert hm.MapChain([s, h, ident, h_inv, s_inv, h], 2, pairs).pieces == (h,)
+    # only declared pairs are dropped
+    assert hm.MapChain([h, h_inv], 2).pieces == (h, h_inv)
+    assert hm.MapChain([h, s_inv], 2, pairs).pieces == (h, s_inv)
+    # equal pieces make equal chains; the identity is affine, so its theta vanishes
+    assert hm.MapChain([h, ident], 2, pairs) == hm.MapChain([h], 2)
+    assert hash(hm.MapChain([ident, s], 2)) == hash(hm.MapChain([s]))
+    empty = hm.MapChain([h, h_inv], 2, pairs)
+    assert empty.is_affine() and not hm.MapChain([h], 2).is_affine()
+    P = CLOUDS["henon"][:3]
+    assert empty.eval(P).tobytes() == P.tobytes()
+    assert np.array_equal(empty.jacobian(P), np.broadcast_to(np.eye(2), (3, 2, 2)))
+    with pytest.raises(ValidationError):
+        hm.MapChain([])
+
+
+def test_transitions_are_chains_of_named_maps():
+    scn = Scenario.load(ROOT / "scenarios" / "henon_z.scn")
+    labeler = cg.PathLabeler(scn.cover, scn.action, [scn.atlas], todd_invariant(2))
+    h, h_inv = scn.action.generators["h"]
+    u = scn.cover.indices[0]
+    e, hw = cg.Word(), cg.Word.gen("h")
+    # nothing moves: the chart meets its own inverse, and the chain is the identity
+    assert labeler.transition((0, u, hw), (0, u, hw)).pieces == ()
+    # the letters of ta tb^-1 between the chart and the inverse, ident dropped
+    assert labeler.transition((0, u, hw), (0, u, e)).pieces == (h,)
+    assert labeler.transition((0, u, e), (0, u, hw)).pieces == (h_inv,)
+    assert scn.action.word_chain(hw * hw).pieces == (h, h)
+
+
+def test_an_affine_letter_pair_is_one_folded_piece():
+    # henon^-1 . shear = (c - z2, z1) is affine: a relation of the action, found
+    # by symbolic composition once per letter pair, keeps its labels exactly zero
+    h, h_inv, s, s_inv = lib.henon_map(), lib.henon_inverse(), lib.shear_map(), lib.shear_inverse()
+    action = cg.GroupActionSpec({"h": (h, h_inv), "s": (s, s_inv)},
+                                {"h": {"u": "u"}, "s": {"u": "u"}}, ["u"])
+    (piece,) = action.word_chain(cg.Word([("h", -1), ("s", 1)])).pieces
+    assert piece.is_affine() and piece is action.fold(h_inv, s)
+    assert action.word_chain(cg.Word([("h", -1), ("s", 1), ("h", 1)])).pieces == (piece, h)
+    assert action.fold(h, s) is None
+    assert action.word_chain(cg.Word([("h", 1), ("s", 1)])).pieces == (h, s)
+
+
+def structural_zeros(scns, monkeypatch):
+    """Path and face labels found structurally zero (label_vanishes) in one cold pass."""
+    count = [0]
+    vanishes = co.label_vanishes
+
+    def counted(T, n, ladder):
+        zero = vanishes(T, n, ladder)
+        count[0] += zero
+        return zero
+
+    with monkeypatch.context() as m:
+        m.setattr(co, "label_vanishes", counted)
+        m.setattr(cg, "label_vanishes", counted)
+        for scn in scns:
+            assert all(r["status"] == "pass" for r in cli.execute_checks(scn))
+    return count[0]
+
+
+# Structurally zero labels per cold pass, as the symbolic composites found them;
+# witness_reparam has 4 more (40 with composites): its two atlases share the
+# chart square with its inverse square_inv, a declared pair that a chain drops,
+# while the composite square . square_inv does not fold symbolically.
+SHIPPED_ZEROS = {"affine_torus.scn": 80, "cech_todd3.scn": 15, "henon_z.scn": 15,
+                 "witness_reparam.scn": 44}
+WORKLOAD_ZEROS = {"todd3-cech": 148, "mixed-checks": 145}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ZEROS))
+def test_structural_zeros_of_shipped_scenarios(name, monkeypatch):
+    scn = Scenario.load(ROOT / "scenarios" / name)
+    assert structural_zeros([scn], monkeypatch) == SHIPPED_ZEROS[name]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ZEROS))
+def test_structural_zeros_of_the_benchmark_workloads(workload, seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    paths = workloads.write_scenarios(workload, seed, ROOT, tmp_path)
+    scns = [Scenario.load(p) for p in paths]
+    assert structural_zeros(scns, monkeypatch) == WORKLOAD_ZEROS[workload]
+
+
+def test_validate_keeps_a_nan_deviation():
+    s = co.ChartSimplex([hm.identity_map(2), lib.shear_map()], {(0, 1): lib.shear_inverse()},
+                        np.array([[0.1, 0.2], [np.nan, 0.3]]))
+    with pytest.raises(ValidationError, match="nan"):
+        s.validate()
+
+
+def test_a_chain_transition_validates_like_its_symbolic_composite(tmp_path):
+    charts = [{"chart": c, "inverse": i} for c, i in
+              (("ident", "ident"), ("shear", "shear_inv"), ("henon", "henon_inv"))]
+    data = json.loads((ROOT / "scenarios" / "henon_z.scn").read_text(encoding="utf-8"))
+    points = [[[0.1 * k, 0.05], [0.2, -0.03 * k]] for k in range(9)]
+    data["checks"] = [{"type": "telescoping", "charts": charts, "source_points": points},
+                      {"type": "telescoping", "charts": charts, "source_points": points,
+                       "corrupt": {"replace": [0, 2], "with_map": "henon"}}]
+    path = tmp_path / "simplex.scn"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    scn = Scenario.load(path)
+    good, bad = (scn.chart_simplex(entry) for entry in scn.checks)
+    assert isinstance(good.transition(1, 2), hm.MapChain)
+    symbolic = co.ChartSimplex(good.charts, {pq: composite(list(t.pieces)) if t.pieces
+                                             else hm.identity_map(2)
+                                             for pq, t in good.transitions.items()},
+                               good.source_points)
+    assert good.validate() == pytest.approx(symbolic.validate(), abs=1e-15)
+    assert good.validate() < co.COHERENCE_TOL
+    with pytest.raises(ValidationError, match="incoherent"):
+        bad.validate()

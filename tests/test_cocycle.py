@@ -9,6 +9,7 @@ import cocyclekit.holomap as hm
 import cocyclekit.simplicial as sim
 from cocyclekit.errors import ValidationError
 from cocyclekit.invariants import InvariantMap, todd_invariant
+import library as lib
 from conftest import random_points
 
 F = Fraction
@@ -29,9 +30,9 @@ def make_simplex(charts, inverses, points, corrupt=None):
 
 def library_simplex(rng, count=4, points=20):
     pts = random_points(rng, points, radius=0.4)
-    charts = [hm.identity_map(2), hm.shear_map(), hm.henon_map(),
+    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map(),
               hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")]
-    inverses = [hm.identity_map(2), hm.shear_inverse(), hm.henon_inverse(),
+    inverses = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
                 hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")]
     return make_simplex(charts[:count], inverses[:count], pts), pts
 
@@ -58,14 +59,14 @@ def test_coherence_validation_accepts_consistent_transitions(rng):
 
 def test_coherence_validation_rejects_corruption(rng):
     pts = random_points(rng, 10, radius=0.4)
-    charts = [hm.identity_map(2), hm.shear_map(), hm.henon_map()]
-    invs = [hm.identity_map(2), hm.shear_inverse(), hm.henon_inverse()]
+    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map()]
+    invs = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
     with pytest.raises(ValidationError):
         transitions = {}
         for p in range(3):
             for q in range(p + 1, 3):
                 transitions[(p, q)] = hm.compose(charts[p], invs[q])
-        transitions[(0, 2)] = hm.henon_map()
+        transitions[(0, 2)] = lib.henon_map()
         co.ChartSimplex(charts, transitions, pts).validate()
 
 
@@ -114,8 +115,8 @@ def test_cf_label_top_with_one_affine_transition_evaluates_no_map(rng, monkeypat
     pts = random_points(rng, 10, radius=0.4)
     aff = hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")
     aff_inv = hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")
-    s = make_simplex([aff, hm.identity_map(2), hm.henon_map()],
-                     [aff_inv, hm.identity_map(2), hm.henon_inverse()], pts)
+    s = make_simplex([aff, hm.identity_map(2), lib.henon_map()],
+                     [aff_inv, hm.identity_map(2), lib.henon_inverse()], pts)
     assert s.transition(0, 1).is_affine() and not s.transition(1, 2).is_affine()
     calls = []
     for cls in (hm.HoloMap, hm.MapChain):
@@ -135,7 +136,7 @@ def test_cf_label_top_trace_on_square_transition(rng):
     # charts (id, sq) so the transition phi_{0,1} = z -> (z1^2, z2); with
     # T = (1/2) tr this is half the pullback of (1/z1) dz1 along the top chart
     pts = [(0.8 + 0.1j, 0.3 - 0.2j), (1.1 - 0.3j, 0.4 + 0.5j), (0.9 + 0.4j, -0.6j)]
-    sq = hm.diagonal_square_map()
+    sq = lib.diagonal_square_map()
     # inverse of z -> (z1^2, z2) is not entire; supply the transition directly
     charts = [sq, hm.identity_map(2)]
     transitions = {(0, 1): sq}
@@ -199,8 +200,8 @@ def test_cf_map_commutes_with_faces(rng):
 def test_cf_map_degeneracy_compatibility(rng):
     # repeating a chart then labeling equals the Dold-Kan degeneracy of the labels
     pts = random_points(rng, 10, radius=0.4)
-    charts = [hm.identity_map(2), hm.shear_map(), hm.henon_map()]
-    invs = [hm.identity_map(2), hm.shear_inverse(), hm.henon_inverse()]
+    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map()]
+    invs = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
     s = make_simplex(charts, invs, pts)
     T2 = todd_invariant(2)
     labeling = co.cf_map(s, T2)
@@ -245,11 +246,11 @@ def test_verify_telescoping_polynomial_automorphisms(rng):
 
 def test_verify_telescoping_negative_control(rng):
     pts = random_points(rng, 20, radius=0.4)
-    charts = [hm.identity_map(2), hm.shear_map(), hm.henon_map(),
+    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map(),
               hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0])]
-    invs = [hm.identity_map(2), hm.shear_inverse(), hm.henon_inverse(),
+    invs = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
             hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0])]
-    bad = make_simplex(charts, invs, pts, corrupt=((0, 2), hm.henon_map()))
+    bad = make_simplex(charts, invs, pts, corrupt=((0, 2), lib.henon_map()))
     T2 = todd_invariant(2)
     report = co.verify_telescoping(bad, T2, tol=1e-7)
     assert not report["pass"]

@@ -9,7 +9,8 @@ import cocyclekit.expr as ex
 import cocyclekit.holomap as hm
 from cocyclekit.errors import DomainError, DslSyntaxError
 from cocyclekit.scenario import Scenario
-from conftest import numeric_partial
+import library as lib
+from conftest import numeric_partial, word_composite
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).with_name("golden_derivatives.json")
@@ -183,7 +184,7 @@ def _derivative_texts(f):
 
 def _golden_maps():
     """Library maps and pairs, scenario maps, and scenario transitions with words."""
-    maps, _, pairs = hm.builtin_library()
+    maps, _, pairs = lib.builtin_library()
     out = {"library/" + name: f for name, f in maps.items()}
     for a, b in pairs:
         out["library/%s.%s" % (a, b)] = hm.compose(maps[a], maps[b])
@@ -200,7 +201,7 @@ def _golden_maps():
                         atlas.chart(i), atlas.inverse(j))
                 for w in words:
                     if not w.is_identity():
-                        inner = hm.compose(action.word_map(w), atlas.inverse(j))
+                        inner = hm.compose(word_composite(action, w), atlas.inverse(j))
                         out["%s/%s.%r.%s_inv" % (scn_name, i, w, j)] = hm.compose(
                             atlas.chart(i), inner)
     return out

@@ -21,6 +21,7 @@ from cocyclekit.errors import DomainError, ValidationError
 from cocyclekit.scenario import Scenario
 from test_batched import tree_eval
 from test_expr import GOLDEN, _derivative_texts, _golden_maps
+import library as lib
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 RTOL = 1e-12  # as in test_batched
@@ -176,7 +177,7 @@ def test_henon_henon_shear_differentiates_each_node_once(monkeypatch):
             calls.append((self, var))  # the node itself, so no id is reused
             return rule(self, var)
         monkeypatch.setattr(cls, "diff", counted)
-    f = hm.compose(hm.henon_map(), hm.compose(hm.henon_map(), hm.shear_map()))
+    f = hm.compose(lib.henon_map(), hm.compose(lib.henon_map(), lib.shear_map()))
     for a in range(1, f.n + 1):
         f.djac_exprs(a)
     assert calls
@@ -197,8 +198,8 @@ def test_golden_derivatives_hold_with_warm_memos():
 def test_composition_keeps_sharing():
     # henon . henon . shear: each component of the outer henon reads the inner
     # map's components, so the composite is a DAG far smaller than its tree
-    inner = hm.compose(hm.henon_map(), hm.shear_map())
-    f = hm.compose(hm.henon_map(), inner)
+    inner = hm.compose(lib.henon_map(), lib.shear_map())
+    f = hm.compose(lib.henon_map(), inner)
     tree = sum(node_count([clone(c)]) for c in f.components)
     assert node_count(f.components) < tree
     shared = {id(n) for c in inner.components for n in _nodes(c)}
@@ -262,7 +263,7 @@ def test_shared_subtree_error_names_the_point_a_tree_walk_names():
 
 
 def test_program_evaluates_each_distinct_node_once():
-    f = hm.compose(hm.henon_map(), hm.compose(hm.henon_map(), hm.shear_map()))
+    f = hm.compose(lib.henon_map(), hm.compose(lib.henon_map(), lib.shear_map()))
     exprs = [e for a in range(1, 3) for row in f.djac_exprs(a) for e in row]
     program = ex.Program(exprs)
     computed = [dest for fn, _, dest, _ in program.steps if fn is not None]
@@ -292,7 +293,7 @@ def test_values_are_dropped_after_their_last_reader():
 
 
 def test_max_var_is_computed_once_per_node(monkeypatch):
-    f = hm.compose(hm.henon_map(), hm.compose(hm.henon_map(), hm.shear_map()))
+    f = hm.compose(lib.henon_map(), hm.compose(lib.henon_map(), lib.shear_map()))
     assert [c.max_var() for c in f.components] == [2, 2]
     # a second call reads what the first kept on every node
     monkeypatch.setattr(ex.Expr, "children", lambda self: pytest.fail("walked again"))

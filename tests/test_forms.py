@@ -6,6 +6,7 @@ import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 from cocyclekit.errors import SingularJacobianError, ValidationError
 from cocyclekit.invariants import InvariantMap, todd_invariant
+import library as lib
 from conftest import numeric_partial, random_points
 
 TRACE = InvariantMap(1, {(1,): 1})
@@ -28,13 +29,13 @@ def test_theta_affine_is_structural_zero():
 
 
 def test_theta_square_map_worked_value():
-    mats = fo.theta(hm.diagonal_square_map(), [(2.0, 1.0)]).values[0]
+    mats = fo.theta(lib.diagonal_square_map(), [(2.0, 1.0)]).values[0]
     assert np.allclose(mats[0], np.diag([0.5, 0.0]))
     assert np.allclose(mats[1], np.zeros((2, 2)))
 
 
 def test_theta_matches_numeric_jacobian_derivative(rng):
-    m = hm.henon_map()
+    m = lib.henon_map()
     pts = random_points(rng, 5, radius=0.4)
     th = fo.theta(m, pts).values
     for mats, p in zip(th, pts):
@@ -51,13 +52,13 @@ def test_theta_matches_numeric_jacobian_derivative(rng):
 
 def test_theta_singular_jacobian_error_names_point():
     with pytest.raises(SingularJacobianError) as err:
-        fo.theta(hm.diagonal_square_map(), [(0.0, 1.0)])
+        fo.theta(lib.diagonal_square_map(), [(0.0, 1.0)])
     assert err.value.point == (0.0, 1.0)
 
 
 def test_sharp_pullback_identity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
-    omega = fo.theta(hm.henon_map(), P)
+    omega = fo.theta(lib.henon_map(), P)
     back = fo.sharp_pullback(hm.identity_map(2), omega, P)
     assert np.allclose(omega.values, back.values)
 
@@ -79,9 +80,9 @@ def test_sharp_pullback_affine_law(rng):
 
 
 def test_sharp_pullback_functoriality(rng):
-    f, g = hm.shear_map(), hm.henon_map()
+    f, g = lib.shear_map(), lib.henon_map()
     fg = hm.compose(f, g)
-    omega = hm.mobius_like_map()
+    omega = lib.mobius_like_map()
     P = cloud(random_points(rng, 6, radius=0.3))
     G = g.eval(P)
     lhs = fo.sharp_pullback(g, fo.sharp_pullback(f, fo.theta(omega, f.eval(G)), G), P)
@@ -92,7 +93,7 @@ def test_sharp_pullback_functoriality(rng):
 
 
 def test_apply_invariant_wedge_beyond_dimension():
-    omega = fo.theta(hm.henon_map(), [(0.2, 0.1)])
+    omega = fo.theta(lib.henon_map(), [(0.2, 0.1)])
     T3 = todd_invariant(3)
     out = fo.apply_invariant(T3, [omega, omega, omega])
     assert out.structurally_zero
@@ -100,7 +101,7 @@ def test_apply_invariant_wedge_beyond_dimension():
 
 
 def test_apply_invariant_trace_on_square_map():
-    th = fo.theta(hm.diagonal_square_map(), [(2.0, 1.0)])
+    th = fo.theta(lib.diagonal_square_map(), [(2.0, 1.0)])
     vals = fo.apply_invariant(TRACE, [th]).values[0]
     assert vals[0] == pytest.approx(0.5)
     assert vals[1] == pytest.approx(0.0)
@@ -109,8 +110,8 @@ def test_apply_invariant_trace_on_square_map():
 def test_apply_invariant_pullback_naturality(rng):
     # T[phi# w1, ..., phi# wk] = phi^* T[w1, ..., wk] over the map library,
     # for Todd_1 and Todd_2
-    m1, m2 = hm.henon_map(), hm.mobius_like_map()
-    maps, _, _ = hm.builtin_library()
+    m1, m2 = lib.henon_map(), lib.mobius_like_map()
+    maps, _, _ = lib.builtin_library()
     for name in ("shear", "henon", "affine21", "mobius"):
         phi = maps[name]
         P = cloud(random_points(rng, 6, radius=0.3))
@@ -128,8 +129,8 @@ def test_apply_invariant_antisymmetry(rng):
     # symmetric T of arity 2: swapping the two form slots flips the sign
     T2 = todd_invariant(2)
     P = cloud(random_points(rng, 5, radius=0.4))
-    w1 = fo.theta(hm.henon_map(), P)
-    w2 = fo.theta(hm.shear_map(), P)
+    w1 = fo.theta(lib.henon_map(), P)
+    w2 = fo.theta(lib.shear_map(), P)
     ab = fo.apply_invariant(T2, [w1, w2])
     ba = fo.apply_invariant(T2, [w2, w1])
     for va, vb in zip(ab.values, ba.values):
@@ -139,14 +140,14 @@ def test_apply_invariant_antisymmetry(rng):
 
 def test_pullback_kform_identity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
-    w = fo.apply_invariant(todd_invariant(1), [fo.theta(hm.henon_map(), P)])
+    w = fo.apply_invariant(todd_invariant(1), [fo.theta(lib.henon_map(), P)])
     back = fo.pullback_kform(hm.identity_map(2), w, P)
     for a, b in zip(back.values, w.values):
         assert a == pytest.approx(b)
 
 
 def test_pullback_kform_top_degree_is_det(rng):
-    phi = hm.henon_map()
+    phi = lib.henon_map()
     pts = random_points(rng, 5)
     w = fo.SampledForm(2, 2, phi.eval(pts), np.ones((len(pts), 1), dtype=complex))
     out = fo.pullback_kform(phi, w, pts)
@@ -156,10 +157,10 @@ def test_pullback_kform_top_degree_is_det(rng):
 
 def test_pullback_kform_functoriality(rng):
     def w_at(Q):
-        return fo.apply_invariant(todd_invariant(2), [fo.theta(hm.henon_map(), Q),
-                                                      fo.theta(hm.mobius_like_map(), Q)])
+        return fo.apply_invariant(todd_invariant(2), [fo.theta(lib.henon_map(), Q),
+                                                      fo.theta(lib.mobius_like_map(), Q)])
 
-    f, g = hm.shear_map(), hm.henon_map()
+    f, g = lib.shear_map(), lib.henon_map()
     fg = hm.compose(f, g)
     P = cloud(random_points(rng, 6, radius=0.3))
     G = g.eval(P)
@@ -172,8 +173,8 @@ def test_pullback_kform_functoriality(rng):
 
 def test_matrix_one_form_linearity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
-    w1 = fo.theta(hm.henon_map(), P)
-    w2 = fo.theta(hm.shear_map(), P)
+    w1 = fo.theta(lib.henon_map(), P)
+    w2 = fo.theta(lib.shear_map(), P)
     s = w1.add(w2)
     assert s.values.shape == (4, 2, 2, 2)
     for got, a, b in zip(s.values, w1.values, w2.values):
@@ -182,7 +183,7 @@ def test_matrix_one_form_linearity(rng):
 
 def test_sampled_form_round_trip(rng):
     pts = random_points(rng, 5, radius=0.4)
-    s = fo.apply_invariant(todd_invariant(1), [fo.theta(hm.henon_map(), pts)])
+    s = fo.apply_invariant(todd_invariant(1), [fo.theta(lib.henon_map(), pts)])
     payload = s.to_json()
     assert len(payload) == 5
     assert set(payload[0]["coefficients"]) == {"1", "2"}
@@ -193,4 +194,4 @@ def test_sampled_form_round_trip(rng):
 
 def test_apply_invariant_arity_mismatch():
     with pytest.raises(ValidationError):
-        fo.apply_invariant(todd_invariant(2), [fo.theta(hm.henon_map(), [(0.1, 0.2)])])
+        fo.apply_invariant(todd_invariant(2), [fo.theta(lib.henon_map(), [(0.1, 0.2)])])

@@ -12,6 +12,7 @@ from cocyclekit.cli import execute_checks
 from cocyclekit.errors import DslSyntaxError, SingularJacobianError, ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.scenario import Scenario
+import library as lib
 from conftest import numeric_jacobian, per_cell, random_points
 
 F = Fraction
@@ -50,13 +51,13 @@ def test_jacobian_affine_is_constant(rng):
 
 
 def test_jacobian_monomial_example():
-    m = hm.diagonal_square_map()
+    m = lib.diagonal_square_map()
     J = m.jacobian([(3.0, 5.0)])[0]
     assert np.allclose(J, np.array([[6.0, 0.0], [0.0, 1.0]]))
 
 
 def test_jacobian_henon_matches_numeric(rng):
-    m = hm.henon_map()
+    m = lib.henon_map()
     for p in random_points(rng, 6):
         J = m.jacobian([p])[0]
         Jn = numeric_jacobian(m, p, h=1e-4)
@@ -64,7 +65,7 @@ def test_jacobian_henon_matches_numeric(rng):
 
 
 def test_compose_identity_is_identity():
-    g = hm.henon_map()
+    g = lib.henon_map()
     comp = hm.compose(hm.identity_map(2), g)
     assert [ex.to_text(c) for c in comp.components] == \
         [ex.to_text(c) for c in g.components]
@@ -82,8 +83,8 @@ def test_compose_affine_pair_is_matrix_product(rng):
 
 
 def test_compose_chain_rule(rng):
-    f = hm.henon_map()
-    g = hm.henon_map()
+    f = lib.henon_map()
+    g = lib.henon_map()
     comp = hm.compose(f, g)
     for p in random_points(rng, 6, radius=0.4):
         want = f.jacobian(g.eval([p]))[0] @ g.jacobian([p])[0]
@@ -91,7 +92,7 @@ def test_compose_chain_rule(rng):
 
 
 def test_compose_is_memoized_per_map_pair(monkeypatch):
-    f, g = hm.henon_map(), hm.shear_map()
+    f, g = lib.henon_map(), lib.shear_map()
     calls = []
     real = ex.differentiate
     monkeypatch.setattr(ex, "differentiate", lambda e, var: calls.append(var) or real(e, var))
@@ -103,7 +104,7 @@ def test_compose_is_memoized_per_map_pair(monkeypatch):
     assert again.djac_exprs(1) is djac
     assert len(calls) == 8
     # the memo is keyed by map objects, never by structure
-    assert hm.compose(f, hm.shear_map()) is not first
+    assert hm.compose(f, lib.shear_map()) is not first
 
 
 def test_compose_dimension_mismatch():
@@ -129,7 +130,7 @@ def test_singular_test_is_relative_to_the_jacobian_scale():
 
 def test_zero_determinant_point_is_named():
     # det J = 2 z1 vanishes at z1 = 0 with J != 0, and the error names that point
-    sq = hm.diagonal_square_map()
+    sq = lib.diagonal_square_map()
     pts = [(0.5, 0.1), (0.0, 0.3 + 0.2j), (0.7j, 0.4)]
     with pytest.raises(SingularJacobianError) as err:
         sq.jacobian_inverse(pts)
@@ -145,7 +146,7 @@ def test_is_affine_is_decided_once(monkeypatch):
         return original(self, a)
 
     monkeypatch.setattr(hm.HoloMap, "djac_exprs", counted)
-    for f in (hm.affine_map([[1, 2], [0, 1]], [0, 1]), hm.henon_map()):
+    for f in (hm.affine_map([[1, 2], [0, 1]], [0, 1]), lib.henon_map()):
         first = f.is_affine()
         before = len(lookups)
         assert before > 0
@@ -162,7 +163,7 @@ def test_map_chain_jacobian_evaluates_all_but_the_outermost_piece(monkeypatch, r
         return original(self, points)
 
     monkeypatch.setattr(hm.HoloMap, "eval", counted)
-    pieces = [hm.shear_map(), hm.henon_map(), hm.shear_inverse(), hm.henon_inverse()]
+    pieces = [lib.shear_map(), lib.henon_map(), lib.shear_inverse(), lib.henon_inverse()]
     pts = random_points(rng, 4, radius=0.3)
     for m in range(1, len(pieces) + 1):
         chain = hm.MapChain(pieces[:m])
@@ -186,7 +187,7 @@ def compiled_runs(monkeypatch):
 
 def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once(monkeypatch, rng):
     runs = compiled_runs(monkeypatch)
-    f = hm.henon_map()
+    f = lib.henon_map()
     pts = np.array(random_points(rng, 5))
     first = f.jacobian(pts)
     assert f.jacobian(pts.copy()) is first
@@ -199,7 +200,7 @@ def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once(monkeypatch, rng)
 
 
 def test_memoized_results_are_read_only(rng):
-    f = hm.henon_map()
+    f = lib.henon_map()
     pts = np.array(random_points(rng, 3))
     for out in (f.eval(pts), f.jacobian(pts), f.jacobian_inverse(pts), f.jacobian(pts[:1])):
         assert not out.flags.writeable
@@ -209,7 +210,7 @@ def test_memoized_results_are_read_only(rng):
 
 def test_singular_cloud_raises_on_every_call(monkeypatch):
     runs = compiled_runs(monkeypatch)
-    sq = hm.diagonal_square_map()
+    sq = lib.diagonal_square_map()
     pts = [(0.5, 0.1), (0.0, 0.3 + 0.2j)]
     for _ in range(2):
         with pytest.raises(SingularJacobianError) as err:
@@ -221,7 +222,7 @@ def test_singular_cloud_raises_on_every_call(monkeypatch):
 def test_word_pullback_evaluates_each_generator_piece_once_per_cloud(monkeypatch, rng):
     runs = compiled_runs(monkeypatch)
     cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(random_points(rng, 6, radius=0.3))}, 2)
-    action = cg.GroupActionSpec({"h": (hm.henon_map(), hm.henon_inverse())},
+    action = cg.GroupActionSpec({"h": (lib.henon_map(), lib.henon_inverse())},
                                 {"h": {"u": "u"}}, ["u"])
     cochain = cg.MixedCochain(cover, action, 2, 2, {
         (0, 0): per_cell(lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None]))})
@@ -248,15 +249,15 @@ def test_checks_in_reverse_order_give_bitwise_equal_results(path):
 
 
 def test_henon_inverse_round_trip(rng):
-    h = hm.henon_map()
-    hinv = hm.henon_inverse()
+    h = lib.henon_map()
+    hinv = lib.henon_inverse()
     for p in random_points(rng, 6):
         q = hinv.eval(h.eval([p]))[0]
         assert max(abs(a - b) for a, b in zip(p, q)) < 1e-12
 
 
 def test_map_chain_matches_symbolic_composition(rng):
-    f, g = hm.shear_map(), hm.henon_map()
+    f, g = lib.shear_map(), lib.henon_map()
     chain = hm.MapChain([f, g])
     comp = hm.compose(f, g)
     for p in random_points(rng, 5, radius=0.4):
@@ -265,14 +266,14 @@ def test_map_chain_matches_symbolic_composition(rng):
 
 
 def test_builtin_library_has_enough_nonaffine_pairs():
-    maps, _, pairs = hm.builtin_library()
+    maps, _, pairs = lib.builtin_library()
     nonaffine = [(f, g) for f, g in pairs
                  if not (maps[f].is_affine() and maps[g].is_affine())]
     assert len(nonaffine) >= 6
 
 
 def test_library_jacobians_match_numeric_oracle():
-    maps, clouds, _ = hm.builtin_library()
+    maps, clouds, _ = lib.builtin_library()
     for name, m in maps.items():
         for p in clouds[name][:5]:
             J = m.jacobian([p])[0]
@@ -282,7 +283,7 @@ def test_library_jacobians_match_numeric_oracle():
 
 
 def test_library_pairs_satisfy_chain_rule():
-    maps, clouds, pairs = hm.builtin_library()
+    maps, clouds, pairs = lib.builtin_library()
     for fname, gname in pairs:
         f, g = maps[fname], maps[gname]
         comp = hm.compose(f, g)

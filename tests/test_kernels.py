@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 import cocyclekit.invariants as inv
+import permutations as perm
 
 RTOL = 1e-12
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -48,9 +49,9 @@ def invertible(M):
 def class_average(partition, mats):
     """Mean of eval_T_sigma over the permutations of the given cycle type."""
     k = len(mats)
-    vals = [inv.eval_T_sigma(p, mats) for p in map(inv.Permutation,
+    vals = [perm.eval_T_sigma(p, mats) for p in map(perm.Permutation,
                                                    itertools.permutations(range(1, k + 1)))
-            if inv.cycle_type(p) == partition]
+            if perm.cycle_type(p) == partition]
     return sum(vals) / len(vals)
 
 
@@ -63,9 +64,9 @@ def invariant_oracle(T, stack):
 def invariants_of_arity(k):
     yield inv.todd_invariant(k)
     yield inv.chern_invariant(k)
-    perms = map(inv.Permutation, itertools.permutations(range(1, k + 1)))
-    for p in {inv.cycle_type(p): p for p in perms}.values():
-        yield inv.symmetrize(p)
+    perms = map(perm.Permutation, itertools.permutations(range(1, k + 1)))
+    for p in {perm.cycle_type(p): p for p in perms}.values():
+        yield perm.symmetrize(p)
 
 
 @SETTINGS

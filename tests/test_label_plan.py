@@ -23,6 +23,7 @@ from cocyclekit.errors import SingularJacobianError
 from cocyclekit.forms import signed_sum
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
+import library as lib
 from conftest import per_cell
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -246,8 +247,8 @@ def test_memos_see_only_real_clouds(monkeypatch, tmp_path):
 
 
 MAPS = {
-    2: [hm.henon_map(), hm.henon_inverse(), hm.shear_map(), hm.shear_inverse(),
-        hm.mobius_like_map(), hm.identity_map(2),
+    2: [lib.henon_map(), lib.henon_inverse(), lib.shear_map(), lib.shear_inverse(),
+        lib.mobius_like_map(), hm.identity_map(2),
         hm.affine_map([[2, 1], [1, 1]], [0, 1], name="affine")],
     3: [hm.parse_map(text, 3) for text in (
         "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2", "z2; z1; z3 + z1*z2",
@@ -305,7 +306,7 @@ def singular_setup():
                                     ["a", "b", "c"])}, 2)
     ident = hm.identity_map(2)
     sq2 = hm.HoloMap(2, [hm.ex.Var(1), hm.ex.pow_(hm.ex.Var(2), 2)], name="sq2")
-    atlas = cg.Atlas({"a": (ident, ident), "b": (hm.diagonal_square_map(), ident),
+    atlas = cg.Atlas({"a": (ident, ident), "b": (lib.diagonal_square_map(), ident),
                       "c": (sq2, ident)})
     return cover, cg.trivial_action(indices, 2), atlas
 

@@ -320,6 +320,25 @@ def test_coordinate_that_is_no_finite_float_exits_2_at_load(tmp_path, capsys, ed
     assert location in err and "finite numbers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", BAD_NUMBERS, ids=["nan", "inf", "minus-inf", "1e400", "10^400"])
+@pytest.mark.parametrize("check, field", [
+    ({"type": "theta-composition", "pairs": [["henon", "shear"]],
+      "points": [[[0.1, 0.2], [0.3, 0]]], "tolerance": "@"}, "'tolerance'"),
+    ({"type": "bm-dbar", "step": "@"}, "'step'"),
+    ({"type": "bm-dbar", "z": ["@", 0]}, "'z'"),
+    ({"type": "bm-reproducing", "radii": [0.5, "@"]}, "'radii'"),
+], ids=["tolerance", "step", "z", "radii"])
+def test_check_field_that_is_no_finite_number_exits_2_at_load(tmp_path, capsys, check, field,
+                                                              token):
+    data = load_scn("henon_z.scn")
+    data["checks"] = [check]
+    path = tmp_path / "case.scn"
+    path.write_text(json.dumps(data).replace('"@"', token))
+    assert main(["run", str(path), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0]" in err and field in err and "finite" in err and "Traceback" not in err
+
+
 def test_round_trip_that_overflows_to_nan_exits_2(tmp_path, capsys):
     # a finite 1e200 coordinate overflows in the henon generator; the round trip
     # error is NaN, which no tolerance admits

@@ -21,13 +21,14 @@ import cocyclekit.cechgroup as cg
 import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
 from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
+import library as lib
 from conftest import cell_value, per_cell, plan_form
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
 GENERATORS = {
-    "h": (hm.henon_map(), hm.henon_inverse()),
-    "s": (hm.shear_map(), hm.shear_inverse()),
+    "h": (lib.henon_map(), lib.henon_inverse()),
+    "s": (lib.shear_map(), lib.shear_inverse()),
     "t": (hm.affine_map([[0, 1], [1, 0]], [0, 0], name="swap"),
           hm.affine_map([[0, 1], [1, 0]], [0, 0], name="swap")),
 }
