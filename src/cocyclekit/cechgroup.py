@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import forms
-from .cocycle import ChartSimplex, LabelPlan, label_vanishes
+from .cocycle import LabelPlan, label_vanishes
 from .errors import ValidationError, nan_worst
 from .forms import pullback_kform, signed_sum
 from .holomap import MapChain, compose, inverse_pairs
@@ -327,10 +327,6 @@ class MixedCochain:
     def bidegrees(self):
         return sorted(self.components)
 
-    def base_value(self, bidegree, J, G):
-        """The base value on its cell's own cloud, evaluated once."""
-        return self.base_values([(bidegree, J, G)])[0]
-
     def base_values(self, keys):
         """Own-cloud base values of (bidegree, J, G) keys, in key order; those not yet
         cached are evaluated through one evaluate_all."""
@@ -416,20 +412,6 @@ def _combination(base, parts):
 
 def as_expression(c):
     return c.expression() if isinstance(c, MixedCochain) else c
-
-
-def cech_differential(c):
-    """Alternating sum over dropped Cech indices; restrictions are literal."""
-    c = as_expression(c)
-    return CochainExpression(c.base, {(m + 1, q): ("cech", m, q, node)
-                                      for (m, q), node in c.components.items()})
-
-
-def group_differential(c):
-    """Bar differential: drop-and-translate, merge adjacent letters, act on the last."""
-    c = as_expression(c)
-    return CochainExpression(c.base, {(m, q + 1): ("group", m, q, node)
-                                      for (m, q), node in c.components.items()})
 
 
 def mixed_differential(c):
@@ -881,15 +863,6 @@ class PathLabeler:
                 [self.atlases[layer_a].chart(ia)] + self.action.letter_maps(ta * tb.inverse())
                 + [self.atlases[layer_b].inverse(ib)], self.n, self.inverses)
         return self._transitions[key]
-
-    def simplex(self, vertices, points):
-        """The chart simplex of a path's vertices, on the source cloud `points`."""
-        charts = [self.chart_for(v) for v in vertices]
-        transitions = {}
-        for a in range(len(vertices)):
-            for b in range(a + 1, len(vertices)):
-                transitions[(a, b)] = self.transition(vertices[a], vertices[b])
-        return ChartSimplex(charts, transitions, points)
 
     def labels(self, J, G, step_types):
         """The cell's path labels that are not structurally zero (label_vanishes), in

@@ -3,9 +3,11 @@
 A level-l chart simplex is l+1 charts off a common source together with the
 transition maps between their images. Applying a GL-invariant map of arity k
 labels each k-cell with a holomorphic k-form pulled back to the source and
-sampled on a cloud there (a SampledForm); the alternating face sums of those
-labels telescope to zero, which is what verify_telescoping and dk_validate
-measure.
+sampled on a cloud there (a SampledForm). The explicit Dold-Kan labeling puts
+these labels on the k-cells and zero on every other cell, into a complex with
+the zero differential; it is a cocycle exactly when the alternating face sums
+of the labels vanish on every (k+1)-cell. verify_telescoping measures those
+sums, and is what both the telescoping and the dk-validate checks run.
 """
 
 import itertools
@@ -18,20 +20,19 @@ from . import forms
 from .errors import DomainError, ValidationError, nan_worst
 from .forms import (SampledForm, apply_invariant, jacobian_minors, pullback_kform,
                     sharp_values, signed_sum, theta_values, theta_vanishes)
-from .holomap import MapChain, as_chain, as_cloud, identity_map, reduced, split_rows, stack
-from .simplicial import DKSimplex, ElementOps, GradedComplex
+from .holomap import MapChain, as_chain, as_cloud, reduced, split_rows, stack
 
 MIN_SAMPLE_WARN = 8
-COHERENCE_TOL = 1e-9
 
 
 class ChartSimplex:
     """Charts rho_0..rho_l on a common source cloud plus transitions phi[p,q].
 
     Transitions are scenario-supplied maps V_q -> V_p for p < q, never derived
-    by inversion: named maps, or chains of them (holomap.MapChain). The constructor checks only the shape (a transition for
-    every p < q); coherence (phi[p,q] of rho_q = rho_p on the samples) is
-    checked by validate(), which a caller runs when it needs it.
+    by inversion: named maps, or chains of them (holomap.MapChain). The
+    constructor checks only the shape (a transition for every p < q), not
+    coherence (phi[p,q] of rho_q = rho_p on the samples): an incoherent
+    transition shows up in the face sums of verify_telescoping.
     """
 
     def __init__(self, charts, transitions, source_points):
@@ -52,25 +53,8 @@ class ChartSimplex:
                     raise ValidationError("missing transition (%d, %d)" % (p, q))
 
     def transition(self, p, q):
-        """phi[p,q]: V_q -> V_p; the diagonal is the identity."""
-        if p == q:
-            return identity_map(self.n)
+        """phi[p,q]: V_q -> V_p, for p < q."""
         return self.transitions[(p, q)]
-
-    def validate(self):
-        """Check every transition reproduces the chart relation on the samples; the
-        worst deviation, NaN ranking above every number."""
-        worst = 0.0
-        W = self.source_points
-        for (p, q), phi in self.transitions.items():
-            if len(W):
-                lhs = phi.eval(self.charts[q].eval(W))
-                worst = max(worst, float(np.max(np.abs(lhs - self.charts[p].eval(W)))),
-                            key=nan_worst)
-        if not worst <= COHERENCE_TOL:
-            raise ValidationError("chart simplex incoherent: max deviation %.3e > %.1e"
-                                  % (worst, COHERENCE_TOL))
-        return worst
 
     def sub_simplex(self, indices):
         """Face chart simplex over a strictly increasing index subset."""
@@ -299,15 +283,6 @@ class LabelPlan:
         terms = [self._add_term(p, psi, qid) for p, psi in pieces]
         return tuple(key for key, _ in terms), tuple(xid for _, xid in terms)
 
-    def add_theta_r(self, s, r, Q):
-        """Count theta_r of s on the top-image cloud Q; its term keys, none when the
-        transition is affine."""
-        if not 1 <= r <= s.level:
-            raise ValidationError("r must be in 1..%d" % s.level)
-        f = as_chain(s.transition(r - 1, r))
-        phi = as_chain(s.transition(r, s.level)) if r < s.level else MapChain((), s.n)
-        return self._add_rung(f, phi, self._cloud(Q))[0]
-
     def add(self, s, points):
         """Count the top label of s on `points`; its key, None for a structural zero."""
         k = self.T.arity
@@ -431,31 +406,6 @@ class LabelPlan:
         return [SampledForm(top.n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
 
 
-def theta_r(s, r, points):
-    """theta of the (r-1, r) transition pulled back to the top image via phi[r, l].
-
-    `points` lie in the top image V_l. A plan of this one theta_r (LabelPlan):
-    the sum of its terms.
-    """
-    Q = as_cloud(points, s.n)
-    plan = LabelPlan(None)
-    keys = plan.add_theta_r(s, r, Q)
-    if not keys:
-        return SampledForm.zeros(s.n, 1, Q, (s.n, s.n))
-    values = [plan.take(key) for key in keys]
-    return SampledForm(s.n, 1, Q, sum(values[1:], values[0]))
-
-
-def cf_label_top(s, T, points):
-    """Top-cell label on source `points`: T applied to theta_1..theta_k, pulled back.
-
-    A plan of this one label (LabelPlan). The label is structurally zero, and
-    nothing is evaluated, when k > n or some theta_r comes from an affine
-    transition.
-    """
-    return face_labels([s], T, as_cloud(points, s.n))[0]
-
-
 def face_labels(faces, T, P):
     """Top labels of the chart simplices `faces` on the (N, n) cloud P, through one LabelPlan."""
     plan = LabelPlan(T)
@@ -464,65 +414,42 @@ def face_labels(faces, T, P):
             for face, key in zip(faces, keys)]
 
 
-def cf_map(s, T):
-    """Dold-Kan labeling of a chart simplex: k-cells get face labels, the rest zero."""
-    k = T.arity
-    P = s.source_points
-    top = list(itertools.combinations(range(s.level + 1), k + 1)) if s.level >= k else []
-    faces = dict(zip(top, face_labels([s.sub_simplex(cell) for cell in top], T, P)))
-    labels = {}
-    for l in range(1, s.level + 1):
-        for cell in itertools.combinations(range(s.level + 1), l + 1):
-            labels[cell] = faces[cell] if l == k else SampledForm.zeros(s.n, min(l, s.n), P, ())
-    for i in range(s.level + 1):
-        labels[(i,)] = SampledForm.zeros(s.n, 0, P, ())
-    return DKSimplex(s.level, labels)
-
-
-def shifted_form_complex(n, k, points):
-    """The complex holding a single holomorphic k-form degree at -k, zero elsewhere.
-
-    Elements are SampledForms on a fixed cloud; the differential is the zero
-    map, so the DK condition reduces to vanishing alternating face sums.
-    """
-    P = as_cloud(points, n)
-
-    def degree_k(degree):
-        return min(-degree, n) if degree != -k else k
-
-    ops = ElementOps(
-        add=lambda x, y: x.add(y),
-        scale=lambda a, x: x.scale(a),
-        norm=lambda x: x.max_abs(),
-        zero=lambda degree: SampledForm.zeros(n, degree_k(degree), P, ()),
-    )
-
-    def diff(degree, x):
-        return ops.zero(degree + 1)
-
-    return GradedComplex(range(-max(k, 1), 1), diff, ops)
-
-
 def verify_telescoping(s, T, tol=1e-7):
-    """Directly evaluate the alternating face sum of cf labels on a level-(k+1) simplex.
+    """Alternating face sums of the top labels on every (k+1)-cell of a chart simplex.
 
-    Every face label is built from the supplied transitions, so an incoherent
-    transition shows up as a residual above tolerance.
+    Every k-face is labeled once, through one plan (face_labels). On each
+    (k+1)-cell, in itertools.combinations order, the labels of its k+2 faces
+    are added with signs (-1)^j (signed_sum). A telescoping simplex, at level
+    k+1, is the case of a single cell. Every face label is built from the
+    supplied transitions, so an incoherent transition shows up as a residual
+    above tolerance.
+
+    Returns the per-cell residuals, their maximum and the worst cell (the
+    first maximum, NaN ranking above every number), the point where that
+    cell's sum peaks, and the pass flag.
     """
     k = T.arity
-    if s.level != k + 1:
-        raise ValidationError("need a level-%d simplex for arity %d" % (k + 1, k))
+    if s.level < k + 1:
+        raise ValidationError("need a level of at least %d for arity %d" % (k + 1, k))
     P = s.source_points
     if len(P) < MIN_SAMPLE_WARN:
         warnings.warn("only %d sample points supplied; pointwise verification is weak"
                       % len(P))
-    faces = [s.sub_simplex(tuple(i for i in range(k + 2) if i != j)) for j in range(k + 2)]
-    labels = face_labels(faces, T, P)
-    residual = signed_sum(s.n, k, P, (((-1) ** j, label) for j, label in enumerate(labels)))
-    point, max_res = residual.worst_point() or ((), 0.0)
+    vertices = range(s.level + 1)
+    faces = list(itertools.combinations(vertices, k + 1))
+    labels = dict(zip(faces, face_labels([s.sub_simplex(face) for face in faces], T, P)))
+    sums = {cell: signed_sum(s.n, k, P, (((-1) ** j, labels[cell[:j] + cell[j + 1:]])
+                                         for j in range(k + 2)))
+            for cell in itertools.combinations(vertices, k + 2)}
+    residuals = {cell: total.max_abs() for cell, total in sums.items()}
+    worst_cell = max(residuals, key=lambda cell: nan_worst(residuals[cell]))
+    point, _ = sums[worst_cell].worst_point() or ((), 0.0)
+    worst = residuals[worst_cell]
     return {
-        "max_residual": max_res,
-        "pass": max_res <= tol,
+        "residuals": residuals,
+        "max_residual": worst,
+        "worst_cell": worst_cell,
+        "pass": worst <= tol,
         "tolerance": tol,
         "worst_point": [[c.real, c.imag] for c in point],
     }

@@ -55,9 +55,6 @@ class SampledForm:
         self._compat(other)
         return SampledForm(self.n, self.k, self.points, self.values + other.values)
 
-    def scale(self, a):
-        return SampledForm(self.n, self.k, self.points, a * self.values)
-
     def sub(self, other):
         self._compat(other)
         return SampledForm(self.n, self.k, self.points, self.values - other.values)

@@ -6,8 +6,6 @@ out. Inverses are never derived symbolically, so anything that needs both
 directions must carry them explicitly.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import expr as ex
@@ -234,30 +232,6 @@ def compose(f, g):
         composed = HoloMap(f.n, comps, name="%s.%s" % (f.name or "f", g.name or "g"))
         f._composed[g] = composed
     return composed
-
-
-def identity_map(n):
-    return HoloMap(n, [ex.Var(i + 1) for i in range(n)], name="id")
-
-
-def affine_map(A, b, name="affine"):
-    """z -> Az + b with exact rational entries."""
-    n = len(b)
-    comps = []
-    for r in range(n):
-        terms = [ex.mul(ex.Const(ex.CRat(*_crat_pair(A[r][c]))), ex.Var(c + 1))
-                 for c in range(n)]
-        terms.append(ex.Const(ex.CRat(*_crat_pair(b[r]))))
-        comps.append(ex.add(*terms))
-    return HoloMap(n, comps, name=name)
-
-
-def _crat_pair(v):
-    if isinstance(v, tuple):
-        return Fraction(v[0]), Fraction(v[1])
-    if isinstance(v, complex):
-        raise ValidationError("affine coefficients must be exact; pass (re, im) fractions")
-    return Fraction(v), Fraction(0)
 
 
 class MapChain:

@@ -206,52 +206,6 @@ class SymFun:
             terms[p] = terms.get(p, Fraction(0)) + c
         return SymFun(self.basis, terms, self.rank_coeff + other.rank_coeff)
 
-    def scale(self, a):
-        a = Fraction(a)
-        return SymFun(self.basis, {p: a * c for p, c in self.terms.items()},
-                      a * self.rank_coeff)
-
-    def eval_on_eigenvalues(self, eigs):
-        """Numeric value on a concrete eigenvalue list (rank marker counts them)."""
-        eigs = [complex(t) for t in eigs]
-        gens = {}
-
-        def gen(j):
-            if j not in gens:
-                if self.basis == POWER:
-                    gens[j] = sum(t ** j for t in eigs)
-                else:
-                    gens[j] = sum(np.prod(c) for c in itertools.combinations(eigs, j)) \
-                        if j <= len(eigs) else 0.0
-            return gens[j]
-
-        val = complex(self.rank_coeff) * len(eigs)
-        for part, coeff in self.terms.items():
-            mono = 1.0 + 0.0j
-            for j in part:
-                mono *= gen(j)
-            val += complex(coeff) * mono
-        return val
-
-    def eval_exact_on_eigenvalues(self, eigs):
-        """Same as eval_on_eigenvalues but in exact Fraction arithmetic."""
-        eigs = [Fraction(t) for t in eigs]
-
-        def gen(j):
-            if self.basis == POWER:
-                return sum((t ** j for t in eigs), Fraction(0))
-            if j > len(eigs):
-                return Fraction(0)
-            return sum((math.prod(c) for c in itertools.combinations(eigs, j)), Fraction(0))
-
-        val = self.rank_coeff * len(eigs)
-        for part, coeff in self.terms.items():
-            mono = Fraction(1)
-            for j in part:
-                mono *= gen(j)
-            val += coeff * mono
-        return val
-
     def to_json(self):
         entries = [{"partition": list(p), "num": str(c.numerator), "den": str(c.denominator)}
                    for p, c in sorted(self.terms.items())]
@@ -437,10 +391,6 @@ def invariant_from_symfun(f):
 
 def todd_invariant(k):
     return invariant_from_symfun(todd_component(k))
-
-
-def chern_invariant(k):
-    return invariant_from_symfun(chern_character_component(k))
 
 
 def format_symfun(f):

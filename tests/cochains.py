@@ -1,0 +1,28 @@
+"""The Cech and bar differentials alone, and one base value at a time.
+
+The pass only ever takes the total differential (cechgroup.mixed_differential)
+and batches of base values (MixedCochain.base_values); the parts here are the
+references the suites split it into. No check type reaches them, so they live
+with the tests.
+"""
+
+from cocyclekit.cechgroup import CochainExpression, as_expression
+
+
+def cech_differential(c):
+    """Alternating sum over dropped Cech indices; restrictions are literal."""
+    c = as_expression(c)
+    return CochainExpression(c.base, {(m + 1, q): ("cech", m, q, node)
+                                      for (m, q), node in c.components.items()})
+
+
+def group_differential(c):
+    """Bar differential: drop-and-translate, merge adjacent letters, act on the last."""
+    c = as_expression(c)
+    return CochainExpression(c.base, {(m, q + 1): ("group", m, q, node)
+                                      for (m, q), node in c.components.items()})
+
+
+def base_value(c, bidegree, J, G):
+    """The base value of the MixedCochain c on its cell's own cloud, evaluated once."""
+    return c.base_values([(bidegree, J, G)])[0]

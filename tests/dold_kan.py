@@ -1,20 +1,27 @@
-"""Graded complexes and explicit Dold-Kan labelings.
+"""Graded complexes and explicit Dold-Kan labelings: the oracle of the face-sum check.
 
 A DKSimplex labels every cell (i0 < ... < il) of a standard simplex with an
 element of degree -l; the boundary condition ties the alternating face sum of
 each cell to the differential of its label. Elements are abstract: any carrier
-with add/scale/norm supplied through ElementOps works (exact rational vectors
-in the tests, sampled holomorphic forms in the cocycle pipeline).
+with add/scale/norm supplied through ElementOps works (exact rational vectors,
+or sampled holomorphic forms).
 
-dk_validate is what the dk-validate check runs. dk_face, dk_degeneracy and
-vector_ops are the simplicial structure maps and exact elements that
-acceptance criterion 11 tests the labelings against.
+cf_map is the Dold-Kan labeling of a chart simplex: face labels on the k-cells,
+zero elsewhere, in shifted_form_complex, whose differential is zero. Its
+dk_validate residuals on the (k+1)-cells are what cocycle.verify_telescoping
+computes directly, which the dk-validate check runs; every other cell reads 0.
+dk_face, dk_degeneracy and vector_ops are the simplicial structure maps and
+exact elements that acceptance criterion 11 tests the labelings against. No
+check type reaches this module, so it lives with the tests as a reference.
 """
 
 import itertools
 from fractions import Fraction
 
-from .errors import ValidationError, nan_worst
+from cocyclekit.cocycle import face_labels
+from cocyclekit.errors import ValidationError, nan_worst
+from cocyclekit.forms import SampledForm
+from cocyclekit.holomap import as_cloud
 
 
 class ElementOps:
@@ -157,3 +164,42 @@ def dk_degeneracy(j, s, ops):
         else:
             labels[cell] = s.label(image)
     return DKSimplex(s.dim + 1, labels)
+
+
+def cf_map(s, T):
+    """Dold-Kan labeling of a chart simplex: k-cells get face labels, the rest zero."""
+    k = T.arity
+    P = s.source_points
+    top = list(itertools.combinations(range(s.level + 1), k + 1)) if s.level >= k else []
+    faces = dict(zip(top, face_labels([s.sub_simplex(cell) for cell in top], T, P)))
+    labels = {}
+    for l in range(1, s.level + 1):
+        for cell in itertools.combinations(range(s.level + 1), l + 1):
+            labels[cell] = faces[cell] if l == k else SampledForm.zeros(s.n, min(l, s.n), P, ())
+    for i in range(s.level + 1):
+        labels[(i,)] = SampledForm.zeros(s.n, 0, P, ())
+    return DKSimplex(s.level, labels)
+
+
+def shifted_form_complex(n, k, points):
+    """The complex holding a single holomorphic k-form degree at -k, zero elsewhere.
+
+    Elements are SampledForms on a fixed cloud; the differential is the zero
+    map, so the DK condition reduces to vanishing alternating face sums.
+    """
+    P = as_cloud(points, n)
+
+    def degree_k(degree):
+        return min(-degree, n) if degree != -k else k
+
+    ops = ElementOps(
+        add=lambda x, y: x.add(y),
+        scale=lambda a, x: SampledForm(x.n, x.k, x.points, a * x.values),
+        norm=lambda x: x.max_abs(),
+        zero=lambda degree: SampledForm.zeros(n, degree_k(degree), P, ()),
+    )
+
+    def diff(degree, x):
+        return ops.zero(degree + 1)
+
+    return GradedComplex(range(-max(k, 1), 1), diff, ops)

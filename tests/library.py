@@ -1,6 +1,7 @@
 """Built-in library: a spread of affine and polynomial-automorphism maps used by the
-composition and pullback identity suites. No check type reaches it, so it lives
-with the tests as a reference.
+composition and pullback identity suites, and the exact identity and affine maps
+they are built from. No check type reaches it, so it lives with the tests as a
+reference.
 """
 
 from fractions import Fraction
@@ -8,13 +9,38 @@ from fractions import Fraction
 import numpy as np
 
 from cocyclekit import expr as ex
-from cocyclekit.holomap import HoloMap, affine_map, as_cloud, identity_map
+from cocyclekit.errors import ValidationError
+from cocyclekit.holomap import HoloMap, as_cloud
 
 
 def _disc_points(n, count, radius, seed, center=0.0):
     rng = np.random.default_rng(seed)
     return as_cloud([[center + radius * complex(a, b) for a, b in rng.uniform(-1, 1, size=(n, 2))]
                      for _ in range(count)], n)
+
+
+def identity_map(n):
+    return HoloMap(n, [ex.Var(i + 1) for i in range(n)], name="id")
+
+
+def affine_map(A, b, name="affine"):
+    """z -> Az + b with exact rational entries."""
+    n = len(b)
+    comps = []
+    for r in range(n):
+        terms = [ex.mul(ex.Const(ex.CRat(*_crat_pair(A[r][c]))), ex.Var(c + 1))
+                 for c in range(n)]
+        terms.append(ex.Const(ex.CRat(*_crat_pair(b[r]))))
+        comps.append(ex.add(*terms))
+    return HoloMap(n, comps, name=name)
+
+
+def _crat_pair(v):
+    if isinstance(v, tuple):
+        return Fraction(v[0]), Fraction(v[1])
+    if isinstance(v, complex):
+        raise ValidationError("affine coefficients must be exact; pass (re, im) fractions")
+    return Fraction(v), Fraction(0)
 
 
 HENON_C = Fraction(3, 10)

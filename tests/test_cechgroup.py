@@ -12,6 +12,7 @@ from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
 import library as lib
+from cochains import base_value, cech_differential, group_differential
 from conftest import cell_value, per_cell, random_points, word_composite
 
 F = Fraction
@@ -41,7 +42,7 @@ def one_chart_setup(rng, atlas_chart=None, count=10):
     action = cg.GroupActionSpec({"h": (lib.henon_map(), lib.henon_inverse())},
                                 {"h": {"u": "u"}}, ["u"],
                                 words=[cg.Word.gen("h"), cg.Word.gen("h", -1)])
-    chart = atlas_chart or (hm.identity_map(2), hm.identity_map(2))
+    chart = atlas_chart or (lib.identity_map(2), lib.identity_map(2))
     atlas = cg.Atlas({"u": chart})
     return cover, action, atlas
 
@@ -52,7 +53,7 @@ def three_chart_setup(rng, charts=None):
     cover = cg.CoverSpec(["p", "q", "r"], {frozenset(s): np.array(pts) for s in sets}, 2)
     action = cg.trivial_action(["p", "q", "r"], 2)
     charts = charts or {
-        "p": (hm.identity_map(2), hm.identity_map(2)),
+        "p": (lib.identity_map(2), lib.identity_map(2)),
         "q": (lib.shear_map(), lib.shear_inverse()),
         "r": (lib.henon_map(), lib.henon_inverse()),
     }
@@ -133,7 +134,7 @@ def max_residual(expr, cover, action, words=None):
 def test_cech_differential_degree_zero_example(rng):
     cover, action, _ = three_chart_setup(rng)
     c = constant_cochain(cover, action)
-    dc = cg.cech_differential(c)
+    dc = cech_differential(c)
     # constant cochain: (dc)_{i0,i1} = c_{i1} - c_{i0} = 0, exactly
     for J, G in cg.enumerate_cells(cover, action, 1, 0, words=[]):
         assert cell_value(dc, (1, 0), J, G).max_abs() == 0.0
@@ -142,14 +143,14 @@ def test_cech_differential_degree_zero_example(rng):
 def test_cech_differential_squares_to_zero_exactly(rng):
     cover, action, _ = three_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0), (1, 0)])
-    dd = cg.cech_differential(cg.cech_differential(c))
+    dd = cech_differential(cech_differential(c))
     assert max_residual(dd, cover, action, words=[]) == 0.0
 
 
 def test_group_differential_trivial_group_is_empty(rng):
     cover, action, _ = three_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0)])
-    dg = cg.group_differential(c)
+    dg = group_differential(c)
     assert dg.bidegrees() == [(0, 1)]
     # no generators: no cells to evaluate
     assert list(cg.enumerate_cells(cover, action, 0, 1)) == []
@@ -159,10 +160,10 @@ def test_group_differential_two_term_bar_formula(rng):
     # one-chart equivariant cover: (dc)(g) = c - rho(g)^* c
     cover, action, _ = one_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0)])
-    dc = cg.group_differential(c)
+    dc = group_differential(c)
     g = cg.Word.gen("h")
     pts = cover.cloud(("u",))
-    base = c.base_value((0, 0), ("u",), ())
+    base = base_value(c, (0, 0), ("u",), ())
     chain = action.word_chain(g)
     moved, = c.evaluate_all([((0, 0), ("u",), (), chain.eval(pts))])
     pulled = cg.pullback_kform(chain, moved, pts)
@@ -176,7 +177,7 @@ def test_group_differential_two_term_bar_formula(rng):
 def test_group_differential_squares_to_zero(rng):
     cover, action, _ = one_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0), (0, 1)])
-    dd = cg.group_differential(cg.group_differential(c))
+    dd = group_differential(group_differential(c))
     assert max_residual(dd, cover, action) == 0.0
 
 
@@ -184,7 +185,7 @@ def test_mixed_differential_reduces_to_cech_for_trivial_group(rng):
     cover, action, _ = three_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0)])
     mixed = cg.mixed_differential(c)
-    delta = cg.cech_differential(c)
+    delta = cech_differential(c)
     for J, G in cg.enumerate_cells(cover, action, 1, 0, words=[]):
         a = cell_value(mixed, (1, 0), J, G)
         b = cell_value(delta, (1, 0), J, G)
@@ -195,7 +196,7 @@ def test_mixed_differential_reduces_to_bar_for_singleton_cover(rng):
     cover, action, _ = one_chart_setup(rng)
     c = poly_cochain(cover, action, [(0, 0)])
     mixed = cg.mixed_differential(c)
-    bar = cg.group_differential(c)
+    bar = group_differential(c)
     for J, G in cg.enumerate_cells(cover, action, 0, 1):
         a = cell_value(mixed, (0, 1), J, G)
         b = cell_value(bar, (0, 1), J, G)  # cech degree 0: sign +1
@@ -206,7 +207,7 @@ def test_mixed_differential_squares_to_zero(rng):
     pts = random_points(rng, 6, radius=0.3)
     sets = [("a",), ("b",), ("a", "b")]
     cover = cg.CoverSpec(["a", "b"], {frozenset(s): np.array(pts) for s in sets}, 2)
-    neg = hm.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
+    neg = lib.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
     action = cg.GroupActionSpec({"s": (neg, neg)}, {"s": {"a": "b", "b": "a"}},
                                 ["a", "b"], words=[cg.Word.gen("s")])
     c = poly_cochain(cover, action, [(1, 1)])
@@ -275,17 +276,17 @@ def test_witness_dominant_term_can_be_a_tau_sample(rng):
 def test_tau_affine_atlas_and_action_exactly_zero(rng):
     pts = random_points(rng, 8)
     cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(pts)}, 2)
-    tr = hm.affine_map([[1, 0], [0, 1]], [1, 2], name="tr")
-    tr_inv = hm.affine_map([[1, 0], [0, 1]], [-1, -2], name="tr_inv")
+    tr = lib.affine_map([[1, 0], [0, 1]], [1, 2], name="tr")
+    tr_inv = lib.affine_map([[1, 0], [0, 1]], [-1, -2], name="tr_inv")
     action = cg.GroupActionSpec({"t": (tr, tr_inv)}, {"t": {"u": "u"}}, ["u"],
                                 words=[cg.Word.gen("t")])
-    chart = hm.affine_map([[2, 1], [1, 1]], [F(1, 3), 0])
-    chart_inv = hm.affine_map([[1, -1], [-1, 2]], [F(-1, 3), F(1, 3)])
+    chart = lib.affine_map([[2, 1], [1, 1]], [F(1, 3), 0])
+    chart_inv = lib.affine_map([[1, -1], [-1, 2]], [F(-1, 3), F(1, 3)])
     atlas = cg.Atlas({"u": (chart, chart_inv)})
     tau = cg.tau_invariant(cover, action, atlas, T2)
     for (m, q) in tau.bidegrees():
         for J, G in cg.enumerate_cells(cover, action, m, q):
-            assert np.all(tau.base_value((m, q), J, G).values == 0)
+            assert np.all(base_value(tau, (m, q), J, G).values == 0)
 
 
 def test_tau_trivial_group_cech_cocycle(rng):
@@ -294,7 +295,7 @@ def test_tau_trivial_group_cech_cocycle(rng):
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
     # it has teeth: some component is nonzero
-    worst = max(tau.base_value(bd, J, G).max_abs()
+    worst = max(base_value(tau, bd, J, G).max_abs()
                 for bd in tau.bidegrees()
                 for J, G in cg.enumerate_cells(cover, action, *bd))
     assert worst > 1e-6
@@ -305,7 +306,7 @@ def test_tau_henon_action_group_cocycle(rng):
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
-    val = tau.base_value((0, 2), ("u",), (cg.Word.gen("h"), cg.Word.gen("h"))).max_abs()
+    val = base_value(tau, (0, 2), ("u",), (cg.Word.gen("h"), cg.Word.gen("h"))).max_abs()
     assert val > 1e-6
 
 
@@ -314,7 +315,7 @@ def test_tau_mixed_cover_and_action(rng):
     pts = pts_half + [tuple(-c for c in p) for p in pts_half]
     sets = [("a",), ("b",), ("a", "b")]
     cover = cg.CoverSpec(["a", "b"], {frozenset(s): np.array(pts) for s in sets}, 2)
-    neg = hm.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
+    neg = lib.affine_map([[-1, 0], [0, -1]], [0, 0], name="neg")
     action = cg.GroupActionSpec({"s": (neg, neg)}, {"s": {"a": "b", "b": "a"}},
                                 ["a", "b"], words=[cg.Word.gen("s")])
     atlas = cg.Atlas({"a": (lib.shear_map(), lib.shear_inverse()),
@@ -322,7 +323,7 @@ def test_tau_mixed_cover_and_action(rng):
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
-    mixed_val = tau.base_value((1, 1), ("a", "b"), (cg.Word.gen("s"),)).max_abs()
+    mixed_val = base_value(tau, (1, 1), ("a", "b"), (cg.Word.gen("s"),)).max_abs()
     assert mixed_val > 1e-8
 
 
@@ -334,13 +335,13 @@ def test_witness_identical_atlases_is_zero(rng):
     w = cg.cohomologous_witness(cover, action, atlas, atlas, T2)
     for (m, q) in w.bidegrees():
         for J, G in cg.enumerate_cells(cover, action, m, q):
-            assert w.base_value((m, q), J, G).max_abs() < 1e-14
+            assert base_value(w, (m, q), J, G).max_abs() < 1e-14
 
 
 def test_witness_global_affine_recoordination(rng):
     cover, action, atlas = three_chart_setup(rng)
-    post = hm.affine_map([[1, F(1, 2)], [0, 1]], [F(1, 5), 0], name="post")
-    post_inv = hm.affine_map([[1, F(-1, 2)], [0, 1]], [F(-1, 5), 0], name="post_inv")
+    post = lib.affine_map([[1, F(1, 2)], [0, 1]], [F(1, 5), 0], name="post")
+    post_inv = lib.affine_map([[1, F(-1, 2)], [0, 1]], [F(-1, 5), 0], name="post_inv")
     charts_b = {}
     for i in ("p", "q", "r"):
         chart, inv = atlas.charts[i]
@@ -371,8 +372,8 @@ def test_witness_nonaffine_reparametrization(rng):
     for row in report["cells"]:
         assert row["worst_point"] in cloud
     # the two cocycles genuinely differ somewhere
-    diff = max(float(np.max(np.abs(tau_a.base_value(bd, J, G).values[:3, 0]
-                                   - tau_b.base_value(bd, J, G).values[:3, 0])))
+    diff = max(float(np.max(np.abs(base_value(tau_a, bd, J, G).values[:3, 0]
+                                   - base_value(tau_b, bd, J, G).values[:3, 0])))
                for bd in tau_a.bidegrees()
                for J, G in cg.enumerate_cells(cover, action, *bd))
     assert diff > 1e-8
@@ -398,15 +399,15 @@ def test_tau_nonconstant_jacobian_determinant_n2(rng):
             ("a", "b", "c")]
     cover = cg.CoverSpec(["a", "b", "c"], {frozenset(s): np.array(pts) for s in sets}, 2)
     action = cg.trivial_action(["a", "b", "c"], 2)
-    atlas = cg.Atlas({"a": (hm.identity_map(2), hm.identity_map(2)),
+    atlas = cg.Atlas({"a": (lib.identity_map(2), lib.identity_map(2)),
                       "b": (sq_a, sqrt_a), "c": (sq_b, sqrt_b)})
     tau = cg.tau_invariant(cover, action, atlas, T2)
-    full = tau.base_value((2, 0), ("a", "b", "c"), ()).max_abs()
+    full = base_value(tau, (2, 0), ("a", "b", "c"), ()).max_abs()
     assert full > 1e-2
     # restrict to the tr(M1 M2) part alone: the singleton-trace terms matter here
     t2_only = cg.tau_invariant(cover, action, atlas,
                                InvariantMap(2, {(2,): F(-1, 24)}))
-    assert abs(full - t2_only.base_value((2, 0), ("a", "b", "c"), ()).max_abs()) > 1e-3
+    assert abs(full - base_value(t2_only, (2, 0), ("a", "b", "c"), ()).max_abs()) > 1e-3
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
 
@@ -420,7 +421,7 @@ def test_tau_dimension_three(rng):
         "c": ("z1; z2^2; z3", "z1; exp(log(z2)/2); z3"),
         "d": ("z1; z2; z3^2", "z1; z2; exp(log(z3)/2)"),
     }
-    charts = {"a": (hm.identity_map(3), hm.identity_map(3))}
+    charts = {"a": (lib.identity_map(3), lib.identity_map(3))}
     for key, (fwd, inv) in defs.items():
         charts[key] = (hm.parse_map(fwd, 3), hm.parse_map(inv, 3))
     pts = right_half_cloud(3, 8, 43)
@@ -431,7 +432,7 @@ def test_tau_dimension_three(rng):
     action = cg.trivial_action(indices, 3)
     atlas = cg.Atlas(charts)
     tau = cg.tau_invariant(cover, action, atlas, todd_invariant(3))
-    assert tau.base_value((3, 0), ("a", "b", "c", "d"), ()).max_abs() > 1e-3
+    assert base_value(tau, (3, 0), ("a", "b", "c", "d"), ()).max_abs() > 1e-3
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
 
@@ -444,11 +445,11 @@ def test_tau_two_generator_free_action(rng):
          "s": (lib.shear_map(), lib.shear_inverse())},
         {"h": {"u": "u"}, "s": {"u": "u"}}, ["u"],
         words=[cg.Word.gen("h"), cg.Word.gen("s")])
-    atlas = cg.Atlas({"u": (hm.identity_map(2), hm.identity_map(2))})
+    atlas = cg.Atlas({"u": (lib.identity_map(2), lib.identity_map(2))})
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
     assert report["pass"], report["max_residual"]
-    mixed_word_cell = tau.base_value((0, 2), ("u",),
+    mixed_word_cell = base_value(tau, (0, 2), ("u",),
                                  (cg.Word.gen("h"), cg.Word.gen("s"))).max_abs()
     assert mixed_word_cell > 1e-6
 
@@ -514,14 +515,14 @@ def nan_then_finite_cover():
 
 def test_atlas_round_trip_keeps_a_nan_error():
     # the shear chart of b with the identity as inverse is off by a finite amount
-    ident = hm.identity_map(2)
+    ident = lib.identity_map(2)
     atlas = cg.Atlas({"a": (ident, ident), "b": (lib.shear_map(), ident)})
     error, index = atlas.round_trip(nan_then_finite_cover())
     assert np.isnan(error) and index == "a"
 
 
 def test_generator_round_trip_keeps_a_nan_error():
-    action = cg.GroupActionSpec({"g": (lib.shear_map(), hm.identity_map(2))},
+    action = cg.GroupActionSpec({"g": (lib.shear_map(), lib.identity_map(2))},
                                 {"g": {"a": "a", "b": "b"}}, ["a", "b"])
     error, name = action.round_trip(nan_then_finite_cover())
     assert np.isnan(error) and name == "g"

@@ -18,6 +18,7 @@ import cocyclekit.cechgroup as cg
 import cocyclekit.cocycle as co
 import cocyclekit.holomap as hm
 import library as lib
+from chart_labels import COHERENCE_TOL, theta_r, validate
 from cocyclekit import cli
 from cocyclekit.errors import ValidationError
 from cocyclekit.invariants import todd_invariant
@@ -33,7 +34,7 @@ MAPS, CLOUDS, PAIRS = lib.builtin_library()
 def simplex_of(f01, f12, f02, P):
     """A level-2 chart simplex whose theta_r read only its transitions; the charts
     are identities on the cloud P."""
-    ident = hm.identity_map(2)
+    ident = lib.identity_map(2)
     return co.ChartSimplex([ident] * 3, {(0, 1): f01, (1, 2): f12, (0, 2): f02}, P)
 
 
@@ -51,7 +52,7 @@ def assert_theta_rs_match(chains, P):
     got = simplex_of(*[hm.MapChain(c) for c in chains], P)
     want = simplex_of(*[composite(c) for c in chains], P)
     for r in (1, 2):
-        a, b = co.theta_r(got, r, P), co.theta_r(want, r, P)
+        a, b = theta_r(got, r, P), theta_r(want, r, P)
         assert a.structurally_zero >= b.structurally_zero
         assert_close(a.values, b.values)
 
@@ -91,7 +92,7 @@ def test_group_witness_word_chains_match_their_symbolic_composites(seed, tmp_pat
         got = simplex_of(*[action.word_chain(w) for w in words], P)
         want = simplex_of(*[word_composite(action, w) for w in words], P)
         for r in (1, 2):
-            a, b = co.theta_r(got, r, P), co.theta_r(want, r, P)
+            a, b = theta_r(got, r, P), theta_r(want, r, P)
             # a chain may be found zero where symbolic folding misses it (h^-1 s h^-1 s
             # is the affine fold of h^-1 s, twice), never the other way round
             assert a.structurally_zero >= b.structurally_zero
@@ -196,10 +197,10 @@ def test_structural_zeros_of_the_benchmark_workloads(workload, seed, tmp_path, m
 
 
 def test_validate_keeps_a_nan_deviation():
-    s = co.ChartSimplex([hm.identity_map(2), lib.shear_map()], {(0, 1): lib.shear_inverse()},
+    s = co.ChartSimplex([lib.identity_map(2), lib.shear_map()], {(0, 1): lib.shear_inverse()},
                         np.array([[0.1, 0.2], [np.nan, 0.3]]))
     with pytest.raises(ValidationError, match="nan"):
-        s.validate()
+        validate(s)
 
 
 def test_a_chain_transition_validates_like_its_symbolic_composite(tmp_path):
@@ -216,10 +217,10 @@ def test_a_chain_transition_validates_like_its_symbolic_composite(tmp_path):
     good, bad = (scn.chart_simplex(entry) for entry in scn.checks)
     assert isinstance(good.transition(1, 2), hm.MapChain)
     symbolic = co.ChartSimplex(good.charts, {pq: composite(list(t.pieces)) if t.pieces
-                                             else hm.identity_map(2)
+                                             else lib.identity_map(2)
                                              for pq, t in good.transitions.items()},
                                good.source_points)
-    assert good.validate() == pytest.approx(symbolic.validate(), abs=1e-15)
-    assert good.validate() < co.COHERENCE_TOL
+    assert validate(good) == pytest.approx(validate(symbolic), abs=1e-15)
+    assert validate(good) < COHERENCE_TOL
     with pytest.raises(ValidationError, match="incoherent"):
-        bad.validate()
+        validate(bad)

@@ -1,3 +1,7 @@
+import itertools
+import json
+import pathlib
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +10,16 @@ import pytest
 import cocyclekit.cocycle as co
 import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
-import cocyclekit.simplicial as sim
 from cocyclekit.errors import ValidationError
 from cocyclekit.invariants import InvariantMap, todd_invariant
+from cocyclekit.scenario import Scenario
 import library as lib
+import dold_kan as sim
+from chart_labels import cf_label_top, theta_r, validate
 from conftest import random_points
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_simplex(charts, inverses, points, corrupt=None):
@@ -24,16 +31,16 @@ def make_simplex(charts, inverses, points, corrupt=None):
         transitions[corrupt[0]] = corrupt[1]
     s = co.ChartSimplex(charts, transitions, points)
     if corrupt is None:
-        s.validate()
+        validate(s)
     return s
 
 
 def library_simplex(rng, count=4, points=20):
     pts = random_points(rng, points, radius=0.4)
-    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map(),
-              hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")]
-    inverses = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
-                hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")]
+    charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map(),
+              lib.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")]
+    inverses = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
+                lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")]
     return make_simplex(charts[:count], inverses[:count], pts), pts
 
 
@@ -47,33 +54,33 @@ def affine_simplex(rng, count=3):
                 ([[1, -1], [-1, 2]], [F(-1, 4), F(1, 4)]),
                 ([[1, 0], [F(-1, 2), 1]], [0, F(1, 3)]),
                 ([[1, -1], [0, 1]], [F(1, 7), F(-2, 7)])]
-    charts = [hm.affine_map(A, b) for A, b in mats[:count]]
-    inverses = [hm.affine_map(A, b) for A, b in inv_mats[:count]]
+    charts = [lib.affine_map(A, b) for A, b in mats[:count]]
+    inverses = [lib.affine_map(A, b) for A, b in inv_mats[:count]]
     return make_simplex(charts, inverses, pts), pts
 
 
 def test_coherence_validation_accepts_consistent_transitions(rng):
     s, _ = library_simplex(rng)
-    assert s.validate() < 1e-9
+    assert validate(s) < 1e-9
 
 
 def test_coherence_validation_rejects_corruption(rng):
     pts = random_points(rng, 10, radius=0.4)
-    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map()]
-    invs = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
+    charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map()]
+    invs = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
     with pytest.raises(ValidationError):
         transitions = {}
         for p in range(3):
             for q in range(p + 1, 3):
                 transitions[(p, q)] = hm.compose(charts[p], invs[q])
         transitions[(0, 2)] = lib.henon_map()
-        co.ChartSimplex(charts, transitions, pts).validate()
+        validate(co.ChartSimplex(charts, transitions, pts))
 
 
 def test_theta_r_at_top_is_plain_theta(rng):
     s, pts = library_simplex(rng, count=3)
     P = s.charts[-1].eval(pts[:5])
-    top = co.theta_r(s, s.level, P)
+    top = theta_r(s, s.level, P)
     direct = fo.theta(s.transition(s.level - 1, s.level), P)
     for a, b in zip(top.values, direct.values):
         assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-12
@@ -82,7 +89,7 @@ def test_theta_r_at_top_is_plain_theta(rng):
 def test_theta_r_affine_simplex_vanishes(rng):
     s, _ = affine_simplex(rng)
     for r in range(1, s.level + 1):
-        assert co.theta_r(s, r, s.charts[-1].eval(s.source_points)).structurally_zero
+        assert theta_r(s, r, s.charts[-1].eval(s.source_points)).structurally_zero
 
 
 def test_theta_r_matches_direct_composition(rng):
@@ -90,7 +97,7 @@ def test_theta_r_matches_direct_composition(rng):
     s, pts = library_simplex(rng, count=3)
     r = 1
     X = s.charts[-1].eval(pts[:10])
-    th = co.theta_r(s, r, X)
+    th = theta_r(s, r, X)
     phi = s.transition(r, s.level)
     for x, got in zip(X, th.values):
         J = phi.jacobian([x])[0]
@@ -104,7 +111,7 @@ def test_theta_r_matches_direct_composition(rng):
 def test_cf_label_top_affine_is_zero(rng):
     s, _ = affine_simplex(rng, count=3)
     T2 = todd_invariant(2)
-    label = co.cf_label_top(s, T2, s.source_points)
+    label = cf_label_top(s, T2, s.source_points)
     assert label.structurally_zero
     assert label.values.shape == (len(s.source_points), 1)
 
@@ -113,10 +120,10 @@ def test_cf_label_top_with_one_affine_transition_evaluates_no_map(rng, monkeypat
     # theta_1 comes from the affine transition aff o id^-1, theta_2 from the
     # Henon-type henon o aff^-1: the label is zero before any map is evaluated
     pts = random_points(rng, 10, radius=0.4)
-    aff = hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")
-    aff_inv = hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")
-    s = make_simplex([aff, hm.identity_map(2), lib.henon_map()],
-                     [aff_inv, hm.identity_map(2), lib.henon_inverse()], pts)
+    aff = lib.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")
+    aff_inv = lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")
+    s = make_simplex([aff, lib.identity_map(2), lib.henon_map()],
+                     [aff_inv, lib.identity_map(2), lib.henon_inverse()], pts)
     assert s.transition(0, 1).is_affine() and not s.transition(1, 2).is_affine()
     calls = []
     for cls in (hm.HoloMap, hm.MapChain):
@@ -127,7 +134,7 @@ def test_cf_label_top_with_one_affine_transition_evaluates_no_map(rng, monkeypat
                     calls.append(_name)
                     return _original(self, points)
                 monkeypatch.setattr(cls, name, counted)
-    label = co.cf_label_top(s, todd_invariant(2), pts)
+    label = cf_label_top(s, todd_invariant(2), pts)
     assert label.structurally_zero and np.all(label.values == 0)
     assert calls == []
 
@@ -138,12 +145,12 @@ def test_cf_label_top_trace_on_square_transition(rng):
     pts = [(0.8 + 0.1j, 0.3 - 0.2j), (1.1 - 0.3j, 0.4 + 0.5j), (0.9 + 0.4j, -0.6j)]
     sq = lib.diagonal_square_map()
     # inverse of z -> (z1^2, z2) is not entire; supply the transition directly
-    charts = [sq, hm.identity_map(2)]
+    charts = [sq, lib.identity_map(2)]
     transitions = {(0, 1): sq}
     s = co.ChartSimplex(charts, transitions, pts)
-    s.validate()
+    validate(s)
     T = InvariantMap(1, {(1,): F(1, 2)})
-    label = co.cf_label_top(s, T, pts)
+    label = cf_label_top(s, T, pts)
     for w, vals in zip(pts, label.values):
         # top chart is the identity: label = (1/2) tr(theta(sq)) = dz1/(2 z1)
         assert vals[0] == pytest.approx(0.5 / w[0])
@@ -153,23 +160,23 @@ def test_cf_label_top_trace_on_square_transition(rng):
 def test_cf_label_top_wedge_beyond_dimension(rng):
     s, _ = library_simplex(rng, count=4)
     T3 = todd_invariant(3)
-    assert co.cf_label_top(s, T3, s.source_points).structurally_zero
+    assert cf_label_top(s, T3, s.source_points).structurally_zero
 
 
 def test_cf_map_low_level_is_zero(rng):
     s, pts = library_simplex(rng, count=2)  # level 1 < arity 2
     T2 = todd_invariant(2)
-    labeling = co.cf_map(s, T2)
+    labeling = sim.cf_map(s, T2)
     assert all(np.all(labeling.label(c).values == 0) for c in labeling.cells())
-    C = co.shifted_form_complex(2, 2, s.source_points)
+    C = sim.shifted_form_complex(2, 2, s.source_points)
     assert sim.dk_validate(labeling, C)["pass"]
 
 
 def test_cf_map_level_equals_arity_validates(rng):
     s, pts = library_simplex(rng, count=3)
     T2 = todd_invariant(2)
-    labeling = co.cf_map(s, T2)
-    C = co.shifted_form_complex(2, 2, s.source_points)
+    labeling = sim.cf_map(s, T2)
+    C = sim.shifted_form_complex(2, 2, s.source_points)
     report = sim.dk_validate(labeling, C, tol=1e-7)
     assert report["pass"]
     assert not np.all(labeling.label((0, 1, 2)).values == 0)
@@ -178,21 +185,21 @@ def test_cf_map_level_equals_arity_validates(rng):
 def test_cf_map_face_labels_match_independent_recomputation(rng):
     s, pts = library_simplex(rng, count=4)  # level 3, arity 2
     T2 = todd_invariant(2)
-    labeling = co.cf_map(s, T2)
+    labeling = sim.cf_map(s, T2)
     for cell in labeling.cells(3):
         face = s.sub_simplex(cell)
-        direct = co.cf_label_top(face, T2, s.source_points)
+        direct = cf_label_top(face, T2, s.source_points)
         assert labeling.label(cell).sub(direct).max_abs() < 1e-12
 
 
 def test_cf_map_commutes_with_faces(rng):
     s, _ = library_simplex(rng, count=4)
     T2 = todd_invariant(2)
-    labeling = co.cf_map(s, T2)
+    labeling = sim.cf_map(s, T2)
     for j in range(s.level + 1):
         sub = s.sub_simplex(tuple(i for i in range(s.level + 1) if i != j))
         a = sim.dk_face(j, labeling)
-        b = co.cf_map(sub, T2)
+        b = sim.cf_map(sub, T2)
         for cell in a.cells():
             assert a.label(cell).sub(b.label(cell)).max_abs() < 1e-12
 
@@ -200,17 +207,17 @@ def test_cf_map_commutes_with_faces(rng):
 def test_cf_map_degeneracy_compatibility(rng):
     # repeating a chart then labeling equals the Dold-Kan degeneracy of the labels
     pts = random_points(rng, 10, radius=0.4)
-    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map()]
-    invs = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
+    charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map()]
+    invs = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
     s = make_simplex(charts, invs, pts)
     T2 = todd_invariant(2)
-    labeling = co.cf_map(s, T2)
-    C = co.shifted_form_complex(2, 2, pts)
+    labeling = sim.cf_map(s, T2)
+    C = sim.shifted_form_complex(2, 2, pts)
     for j in range(s.level + 1):
         doubled_charts = charts[:j + 1] + charts[j:]
         doubled_invs = invs[:j + 1] + invs[j:]
         doubled = make_simplex(doubled_charts, doubled_invs, pts)
-        a = co.cf_map(doubled, T2)
+        a = sim.cf_map(doubled, T2)
         b = sim.dk_degeneracy(j, labeling, C.ops)
         for cell in a.cells():
             assert a.label(cell).sub(b.label(cell)).max_abs() < 1e-8, (j, cell)
@@ -220,9 +227,9 @@ def test_cf_map_naturality_under_restriction(rng):
     s, pts = library_simplex(rng, count=3)
     T2 = todd_invariant(2)
     sub_pts = pts[:7]
-    full = co.cf_map(s, T2)
+    full = sim.cf_map(s, T2)
     restricted_simplex = co.ChartSimplex(s.charts, s.transitions, sub_pts)
-    restricted = co.cf_map(restricted_simplex, T2)
+    restricted = sim.cf_map(restricted_simplex, T2)
     for cell in full.cells():
         a = full.label(cell)
         keep = [a.points.tolist().index(list(p)) for p in sub_pts]
@@ -246,15 +253,21 @@ def test_verify_telescoping_polynomial_automorphisms(rng):
 
 def test_verify_telescoping_negative_control(rng):
     pts = random_points(rng, 20, radius=0.4)
-    charts = [hm.identity_map(2), lib.shear_map(), lib.henon_map(),
-              hm.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0])]
-    invs = [hm.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
-            hm.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0])]
+    charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map(),
+              lib.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0])]
+    invs = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
+            lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0])]
     bad = make_simplex(charts, invs, pts, corrupt=((0, 2), lib.henon_map()))
     T2 = todd_invariant(2)
     report = co.verify_telescoping(bad, T2, tol=1e-7)
     assert not report["pass"]
     assert report["max_residual"] > 1e-7
+
+
+def test_verify_telescoping_needs_a_cell_above_the_arity(rng):
+    s, _ = library_simplex(rng, count=3)  # level 2 = k: no 3-cell to sum faces on
+    with pytest.raises(ValidationError):
+        co.verify_telescoping(s, todd_invariant(2))
 
 
 def test_verify_telescoping_warns_on_few_points(rng):
@@ -263,3 +276,72 @@ def test_verify_telescoping_warns_on_few_points(rng):
     T2 = todd_invariant(2)
     with pytest.warns(UserWarning):
         co.verify_telescoping(few, T2)
+
+
+# six charts over the benchmark's chart-kernel maps; the first four are its own
+CHART_KERNEL_CHARTS = [("ident", "ident"), ("shear", "shear_inv"), ("henon", "henon_inv"),
+                       ("affine", "affine_inv"), ("shear3", "shear3_inv"),
+                       ("henon_inv", "henon")]
+
+
+def chart_kernel_simplex(seed, count, arity, tmp_path, monkeypatch, corrupt=None):
+    """The chart simplex of the benchmark's chart-kernel dk-validate entry, on its
+    seeded source cloud, over the first `count` charts above."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    data = workloads.chart_kernel(seed)
+    entry = next(c for c in data["checks"] if c["type"] == "dk-validate")
+    entry = dict(entry, arity=arity, charts=[{"chart": c, "inverse": i}
+                                             for c, i in CHART_KERNEL_CHARTS[:count]])
+    if corrupt:
+        entry["corrupt"] = corrupt
+    data["checks"] = [entry]
+    path = tmp_path / "chart-kernel.scn"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    scn = Scenario.load(path)
+    return scn.chart_simplex(scn.checks[0])
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_face_sums_match_the_oracle(s, arity):
+    T = todd_invariant(arity)
+    got = co.verify_telescoping(s, T)
+    want = sim.dk_validate(sim.cf_map(s, T), sim.shifted_form_complex(s.n, arity, s.source_points))
+    top = list(itertools.combinations(range(s.level + 1), arity + 2))
+    assert list(got["residuals"]) == top
+    for key, residual in want["residuals"].items():
+        cell = tuple(int(i) for i in key.split(","))
+        if cell in got["residuals"]:
+            assert bits(got["residuals"][cell]) == bits(residual), cell
+        else:
+            assert bits(residual) == bits(0.0), cell
+    assert bits(got["max_residual"]) == bits(want["max_residual"])
+    assert got["worst_cell"] == (want["worst_cell"] if want["max_residual"] else top[0])
+    return got
+
+
+@pytest.mark.parametrize("seed", (2, 3, 7))
+@pytest.mark.parametrize("arity, above", [(k, d) for k in (1, 2) for d in (1, 2, 3)],
+                         ids=["k%d-level+%d" % (k, d) for k in (1, 2) for d in (1, 2, 3)])
+def test_face_sums_equal_the_dold_kan_oracle_bit_for_bit(seed, arity, above, tmp_path,
+                                                         monkeypatch):
+    # level k + above, so k + above + 1 charts
+    s = chart_kernel_simplex(seed, arity + above + 1, arity, tmp_path, monkeypatch)
+    report = assert_face_sums_match_the_oracle(s, arity)
+    assert report["pass"]
+
+
+def test_face_sums_of_a_corrupted_transition_equal_the_oracle(tmp_path, monkeypatch):
+    s = chart_kernel_simplex(2, 5, 2, tmp_path, monkeypatch,
+                             corrupt={"replace": [0, 2], "with_map": "henon"})
+    report = assert_face_sums_match_the_oracle(s, 2)
+    assert not report["pass"]
+    # only the 3-cells holding the face (0, 2) see the corrupted transition
+    assert all(report["residuals"][cell] < 1e-7
+               for cell in report["residuals"] if not {0, 2} <= set(cell))
+    assert 0 in report["worst_cell"] and 2 in report["worst_cell"]
+

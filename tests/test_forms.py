@@ -17,14 +17,14 @@ def cloud(points):
 
 
 def test_theta_identity_is_structural_zero():
-    th = fo.theta(hm.identity_map(2), [(0.3, 0.4)])
+    th = fo.theta(lib.identity_map(2), [(0.3, 0.4)])
     assert th.structurally_zero
     assert th.values.shape == (1, 2, 2, 2)
     assert np.all(th.values == 0)
 
 
 def test_theta_affine_is_structural_zero():
-    m = hm.affine_map([[2, 1], [1, 1]], [0, 0])
+    m = lib.affine_map([[2, 1], [1, 1]], [0, 0])
     assert fo.theta(m, [(0.3, 0.4)]).structurally_zero
 
 
@@ -59,7 +59,7 @@ def test_theta_singular_jacobian_error_names_point():
 def test_sharp_pullback_identity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
     omega = fo.theta(lib.henon_map(), P)
-    back = fo.sharp_pullback(hm.identity_map(2), omega, P)
+    back = fo.sharp_pullback(lib.identity_map(2), omega, P)
     assert np.allclose(omega.values, back.values)
 
 
@@ -67,7 +67,7 @@ def test_sharp_pullback_affine_law(rng):
     # constant matrix form pulled back by z -> Az + b: one-form part through
     # A^T, matrix part conjugated by A
     A = np.array([[2, 1], [1, 1]], dtype=complex)
-    phi = hm.affine_map([[2, 1], [1, 1]], [0, 0])
+    phi = lib.affine_map([[2, 1], [1, 1]], [0, 0])
     M = [np.array([[1, 2], [3, 4]], dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
     P = cloud(random_points(rng, 3))
     omega = fo.SampledForm(2, 1, phi.eval(P), np.broadcast_to(np.array(M), (len(P), 2, 2, 2)))
@@ -141,7 +141,7 @@ def test_apply_invariant_antisymmetry(rng):
 def test_pullback_kform_identity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
     w = fo.apply_invariant(todd_invariant(1), [fo.theta(lib.henon_map(), P)])
-    back = fo.pullback_kform(hm.identity_map(2), w, P)
+    back = fo.pullback_kform(lib.identity_map(2), w, P)
     for a, b in zip(back.values, w.values):
         assert a == pytest.approx(b)
 

@@ -63,7 +63,7 @@ def invariant_oracle(T, stack):
 
 def invariants_of_arity(k):
     yield inv.todd_invariant(k)
-    yield inv.chern_invariant(k)
+    yield perm.chern_invariant(k)
     perms = map(perm.Permutation, itertools.permutations(range(1, k + 1)))
     for p in {perm.cycle_type(p): p for p in perms}.values():
         yield perm.symmetrize(p)
@@ -90,7 +90,7 @@ def test_chern_invariant_equals_the_class_sum_of_its_partition():
     mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
     want = Fraction(1, 6) * np.mean([np.trace(a @ b @ c) for a, b, c in
                                      itertools.permutations(mats)])
-    assert abs(inv.eval_invariant(inv.chern_invariant(3), mats) - complex(want)) < 1e-12
+    assert abs(inv.eval_invariant(perm.chern_invariant(3), mats) - complex(want)) < 1e-12
 
 
 class StackedMap:

@@ -24,6 +24,7 @@ from cocyclekit.forms import signed_sum
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
+from chart_labels import cf_label_top, path_simplex
 from conftest import per_cell
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -58,8 +59,8 @@ def per_path_cochain(labeled, labeler):
     def provider(bd):
         def value(J, G, P):
             return signed_sum(labeler.n, labeler.T.arity, P, (
-                (sign, co.cf_label_top(labeler.simplex(labeler.path(J, G, seq), P),
-                                       labeler.T, P))
+                (sign, cf_label_top(path_simplex(labeler, labeler.path(J, G, seq), P),
+                                    labeler.T, P))
                 for seq, sign in cg._shuffles(step_types(labeled, bd))))
         return per_cell(value)
 
@@ -121,7 +122,7 @@ def test_plans_hold_no_live_entry_after_a_pass(monkeypatch):
 
 def test_a_plan_keeps_the_memo_entries_it_found():
     P = [(0.3 + 0.1j, 0.2, 0.1j), (0.1, 0.4, 0.2), (-0.1, 0.3j, 0.5)]
-    ident = hm.identity_map(3)
+    ident = lib.identity_map(3)
     s1, s2, s3 = (hm.parse_map(text, 3) for text in (
         "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2"))
     transitions = {(0, 1): s1, (0, 2): ident, (0, 3): ident, (1, 2): s2, (1, 3): s2,
@@ -129,7 +130,7 @@ def test_a_plan_keeps_the_memo_entries_it_found():
     s = co.ChartSimplex([ident] * 4, transitions, P)
     s3.jacobian(P)
     assert not s2.remembers(P)
-    label = co.cf_label_top(s, todd_invariant(3), P)
+    label = cf_label_top(s, todd_invariant(3), P)
     assert not label.structurally_zero
     # theta_3 read s3 on the top image (equal to P), filled before the label
     assert s3.remembers(P)
@@ -147,11 +148,11 @@ def test_planned_labels_equal_one_plan_per_label(name):
     for bd, J, G in base_cells(tau):
         P = tau.cell_points(J, G)
         for seq, _ in cg._shuffles(step_types(tau, bd)):
-            simplex = labeler.simplex(labeler.path(J, G, seq), P)
+            simplex = path_simplex(labeler, labeler.path(J, G, seq), P)
             planned.append((simplex, P, plan.add(simplex, P)))
     assert planned
     for simplex, P, key in planned:
-        want = co.cf_label_top(simplex, labeler.T, P)
+        want = cf_label_top(simplex, labeler.T, P)
         if key is None:
             assert want.structurally_zero
         else:
@@ -248,8 +249,8 @@ def test_memos_see_only_real_clouds(monkeypatch, tmp_path):
 
 MAPS = {
     2: [lib.henon_map(), lib.henon_inverse(), lib.shear_map(), lib.shear_inverse(),
-        lib.mobius_like_map(), hm.identity_map(2),
-        hm.affine_map([[2, 1], [1, 1]], [0, 1], name="affine")],
+        lib.mobius_like_map(), lib.identity_map(2),
+        lib.affine_map([[2, 1], [1, 1]], [0, 1], name="affine")],
     3: [hm.parse_map(text, 3) for text in (
         "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2", "z2; z1; z3 + z1*z2",
         "z1 + z3^2; z2 - z1^2; z3", "z1; z2; z3")],
@@ -284,7 +285,7 @@ def chart_paths(draw):
 def test_batched_labels_equal_one_plan_per_label_at_every_bound(case):
     n, clouds, simplices, order = case
     T = todd_invariant(n)
-    want = [co.cf_label_top(s, T, clouds[c]) for s, c in simplices]
+    want = [cf_label_top(s, T, clouds[c]) for s, c in simplices]
     for bound in BOUNDS[:1] + [2 * max(len(P) for P in clouds) * n ** 3] + BOUNDS[2:]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fo, "BATCH_ENTRIES", bound)
@@ -304,7 +305,7 @@ def singular_setup():
     cover = cg.CoverSpec(indices, {frozenset(s): np.array(pts) for s in
                                    (["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
                                     ["a", "b", "c"])}, 2)
-    ident = hm.identity_map(2)
+    ident = lib.identity_map(2)
     sq2 = hm.HoloMap(2, [hm.ex.Var(1), hm.ex.pow_(hm.ex.Var(2), 2)], name="sq2")
     atlas = cg.Atlas({"a": (ident, ident), "b": (lib.diagonal_square_map(), ident),
                       "c": (sq2, ident)})
@@ -327,7 +328,7 @@ def test_an_error_after_a_shared_key_leaves_every_count_whole():
     # two level-3 labels share their theta_1 and theta_3 keys; the second one's
     # theta_2 transition is singular where z1 = 0, after theta_1 has been read
     P = [(0.3 + 0.1j, 0.2, 0.1j), (0.0, 0.4, 0.2), (-0.1, 0.3j, 0.5)]
-    ident = hm.identity_map(3)
+    ident = lib.identity_map(3)
     s1, s2, s3, s4, sq = (hm.parse_map(text, 3) for text in (
         "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2", "z1 + z3^2; z2; z3",
         "z1^2; z2; z3"))
@@ -339,7 +340,7 @@ def test_an_error_after_a_shared_key_leaves_every_count_whole():
 
     plan = co.LabelPlan(todd_invariant(3))
     good, bad = plan.add(simplex(s2), P), plan.add(simplex(sq), P)
-    assert same_bits(plan.take(good), co.cf_label_top(simplex(s2), plan.T, P))
+    assert same_bits(plan.take(good), cf_label_top(simplex(s2), plan.T, P))
     for _ in range(2):
         with pytest.raises(SingularJacobianError) as err:
             plan.take(bad)

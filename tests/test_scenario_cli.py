@@ -260,8 +260,26 @@ def test_three_chart_dk_validate_corrupt_control_trips(tmp_path):
     assert main(["run", write_scn(tmp_path, data), "--output", str(out)]) == 1
     telescoping, dk = json.loads(out.read_text())["checks"]
     assert telescoping["status"] == dk["status"] == "fail"
-    assert dk["max_residual"] == pytest.approx(telescoping["max_residual"], rel=1e-12)
+    assert dk["max_residual"] == telescoping["max_residual"]
     assert dk["max_residual"] > 1.0
+
+
+def test_dk_validate_on_an_affine_simplex_names_its_first_2_cell(tmp_path):
+    # every face sum of an affine simplex is an exact zero; the worst cell is then
+    # the first cell whose face sum is checked, the 2-cell at arity 1
+    data = load_scn("henon_z.scn")
+    data["maps"].update({"aff": {"components": "z1 + z2/3 + 1/5; z2"},
+                         "aff_inv": {"components": "z1 - z2/3 - 1/5; z2"},
+                         "lower": {"components": "z1; z2 + z1/2 - 1/7"},
+                         "lower_inv": {"components": "z1; z2 - z1/2 + 1/7"}})
+    charts = [{"chart": "ident", "inverse": "ident"}, {"chart": "aff", "inverse": "aff_inv"},
+              {"chart": "lower", "inverse": "lower_inv"}]
+    data["checks"] = [dict(TELESCOPING, name="dk", type="dk-validate", charts=charts)]
+    out = tmp_path / "r.json"
+    assert main(["run", write_scn(tmp_path, data), "--output", str(out)]) == 0
+    dk, = json.loads(out.read_text())["checks"]
+    assert dk["status"] == "pass" and dk["max_residual"] == 0.0
+    assert dk["worst_cell"] == "(0, 1, 2)"
 
 
 def test_chart_simplex_default_arities(tmp_path):

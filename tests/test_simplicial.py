@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import cocyclekit.simplicial as sim
+import dold_kan as sim
 from cocyclekit.errors import ValidationError
 
 F = Fraction

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
 import cocyclekit.forms as fo
-import cocyclekit.holomap as hm
 from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
 import library as lib
+from cochains import base_value, cech_differential, group_differential
 from conftest import cell_value, per_cell, plan_form
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
@@ -29,8 +29,8 @@ SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 GENERATORS = {
     "h": (lib.henon_map(), lib.henon_inverse()),
     "s": (lib.shear_map(), lib.shear_inverse()),
-    "t": (hm.affine_map([[0, 1], [1, 0]], [0, 0], name="swap"),
-          hm.affine_map([[0, 1], [1, 0]], [0, 0], name="swap")),
+    "t": (lib.affine_map([[0, 1], [1, 0]], [0, 0], name="swap"),
+          lib.affine_map([[0, 1], [1, 0]], [0, 0], name="swap")),
 }
 
 
@@ -71,7 +71,7 @@ def oracle_terms(node, J, G, action):
 
 def oracle_term_value(base, term, target, points):
     bd, J, G, pull = term
-    own = base.base_value(bd, J, G)
+    own = base_value(base, bd, J, G)
     if own.structurally_zero:
         return own
     if pull.is_identity():
@@ -152,15 +152,15 @@ def combination(*parts):
 
 
 EXPRESSIONS = {
-    "cech": lambda c: cg.cech_differential(c),
-    "group": lambda c: cg.group_differential(c),
+    "cech": lambda c: cech_differential(c),
+    "group": lambda c: group_differential(c),
     "mixed": lambda c: cg.mixed_differential(c),
     "mixed-mixed": lambda c: cg.mixed_differential(cg.mixed_differential(c)),
-    "cech-cech": lambda c: cg.cech_differential(cg.cech_differential(c)),
-    "group-group": lambda c: cg.group_differential(cg.group_differential(c)),
+    "cech-cech": lambda c: cech_differential(cech_differential(c)),
+    "group-group": lambda c: group_differential(group_differential(c)),
     "combination": lambda c: combination((3, cg.mixed_differential(c)),
-                                         (-1, cg.cech_differential(c)),
-                                         (-2, cg.group_differential(c))),
+                                         (-1, cech_differential(c)),
+                                         (-2, group_differential(c))),
     "difference": lambda c: combination((1, cg.mixed_differential(c)),
                                         (-1, cg.mixed_differential(c))),
     "base": lambda c: combination((2, c.expression()), (1, c.expression())),
@@ -203,7 +203,7 @@ def test_all_cancelling_cell_is_the_structural_zero(rng):
     pts = [tuple(complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2)) for _ in range(4)]
     cover = cg.CoverSpec(["a", "b"], {frozenset(["a", "b"]): np.array(pts)}, 2)
     action = cg.trivial_action(["a", "b"], 2)
-    expr = cg.cech_differential(cg.cech_differential(cochain(cover, action, [(0, 0)], 0)))
+    expr = cech_differential(cech_differential(cochain(cover, action, [(0, 0)], 0)))
     plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
     assert plan.cells and not plan.count.any() and not any(len(t) for t in plan.tables)
     value = cell_value(expr, (2, 0), ("a", "b", "a"), ())
@@ -216,6 +216,6 @@ def test_structurally_zero_base_values_leave_no_slot(rng):
     action = cg.trivial_action(["a"], 2)
     c = cg.MixedCochain(cover, action, 2, 2,
                         {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()))})
-    plan = cg.TermPlan(combination((1, cg.cech_differential(c)), (1, c.expression())),
+    plan = cg.TermPlan(combination((1, cech_differential(c)), (1, c.expression())),
                        (0, 0), [(("a",), ())])
     assert len(plan.keys) == 1 and not len(plan.term_key) and not any(len(t) for t in plan.tables)
