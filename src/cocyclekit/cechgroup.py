@@ -1079,14 +1079,14 @@ def residual_report(rows, bidegrees, tol):
     }
 
 
-def closedness_report(cochain, tol=1e-7):
+def closedness_report(cochain, tol):
     """Max residual of the mixed differential over all next-degree cells."""
     diff = mixed_differential(cochain)
     return residual_report([row for bd in diff.bidegrees() for row in residual_rows(diff, bd)],
                            diff.bidegrees(), tol)
 
 
-def witness_report(witness, tau_a, tau_b, tol=1e-7):
+def witness_report(witness, tau_a, tau_b, tol):
     """Residual of d(witness) - (tau_a - tau_b) over all degree-n cells."""
     diff = mixed_differential(witness)
     bidegrees = sorted(set(diff.bidegrees()) | set(tau_a.bidegrees()) | set(tau_b.bidegrees()))

@@ -3,6 +3,9 @@
 Exit codes: 0 all checks pass, 1 any check failed or errored, 2 the scenario
 (or arguments) failed validation. Checks run in declaration order and never
 abort the batch; the report is written even when some fail.
+
+Each check runner returns whether its check held and its report fields; verdict
+alone writes the status, inverted for a negative control ("expect": "fail").
 """
 
 import argparse
@@ -16,17 +19,16 @@ from . import __version__
 from .bm import dbar_closed_check, reproducing_integral
 from .cechgroup import (SIGN_CONVENTION, cell_multi_index, cell_values, closedness_report,
                         cohomologous_witness, require_cells, witness_report)
-from .cocycle import verify_telescoping
+from .cocycle import LabelPlan, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError, nan_worst
-from .forms import sharp_pullback, theta
-from .holomap import compose
+from .holomap import MapChain, compose
 from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
                          format_symfun, newton_convert, todd_component, todd_invariant)
 from .scenario import Scenario, validate_bm_fields
 
 
 # ---------------------------------------------------------------------------
-# check runners
+# check runners: each returns (whether the check held, its report fields)
 
 
 def run_affine_vanishing(scn, entry):
@@ -34,16 +36,14 @@ def run_affine_vanishing(scn, entry):
     moduli = [sampled.max_abs() for _, _, _, sampled in cell_values(tau)]
     require_cells(len(moduli), tau.bidegrees())
     worst = max(moduli, key=nan_worst)
-    return {"status": "pass" if worst == 0.0 else "fail",
-            "max_residual": worst, "cells": len(moduli),
-            "detail": "exact zero required; values are bitwise zero" if worst == 0.0
-            else "nonzero coefficient found"}
+    return worst == 0.0, {"max_residual": worst, "cells": len(moduli),
+                          "detail": "exact zero required; values are bitwise zero"
+                          if worst == 0.0 else "nonzero coefficient found"}
 
 
 def run_tau_closedness(scn, entry):
     tau = scn.tau(scn.atlas, entry.get("arity", scn.n))
-    report = closedness_report(tau, tol=entry["tolerance"])
-    return _residual_result(report, entry)
+    return _residual_fields(closedness_report(tau, tol=entry["tolerance"]))
 
 
 def scenario_witness_report(scn, arity, tol):
@@ -55,8 +55,8 @@ def scenario_witness_report(scn, arity, tol):
 
 
 def run_witness(scn, entry):
-    report = scenario_witness_report(scn, entry.get("arity", scn.n), entry["tolerance"])
-    return _residual_result(report, entry)
+    return _residual_fields(scenario_witness_report(scn, entry.get("arity", scn.n),
+                                                    entry["tolerance"]))
 
 
 def run_face_sums(scn, entry):
@@ -66,23 +66,25 @@ def run_face_sums(scn, entry):
     report = verify_telescoping(simplex, todd_invariant(entry["arity"]), tol=entry["tolerance"])
     if entry["type"] == "telescoping":
         del report["worst_cell"]
-    return _residual_result(report, entry)
+    return _residual_fields(report)
 
 
 def run_theta_composition(scn, entry):
-    tol = entry["tolerance"]
+    """The label plan's composition rule against the symbolic oracle: per pair (f, g),
+    theta of compose(f, g) (left) and of the chain f . g (right), each through
+    LabelPlan.theta, on the check's points; residual max|L - R| / (1 + max|L|)."""
+    P = entry["points"]
     rows = []
     for fname, gname in entry["pairs"]:
         f = scn.map_named(fname, "theta-composition")
         g = scn.map_named(gname, "theta-composition")
-        P = entry["points"]
-        lhs = theta(compose(f, g), P)
-        rhs = sharp_pullback(g, theta(f, g.eval(P)), P).add(theta(g, P))
-        rel = lhs.sub(rhs).max_abs() / (1.0 + lhs.max_abs())
+        plan, identity = LabelPlan(None), MapChain((), f.n)
+        lhs = plan.theta(MapChain([compose(f, g)]), identity, P)
+        rhs = plan.theta(MapChain([f, g]), identity, P)
+        rel = float(np.max(np.abs(lhs.values - rhs.values))) / (1.0 + lhs.max_abs())
         rows.append({"pair": [fname, gname], "residual": rel})
     worst = max((row["residual"] for row in rows), key=nan_worst)
-    return {"status": "pass" if worst <= tol else "fail", "max_residual": worst,
-            "pairs": rows}
+    return worst <= entry["tolerance"], {"max_residual": worst, "pairs": rows}
 
 
 def run_bm_dbar(scn, entry):
@@ -97,43 +99,48 @@ def run_bm_dbar(scn, entry):
         v = v / np.linalg.norm(v)
         probes.append(tuple(z[i] + complex(v[i, 0], v[i, 1]) for i in range(n)))
     report = dbar_closed_check(n, z, probes, h)
-    status = "pass" if report["pass"] and report["order_two"] else "fail"
-    return dict(report, status=status, max_residual=report["max_residual_h"])
+    held = report["pass"] and report["order_two"]
+    return held, dict(report, max_residual=report["max_residual_h"])
 
 
 def run_bm_reproducing(scn, entry):
     order = entry.get("order", 32)
     radii = entry.get("radii", [0.5, 1.0, 2.0])
-    tol = entry["tolerance"]
     rows = []
     for r in radii:
         val = reproducing_integral(radius=r, order=order)
         err = abs(val - 1.0)
         rows.append({"radius": r, "value": [val.real, val.imag], "error": err})
     worst = max((row["error"] for row in rows), key=nan_worst)
-    return {"status": "pass" if worst <= tol else "fail", "max_residual": worst,
-            "radii": rows}
+    return worst <= entry["tolerance"], {"max_residual": worst, "radii": rows}
 
 
-def _residual_result(report, entry):
-    ok = report["pass"]
-    if entry.get("expect") == "fail":
-        ok = not ok
-        detail = "negative control: failure expected and observed" if ok \
-            else "negative control did not trip"
-    else:
-        detail = None
-    out = {"status": "pass" if ok else "fail",
-           "max_residual": report.get("max_residual", 0.0)}
-    if detail:
-        out["detail"] = detail
+def _residual_fields(report):
+    """(pass flag, report fields) of a closedness, witness or face-sum report."""
+    out = {"max_residual": report.get("max_residual", 0.0)}
     worst = report.get("worst_cell")
     if worst:
         out["worst_cell"] = str(worst)
     cells = report.get("cells")
     if cells:
         out["worst"] = cells[0]
-    return out
+    return report["pass"], out
+
+
+def verdict(entry, held, fields):
+    """A check's result: its report fields and status, pass when the check held.
+
+    A negative control ("expect": "fail") passes when its check did not hold;
+    its detail then says whether it tripped. held is None for a check that
+    raised, whose status is "error" whatever it expects.
+    """
+    if held is None:
+        return dict(fields, status="error")
+    if entry.get("expect") == "fail":
+        held = not held
+        fields = dict(fields, detail="negative control: failure expected and observed" if held
+                      else "negative control did not trip")
+    return dict(fields, status="pass" if held else "fail")
 
 
 CHECK_RUNNERS = {
@@ -154,9 +161,10 @@ def execute_checks(scn):
     def one(entry):
         started = time.monotonic()
         try:
-            result = CHECK_RUNNERS[entry["type"]](scn, entry)
+            held, fields = CHECK_RUNNERS[entry["type"]](scn, entry)
         except Exception as err:  # checks never abort the batch
-            result = {"status": "error", "error": "%s: %s" % (type(err).__name__, err)}
+            held, fields = None, {"error": "%s: %s" % (type(err).__name__, err)}
+        result = verdict(entry, held, fields)
         result["seconds"] = round(time.monotonic() - started, 4)
         return dict(result, name=entry["name"], type=entry["type"],
                     tolerance=entry["tolerance"])
@@ -248,14 +256,14 @@ def cmd_bm_check(args):
     dbar_entry = {"type": "bm-dbar", "n": args.n, "probes": args.probes,
                   "step": args.step, "seed": 11}
     validate_bm_fields(dbar_entry, "bm-check")
-    dbar = run_bm_dbar(None, dbar_entry)
+    dbar = verdict(dbar_entry, *run_bm_dbar(None, dbar_entry))
     report = {"dbar": dbar, "sign_convention": SIGN_CONVENTION}
     ok = dbar["status"] == "pass"
     if args.n == 2:
         repro_entry = {"type": "bm-reproducing", "order": args.quad_order,
                        "radii": [args.radius, args.radius * 2], "tolerance": 1e-3}
         validate_bm_fields(repro_entry, "bm-check")
-        repro = run_bm_reproducing(None, repro_entry)
+        repro = verdict(repro_entry, *run_bm_reproducing(None, repro_entry))
         report["reproducing"] = repro["radii"]
         ok = ok and repro["status"] == "pass"
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ import numpy as np
 from . import forms
 from .errors import DomainError, ValidationError, nan_worst
 from .forms import (SampledForm, apply_invariant, jacobian_minors, pullback_kform,
-                    sharp_values, signed_sum, theta_values, theta_vanishes)
+                    sharp_values, signed_sum, theta_values)
 from .holomap import MapChain, as_chain, as_cloud, reduced, split_rows, stack
 
 MIN_SAMPLE_WARN = 8
@@ -29,14 +29,16 @@ class ChartSimplex:
     """Charts rho_0..rho_l on a common source cloud plus transitions phi[p,q].
 
     Transitions are scenario-supplied maps V_q -> V_p for p < q, never derived
-    by inversion: named maps, or chains of them (holomap.MapChain). The
-    constructor checks only the shape (a transition for every p < q), not
-    coherence (phi[p,q] of rho_q = rho_p on the samples): an incoherent
-    transition shows up in the face sums of verify_telescoping.
+    by inversion. Charts and transitions are held as chains of named maps
+    (holomap.MapChain): the constructor wraps a named map given alone, such
+    as a corrupted transition, as a chain of one piece. It checks only the
+    shape (a transition for every p < q), not coherence (phi[p,q] of rho_q =
+    rho_p on the samples): an incoherent transition shows up in the face sums
+    of verify_telescoping.
     """
 
     def __init__(self, charts, transitions, source_points):
-        self.charts = list(charts)
+        self.charts = [as_chain(c) for c in charts]
         self.level = len(self.charts) - 1
         if self.level < 0:
             raise ValidationError("need at least one chart")
@@ -46,7 +48,7 @@ class ChartSimplex:
         for (p, q), m in transitions.items():
             if not 0 <= p < q <= self.level:
                 raise ValidationError("bad transition key (%d, %d)" % (p, q))
-            self.transitions[(p, q)] = m
+            self.transitions[(p, q)] = as_chain(m)
         for p in range(self.level + 1):
             for q in range(p + 1, self.level + 1):
                 if (p, q) not in self.transitions:
@@ -56,36 +58,26 @@ class ChartSimplex:
         """phi[p,q]: V_q -> V_p, for p < q."""
         return self.transitions[(p, q)]
 
-    def sub_simplex(self, indices):
-        """Face chart simplex over a strictly increasing index subset."""
-        indices = tuple(indices)
-        if list(indices) != sorted(set(indices)):
-            raise ValidationError("indices must be strictly increasing")
-        charts = [self.charts[i] for i in indices]
-        trans = {}
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                trans[(a, b)] = self.transition(indices[a], indices[b])
-        return ChartSimplex(charts, trans, self.source_points)
-
 
 def label_vanishes(T, n, ladder):
     """True when a top label is structurally zero before any map is evaluated: the
-    arity of T exceeds the dimension n, or a transition of the theta ladder
-    (phi[r-1, r] for r = 1..k) is affine, every piece of its chain being affine."""
-    return T.arity > n or any(theta_vanishes(f) for f in ladder)
+    arity of T exceeds the dimension n, or a transition chain of the theta ladder
+    (phi[r-1, r] for r = 1..k) is affine, every piece of it being affine."""
+    return T.arity > n or any(f.is_affine() for f in ladder)
 
 
 class LabelPlan:
     """Top Chern-Weil labels of chart simplices, read through shared, counted keys.
 
-    Transitions are chains of named maps (holomap.MapChain; a HoloMap is a
-    chain of one piece). By the composition rule theta(f . g) = g^# theta(f) +
-    theta(g), for f = p_1 . ... . p_m and a pullback chain phi,
+    Transitions and charts are chains of named maps (holomap.MapChain). By the
+    composition rule theta(f . g) = g^# theta(f) + theta(g), for
+    f = p_1 . ... . p_m and a pullback chain phi,
     phi^# theta(f) = sum over j of (p_{j+1} . ... . p_m . phi)^# theta(p_j),
     an affine piece adding no term; so only named maps are differentiated.
+    theta(f, phi, Q) returns that sum itself, which the theta-composition
+    check compares with theta of the symbolic composite.
 
-    add(s, points), or add_label with a path's maps, counts one use of a label
+    add_label, with the maps of a chart path, counts one use of a label
     before anything is evaluated and, once per distinct label, the keys it
     reads:
 
@@ -283,26 +275,25 @@ class LabelPlan:
         terms = [self._add_term(p, psi, qid) for p, psi in pieces]
         return tuple(key for key, _ in terms), tuple(xid for _, xid in terms)
 
-    def add(self, s, points):
-        """Count the top label of s on `points`; its key, None for a structural zero."""
-        k = self.T.arity
-        if s.level != k:
-            raise ValidationError("level %d does not match arity %d" % (s.level, k))
-        P = as_cloud(points, s.n)
-        ladder = tuple(as_chain(s.transition(r - 1, r)) for r in range(1, k + 1))
-        if label_vanishes(self.T, s.n, ladder):
-            return None
-        return self.add_label(ladder, tuple(as_chain(s.transition(r, k)) for r in range(1, k)),
-                              s.charts[-1], P)
+    def theta(self, f, phi, Q):
+        """phi^# theta(f) of the transition chain f pulled back along the chain phi, on
+        the (N, n) cloud Q: its theta_r terms counted, taken and added in order, or
+        the structural zero when every piece of f is affine."""
+        keys, _ = self._add_rung(f, phi, self._cloud(Q))
+        n = f.n
+        if not keys:
+            return SampledForm.zeros(n, 1, Q, (n, n))
+        values = [self.take(key) for key in keys]
+        return SampledForm(n, 1, Q, sum(values[1:], values[0]))
 
     def add_label(self, ladder, pullbacks, top, P):
         """Count the top label of a chart path on the (N, n) source cloud P; its key.
 
         `ladder` holds the transition chains phi[r-1, r] for r = 1..k, none
         affine (label_vanishes), `pullbacks` the chains phi[r, k] for
-        r = 1..k-1 and `top` the top chart.
+        r = 1..k-1 and `top` the top chart's chain.
         """
-        pieces, pid = tuple(getattr(top, "pieces", (top,))), self._cloud(P)
+        pieces, pid = top.pieces, self._cloud(P)
         key = (ladder, pullbacks, pieces, pid)
         if self._count(key):
             n, k = top.n, self.T.arity
@@ -381,7 +372,7 @@ class LabelPlan:
 
     def _minors(self, batch):
         clouds = [P for _, P, _ in batch]
-        pieces = tuple(getattr(batch[0][0], "pieces", (batch[0][0],)))
+        pieces = batch[0][0].pieces
         values = jacobian_minors(stack([top.jacobian(P) for top, P, _ in batch]), self.T.arity)
         for _, _, pid in batch:
             for m, cid in zip(reversed(pieces), self._walk(pieces, pid)):
@@ -406,15 +397,25 @@ class LabelPlan:
         return [SampledForm(top.n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
 
 
-def face_labels(faces, T, P):
-    """Top labels of the chart simplices `faces` on the (N, n) cloud P, through one LabelPlan."""
-    plan = LabelPlan(T)
-    keys = [plan.add(face, P) for face in faces]
-    return [SampledForm.zeros(face.n, T.arity, P, ()) if key is None else plan.take(key)
-            for face, key in zip(faces, keys)]
+def face_labels(s, faces, T):
+    """Top labels of the k-faces `faces` of the chart simplex s on its source cloud,
+    through one LabelPlan.
+
+    A k-face (i_0 < ... < i_k) is the chart path of its ladder phi[i_{r-1}, i_r]
+    (r = 1..k), its pullbacks phi[i_r, i_k] (r = 1..k-1) and its top chart
+    rho_{i_k}, counted with add_label. A face whose label vanishes
+    (label_vanishes) is the structural zero, and no map is evaluated for it.
+    """
+    plan, P, k = LabelPlan(T), s.source_points, T.arity
+    keys = []
+    for face in faces:
+        ladder = tuple(s.transition(a, b) for a, b in zip(face, face[1:]))
+        keys.append(None if label_vanishes(T, s.n, ladder) else plan.add_label(
+            ladder, tuple(s.transition(i, face[-1]) for i in face[1:-1]), s.charts[face[-1]], P))
+    return [SampledForm.zeros(s.n, k, P, ()) if key is None else plan.take(key) for key in keys]
 
 
-def verify_telescoping(s, T, tol=1e-7):
+def verify_telescoping(s, T, tol):
     """Alternating face sums of the top labels on every (k+1)-cell of a chart simplex.
 
     Every k-face is labeled once, through one plan (face_labels). On each
@@ -437,7 +438,7 @@ def verify_telescoping(s, T, tol=1e-7):
                       % len(P))
     vertices = range(s.level + 1)
     faces = list(itertools.combinations(vertices, k + 1))
-    labels = dict(zip(faces, face_labels([s.sub_simplex(face) for face in faces], T, P)))
+    labels = dict(zip(faces, face_labels(s, faces, T)))
     sums = {cell: signed_sum(s.n, k, P, (((-1) ** j, labels[cell[:j] + cell[j + 1:]])
                                          for j in range(k + 2)))
             for cell in itertools.combinations(vertices, k + 2)}

@@ -4,7 +4,9 @@ A form is a SampledForm: its values on an (N, n) cloud, shaped
 (N, C(n, k), *fibre), with the k-indices in itertools.combinations order.
 theta(f) = J^{-1} dJ is a matrix 1-form, fibre (n, n), indexed
 [point, dz^a, row, col]; the sharp pullback conjugates its matrix part while
-pulling back its 1-form part. A GL-invariant map applied to k matrix 1-forms
+pulling back its 1-form part. Both are kernels on stacked Jacobians
+(theta_values, sharp_values), which the label plan (cocycle.LabelPlan) runs
+on the named maps of a chain. A GL-invariant map applied to k matrix 1-forms
 wedges them into a scalar k-form (empty fibre), which pulls back along a map
 through Jacobian minors. Every function here takes the cloud it evaluates on;
 a form evaluated at phi(points) is pulled back to `points`.
@@ -30,7 +32,7 @@ BATCH_ENTRIES = 1 << 16
 
 
 class SampledForm:
-    """Values of a form on a cloud, with exact linear algebra on the arrays."""
+    """Values of a form on a cloud."""
 
     def __init__(self, n, k, points, values):
         self.n = int(n)
@@ -50,19 +52,6 @@ class SampledForm:
         form = cls(n, k, P, np.zeros((len(P), math.comb(n, k)) + tuple(fibre), dtype=complex))
         form.structurally_zero = True
         return form
-
-    def add(self, other):
-        self._compat(other)
-        return SampledForm(self.n, self.k, self.points, self.values + other.values)
-
-    def sub(self, other):
-        self._compat(other)
-        return SampledForm(self.n, self.k, self.points, self.values - other.values)
-
-    def _compat(self, other):
-        if (self.n, self.k) != (other.n, other.k) or not (
-                self.points is other.points or np.array_equal(self.points, other.points)):
-            raise ValidationError("sampled forms disagree on degree or points")
 
     def max_abs(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -102,20 +91,6 @@ def signed_sum(n, k, points, terms):
     return SampledForm(n, k, points, acc)
 
 
-def theta_vanishes(f):
-    """True when theta(f) is structurally zero, i.e. f is affine."""
-    return hasattr(f, "is_affine") and f.is_affine()
-
-
-def theta(f, points):
-    """J^{-1} dJ of the map f: coefficient of dz^a at z is J(z)^{-1} (dJ/dz^a)(z)."""
-    n = f.n
-    P = as_cloud(points, n)
-    if theta_vanishes(f):
-        return SampledForm.zeros(n, 1, P, (n, n))
-    return SampledForm(n, 1, P, theta_values(f.jacobian_inverse(P), f.djacobian(P)))
-
-
 def theta_values(Jinv, dJ):
     """theta's values from stacked inverse Jacobians (N, n, n) and their derivatives
     (N, n, n, n); the rows may come from several clouds."""
@@ -123,28 +98,11 @@ def theta_values(Jinv, dJ):
     return np.einsum("pij,pajk->paik", Jinv, dJ, order="F")
 
 
-def sharp_pullback(phi, omega, points):
-    """phi-sharp of a matrix 1-form sampled at phi(points), on `points`.
-
-    The 1-form part is pulled back along phi, the matrices are conjugated by
-    its Jacobian. The inverse comes from phi.jacobian_inverse, which a HoloMap
-    memoizes, so theta of phi on the same cloud shares it.
-    """
-    n = omega.n
-    if phi.n != n:
-        raise ValidationError("dimension mismatch")
-    P = as_cloud(points, n)
-    if omega.structurally_zero:
-        return SampledForm.zeros(n, 1, P, (n, n))
-    return SampledForm(n, 1, P, sharp_values(phi.jacobian(P), phi.jacobian_inverse(P),
-                                             omega.values))
-
-
 def sharp_values(J, Jinv, omega):
     """The sharp pullback's values from stacked Jacobians, their inverses and the
     matrix 1-form's values at the image points; the rows may come from several clouds."""
     # coefficient of dz^b: sum over a of J[a, b] times the dz^a matrix, conjugated;
-    # the point axis is the innermost loop of each contraction, as in theta
+    # the point axis is the innermost loop of each contraction, as in theta_values
     pulled = np.einsum("pab,pajk->pbjk", J, omega, order="F")
     left = np.einsum("pij,pbjk->pbik", Jinv, pulled, order="F")
     return np.einsum("pbik,pkl->pbil", left, J, order="F")

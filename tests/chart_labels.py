@@ -1,18 +1,19 @@
 """One chart-simplex label at a time: the references the label plan is checked against.
 
 cf_label_top and theta_r are plans of a single label or a single theta_r,
-so they share no key with any other label; validate checks that a chart
-simplex's transitions reproduce its charts on the samples; path_simplex is
-the chart simplex of a labeled cochain's path. No check type reaches them,
-so they live with the tests.
+so they share no key with any other label; add_top_label counts the top
+label of a whole chart simplex in a plan; validate checks that a chart
+simplex's transitions reproduce its charts on the samples; sub_simplex is
+the chart simplex of a face; path_simplex is the chart simplex of a labeled
+cochain's path. No check type reaches them, so they live with the tests.
 """
 
 import numpy as np
 
-from cocyclekit.cocycle import ChartSimplex, LabelPlan, face_labels
+from cocyclekit.cocycle import ChartSimplex, LabelPlan, label_vanishes
 from cocyclekit.errors import ValidationError, nan_worst
 from cocyclekit.forms import SampledForm
-from cocyclekit.holomap import MapChain, as_chain, as_cloud
+from cocyclekit.holomap import MapChain, as_cloud
 
 COHERENCE_TOL = 1e-9
 
@@ -42,14 +43,21 @@ def theta_r(s, r, points):
     Q = as_cloud(points, s.n)
     if not 1 <= r <= s.level:
         raise ValidationError("r must be in 1..%d" % s.level)
-    f = as_chain(s.transition(r - 1, r))
-    phi = as_chain(s.transition(r, s.level)) if r < s.level else MapChain((), s.n)
-    plan = LabelPlan(None)
-    keys = plan._add_rung(f, phi, plan._cloud(Q))[0]
-    if not keys:
-        return SampledForm.zeros(s.n, 1, Q, (s.n, s.n))
-    values = [plan.take(key) for key in keys]
-    return SampledForm(s.n, 1, Q, sum(values[1:], values[0]))
+    phi = s.transition(r, s.level) if r < s.level else MapChain((), s.n)
+    return LabelPlan(None).theta(s.transition(r - 1, r), phi, Q)
+
+
+def add_top_label(plan, s, points):
+    """Count the top label of the chart simplex s, at level k = plan.T.arity, on
+    `points` in the plan (LabelPlan.add_label); its key, None for a structural zero."""
+    k = plan.T.arity
+    if s.level != k:
+        raise ValidationError("level %d does not match arity %d" % (s.level, k))
+    ladder = tuple(s.transition(r - 1, r) for r in range(1, k + 1))
+    if label_vanishes(plan.T, s.n, ladder):
+        return None
+    return plan.add_label(ladder, tuple(s.transition(r, k) for r in range(1, k)), s.charts[-1],
+                          as_cloud(points, s.n))
 
 
 def cf_label_top(s, T, points):
@@ -59,7 +67,23 @@ def cf_label_top(s, T, points):
     nothing is evaluated, when k > n or some theta_r comes from an affine
     transition.
     """
-    return face_labels([s], T, as_cloud(points, s.n))[0]
+    P = as_cloud(points, s.n)
+    plan = LabelPlan(T)
+    key = add_top_label(plan, s, P)
+    return SampledForm.zeros(s.n, T.arity, P, ()) if key is None else plan.take(key)
+
+
+def sub_simplex(s, indices):
+    """Face chart simplex of s over a strictly increasing index subset."""
+    indices = tuple(indices)
+    if list(indices) != sorted(set(indices)):
+        raise ValidationError("indices must be strictly increasing")
+    charts = [s.charts[i] for i in indices]
+    trans = {}
+    for a in range(len(indices)):
+        for b in range(a + 1, len(indices)):
+            trans[(a, b)] = s.transition(indices[a], indices[b])
+    return ChartSimplex(charts, trans, s.source_points)
 
 
 def path_simplex(labeler, vertices, points):

@@ -22,6 +22,7 @@ from cocyclekit.cocycle import face_labels
 from cocyclekit.errors import ValidationError, nan_worst
 from cocyclekit.forms import SampledForm
 from cocyclekit.holomap import as_cloud
+import sampled_forms
 
 
 class ElementOps:
@@ -171,7 +172,7 @@ def cf_map(s, T):
     k = T.arity
     P = s.source_points
     top = list(itertools.combinations(range(s.level + 1), k + 1)) if s.level >= k else []
-    faces = dict(zip(top, face_labels([s.sub_simplex(cell) for cell in top], T, P)))
+    faces = dict(zip(top, face_labels(s, top, T)))
     labels = {}
     for l in range(1, s.level + 1):
         for cell in itertools.combinations(range(s.level + 1), l + 1):
@@ -193,7 +194,7 @@ def shifted_form_complex(n, k, points):
         return min(-degree, n) if degree != -k else k
 
     ops = ElementOps(
-        add=lambda x, y: x.add(y),
+        add=sampled_forms.add,
         scale=lambda a, x: SampledForm(x.n, x.k, x.points, a * x.values),
         norm=lambda x: x.max_abs(),
         zero=lambda degree: SampledForm.zeros(n, degree_k(degree), P, ()),

@@ -20,12 +20,12 @@ import cocyclekit.invariants as inv
 from cocyclekit.bm import dbar_closed_check, reproducing_integral
 from cocyclekit.cli import execute_checks
 from cocyclekit.errors import DomainError
-from cocyclekit.forms import sharp_pullback, theta
 from cocyclekit.scenario import Scenario
 import library as lib
 import dold_kan as sim
 import permutations as perm
 from chart_labels import validate
+from sampled_forms import add, sharp_pullback, sub, theta
 from cochains import base_value
 from hartogs import hartogs_diagonal
 from conftest import random_matrices, random_points, well_conditioned
@@ -138,9 +138,9 @@ def test_criterion_04_theta_composition_identity(rng):
             if not (f.is_affine() and g.is_affine()):
                 nonaffine += 1
             lhs = theta(hm.compose(f, g), pts_pool)
-            rhs = sharp_pullback(g, theta(f, g.eval(pts_pool)), pts_pool).add(
-                theta(g, pts_pool))
-            resid = lhs.sub(rhs).max_abs()
+            rhs = add(sharp_pullback(g, theta(f, g.eval(pts_pool)), pts_pool),
+                      theta(g, pts_pool))
+            resid = sub(lhs, rhs).max_abs()
             scale = 1.0 + lhs.max_abs()
             assert resid <= 1e-8 * scale, (fname, gname, resid)
         assert nonaffine >= 6

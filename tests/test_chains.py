@@ -18,6 +18,7 @@ import cocyclekit.cechgroup as cg
 import cocyclekit.cocycle as co
 import cocyclekit.holomap as hm
 import library as lib
+import sampled_forms as sf
 from chart_labels import COHERENCE_TOL, theta_r, validate
 from cocyclekit import cli
 from cocyclekit.errors import ValidationError
@@ -194,6 +195,37 @@ def test_structural_zeros_of_the_benchmark_workloads(workload, seed, tmp_path, m
     paths = workloads.write_scenarios(workload, seed, ROOT, tmp_path)
     scns = [Scenario.load(p) for p in paths]
     assert structural_zeros(scns, monkeypatch) == WORKLOAD_ZEROS[workload]
+
+
+def theta_composition_case(source, tmp_path):
+    """The scenario and theta-composition entry of chart-kernel at a seed, or of a file."""
+    if isinstance(source, int):
+        import workloads
+
+        path = tmp_path / "chart-kernel.scn"
+        path.write_text(json.dumps(workloads.chart_kernel(source)), encoding="utf-8")
+    else:
+        path = ROOT / source
+    scn = Scenario.load(path)
+    return scn, next(c for c in scn.checks if c["type"] == "theta-composition")
+
+
+@pytest.mark.parametrize("source", SEEDS + ("tests/every_check_field.scn",))
+def test_theta_composition_sides_equal_the_one_map_references(source, tmp_path, monkeypatch):
+    # both sides of the check through the label plan, bit for bit against theta, the
+    # sharp pullback and the sum of one map at a time; the plan holds nothing after
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    scn, entry = theta_composition_case(source, tmp_path)
+    P = entry["points"]
+    for fname, gname in entry["pairs"]:
+        f, g = scn.maps[fname], scn.maps[gname]
+        plan, identity = co.LabelPlan(None), hm.MapChain((), f.n)
+        lhs = plan.theta(hm.MapChain([hm.compose(f, g)]), identity, P)
+        rhs = plan.theta(hm.MapChain([f, g]), identity, P)
+        assert len(plan) == 0
+        want = sf.add(sf.sharp_pullback(g, sf.theta(f, g.eval(P)), P), sf.theta(g, P))
+        assert lhs.values.tobytes() == sf.theta(hm.compose(f, g), P).values.tobytes()
+        assert rhs.values.tobytes() == want.values.tobytes(), (fname, gname)
 
 
 def test_validate_keeps_a_nan_deviation():

@@ -7,6 +7,7 @@ import cocyclekit.holomap as hm
 from cocyclekit.errors import SingularJacobianError, ValidationError
 from cocyclekit.invariants import InvariantMap, todd_invariant
 import library as lib
+import sampled_forms as sf
 from conftest import numeric_partial, random_points
 
 TRACE = InvariantMap(1, {(1,): 1})
@@ -17,7 +18,7 @@ def cloud(points):
 
 
 def test_theta_identity_is_structural_zero():
-    th = fo.theta(lib.identity_map(2), [(0.3, 0.4)])
+    th = sf.theta(lib.identity_map(2), [(0.3, 0.4)])
     assert th.structurally_zero
     assert th.values.shape == (1, 2, 2, 2)
     assert np.all(th.values == 0)
@@ -25,11 +26,11 @@ def test_theta_identity_is_structural_zero():
 
 def test_theta_affine_is_structural_zero():
     m = lib.affine_map([[2, 1], [1, 1]], [0, 0])
-    assert fo.theta(m, [(0.3, 0.4)]).structurally_zero
+    assert sf.theta(m, [(0.3, 0.4)]).structurally_zero
 
 
 def test_theta_square_map_worked_value():
-    mats = fo.theta(lib.diagonal_square_map(), [(2.0, 1.0)]).values[0]
+    mats = sf.theta(lib.diagonal_square_map(), [(2.0, 1.0)]).values[0]
     assert np.allclose(mats[0], np.diag([0.5, 0.0]))
     assert np.allclose(mats[1], np.zeros((2, 2)))
 
@@ -37,7 +38,7 @@ def test_theta_square_map_worked_value():
 def test_theta_matches_numeric_jacobian_derivative(rng):
     m = lib.henon_map()
     pts = random_points(rng, 5, radius=0.4)
-    th = fo.theta(m, pts).values
+    th = sf.theta(m, pts).values
     for mats, p in zip(th, pts):
         Jinv = np.linalg.inv(m.jacobian([p])[0])
         for a in (1, 2):
@@ -52,14 +53,14 @@ def test_theta_matches_numeric_jacobian_derivative(rng):
 
 def test_theta_singular_jacobian_error_names_point():
     with pytest.raises(SingularJacobianError) as err:
-        fo.theta(lib.diagonal_square_map(), [(0.0, 1.0)])
+        sf.theta(lib.diagonal_square_map(), [(0.0, 1.0)])
     assert err.value.point == (0.0, 1.0)
 
 
 def test_sharp_pullback_identity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
-    omega = fo.theta(lib.henon_map(), P)
-    back = fo.sharp_pullback(lib.identity_map(2), omega, P)
+    omega = sf.theta(lib.henon_map(), P)
+    back = sf.sharp_pullback(lib.identity_map(2), omega, P)
     assert np.allclose(omega.values, back.values)
 
 
@@ -71,7 +72,7 @@ def test_sharp_pullback_affine_law(rng):
     M = [np.array([[1, 2], [3, 4]], dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
     P = cloud(random_points(rng, 3))
     omega = fo.SampledForm(2, 1, phi.eval(P), np.broadcast_to(np.array(M), (len(P), 2, 2, 2)))
-    out = fo.sharp_pullback(phi, omega, P)
+    out = sf.sharp_pullback(phi, omega, P)
     Ainv = np.linalg.inv(A)
     for got in out.values:
         for b in range(2):
@@ -85,15 +86,15 @@ def test_sharp_pullback_functoriality(rng):
     omega = lib.mobius_like_map()
     P = cloud(random_points(rng, 6, radius=0.3))
     G = g.eval(P)
-    lhs = fo.sharp_pullback(g, fo.sharp_pullback(f, fo.theta(omega, f.eval(G)), G), P)
-    rhs = fo.sharp_pullback(fg, fo.theta(omega, fg.eval(P)), P)
+    lhs = sf.sharp_pullback(g, sf.sharp_pullback(f, sf.theta(omega, f.eval(G)), G), P)
+    rhs = sf.sharp_pullback(fg, sf.theta(omega, fg.eval(P)), P)
     for a, b in zip(lhs.values, rhs.values):
         scale = 1 + max(np.max(np.abs(m)) for m in b)
         assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-8 * scale
 
 
 def test_apply_invariant_wedge_beyond_dimension():
-    omega = fo.theta(lib.henon_map(), [(0.2, 0.1)])
+    omega = sf.theta(lib.henon_map(), [(0.2, 0.1)])
     T3 = todd_invariant(3)
     out = fo.apply_invariant(T3, [omega, omega, omega])
     assert out.structurally_zero
@@ -101,7 +102,7 @@ def test_apply_invariant_wedge_beyond_dimension():
 
 
 def test_apply_invariant_trace_on_square_map():
-    th = fo.theta(lib.diagonal_square_map(), [(2.0, 1.0)])
+    th = sf.theta(lib.diagonal_square_map(), [(2.0, 1.0)])
     vals = fo.apply_invariant(TRACE, [th]).values[0]
     assert vals[0] == pytest.approx(0.5)
     assert vals[1] == pytest.approx(0.0)
@@ -116,9 +117,9 @@ def test_apply_invariant_pullback_naturality(rng):
         phi = maps[name]
         P = cloud(random_points(rng, 6, radius=0.3))
         Q = phi.eval(P)
-        w1, w2 = fo.theta(m1, Q), fo.theta(m2, Q)
+        w1, w2 = sf.theta(m1, Q), sf.theta(m2, Q)
         for T, omegas in ((todd_invariant(1), [w1]), (todd_invariant(2), [w1, w2])):
-            lhs = fo.apply_invariant(T, [fo.sharp_pullback(phi, w, P) for w in omegas])
+            lhs = fo.apply_invariant(T, [sf.sharp_pullback(phi, w, P) for w in omegas])
             rhs = fo.pullback_kform(phi, fo.apply_invariant(T, omegas), P)
             for a, b in zip(lhs.values, rhs.values):
                 scale = 1 + max(abs(v) for v in b)
@@ -129,8 +130,8 @@ def test_apply_invariant_antisymmetry(rng):
     # symmetric T of arity 2: swapping the two form slots flips the sign
     T2 = todd_invariant(2)
     P = cloud(random_points(rng, 5, radius=0.4))
-    w1 = fo.theta(lib.henon_map(), P)
-    w2 = fo.theta(lib.shear_map(), P)
+    w1 = sf.theta(lib.henon_map(), P)
+    w2 = sf.theta(lib.shear_map(), P)
     ab = fo.apply_invariant(T2, [w1, w2])
     ba = fo.apply_invariant(T2, [w2, w1])
     for va, vb in zip(ab.values, ba.values):
@@ -140,7 +141,7 @@ def test_apply_invariant_antisymmetry(rng):
 
 def test_pullback_kform_identity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
-    w = fo.apply_invariant(todd_invariant(1), [fo.theta(lib.henon_map(), P)])
+    w = fo.apply_invariant(todd_invariant(1), [sf.theta(lib.henon_map(), P)])
     back = fo.pullback_kform(lib.identity_map(2), w, P)
     for a, b in zip(back.values, w.values):
         assert a == pytest.approx(b)
@@ -157,8 +158,8 @@ def test_pullback_kform_top_degree_is_det(rng):
 
 def test_pullback_kform_functoriality(rng):
     def w_at(Q):
-        return fo.apply_invariant(todd_invariant(2), [fo.theta(lib.henon_map(), Q),
-                                                      fo.theta(lib.mobius_like_map(), Q)])
+        return fo.apply_invariant(todd_invariant(2), [sf.theta(lib.henon_map(), Q),
+                                                      sf.theta(lib.mobius_like_map(), Q)])
 
     f, g = lib.shear_map(), lib.henon_map()
     fg = hm.compose(f, g)
@@ -173,9 +174,9 @@ def test_pullback_kform_functoriality(rng):
 
 def test_matrix_one_form_linearity(rng):
     P = cloud(random_points(rng, 4, radius=0.4))
-    w1 = fo.theta(lib.henon_map(), P)
-    w2 = fo.theta(lib.shear_map(), P)
-    s = w1.add(w2)
+    w1 = sf.theta(lib.henon_map(), P)
+    w2 = sf.theta(lib.shear_map(), P)
+    s = sf.add(w1, w2)
     assert s.values.shape == (4, 2, 2, 2)
     for got, a, b in zip(s.values, w1.values, w2.values):
         assert all(np.allclose(x, y + z) for x, y, z in zip(got, a, b))
@@ -183,15 +184,15 @@ def test_matrix_one_form_linearity(rng):
 
 def test_sampled_form_round_trip(rng):
     pts = random_points(rng, 5, radius=0.4)
-    s = fo.apply_invariant(todd_invariant(1), [fo.theta(lib.henon_map(), pts)])
+    s = fo.apply_invariant(todd_invariant(1), [sf.theta(lib.henon_map(), pts)])
     payload = s.to_json()
     assert len(payload) == 5
     assert set(payload[0]["coefficients"]) == {"1", "2"}
     assert payload[0]["point"] == [[c.real, c.imag] for c in pts[0]]
-    diff = s.sub(s)
+    diff = sf.sub(s, s)
     assert np.all(diff.values == 0)
 
 
 def test_apply_invariant_arity_mismatch():
     with pytest.raises(ValidationError):
-        fo.apply_invariant(todd_invariant(2), [fo.theta(lib.henon_map(), [(0.1, 0.2)])])
+        fo.apply_invariant(todd_invariant(2), [sf.theta(lib.henon_map(), [(0.1, 0.2)])])

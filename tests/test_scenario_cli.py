@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cocyclekit.cli as cli
+import cocyclekit.cocycle as co
 import cocyclekit.scenario as scenario_mod
 from cocyclekit.cli import CHECK_RUNNERS, MAX_SYMFUN_DEGREE, main
 from cocyclekit.errors import ScenarioError
@@ -381,7 +382,7 @@ def test_affine_vanishing_fails_on_a_nan_value(monkeypatch):
     monkeypatch.setattr(cli, "cell_values", lambda tau: [((0, 2), ("u",), (), f) for f in forms])
     tau = types.SimpleNamespace(bidegrees=lambda: [(0, 2)])
     scn = types.SimpleNamespace(n=2, atlas=None, tau=lambda atlas, arity: tau)
-    result = cli.run_affine_vanishing(scn, {})
+    result = cli.verdict({}, *cli.run_affine_vanishing(scn, {}))
     assert result["status"] == "fail" and math.isnan(result["max_residual"])
 
 
@@ -391,12 +392,18 @@ def test_theta_composition_fails_on_a_nan_residual(tmp_path, monkeypatch):
                        "pairs": [["henon", "shear"], ["shear", "ident"]],
                        "points": [[[0.1, 0.2], [0.3, -0.1]]]}]
     scn = Scenario.load(write_scn(tmp_path, data))
-    theta = cli.theta
-    # theta of the first pair's composite is NaN; the second pair is finite
-    monkeypatch.setattr(cli, "theta", lambda f, P: SampledForm(
-        f.n, 1, P, np.full((len(P), f.n, f.n, f.n), math.nan)) if "henon" in str(f.name)
-        else theta(f, P))
-    result = cli.run_theta_composition(scn, scn.checks[0])
+    thetas = co.LabelPlan._thetas
+
+    # the plan's theta of a map named after henon is NaN: the first pair's composite
+    # and its henon piece; the second pair is finite
+    def nan_thetas(plan, batch):
+        values = thetas(plan, batch)
+        return [np.full_like(v, math.nan) for v in values] if "henon" in batch[0][0].name \
+            else values
+
+    monkeypatch.setattr(co.LabelPlan, "_thetas", nan_thetas)
+    entry = scn.checks[0]
+    result = cli.verdict(entry, *cli.run_theta_composition(scn, entry))
     assert math.isnan(result["pairs"][0]["residual"]) and result["pairs"][1]["residual"] < 1e-12
     assert result["status"] == "fail" and math.isnan(result["max_residual"])
 
@@ -404,9 +411,65 @@ def test_theta_composition_fails_on_a_nan_residual(tmp_path, monkeypatch):
 def test_bm_reproducing_fails_on_a_nan_value(monkeypatch):
     monkeypatch.setattr(cli, "reproducing_integral",
                         lambda radius, order: complex(math.nan if radius < 1 else 1.0, 0.0))
-    result = cli.run_bm_reproducing(None, {"radii": [0.5, 1.0], "tolerance": 1e-3})
+    entry = {"radii": [0.5, 1.0], "tolerance": 1e-3}
+    result = cli.verdict(entry, *cli.run_bm_reproducing(None, entry))
     assert [math.isnan(r["error"]) for r in result["radii"]] == [True, False]
     assert result["status"] == "fail" and math.isnan(result["max_residual"])
+
+
+THETA_COMPOSITION = {"type": "theta-composition", "pairs": [["henon", "shear"]],
+                     "points": [[[0.1, 0.2], [0.3, -0.1]], [[-0.2, 0.1], [0.05, 0.3]]]}
+# one check of every type that holds, on the scenario it runs on
+HOLDING = [("affine_torus.scn", {"type": "affine-vanishing"}),
+           ("affine_torus.scn", {"type": "tau-closedness"}),
+           ("witness_reparam.scn", {"type": "witness"}),
+           ("henon_z.scn", TELESCOPING),
+           ("henon_z.scn", dict(TELESCOPING, type="dk-validate")),
+           ("henon_z.scn", THETA_COMPOSITION),
+           ("henon_z.scn", {"type": "bm-dbar"}),
+           ("henon_z.scn", {"type": "bm-reproducing"})]
+# checks that do not hold: a non-affine atlas, a tolerance below every residual, and a
+# dbar step where rounding hides the order-two convergence
+FAILING = [("henon_z.scn", {"type": "affine-vanishing"}),
+           ("henon_z.scn", dict(THETA_COMPOSITION, tolerance=1e-300)),
+           ("henon_z.scn", {"type": "bm-dbar", "step": 1e-6}),
+           ("henon_z.scn", {"type": "bm-reproducing", "tolerance": 1e-300})]
+
+
+def run_check(tmp_path, base, entry, **fields):
+    """Exit code and report entry of `cocyclekit run` on the base scenario holding one check."""
+    data = load_scn(base)
+    data["checks"] = [dict(entry, name="check", **fields)]
+    out = tmp_path / "r.json"
+    code = main(["run", write_scn(tmp_path, data), "--output", str(out)])
+    return code, json.loads(out.read_text())["checks"][0]
+
+
+@pytest.mark.parametrize("base, entry", HOLDING, ids=[e["type"] for _, e in HOLDING])
+def test_a_negative_control_that_does_not_trip_fails(tmp_path, capsys, base, entry):
+    code, check = run_check(tmp_path, base, entry)
+    assert code == 0 and check["status"] == "pass"
+    code, check = run_check(tmp_path, base, entry, expect="fail")
+    assert code == 1
+    assert check["status"] == "fail" and check["detail"] == "negative control did not trip"
+    assert "[FAIL] check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("base, entry", FAILING, ids=[e["type"] for _, e in FAILING])
+def test_a_negative_control_that_trips_passes(tmp_path, capsys, base, entry):
+    code, check = run_check(tmp_path, base, entry)
+    assert code == 1 and check["status"] == "fail"
+    code, check = run_check(tmp_path, base, entry, expect="fail")
+    assert code == 0 and check["status"] == "pass"
+    assert check["detail"] == "negative control: failure expected and observed"
+
+
+def test_a_negative_control_that_raises_reports_the_error(tmp_path, capsys):
+    # every probe lies 1 from z, closer than 10 steps of 0.2
+    code, check = run_check(tmp_path, "henon_z.scn", {"type": "bm-dbar", "step": 0.2},
+                            expect="fail")
+    assert code == 1 and check["status"] == "error" and "detail" not in check
+    assert check["error"].startswith("DomainError: probe")
 
 
 def test_check_points_are_parsed_once_at_load(tmp_path):
