@@ -8,8 +8,9 @@ the bar identities happen symbolically before any floating-point addition.
 A TermPlan does that bookkeeping once for all cells of a bidegree, as integer
 arrays. Each base value is evaluated once on its own cell's cloud; other cells
 read it by row gather when clouds nest, and otherwise evaluate it on their own
-cloud or, under a group word, at the moved points. All the base values a plan
-needs are evaluated together, so the path labels of tau read one LabelPlan.
+cloud, pulled back along the group word of the term if it has one. All the
+base values a plan needs are evaluated together, so the path labels of tau
+read one LabelPlan.
 
 The tau invariant of an equivariant atlas assigns to each total-degree-n cell
 a signed sum over the (m,q)-shuffles of grid paths, each path contributing the
@@ -25,7 +26,7 @@ import numpy as np
 from . import forms
 from .cocycle import LabelPlan, label_vanishes
 from .errors import ValidationError, nan_worst
-from .forms import pullback_kform, signed_sum
+from .forms import signed_sum
 from .holomap import MapChain, compose, inverse_pairs
 
 # ---------------------------------------------------------------------------
@@ -239,10 +240,6 @@ class GroupActionSpec:
                     self._folds[key] = fg
         return self._folds[key]
 
-    def word_chain(self, word):
-        """rho(word) as a chain of generator maps."""
-        return MapChain(self.letter_maps(word), self.n, self.inverses)
-
     def round_trip(self, cover):
         """(error, generator) of the worst generator/inverse round trip on the declared clouds."""
         worst = (0.0, None)
@@ -300,13 +297,16 @@ def cell_multi_index(action, J, G):
 class MixedCochain:
     """Base cochain: per-bidegree providers of k-forms on cells.
 
-    provider(requests) returns the base values of a list of (J, G, points)
-    requests, each a SampledForm on the (N, n) cloud `points`, in request
-    order; every batch of base values in a bidegree is one provider call. The
-    optional vanishes(bidegree, J, G) is True when a base value is known to be
-    structurally zero before it is evaluated. The value on the cell's own
-    cloud is computed once and cached in _cache. A scenario builds each tau
-    once (Scenario.tau), so every check reading it shares the cache.
+    provider(requests) returns the values of a list of (J, G, points, pull)
+    requests in request order: the base value of the cell (J, G) pulled back
+    along rho(pull), a SampledForm on the (N, n) cloud `points`; with the
+    identity word pull it is the base value at `points`. Every batch of
+    values in a bidegree is one provider call. The optional
+    vanishes(bidegree, J, G) is True when a base value is known to be
+    structurally zero before it is evaluated; its pullbacks then vanish too.
+    The value on the cell's own cloud is computed once and cached in _cache.
+    A scenario builds each tau once (Scenario.tau), so every check reading it
+    shares the cache.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain",
@@ -332,7 +332,8 @@ class MixedCochain:
         cached are evaluated through one evaluate_all."""
         keys = [(bd, tuple(J), tuple(G)) for bd, J, G in keys]
         fresh = list(dict.fromkeys(k for k in keys if k not in self._cache))
-        values = self.evaluate_all([k + (self.cell_points(*k[1:]),) for k in fresh])
+        values = self.evaluate_all([k + (self.cell_points(*k[1:]), IDENTITY_WORD)
+                                    for k in fresh])
         self._cache.update(zip(fresh, values))
         return [self._cache[k] for k in keys]
 
@@ -341,15 +342,15 @@ class MixedCochain:
         return self._vanishes is not None and self._vanishes(bidegree, tuple(J), tuple(G))
 
     def evaluate_all(self, requests):
-        """Base values of (bidegree, J, G, points) requests, in request order: one
-        provider call per bidegree."""
+        """Values of (bidegree, J, G, points, pull) requests, in request order: base
+        values pulled back along rho(pull), one provider call per bidegree."""
         batches = {}
-        for i, ((m, q), J, G, P) in enumerate(requests):
+        for i, ((m, q), J, G, P, pull) in enumerate(requests):
             if (m, q) not in self.components:
                 raise ValidationError("no component in bidegree %r" % ((m, q),))
             if len(J) != m + 1 or len(G) != q:
                 raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-            batches.setdefault((m, q), []).append((i, (tuple(J), tuple(G), P)))
+            batches.setdefault((m, q), []).append((i, (tuple(J), tuple(G), P, pull)))
         out = [None] * len(requests)
         for bd, batch in batches.items():
             values = self.components[bd]([request for _, request in batch])
@@ -359,20 +360,6 @@ class MixedCochain:
 
     def cell_points(self, J, G):
         return self.cover.cloud(cell_multi_index(self.action, J, G))
-
-    def evaluate_terms(self, terms):
-        """Terms (bd, J, G, word) on (N, n) clouds, from (term, points) pairs, in order.
-
-        Without a word the base value is evaluated at `points` (a cloud it does
-        not nest in); under a group word it is evaluated at the moved points and
-        pulled back along the word. All go through one evaluate_all.
-        """
-        chains = [None if pull.is_identity() else self.action.word_chain(pull)
-                  for (_, _, _, pull), _ in terms]
-        values = self.evaluate_all([(bd, J, G, P if chain is None else chain.eval(P))
-                                    for ((bd, J, G, _), P), chain in zip(terms, chains)])
-        return [value if chain is None else pullback_kform(chain, value, P)
-                for value, chain, (_, P) in zip(values, chains, terms)]
 
     def expression(self):
         return CochainExpression(self, {bd: ("base", bd) for bd in self.components})
@@ -618,10 +605,11 @@ class TermPlan:
 
         A term reads its base value's own values by row gather where that
         cloud nests the cell's, and otherwise a value evaluated once per (key,
-        cloud) on the cell's cloud. Own values not yet cached and the others
-        are evaluated by one evaluate_terms call, so the labels of all of them
-        share one label plan per base bidegree, and a term is dropped when the
-        value it reads is structurally zero. Every own value is stored once,
+        cloud) on the cell's cloud: at its points, or pulled back along the
+        term's group word. Own values not yet cached and the others are
+        evaluated by one evaluate_all call, so the labels of all of them share
+        one label plan per base bidegree, and a term is dropped when the value
+        it reads is structurally zero. Every own value is stored once,
         in the own table, and the cochain's _cache keeps views into it; the
         rest table holds the values on other clouds, for the life of the plan.
         """
@@ -659,9 +647,10 @@ class TermPlan:
         pairs, _, pair_of = _unique_rows(np.stack([key[moved], target[moved]], 1))
         cache = base._cache
         fresh = [k for k in own_keys if self.keys[k][:3] not in cache]
-        values = base.evaluate_terms(
-            [(self.keys[k][:3] + (IDENTITY_WORD,), self.points_of(self._own[k])) for k in fresh]
-            + [(self.keys[k], self.points_of(tgt)) for k, tgt in pairs.tolist()])
+        values = base.evaluate_all(
+            [self.keys[k][:3] + (self.points_of(self._own[k]), IDENTITY_WORD) for k in fresh]
+            + [self.keys[k][:3] + (self.points_of(tgt), self.keys[k][3])
+               for k, tgt in pairs.tolist()])
         cache.update((self.keys[k][:3], v) for k, v in zip(fresh, values))
         # slots: the own values (the own table), then the moved values (the rest
         # table); structural zeros get none
@@ -826,6 +815,7 @@ class PathLabeler:
         self._vertices = {}
         self._shuffles = {}
         self._labels = {}
+        self._pulled = {}  # (top chart, word) -> the top chart extended by the word's letters
 
     def _words(self, G):
         """(heads, tails) of the word tuple G: heads[s] = G[0] ... G[s-1] and
@@ -887,8 +877,22 @@ class PathLabeler:
         """True when every path label of the cell vanishes, so its cell form does."""
         return not self.labels(J, G, step_types)
 
+    def pulled_top(self, top, pull):
+        """The top chart chain followed by the letter maps of the word pull, built once
+        per (top, pull): a label pulled back along rho(pull) is the label of this
+        top chart on the same path, so the base value of (J, G) pulled back along
+        rho(pull) on a cloud P is the signed sum of those labels on P."""
+        if pull.is_identity():
+            return top
+        chain = self._pulled.get((top, pull))
+        if chain is None:
+            chain = self._pulled[(top, pull)] = MapChain(
+                top.pieces + tuple(self.action.letter_maps(pull)), self.n, self.inverses)
+        return chain
+
     def cell_forms(self, step_types, requests):
-        """Signed shuffle sums of the path labels of (J, G, points) requests, in order.
+        """Signed shuffle sums of the path labels of (J, G, points, pull) requests, in
+        order, each label's top chart extended by the letters of pull (pulled_top).
 
         Every path label of every request is counted in one LabelPlan before
         any is evaluated, so a request whose labels are all structurally zero
@@ -898,9 +902,9 @@ class PathLabeler:
         first use. Each sum still adds its labels in shuffle order.
         """
         plan = LabelPlan(self.T)
-        labels = [[(sign, plan.add_label(ladder, pullbacks, top, P))
+        labels = [[(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull), P))
                    for sign, ladder, pullbacks, top in self.labels(J, G, step_types)]
-                  for J, G, P in requests]
+                  for J, G, P, pull in requests]
         ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
         out = [None] * len(requests)
         for i in sorted(range(len(requests)), key=ranks.__getitem__):

@@ -24,7 +24,7 @@ from .errors import DomainError, ScenarioError, ValidationError, nan_worst
 from .holomap import MapChain, compose
 from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
                          format_symfun, newton_convert, todd_component, todd_invariant)
-from .scenario import Scenario, validate_bm_fields
+from .scenario import Scenario, validate_bm_fields, validate_check_fields
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,8 @@ def _residual_fields(report):
     worst = report.get("worst_cell")
     if worst:
         out["worst_cell"] = str(worst)
+    if "worst_point" in report:
+        out["worst_point"] = report["worst_point"]
     cells = report.get("cells")
     if cells:
         out["worst"] = cells[0]
@@ -304,6 +306,7 @@ def cmd_todd_cocycle(args):
 
 
 def cmd_verify_cocycle(args):
+    validate_check_fields({"tolerance": args.tolerance}, "verify-cocycle")
     scn = Scenario.load(args.scenario)
     report = closedness_report(scn.tau(scn.atlas, scn.n), tol=args.tolerance)
     report = {"tool": "cocyclekit", "version": __version__,
@@ -327,6 +330,7 @@ def cmd_group_invariant(args):
 
 
 def cmd_witness(args):
+    validate_check_fields({"tolerance": args.tolerance}, "witness")
     scn = Scenario.load(args.scenario)
     if scn.atlas_b is None:
         raise ScenarioError("scenario has no atlas_b section")

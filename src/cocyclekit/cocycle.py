@@ -18,9 +18,9 @@ import numpy as np
 
 from . import forms
 from .errors import DomainError, ValidationError, nan_worst
-from .forms import (SampledForm, apply_invariant, jacobian_minors, pullback_kform,
+from .forms import (SampledForm, apply_invariant, jacobian_minors, minor_pullback,
                     sharp_values, signed_sum, theta_values)
-from .holomap import MapChain, as_chain, as_cloud, reduced, split_rows, stack
+from .holomap import MapChain, as_chain, as_cloud, invert_jacobians, reduced, split_rows, stack
 
 MIN_SAMPLE_WARN = 8
 
@@ -88,13 +88,16 @@ class LabelPlan:
     - a theta key (p, X), once per distinct theta_r key, on X = psi(Q);
     - a minors key (the top chart's pieces, P): the k x k minors of the top
       chart's Jacobian on the source cloud P, which the label's pullback reads;
-    - the map memo entries that evaluation fills: each piece of psi and of the
-      top chart on the cloud it maps, and p on X.
+    - the map values that evaluation reads, one store entry per (named map,
+      cloud): each piece of psi and of the top chart on the cloud it maps,
+      and p on X.
 
     A label's key is its transition chains, its top chart's pieces and its
     source cloud. Clouds enter keys as ids of their exact bytes, so equal
     clouds in distinct arrays share keys. A structurally zero label
-    (label_vanishes) has the key None and reads no map.
+    (label_vanishes) has the key None and reads no map. Maps keep no values
+    (holomap.HoloMap): the plan evaluates a map on a cloud when it counts the
+    cloud's image, and holds Jacobians and inverse Jacobians in its store.
 
     Keys are evaluated in batches, one stage at a time: the theta keys of one
     named map, all theta_r keys, the minors keys of one top chart, and the
@@ -104,13 +107,14 @@ class LabelPlan:
     forms.BATCH_ENTRIES complex entries (the first key always joins). A batch
     stacks its clouds into one array for one kernel call per step (a map's
     program, the inversion, each einsum, apply_invariant) and splits the rows
-    back per key. A theta_r batch runs each named map once on the clouds its
-    chains bring to it; a chain's Jacobian is the product of its pieces', its
-    inverse the reversed product of theirs, so no composite is inverted. Maps
-    memoize only the real clouds (HoloMap.stacked). Each key is held from its
-    evaluation to its last use, then dropped. A map memo entry that the plan
-    fills is forgotten (HoloMap.forget) once no later key reads it; one it
-    finds filled is kept.
+    back per key. A theta_r or minors batch runs each named map once on the
+    clouds its chains bring to it; a chain's Jacobian is the product of its
+    pieces', its inverse the reversed product of theirs, so no composite is
+    inverted. The store fills the clouds of a map it does not hold with one
+    program run on their stack (one inversion for inverse Jacobians) and
+    keeps each cloud's rows under that cloud's id, never a stack's. Each key
+    and each store entry is held from its evaluation to its last read, then
+    dropped, so a plan whose keys are all taken holds nothing.
 
     When a batch raises (SingularJacobianError, DomainError), the key taken is
     evaluated again alone, so the error is the one that key raises on its own
@@ -126,7 +130,8 @@ class LabelPlan:
         self._stage = {}    # key not yet evaluated -> its (stage, map)
         self._pending = {}  # (stage, map) -> {key: (entries, arguments)}, in count order
         self._ranks = {}    # label key -> sort key of the clouds it reads
-        self._memo = {}     # (map, cloud id) -> keys still to read a memo entry it filled
+        self._reads = {}    # (map, cloud id) -> keys still to read its store entry
+        self._store = {}    # (map, cloud id) -> {"jacobian" or "jacobian_inverse": rows}
         self._images = {}   # (map, cloud id) -> id of the map's image of the cloud
         self._rungs = {}    # (transition, pullback) chains -> (piece, pieces of psi) per term
         self._clouds = {}   # exact bytes of a cloud -> its id
@@ -134,7 +139,7 @@ class LabelPlan:
 
     def __len__(self):
         """Keys counted or held and not yet released."""
-        return len(self._uses) + len(self._held) + len(self._memo)
+        return len(self._uses) + len(self._held) + len(self._reads)
 
     def _cloud(self, P):
         data = P.tobytes()
@@ -172,14 +177,28 @@ class LabelPlan:
         self._stage[key] = (stage, m)
         self._pending.setdefault((stage, m), {})[key] = (entries, args)
 
-    def _count_memo(self, m, cid):
-        """One more read of m's memo entry on a cloud, before anything fills it; an
-        entry already filled is not the plan's and is not counted."""
-        reads = self._memo.get((m, cid))
-        if reads is not None:
-            self._memo[(m, cid)] = reads + 1
-        elif not m.remembers(self._points[cid]):
-            self._memo[(m, cid)] = 1
+    def _count_read(self, m, cid):
+        """One more read of the store entry of a named map m on the cloud with id cid."""
+        self._reads[(m, cid)] = self._reads.get((m, cid), 0) + 1
+
+    def _values(self, kind, m, cids):
+        """The "jacobian" or "jacobian_inverse" rows of a named map m on the clouds with
+        ids cids, stacked. The clouds not held are computed together, by one program
+        run (or one inversion of their held Jacobians) on their stack, and each
+        cloud's rows are held under its own id, read-only, since every key of the
+        plan that reads them shares them. A raised error is never stored, so a
+        failing cloud fails on every call."""
+        fresh = [cid for cid in dict.fromkeys(cids) if kind not in self._store.get((m, cid), ())]
+        if fresh:
+            clouds = [self._points[cid] for cid in fresh]
+            if kind == "jacobian":
+                rows = m.jacobian(stack(clouds))
+            else:
+                rows = invert_jacobians(self._values("jacobian", m, fresh), stack(clouds))
+            rows.flags.writeable = False
+            for cid, block in zip(fresh, split_rows(rows, clouds)):
+                self._store.setdefault((m, cid), {})[kind] = block
+        return stack([self._store[(m, cid)][kind] for cid in cids])
 
     def take(self, key):
         """The value of a counted key, evaluated with its batch if not held; dropped after
@@ -229,14 +248,12 @@ class LabelPlan:
             self._ranks.pop(key, None)
 
     def _release(self, m, cid):
-        """One read of m's memo entry on a cloud done; the last forgets an entry it filled."""
-        reads = self._memo.pop((m, cid), None)
-        if reads is None:
-            return
-        if reads > 1:
-            self._memo[(m, cid)] = reads - 1
+        """One read of m's store entry on a cloud done; the last drops the entry."""
+        reads = self._reads.pop((m, cid)) - 1
+        if reads:
+            self._reads[(m, cid)] = reads
         else:
-            m.forget(self._points[cid])
+            del self._store[(m, cid)]
 
     def _add_theta(self, p, xid):
         """Count theta(p) of a named map p on the cloud with id xid; its key."""
@@ -244,7 +261,7 @@ class LabelPlan:
         if self._count(key):
             X = self._points[xid]
             self._pend(key, self._thetas, p, len(X) * p.n ** 3, (p, X, xid))
-            self._count_memo(p, xid)
+            self._count_read(p, xid)
         return key
 
     def _add_term(self, p, psi, qid):
@@ -256,7 +273,7 @@ class LabelPlan:
         first, xid = self._count(key), qid
         for m in reversed(psi):
             if first:
-                self._count_memo(m, xid)
+                self._count_read(m, xid)
             xid = self._image(m, xid)
         if first:
             Q = self._points[qid]
@@ -301,11 +318,11 @@ class LabelPlan:
             first, qid = self._count(minors), pid
             for m in reversed(pieces):
                 if first:
-                    self._count_memo(m, qid)
+                    self._count_read(m, qid)
                 qid = self._image(m, qid)
             if first:
                 self._pend(minors, self._minors, pieces, len(P) * (math.comb(n, k) * k) ** 2,
-                           (top, P, pid))
+                           (pieces, P, pid))
             rungs = [self._add_rung(f, phi, qid)
                      for f, phi in zip(ladder, pullbacks + (MapChain((), n),))]
             self._pend(key, self._labels, pieces,
@@ -322,12 +339,46 @@ class LabelPlan:
         """
         return self._ranks[key]
 
+    def _chain_jacobians(self, chains, walks, clouds, inverse):
+        """Stacked Jacobians of chains (tuples of named maps) on their clouds, from the
+        clouds their pieces map (walks): products of the pieces' held Jacobians, and
+        with `inverse` also the inverses, the reversed products of the pieces'
+        inverses. A chain without pieces has the identity. Each named map runs once,
+        on every cloud the chains bring to it."""
+        kind = "jacobian_inverse" if inverse else "jacobian"
+        ends = np.cumsum([len(P) for P in clouds])
+        rows = [np.arange(end - len(P), end) for P, end in zip(clouds, ends)]
+        # the chains each named map moves at each depth, innermost piece first
+        groups = {}
+        for i, chain in enumerate(chains):
+            for depth, m in enumerate(reversed(chain)):
+                groups.setdefault((depth, m), []).append(i)
+        runs = {}
+        for (depth, m), members in groups.items():
+            runs.setdefault(m, {}).update((walks[i][depth], None) for i in members)
+        for m, cids in runs.items():
+            self._values(kind, m, list(cids))
+        n = clouds[0].shape[1]
+        J = np.broadcast_to(np.eye(n, dtype=complex), (int(ends[-1]), n, n)).copy()
+        Jinv = J.copy() if inverse else None
+        for depth, m in sorted(groups, key=lambda group: group[0]):
+            members = groups[(depth, m)]
+            at = np.concatenate([rows[i] for i in members])
+            cids = [walks[i][depth] for i in members]
+            Jm = self._values("jacobian", m, cids)
+            J[at] = Jm @ J[at] if depth else Jm
+            if inverse:
+                Im = self._values("jacobian_inverse", m, cids)
+                Jinv[at] = Jinv[at] @ Im if depth else Im
+        return J, Jinv
+
     # the stages: each evaluates a batch of argument tuples, one value per tuple,
     # and uses up the batch's reads only once every value exists
 
     def _thetas(self, batch):
         f, clouds = batch[0][0], [X for _, X, _ in batch]
-        values = theta_values(f.stacked("jacobian_inverse", clouds), f.djacobian(stack(clouds)))
+        Jinv = self._values("jacobian_inverse", f, [xid for _, _, xid in batch])
+        values = theta_values(Jinv, f.djacobian(stack(clouds)))
         for _, _, xid in batch:
             self._release(f, xid)
         return split_rows(values, clouds)
@@ -335,33 +386,7 @@ class LabelPlan:
     def _theta_rs(self, batch):
         walks = [self._walk(psi, qid) for psi, _, _, qid in batch]
         clouds = [Q for _, _, Q, _ in batch]
-        ends = np.cumsum([len(Q) for Q in clouds])
-        rows = [np.arange(end - len(Q), end) for Q, end in zip(clouds, ends)]
-        # the keys each named map moves at each depth, innermost piece first
-        groups = {}
-        for i, (psi, _, _, _) in enumerate(batch):
-            for depth, m in enumerate(reversed(psi)):
-                groups.setdefault((depth, m), []).append(i)
-        # each named map runs once, on every cloud the batch's chains bring to it
-        runs = {}
-        for (depth, m), members in groups.items():
-            runs.setdefault(m, {}).update((walks[i][depth], None) for i in members)
-        for m, cids in runs.items():
-            m.stacked("jacobian_inverse", [self._points[c] for c in cids])
-        # the chains' Jacobians, products of their pieces', and the inverses, the
-        # reversed products of the pieces' inverses
-        n = clouds[0].shape[1]
-        J = np.empty((int(ends[-1]), n, n), dtype=complex)
-        Jinv = np.empty_like(J)
-        for depth, m in sorted(groups, key=lambda group: group[0]):
-            members = groups[(depth, m)]
-            at = np.concatenate([rows[i] for i in members])
-            points = [self._points[walks[i][depth]] for i in members]
-            Jm, Im = m.stacked("jacobian", points), m.stacked("jacobian_inverse", points)
-            if depth:
-                J[at], Jinv[at] = Jm @ J[at], Jinv[at] @ Im
-            else:
-                J[at], Jinv[at] = Jm, Im
+        J, Jinv = self._chain_jacobians([psi for psi, _, _, _ in batch], walks, clouds, True)
         omegas = stack([self._get(theta_key) for _, theta_key, _, _ in batch])
         values = split_rows(sharp_values(J, Jinv, omegas), clouds)
         for (psi, theta_key, _, _), cids in zip(batch, walks):
@@ -371,11 +396,12 @@ class LabelPlan:
         return values
 
     def _minors(self, batch):
-        clouds = [P for _, P, _ in batch]
-        pieces = batch[0][0].pieces
-        values = jacobian_minors(stack([top.jacobian(P) for top, P, _ in batch]), self.T.arity)
-        for _, _, pid in batch:
-            for m, cid in zip(reversed(pieces), self._walk(pieces, pid)):
+        pieces, clouds = batch[0][0], [P for _, P, _ in batch]
+        walks = [self._walk(pieces, pid) for _, _, pid in batch]
+        J, _ = self._chain_jacobians([pieces] * len(batch), walks, clouds, False)
+        values = jacobian_minors(J, self.T.arity)
+        for cids in walks:
+            for m, cid in zip(reversed(pieces), cids):
                 self._release(m, cid)
         return split_rows(values, clouds)
 
@@ -388,7 +414,7 @@ class LabelPlan:
         Q = stack([self._points[qid] for _, _, _, _, qid in batch])
         wedge = apply_invariant(self.T, [SampledForm(top.n, 1, Q, stack(
             [values[r] for values in rungs])) for r in range(k)])
-        values = pullback_kform(top, wedge, stack(clouds), minors).values
+        values = minor_pullback(wedge.values, minors)
         for _, _, reads, m, _ in batch:
             for terms in reads:
                 for t in terms:

@@ -7,9 +7,9 @@ theta(f) = J^{-1} dJ is a matrix 1-form, fibre (n, n), indexed
 pulling back its 1-form part. Both are kernels on stacked Jacobians
 (theta_values, sharp_values), which the label plan (cocycle.LabelPlan) runs
 on the named maps of a chain. A GL-invariant map applied to k matrix 1-forms
-wedges them into a scalar k-form (empty fibre), which pulls back along a map
-through Jacobian minors. Every function here takes the cloud it evaluates on;
-a form evaluated at phi(points) is pulled back to `points`.
+wedges them into a scalar k-form (empty fibre), which the label plan pulls
+back along a top chart through its Jacobian minors (jacobian_minors,
+minor_pullback).
 
 A form that vanishes for structural reasons (theta of an affine map, a wedge
 beyond the dimension, or any input of such) carries structurally_zero and
@@ -147,25 +147,6 @@ def _perm_sign(sig):
             if sig[i] > sig[j]:
                 sign = -sign
     return sign
-
-
-def pullback_kform(phi, w, points, minors=None):
-    """Holomorphic pullback of a scalar k-form sampled at phi(points), via Jacobian minors.
-
-    `minors` are phi's jacobian_minors on `points`, for a caller that holds them
-    across several pullbacks; by default they are computed here.
-    """
-    n, k = w.n, w.k
-    if phi.n != n:
-        raise ValidationError("dimension mismatch")
-    P = as_cloud(points, n)
-    if w.structurally_zero:
-        return SampledForm.zeros(n, k, P, ())
-    if k == 0:
-        return SampledForm(n, k, P, w.values)
-    if minors is None:
-        minors = jacobian_minors(phi.jacobian(P), k)
-    return SampledForm(n, k, P, minor_pullback(w.values, minors))
 
 
 def jacobian_minors(J, k):

@@ -34,7 +34,7 @@ def split_rows(array, parts):
 
 
 def singular_jacobians(J):
-    """(det J, mask) of stacked Jacobians, singular where |det J| <= DET_TOL * ||J||_F^n.
+    """(det J, mask) of (N, n, n) Jacobians, singular where |det J| <= DET_TOL * ||J||_F^n.
 
     The test is scale-invariant, and the zero matrix counts as singular.
     """
@@ -43,7 +43,7 @@ def singular_jacobians(J):
 
 
 def invert_jacobians(J, points):
-    """Inverses of stacked Jacobians; names the first point singular_jacobians flags."""
+    """Inverses of (N, n, n) Jacobians; names the first point singular_jacobians flags."""
     det, bad = singular_jacobians(J)
     if bad.any():
         i = int(np.argmax(bad))
@@ -66,17 +66,12 @@ class HoloMap:
     this map on the left, built only by the compose oracle, are memoized in
     _composed.
 
-    The values, Jacobians and inverse Jacobians on a cloud are memoized in
-    _memo, keyed by the exact bytes of the (N, n) cloud: callers hand in fresh
-    arrays (as_cloud views, row gathers, equal clouds of different cells), so
-    only the point content identifies a cloud. stacked() evaluates several
-    clouds on their stack and stores each cloud's rows under its own key, so
-    a stack is never a key. An entry lives as long as the map or until
-    forget(points) drops it: a label plan (cocycle.LabelPlan)
-    forgets the entries it filled once none of its labels reads them again,
-    and keeps those it found. Second derivatives (djacobian) are not memoized
-    here; the label plan evaluates theta, which reads them, once per (map,
-    cloud) (README, "Evaluation on clouds").
+    A map keeps no values: eval, jacobian and djacobian each run their
+    compiled program on the (N, n) cloud they are given, and a stack of
+    clouds is one larger cloud. Which values are kept, and for how long, is
+    the caller's decision: a label plan (cocycle.LabelPlan) holds the
+    Jacobians and inverse Jacobians its keys read, once per (map, cloud), and
+    drops each at its last read (README, "Evaluation on clouds").
     """
 
     def __init__(self, n, components, name=""):
@@ -97,7 +92,6 @@ class HoloMap:
         self._fns = {}
         self._composed = {}
         self._affine = None
-        self._memo = {}
 
     def _compiled(self, kind, exprs):
         fn = self._fns.get(kind)
@@ -106,49 +100,9 @@ class HoloMap:
             self._fns[kind] = fn
         return fn
 
-    def stacked(self, kind, clouds):
-        """The "eval", "jacobian" or "jacobian_inverse" rows of several (N_i, n) clouds,
-        stacked into one array; computed once per kind and distinct point content.
-
-        The clouds without a stored entry are computed together, by one run of
-        the program (and one inversion) on their stack, and each cloud's rows
-        are stored under that cloud's own bytes, never under a stack's. The
-        stored arrays are read-only, since every caller shares them. A raised
-        error is never stored, so a failing cloud fails on every call.
-        """
-        keys = [P.tobytes() for P in clouds]
-        fresh = {}
-        for key, P in zip(keys, clouds):
-            if kind not in self._memo.get(key, ()):
-                fresh.setdefault(key, P)
-        if fresh:
-            out = getattr(self, "_" + kind)(list(fresh.values()))
-            out.flags.writeable = False
-            for key, rows in zip(fresh, split_rows(out, fresh.values())):
-                self._memo.setdefault(key, {})[kind] = rows
-        return stack([self._memo[key][kind] for key in keys])
-
-    def _eval(self, clouds):
-        return self._compiled("eval", lambda: self.components)(stack(clouds))
-
-    def _jacobian(self, clouds):
-        fn = self._compiled("jacobian", lambda: [e for row in self.jac_exprs() for e in row])
-        return fn(stack(clouds)).reshape(-1, self.n, self.n)
-
-    def _jacobian_inverse(self, clouds):
-        return invert_jacobians(self.stacked("jacobian", clouds), stack(clouds))
-
-    def remembers(self, points):
-        """True when _memo holds an entry for the point content of the cloud `points`."""
-        return as_cloud(points, self.n).tobytes() in self._memo
-
-    def forget(self, points):
-        """Drop the _memo entry of the cloud `points`, if there is one."""
-        self._memo.pop(as_cloud(points, self.n).tobytes(), None)
-
     def eval(self, points):
         """(N, n) points -> (N, n) values."""
-        return self.stacked("eval", [as_cloud(points, self.n)])
+        return self._compiled("eval", lambda: self.components)(as_cloud(points, self.n))
 
     def jac_exprs(self):
         if self._jac is None:
@@ -166,7 +120,9 @@ class HoloMap:
 
     def jacobian(self, points):
         """(N, n) points -> (N, n, n) Jacobians."""
-        return self.stacked("jacobian", [as_cloud(points, self.n)])
+        n = self.n
+        fn = self._compiled("jacobian", lambda: [e for row in self.jac_exprs() for e in row])
+        return fn(as_cloud(points, n)).reshape(-1, n, n)
 
     def djacobian(self, points):
         """d/dz_a of the Jacobian at every point, indexed [point, a - 1, row, col]."""
@@ -174,10 +130,6 @@ class HoloMap:
         fn = self._compiled("djacobian", lambda: [e for a in range(1, n + 1)
                                                   for row in self.djac_exprs(a) for e in row])
         return fn(as_cloud(points, n)).reshape(-1, n, n, n)
-
-    def jacobian_inverse(self, points):
-        """(N, n) points -> (N, n, n) inverse Jacobians."""
-        return self.stacked("jacobian_inverse", [as_cloud(points, self.n)])
 
     def is_affine(self):
         """True when every second derivative folds to the literal zero node; decided once."""
@@ -242,10 +194,10 @@ class MapChain:
     The constructor drops identity pieces and every adjacent pair (f, g)
     listed in `inverses` (declared f . g = id), as Word reduces letters, so a
     chain that is the identity holds no piece. Chains compare and hash by
-    their pieces. Values and Jacobians come from the pieces' memos (chain rule
-    on stacked matrices); theta of a chain follows from the pieces' thetas by
-    the composition rule (cocycle.LabelPlan), so only named maps are
-    differentiated.
+    their pieces, and are the keys of the label plan (cocycle.LabelPlan),
+    which evaluates a chain only through its pieces: it walks a cloud through
+    them, multiplies their Jacobians (chain rule) and adds their thetas by the
+    composition rule, so only named maps are evaluated and differentiated.
     """
 
     def __init__(self, pieces, n=None, inverses=frozenset()):
@@ -272,25 +224,6 @@ class MapChain:
         if self._affine is None:
             self._affine = all(p.is_affine() for p in self.pieces)
         return self._affine
-
-    def eval(self, points):
-        P = as_cloud(points, self.n)
-        for p in reversed(self.pieces):
-            P = p.eval(P)
-        return P
-
-    def jacobian(self, points):
-        """Chain rule; each piece but the outermost moves the points on to the next."""
-        P = as_cloud(points, self.n)
-        if not self.pieces:
-            return np.broadcast_to(np.eye(self.n, dtype=complex), (len(P), self.n, self.n))
-        inner, *outer = reversed(self.pieces)
-        J = inner.jacobian(P)
-        for p in outer:
-            P = inner.eval(P)
-            J = p.jacobian(P) @ J
-            inner = p
-        return J
 
     def __repr__(self):
         return "MapChain(%s)" % " . ".join(p.name or "?" for p in self.pieces)

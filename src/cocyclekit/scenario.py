@@ -247,7 +247,7 @@ class Scenario:
             if name in seen:
                 raise ScenarioError("duplicate check name %r" % name, loc)
             seen.add(name)
-            _validate_fields(entry, _CHECK_FIELDS, loc)
+            validate_check_fields(entry, loc)
             tol = entry.get("tolerance", 1e-7)
             self._validate_check_refs(ctype, entry, loc)
             checks.append(dict(entry, name=name, tolerance=tol,
@@ -410,6 +410,11 @@ def _index_list(value, location):
         raise ScenarioError("must be a nonempty list of index strings, got %r" % (value,),
                             location)
     return value
+
+
+def validate_check_fields(entry, location):
+    """The ranges docs/scenario.schema.json gives the fields every check entry shares."""
+    _validate_fields(entry, _CHECK_FIELDS, location)
 
 
 def validate_bm_fields(entry, location):

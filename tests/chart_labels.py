@@ -14,6 +14,7 @@ from cocyclekit.cocycle import ChartSimplex, LabelPlan, label_vanishes
 from cocyclekit.errors import ValidationError, nan_worst
 from cocyclekit.forms import SampledForm
 from cocyclekit.holomap import MapChain, as_cloud
+from map_values import image
 
 COHERENCE_TOL = 1e-9
 
@@ -25,8 +26,8 @@ def validate(s):
     W = s.source_points
     for (p, q), phi in s.transitions.items():
         if len(W):
-            lhs = phi.eval(s.charts[q].eval(W))
-            worst = max(worst, float(np.max(np.abs(lhs - s.charts[p].eval(W)))),
+            lhs = image(phi, image(s.charts[q], W))
+            worst = max(worst, float(np.max(np.abs(lhs - image(s.charts[p], W)))),
                         key=nan_worst)
     if not worst <= COHERENCE_TOL:
         raise ValidationError("chart simplex incoherent: max deviation %.3e > %.1e"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import cocyclekit.expr as ex
 from cocyclekit.cechgroup import TermPlan
 from cocyclekit.holomap import compose
 from cocyclekit.forms import SampledForm
+from map_values import word_pullback
 
 
 @pytest.fixture
@@ -15,9 +17,12 @@ def random_matrices(rng, k, n):
     return [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(k)]
 
 
-def per_cell(provider):
-    """A MixedCochain provider of (J, G, points) requests from a one-cell provider(J, G, points)."""
-    return lambda requests: [provider(J, G, P) for J, G, P in requests]
+def per_cell(provider, action=None):
+    """A MixedCochain provider of (J, G, points, pull) requests from a one-cell
+    provider(J, G, points); a request under a group word is evaluated at the moved
+    points and pulled back along the word of `action` (map_values.word_pullback)."""
+    return lambda requests: [word_pullback(action, provider, J, G, P, pull)
+                             for J, G, P, pull in requests]
 
 
 def plan_form(plan, c, total):
@@ -73,8 +78,25 @@ def numeric_partial(fn, point, var, h=1e-3):
 
 def word_composite(action, word):
     """rho(word) of a non-identity word as one symbolic composite, innermost letter
-    first: the oracle for the chains the pass builds (GroupActionSpec.word_chain)."""
+    first: the oracle for the chains of letter maps the pass builds (map_values.word_chain)."""
     m = action.letter_map(*word.letters[-1])
     for name, sgn in reversed(word.letters[:-1]):
         m = compose(action.letter_map(name, sgn), m)
     return m
+
+
+def holds_arrays(m):
+    """True when the attributes of the map m, the containers among them or its
+    compiled programs hold an ndarray; expressions and other maps are not walked."""
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            return True
+        if isinstance(x, dict):
+            return any(walk(k) or walk(v) for k, v in x.items())
+        if isinstance(x, (list, tuple, set, frozenset)):
+            return any(walk(v) for v in x)
+        if isinstance(x, ex.Program):
+            return any(walk(v) for v in vars(x).values())
+        return False
+
+    return any(walk(v) for v in vars(m).values())

@@ -12,6 +12,7 @@ import numpy as np
 from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm, sharp_values, theta_values
 from cocyclekit.holomap import as_cloud
+from map_values import jacobian, jacobian_inverse
 
 
 def theta_vanishes(f):
@@ -25,15 +26,14 @@ def theta(f, points):
     P = as_cloud(points, n)
     if theta_vanishes(f):
         return SampledForm.zeros(n, 1, P, (n, n))
-    return SampledForm(n, 1, P, theta_values(f.jacobian_inverse(P), f.djacobian(P)))
+    return SampledForm(n, 1, P, theta_values(jacobian_inverse(f, P), f.djacobian(P)))
 
 
 def sharp_pullback(phi, omega, points):
     """phi-sharp of a matrix 1-form sampled at phi(points), on `points`.
 
     The 1-form part is pulled back along phi, the matrices are conjugated by
-    its Jacobian. The inverse comes from phi.jacobian_inverse, which a HoloMap
-    memoizes, so theta of phi on the same cloud shares it.
+    its Jacobian.
     """
     n = omega.n
     if phi.n != n:
@@ -41,7 +41,7 @@ def sharp_pullback(phi, omega, points):
     P = as_cloud(points, n)
     if omega.structurally_zero:
         return SampledForm.zeros(n, 1, P, (n, n))
-    return SampledForm(n, 1, P, sharp_values(phi.jacobian(P), phi.jacobian_inverse(P),
+    return SampledForm(n, 1, P, sharp_values(jacobian(phi, P), jacobian_inverse(phi, P),
                                              omega.values))
 
 

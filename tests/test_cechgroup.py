@@ -12,6 +12,7 @@ from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
 import library as lib
+import map_values as mv
 import sampled_forms as sf
 from cochains import base_value, cech_differential, group_differential
 from conftest import cell_value, per_cell, random_points, word_composite
@@ -94,17 +95,17 @@ def test_action_rejects_non_bijective_index_table():
 def test_word_chain_is_composition(rng):
     _, action, _ = one_chart_setup(rng)
     w = cg.Word([("h", 1), ("h", 1)])
-    m = action.word_chain(w)
+    m = mv.word_chain(action, w)
     h = lib.henon_map()
     for p in random_points(rng, 5, radius=0.3):
-        assert np.allclose(m.eval([p]), h.eval(h.eval([p])))
-        assert np.allclose(m.eval([p]), word_composite(action, w).eval([p]))
+        assert np.allclose(mv.image(m, [p]), h.eval(h.eval([p])))
+        assert np.allclose(mv.image(m, [p]), word_composite(action, w).eval([p]))
 
 
 def constant_cochain(cover, action, value=1.0):
     def provider(J, G, P):
         return SampledForm(2, 2, P, np.full((len(P), 1), value, dtype=complex))
-    return cg.MixedCochain(cover, action, 2, 2, {(0, 0): per_cell(provider)})
+    return cg.MixedCochain(cover, action, 2, 2, {(0, 0): per_cell(provider, action)})
 
 
 def poly_cochain(cover, action, bidegrees, seed=0):
@@ -120,7 +121,7 @@ def poly_cochain(cover, action, bidegrees, seed=0):
             return SampledForm(2, 2, P, val[:, None])
         return provider
     return cg.MixedCochain(cover, action, 2, 2,
-                           {bd: per_cell(make_provider(bd)) for bd in bidegrees})
+                           {bd: per_cell(make_provider(bd), action) for bd in bidegrees})
 
 
 def max_residual(expr, cover, action, words=None):
@@ -165,9 +166,9 @@ def test_group_differential_two_term_bar_formula(rng):
     g = cg.Word.gen("h")
     pts = cover.cloud(("u",))
     base = base_value(c, (0, 0), ("u",), ())
-    chain = action.word_chain(g)
-    moved, = c.evaluate_all([((0, 0), ("u",), (), chain.eval(pts))])
-    pulled = cg.pullback_kform(chain, moved, pts)
+    chain = mv.word_chain(action, g)
+    moved, = c.evaluate_all([((0, 0), ("u",), (), mv.image(chain, pts), cg.IDENTITY_WORD)])
+    pulled = mv.pullback_kform(chain, moved, pts)
     got = cell_value(dc, (0, 1), ("u",), (g,))
     assert got.points.tolist() == [list(p) for p in pts]
     for row, a, b in zip(got.values, base.values, pulled.values):

@@ -14,6 +14,7 @@ from cocyclekit.invariants import InvariantMap, todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
 import dold_kan as sim
+import map_values as mv
 import sampled_forms as sf
 from chart_labels import cf_label_top, sub_simplex, theta_r, validate
 from conftest import random_points
@@ -85,7 +86,7 @@ def test_coherence_validation_rejects_corruption(rng):
 
 def test_theta_r_at_top_is_plain_theta(rng):
     s, pts = library_simplex(rng, count=3)
-    P = s.charts[-1].eval(pts[:5])
+    P = mv.image(s.charts[-1], pts[:5])
     top = theta_r(s, s.level, P)
     direct = sf.theta(named(s.transition(s.level - 1, s.level)), P)
     for a, b in zip(top.values, direct.values):
@@ -95,20 +96,20 @@ def test_theta_r_at_top_is_plain_theta(rng):
 def test_theta_r_affine_simplex_vanishes(rng):
     s, _ = affine_simplex(rng)
     for r in range(1, s.level + 1):
-        assert theta_r(s, r, s.charts[-1].eval(s.source_points)).structurally_zero
+        assert theta_r(s, r, mv.image(s.charts[-1], s.source_points)).structurally_zero
 
 
 def test_theta_r_matches_direct_composition(rng):
     # pull theta back by hand at 10 points
     s, pts = library_simplex(rng, count=3)
     r = 1
-    X = s.charts[-1].eval(pts[:10])
+    X = mv.image(s.charts[-1], pts[:10])
     th = theta_r(s, r, X)
     phi = s.transition(r, s.level)
     for x, got in zip(X, th.values):
-        J = phi.jacobian([x])[0]
+        J = mv.jacobian(phi, [x])[0]
         Jinv = np.linalg.inv(J)
-        mats = sf.theta(named(s.transition(r - 1, r)), phi.eval([x])).values[0]
+        mats = sf.theta(named(s.transition(r - 1, r)), mv.image(phi, [x])).values[0]
         conj = [Jinv @ m @ J for m in mats]
         want = [sum(J[a, b] * conj[a] for a in range(2)) for b in range(2)]
         assert max(np.max(np.abs(x_ - y_)) for x_, y_ in zip(got, want)) < 1e-10

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import cocyclekit.cechgroup as cg
+import cocyclekit.cocycle as co
 import cocyclekit.expr as ex
 import cocyclekit.holomap as hm
 from cocyclekit.cli import execute_checks
 from cocyclekit.errors import DslSyntaxError, SingularJacobianError, ValidationError
-from cocyclekit.forms import SampledForm
+from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
-from conftest import numeric_jacobian, per_cell, random_points
+import map_values as mv
+from conftest import holds_arrays, numeric_jacobian, random_points
 
 F = Fraction
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -116,7 +118,7 @@ def test_compose_dimension_mismatch():
 def test_scaled_identity_jacobian_inverts():
     # J = 1e-5 I has |det| = 1e-15, yet it is as far from singular as I itself
     tiny = hm.parse_map("z1/100000; z2/100000; z3/100000", 3)
-    Jinv = tiny.jacobian_inverse([[0.1 + 0.1j, 0.2, 0.3]])
+    Jinv = mv.jacobian_inverse(tiny, [[0.1 + 0.1j, 0.2, 0.3]])
     assert np.allclose(Jinv, 1e5 * np.eye(3), rtol=1e-14)
 
 
@@ -125,7 +127,7 @@ def test_singular_test_is_relative_to_the_jacobian_scale():
     assert hm.singular_jacobians(J)[1].tolist() == [True, False, True]
     big = hm.parse_map("100000*z1; 100000*z2; z3/10000000000", 3)
     with pytest.raises(SingularJacobianError):
-        big.jacobian_inverse([(0.1, 0.2, 0.3)])
+        mv.jacobian_inverse(big, [(0.1, 0.2, 0.3)])
 
 
 def test_zero_determinant_point_is_named():
@@ -133,7 +135,7 @@ def test_zero_determinant_point_is_named():
     sq = lib.diagonal_square_map()
     pts = [(0.5, 0.1), (0.0, 0.3 + 0.2j), (0.7j, 0.4)]
     with pytest.raises(SingularJacobianError) as err:
-        sq.jacobian_inverse(pts)
+        mv.jacobian_inverse(sq, pts)
     assert err.value.point == (0.0, 0.3 + 0.2j)
 
 
@@ -168,7 +170,7 @@ def test_map_chain_jacobian_evaluates_all_but_the_outermost_piece(monkeypatch, r
     for m in range(1, len(pieces) + 1):
         chain = hm.MapChain(pieces[:m])
         calls.clear()
-        chain.jacobian(pts)
+        mv.jacobian(chain, pts)
         assert calls == [p.name for p in reversed(pieces[1:m])]
 
 
@@ -185,53 +187,90 @@ def compiled_runs(monkeypatch):
     return runs
 
 
-def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once(monkeypatch, rng):
+def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once_per_plan(monkeypatch, rng):
     runs = compiled_runs(monkeypatch)
     f = lib.henon_map()
     pts = np.array(random_points(rng, 5))
-    first = f.jacobian(pts)
-    assert f.jacobian(pts.copy()) is first
-    assert np.array_equal(f.jacobian([tuple(p) for p in pts]), first)
+    plan = co.LabelPlan(None)
+    cids = [plan._cloud(pts), plan._cloud(pts.copy()),
+            plan._cloud(hm.as_cloud([tuple(p) for p in pts], 2))]
+    assert len(set(cids)) == 1
+    first = plan._values("jacobian", f, cids[:1])
+    assert plan._values("jacobian", f, cids[1:2]) is first
+    assert np.array_equal(plan._values("jacobian", f, cids[2:]), first)
     assert [kind for _, kind, _ in runs] == ["jacobian"]
-    # the inverse reuses the memoized Jacobian; a different cloud is a new run
-    f.jacobian_inverse(pts.copy())
-    f.jacobian(pts[:3])
+    # the inverse reuses the held Jacobian; a different cloud is a new run
+    plan._values("jacobian_inverse", f, cids)
+    plan._values("jacobian", f, [plan._cloud(pts[:3])])
     assert [kind for _, kind, _ in runs] == ["jacobian", "jacobian"]
 
 
-def test_memoized_results_are_read_only(rng):
+def test_a_plan_runs_a_map_once_on_a_stack_of_the_clouds_it_lacks(monkeypatch, rng):
+    runs = compiled_runs(monkeypatch)
+    f = lib.henon_map()
+    pts = np.array(random_points(rng, 6))
+    plan = co.LabelPlan(None)
+    a, b, c = (plan._cloud(P) for P in (pts[:2], pts[2:5], pts[5:]))
+    plan._values("jacobian", f, [b])
+    rows = plan._values("jacobian", f, [a, b, c, a])
+    # one run for b, then one on the stack of a and c; rows come back in request order
+    assert [len(P) // (16 * 2) for _, _, P in runs] == [3, 3]
+    want = np.concatenate([f.jacobian(P) for P in (pts[:2], pts[2:5], pts[5:], pts[:2])])
+    assert rows.tobytes() == want.tobytes()
+
+
+def test_held_values_are_read_only(rng):
+    f = lib.henon_map()
+    plan = co.LabelPlan(None)
+    pts = np.array(random_points(rng, 3))
+    cids = [plan._cloud(pts), plan._cloud(pts[:1])]
+    for kind in ("jacobian", "jacobian_inverse"):
+        for out in (plan._values(kind, f, cids[:1]), plan._values(kind, f, cids[1:])):
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0] = 0
+
+
+def test_maps_keep_no_values(rng):
     f = lib.henon_map()
     pts = np.array(random_points(rng, 3))
-    for out in (f.eval(pts), f.jacobian(pts), f.jacobian_inverse(pts), f.jacobian(pts[:1])):
-        assert not out.flags.writeable
-        with pytest.raises(ValueError):
-            out[0] = 0
+    a, b = f.jacobian(pts), f.jacobian(pts)
+    assert a is not b and a.tobytes() == b.tobytes()
+    assert f.eval(pts) is not f.eval(pts)
+    assert not holds_arrays(f)
 
 
-def test_singular_cloud_raises_on_every_call(monkeypatch):
+def test_singular_cloud_raises_on_every_read(monkeypatch):
     runs = compiled_runs(monkeypatch)
     sq = lib.diagonal_square_map()
-    pts = [(0.5, 0.1), (0.0, 0.3 + 0.2j)]
+    plan = co.LabelPlan(None)
+    cid = plan._cloud(hm.as_cloud([(0.5, 0.1), (0.0, 0.3 + 0.2j)], 2))
     for _ in range(2):
         with pytest.raises(SingularJacobianError) as err:
-            sq.jacobian_inverse(pts)
+            plan._values("jacobian_inverse", sq, [cid])
         assert err.value.point == (0.0, 0.3 + 0.2j)
     assert [kind for _, kind, _ in runs] == ["jacobian"]
+    assert "jacobian_inverse" not in plan._store[(sq, cid)]
 
 
-def test_word_pullback_evaluates_each_generator_piece_once_per_cloud(monkeypatch, rng):
-    runs = compiled_runs(monkeypatch)
-    cover = cg.CoverSpec(["u"], {frozenset(["u"]): np.array(random_points(rng, 6, radius=0.3))}, 2)
+def test_a_word_pullback_equals_the_value_at_the_moved_points_pulled_back(monkeypatch, rng):
+    # tau's base value of a group cell, pulled back along the word h h: the plan
+    # extends each label's top chart by the letters, and runs each piece once per cloud
+    P = np.array(random_points(rng, 6, radius=0.3))
+    cover = cg.CoverSpec(["u"], {frozenset(["u"]): P}, 2)
     action = cg.GroupActionSpec({"h": (lib.henon_map(), lib.henon_inverse())},
-                                {"h": {"u": "u"}}, ["u"])
-    cochain = cg.MixedCochain(cover, action, 2, 2, {
-        (0, 0): per_cell(lambda J, G, P: SampledForm(2, 2, P, (P[:, 0] * P[:, 1] ** 2)[:, None]))})
-    P = cover.cloud(("u",))
-    hh = cg.Word([("h", 1), ("h", 1)])
-    cochain.evaluate_terms([(((0, 0), ("u",), (), hh), P)])
-    # h on the points and on their image, each evaluated and differentiated once
-    assert sorted(kind for _, kind, _ in runs) == ["eval", "eval", "jacobian", "jacobian"]
+                                {"h": {"u": "u"}}, ["u"], words=[cg.Word.gen("h")])
+    ident = lib.identity_map(2)
+    tau = cg.tau_invariant(cover, action, cg.Atlas({"u": (ident, ident)}), todd_invariant(2))
+    h, hh = cg.Word.gen("h"), cg.Word([("h", 1), ("h", 1)])
+    runs = compiled_runs(monkeypatch)
+    got, = tau.evaluate_all([((0, 2), ("u",), (h, h), P, hh)])
     assert len(set(runs)) == len(runs)
+    assert {name for name, _, _ in runs} == {"henon"}
+    want = mv.word_pullback(action, lambda J, G, Q: tau.evaluate_all(
+        [((0, 2), J, G, Q, cg.IDENTITY_WORD)])[0], ("u",), (h, h), P, hh)
+    assert not got.structurally_zero
+    assert np.max(np.abs(got.values - want.values)) < 1e-12 * (1 + want.max_abs())
 
 
 def _check_results(scn):
@@ -241,7 +280,7 @@ def _check_results(scn):
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.name)
 def test_checks_in_reverse_order_give_bitwise_equal_results(path):
-    # later checks read maps memoized by earlier ones; the order must not show
+    # later checks read the maps and taus of earlier ones; the order must not show
     want = _check_results(Scenario.load(path))
     scn = Scenario.load(path)
     scn.checks = scn.checks[::-1]
@@ -261,8 +300,8 @@ def test_map_chain_matches_symbolic_composition(rng):
     chain = hm.MapChain([f, g])
     comp = hm.compose(f, g)
     for p in random_points(rng, 5, radius=0.4):
-        assert np.allclose(chain.eval([p]), comp.eval([p]))
-        assert np.max(np.abs(chain.jacobian([p]) - comp.jacobian([p]))) < 1e-12
+        assert np.allclose(mv.image(chain, [p]), comp.eval([p]))
+        assert np.max(np.abs(mv.jacobian(chain, [p]) - comp.jacobian([p]))) < 1e-12
 
 
 def test_builtin_library_has_enough_nonaffine_pairs():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cocyclekit.forms as fo
-import cocyclekit.holomap as hm
 import cocyclekit.invariants as inv
 import permutations as perm
 import sampled_forms as sf
@@ -103,9 +102,6 @@ class StackedMap:
 
     def jacobian(self, points):
         return self.J
-
-    def jacobian_inverse(self, points):
-        return hm.invert_jacobians(self.J, points)
 
     def djacobian(self, points):
         return self.dJ

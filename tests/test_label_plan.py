@@ -25,7 +25,7 @@ from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
 from chart_labels import add_top_label, cf_label_top, path_simplex
-from conftest import per_cell
+from conftest import holds_arrays, per_cell
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -62,7 +62,7 @@ def per_path_cochain(labeled, labeler):
                 (sign, cf_label_top(path_simplex(labeler, labeler.path(J, G, seq), P),
                                     labeler.T, P))
                 for seq, sign in cg._shuffles(step_types(labeled, bd))))
-        return per_cell(value)
+        return per_cell(value, labeled.action)
 
     return cg.MixedCochain(labeled.cover, labeled.action, labeled.n, labeled.form_degree,
                            {bd: provider(bd) for bd in labeled.components},
@@ -99,43 +99,32 @@ def test_each_theta_and_theta_r_key_is_evaluated_once_per_pass(monkeypatch):
     assert theta_rs and set(theta_rs.values()) == {1}
 
 
-def test_plans_hold_no_live_entry_after_a_pass(monkeypatch):
-    plans, filled = [], []
+def recorded_plans(monkeypatch):
+    """(plans, reads) of every LabelPlan the pass makes: the plans, and (plan, map,
+    cloud) for every store read counted."""
+    plans, reads = [], []
 
     class Recorded(co.LabelPlan):
         def __init__(self, T):
             super().__init__(T)
             plans.append(self)
 
-        def _count_memo(self, m, cid):
-            super()._count_memo(m, cid)
-            if (m, cid) in self._memo:
-                filled.append((m, self._points[cid]))
+        def _count_read(self, m, cid):
+            super()._count_read(m, cid)
+            reads.append((self, m, self._points[cid]))
 
-    monkeypatch.setattr(cg, "LabelPlan", Recorded)
+    for module in (co, cg, cli):
+        monkeypatch.setattr(module, "LabelPlan", Recorded)
+    return plans, reads
+
+
+def test_plans_hold_no_live_entry_after_a_pass(monkeypatch):
+    plans, reads = recorded_plans(monkeypatch)
     scn = Scenario.load(SCENARIOS / "cech_todd3.scn")
     assert closedness_pass(scn)["status"] == "pass"
     assert plans and all(len(plan) == 0 for plan in plans)
-    # the map memo entries the plans filled are gone too
-    assert filled and not any(m.remembers(P) for m, P in filled)
-
-
-def test_a_plan_keeps_the_memo_entries_it_found():
-    P = [(0.3 + 0.1j, 0.2, 0.1j), (0.1, 0.4, 0.2), (-0.1, 0.3j, 0.5)]
-    ident = lib.identity_map(3)
-    s1, s2, s3 = (hm.parse_map(text, 3) for text in (
-        "z1 + z2^2; z2; z3", "z1; z2 + z3^2; z3", "z1; z2; z3 + z1^2"))
-    transitions = {(0, 1): s1, (0, 2): ident, (0, 3): ident, (1, 2): s2, (1, 3): s2,
-                   (2, 3): s3}
-    s = co.ChartSimplex([ident] * 4, transitions, P)
-    s3.jacobian(P)
-    assert not s2.remembers(P)
-    label = cf_label_top(s, todd_invariant(3), P)
-    assert not label.structurally_zero
-    # theta_3 read s3 on the top image (equal to P), filled before the label
-    assert s3.remembers(P)
-    # theta_1 read the pullback map s2 on the top image, filled by the plan
-    assert not s2.remembers(P)
+    # the map values the plans read were held in their stores, and are gone too
+    assert reads and not any(plan._store for plan in plans)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -209,43 +198,52 @@ def test_a_split_bound_splits_a_maps_keys_across_batches(monkeypatch):
     assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in batches.values())
 
 
-def test_memos_see_only_real_clouds(monkeypatch, tmp_path):
-    """A stack of several clouds never becomes a map memo key, on the benchmark's
-    todd3-cech and group-witness scenarios; every plan ends empty and forgets what it filled."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+def run_inputs(tmp_path):
+    """Paths of every shipped scenario and of the scenarios of both benchmark
+    workloads at seed 2."""
     import workloads
 
-    plans, filled, maps = [], [], []
-    init = hm.HoloMap.__init__
+    paths = sorted(SCENARIOS.glob("*.scn"))
+    for workload in sorted(workloads.WORKLOADS):
+        for name, text in workloads.scenario_texts(workload, 2, ROOT).items():
+            path = tmp_path / ("%s-%s" % (workload, name))
+            path.write_text(text, encoding="utf-8")
+            paths.append(path)
+    return paths
+
+
+def test_a_run_leaves_no_plan_entry_and_no_map_value(monkeypatch, tmp_path):
+    """A run of every shipped scenario and both benchmark workloads (seed 2) leaves
+    every plan empty, its store too, and no map holding arrays; a store holds
+    rows of real clouds only, never of a stack."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    plans, reads = recorded_plans(monkeypatch)
+    maps, rows = [], []
+    init, values = hm.HoloMap.__init__, co.LabelPlan._values
 
     def recorded_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         maps.append(self)
 
-    class Recorded(co.LabelPlan):
-        def __init__(self, T):
-            super().__init__(T)
-            plans.append(self)
-
-        def _count_memo(self, m, cid):
-            super()._count_memo(m, cid)
-            if (m, cid) in self._memo:
-                filled.append((m, self._points[cid]))
+    def recorded_values(self, kind, m, cids):
+        out = values(self, kind, m, cids)
+        rows.extend(len(held) for entry in self._store.values() for held in entry.values())
+        return out
 
     monkeypatch.setattr(hm.HoloMap, "__init__", recorded_init)
-    monkeypatch.setattr(cg, "LabelPlan", Recorded)
-    for make in (workloads.todd3_cech, workloads.group_witness):
-        path = tmp_path / "scenario.scn"
-        path.write_text(json.dumps(make(2)), encoding="utf-8")
+    monkeypatch.setattr(co.LabelPlan, "_values", recorded_values)
+    held = 0
+    for path in run_inputs(tmp_path):
         scn = Scenario.load(path)
-        assert all(result["status"] == "pass" for result in cli.execute_checks(scn))
-        assert plans and all(len(plan) == 0 for plan in plans)
-        assert filled and not any(m.remembers(P) for m, P in filled)
-        largest = max(len(points) for points in scn.cover.clouds.values())
-        rows = [len(key) // (16 * m.n) for m in maps for key in m._memo]
-        assert rows and max(rows) <= largest
-        for recorded in (plans, filled, maps):
+        results = cli.execute_checks(scn)
+        assert results and all(r["status"] == "pass" for r in results), path.name
+        assert plans and all(len(plan) == 0 and not plan._store for plan in plans), path.name
+        assert maps and not any(holds_arrays(m) for m in maps), path.name
+        assert max(rows, default=0) <= max((len(P) for _, _, P in reads), default=0), path.name
+        held += len(rows)
+        for recorded in (plans, reads, maps, rows):
             recorded.clear()
+    assert held
 
 
 MAPS = {

@@ -16,8 +16,9 @@ import cocyclekit.scenario as scenario_mod
 from cocyclekit.cli import CHECK_RUNNERS, MAX_SYMFUN_DEGREE, main
 from cocyclekit.errors import ScenarioError
 from cocyclekit.forms import SampledForm
-from cocyclekit.invariants import POWER, SymFun, newton_convert
+from cocyclekit.invariants import POWER, SymFun, newton_convert, todd_invariant
 from cocyclekit.scenario import Scenario
+from chart_labels import cf_label_top, sub_simplex
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -281,6 +282,70 @@ def test_dk_validate_on_an_affine_simplex_names_its_first_2_cell(tmp_path):
     dk, = json.loads(out.read_text())["checks"]
     assert dk["status"] == "pass" and dk["max_residual"] == 0.0
     assert dk["worst_cell"] == "(0, 1, 2)"
+
+
+def dk5_data():
+    """henon_z.scn with the face-sum checks of CI smoke: a 5-chart simplex at arity 1
+    and 2, and at arity 2 with a corrupted (1, 3) transition, a control that trips."""
+    data = load_scn("henon_z.scn")
+    charts = [{"chart": c, "inverse": i} for c, i in
+              (("ident", "ident"), ("shear", "shear_inv"), ("henon", "henon_inv"),
+               ("shear3", "shear3_inv"), ("henon_shear3", "henon_shear3_inv"))]
+    points = [[[0.05 * k - 0.2, 0.03 * k], [0.1 - 0.02 * k, 0.1 - 0.04 * k]] for k in range(10)]
+    simplex = {"type": "dk-validate", "charts": charts, "source_points": points}
+    data["checks"] = [dict(simplex, name="dk5-arity1", arity=1),
+                      dict(simplex, name="dk5-arity2", arity=2),
+                      dict(simplex, name="dk5-corrupt", arity=2, expect="fail",
+                           corrupt={"replace": [1, 3], "with_map": "henon"})]
+    return data
+
+
+def three_chart_controls_data():
+    """henon_z.scn with a telescoping and a dk-validate control on three charts whose
+    (0, 2) transition is corrupted."""
+    data = load_scn("henon_z.scn")
+    data["maps"]["sq"] = {"components": "z1^2; z2"}
+    corrupt = {"replace": [0, 2], "with_map": "sq"}
+    data["checks"] = [dict(TELESCOPING, name=t, type=t, corrupt=corrupt, expect="fail")
+                      for t in ("telescoping", "dk-validate")]
+    return data
+
+
+@pytest.mark.parametrize("make, name", [(dk5_data, "dk5-corrupt"),
+                                        (three_chart_controls_data, "telescoping"),
+                                        (three_chart_controls_data, "dk-validate")])
+def test_a_tripped_face_sum_control_names_the_point_where_its_sum_peaks(tmp_path, make, name):
+    path, out = write_scn(tmp_path, make()), tmp_path / "r.json"
+    assert main(["run", path, "--output", str(out)]) == 0
+    result = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == name)
+    assert result["status"] == "pass" and "observed" in result["detail"]
+    scn = Scenario.load(path)
+    entry = next(e for e in scn.checks if e["name"] == name)
+    simplex = scn.chart_simplex(entry)
+    P, k = simplex.source_points, entry["arity"]
+    as_json = [[[z.real, z.imag] for z in p] for p in P.tolist()]
+    assert result["worst_point"] in as_json
+    # the face sum of the worst cell, one label plan per face
+    cell = (tuple(map(int, result["worst_cell"].strip("()").split(", ")))
+            if "worst_cell" in result else tuple(range(k + 2)))
+    T = todd_invariant(k)
+    total = sum((-1) ** j * cf_label_top(sub_simplex(simplex, cell[:j] + cell[j + 1:]), T, P).values
+                for j in range(k + 2))
+    per_point = np.abs(total).reshape(len(P), -1).max(axis=1)
+    assert result["max_residual"] == pytest.approx(per_point.max(), rel=1e-12)
+    assert result["worst_point"] == as_json[int(np.argmax(per_point))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command, name", [("verify-cocycle", "henon_z.scn"),
+                                           ("witness", "witness_reparam.scn")])
+def test_subcommand_tolerance_is_refused_like_a_checks(tmp_path, capsys, command, name, value):
+    out = tmp_path / "r.json"
+    assert main([command, str(SCENARIOS / name), "--tolerance", value,
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "%s: 'tolerance' must be a finite positive number" % command in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_chart_simplex_default_arities(tmp_path):

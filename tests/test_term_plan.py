@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
 import cocyclekit.forms as fo
-from cocyclekit.forms import SampledForm, pullback_kform, signed_sum
+from cocyclekit.forms import SampledForm, signed_sum
 import library as lib
+import map_values as mv
 from cochains import base_value, cech_differential, group_differential
 from conftest import cell_value, per_cell, plan_form
 
@@ -77,10 +78,11 @@ def oracle_term_value(base, term, target, points):
     if pull.is_identity():
         rows = base.cover.restriction(cg.cell_multi_index(base.action, J, G), target)
         if rows is None:
-            return base.evaluate_all([(bd, J, G, points)])[0]
+            return base.evaluate_all([(bd, J, G, points, pull)])[0]
         return SampledForm(base.n, base.form_degree, points, own.values[rows])
-    chain = base.action.word_chain(pull)
-    return pullback_kform(chain, base.evaluate_all([(bd, J, G, chain.eval(points))])[0], points)
+    chain = mv.word_chain(base.action, pull)
+    moved = base.evaluate_all([(bd, J, G, mv.image(chain, points), cg.IDENTITY_WORD)])[0]
+    return mv.pullback_kform(chain, moved, points)
 
 
 def oracle_value(expr, bd, J, G):
@@ -137,7 +139,7 @@ def cochain(cover, action, bidegrees, zero_every):
             z1, z2 = P[:, 0], P[:, 1]
             return SampledForm(2, 2, P, (c[0] + c[1] * z1 + c[2] * z2 ** 2 + c[3] * z1 * z2)[:, None])
         return provider
-    return cg.MixedCochain(cover, action, 2, 2, {bd: per_cell(make(bd)) for bd in bidegrees})
+    return cg.MixedCochain(cover, action, 2, 2, {bd: per_cell(make(bd), action) for bd in bidegrees})
 
 
 def combination(*parts):
