@@ -6,11 +6,10 @@ array row per point. Differentials act on formal signed combinations of
 pulled-back base values, so the pairwise cancellations behind delta^2 = 0 and
 the bar identities happen symbolically before any floating-point addition.
 A TermPlan does that bookkeeping once for all cells of a bidegree, as integer
-arrays. Each base value is evaluated once on its own cell's cloud; other cells
-read it by row gather when clouds nest, and otherwise evaluate it on their own
-cloud, pulled back along the group word of the term if it has one. All the
-base values a plan needs are evaluated together, so the path labels of tau
-read one LabelPlan.
+arrays. A term's value is its base value evaluated on the cell's cloud,
+pulled back along the group word of the term if it has one, once per (term
+key, cloud). All the values a plan needs are evaluated together, so the path
+labels of tau read one LabelPlan.
 
 The tau invariant of an equivariant atlas assigns to each total-degree-n cell
 a signed sum over the (m,q)-shuffles of grid paths, each path contributing the
@@ -114,8 +113,8 @@ class CoverSpec:
 
     Clouds are (N, n) complex arrays keyed by the set of indices, (0, n) when
     undeclared; the constructor appends every deep intersection's points to all
-    enclosing clouds, so restriction maps are literal subset lookups: a row
-    gather (see restriction).
+    enclosing clouds, so a point of an intersection is a point of each set
+    that contains it.
     """
 
     def __init__(self, indices, clouds, n):
@@ -129,7 +128,6 @@ class CoverSpec:
                 raise ValidationError("cloud key %r not within the index set" % (sorted(key),))
             self.clouds[key] = points
         self._nest()
-        self._rows = {}
 
     def _nest(self):
         rows = {key: _row_keys(P) for key, P in self.clouds.items()}
@@ -147,21 +145,6 @@ class CoverSpec:
         """Sample cloud of the intersection over a tuple (repeats collapse)."""
         P = self.clouds.get(frozenset(multi_index))
         return np.zeros((0, self.n), dtype=complex) if P is None else P
-
-    def restriction(self, source, target):
-        """Rows of the target's cloud within the source's cloud, as an index array.
-
-        Of equal source rows the last. None when some target point is missing
-        from the source cloud (an undeclared source has no cloud to restrict from).
-        """
-        key = (frozenset(source), frozenset(target))
-        rows = self._rows.get(key, False)
-        if rows is False:
-            where = {row: i for i, row in enumerate(_row_keys(self.cloud(source)))}
-            found = [where.get(row) for row in _row_keys(self.cloud(target))]
-            rows = None if None in found else np.array(found, dtype=np.intp)
-            self._rows[key] = rows
-        return rows
 
     def declared_sets(self):
         return sorted(self.clouds, key=lambda s: (len(s), sorted(map(str, s))))
@@ -304,9 +287,10 @@ class MixedCochain:
     values in a bidegree is one provider call. The optional
     vanishes(bidegree, J, G) is True when a base value is known to be
     structurally zero before it is evaluated; its pullbacks then vanish too.
-    The value on the cell's own cloud is computed once and cached in _cache.
-    A scenario builds each tau once (Scenario.tau), so every check reading it
-    shares the cache.
+    Each value is computed once per (bidegree, J, G, pull, cloud) and cached
+    in _cache, the cloud named by its interned id (cloud_id). A scenario
+    builds each tau once (Scenario.tau), so every check reading it shares the
+    cache.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain",
@@ -323,40 +307,45 @@ class MixedCochain:
         self.name = name
         self._vanishes = vanishes
         self._cache = {}
+        self._clouds = {}  # exact bytes of a cloud -> its id
 
     def bidegrees(self):
         return sorted(self.components)
 
     def base_values(self, keys):
-        """Own-cloud base values of (bidegree, J, G) keys, in key order; those not yet
-        cached are evaluated through one evaluate_all."""
-        keys = [(bd, tuple(J), tuple(G)) for bd, J, G in keys]
-        fresh = list(dict.fromkeys(k for k in keys if k not in self._cache))
-        values = self.evaluate_all([k + (self.cell_points(*k[1:]), IDENTITY_WORD)
-                                    for k in fresh])
-        self._cache.update(zip(fresh, values))
-        return [self._cache[k] for k in keys]
+        """Base values of (bidegree, J, G) keys on their cells' own clouds, in key order."""
+        return self.evaluate_all([(bd, J, G, self.cell_points(J, G), IDENTITY_WORD)
+                                  for bd, J, G in keys])
 
     def structurally_zero(self, bidegree, J, G):
         """True when the base value of (J, G) is known to vanish before it is evaluated."""
         return self._vanishes is not None and self._vanishes(bidegree, tuple(J), tuple(G))
 
+    def cloud_id(self, P):
+        """Small id of a cloud, equal for clouds with equal bytes."""
+        return self._clouds.setdefault(P.tobytes(), len(self._clouds))
+
     def evaluate_all(self, requests):
         """Values of (bidegree, J, G, points, pull) requests, in request order: base
-        values pulled back along rho(pull), one provider call per bidegree."""
-        batches = {}
-        for i, ((m, q), J, G, P, pull) in enumerate(requests):
+        values pulled back along rho(pull). Those not yet cached are evaluated in
+        one provider call per bidegree."""
+        keys, fresh = [], {}
+        for (m, q), J, G, P, pull in requests:
             if (m, q) not in self.components:
                 raise ValidationError("no component in bidegree %r" % ((m, q),))
             if len(J) != m + 1 or len(G) != q:
                 raise ValidationError("cell shape mismatch in bidegree (%d, %d)" % (m, q))
-            batches.setdefault((m, q), []).append((i, (tuple(J), tuple(G), P, pull)))
-        out = [None] * len(requests)
+            key = ((m, q), tuple(J), tuple(G), pull, self.cloud_id(P))
+            keys.append(key)
+            if key not in self._cache:
+                fresh.setdefault(key, P)
+        batches = {}
+        for key in fresh:
+            batches.setdefault(key[0], []).append(key)
         for bd, batch in batches.items():
-            values = self.components[bd]([request for _, request in batch])
-            for (i, _), value in zip(batch, values):
-                out[i] = value
-        return out
+            values = self.components[bd]([k[1:3] + (fresh[k], k[3]) for k in batch])
+            self._cache.update(zip(batch, values))
+        return [self._cache[k] for k in keys]
 
     def cell_points(self, J, G):
         return self.cover.cloud(cell_multi_index(self.action, J, G))
@@ -548,11 +537,9 @@ class TermPlan:
     of a cell cancel in integer coefficients, and each cell's terms are ordered
     by repr(key), ranked once per distinct key. Then every value the terms read
     is evaluated in one batch (_build_slots), and a term whose value is
-    structurally zero is dropped. Each remaining term has a signed coefficient,
-    a slot among the term values and a row gather into that slot: the base
-    cell's own values when its cloud nests the cell's, or a value evaluated on
-    the cell's cloud (clouds that do not nest, or a pullback along a group
-    word).
+    structurally zero is dropped. Each remaining term has a signed coefficient
+    and a slot in the value table: its base value evaluated on the cell's
+    cloud, pulled back along the term's group word if it has one.
     """
 
     def __init__(self, expr, bidegree, cells):
@@ -578,7 +565,7 @@ class TermPlan:
         for bd, cell, Jb, Gb, pull, coeff in blocks:
             groups.setdefault((bd, Jb.shape[1], Gb.shape[1]), []).append(
                 (np.column_stack([cell, Jb, Gb, pull]), coeff))
-        self.keys, own, cells, keys, coeffs = [], [], [], [], []
+        self.keys, cells, keys, coeffs = [], [], [], []
         for (bd, r, s), parts in groups.items():
             rows, _, inverse = _unique_rows(np.concatenate([p[0] for p in parts]))
             total = np.zeros(len(rows), dtype=np.int64)
@@ -588,95 +575,49 @@ class TermPlan:
             cells.append(rows[:, 0])
             keys.append(key_of + len(self.keys))
             coeffs.append(total)
-            own.append(ids.cell_sets(key_rows[:, :r], key_rows[:, r:r + s]))
             self.keys += [(bd, tuple(ids.indices[i] for i in k[:r]),
                            tuple(ids.words[g] for g in k[r:r + s]), ids.words[k[-1]])
                           for k in key_rows.tolist()]
         reprs = [repr(k) for k in self.keys]
         self._rank = np.empty(len(reprs), dtype=np.int64)
         self._rank[sorted(range(len(reprs)), key=reprs.__getitem__)] = np.arange(len(reprs))
-        self._own = np.concatenate(own) if own else np.zeros(0, dtype=np.int64)
         if not cells:
             return (np.zeros(0, dtype=np.int64),) * 3
         return np.concatenate(cells), np.concatenate(keys), np.concatenate(coeffs)
 
     def _build_slots(self, cell, key, coeff):
-        """Give every term its slot and row gather; drop the structurally zero ones.
+        """Give every term its slot in the value table; drop the structurally zero ones.
 
-        A term reads its base value's own values by row gather where that
-        cloud nests the cell's, and otherwise a value evaluated once per (key,
-        cloud) on the cell's cloud: at its points, or pulled back along the
-        term's group word. Own values not yet cached and the others are
-        evaluated by one evaluate_all call, so the labels of all of them share
-        one label plan per base bidegree, and a term is dropped when the value
-        it reads is structurally zero. Every own value is stored once,
-        in the own table, and the cochain's _cache keeps views into it; the
-        rest table holds the values on other clouds, for the life of the plan.
+        A term reads its base value evaluated on the cell's cloud, pulled back
+        along the term's group word, once per (key, cloud): cells whose clouds
+        have equal bytes share it whatever their index sets. A key known to
+        vanish is never evaluated. The values are requested in one
+        evaluate_all call, so the labels of all of them share one label plan
+        per base bidegree, and a term is dropped when the value it reads is
+        structurally zero. Every value is stored once, in the table, and the
+        cochain's _cache keeps views into it.
         """
-        base, ids = self.base, self._ids
+        base = self.base
         live = ~np.array([base.structurally_zero(*k[:3]) for k in self.keys], dtype=bool)[key]
         cell, key, coeff = cell[live], key[live], coeff[live]
+        clouds = [self.points_of(s) for s in range(len(self._ids.sets))]
+        self._size = np.array([len(P) for P in clouds], dtype=np.int64)[self._target]
+        cloud_id = np.array([base.cloud_id(P) for P in clouds], dtype=np.int64)
         target = self._target[cell]
-        sizes = np.array([len(self.points_of(s)) for s in range(len(ids.sets))],
-                         dtype=np.int64)
-        self._size = sizes[self._target]
-        # rows 0..N-1 of a value evaluated on the cell's own cloud, one per size
-        wanted = sorted(set(sizes[target].tolist()))
-        rows = [np.arange(N, dtype=np.intp) for N in wanted]
-        row_of_size = np.zeros(int(sizes.max(initial=0)) + 1, dtype=np.int64)
-        row_of_size[wanted] = np.arange(len(wanted))
-        row = row_of_size[sizes[target]]
-        nested = np.zeros(len(key), dtype=bool)
-        # a base value without a word is read by row gather where its cloud nests
-        plain = np.flatnonzero(np.array([k[3].is_identity() for k in self.keys],
-                                        dtype=bool)[key])
-        if len(plain):
-            pairs, _, pair_of = _unique_rows(np.stack([self._own[key[plain]], target[plain]], 1))
-            pair_row = np.full(len(pairs), -1, dtype=np.int64)
-            for p, (own, tgt) in enumerate(pairs.tolist()):
-                r = base.cover.restriction(ids.sets[own], ids.sets[tgt])
-                if r is not None:
-                    pair_row[p] = len(rows)
-                    rows.append(r)
-            hit = plain[pair_row[pair_of] >= 0]
-            row[hit] = pair_row[pair_of][pair_row[pair_of] >= 0]
-            nested[hit] = True
-        # each own value once, and every other term once per (key, cloud)
-        own_keys = list(dict.fromkeys(key[nested].tolist()))
-        moved = np.flatnonzero(~nested)
-        pairs, _, pair_of = _unique_rows(np.stack([key[moved], target[moved]], 1))
-        cache = base._cache
-        fresh = [k for k in own_keys if self.keys[k][:3] not in cache]
-        values = base.evaluate_all(
-            [self.keys[k][:3] + (self.points_of(self._own[k]), IDENTITY_WORD) for k in fresh]
-            + [self.keys[k][:3] + (self.points_of(tgt), self.keys[k][3])
-               for k, tgt in pairs.tolist()])
-        cache.update((self.keys[k][:3], v) for k, v in zip(fresh, values))
-        # slots: the own values (the own table), then the moved values (the rest
-        # table); structural zeros get none
-        forms = [cache[self.keys[k][:3]] for k in own_keys] + values[len(fresh):]
-        del values
+        pairs, first, pair_of = _unique_rows(np.stack([key, cloud_id[target]], 1))
+        forms = base.evaluate_all([self.keys[k][:3] + (clouds[target[i]], self.keys[k][3])
+                                   for k, i in zip(pairs[:, 0].tolist(), first.tolist())])
         live = np.array([not v.structurally_zero for v in forms], dtype=bool)
-        form_slot = np.where(live, np.cumsum(live) - 1, -1)
-        position = np.zeros(len(self.keys), dtype=np.int64)
-        position[own_keys] = np.arange(len(own_keys))
-        slot = np.empty(len(key), dtype=np.int64)
-        slot[nested] = form_slot[position[key[nested]]]
-        slot[moved] = form_slot[len(own_keys) + pair_of]
-        arrays = [v.values for v, ok in zip(forms, live) if ok]
-        split = int(live[:len(own_keys)].sum())
-        tail = arrays[0].shape[1:] if arrays else (math.comb(base.n, base.form_degree),)
-        self.tables = (_table(arrays[:split], tail), _table(arrays[split:], tail))
-        sizes = [len(a) for a in arrays]
-        # the cache keeps views into the own table, not a second copy
-        for v, lo, hi in zip((v for v in forms[:len(own_keys)] if not v.structurally_zero),
-                             np.cumsum([0] + sizes), np.cumsum(sizes)):
-            v.values = self.tables[0][lo:hi]
+        slot = np.where(live, np.cumsum(live) - 1, -1)[pair_of]
+        forms = [v for v, ok in zip(forms, live) if ok]
+        self.table = np.concatenate([v.values for v in forms] or [np.zeros(0, dtype=complex)])
+        start = np.cumsum([0] + [len(v.values) for v in forms])
+        # the cache keeps views into the table, not a second copy
+        for v, lo, hi in zip(forms, start, start[1:]):
+            v.values = self.table[lo:hi]
         keep = slot >= 0
         self.term_key, self.coeff = key[keep], coeff[keep]
-        self._slot_start = np.cumsum([0] + sizes)[slot[keep]]
-        self._row_start = np.cumsum([0] + [len(r) for r in rows])[row[keep]]
-        self._rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+        self._slot_start = start[slot[keep]]
         self.count = np.bincount(cell[keep], minlength=len(self.cells))
         self._first = np.cumsum(self.count) - self.count
 
@@ -699,7 +640,7 @@ class TermPlan:
         """
         if not self.cells:
             return
-        per_point = int(np.prod(self.tables[0].shape[1:]))
+        per_point = int(np.prod(self.table.shape[1:]))
         shapes, _, inverse = _unique_rows(np.stack([self.count, self._size], 1))
         for s, (t, N) in enumerate(shapes.tolist()):
             cells = np.flatnonzero(inverse == s)
@@ -710,9 +651,7 @@ class TermPlan:
                 if not t:
                     yield batch, terms, None, None
                     continue
-                values = self._gather(self._slot_start[terms][..., None]
-                                      + self._rows[self._row_start[terms][..., None]
-                                                   + np.arange(N)])
+                values = self.table[self._slot_start[terms][..., None] + np.arange(N)]
                 coeff = self.coeff[terms].reshape(terms.shape + (1,) * (values.ndim - 2))
                 total = coeff[:, 0] * values[:, 0]
                 for j in range(1, t):
@@ -721,27 +660,10 @@ class TermPlan:
                 # the consumer drops its batch too, so only one is alive at a time
                 del values, total
 
-    def _gather(self, index):
-        """Rows `index` of the own table followed by the rest table, without joining them."""
-        own, rest = self.tables
-        if not len(rest):
-            return own[index]
-        if not len(own):
-            return rest[index]
-        in_own = index < len(own)
-        out = np.empty(index.shape + own.shape[1:], dtype=complex)
-        out[in_own] = own[index[in_own]]
-        out[~in_own] = rest[index[~in_own] - len(own)]
-        return out
-
     def describe(self, term, modulus):
         """The dominant_term entry of a report row for one of the plan's terms."""
         bd, J, G, pull = self.keys[self.term_key[term]]
         return _term_entry(self.base.name, bd, J, G, pull, int(self.coeff[term]), modulus)
-
-
-def _table(arrays, tail):
-    return np.concatenate(arrays) if arrays else np.zeros((0,) + tail, dtype=complex)
 
 
 def _term_entry(cochain, bd, J, G, pull, coeff, modulus):

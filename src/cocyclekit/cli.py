@@ -121,8 +121,9 @@ def _residual_fields(report):
     worst = report.get("worst_cell")
     if worst:
         out["worst_cell"] = str(worst)
-    if "worst_point" in report:
-        out["worst_point"] = report["worst_point"]
+    for key in ("worst_point", "dominant_term"):
+        if key in report:
+            out[key] = report[key]
     cells = report.get("cells")
     if cells:
         out["worst"] = cells[0]

@@ -453,7 +453,8 @@ def verify_telescoping(s, T, tol):
 
     Returns the per-cell residuals, their maximum and the worst cell (the
     first maximum, NaN ranking above every number), the point where that
-    cell's sum peaks, and the pass flag.
+    cell's sum peaks, the face that dominates there (_dominant_face), and the
+    pass flag.
     """
     k = T.arity
     if s.level < k + 1:
@@ -470,7 +471,7 @@ def verify_telescoping(s, T, tol):
             for cell in itertools.combinations(vertices, k + 2)}
     residuals = {cell: total.max_abs() for cell, total in sums.items()}
     worst_cell = max(residuals, key=lambda cell: nan_worst(residuals[cell]))
-    point, _ = sums[worst_cell].worst_point() or ((), 0.0)
+    row, _ = sums[worst_cell].worst_point() or (None, 0.0)
     worst = residuals[worst_cell]
     return {
         "residuals": residuals,
@@ -478,5 +479,23 @@ def verify_telescoping(s, T, tol):
         "worst_cell": worst_cell,
         "pass": worst <= tol,
         "tolerance": tol,
-        "worst_point": [[c.real, c.imag] for c in point],
+        "worst_point": [] if row is None else [[c.real, c.imag] for c in P[row].tolist()],
+        "dominant_term": None if row is None else _dominant_face(worst_cell, labels, row),
     }
+
+
+def _dominant_face(cell, labels, row):
+    """The face of `cell` with the largest |sign * label| at point `row` (the largest
+    coefficient modulus there), the first in sum order on a tie: its chart
+    positions, its sign and that modulus. None when every face label is the
+    structural zero."""
+    best = None
+    for j in range(len(cell)):
+        face = cell[:j] + cell[j + 1:]
+        label = labels[face]
+        if label.structurally_zero:
+            continue
+        modulus = float(np.abs(label.values[row]).max())
+        if best is None or nan_worst(modulus) > nan_worst(best["modulus"]):
+            best = {"face": list(face), "sign": (-1) ** j, "modulus": modulus}
+    return best

@@ -57,14 +57,15 @@ class SampledForm:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def worst_point(self):
-        """(point, largest coefficient modulus there) where that peaks; None when empty."""
+        """(row, largest coefficient modulus there) of the point where that peaks; None
+        when empty."""
         N = len(self.points)
         if not N:
             return None
         per_point = np.max(np.abs(self.values).reshape(N, -1), axis=1) if self.values.size \
             else np.zeros(N)
         i = int(np.argmax(per_point))
-        return tuple(self.points[i].tolist()), float(per_point[i])
+        return i, float(per_point[i])
 
     def to_json(self):
         indices = itertools.combinations(range(1, self.n + 1), self.k)

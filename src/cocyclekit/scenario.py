@@ -291,6 +291,11 @@ class Scenario:
         if ctype == "witness":
             if self.atlas is None or self.atlas_b is None:
                 raise ScenarioError("witness needs atlas and atlas_b", loc)
+        # a point of any cloud makes a cell, since a Cech tuple may repeat its index
+        if ctype in ("affine-vanishing", "tau-closedness", "witness") and not any(
+                map(len, self.cover.clouds.values())):
+            raise ScenarioError("no cover cloud holds a point, so %s has no cell to check"
+                                % ctype, loc)
         if ctype in ("telescoping", "dk-validate"):
             charts = _require_list(entry.get("charts", []), loc)
             if not entry.get("source_points"):

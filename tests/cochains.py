@@ -10,7 +10,7 @@ from cocyclekit.cechgroup import CochainExpression, as_expression
 
 
 def cech_differential(c):
-    """Alternating sum over dropped Cech indices; restrictions are literal."""
+    """Alternating sum over dropped Cech indices, each face read on the cell's cloud."""
     c = as_expression(c)
     return CochainExpression(c.base, {(m + 1, q): ("cech", m, q, node)
                                       for (m, q), node in c.components.items()})

@@ -329,11 +329,21 @@ def test_a_tripped_face_sum_control_names_the_point_where_its_sum_peaks(tmp_path
     cell = (tuple(map(int, result["worst_cell"].strip("()").split(", ")))
             if "worst_cell" in result else tuple(range(k + 2)))
     T = todd_invariant(k)
-    total = sum((-1) ** j * cf_label_top(sub_simplex(simplex, cell[:j] + cell[j + 1:]), T, P).values
-                for j in range(k + 2))
-    per_point = np.abs(total).reshape(len(P), -1).max(axis=1)
+    faces = [cell[:j] + cell[j + 1:] for j in range(k + 2)]
+    terms = [(-1) ** j * cf_label_top(sub_simplex(simplex, face), T, P).values
+             for j, face in enumerate(faces)]
+    per_point = np.abs(sum(terms)).reshape(len(P), -1).max(axis=1)
     assert result["max_residual"] == pytest.approx(per_point.max(), rel=1e-12)
     assert result["worst_point"] == as_json[int(np.argmax(per_point))]
+    # the dominant face at that point: the largest |sign * label| of the cell's faces;
+    # faces may tie to rounding, so the one named need only reach that modulus
+    row = as_json.index(result["worst_point"])
+    moduli = [float(np.abs(term[row]).max()) for term in terms]
+    dominant = result["dominant_term"]
+    j = faces.index(tuple(dominant["face"]))
+    assert dominant["sign"] == (-1) ** j
+    assert dominant["modulus"] == pytest.approx(moduli[j], rel=1e-12)
+    assert dominant["modulus"] == pytest.approx(max(moduli), rel=1e-12)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
@@ -947,16 +957,26 @@ def _without_points(name):
 @pytest.mark.parametrize("name, check_type", [("affine_torus.scn", "affine-vanishing"),
                                               ("henon_z.scn", "tau-closedness"),
                                               ("witness_reparam.scn", "witness")])
-def test_check_over_no_cells_is_an_error(tmp_path, name, check_type, expect):
+def test_check_over_no_cells_is_an_error(tmp_path, capsys, name, check_type, expect):
     data = _without_points(name)
     data["checks"] = [{"type": check_type, "name": "empty", "tolerance": 1e-7,
                        "expect": expect}]
-    out = tmp_path / "r.json"
     with pytest.warns(UserWarning, match="fewer than 8"):
-        assert main(["run", write_scn(tmp_path, data), "--output", str(out)]) == 1
-    check = json.loads(out.read_text())["checks"][0]
-    assert check["status"] == "error"
-    assert "ValidationError: no nonempty cells in bidegrees (" in check["error"]
+        code = main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "checks[0]: no cover cloud holds a point" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify-cocycle"])
+def test_a_cover_without_clouds_exits_2_from_run_as_from_verify_cocycle(tmp_path, capsys,
+                                                                         command):
+    data = load_scn("henon_z.scn")
+    data["cover"]["clouds"] = []
+    code = main([command, write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "checks[0]: no cover cloud holds a point" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, name", [("verify-cocycle", "henon_z.scn"),
@@ -964,7 +984,10 @@ def test_check_over_no_cells_is_an_error(tmp_path, name, check_type, expect):
                                            ("todd-cocycle", "henon_z.scn"),
                                            ("group-invariant", "henon_z.scn")])
 def test_residual_subcommand_over_no_cells_exits_2(tmp_path, capsys, command, name):
-    path = write_scn(tmp_path, _without_points(name))
+    # without checks, whose loading would refuse the empty cover first
+    data = _without_points(name)
+    data["checks"] = []
+    path = write_scn(tmp_path, data)
     output = [] if command == "group-invariant" else ["--output", str(tmp_path / "r.json")]
     with pytest.warns(UserWarning, match="fewer than 8"):
         code = main([command, path] + output)

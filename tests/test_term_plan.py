@@ -2,14 +2,14 @@
 
 The oracle below is the walk `cechgroup` did for every cell before term plans:
 expand the cell's component into a dict of term keys with nested signed sums,
-order the keys by repr, evaluate each term (row gather from the base cell's own
-values where clouds nest, evaluation at the cell's points where they do not, a
-pullback along a group word otherwise) and add them left to right with
-forms.signed_sum. Plan-evaluated cells must match it bit for bit, including the
-structural-zero flag.
+order the keys by repr, evaluate each term at the cell's points (its base value
+there, pulled back along its group word if it has one) and add them left to
+right with forms.signed_sum. Plan-evaluated cells must match it bit for bit,
+including the structural-zero flag.
 """
 
 import itertools
+import pathlib
 import zlib
 
 import numpy as np
@@ -18,12 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
+import cocyclekit.expr as ex
 import cocyclekit.forms as fo
 from cocyclekit.forms import SampledForm, signed_sum
+from cocyclekit.holomap import HoloMap
+from cocyclekit.invariants import todd_invariant
+from cocyclekit.scenario import Scenario
 import library as lib
 import map_values as mv
-from cochains import base_value, cech_differential, group_differential
-from conftest import cell_value, per_cell, plan_form
+from cochains import cech_differential, group_differential
+from conftest import cell_value, per_cell, plan_form, random_points
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -70,29 +76,25 @@ def oracle_terms(node, J, G, action):
     return _signed_sum(parts)
 
 
-def oracle_term_value(base, term, target, points):
+def oracle_term_value(base, term, points):
+    """A term's value at the cell's points, straight from the provider, past the cache:
+    its base value there, or pulled back along its word."""
     bd, J, G, pull = term
-    own = base_value(base, bd, J, G)
-    if own.structurally_zero:
-        return own
+    provider = base.components[bd]
     if pull.is_identity():
-        rows = base.cover.restriction(cg.cell_multi_index(base.action, J, G), target)
-        if rows is None:
-            return base.evaluate_all([(bd, J, G, points, pull)])[0]
-        return SampledForm(base.n, base.form_degree, points, own.values[rows])
+        return provider([(J, G, points, pull)])[0]
     chain = mv.word_chain(base.action, pull)
-    moved = base.evaluate_all([(bd, J, G, mv.image(chain, points), cg.IDENTITY_WORD)])[0]
-    return mv.pullback_kform(chain, moved, points)
+    moved = provider([(J, G, mv.image(chain, points), cg.IDENTITY_WORD)])[0]
+    return moved if moved.structurally_zero else mv.pullback_kform(chain, moved, points)
 
 
 def oracle_value(expr, bd, J, G):
     base = expr.base
-    target = cg.cell_multi_index(base.action, J, G)
-    points = base.cover.cloud(target)
+    points = base.cover.cloud(cg.cell_multi_index(base.action, J, G))
     terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
                    key=lambda kv: repr(kv[0]))
     return signed_sum(base.n, base.form_degree, points,
-                      ((c, oracle_term_value(base, t, target, points)) for t, c in terms))
+                      ((c, oracle_term_value(base, t, points)) for t, c in terms))
 
 
 def same_bits(got, want):
@@ -207,7 +209,7 @@ def test_all_cancelling_cell_is_the_structural_zero(rng):
     action = cg.trivial_action(["a", "b"], 2)
     expr = cech_differential(cech_differential(cochain(cover, action, [(0, 0)], 0)))
     plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
-    assert plan.cells and not plan.count.any() and not any(len(t) for t in plan.tables)
+    assert plan.cells and not plan.count.any() and not len(plan.table)
     value = cell_value(expr, (2, 0), ("a", "b", "a"), ())
     assert value.structurally_zero and value.values.shape == (4, 1)
 
@@ -220,4 +222,45 @@ def test_structurally_zero_base_values_leave_no_slot(rng):
                         {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()))})
     plan = cg.TermPlan(combination((1, cech_differential(c)), (1, c.expression())),
                        (0, 0), [(("a",), ())])
-    assert len(plan.keys) == 1 and not len(plan.term_key) and not any(len(t) for t in plan.tables)
+    assert len(plan.keys) == 1 and not len(plan.term_key) and not len(plan.table)
+
+
+# ---------------------------------------------------------------------------
+# one value per (key, cloud)
+
+
+def test_face_value_on_a_nested_cell_cloud_is_its_own_value_at_those_points(rng):
+    # nesting appends the points of {p, q, r, s} to the face's own cloud {p, q, r}
+    face_points, deep = random_points(rng, 6, radius=0.3), random_points(rng, 4, radius=0.3)
+    cover = cg.CoverSpec(list("pqrs"), {frozenset("pqr"): np.array(face_points),
+                                        frozenset("pqrs"): np.array(deep)}, 2)
+    one = ex.Const(ex.CRat(1))
+    mobius_inverse = HoloMap(2, [ex.mul(ex.Var(1), ex.Var(2)), ex.sub(ex.Var(2), one)])
+    atlas = cg.Atlas({"p": (lib.henon_map(), lib.henon_inverse()),
+                      "q": (lib.mobius_like_map(), mobius_inverse),
+                      "r": (lib.shear_map(), lib.shear_inverse()),
+                      "s": (lib.identity_map(2), lib.identity_map(2))})
+    tau = cg.tau_invariant(cover, cg.trivial_action(list("pqrs"), 2), atlas, todd_invariant(2))
+    face = ((2, 0), ("p", "q", "r"), ())
+    own, = tau.base_values([face])
+    P = cover.cloud(("p", "q", "r", "s"))
+    on_cell, = tau.evaluate_all([face + (P, cg.IDENTITY_WORD)])
+    rows = {point.tobytes(): i for i, point in enumerate(cover.cloud(("p", "q", "r")))}
+    shared = [rows[point.tobytes()] for point in P]
+    assert len(own.values) == 10 and shared == [6, 7, 8, 9]
+    assert len(set(own.values[:, 0].tolist())) == 10  # the value varies from point to point
+    assert own.values[shared].tobytes() == on_cell.values.tobytes()
+
+
+def test_index_sets_with_byte_equal_clouds_share_one_request_per_key(monkeypatch):
+    # the todd3-cech benchmark scenario declares one 32-point cloud on all 15 index
+    # sets of its cover; keyed by index set, its closedness would make 204 requests
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    scn = Scenario(workloads.todd3_cech(2))
+    tau = scn.tau(scn.atlas, 3)
+    requests, provider = [], tau.components[(3, 0)]
+    tau.components[(3, 0)] = lambda batch: requests.extend(batch) or provider(batch)
+    assert cg.closedness_report(tau, 1e-7)["pass"]
+    assert len(requests) == 108
+    assert len({(J, G, pull) for J, G, _, pull in requests}) == 108
