@@ -136,18 +136,20 @@ def dbar_closed_check(n, z, probes, h, coeff_fn=None):
     }
 
 
-def _scaled_nodes(order, a, b):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _scaled_nodes(rule, a, b):
+    x, w = rule
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32):
+def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32, rule=None):
     """Integral of the classically normalized kernel over |xi - z| = radius (n = 2).
 
     Gauss-Legendre product quadrature in Hopf-style angles. The parametrization
     orientation is fixed so the classical kernel integrates to +1; the raw
     integral of the paper-normalized kernel is the returned value divided by
-    classical_constant(2)/bm_constant(2).
+    classical_constant(2)/bm_constant(2). `rule` is the (nodes, weights) pair
+    of np.polynomial.legendre.leggauss(order), computed here when not given:
+    the eta and phi axes share it, and a check over several radii passes one.
 
     Each eta node contributes one (order, order) slab of (phi1, phi2) nodes,
     evaluated with one kernel call; slabs are summed in eta order, so the
@@ -158,8 +160,10 @@ def reproducing_integral(z=(0.0, 0.0), radius=1.0, order=32):
     if radius <= 0:
         raise ValidationError("radius must be positive")
     z = np.asarray(z, dtype=complex)
-    eta_x, eta_w = _scaled_nodes(order, 0.0, 0.5 * math.pi)
-    phi_x, phi_w = _scaled_nodes(order, 0.0, 2.0 * math.pi)
+    if rule is None:
+        rule = np.polynomial.legendre.leggauss(order)
+    eta_x, eta_w = _scaled_nodes(rule, 0.0, 0.5 * math.pi)
+    phi_x, phi_w = _scaled_nodes(rule, 0.0, 2.0 * math.pi)
     rescale = classical_constant(2) / bm_constant(2)
     r = radius
     e1 = (np.cos(phi_x) + 1j * np.sin(phi_x))[:, None]  # phi1 along rows

@@ -26,7 +26,7 @@ from . import forms
 from .cocycle import LabelPlan, label_vanishes
 from .errors import ValidationError, nan_worst
 from .forms import signed_sum
-from .holomap import MapChain, compose, inverse_pairs
+from .holomap import ChainTable, compose, inverse_pairs
 
 # ---------------------------------------------------------------------------
 # free words over named generators
@@ -183,23 +183,32 @@ class GroupActionSpec:
         self.words = [w if isinstance(w, Word) else Word.gen(w) for w in words]
         self.inverses = inverse_pairs(self.generators.values())
         self._folds = {}
+        self._ids = None
+
+    def ids(self):
+        """The id tables of the action's indices, words and index sets (_Ids), built on
+        first use and shared by every cochain, term plan and path labeler of it."""
+        if self._ids is None:
+            self._ids = _Ids(self)
+        return self._ids
 
     def letter_map(self, name, sgn):
         fwd, inv = self.generators[name]
         return fwd if sgn > 0 else inv
 
-    def act_index(self, index, word):
-        for name, sgn in word.letters:
+    def act_index(self, index, letters):
+        """The cover index that a word's letters move `index` to, first letter first."""
+        for name, sgn in letters:
             table = self.index_action[name] if sgn > 0 else self._inverse_action[name]
             index = table[index]
         return index
 
-    def letter_maps(self, word):
+    def letter_maps(self, letters):
         """The generator maps of a word's letters, outermost first; two adjacent
         letters whose composite is affine (a relation of the action) are one piece,
         that composite (see fold)."""
         maps, folded = [], False
-        for name, sgn in word.letters:
+        for name, sgn in letters:
             m = self.letter_map(name, sgn)
             fg = None if not maps or folded else self.fold(maps[-1], m)
             if fg is None:
@@ -271,32 +280,28 @@ class Atlas:
 # cochains as formal combinations of pulled-back base values
 
 
-def cell_multi_index(action, J, G):
-    """Translated index tuple of the cell (J, G): each index moved by the full word."""
-    w = Word.product(G)
-    return tuple(action.act_index(i, w) for i in J)
-
-
 class MixedCochain:
     """Base cochain: per-bidegree providers of k-forms on cells.
 
-    provider(requests) returns the values of a list of (J, G, points, pull)
-    requests in request order: the base value of the cell (J, G) pulled back
-    along rho(pull), a SampledForm on the (N, n) cloud `points`; with the
-    identity word pull it is the base value at `points`. Every batch of
-    values in a bidegree is one provider call. The optional
-    vanishes(bidegree, J, G) is True when a base value is known to be
-    structurally zero before it is evaluated; its pullbacks then vanish too.
-    Each value is computed once per (bidegree, J, G, pull, cloud) and cached
-    in _cache, the cloud named by its interned id (cloud_id). A scenario
-    builds each tau once (Scenario.tau), so every check reading it shares the
-    cache.
+    A cell (J, G) is a tuple of index ids and a tuple of word ids of the
+    action's id tables (ids, see _Ids). provider(requests) returns the values
+    of a list of (J, G, points, pull) requests in request order: the base
+    value of the cell (J, G) pulled back along rho(pull), for a word id pull,
+    a SampledForm on the (N, n) cloud `points`; with the identity word 0 it is
+    the base value at `points`. Every batch of values in a bidegree is one
+    provider call. The optional vanishes(bidegree, J, G) is True when a base
+    value is known to be structurally zero before it is evaluated; its
+    pullbacks then vanish too. Each value is computed once per (bidegree, J,
+    G, pull, cloud) and cached in _cache, the cloud named by its interned id
+    (cloud_id). A scenario builds each tau once (Scenario.tau), so every check
+    reading it shares the cache.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain",
                  vanishes=None):
         self.cover = cover
         self.action = action
+        self.ids = action.ids()
         self.n = int(n)
         self.form_degree = int(form_degree)
         self.components = {}
@@ -314,8 +319,7 @@ class MixedCochain:
 
     def base_values(self, keys):
         """Base values of (bidegree, J, G) keys on their cells' own clouds, in key order."""
-        return self.evaluate_all([(bd, J, G, self.cell_points(J, G), IDENTITY_WORD)
-                                  for bd, J, G in keys])
+        return self.evaluate_all([(bd, J, G, self.cell_points(J, G), 0) for bd, J, G in keys])
 
     def structurally_zero(self, bidegree, J, G):
         """True when the base value of (J, G) is known to vanish before it is evaluated."""
@@ -348,7 +352,8 @@ class MixedCochain:
         return [self._cache[k] for k in keys]
 
     def cell_points(self, J, G):
-        return self.cover.cloud(cell_multi_index(self.action, J, G))
+        """The cloud of the translated intersection of the cell (J, G)."""
+        return self.cover.cloud(self.ids.cell_set(J, G))
 
     def expression(self):
         return CochainExpression(self, {bd: ("base", bd) for bd in self.components})
@@ -404,58 +409,138 @@ def mixed_differential(c):
 
 
 class _Ids:
-    """Integer ids of the cover indices, words and index sets met by one plan."""
+    """The id tables of one action: its cover indices, reduced words and translated
+    index sets as small ints, shared by every cochain, term plan and path labeler
+    of the action (GroupActionSpec.ids).
+
+    indices[i] is the cover index with id i, in the action's order. words[w]
+    is the reduced letter tuple of the word with id w, 0 the identity; moves[w]
+    lists, per index id, the id of the index the word moves it to. The product
+    of two word ids and the inverse of one are computed once per id (mul,
+    inverse). sets[s] is a translated index set, a frozenset of cover indices,
+    interned by its bit mask over the index ids. The strings a report prints
+    for an index or a word, and the repr that orders a term plan's keys, are
+    made from strings built once per id.
+    """
 
     def __init__(self, action):
-        self.action = action
-        self.indices, self.words, self.sets = [], [], []
-        self._ids = ({}, {}, {})
-        self.word(IDENTITY_WORD)  # id 0
+        self.indices = list(action.indices)
+        self._index_ids = {index: i for i, index in enumerate(self.indices)}
+        # letter -> the index id each index id moves to
+        self._perms = {(name, sgn): [self._index_ids[action.act_index(index, ((name, sgn),))]
+                                     for index in self.indices]
+                       for name in action.index_action for sgn in (1, -1)}
+        self.words, self.moves, self._word_ids = [], [], {}
+        self._products, self._inverses, self._cells = {}, {}, {}
+        self._move_table = np.zeros((0, len(self.indices)), dtype=np.int64)
+        self._product_table = np.zeros((0, 0), dtype=np.int64)
+        self.sets, self._set_ids = [], {}
+        self._index_names = [str(index) for index in self.indices]
+        self._index_reprs = [repr(index) for index in self.indices]
+        self._word_names = {}
+        self.word(())  # id 0
 
-    def _intern(self, table, ids, x):
-        i = ids.get(x)
-        if i is None:
-            i = ids[x] = len(table)
-            table.append(x)
-        return i
+    def index(self, index):
+        return self._index_ids[index]
 
-    def index(self, i):
-        return self._intern(self.indices, self._ids[0], i)
-
-    def word(self, w):
-        return self._intern(self.words, self._ids[1], w)
-
-    def index_set(self, s):
-        return self._intern(self.sets, self._ids[2], s)
-
-    @staticmethod
-    def _pairwise(a, b, fn):
-        """fn(x, y) once per distinct pair of two broadcast id arrays, as an id array."""
-        a, b = np.broadcast_arrays(a, b)
-        if not a.size:
-            return np.zeros(a.shape, dtype=np.int64)
-        pairs, _, inverse = _unique_rows(np.stack([a.ravel(), b.ravel()], axis=1))
-        out = np.array([fn(x, y) for x, y in pairs.tolist()], dtype=np.int64)
-        return out[inverse].reshape(a.shape)
+    def word(self, letters):
+        """Id of the reduced word with these letters."""
+        w = self._word_ids.get(letters)
+        if w is None:
+            w = self._word_ids[letters] = len(self.words)
+            self.words.append(letters)
+            move = list(range(len(self.indices)))
+            for letter in letters:
+                perm = self._perms[letter]
+                move = [perm[i] for i in move]
+            self.moves.append(move)
+        return w
 
     def mul(self, a, b):
-        """Word ids of the products a * b."""
-        words = self.words
-        return self._pairwise(a, b, lambda x, y: self.word(words[x] * words[y]))
+        """Id of the product of the words a and b; two reduced words cancel only where
+        they meet."""
+        w = self._products.get((a, b))
+        if w is None:
+            x, y = self.words[a], self.words[b]
+            i = 0
+            while i < min(len(x), len(y)) and x[-1 - i] == (y[i][0], -y[i][1]):
+                i += 1
+            w = self._products[(a, b)] = self.word(x[:len(x) - i] + y[i:])
+        return w
+
+    def inverse(self, a):
+        w = self._inverses.get(a)
+        if w is None:
+            w = self._inverses[a] = self.word(tuple((name, -sgn)
+                                                    for name, sgn in reversed(self.words[a])))
+        return w
+
+    def moved(self, J, G):
+        """The index ids of the cell (J, G) of id tuples, each moved by the product of
+        the cell's words."""
+        w = 0
+        for g in G:
+            w = self.mul(w, g)
+        move = self.moves[w]
+        return tuple(move[i] for i in J)
+
+    def cell_set(self, J, G):
+        """The translated index set of the cell (J, G), as its cloud's key."""
+        s = self._cells.get((J, G))
+        if s is None:
+            s = self._cells[(J, G)] = frozenset(self.indices[i] for i in self.moved(J, G))
+        return s
+
+    def index_names(self, J):
+        return [self._index_names[i] for i in J]
+
+    def word_name(self, w):
+        name = self._word_names.get(w)
+        if name is None:
+            name = self._word_names[w] = repr(Word._of(self.words[w]))
+        return name
+
+    def word_names(self, G):
+        return [self.word_name(g) for g in G]
+
+    def key_repr(self, bd, J, G, pull):
+        """repr of the term key (bd, J, G, pull) with its indices and words as objects."""
+        return "(%r, %s, %s, %s)" % (bd, _tuple_repr([self._index_reprs[i] for i in J]),
+                                     _tuple_repr(self.word_names(G)), self.word_name(pull))
+
+    def mul_ids(self, a, b):
+        """Word ids of the products a * b of two broadcast word-id arrays, read from a
+        dense product table; mul fills the pairs it lacks, once each."""
+        a, b = np.broadcast_arrays(a, b)
+        W = len(self.words)
+        if len(self._product_table) < W:
+            table = np.full((2 * W, 2 * W), -1, dtype=np.int64)
+            old = len(self._product_table)
+            table[:old, :old] = self._product_table
+            self._product_table = table
+        out = self._product_table[a, b]
+        missing = out < 0
+        if missing.any():
+            for x, y in set(zip(a[missing].tolist(), b[missing].tolist())):
+                self._product_table[x, y] = self.mul(x, y)
+            out = self._product_table[a, b]
+        return out
 
     def act(self, w, J):
         """Index ids of the (C, r) rows J, each index moved by its row's word in w."""
-        indices, words = self.indices, self.words
-        return self._pairwise(J, w[:, None], lambda i, x: self.index(
-            self.action.act_index(indices[i], words[x])))
+        if len(self._move_table) < len(self.moves):
+            self._move_table = np.array(self.moves, dtype=np.int64).reshape(
+                len(self.moves), len(self.indices))
+        return self._move_table[w[:, None], J]
 
     def cell_sets(self, J, G):
-        """Index-set ids of the cells (J, G) translated as in cell_multi_index."""
+        """Index-set ids of the cells of the (C, r) index-id and (C, s) word-id rows
+        J and G, translated as cell_set translates them."""
         if not len(J):
             return np.zeros(0, dtype=np.int64)
         w = np.zeros(len(J), dtype=np.int64)
         for column in G.T:
-            w = self.mul(w, column)
+            w = self.mul_ids(w, column)
         moved = self.act(w, J)
         # one bit per index id, so equal sets give equal rows
         mask = np.zeros((len(J), len(self.indices) // 64 + 1), dtype=np.uint64)
@@ -468,11 +553,21 @@ class _Ids:
             masks = masks[:, None]
         else:
             masks, inverse = np.unique(mask, axis=0, return_inverse=True)
-        ids = [self.index_set(frozenset(self.indices[64 * k + b]
-                                        for k, word in enumerate(row) for b in range(64)
-                                        if word >> b & 1))
-               for row in masks.tolist()]
+        ids = [self._index_set(tuple(row)) for row in masks.tolist()]
         return np.array(ids, dtype=np.int64)[inverse.reshape(-1)]
+
+    def _index_set(self, mask):
+        s = self._set_ids.get(mask)
+        if s is None:
+            s = self._set_ids[mask] = len(self.sets)
+            self.sets.append(frozenset(self.indices[64 * k + b] for k, word in enumerate(mask)
+                                       for b in range(64) if word >> b & 1))
+        return s
+
+
+def _tuple_repr(items):
+    """repr of a tuple whose items have the reprs `items`."""
+    return "(%s)" % (items[0] + "," if len(items) == 1 else ", ".join(items))
 
 
 def _unique_rows(M):
@@ -517,11 +612,12 @@ def _expand(node, J, G, ids):
         raise ValidationError("cell shape mismatch for bidegree (%d, %d)" % (m, q + 1))
     blocks = _expand(child, ids.act(G[:, 0], J), G[:, 1:], ids)
     for k in range(1, q + 1):
-        merged = np.column_stack([G[:, :k - 1], ids.mul(G[:, k - 1], G[:, k]), G[:, k + 1:]])
+        merged = np.column_stack([G[:, :k - 1], ids.mul_ids(G[:, k - 1], G[:, k]),
+                                  G[:, k + 1:]])
         blocks += [_scaled(block, (-1) ** k) for block in _expand(child, J, merged, ids)]
     # right multiplication by one word is injective, so no two keys collide
     for bd, cell, Jb, Gb, pull, coeff in _expand(child, J, G[:, :-1], ids):
-        blocks.append((bd, cell, Jb, Gb, ids.mul(pull, G[cell, -1]),
+        blocks.append((bd, cell, Jb, Gb, ids.mul_ids(pull, G[cell, -1]),
                        (-1) ** (q + 1) * coeff))
     return blocks
 
@@ -531,30 +627,30 @@ def _scaled(block, sign):
 
 
 class TermPlan:
-    """The terms of one expression in one bidegree over a list of cells, as integer arrays.
+    """The terms of one expression in one bidegree over cells, as integer arrays.
 
-    Built once: the component is expanded over all cells at once, equal keys
-    of a cell cancel in integer coefficients, and each cell's terms are ordered
-    by repr(key), ranked once per distinct key. Then every value the terms read
-    is evaluated in one batch (_build_slots), and a term whose value is
-    structurally zero is dropped. Each remaining term has a signed coefficient
-    and a slot in the value table: its base value evaluated on the cell's
-    cloud, pulled back along the term's group word if it has one.
+    The cells come as the (C, r) index-id and (C, s) word-id arrays of the
+    action's id tables (_Ids) that enumerate_cells gives, and a term key is a
+    tuple of ids: (base bidegree, base J, base G, pullback word). Built once:
+    the component is expanded over all cells at once, every word product and
+    moved index read from the id tables; equal keys of a cell cancel in
+    integer coefficients, and each cell's terms are ordered by the repr of
+    their keys' indices and words, ranked once per distinct key from strings
+    made once per id. Then every value the terms read is evaluated in one
+    batch (_build_slots), and a term whose value is structurally zero is
+    dropped. Each remaining term has a signed coefficient and a slot in the
+    value table: its base value evaluated on the cell's cloud, pulled back
+    along the term's group word if it has one.
     """
 
     def __init__(self, expr, bidegree, cells):
         base = self.base = expr.base
-        self.cells = [(tuple(J), tuple(G)) for J, G in cells]
+        ids = self._ids = base.ids
+        J, G = cells
+        self.cells = list(zip(map(tuple, J.tolist()), map(tuple, G.tolist())))
         node = expr.components.get(bidegree)
-        ids = _Ids(base.action)
-        C = len(self.cells)
-        J = np.array([[ids.index(i) for i in c[0]] for c in self.cells],
-                     dtype=np.int64).reshape(C, -1 if C else 0)
-        G = np.array([[ids.word(g) for g in c[1]] for c in self.cells],
-                     dtype=np.int64).reshape(C, -1 if C else 0)
-        self._ids = ids
         self._target = ids.cell_sets(J, G)
-        blocks = [] if node is None or not C else _expand(node, J, G, ids)
+        blocks = [] if node is None or not len(J) else _expand(node, J, G, ids)
         cell, key, coeff = self._cancel(blocks, ids)
         order = np.lexsort((self._rank[key], cell))
         self._build_slots(cell[order], key[order], coeff[order])
@@ -575,10 +671,8 @@ class TermPlan:
             cells.append(rows[:, 0])
             keys.append(key_of + len(self.keys))
             coeffs.append(total)
-            self.keys += [(bd, tuple(ids.indices[i] for i in k[:r]),
-                           tuple(ids.words[g] for g in k[r:r + s]), ids.words[k[-1]])
-                          for k in key_rows.tolist()]
-        reprs = [repr(k) for k in self.keys]
+            self.keys += [(bd, tuple(k[:r]), tuple(k[r:r + s]), k[-1]) for k in key_rows.tolist()]
+        reprs = [ids.key_repr(*k) for k in self.keys]
         self._rank = np.empty(len(reprs), dtype=np.int64)
         self._rank[sorted(range(len(reprs)), key=reprs.__getitem__)] = np.arange(len(reprs))
         if not cells:
@@ -600,9 +694,12 @@ class TermPlan:
         base = self.base
         live = ~np.array([base.structurally_zero(*k[:3]) for k in self.keys], dtype=bool)[key]
         cell, key, coeff = cell[live], key[live], coeff[live]
-        clouds = [self.points_of(s) for s in range(len(self._ids.sets))]
-        self._size = np.array([len(P) for P in clouds], dtype=np.int64)[self._target]
-        cloud_id = np.array([base.cloud_id(P) for P in clouds], dtype=np.int64)
+        clouds = {s: self.points_of(s) for s in np.unique(self._target).tolist()}
+        size = np.zeros(len(self._ids.sets), dtype=np.int64)
+        cloud_id = np.zeros(len(self._ids.sets), dtype=np.int64)
+        for s, P in clouds.items():
+            size[s], cloud_id[s] = len(P), base.cloud_id(P)
+        self._size = size[self._target]
         target = self._target[cell]
         pairs, first, pair_of = _unique_rows(np.stack([key, cloud_id[target]], 1))
         forms = base.evaluate_all([self.keys[k][:3] + (clouds[target[i]], self.keys[k][3])
@@ -663,13 +760,14 @@ class TermPlan:
     def describe(self, term, modulus):
         """The dominant_term entry of a report row for one of the plan's terms."""
         bd, J, G, pull = self.keys[self.term_key[term]]
-        return _term_entry(self.base.name, bd, J, G, pull, int(self.coeff[term]), modulus)
+        ids = self._ids
+        return _term_entry(self.base.name, bd, ids.index_names(J), ids.word_names(G),
+                           ids.word_name(pull), int(self.coeff[term]), modulus)
 
 
-def _term_entry(cochain, bd, J, G, pull, coeff, modulus):
-    return {"cochain": cochain, "bidegree": list(bd), "indices": list(map(str, J)),
-            "words": [repr(w) for w in G], "pullback": repr(pull), "coefficient": coeff,
-            "modulus": modulus}
+def _term_entry(cochain, bd, indices, words, pullback, coeff, modulus):
+    return {"cochain": cochain, "bidegree": list(bd), "indices": indices, "words": words,
+            "pullback": pullback, "coefficient": coeff, "modulus": modulus}
 
 
 # ---------------------------------------------------------------------------
@@ -713,16 +811,36 @@ def _shuffles(step_types):
         yield seq, (-1) ** inv
 
 
-class PathLabeler:
-    """Builds chart simplices for grid paths through a cell and labels them.
+def _grid_states(seq):
+    """The (atlas layer, Cech position, word position) states a path of steps visits."""
+    layer, r, s = 0, 0, 0
+    states = [(layer, r, s)]
+    for kind in seq:
+        if kind == E_STEP:
+            layer = 1
+        elif kind == C_STEP:
+            r += 1
+        else:
+            s += 1
+        states.append((layer, r, s))
+    return tuple(states)
 
-    Vertices carry (atlas layer, cover index, remaining word tail). A vertex
-    chart is the chain chart . tail letters, and the transition between two
-    vertices the chain chart_a . letters of ta tb^-1 . inverse_b of named maps
-    (holomap.MapChain), which drops declared inverse pairs: the identity when
-    nothing moves. Only pairs of letters are composed symbolically, once each
-    (GroupActionSpec.fold); the label plan evaluates theta of a chain from its
-    pieces.
+
+class PathLabeler:
+    """Builds the chart paths through a cell and their labels, all as small ints.
+
+    A cell is a tuple J of index ids and a tuple G of word ids of the action's
+    id tables (_Ids), and every chain a label reads is an id of the labeler's
+    holomap.ChainTable, which its label plans share. A vertex (atlas layer,
+    index id, id of the remaining word tail) is interned as an int; its chart
+    is the chain chart . tail letters, and the transition between two vertices
+    the chain chart_a . letters of ta tb^-1 . inverse_b of named maps, reduced
+    under the declared inverse pairs: the identity when nothing moves. The
+    heads and tails of a cell's words, the vertices, transitions, top charts
+    and pulled top charts are each built once per distinct id key, and a
+    cell's paths and labels once per (J, G, step types). Only pairs of
+    letters are composed symbolically, once each (GroupActionSpec.fold); the
+    label plan evaluates theta of a chain from its pieces.
     """
 
     def __init__(self, cover, action, atlases, T):
@@ -732,85 +850,137 @@ class PathLabeler:
         self.T = T
         self.n = atlases[0].chart(atlases[0].indices()[0]).n
         self.inverses = action.inverses.union(*(atlas.inverses for atlas in self.atlases))
-        self._transitions = {}
-        self._products = {}  # word tuple G -> its prefix and suffix products
-        self._vertices = {}
-        self._shuffles = {}
-        self._labels = {}
-        self._pulled = {}  # (top chart, word) -> the top chart extended by the word's letters
+        self.ids = action.ids()
+        self.chains = ChainTable(self.inverses)
+        self._letters = {}      # word id -> map ids of its letter maps
+        self._charts = {}       # (layer, index id) -> map ids of the chart and its inverse
+        self._vertices = {}     # (layer, index id, tail word id) -> vertex id
+        self._vertex = []       # vertex id -> (layer, index id, tail word id)
+        self._transitions = {}  # (vertex id, vertex id) -> chain id
+        self._tops = {}         # vertex id -> chain id of its chart
+        self._pulled = {}       # (top chart, pull word) -> chain id
+        self._words = {}        # word ids G -> (heads, tails)
+        self._shuffles = {}     # step types -> [(sign, grid states)]
+        self._paths = {}        # (J, G, step types) -> [(sign, vertex ids, ladder)], live
+        self._labels = {}       # (J, G, step types) -> labels
 
-    def _words(self, G):
-        """(heads, tails) of the word tuple G: heads[s] = G[0] ... G[s-1] and
+    def _letter_maps(self, w):
+        """Map ids of the letter maps of the word w (GroupActionSpec.letter_maps)."""
+        maps = self._letters.get(w)
+        if maps is None:
+            maps = self._letters[w] = tuple(map(self.chains.map,
+                                                self.action.letter_maps(self.ids.words[w])))
+        return maps
+
+    def _chart(self, layer, index):
+        charts = self._charts.get((layer, index))
+        if charts is None:
+            atlas, name = self.atlases[layer], self.ids.indices[index]
+            charts = self._charts[(layer, index)] = (self.chains.map(atlas.chart(name)),
+                                                     self.chains.map(atlas.inverse(name)))
+        return charts
+
+    def _heads_tails(self, G):
+        """(heads, tails) of the word ids G: heads[s] = G[0] ... G[s-1] and
         tails[s] = G[s] ... G[-1], each product built once per G."""
-        words = self._products.get(G)
+        words = self._words.get(G)
         if words is None:
-            heads, tails = [IDENTITY_WORD], [IDENTITY_WORD]
+            mul = self.ids.mul
+            heads, tails = [0], [0]
             for g, h in zip(G, reversed(G)):
-                heads.append(heads[-1] * g)
-                tails.append(h * tails[-1])
-            words = self._products[G] = (heads, tails[::-1])
+                heads.append(mul(heads[-1], g))
+                tails.append(mul(h, tails[-1]))
+            words = self._words[G] = (heads, tails[::-1])
         return words
 
-    def vertex(self, layer, J, G, r, s):
-        """(atlas layer, translated index, word tail) for grid state (r, s), built once."""
-        key = (layer, J[r], G, s)
+    def vertex(self, layer, index, tail):
+        """Id of the vertex (atlas layer, index id, tail word id)."""
+        key = (layer, index, tail)
         v = self._vertices.get(key)
         if v is None:
-            heads, tails = self._words(G)
-            v = self._vertices[key] = (layer, self.action.act_index(J[r], heads[s]), tails[s])
+            v = self._vertices[key] = len(self._vertex)
+            self._vertex.append(key)
         return v
 
-    def chart_for(self, vertex):
-        layer, index, tail = vertex
-        return MapChain([self.atlases[layer].chart(index)] + self.action.letter_maps(tail),
-                        self.n, self.inverses)
+    def _live(self, J, G, step_types):
+        """(sign, vertex ids, ladder) of the cell's grid paths whose labels are not
+        structurally zero (label_vanishes), in shuffle order; built once per cell and
+        step types. The vertex of grid state (layer, r, s) is
+        (layer, J[r] moved by G[0] ... G[s-1], G[s] ... G[-1])."""
+        key = (J, G, step_types)
+        live = self._paths.get(key)
+        if live is None:
+            shuffles = self._shuffles.get(step_types)
+            if shuffles is None:
+                shuffles = self._shuffles[step_types] = [
+                    (sign, _grid_states(seq)) for seq, sign in _shuffles(step_types)]
+            heads, tails = self._heads_tails(G)
+            moves, grid, live = self.ids.moves, {}, []
+            for sign, states in shuffles:
+                path = []
+                for state in states:
+                    v = grid.get(state)
+                    if v is None:
+                        layer, r, s = state
+                        v = grid[state] = self.vertex(layer, moves[heads[s]][J[r]], tails[s])
+                    path.append(v)
+                ladder = tuple(self.transition(a, b) for a, b in zip(path, path[1:]))
+                if not label_vanishes(self.T, self.n, ladder, self.chains):
+                    live.append((sign, path, ladder))
+            self._paths[key] = live
+        return live
+
+    def top(self, v):
+        """Chain id of the chart of vertex v: its chart followed by its tail's letters."""
+        c = self._tops.get(v)
+        if c is None:
+            layer, index, tail = self._vertex[v]
+            c = self._tops[v] = self.chains.chain(
+                (self._chart(layer, index)[0],) + self._letter_maps(tail))
+        return c
 
     def transition(self, va, vb):
-        """Map V_b -> V_a between the images of two vertex charts, as a chain."""
+        """Chain id of the map V_b -> V_a between the images of two vertex charts."""
         key = (va, vb)
-        if key not in self._transitions:
-            layer_a, ia, ta = va
-            layer_b, ib, tb = vb
-            self._transitions[key] = MapChain(
-                [self.atlases[layer_a].chart(ia)] + self.action.letter_maps(ta * tb.inverse())
-                + [self.atlases[layer_b].inverse(ib)], self.n, self.inverses)
-        return self._transitions[key]
+        c = self._transitions.get(key)
+        if c is None:
+            layer_a, ia, ta = self._vertex[va]
+            layer_b, ib, tb = self._vertex[vb]
+            ids = self.ids
+            c = self._transitions[key] = self.chains.chain(
+                (self._chart(layer_a, ia)[0],) + self._letter_maps(ids.mul(ta, ids.inverse(tb)))
+                + (self._chart(layer_b, ib)[1],))
+        return c
 
     def labels(self, J, G, step_types):
-        """The cell's path labels that are not structurally zero (label_vanishes), in
-        shuffle order: (sign, ladder, pullback maps, top chart), the chains that
-        LabelPlan.add_label reads. Each cell's paths are built once."""
+        """The cell's path labels that are not structurally zero, in shuffle order:
+        (sign, ladder, pullbacks, top chart), the chain ids that LabelPlan.add_label
+        reads. Each cell's labels are built once."""
         key = (J, G, step_types)
         labels = self._labels.get(key)
         if labels is None:
-            labels = self._labels[key] = []
-            shuffles = self._shuffles.get(step_types)
-            if shuffles is None:
-                shuffles = self._shuffles[step_types] = list(_shuffles(step_types))
-            for seq, sign in shuffles:
-                v = self.path(J, G, seq)
-                ladder = tuple(self.transition(a, b) for a, b in zip(v, v[1:]))
-                if not label_vanishes(self.T, self.n, ladder):
-                    labels.append((sign, ladder, tuple(self.transition(u, v[-1]) for u in v[1:-1]),
-                                   self.chart_for(v[-1])))
+            labels = self._labels[key] = [
+                (sign, ladder, tuple(self.transition(u, path[-1]) for u in path[1:-1]),
+                 self.top(path[-1])) for sign, path, ladder in self._live(J, G, step_types)]
         return labels
 
     def cell_vanishes(self, J, G, step_types):
-        """True when every path label of the cell vanishes, so its cell form does."""
-        return not self.labels(J, G, step_types)
+        """True when every path label of the cell vanishes, so its cell form does; reads
+        only the ladders of the cell's paths."""
+        return not self._live(J, G, step_types)
 
     def pulled_top(self, top, pull):
         """The top chart chain followed by the letter maps of the word pull, built once
         per (top, pull): a label pulled back along rho(pull) is the label of this
         top chart on the same path, so the base value of (J, G) pulled back along
         rho(pull) on a cloud P is the signed sum of those labels on P."""
-        if pull.is_identity():
+        if not pull:
             return top
-        chain = self._pulled.get((top, pull))
-        if chain is None:
-            chain = self._pulled[(top, pull)] = MapChain(
-                top.pieces + tuple(self.action.letter_maps(pull)), self.n, self.inverses)
-        return chain
+        c = self._pulled.get((top, pull))
+        if c is None:
+            c = self._pulled[(top, pull)] = self.chains.chain(
+                self.chains.chains[top] + self._letter_maps(pull))
+        return c
 
     def cell_forms(self, step_types, requests):
         """Signed shuffle sums of the path labels of (J, G, points, pull) requests, in
@@ -823,7 +993,7 @@ class PathLabeler:
         label keys run together and the plan drops each key soon after its
         first use. Each sum still adds its labels in shuffle order.
         """
-        plan = LabelPlan(self.T)
+        plan = LabelPlan(self.T, self.chains)
         labels = [[(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull), P))
                    for sign, ladder, pullbacks, top in self.labels(J, G, step_types)]
                   for J, G, P, pull in requests]
@@ -842,20 +1012,6 @@ class PathLabeler:
             {bd: (lambda requests, s=s: self.cell_forms(s, requests))
              for bd, s in steps.items()},
             name=name, vanishes=lambda bd, J, G: self.cell_vanishes(J, G, steps[bd]))
-
-    def path(self, J, G, seq):
-        """Vertices of the grid path that takes the steps `seq` through cell (J, G)."""
-        layer, r, s = 0, 0, 0
-        vertices = [self.vertex(layer, J, G, r, s)]
-        for kind in seq:
-            if kind == E_STEP:
-                layer = 1
-            elif kind == C_STEP:
-                r += 1
-            else:
-                s += 1
-            vertices.append(self.vertex(layer, J, G, r, s))
-        return vertices
 
 
 def tau_invariant(cover, action, atlas, T):
@@ -889,26 +1045,37 @@ SIGN_CONVENTION = "cech + (-1)^m group"
 
 
 def enumerate_cells(cover, action, m, q, words=None):
-    """All (J, G) cells of a bidegree with a nonempty translated cloud."""
-    words = list(words if words is not None else action.words)
-    moves = []
-    for G in itertools.product(words, repeat=q):
-        w = Word.product(G)
-        moves.append((tuple(G), {i: action.act_index(i, w) for i in cover.indices}))
-    for J in itertools.product(cover.indices, repeat=m + 1):
-        for G, move in moves:
-            if len(cover.cloud(tuple(move[i] for i in J))):
-                yield tuple(J), G
+    """All (J, G) cells of a bidegree with a nonempty translated cloud, as (C, m+1)
+    index-id and (C, q) word-id arrays of the action's id tables (_Ids): J over
+    the cover indices in itertools.product order and, within each J, G over
+    `words` (default: the action's declared words) in the same order."""
+    ids = action.ids()
+    alphabet = [ids.word(w.letters) for w in (action.words if words is None else words)]
+    Js = _grid([ids.index(i) for i in cover.indices], m + 1)
+    Gs = _grid(alphabet, q)
+    J, G = np.repeat(Js, len(Gs), axis=0), np.tile(Gs, (len(Js), 1))
+    sets = ids.cell_sets(J, G)
+    nonempty = np.array([len(cover.cloud(s)) > 0 for s in ids.sets], dtype=bool)
+    keep = nonempty[sets] if len(sets) else np.zeros(0, dtype=bool)
+    return J[keep], G[keep]
+
+
+def _grid(alphabet, r):
+    """The r-tuples over the alphabet, in itertools.product order, as an (A^r, r) array."""
+    rows = list(itertools.product(alphabet, repeat=r))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), r)
 
 
 def cell_values(cochain, bidegrees=None):
-    """(bidegree, J, G, SampledForm) for every nonempty cell of a MixedCochain.
+    """(bidegree, J, G, SampledForm) for every nonempty cell of a MixedCochain, J and
+    G tuples of the action's index and word ids.
 
     Walks `bidegrees` (default: the cochain's own) over the action's declared
     words; the base values of each bidegree are evaluated in one batch.
     """
     for bd in cochain.bidegrees() if bidegrees is None else bidegrees:
-        cells = list(enumerate_cells(cochain.cover, cochain.action, *bd))
+        J, G = enumerate_cells(cochain.cover, cochain.action, *bd)
+        cells = list(zip(map(tuple, J.tolist()), map(tuple, G.tolist())))
         for (J, G), value in zip(cells, cochain.base_values([(bd, J, G) for J, G in cells])):
             yield bd, J, G, value
 
@@ -931,6 +1098,7 @@ def residual_rows(diff, bidegree, subtracted=()):
     with coefficients -1 and +1; on a tie the first.
     """
     base = diff.base
+    ids = base.ids
     plan = TermPlan(diff, bidegree, enumerate_cells(base.cover, base.action, *bidegree))
     rows = [None] * len(plan.cells)
     names = ("tau_a", "tau_b")
@@ -974,10 +1142,11 @@ def residual_rows(diff, bidegree, subtracted=()):
             elif j < t:
                 dominant = plan.describe(int(terms[r, j]), modulus)
             else:
-                dominant = _term_entry(names[j - t], bidegree, J, G, IDENTITY_WORD,
-                                       extra[j - t][0], modulus)
-            rows[c] = {"bidegree": list(bidegree), "indices": list(map(str, J)),
-                       "words": [repr(w) for w in G], "residual": float(per_point[r, i]),
+                dominant = _term_entry(names[j - t], bidegree, ids.index_names(J),
+                                       ids.word_names(G), ids.word_name(0), extra[j - t][0],
+                                       modulus)
+            rows[c] = {"bidegree": list(bidegree), "indices": ids.index_names(J),
+                       "words": ids.word_names(G), "residual": float(per_point[r, i]),
                        "worst_point": [[z.real, z.imag] for z in plan.points(c)[i].tolist()],
                        "dominant_term": dominant}
         del values, total, extra, flat

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .bm import dbar_closed_check, reproducing_integral
-from .cechgroup import (SIGN_CONVENTION, cell_multi_index, cell_values, closedness_report,
-                        cohomologous_witness, require_cells, witness_report)
+from .cechgroup import (SIGN_CONVENTION, cell_values, closedness_report, cohomologous_witness,
+                        require_cells, witness_report)
 from .cocycle import LabelPlan, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError, nan_worst
 from .holomap import MapChain, compose
@@ -106,9 +106,10 @@ def run_bm_dbar(scn, entry):
 def run_bm_reproducing(scn, entry):
     order = entry.get("order", 32)
     radii = entry.get("radii", [0.5, 1.0, 2.0])
+    rule = np.polynomial.legendre.leggauss(order)
     rows = []
     for r in radii:
-        val = reproducing_integral(radius=r, order=order)
+        val = reproducing_integral(radius=r, order=order, rule=rule)
         err = abs(val - 1.0)
         rows.append({"radius": r, "value": [val.real, val.imag], "error": err})
     worst = max((row["error"] for row in rows), key=nan_worst)
@@ -281,12 +282,13 @@ def tau_cell_rows(scn, bidegrees=None):
     tau = scn.tau(scn.atlas, scn.n)
     bidegrees = tau.bidegrees() if bidegrees is None else bidegrees
     rows = []
+    ids = tau.ids
     for (m, q), J, G, sampled in cell_values(tau, bidegrees):
         rows.append({
             "bidegree": [m, q],
-            "indices": list(map(str, J)),
-            "words": [repr(w) for w in G],
-            "on": sorted(map(str, cell_multi_index(scn.action, J, G))),
+            "indices": ids.index_names(J),
+            "words": ids.word_names(G),
+            "on": sorted(ids.index_names(ids.moved(J, G))),
             "max_abs": sampled.max_abs(),
             "values": sampled.to_json(),
         })

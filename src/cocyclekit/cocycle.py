@@ -20,7 +20,7 @@ from . import forms
 from .errors import DomainError, ValidationError, nan_worst
 from .forms import (SampledForm, apply_invariant, jacobian_minors, minor_pullback,
                     sharp_values, signed_sum, theta_values)
-from .holomap import MapChain, as_chain, as_cloud, invert_jacobians, reduced, split_rows, stack
+from .holomap import ChainTable, as_chain, as_cloud, invert_jacobians, split_rows, stack
 
 MIN_SAMPLE_WARN = 8
 
@@ -59,45 +59,52 @@ class ChartSimplex:
         return self.transitions[(p, q)]
 
 
-def label_vanishes(T, n, ladder):
+def label_vanishes(T, n, ladder, chains):
     """True when a top label is structurally zero before any map is evaluated: the
     arity of T exceeds the dimension n, or a transition chain of the theta ladder
-    (phi[r-1, r] for r = 1..k) is affine, every piece of it being affine."""
-    return T.arity > n or any(f.is_affine() for f in ladder)
+    (phi[r-1, r] for r = 1..k, ids of the ChainTable chains) is affine, every
+    piece of it being affine."""
+    return T.arity > n or any(map(chains.is_affine, ladder))
 
 
 class LabelPlan:
     """Top Chern-Weil labels of chart simplices, read through shared, counted keys.
 
-    Transitions and charts are chains of named maps (holomap.MapChain). By the
+    Transitions and charts are chains of named maps, held as ids of a
+    holomap.ChainTable that the plan shares with whoever built them (a
+    PathLabeler's table, or one of the plan's own for chart simplices). By the
     composition rule theta(f . g) = g^# theta(f) + theta(g), for
     f = p_1 . ... . p_m and a pullback chain phi,
     phi^# theta(f) = sum over j of (p_{j+1} . ... . p_m . phi)^# theta(p_j),
     an affine piece adding no term; so only named maps are differentiated.
-    theta(f, phi, Q) returns that sum itself, which the theta-composition
-    check compares with theta of the symbolic composite.
+    The terms of a rung are the table's (ChainTable.rungs), decided once per
+    (f, phi) for every plan of the table. theta(f, phi, Q) returns that sum
+    itself, which the theta-composition check compares with theta of the
+    symbolic composite.
 
-    add_label, with the maps of a chart path, counts one use of a label
+    add_label, with the chain ids of a chart path, counts one use of a label
     before anything is evaluated and, once per distinct label, the keys it
     reads:
 
     - a theta_r key (p, psi, Q) per term of the rung r: a non-affine piece p of
-      the transition f = phi[r-1, r], the pieces psi of its tail chain after
-      phi = phi[r, l] (reduced as MapChain reduces) and the top-image cloud Q;
-      when psi is empty the term is the theta key (p, Q);
+      the transition f = phi[r-1, r], the chain psi of its tail after
+      phi = phi[r, l] and the top-image cloud Q; when psi is the identity
+      chain the term is the theta key (p, Q);
     - a theta key (p, X), once per distinct theta_r key, on X = psi(Q);
-    - a minors key (the top chart's pieces, P): the k x k minors of the top
+    - a minors key ("minors", top chart, P): the k x k minors of the top
       chart's Jacobian on the source cloud P, which the label's pullback reads;
     - the map values that evaluation reads, one store entry per (named map,
       cloud): each piece of psi and of the top chart on the cloud it maps,
       and p on X.
 
-    A label's key is its transition chains, its top chart's pieces and its
-    source cloud. Clouds enter keys as ids of their exact bytes, so equal
-    clouds in distinct arrays share keys. A structurally zero label
-    (label_vanishes) has the key None and reads no map. Maps keep no values
-    (holomap.HoloMap): the plan evaluates a map on a cloud when it counts the
-    cloud's image, and holds Jacobians and inverse Jacobians in its store.
+    A label's key is the tuple of its ladder's chain ids, the tuple of its
+    pullbacks' chain ids, its top chart's chain id and its source cloud's id,
+    all small ints, so no map or chain object is built or hashed per label.
+    Clouds enter keys as ids of their exact bytes, so equal clouds in distinct
+    arrays share keys. A structurally zero label (label_vanishes) has the key
+    None and reads no map. Maps keep no values (holomap.HoloMap): the plan
+    evaluates a map on a cloud when it counts the cloud's image, and holds
+    Jacobians and inverse Jacobians in its store.
 
     Keys are evaluated in batches, one stage at a time: the theta keys of one
     named map, all theta_r keys, the minors keys of one top chart, and the
@@ -123,23 +130,28 @@ class LabelPlan:
     the key again raises it again.
     """
 
-    def __init__(self, T):
+    def __init__(self, T, chains=None):
         self.T = T
+        self.chains = ChainTable() if chains is None else chains
+        self._maps = self.chains.maps
         self._uses = {}     # key -> uses not yet taken
         self._held = {}     # key -> value, from its evaluation to its last use
-        self._stage = {}    # key not yet evaluated -> its (stage, map)
-        self._pending = {}  # (stage, map) -> {key: (entries, arguments)}, in count order
+        self._stage = {}    # key not yet evaluated -> its (stage, map or chain id)
+        self._pending = {}  # (stage, map or chain id) -> {key: (entries, arguments)}
         self._ranks = {}    # label key -> sort key of the clouds it reads
-        self._reads = {}    # (map, cloud id) -> keys still to read its store entry
-        self._store = {}    # (map, cloud id) -> {"jacobian" or "jacobian_inverse": rows}
-        self._images = {}   # (map, cloud id) -> id of the map's image of the cloud
-        self._rungs = {}    # (transition, pullback) chains -> (piece, pieces of psi) per term
+        self._reads = {}    # (map id, cloud id) -> keys still to read its store entry
+        self._store = {}    # (map id, cloud id) -> {"jacobian" or "jacobian_inverse": rows}
+        self._images = {}   # (map id, cloud id) -> id of the map's image of the cloud
         self._clouds = {}   # exact bytes of a cloud -> its id
         self._points = []   # cloud id -> the cloud
 
     def __len__(self):
         """Keys counted or held and not yet released."""
         return len(self._uses) + len(self._held) + len(self._reads)
+
+    def chain(self, chain):
+        """The id of a MapChain, or of a named map, in the plan's table (ChainTable.intern)."""
+        return self.chains.intern(chain)
 
     def _cloud(self, P):
         data = P.tobytes()
@@ -150,17 +162,17 @@ class LabelPlan:
         return cid
 
     def _image(self, m, cid):
-        """Id of the cloud m(P) of the cloud P with id cid, for a named map m."""
+        """Id of the cloud m(P) of the cloud P with id cid, for the named map with id m."""
         xid = self._images.get((m, cid))
         if xid is None:
-            xid = self._images[(m, cid)] = self._cloud(m.eval(self._points[cid]))
+            xid = self._images[(m, cid)] = self._cloud(self._maps[m].eval(self._points[cid]))
         return xid
 
-    def _walk(self, psi, cid):
-        """Ids of the clouds the pieces of the chain psi map, innermost first, from the
-        cloud with id cid; each image was made when psi's key was counted."""
+    def _walk(self, pieces, cid):
+        """Ids of the clouds the pieces of a chain map, innermost first, from the cloud
+        with id cid; each image was made when the chain's key was counted."""
         cids = []
-        for m in reversed(psi):
+        for m in reversed(pieces):
             cids.append(cid)
             cid = self._images[(m, cid)]
         return cids
@@ -172,17 +184,17 @@ class LabelPlan:
         return not uses
 
     def _pend(self, key, stage, m, entries, args):
-        """Key waits in the batch of its stage and map m, with the complex entries of its
-        largest array and the arguments that the stage evaluates it from."""
+        """Key waits in the batch of its stage and map or chain id m, with the complex
+        entries of its largest array and the arguments that the stage evaluates it from."""
         self._stage[key] = (stage, m)
         self._pending.setdefault((stage, m), {})[key] = (entries, args)
 
     def _count_read(self, m, cid):
-        """One more read of the store entry of a named map m on the cloud with id cid."""
+        """One more read of the store entry of the named map m on the cloud with id cid."""
         self._reads[(m, cid)] = self._reads.get((m, cid), 0) + 1
 
     def _values(self, kind, m, cids):
-        """The "jacobian" or "jacobian_inverse" rows of a named map m on the clouds with
+        """The "jacobian" or "jacobian_inverse" rows of the named map m on the clouds with
         ids cids, stacked. The clouds not held are computed together, by one program
         run (or one inversion of their held Jacobians) on their stack, and each
         cloud's rows are held under its own id, read-only, since every key of the
@@ -192,7 +204,7 @@ class LabelPlan:
         if fresh:
             clouds = [self._points[cid] for cid in fresh]
             if kind == "jacobian":
-                rows = m.jacobian(stack(clouds))
+                rows = self._maps[m].jacobian(stack(clouds))
             else:
                 rows = invert_jacobians(self._values("jacobian", m, fresh), stack(clouds))
             rows.flags.writeable = False
@@ -256,48 +268,44 @@ class LabelPlan:
             del self._store[(m, cid)]
 
     def _add_theta(self, p, xid):
-        """Count theta(p) of a named map p on the cloud with id xid; its key."""
+        """Count theta(p) of the named map p on the cloud with id xid; its key."""
         key = (p, xid)
         if self._count(key):
             X = self._points[xid]
-            self._pend(key, self._thetas, p, len(X) * p.n ** 3, (p, X, xid))
+            self._pend(key, self._thetas, p, len(X) * X.shape[1] ** 3, (p, X, xid))
             self._count_read(p, xid)
         return key
 
     def _add_term(self, p, psi, qid):
-        """Count psi^# theta(p), for a named map p and the pieces psi of a chain, on the
-        cloud with id qid; (its key, the id of the cloud psi(Q) that theta(p) reads)."""
+        """Count psi^# theta(p), for the named map p and the chain psi, on the cloud with
+        id qid; (its key, the id of the cloud psi(Q) that theta(p) reads)."""
         if not psi:
             return self._add_theta(p, qid), qid
         key = (p, psi, qid)
         first, xid = self._count(key), qid
-        for m in reversed(psi):
+        pieces = self.chains.chains[psi]
+        for m in reversed(pieces):
             if first:
                 self._count_read(m, xid)
             xid = self._image(m, xid)
         if first:
             Q = self._points[qid]
-            self._pend(key, self._theta_rs, None, len(Q) * p.n ** 3,
-                       (psi, self._add_theta(p, xid), Q, qid))
+            self._pend(key, self._theta_rs, None, len(Q) * Q.shape[1] ** 3,
+                       (pieces, self._add_theta(p, xid), Q, qid))
         return key, xid
 
     def _add_rung(self, f, phi, qid):
         """Count theta_r of the transition chain f pulled back along the chain phi on the
         cloud with id qid, one term per non-affine piece of f; (term keys, their clouds)."""
-        pieces = self._rungs.get((f, phi))
-        if pieces is None:
-            inverses = f.inverses | phi.inverses
-            pieces = self._rungs[(f, phi)] = [(p, reduced(f.pieces[j + 1:] + phi.pieces, inverses))
-                                              for j, p in enumerate(f.pieces) if not p.is_affine()]
-        terms = [self._add_term(p, psi, qid) for p, psi in pieces]
+        terms = [self._add_term(p, psi, qid) for p, psi in self.chains.rungs(f, phi)]
         return tuple(key for key, _ in terms), tuple(xid for _, xid in terms)
 
     def theta(self, f, phi, Q):
-        """phi^# theta(f) of the transition chain f pulled back along the chain phi, on
-        the (N, n) cloud Q: its theta_r terms counted, taken and added in order, or
-        the structural zero when every piece of f is affine."""
-        keys, _ = self._add_rung(f, phi, self._cloud(Q))
+        """phi^# theta(f) of the transition chain f pulled back along the chain phi
+        (MapChains), on the (N, n) cloud Q: its theta_r terms counted, taken and
+        added in order, or the structural zero when every piece of f is affine."""
         n = f.n
+        keys, _ = self._add_rung(self.chain(f), self.chain(phi), self._cloud(Q))
         if not keys:
             return SampledForm.zeros(n, 1, Q, (n, n))
         values = [self.take(key) for key in keys]
@@ -306,28 +314,28 @@ class LabelPlan:
     def add_label(self, ladder, pullbacks, top, P):
         """Count the top label of a chart path on the (N, n) source cloud P; its key.
 
-        `ladder` holds the transition chains phi[r-1, r] for r = 1..k, none
-        affine (label_vanishes), `pullbacks` the chains phi[r, k] for
-        r = 1..k-1 and `top` the top chart's chain.
+        `ladder` holds the chain ids of the transitions phi[r-1, r] for
+        r = 1..k, none affine (label_vanishes), `pullbacks` those of phi[r, k]
+        for r = 1..k-1 and `top` the top chart's chain id.
         """
-        pieces, pid = top.pieces, self._cloud(P)
-        key = (ladder, pullbacks, pieces, pid)
+        pid = self._cloud(P)
+        key = (ladder, pullbacks, top, pid)
         if self._count(key):
-            n, k = top.n, self.T.arity
-            minors = (pieces, pid)
+            n, k = P.shape[1], self.T.arity
+            pieces = self.chains.chains[top]
+            minors = ("minors", top, pid)
             first, qid = self._count(minors), pid
             for m in reversed(pieces):
                 if first:
                     self._count_read(m, qid)
                 qid = self._image(m, qid)
             if first:
-                self._pend(minors, self._minors, pieces, len(P) * (math.comb(n, k) * k) ** 2,
+                self._pend(minors, self._minors, top, len(P) * (math.comb(n, k) * k) ** 2,
                            (pieces, P, pid))
-            rungs = [self._add_rung(f, phi, qid)
-                     for f, phi in zip(ladder, pullbacks + (MapChain((), n),))]
-            self._pend(key, self._labels, pieces,
+            rungs = [self._add_rung(f, phi, qid) for f, phi in zip(ladder, pullbacks + (0,))]
+            self._pend(key, self._labels, top,
                        len(P) * k * math.comb(n, k) * math.factorial(k) * n * n,
-                       (top, P, [terms for terms, _ in rungs], minors, qid))
+                       (P, [terms for terms, _ in rungs], minors, qid))
             self._ranks[key] = (qid,) + tuple(x for _, xids in reversed(rungs) for x in xids)
         return key
 
@@ -340,47 +348,65 @@ class LabelPlan:
         return self._ranks[key]
 
     def _chain_jacobians(self, chains, walks, clouds, inverse):
-        """Stacked Jacobians of chains (tuples of named maps) on their clouds, from the
+        """Stacked Jacobians of chains (tuples of map ids) on their clouds, from the
         clouds their pieces map (walks): products of the pieces' held Jacobians, and
         with `inverse` also the inverses, the reversed products of the pieces'
         inverses. A chain without pieces has the identity. Each named map runs once,
-        on every cloud the chains bring to it."""
-        kind = "jacobian_inverse" if inverse else "jacobian"
-        ends = np.cumsum([len(P) for P in clouds])
-        rows = [np.arange(end - len(P), end) for P, end in zip(clouds, ends)]
-        # the chains each named map moves at each depth, innermost piece first
-        groups = {}
-        for i, chain in enumerate(chains):
-            for depth, m in enumerate(reversed(chain)):
-                groups.setdefault((depth, m), []).append(i)
+        on every cloud the chains bring to it, and each partial product, that of an
+        innermost run of pieces on a cloud, is formed once however many chains
+        end in it."""
+        # a node is an innermost run of pieces on a start cloud: [id of the cloud its
+        # outermost piece maps, parent node, rows, J, Jinv]; the nodes of one depth
+        # and map are one product
+        nodes, groups, ends = {}, {}, []
+        for pieces, cids, P in zip(chains, walks, clouds):
+            node = None
+            for depth, m in enumerate(reversed(pieces)):
+                key = (m, cids[depth], id(node))
+                if key not in nodes:
+                    nodes[key] = [cids[depth], node, len(P), None, None]
+                    groups.setdefault((depth, m), []).append(nodes[key])
+                node = nodes[key]
+            ends.append(node)
         runs = {}
-        for (depth, m), members in groups.items():
-            runs.setdefault(m, {}).update((walks[i][depth], None) for i in members)
+        for (_, m), members in groups.items():
+            runs.setdefault(m, {}).update((node[0], None) for node in members)
+        kind = "jacobian_inverse" if inverse else "jacobian"
         for m, cids in runs.items():
             self._values(kind, m, list(cids))
-        n = clouds[0].shape[1]
-        J = np.broadcast_to(np.eye(n, dtype=complex), (int(ends[-1]), n, n)).copy()
-        Jinv = J.copy() if inverse else None
         for depth, m in sorted(groups, key=lambda group: group[0]):
             members = groups[(depth, m)]
-            at = np.concatenate([rows[i] for i in members])
-            cids = [walks[i][depth] for i in members]
-            Jm = self._values("jacobian", m, cids)
-            J[at] = Jm @ J[at] if depth else Jm
+            cids = [node[0] for node in members]
+            J = self._values("jacobian", m, cids)
+            if depth:
+                J = J @ stack([node[1][3] for node in members])
             if inverse:
-                Im = self._values("jacobian_inverse", m, cids)
-                Jinv[at] = Jinv[at] @ Im if depth else Im
+                Jinv = self._values("jacobian_inverse", m, cids)
+                if depth:
+                    Jinv = stack([node[1][4] for node in members]) @ Jinv
+            lo = 0
+            for node in members:
+                node[3] = J[lo:lo + node[2]]
+                if inverse:
+                    node[4] = Jinv[lo:lo + node[2]]
+                lo += node[2]
+        n = clouds[0].shape[1]
+        eye = np.eye(n, dtype=complex)
+        J = np.concatenate([np.broadcast_to(eye, (len(P), n, n)) if node is None else node[3]
+                            for node, P in zip(ends, clouds)])
+        Jinv = np.concatenate([np.broadcast_to(eye, (len(P), n, n)) if node is None else node[4]
+                               for node, P in zip(ends, clouds)]) if inverse else None
         return J, Jinv
 
     # the stages: each evaluates a batch of argument tuples, one value per tuple,
     # and uses up the batch's reads only once every value exists
 
     def _thetas(self, batch):
-        f, clouds = batch[0][0], [X for _, X, _ in batch]
-        Jinv = self._values("jacobian_inverse", f, [xid for _, _, xid in batch])
-        values = theta_values(Jinv, f.djacobian(stack(clouds)))
+        p, clouds = batch[0][0], [X for _, X, _ in batch]
+        Jinv = self._values("jacobian_inverse", p, [xid for _, _, xid in batch])
+        values = theta_values(Jinv, self._maps[p].djacobian(stack(clouds)))
         for _, _, xid in batch:
-            self._release(f, xid)
+            self._release(p, xid)
         return split_rows(values, clouds)
 
     def _theta_rs(self, batch):
@@ -406,21 +432,22 @@ class LabelPlan:
         return split_rows(values, clouds)
 
     def _labels(self, batch):
-        top, clouds, k = batch[0][0], [P for _, P, _, _, _ in batch], self.T.arity
+        clouds, k = [P for P, _, _, _ in batch], self.T.arity
+        n = clouds[0].shape[1]
         # each rung's terms added left to right, as theta_r adds them
         rungs = [[sum((self._get(t) for t in terms[1:]), self._get(terms[0])) for terms in reads]
-                 for _, _, reads, _, _ in batch]
-        minors = stack([self._get(m) for _, _, _, m, _ in batch])
-        Q = stack([self._points[qid] for _, _, _, _, qid in batch])
-        wedge = apply_invariant(self.T, [SampledForm(top.n, 1, Q, stack(
+                 for _, reads, _, _ in batch]
+        minors = stack([self._get(m) for _, _, m, _ in batch])
+        Q = stack([self._points[qid] for _, _, _, qid in batch])
+        wedge = apply_invariant(self.T, [SampledForm(n, 1, Q, stack(
             [values[r] for values in rungs])) for r in range(k)])
         values = minor_pullback(wedge.values, minors)
-        for _, _, reads, m, _ in batch:
+        for _, reads, m, _ in batch:
             for terms in reads:
                 for t in terms:
                     self._use(t)
             self._use(m)
-        return [SampledForm(top.n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
+        return [SampledForm(n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
 
 
 def face_labels(s, faces, T):
@@ -433,11 +460,14 @@ def face_labels(s, faces, T):
     (label_vanishes) is the structural zero, and no map is evaluated for it.
     """
     plan, P, k = LabelPlan(T), s.source_points, T.arity
+    # every chain of the simplex is interned before any label reads the table
+    transitions = {pq: plan.chain(f) for pq, f in s.transitions.items()}
+    charts = [plan.chain(c) for c in s.charts]
     keys = []
     for face in faces:
-        ladder = tuple(s.transition(a, b) for a, b in zip(face, face[1:]))
-        keys.append(None if label_vanishes(T, s.n, ladder) else plan.add_label(
-            ladder, tuple(s.transition(i, face[-1]) for i in face[1:-1]), s.charts[face[-1]], P))
+        ladder = tuple(transitions[(a, b)] for a, b in zip(face, face[1:]))
+        keys.append(None if label_vanishes(T, s.n, ladder, plan.chains) else plan.add_label(
+            ladder, tuple(transitions[(i, face[-1])] for i in face[1:-1]), charts[face[-1]], P))
     return [SampledForm.zeros(s.n, k, P, ()) if key is None else plan.take(key) for key in keys]
 
 

@@ -248,6 +248,90 @@ def as_chain(m):
     return m if isinstance(m, MapChain) else MapChain([m])
 
 
+class ChainTable:
+    """Named maps and reduced chains of them as small ints, shared by a labeler and
+    its label plans.
+
+    maps[p] is the named map with id p; chains[c] is the tuple of map ids of the
+    chain with id c, outermost first, reduced as MapChain reduces under the
+    table's declared inverse pairs. Equal tuples get one id, so chains compare
+    and hash as ints; id 0 is the identity chain. Whether a chain is affine, and
+    the composition-rule terms of theta_r (rungs), are decided once per id.
+    """
+
+    def __init__(self, inverses=frozenset()):
+        self.maps = []
+        self._map_ids = {}
+        self._inverses = set()  # (p, q) map ids with p . q = id
+        self.chains = [()]
+        self._chain_ids = {(): 0}
+        self._affine = [True]   # chain id -> every piece affine, None until asked
+        self._rungs = {}        # (f, phi) chain ids -> theta_r terms
+        self.declare(inverses)
+
+    def map(self, m):
+        """Id of a named map."""
+        p = self._map_ids.get(m)
+        if p is None:
+            p = self._map_ids[m] = len(self.maps)
+            self.maps.append(m)
+        return p
+
+    def declare(self, inverses):
+        """Add declared (f, g) pairs with f . g = id, as inverse_pairs gives them."""
+        fresh = {(self.map(f), self.map(g)) for f, g in inverses} - self._inverses
+        if fresh:
+            self._inverses |= fresh
+            self._rungs.clear()
+
+    def chain(self, pieces):
+        """Id of the chain of the map ids `pieces`, outermost first: identities and
+        adjacent declared inverse pairs dropped as holomap.reduced drops them."""
+        kept, maps, inverses = [], self.maps, self._inverses
+        for p in pieces:
+            if maps[p]._identity:
+                continue
+            if kept and (kept[-1], p) in inverses:
+                kept.pop()
+            else:
+                kept.append(p)
+        return self._intern(tuple(kept))
+
+    def _intern(self, pieces):
+        c = self._chain_ids.get(pieces)
+        if c is None:
+            c = self._chain_ids[pieces] = len(self.chains)
+            self.chains.append(pieces)
+            self._affine.append(None)
+        return c
+
+    def intern(self, chain):
+        """Id of a MapChain, or of a named map as its one piece, as it stands; its
+        declared inverse pairs join the table's."""
+        chain = as_chain(chain)
+        self.declare(chain.inverses)
+        return self._intern(tuple(map(self.map, chain.pieces)))
+
+    def is_affine(self, c):
+        """True when every piece of chain c is affine; theta of it then vanishes."""
+        flag = self._affine[c]
+        if flag is None:
+            flag = self._affine[c] = all(self.maps[p].is_affine() for p in self.chains[c])
+        return flag
+
+    def rungs(self, f, phi):
+        """The terms of theta_r of chain f pulled back along chain phi: (p_j, psi_j)
+        for each non-affine piece p_j of f = p_1 . ... . p_m, psi_j the chain
+        p_{j+1} . ... . p_m . phi; once per (f, phi)."""
+        terms = self._rungs.get((f, phi))
+        if terms is None:
+            pieces, tail = self.chains[f], self.chains[phi]
+            terms = self._rungs[(f, phi)] = tuple(
+                (p, self.chain(pieces[j + 1:] + tail))
+                for j, p in enumerate(pieces) if not self.maps[p].is_affine())
+        return terms
+
+
 def inverse_pairs(pairs):
     """The pairs (f, g) with f . g = id that chains drop, from declared (map, inverse) pairs."""
     return frozenset(pair for f, g in pairs for pair in ((f, g), (g, f)))

@@ -4,8 +4,8 @@ cf_label_top and theta_r are plans of a single label or a single theta_r,
 so they share no key with any other label; add_top_label counts the top
 label of a whole chart simplex in a plan; validate checks that a chart
 simplex's transitions reproduce its charts on the samples; sub_simplex is
-the chart simplex of a face; path_simplex is the chart simplex of a labeled
-cochain's path. No check type reaches them, so they live with the tests.
+the chart simplex of a face. No check type reaches them, so they live with
+the tests.
 """
 
 import numpy as np
@@ -54,10 +54,12 @@ def add_top_label(plan, s, points):
     k = plan.T.arity
     if s.level != k:
         raise ValidationError("level %d does not match arity %d" % (s.level, k))
-    ladder = tuple(s.transition(r - 1, r) for r in range(1, k + 1))
-    if label_vanishes(plan.T, s.n, ladder):
+    chains = [plan.chain(f) for f in s.charts + list(s.transitions.values())]
+    top, transitions = chains[k], dict(zip(s.transitions, chains[k + 1:]))
+    ladder = tuple(transitions[(r - 1, r)] for r in range(1, k + 1))
+    if label_vanishes(plan.T, s.n, ladder, plan.chains):
         return None
-    return plan.add_label(ladder, tuple(s.transition(r, k) for r in range(1, k)), s.charts[-1],
+    return plan.add_label(ladder, tuple(transitions[(r, k)] for r in range(1, k)), top,
                           as_cloud(points, s.n))
 
 
@@ -85,14 +87,3 @@ def sub_simplex(s, indices):
         for b in range(a + 1, len(indices)):
             trans[(a, b)] = s.transition(indices[a], indices[b])
     return ChartSimplex(charts, trans, s.source_points)
-
-
-def path_simplex(labeler, vertices, points):
-    """The chart simplex of a path's vertices (cechgroup.PathLabeler), on the source
-    cloud `points`."""
-    charts = [labeler.chart_for(v) for v in vertices]
-    transitions = {}
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            transitions[(a, b)] = labeler.transition(vertices[a], vertices[b])
-    return ChartSimplex(charts, transitions, points)

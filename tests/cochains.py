@@ -24,5 +24,8 @@ def group_differential(c):
 
 
 def base_value(c, bidegree, J, G):
-    """The base value of the MixedCochain c on its cell's own cloud, evaluated once."""
-    return c.base_values([(bidegree, J, G)])[0]
+    """The base value of the MixedCochain c on the cell of cover indices J and Words G,
+    on the cell's own cloud, evaluated once."""
+    ids = c.action.ids()
+    return c.base_values([(bidegree, tuple(map(ids.index, J)),
+                           tuple(ids.word(g.letters) for g in G))])[0]

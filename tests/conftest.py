@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cocyclekit.expr as ex
-from cocyclekit.cechgroup import TermPlan
+from cocyclekit.cechgroup import TermPlan, Word, enumerate_cells
 from cocyclekit.holomap import compose
 from cocyclekit.forms import SampledForm
 from map_values import word_pullback
@@ -17,11 +17,42 @@ def random_matrices(rng, k, n):
     return [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(k)]
 
 
-def per_cell(provider, action=None):
+def id_cell(action, J, G):
+    """The cell of cover indices J and Words G as id tuples of the action's tables."""
+    ids = action.ids()
+    return tuple(map(ids.index, J)), tuple(ids.word(g.letters) for g in G)
+
+
+def object_word(action, w):
+    """The Word with id w of the action's tables."""
+    return Word(action.ids().words[w])
+
+
+def object_cell(action, J, G):
+    """The cell of id tuples J and G as cover indices and Words."""
+    return tuple(action.ids().indices[i] for i in J), tuple(object_word(action, g) for g in G)
+
+
+def object_cells(cover, action, m, q, words=None):
+    """The cells of enumerate_cells, in its order, as cover indices and Words."""
+    J, G = enumerate_cells(cover, action, m, q, words)
+    return [object_cell(action, j, g) for j, g in zip(J.tolist(), G.tolist())]
+
+
+def cell_arrays(action, cells):
+    """(C, r) index-id and (C, s) word-id arrays of cells of cover indices and Words."""
+    rows = [id_cell(action, J, G) for J, G in cells]
+    return tuple(np.array([row[i] for row in rows], dtype=np.int64).reshape(
+        len(rows), len(rows[0][i]) if rows else 0) for i in (0, 1))
+
+
+def per_cell(provider, action):
     """A MixedCochain provider of (J, G, points, pull) requests from a one-cell
-    provider(J, G, points); a request under a group word is evaluated at the moved
-    points and pulled back along the word of `action` (map_values.word_pullback)."""
-    return lambda requests: [word_pullback(action, provider, J, G, P, pull)
+    provider(J, G, points) of cover indices and Words; a request under a group
+    word is evaluated at the moved points and pulled back along the word of
+    `action` (map_values.word_pullback)."""
+    return lambda requests: [word_pullback(action, provider, *object_cell(action, J, G), P,
+                                           object_word(action, pull))
                              for J, G, P, pull in requests]
 
 
@@ -35,8 +66,9 @@ def plan_form(plan, c, total):
 
 
 def cell_value(expr, bidegree, J, G):
-    """An expression's value on one cell, from a TermPlan over that cell alone."""
-    plan = TermPlan(expr, bidegree, [(J, G)])
+    """An expression's value on one cell of cover indices and Words, from a TermPlan
+    over that cell alone."""
+    plan = TermPlan(expr, bidegree, cell_arrays(expr.base.action, [(J, G)]))
     (_, _, _, total), = plan.sums()
     return plan_form(plan, 0, None if total is None else total[0])
 

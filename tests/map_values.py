@@ -56,7 +56,7 @@ def jacobian_inverse(m, points):
 
 def word_chain(action, word):
     """rho(word) as a chain of the action's generator maps (letter_maps)."""
-    return MapChain(action.letter_maps(word), action.n, action.inverses)
+    return MapChain(action.letter_maps(word.letters), action.n, action.inverses)
 
 
 def pullback_kform(phi, w, points):

@@ -28,7 +28,7 @@ from chart_labels import validate
 from sampled_forms import add, sharp_pullback, sub, theta
 from cochains import base_value
 from hartogs import hartogs_diagonal
-from conftest import random_matrices, random_points, well_conditioned
+from conftest import object_cells, random_matrices, random_points, well_conditioned
 from test_simplicial import _check_five_identities, random_complex
 
 F = Fraction
@@ -183,7 +183,7 @@ def test_criterion_06_affine_vanishing():
         T = inv.todd_invariant(2)
         tau = cg.tau_invariant(scn.cover, scn.action, scn.atlas, T)
         for (m, q) in tau.bidegrees():
-            for J, G in cg.enumerate_cells(scn.cover, scn.action, m, q):
+            for J, G in object_cells(scn.cover, scn.action, m, q):
                 sampled = base_value(tau, (m, q), J, G)
                 assert np.all(sampled.values == 0)
 

@@ -24,7 +24,7 @@ import library as lib
 import map_values as mv
 import sampled_forms as sf
 from cochains import base_value, cech_differential
-from conftest import cell_value, per_cell, random_matrices, random_points
+from conftest import cell_value, object_cells, per_cell, random_matrices, random_points
 
 RTOL = 1e-12
 
@@ -308,7 +308,7 @@ def test_affine_atlas_tau_cells_exactly_zero():
     tau = cg.tau_invariant(cover, action, atlas, inv.todd_invariant(2))
     cells = 0
     for (m, q) in tau.bidegrees():
-        for J, G in cg.enumerate_cells(cover, action, m, q):
+        for J, G in object_cells(cover, action, m, q):
             assert np.all(base_value(tau, (m, q), J, G).values == 0)
             cells += 1
     assert cells > 0
@@ -325,7 +325,8 @@ def test_cech_face_on_undeclared_cloud_is_evaluated_at_the_cell_points():
     charts = {"p": LIBRARY["henon"], "q": LIBRARY["mobius"]}
     T1 = inv.todd_invariant(1)
     c = cg.MixedCochain(cover, action, 2, 1, {
-        (0, 0): per_cell(lambda J, G, P: fo.apply_invariant(T1, [sf.theta(charts[J[0]], P)]))})
+        (0, 0): per_cell(lambda J, G, P: fo.apply_invariant(T1, [sf.theta(charts[J[0]], P)]),
+                         action)})
     assert cover.cloud(("p",)).shape == (0, 2)
     got = cell_value(cech_differential(c), (1, 0), ("p", "q"), ())
     want = [wedge_at(T1, [theta_at(charts["q"], p)], 2)

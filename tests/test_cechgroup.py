@@ -15,7 +15,8 @@ import library as lib
 import map_values as mv
 import sampled_forms as sf
 from cochains import base_value, cech_differential, group_differential
-from conftest import cell_value, per_cell, random_points, word_composite
+from conftest import (cell_value, id_cell, object_cells, per_cell, random_points,
+                      word_composite)
 
 F = Fraction
 T2 = todd_invariant(2)
@@ -127,8 +128,8 @@ def poly_cochain(cover, action, bidegrees, seed=0):
 def max_residual(expr, cover, action, words=None):
     worst = 0.0
     for (m, q) in expr.bidegrees():
-        for J, G in cg.enumerate_cells(cover, action, m, q, words=words):
-            if len(expr.base.cell_points(J, G)):
+        for J, G in object_cells(cover, action, m, q, words=words):
+            if len(expr.base.cell_points(*id_cell(action, J, G))):
                 worst = max(worst, cell_value(expr, (m, q), J, G).max_abs())
     return worst
 
@@ -138,7 +139,7 @@ def test_cech_differential_degree_zero_example(rng):
     c = constant_cochain(cover, action)
     dc = cech_differential(c)
     # constant cochain: (dc)_{i0,i1} = c_{i1} - c_{i0} = 0, exactly
-    for J, G in cg.enumerate_cells(cover, action, 1, 0, words=[]):
+    for J, G in object_cells(cover, action, 1, 0, words=[]):
         assert cell_value(dc, (1, 0), J, G).max_abs() == 0.0
 
 
@@ -155,7 +156,7 @@ def test_group_differential_trivial_group_is_empty(rng):
     dg = group_differential(c)
     assert dg.bidegrees() == [(0, 1)]
     # no generators: no cells to evaluate
-    assert list(cg.enumerate_cells(cover, action, 0, 1)) == []
+    assert object_cells(cover, action, 0, 1) == []
 
 
 def test_group_differential_two_term_bar_formula(rng):
@@ -167,7 +168,7 @@ def test_group_differential_two_term_bar_formula(rng):
     pts = cover.cloud(("u",))
     base = base_value(c, (0, 0), ("u",), ())
     chain = mv.word_chain(action, g)
-    moved, = c.evaluate_all([((0, 0), ("u",), (), mv.image(chain, pts), cg.IDENTITY_WORD)])
+    moved, = c.evaluate_all([((0, 0), *id_cell(action, ("u",), ()), mv.image(chain, pts), 0)])
     pulled = mv.pullback_kform(chain, moved, pts)
     got = cell_value(dc, (0, 1), ("u",), (g,))
     assert got.points.tolist() == [list(p) for p in pts]
@@ -188,7 +189,7 @@ def test_mixed_differential_reduces_to_cech_for_trivial_group(rng):
     c = poly_cochain(cover, action, [(0, 0)])
     mixed = cg.mixed_differential(c)
     delta = cech_differential(c)
-    for J, G in cg.enumerate_cells(cover, action, 1, 0, words=[]):
+    for J, G in object_cells(cover, action, 1, 0, words=[]):
         a = cell_value(mixed, (1, 0), J, G)
         b = cell_value(delta, (1, 0), J, G)
         assert sf.sub(a, b).max_abs() == 0.0
@@ -199,7 +200,7 @@ def test_mixed_differential_reduces_to_bar_for_singleton_cover(rng):
     c = poly_cochain(cover, action, [(0, 0)])
     mixed = cg.mixed_differential(c)
     bar = group_differential(c)
-    for J, G in cg.enumerate_cells(cover, action, 0, 1):
+    for J, G in object_cells(cover, action, 0, 1):
         a = cell_value(mixed, (0, 1), J, G)
         b = cell_value(bar, (0, 1), J, G)  # cech degree 0: sign +1
         assert sf.sub(a, b).max_abs() == 0.0
@@ -217,11 +218,11 @@ def test_mixed_differential_squares_to_zero(rng):
     assert max_residual(dd, cover, action) == 0.0
 
 
-def constant_forms(values):
+def constant_forms(values, action):
     """Base values constant on the cloud, one constant per cell (keyed by J, G)."""
     def provider(J, G, P):
         return SampledForm(2, 2, P, np.full((len(P), 1), values[J], dtype=complex))
-    return per_cell(provider)
+    return per_cell(provider, action)
 
 
 def two_index_cover(rng):
@@ -233,7 +234,7 @@ def two_index_cover(rng):
 def test_report_rows_name_the_dominant_term(rng):
     cover, action = two_index_cover(rng)
     c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
-        {("a",): 1.0, ("b",): 5.0})}, name="c")
+        {("a",): 1.0, ("b",): 5.0}, action)}, name="c")
     rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1.0)["cells"]}
     # (dc)(a, b) = c_b - c_a: the c_b term dominates, with its sign
     assert rows[("a", "b")]["dominant_term"] == {
@@ -248,7 +249,7 @@ def test_report_rows_name_the_dominant_term(rng):
 def test_dominant_term_tie_goes_to_the_first_in_sum_order(rng):
     cover, action = two_index_cover(rng)
     c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
-        {("a",): 2.0, ("b",): 2.0})})
+        {("a",): 2.0, ("b",): 2.0}, action)})
     rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1e-7)["cells"]}
     assert rows[("a", "b")]["residual"] == 0.0
     dominant = rows[("a", "b")]["dominant_term"]
@@ -258,11 +259,11 @@ def test_dominant_term_tie_goes_to_the_first_in_sum_order(rng):
 def test_witness_dominant_term_can_be_a_tau_sample(rng):
     cover, action = two_index_cover(rng)
     w = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
-        {("a",): 1.0, ("b",): 2.0})}, name="witness")
+        {("a",): 1.0, ("b",): 2.0}, action)}, name="witness")
     pair_values = {J: 0.5 for J in itertools.product("ab", repeat=2)}
-    tau_a = cg.MixedCochain(cover, action, 2, 2, {(1, 0): constant_forms(pair_values)})
+    tau_a = cg.MixedCochain(cover, action, 2, 2, {(1, 0): constant_forms(pair_values, action)})
     tau_b = cg.MixedCochain(cover, action, 2, 2, {(1, 0): constant_forms(
-        {J: 7.0 for J in pair_values})})
+        {J: 7.0 for J in pair_values}, action)})
     report = cg.witness_report(w, tau_a, tau_b, tol=1.0)
     rows = {tuple(r["indices"]): r for r in report["cells"]}
     # d(w) - (tau_a - tau_b) on (a, b): 1.0 + 6.5, the tau_b sample dominates
@@ -287,7 +288,7 @@ def test_tau_affine_atlas_and_action_exactly_zero(rng):
     atlas = cg.Atlas({"u": (chart, chart_inv)})
     tau = cg.tau_invariant(cover, action, atlas, T2)
     for (m, q) in tau.bidegrees():
-        for J, G in cg.enumerate_cells(cover, action, m, q):
+        for J, G in object_cells(cover, action, m, q):
             assert np.all(base_value(tau, (m, q), J, G).values == 0)
 
 
@@ -299,7 +300,7 @@ def test_tau_trivial_group_cech_cocycle(rng):
     # it has teeth: some component is nonzero
     worst = max(base_value(tau, bd, J, G).max_abs()
                 for bd in tau.bidegrees()
-                for J, G in cg.enumerate_cells(cover, action, *bd))
+                for J, G in object_cells(cover, action, *bd))
     assert worst > 1e-6
 
 
@@ -336,7 +337,7 @@ def test_witness_identical_atlases_is_zero(rng):
     cover, action, atlas = three_chart_setup(rng)
     w = cg.cohomologous_witness(cover, action, atlas, atlas, T2)
     for (m, q) in w.bidegrees():
-        for J, G in cg.enumerate_cells(cover, action, m, q):
+        for J, G in object_cells(cover, action, m, q):
             assert base_value(w, (m, q), J, G).max_abs() < 1e-14
 
 
@@ -377,7 +378,7 @@ def test_witness_nonaffine_reparametrization(rng):
     diff = max(float(np.max(np.abs(base_value(tau_a, bd, J, G).values[:3, 0]
                                    - base_value(tau_b, bd, J, G).values[:3, 0])))
                for bd in tau_a.bidegrees()
-               for J, G in cg.enumerate_cells(cover, action, *bd))
+               for J, G in object_cells(cover, action, *bd))
     assert diff > 1e-8
 
 

@@ -131,13 +131,22 @@ def test_transitions_are_chains_of_named_maps():
     scn = Scenario.load(ROOT / "scenarios" / "henon_z.scn")
     labeler = cg.PathLabeler(scn.cover, scn.action, [scn.atlas], todd_invariant(2))
     h, h_inv = scn.action.generators["h"]
-    u = scn.cover.indices[0]
+    ids = scn.action.ids()
+    u = ids.index(scn.cover.indices[0])
     e, hw = cg.Word(), cg.Word.gen("h")
+    eu, hu = (labeler.vertex(0, u, ids.word(w.letters)) for w in (e, hw))
+
+    def pieces(va, vb):
+        return tuple(labeler.chains.maps[p]
+                     for p in labeler.chains.chains[labeler.transition(va, vb)])
+
     # nothing moves: the chart meets its own inverse, and the chain is the identity
-    assert labeler.transition((0, u, hw), (0, u, hw)).pieces == ()
+    assert labeler.transition(hu, hu) == 0 and pieces(hu, hu) == ()
     # the letters of ta tb^-1 between the chart and the inverse, ident dropped
-    assert labeler.transition((0, u, hw), (0, u, e)).pieces == (h,)
-    assert labeler.transition((0, u, e), (0, u, hw)).pieces == (h_inv,)
+    assert pieces(hu, eu) == (h,)
+    assert pieces(eu, hu) == (h_inv,)
+    # each transition is built once: asked again, it is the same id
+    assert labeler.transition(hu, eu) == labeler.transition(hu, eu) != labeler.transition(eu, hu)
     assert mv.word_chain(scn.action, hw * hw).pieces == (h, h)
 
 
@@ -159,8 +168,8 @@ def structural_zeros(scns, monkeypatch):
     count = [0]
     vanishes = co.label_vanishes
 
-    def counted(T, n, ladder):
-        zero = vanishes(T, n, ladder)
+    def counted(T, n, ladder, chains):
+        zero = vanishes(T, n, ladder, chains)
         count[0] += zero
         return zero
 

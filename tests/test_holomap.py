@@ -15,7 +15,7 @@ from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
 import map_values as mv
-from conftest import holds_arrays, numeric_jacobian, random_points
+from conftest import holds_arrays, id_cell, numeric_jacobian, random_points
 
 F = Fraction
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -192,6 +192,7 @@ def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once_per_plan(monkeypa
     f = lib.henon_map()
     pts = np.array(random_points(rng, 5))
     plan = co.LabelPlan(None)
+    f = plan.chains.map(f)
     cids = [plan._cloud(pts), plan._cloud(pts.copy()),
             plan._cloud(hm.as_cloud([tuple(p) for p in pts], 2))]
     assert len(set(cids)) == 1
@@ -211,8 +212,8 @@ def test_a_plan_runs_a_map_once_on_a_stack_of_the_clouds_it_lacks(monkeypatch, r
     pts = np.array(random_points(rng, 6))
     plan = co.LabelPlan(None)
     a, b, c = (plan._cloud(P) for P in (pts[:2], pts[2:5], pts[5:]))
-    plan._values("jacobian", f, [b])
-    rows = plan._values("jacobian", f, [a, b, c, a])
+    plan._values("jacobian", plan.chains.map(f), [b])
+    rows = plan._values("jacobian", plan.chains.map(f), [a, b, c, a])
     # one run for b, then one on the stack of a and c; rows come back in request order
     assert [len(P) // (16 * 2) for _, _, P in runs] == [3, 3]
     want = np.concatenate([f.jacobian(P) for P in (pts[:2], pts[2:5], pts[5:], pts[:2])])
@@ -220,8 +221,8 @@ def test_a_plan_runs_a_map_once_on_a_stack_of_the_clouds_it_lacks(monkeypatch, r
 
 
 def test_held_values_are_read_only(rng):
-    f = lib.henon_map()
     plan = co.LabelPlan(None)
+    f = plan.chains.map(lib.henon_map())
     pts = np.array(random_points(rng, 3))
     cids = [plan._cloud(pts), plan._cloud(pts[:1])]
     for kind in ("jacobian", "jacobian_inverse"):
@@ -242,8 +243,8 @@ def test_maps_keep_no_values(rng):
 
 def test_singular_cloud_raises_on_every_read(monkeypatch):
     runs = compiled_runs(monkeypatch)
-    sq = lib.diagonal_square_map()
     plan = co.LabelPlan(None)
+    sq = plan.chains.map(lib.diagonal_square_map())
     cid = plan._cloud(hm.as_cloud([(0.5, 0.1), (0.0, 0.3 + 0.2j)], 2))
     for _ in range(2):
         with pytest.raises(SingularJacobianError) as err:
@@ -264,11 +265,13 @@ def test_a_word_pullback_equals_the_value_at_the_moved_points_pulled_back(monkey
     tau = cg.tau_invariant(cover, action, cg.Atlas({"u": (ident, ident)}), todd_invariant(2))
     h, hh = cg.Word.gen("h"), cg.Word([("h", 1), ("h", 1)])
     runs = compiled_runs(monkeypatch)
-    got, = tau.evaluate_all([((0, 2), ("u",), (h, h), P, hh)])
+    ids = action.ids()
+    got, = tau.evaluate_all([((0, 2), *id_cell(action, ("u",), (h, h)), P,
+                              ids.word(hh.letters))])
     assert len(set(runs)) == len(runs)
     assert {name for name, _, _ in runs} == {"henon"}
     want = mv.word_pullback(action, lambda J, G, Q: tau.evaluate_all(
-        [((0, 2), J, G, Q, cg.IDENTITY_WORD)])[0], ("u",), (h, h), P, hh)
+        [((0, 2), *id_cell(action, J, G), Q, 0)])[0], ("u",), (h, h), P, hh)
     assert not got.structurally_zero
     assert np.max(np.abs(got.values - want.values)) < 1e-12 * (1 + want.max_abs())
 

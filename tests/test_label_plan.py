@@ -24,8 +24,9 @@ from cocyclekit.forms import signed_sum
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
-from chart_labels import add_top_label, cf_label_top, path_simplex
-from conftest import holds_arrays, per_cell
+from chart_labels import add_top_label, cf_label_top
+from conftest import holds_arrays, object_cell, per_cell
+from path_labels import ReferencePaths
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -43,8 +44,8 @@ def same_bits(got, want):
 
 
 def labeler_of(scn, *atlases):
-    """The PathLabeler of a tau (one atlas) or a witness (two) of the scenario."""
-    return cg.PathLabeler(scn.cover, scn.action, list(atlases), todd_invariant(scn.n))
+    """The reference paths of a tau (one atlas) or a witness (two) of the scenario."""
+    return ReferencePaths(scn.action, list(atlases), todd_invariant(scn.n))
 
 
 def step_types(labeled, bd):
@@ -54,13 +55,13 @@ def step_types(labeled, bd):
     return (cg.E_STEP,) * (labeled.name == "witness") + (cg.C_STEP,) * m + (cg.G_STEP,) * q
 
 
-def per_path_cochain(labeled, labeler):
-    """The labeled cochain's twin whose base values sum cf_label_top once per path."""
+def per_path_cochain(labeled, paths):
+    """The labeled cochain's twin whose base values sum cf_label_top once per path of
+    the reference paths."""
     def provider(bd):
         def value(J, G, P):
-            return signed_sum(labeler.n, labeler.T.arity, P, (
-                (sign, cf_label_top(path_simplex(labeler, labeler.path(J, G, seq), P),
-                                    labeler.T, P))
+            return signed_sum(paths.n, paths.T.arity, P, (
+                (sign, cf_label_top(paths.simplex(J, G, seq, P), paths.T, P))
                 for seq, sign in cg._shuffles(step_types(labeled, bd))))
         return per_cell(value, labeled.action)
 
@@ -70,8 +71,12 @@ def per_path_cochain(labeled, labeler):
 
 
 def base_cells(cochain):
-    return [(bd, J, G) for bd in cochain.bidegrees()
-            for J, G in cg.enumerate_cells(cochain.cover, cochain.action, *bd)]
+    """(bidegree, J, G) of every nonempty cell of the cochain, as id tuples."""
+    cells = []
+    for bd in cochain.bidegrees():
+        J, G = cg.enumerate_cells(cochain.cover, cochain.action, *bd)
+        cells += [(bd, tuple(j), tuple(g)) for j, g in zip(J.tolist(), G.tolist())]
+    return cells
 
 
 def closedness_pass(scn):
@@ -85,11 +90,13 @@ def test_each_theta_and_theta_r_key_is_evaluated_once_per_pass(monkeypatch):
     theta_stage, theta_r_stage = co.LabelPlan._thetas, co.LabelPlan._theta_rs
 
     def counted_thetas(self, batch):
-        thetas.update((f, X.tobytes()) for f, X, _ in batch)
+        thetas.update((self.chains.maps[p], X.tobytes()) for p, X, _ in batch)
         return theta_stage(self, batch)
 
     def counted_theta_rs(self, batch):
-        theta_rs.update((theta_key[0], phi, Q.tobytes()) for phi, theta_key, Q, _ in batch)
+        maps = self.chains.maps
+        theta_rs.update((maps[theta_key[0]], tuple(maps[m] for m in psi), Q.tobytes())
+                        for psi, theta_key, Q, _ in batch)
         return theta_r_stage(self, batch)
 
     monkeypatch.setattr(co.LabelPlan, "_thetas", counted_thetas)
@@ -105,13 +112,13 @@ def recorded_plans(monkeypatch):
     plans, reads = [], []
 
     class Recorded(co.LabelPlan):
-        def __init__(self, T):
-            super().__init__(T)
+        def __init__(self, *args):
+            super().__init__(*args)
             plans.append(self)
 
         def _count_read(self, m, cid):
             super()._count_read(m, cid)
-            reads.append((self, m, self._points[cid]))
+            reads.append((self, self.chains.maps[m], self._points[cid]))
 
     for module in (co, cg, cli):
         monkeypatch.setattr(module, "LabelPlan", Recorded)
@@ -131,17 +138,17 @@ def test_plans_hold_no_live_entry_after_a_pass(monkeypatch):
 def test_planned_labels_equal_one_plan_per_label(name):
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
-    labeler = labeler_of(scn, scn.atlas)
-    plan = co.LabelPlan(labeler.T)
+    paths = labeler_of(scn, scn.atlas)
+    plan = co.LabelPlan(paths.T)
     planned = []
     for bd, J, G in base_cells(tau):
         P = tau.cell_points(J, G)
         for seq, _ in cg._shuffles(step_types(tau, bd)):
-            simplex = path_simplex(labeler, labeler.path(J, G, seq), P)
+            simplex = paths.simplex(*object_cell(scn.action, J, G), seq, P)
             planned.append((simplex, P, add_top_label(plan, simplex, P)))
     assert planned
     for simplex, P, key in planned:
-        want = cf_label_top(simplex, labeler.T, P)
+        want = cf_label_top(simplex, paths.T, P)
         if key is None:
             assert want.structurally_zero
         else:

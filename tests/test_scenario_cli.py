@@ -473,8 +473,8 @@ def test_theta_composition_fails_on_a_nan_residual(tmp_path, monkeypatch):
     # and its henon piece; the second pair is finite
     def nan_thetas(plan, batch):
         values = thetas(plan, batch)
-        return [np.full_like(v, math.nan) for v in values] if "henon" in batch[0][0].name \
-            else values
+        name = plan.chains.maps[batch[0][0]].name
+        return [np.full_like(v, math.nan) for v in values] if "henon" in name else values
 
     monkeypatch.setattr(co.LabelPlan, "_thetas", nan_thetas)
     entry = scn.checks[0]
@@ -485,7 +485,8 @@ def test_theta_composition_fails_on_a_nan_residual(tmp_path, monkeypatch):
 
 def test_bm_reproducing_fails_on_a_nan_value(monkeypatch):
     monkeypatch.setattr(cli, "reproducing_integral",
-                        lambda radius, order: complex(math.nan if radius < 1 else 1.0, 0.0))
+                        lambda radius, order, rule: complex(math.nan if radius < 1 else 1.0,
+                                                            0.0))
     entry = {"radii": [0.5, 1.0], "tolerance": 1e-3}
     result = cli.verdict(entry, *cli.run_bm_reproducing(None, entry))
     assert [math.isnan(r["error"]) for r in result["radii"]] == [True, False]

@@ -27,7 +27,8 @@ from cocyclekit.scenario import Scenario
 import library as lib
 import map_values as mv
 from cochains import cech_differential, group_differential
-from conftest import cell_value, per_cell, plan_form, random_points
+from conftest import (cell_arrays, cell_value, id_cell, object_cell, object_cells, per_cell,
+                      plan_form, random_points)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -66,7 +67,8 @@ def oracle_terms(node, J, G, action):
         return _signed_sum(((-1) ** k, oracle_terms(child, J[:k] + J[k + 1:], G, action))
                            for k in range(m + 2))
     g1 = G[0]
-    parts = [(1, oracle_terms(child, tuple(action.act_index(i, g1) for i in J), G[1:], action))]
+    parts = [(1, oracle_terms(child, tuple(action.act_index(i, g1.letters) for i in J), G[1:],
+                              action))]
     for k in range(1, q + 1):
         merged = G[:k - 1] + (G[k - 1] * G[k],) + G[k + 1:]
         parts.append(((-1) ** k, oracle_terms(child, J, merged, action)))
@@ -80,17 +82,18 @@ def oracle_term_value(base, term, points):
     """A term's value at the cell's points, straight from the provider, past the cache:
     its base value there, or pulled back along its word."""
     bd, J, G, pull = term
-    provider = base.components[bd]
+    provider, cell = base.components[bd], id_cell(base.action, J, G)
     if pull.is_identity():
-        return provider([(J, G, points, pull)])[0]
+        return provider([cell + (points, 0)])[0]
     chain = mv.word_chain(base.action, pull)
-    moved = provider([(J, G, mv.image(chain, points), cg.IDENTITY_WORD)])[0]
+    moved = provider([cell + (mv.image(chain, points), 0)])[0]
     return moved if moved.structurally_zero else mv.pullback_kform(chain, moved, points)
 
 
 def oracle_value(expr, bd, J, G):
     base = expr.base
-    points = base.cover.cloud(cg.cell_multi_index(base.action, J, G))
+    word = cg.Word.product(G)
+    points = base.cover.cloud(tuple(base.action.act_index(i, word.letters) for i in J))
     terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
                    key=lambda kv: repr(kv[0]))
     return signed_sum(base.n, base.form_degree, points,
@@ -172,13 +175,16 @@ EXPRESSIONS = {
 
 
 def plan_values(expr, bd, cells):
-    """{cell: SampledForm} from one plan over all cells, batch by batch."""
-    plan = cg.TermPlan(expr, bd, cells)
+    """{cell: SampledForm} from one plan over all cells of cover indices and Words,
+    batch by batch."""
+    action = expr.base.action
+    plan = cg.TermPlan(expr, bd, cell_arrays(action, cells))
     out = {}
     for batch, _, _, total in plan.sums():
         for r, c in enumerate(batch.tolist()):
-            out[plan.cells[c]] = plan_form(plan, c, None if total is None else total[r])
-    assert sorted(out, key=repr) == sorted(plan.cells, key=repr)
+            out[object_cell(action, *plan.cells[c])] = plan_form(
+                plan, c, None if total is None else total[r])
+    assert sorted(out, key=repr) == sorted(cells, key=repr)
     return out
 
 
@@ -193,7 +199,7 @@ def test_plan_values_equal_the_per_cell_oracle_bitwise(setup, name, bidegrees, z
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fo, "BATCH_ENTRIES", batch)
         for bd in expr.bidegrees():
-            cells = list(cg.enumerate_cells(cover, action, *bd))
+            cells = object_cells(cover, action, *bd)
             got = plan_values(expr, bd, cells)
             for J, G in cells:
                 want = oracle_value(expr, bd, J, G)
@@ -208,7 +214,7 @@ def test_all_cancelling_cell_is_the_structural_zero(rng):
     cover = cg.CoverSpec(["a", "b"], {frozenset(["a", "b"]): np.array(pts)}, 2)
     action = cg.trivial_action(["a", "b"], 2)
     expr = cech_differential(cech_differential(cochain(cover, action, [(0, 0)], 0)))
-    plan = cg.TermPlan(expr, (2, 0), list(cg.enumerate_cells(cover, action, 2, 0)))
+    plan = cg.TermPlan(expr, (2, 0), cg.enumerate_cells(cover, action, 2, 0))
     assert plan.cells and not plan.count.any() and not len(plan.table)
     value = cell_value(expr, (2, 0), ("a", "b", "a"), ())
     assert value.structurally_zero and value.values.shape == (4, 1)
@@ -219,9 +225,10 @@ def test_structurally_zero_base_values_leave_no_slot(rng):
     cover = cg.CoverSpec(["a"], {frozenset(["a"]): np.array(pts)}, 2)
     action = cg.trivial_action(["a"], 2)
     c = cg.MixedCochain(cover, action, 2, 2,
-                        {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()))})
+                        {(0, 0): per_cell(lambda J, G, P: SampledForm.zeros(2, 2, P, ()),
+                                          action)})
     plan = cg.TermPlan(combination((1, cech_differential(c)), (1, c.expression())),
-                       (0, 0), [(("a",), ())])
+                       (0, 0), cell_arrays(action, [(("a",), ())]))
     assert len(plan.keys) == 1 and not len(plan.term_key) and not len(plan.table)
 
 
@@ -240,11 +247,12 @@ def test_face_value_on_a_nested_cell_cloud_is_its_own_value_at_those_points(rng)
                       "q": (lib.mobius_like_map(), mobius_inverse),
                       "r": (lib.shear_map(), lib.shear_inverse()),
                       "s": (lib.identity_map(2), lib.identity_map(2))})
-    tau = cg.tau_invariant(cover, cg.trivial_action(list("pqrs"), 2), atlas, todd_invariant(2))
-    face = ((2, 0), ("p", "q", "r"), ())
+    action = cg.trivial_action(list("pqrs"), 2)
+    tau = cg.tau_invariant(cover, action, atlas, todd_invariant(2))
+    face = ((2, 0),) + id_cell(action, ("p", "q", "r"), ())
     own, = tau.base_values([face])
     P = cover.cloud(("p", "q", "r", "s"))
-    on_cell, = tau.evaluate_all([face + (P, cg.IDENTITY_WORD)])
+    on_cell, = tau.evaluate_all([face + (P, 0)])
     rows = {point.tobytes(): i for i, point in enumerate(cover.cloud(("p", "q", "r")))}
     shared = [rows[point.tobytes()] for point in P]
     assert len(own.values) == 10 and shared == [6, 7, 8, 9]
