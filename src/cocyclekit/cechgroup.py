@@ -1,10 +1,12 @@
 """Mixed Cech/group cochains of holomorphic forms and the tau invariant.
 
-Cells are pairs (Cech multi-index, tuple of group words); the value on a cell
-is a SampledForm: a k-form on the cloud of the translated intersection, one
-array row per point. Differentials act on formal signed combinations of
-pulled-back base values, so the pairwise cancellations behind delta^2 = 0 and
-the bar identities happen symbolically before any floating-point addition.
+Cells are pairs (Cech multi-index, tuple of group words), held in a pass as
+tuples of index and word ids of the action's id tables (_Ids); the value on
+a cell is a SampledForm: a k-form on the cloud of the translated
+intersection, one array row per point. Differentials act on formal signed
+combinations of pulled-back base values, so the pairwise cancellations behind
+delta^2 = 0 and the bar identities happen symbolically before any
+floating-point addition.
 A TermPlan does that bookkeeping once for all cells of a bidegree, as integer
 arrays. A term's value is its base value evaluated on the cell's cloud,
 pulled back along the group word of the term if it has one, once per (term
@@ -438,6 +440,7 @@ class _Ids:
         self._index_names = [str(index) for index in self.indices]
         self._index_reprs = [repr(index) for index in self.indices]
         self._word_names = {}
+        self._tuple_reprs = {}  # (0, index ids) or (1, word ids) -> repr of the tuple
         self.word(())  # id 0
 
     def index(self, index):
@@ -457,22 +460,18 @@ class _Ids:
         return w
 
     def mul(self, a, b):
-        """Id of the product of the words a and b; two reduced words cancel only where
-        they meet."""
+        """Id of the product of the words a and b (Word.__mul__), once per pair."""
         w = self._products.get((a, b))
         if w is None:
-            x, y = self.words[a], self.words[b]
-            i = 0
-            while i < min(len(x), len(y)) and x[-1 - i] == (y[i][0], -y[i][1]):
-                i += 1
-            w = self._products[(a, b)] = self.word(x[:len(x) - i] + y[i:])
+            product = Word._of(self.words[a]) * Word._of(self.words[b])
+            w = self._products[(a, b)] = self.word(product.letters)
         return w
 
     def inverse(self, a):
+        """Id of the inverse of the word a, once per word."""
         w = self._inverses.get(a)
         if w is None:
-            w = self._inverses[a] = self.word(tuple((name, -sgn)
-                                                    for name, sgn in reversed(self.words[a])))
+            w = self._inverses[a] = self.word(Word._of(self.words[a]).inverse().letters)
         return w
 
     def moved(self, J, G):
@@ -504,14 +503,20 @@ class _Ids:
         return [self.word_name(g) for g in G]
 
     def key_repr(self, bd, J, G, pull):
-        """repr of the term key (bd, J, G, pull) with its indices and words as objects."""
-        return "(%r, %s, %s, %s)" % (bd, _tuple_repr([self._index_reprs[i] for i in J]),
-                                     _tuple_repr(self.word_names(G)), self.word_name(pull))
+        """repr of the term key (bd, J, G, pull) with its indices and words as objects;
+        the repr of each index tuple and each word tuple is made once."""
+        reprs = self._tuple_reprs
+        j = reprs.get((0, J))
+        if j is None:
+            j = reprs[(0, J)] = _tuple_repr([self._index_reprs[i] for i in J])
+        g = reprs.get((1, G))
+        if g is None:
+            g = reprs[(1, G)] = _tuple_repr(self.word_names(G))
+        return "(%r, %s, %s, %s)" % (bd, j, g, self.word_name(pull))
 
     def mul_ids(self, a, b):
-        """Word ids of the products a * b of two broadcast word-id arrays, read from a
+        """Word ids of the products a * b of two word-id arrays of one shape, read from a
         dense product table; mul fills the pairs it lacks, once each."""
-        a, b = np.broadcast_arrays(a, b)
         W = len(self.words)
         if len(self._product_table) < W:
             table = np.full((2 * W, 2 * W), -1, dtype=np.int64)
@@ -538,20 +543,20 @@ class _Ids:
         J and G, translated as cell_set translates them."""
         if not len(J):
             return np.zeros(0, dtype=np.int64)
-        w = np.zeros(len(J), dtype=np.int64)
-        for column in G.T:
+        w = G[:, 0] if G.shape[1] else np.zeros(len(J), dtype=np.int64)
+        for column in G.T[1:]:
             w = self.mul_ids(w, column)
-        moved = self.act(w, J)
+        moved = self.act(w, J).astype(np.uint64)
         # one bit per index id, so equal sets give equal rows
-        mask = np.zeros((len(J), len(self.indices) // 64 + 1), dtype=np.uint64)
-        rows = np.arange(len(J))
-        for column in moved.T:
-            mask[rows, column // 64] |= np.left_shift(np.uint64(1),
-                                                      (column % 64).astype(np.uint64))
-        if mask.shape[1] == 1:
-            masks, inverse = np.unique(mask[:, 0], return_inverse=True)
+        if len(self.indices) <= 64:
+            bits = np.bitwise_or.reduce(np.left_shift(np.uint64(1), moved), axis=1)
+            masks, inverse = np.unique(bits, return_inverse=True)
             masks = masks[:, None]
         else:
+            mask = np.zeros((len(J), len(self.indices) // 64 + 1), dtype=np.uint64)
+            rows = np.arange(len(J))
+            for column in moved.T:
+                mask[rows, column // 64] |= np.left_shift(np.uint64(1), column % 64)
             masks, inverse = np.unique(mask, axis=0, return_inverse=True)
         ids = [self._index_set(tuple(row)) for row in masks.tolist()]
         return np.array(ids, dtype=np.int64)[inverse.reshape(-1)]
@@ -574,18 +579,33 @@ def _unique_rows(M):
     """(distinct rows, index of each one's first row, row -> distinct) of an (R, w)
     array of non-negative integer ids, rows in lexicographic order as np.unique gives.
 
-    Rows are packed into one int64 key, mixed radix, when that fits.
+    Rows are packed into one int64 key, mixed radix, when that fits; one stable
+    sort of the keys then gives all three.
     """
     M = np.asarray(M, dtype=np.int64)
-    radix = M.max(axis=0) + 1 if len(M) else np.ones(M.shape[1], dtype=np.int64)
-    if np.sum(np.log2(radix)) < 62:
-        packed = np.zeros(len(M), dtype=np.int64)
-        for column, r in zip(M.T, radix.tolist()):
-            packed = packed * r + column
-        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    R = len(M)
+    if R < 2:
+        return M, np.arange(R), np.zeros(R, dtype=np.int64)
+    radix = (M.max(axis=0) + 1).tolist()
+    if sum(map(math.log2, radix)) < 62:
+        packed = np.zeros(R, dtype=np.int64)
+        for column, r in zip(M.T, radix):
+            packed *= r
+            packed += column
+        order = np.argsort(packed, kind="stable")
+        keys = packed[order]
+        new = np.empty(R, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
     else:
-        _, first, inverse = np.unique(M, axis=0, return_index=True, return_inverse=True)
-    return M[first], first, inverse.reshape(-1)
+        order = np.lexsort(M.T[::-1])
+        keys = M[order]
+        new = np.empty(R, dtype=bool)
+        np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+    new[:1] = True
+    first = order[new]
+    inverse = np.empty(R, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return M[first], first, inverse
 
 
 def _expand(node, J, G, ids):
@@ -861,7 +881,7 @@ class PathLabeler:
         self._pulled = {}       # (top chart, pull word) -> chain id
         self._words = {}        # word ids G -> (heads, tails)
         self._shuffles = {}     # step types -> [(sign, grid states)]
-        self._paths = {}        # (J, G, step types) -> [(sign, vertex ids, ladder)], live
+        self._live_paths = {}   # (J, G, step types) -> [(sign, vertex ids, ladder)]
         self._labels = {}       # (J, G, step types) -> labels
 
     def _letter_maps(self, w):
@@ -908,7 +928,7 @@ class PathLabeler:
         step types. The vertex of grid state (layer, r, s) is
         (layer, J[r] moved by G[0] ... G[s-1], G[s] ... G[-1])."""
         key = (J, G, step_types)
-        live = self._paths.get(key)
+        live = self._live_paths.get(key)
         if live is None:
             shuffles = self._shuffles.get(step_types)
             if shuffles is None:
@@ -927,7 +947,7 @@ class PathLabeler:
                 ladder = tuple(self.transition(a, b) for a, b in zip(path, path[1:]))
                 if not label_vanishes(self.T, self.n, ladder, self.chains):
                     live.append((sign, path, ladder))
-            self._paths[key] = live
+            self._live_paths[key] = live
         return live
 
     def top(self, v):
@@ -993,10 +1013,12 @@ class PathLabeler:
         label keys run together and the plan drops each key soon after its
         first use. Each sum still adds its labels in shuffle order.
         """
-        plan = LabelPlan(self.T, self.chains)
-        labels = [[(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull), P))
-                   for sign, ladder, pullbacks, top in self.labels(J, G, step_types)]
-                  for J, G, P, pull in requests]
+        plan, labels = LabelPlan(self.T, self.chains), []
+        for J, G, P, pull in requests:
+            pid = plan.cloud(P)
+            labels.append([(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull),
+                                                 pid))
+                           for sign, ladder, pullbacks, top in self.labels(J, G, step_types)])
         ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
         out = [None] * len(requests)
         for i in sorted(range(len(requests)), key=ranks.__getitem__):
@@ -1055,7 +1077,7 @@ def enumerate_cells(cover, action, m, q, words=None):
     Gs = _grid(alphabet, q)
     J, G = np.repeat(Js, len(Gs), axis=0), np.tile(Gs, (len(Js), 1))
     sets = ids.cell_sets(J, G)
-    nonempty = np.array([len(cover.cloud(s)) > 0 for s in ids.sets], dtype=bool)
+    nonempty = np.array([len(cover.clouds.get(s, ())) > 0 for s in ids.sets], dtype=bool)
     keep = nonempty[sets] if len(sets) else np.zeros(0, dtype=bool)
     return J[keep], G[keep]
 

@@ -153,7 +153,8 @@ class LabelPlan:
         """The id of a MapChain, or of a named map, in the plan's table (ChainTable.intern)."""
         return self.chains.intern(chain)
 
-    def _cloud(self, P):
+    def cloud(self, P):
+        """Id of the (N, n) cloud P, equal for clouds with equal bytes."""
         data = P.tobytes()
         cid = self._clouds.get(data)
         if cid is None:
@@ -165,7 +166,7 @@ class LabelPlan:
         """Id of the cloud m(P) of the cloud P with id cid, for the named map with id m."""
         xid = self._images.get((m, cid))
         if xid is None:
-            xid = self._images[(m, cid)] = self._cloud(self._maps[m].eval(self._points[cid]))
+            xid = self._images[(m, cid)] = self.cloud(self._maps[m].eval(self._points[cid]))
         return xid
 
     def _walk(self, pieces, cid):
@@ -195,11 +196,17 @@ class LabelPlan:
 
     def _values(self, kind, m, cids):
         """The "jacobian" or "jacobian_inverse" rows of the named map m on the clouds with
-        ids cids, stacked. The clouds not held are computed together, by one program
-        run (or one inversion of their held Jacobians) on their stack, and each
-        cloud's rows are held under its own id, read-only, since every key of the
-        plan that reads them shares them. A raised error is never stored, so a
-        failing cloud fails on every call."""
+        ids cids, stacked (_fill holds them)."""
+        self._fill(kind, m, cids)
+        return stack([self._store[(m, cid)][kind] for cid in cids])
+
+    def _fill(self, kind, m, cids):
+        """Hold the "jacobian" or "jacobian_inverse" rows of the named map m on the clouds
+        with ids cids. The clouds not held are computed together, by one program run
+        (or one inversion of their held Jacobians) on their stack, and each cloud's
+        rows are held under its own id, read-only, since every key of the plan that
+        reads them shares them. A raised error is never stored, so a failing cloud
+        fails on every call."""
         fresh = [cid for cid in dict.fromkeys(cids) if kind not in self._store.get((m, cid), ())]
         if fresh:
             clouds = [self._points[cid] for cid in fresh]
@@ -210,7 +217,6 @@ class LabelPlan:
             rows.flags.writeable = False
             for cid, block in zip(fresh, split_rows(rows, clouds)):
                 self._store.setdefault((m, cid), {})[kind] = block
-        return stack([self._store[(m, cid)][kind] for cid in cids])
 
     def take(self, key):
         """The value of a counted key, evaluated with its batch if not held; dropped after
@@ -305,22 +311,23 @@ class LabelPlan:
         (MapChains), on the (N, n) cloud Q: its theta_r terms counted, taken and
         added in order, or the structural zero when every piece of f is affine."""
         n = f.n
-        keys, _ = self._add_rung(self.chain(f), self.chain(phi), self._cloud(Q))
+        keys, _ = self._add_rung(self.chain(f), self.chain(phi), self.cloud(Q))
         if not keys:
             return SampledForm.zeros(n, 1, Q, (n, n))
         values = [self.take(key) for key in keys]
         return SampledForm(n, 1, Q, sum(values[1:], values[0]))
 
-    def add_label(self, ladder, pullbacks, top, P):
-        """Count the top label of a chart path on the (N, n) source cloud P; its key.
+    def add_label(self, ladder, pullbacks, top, pid):
+        """Count the top label of a chart path on the source cloud with id pid (cloud);
+        its key.
 
         `ladder` holds the chain ids of the transitions phi[r-1, r] for
         r = 1..k, none affine (label_vanishes), `pullbacks` those of phi[r, k]
         for r = 1..k-1 and `top` the top chart's chain id.
         """
-        pid = self._cloud(P)
         key = (ladder, pullbacks, top, pid)
         if self._count(key):
+            P = self._points[pid]
             n, k = P.shape[1], self.T.arity
             pieces = self.chains.chains[top]
             minors = ("minors", top, pid)
@@ -373,7 +380,7 @@ class LabelPlan:
             runs.setdefault(m, {}).update((node[0], None) for node in members)
         kind = "jacobian_inverse" if inverse else "jacobian"
         for m, cids in runs.items():
-            self._values(kind, m, list(cids))
+            self._fill(kind, m, list(cids))
         for depth, m in sorted(groups, key=lambda group: group[0]):
             members = groups[(depth, m)]
             cids = [node[0] for node in members]
@@ -463,11 +470,12 @@ def face_labels(s, faces, T):
     # every chain of the simplex is interned before any label reads the table
     transitions = {pq: plan.chain(f) for pq, f in s.transitions.items()}
     charts = [plan.chain(c) for c in s.charts]
-    keys = []
+    pid, keys = plan.cloud(P), []
     for face in faces:
         ladder = tuple(transitions[(a, b)] for a, b in zip(face, face[1:]))
         keys.append(None if label_vanishes(T, s.n, ladder, plan.chains) else plan.add_label(
-            ladder, tuple(transitions[(i, face[-1])] for i in face[1:-1]), charts[face[-1]], P))
+            ladder, tuple(transitions[(i, face[-1])] for i in face[1:-1]), charts[face[-1]],
+            pid))
     return [SampledForm.zeros(s.n, k, P, ()) if key is None else plan.take(key) for key in keys]
 
 

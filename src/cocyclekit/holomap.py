@@ -194,10 +194,12 @@ class MapChain:
     The constructor drops identity pieces and every adjacent pair (f, g)
     listed in `inverses` (declared f . g = id), as Word reduces letters, so a
     chain that is the identity holds no piece. Chains compare and hash by
-    their pieces, and are the keys of the label plan (cocycle.LabelPlan),
-    which evaluates a chain only through its pieces: it walks a cloud through
-    them, multiplies their Jacobians (chain rule) and adds their thetas by the
-    composition rule, so only named maps are evaluated and differentiated.
+    their pieces. A MapChain is how a chain comes in from outside (a chart
+    simplex, the theta-composition check, the tests); inside a pass a chain
+    is an id of a ChainTable, which a label plan (cocycle.LabelPlan) reads
+    only through its pieces: it walks a cloud through them, multiplies their
+    Jacobians (chain rule) and adds their thetas by the composition rule, so
+    only named maps are evaluated and differentiated.
     """
 
     def __init__(self, pieces, n=None, inverses=frozenset()):
@@ -262,10 +264,11 @@ class ChainTable:
     def __init__(self, inverses=frozenset()):
         self.maps = []
         self._map_ids = {}
-        self._inverses = set()  # (p, q) map ids with p . q = id
+        self._inverses = frozenset()  # declared (f, g) pairs of maps with f . g = id
         self.chains = [()]
         self._chain_ids = {(): 0}
         self._affine = [True]   # chain id -> every piece affine, None until asked
+        self._reduced = {}      # tuple of map ids -> id of its reduced chain
         self._rungs = {}        # (f, phi) chain ids -> theta_r terms
         self.declare(inverses)
 
@@ -279,23 +282,20 @@ class ChainTable:
 
     def declare(self, inverses):
         """Add declared (f, g) pairs with f . g = id, as inverse_pairs gives them."""
-        fresh = {(self.map(f), self.map(g)) for f, g in inverses} - self._inverses
-        if fresh:
-            self._inverses |= fresh
+        if not self._inverses >= inverses:
+            self._inverses |= inverses
+            self._reduced.clear()
             self._rungs.clear()
 
     def chain(self, pieces):
-        """Id of the chain of the map ids `pieces`, outermost first: identities and
-        adjacent declared inverse pairs dropped as holomap.reduced drops them."""
-        kept, maps, inverses = [], self.maps, self._inverses
-        for p in pieces:
-            if maps[p]._identity:
-                continue
-            if kept and (kept[-1], p) in inverses:
-                kept.pop()
-            else:
-                kept.append(p)
-        return self._intern(tuple(kept))
+        """Id of the chain of the map ids `pieces`, outermost first, reduced as a
+        MapChain reduces (holomap.reduced) under the declared pairs; once per
+        distinct tuple."""
+        c = self._reduced.get(pieces)
+        if c is None:
+            kept = reduced([self.maps[p] for p in pieces], self._inverses)
+            c = self._reduced[pieces] = self._intern(tuple(map(self.map, kept)))
+        return c
 
     def _intern(self, pieces):
         c = self._chain_ids.get(pieces)

@@ -60,7 +60,7 @@ def add_top_label(plan, s, points):
     if label_vanishes(plan.T, s.n, ladder, plan.chains):
         return None
     return plan.add_label(ladder, tuple(transitions[(r, k)] for r in range(1, k)), top,
-                          as_cloud(points, s.n))
+                          plan.cloud(as_cloud(points, s.n)))
 
 
 def cf_label_top(s, T, points):

@@ -7,6 +7,7 @@ with the tests.
 """
 
 from cocyclekit.cechgroup import CochainExpression, as_expression
+from conftest import id_cell
 
 
 def cech_differential(c):
@@ -26,6 +27,4 @@ def group_differential(c):
 def base_value(c, bidegree, J, G):
     """The base value of the MixedCochain c on the cell of cover indices J and Words G,
     on the cell's own cloud, evaluated once."""
-    ids = c.action.ids()
-    return c.base_values([(bidegree, tuple(map(ids.index, J)),
-                           tuple(ids.word(g.letters) for g in G))])[0]
+    return c.base_values([(bidegree,) + id_cell(c.action, J, G)])[0]

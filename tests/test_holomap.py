@@ -193,8 +193,8 @@ def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once_per_plan(monkeypa
     pts = np.array(random_points(rng, 5))
     plan = co.LabelPlan(None)
     f = plan.chains.map(f)
-    cids = [plan._cloud(pts), plan._cloud(pts.copy()),
-            plan._cloud(hm.as_cloud([tuple(p) for p in pts], 2))]
+    cids = [plan.cloud(pts), plan.cloud(pts.copy()),
+            plan.cloud(hm.as_cloud([tuple(p) for p in pts], 2))]
     assert len(set(cids)) == 1
     first = plan._values("jacobian", f, cids[:1])
     assert plan._values("jacobian", f, cids[1:2]) is first
@@ -202,7 +202,7 @@ def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once_per_plan(monkeypa
     assert [kind for _, kind, _ in runs] == ["jacobian"]
     # the inverse reuses the held Jacobian; a different cloud is a new run
     plan._values("jacobian_inverse", f, cids)
-    plan._values("jacobian", f, [plan._cloud(pts[:3])])
+    plan._values("jacobian", f, [plan.cloud(pts[:3])])
     assert [kind for _, kind, _ in runs] == ["jacobian", "jacobian"]
 
 
@@ -211,7 +211,7 @@ def test_a_plan_runs_a_map_once_on_a_stack_of_the_clouds_it_lacks(monkeypatch, r
     f = lib.henon_map()
     pts = np.array(random_points(rng, 6))
     plan = co.LabelPlan(None)
-    a, b, c = (plan._cloud(P) for P in (pts[:2], pts[2:5], pts[5:]))
+    a, b, c = (plan.cloud(P) for P in (pts[:2], pts[2:5], pts[5:]))
     plan._values("jacobian", plan.chains.map(f), [b])
     rows = plan._values("jacobian", plan.chains.map(f), [a, b, c, a])
     # one run for b, then one on the stack of a and c; rows come back in request order
@@ -224,7 +224,7 @@ def test_held_values_are_read_only(rng):
     plan = co.LabelPlan(None)
     f = plan.chains.map(lib.henon_map())
     pts = np.array(random_points(rng, 3))
-    cids = [plan._cloud(pts), plan._cloud(pts[:1])]
+    cids = [plan.cloud(pts), plan.cloud(pts[:1])]
     for kind in ("jacobian", "jacobian_inverse"):
         for out in (plan._values(kind, f, cids[:1]), plan._values(kind, f, cids[1:])):
             assert not out.flags.writeable
@@ -245,7 +245,7 @@ def test_singular_cloud_raises_on_every_read(monkeypatch):
     runs = compiled_runs(monkeypatch)
     plan = co.LabelPlan(None)
     sq = plan.chains.map(lib.diagonal_square_map())
-    cid = plan._cloud(hm.as_cloud([(0.5, 0.1), (0.0, 0.3 + 0.2j)], 2))
+    cid = plan.cloud(hm.as_cloud([(0.5, 0.1), (0.0, 0.3 + 0.2j)], 2))
     for _ in range(2):
         with pytest.raises(SingularJacobianError) as err:
             plan._values("jacobian_inverse", sq, [cid])
