@@ -714,7 +714,7 @@ class TermPlan:
         base = self.base
         live = ~np.array([base.structurally_zero(*k[:3]) for k in self.keys], dtype=bool)[key]
         cell, key, coeff = cell[live], key[live], coeff[live]
-        clouds = {s: self.points_of(s) for s in np.unique(self._target).tolist()}
+        clouds = {s: self.points_of(s) for s in sorted(set(self._target.tolist()))}
         size = np.zeros(len(self._ids.sets), dtype=np.int64)
         cloud_id = np.zeros(len(self._ids.sets), dtype=np.int64)
         for s, P in clouds.items():
