@@ -6,6 +6,7 @@ import pytest
 
 import cocyclekit.bm as bm
 import hartogs
+from cocyclekit import cli
 from cocyclekit.errors import DomainError, ValidationError
 
 
@@ -196,6 +197,20 @@ def test_reproducing_integral_radius_independent():
     vals = [bm.reproducing_integral(radius=r, order=32) for r in (0.5, 1.0, 2.0)]
     for v in vals:
         assert abs(v - 1.0) < 1e-3
+
+
+def test_a_check_computes_one_quadrature_rule_for_every_radius(monkeypatch):
+    # the eta and phi axes and every radius share one rule, with the values of a
+    # rule per axis and radius
+    want = [bm.reproducing_integral(radius=r, order=32) for r in (0.5, 1.0, 2.0)]
+    rules = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda order: rules.append(order) or leggauss(order))
+    entry = {"order": 32, "radii": [0.5, 1.0, 2.0], "tolerance": 1e-3}
+    held, fields = cli.run_bm_reproducing(None, entry)
+    assert held and rules == [32]
+    assert [complex(*row["value"]) for row in fields["radii"]] == want
 
 
 def test_reproducing_integral_converges():
