@@ -28,82 +28,17 @@ from . import forms
 from .cocycle import LabelPlan, label_vanishes
 from .errors import ValidationError, nan_worst
 from .forms import signed_sum
-from .holomap import ChainTable, compose, inverse_pairs
+from .holomap import ChainTable, compose, inverse_pairs, reduced
 
 # ---------------------------------------------------------------------------
-# free words over named generators
+# free words over named generators: reduced tuples of letters (generator name,
+# +1 or -1), the empty tuple the identity word
 
 
-class Word:
-    """Reduced free word; letters are (generator name, +1 or -1)."""
-
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, letters=()):
-        self.letters = self._reduce(tuple(letters))
-        self._hash = hash(self.letters)
-
-    @staticmethod
-    def _reduce(letters):
-        out = []
-        for name, sgn in letters:
-            if sgn not in (1, -1):
-                raise ValidationError("letter sign must be +1 or -1")
-            if out and out[-1][0] == name and out[-1][1] == -sgn:
-                out.pop()
-            else:
-                out.append((name, sgn))
-        return tuple(out)
-
-    @classmethod
-    def _of(cls, letters):
-        """The Word of letters that are already reduced."""
-        w = cls.__new__(cls)
-        w.letters = letters
-        w._hash = hash(letters)
-        return w
-
-    def __mul__(self, other):
-        """The product; two reduced words cancel only where they meet."""
-        a, b = self.letters, other.letters
-        i = 0
-        while i < min(len(a), len(b)) and a[-1 - i] == (b[i][0], -b[i][1]):
-            i += 1
-        return Word._of(a[:len(a) - i] + b[i:])
-
-    def inverse(self):
-        return Word._of(tuple((name, -sgn) for name, sgn in reversed(self.letters)))
-
-    def is_identity(self):
-        return not self.letters
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __lt__(self, other):
-        return self.letters < other.letters
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        if not self.letters:
-            return "e"
-        return "*".join(name + ("" if sgn > 0 else "^-1") for name, sgn in self.letters)
-
-    @classmethod
-    def gen(cls, name, sgn=1):
-        return cls(((name, sgn),))
-
-    @classmethod
-    def product(cls, words):
-        w = cls()
-        for x in words:
-            w = w * x
-        return w
-
-
-IDENTITY_WORD = Word()
+def letter_pairs(names):
+    """The adjacent letters that cancel in a word over the generators `names`, as
+    holomap.reduced reads them."""
+    return inverse_pairs(((name, 1), (name, -1)) for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +96,11 @@ def _row_keys(P):
 
 
 class GroupActionSpec:
-    """Named generators with inverses, plus the right action on cover indices."""
+    """Named generators with inverses, plus the right action on cover indices.
+
+    `words` are the declared words, reduced letter tuples, over which the
+    cells' group tuples run (enumerate_cells).
+    """
 
     def __init__(self, generators, index_action, indices, words=(), n=None):
         self.generators = dict(generators)  # name -> (forward HoloMap, inverse HoloMap)
@@ -182,7 +121,7 @@ class GroupActionSpec:
             name: {v: k for k, v in table.items()}
             for name, table in self.index_action.items()
         }
-        self.words = [w if isinstance(w, Word) else Word.gen(w) for w in words]
+        self.words = list(words)
         self.inverses = inverse_pairs(self.generators.values())
         self._folds = {}
         self._ids = None
@@ -432,10 +371,10 @@ class _Ids:
         self._perms = {(name, sgn): [self._index_ids[action.act_index(index, ((name, sgn),))]
                                      for index in self.indices]
                        for name in action.index_action for sgn in (1, -1)}
+        self._pairs = letter_pairs(action.generators)
         self.words, self.moves, self._word_ids = [], [], {}
         self._products, self._inverses, self._cells = {}, {}, {}
         self._move_table = np.zeros((0, len(self.indices)), dtype=np.int64)
-        self._product_table = np.zeros((0, 0), dtype=np.int64)
         self.sets, self._set_ids = [], {}
         self._index_names = [str(index) for index in self.indices]
         self._index_reprs = [repr(index) for index in self.indices]
@@ -460,18 +399,19 @@ class _Ids:
         return w
 
     def mul(self, a, b):
-        """Id of the product of the words a and b (Word.__mul__), once per pair."""
+        """Id of the product of the words a and b, once per pair."""
         w = self._products.get((a, b))
         if w is None:
-            product = Word._of(self.words[a]) * Word._of(self.words[b])
-            w = self._products[(a, b)] = self.word(product.letters)
+            w = self._products[(a, b)] = self.word(reduced(self.words[a] + self.words[b],
+                                                           self._pairs))
         return w
 
     def inverse(self, a):
         """Id of the inverse of the word a, once per word."""
         w = self._inverses.get(a)
         if w is None:
-            w = self._inverses[a] = self.word(Word._of(self.words[a]).inverse().letters)
+            w = self._inverses[a] = self.word(tuple((name, -sgn)
+                                                    for name, sgn in reversed(self.words[a])))
         return w
 
     def moved(self, J, G):
@@ -494,10 +434,13 @@ class _Ids:
         return [self._index_names[i] for i in J]
 
     def word_name(self, w):
-        name = self._word_names.get(w)
-        if name is None:
-            name = self._word_names[w] = repr(Word._of(self.words[w]))
-        return name
+        """The report string of the word w: its letters joined by "*", "e" for the
+        identity."""
+        text = self._word_names.get(w)
+        if text is None:
+            text = self._word_names[w] = "*".join(
+                name + ("" if sgn > 0 else "^-1") for name, sgn in self.words[w]) or "e"
+        return text
 
     def word_names(self, G):
         return [self.word_name(g) for g in G]
@@ -515,21 +458,10 @@ class _Ids:
         return "(%r, %s, %s, %s)" % (bd, j, g, self.word_name(pull))
 
     def mul_ids(self, a, b):
-        """Word ids of the products a * b of two word-id arrays of one shape, read from a
-        dense product table; mul fills the pairs it lacks, once each."""
-        W = len(self.words)
-        if len(self._product_table) < W:
-            table = np.full((2 * W, 2 * W), -1, dtype=np.int64)
-            old = len(self._product_table)
-            table[:old, :old] = self._product_table
-            self._product_table = table
-        out = self._product_table[a, b]
-        missing = out < 0
-        if missing.any():
-            for x, y in set(zip(a[missing].tolist(), b[missing].tolist())):
-                self._product_table[x, y] = self.mul(x, y)
-            out = self._product_table[a, b]
-        return out
+        """The word ids of the products a * b of two word-id arrays of one shape (mul)."""
+        mul = self.mul
+        return np.array([mul(x, y) for x, y in zip(a.tolist(), b.tolist())],
+                        dtype=np.int64).reshape(a.shape)
 
     def act(self, w, J):
         """Index ids of the (C, r) rows J, each index moved by its row's word in w."""
@@ -1066,13 +998,13 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
 SIGN_CONVENTION = "cech + (-1)^m group"
 
 
-def enumerate_cells(cover, action, m, q, words=None):
+def enumerate_cells(cover, action, m, q):
     """All (J, G) cells of a bidegree with a nonempty translated cloud, as (C, m+1)
     index-id and (C, q) word-id arrays of the action's id tables (_Ids): J over
-    the cover indices in itertools.product order and, within each J, G over
-    `words` (default: the action's declared words) in the same order."""
+    the cover indices in itertools.product order and, within each J, G over the
+    action's declared words in the same order."""
     ids = action.ids()
-    alphabet = [ids.word(w.letters) for w in (action.words if words is None else words)]
+    alphabet = list(map(ids.word, action.words))
     Js = _grid([ids.index(i) for i in cover.indices], m + 1)
     Gs = _grid(alphabet, q)
     J, G = np.repeat(Js, len(Gs), axis=0), np.tile(Gs, (len(Js), 1))

@@ -21,7 +21,7 @@ from .cechgroup import (SIGN_CONVENTION, cell_values, closedness_report, cohomol
                         require_cells, witness_report)
 from .cocycle import LabelPlan, verify_telescoping
 from .errors import DomainError, ScenarioError, ValidationError, nan_worst
-from .holomap import MapChain, compose
+from .holomap import ChainTable, compose
 from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
                          format_symfun, newton_convert, todd_component, todd_invariant)
 from .scenario import Scenario, validate_bm_fields, validate_check_fields
@@ -74,13 +74,13 @@ def run_theta_composition(scn, entry):
     theta of compose(f, g) (left) and of the chain f . g (right), each through
     LabelPlan.theta, on the check's points; residual max|L - R| / (1 + max|L|)."""
     P = entry["points"]
-    rows = []
+    rows, table = [], ChainTable()
     for fname, gname in entry["pairs"]:
         f = scn.map_named(fname, "theta-composition")
         g = scn.map_named(gname, "theta-composition")
-        plan, identity = LabelPlan(None), MapChain((), f.n)
-        lhs = plan.theta(MapChain([compose(f, g)]), identity, P)
-        rhs = plan.theta(MapChain([f, g]), identity, P)
+        plan = LabelPlan(None, table)
+        lhs = plan.theta(table.chain((table.map(compose(f, g)),)), 0, P)
+        rhs = plan.theta(table.chain((table.map(f), table.map(g))), 0, P)
         rel = float(np.max(np.abs(lhs.values - rhs.values))) / (1.0 + lhs.max_abs())
         rows.append({"pair": [fname, gname], "residual": rel})
     worst = max((row["residual"] for row in rows), key=nan_worst)

@@ -20,7 +20,7 @@ from . import forms
 from .errors import DomainError, ValidationError, nan_worst
 from .forms import (SampledForm, apply_invariant, jacobian_minors, minor_pullback,
                     sharp_values, signed_sum, theta_values)
-from .holomap import ChainTable, as_chain, as_cloud, invert_jacobians, split_rows, stack
+from .holomap import ChainTable, as_cloud, invert_jacobians, split_rows, stack
 
 MIN_SAMPLE_WARN = 8
 
@@ -29,26 +29,27 @@ class ChartSimplex:
     """Charts rho_0..rho_l on a common source cloud plus transitions phi[p,q].
 
     Transitions are scenario-supplied maps V_q -> V_p for p < q, never derived
-    by inversion. Charts and transitions are held as chains of named maps
-    (holomap.MapChain): the constructor wraps a named map given alone, such
-    as a corrupted transition, as a chain of one piece. It checks only the
+    by inversion. Each chart and each transition is a chain of named maps: a
+    tuple of HoloMaps, outermost first, that reduces under the declared pairs
+    `inverses` (f, g) with f . g = id (holomap.inverse_pairs), as the
+    ChainTable of face_labels reduces it. The constructor checks only the
     shape (a transition for every p < q), not coherence (phi[p,q] of rho_q =
     rho_p on the samples): an incoherent transition shows up in the face sums
     of verify_telescoping.
     """
 
-    def __init__(self, charts, transitions, source_points):
-        self.charts = [as_chain(c) for c in charts]
+    def __init__(self, charts, transitions, source_points, inverses=frozenset()):
+        self.charts = list(charts)
         self.level = len(self.charts) - 1
         if self.level < 0:
             raise ValidationError("need at least one chart")
-        self.n = self.charts[0].n
+        self.n = self.charts[0][0].n
         self.source_points = as_cloud(source_points, self.n)
-        self.transitions = {}
-        for (p, q), m in transitions.items():
+        self.inverses = inverses
+        self.transitions = dict(transitions)
+        for p, q in self.transitions:
             if not 0 <= p < q <= self.level:
                 raise ValidationError("bad transition key (%d, %d)" % (p, q))
-            self.transitions[(p, q)] = as_chain(m)
         for p in range(self.level + 1):
             for q in range(p + 1, self.level + 1):
                 if (p, q) not in self.transitions:
@@ -72,8 +73,8 @@ class LabelPlan:
 
     Transitions and charts are chains of named maps, held as ids of a
     holomap.ChainTable that the plan shares with whoever built them (a
-    PathLabeler's table, or one of the plan's own for chart simplices). By the
-    composition rule theta(f . g) = g^# theta(f) + theta(g), for
+    PathLabeler's table, or the one face_labels builds for a chart simplex).
+    By the composition rule theta(f . g) = g^# theta(f) + theta(g), for
     f = p_1 . ... . p_m and a pullback chain phi,
     phi^# theta(f) = sum over j of (p_{j+1} . ... . p_m . phi)^# theta(p_j),
     an affine piece adding no term; so only named maps are differentiated.
@@ -148,10 +149,6 @@ class LabelPlan:
     def __len__(self):
         """Keys counted or held and not yet released."""
         return len(self._uses) + len(self._held) + len(self._reads)
-
-    def chain(self, chain):
-        """The id of a MapChain, or of a named map, in the plan's table (ChainTable.intern)."""
-        return self.chains.intern(chain)
 
     def cloud(self, P):
         """Id of the (N, n) cloud P, equal for clouds with equal bytes."""
@@ -308,10 +305,11 @@ class LabelPlan:
 
     def theta(self, f, phi, Q):
         """phi^# theta(f) of the transition chain f pulled back along the chain phi
-        (MapChains), on the (N, n) cloud Q: its theta_r terms counted, taken and
-        added in order, or the structural zero when every piece of f is affine."""
-        n = f.n
-        keys, _ = self._add_rung(self.chain(f), self.chain(phi), self.cloud(Q))
+        (chain ids of the plan's table), on the (N, n) cloud Q: its theta_r terms
+        counted, taken and added in order, or the structural zero when every piece
+        of f is affine."""
+        n = Q.shape[1]
+        keys, _ = self._add_rung(f, phi, self.cloud(Q))
         if not keys:
             return SampledForm.zeros(n, 1, Q, (n, n))
         values = [self.take(key) for key in keys]
@@ -459,21 +457,21 @@ class LabelPlan:
 
 def face_labels(s, faces, T):
     """Top labels of the k-faces `faces` of the chart simplex s on its source cloud,
-    through one LabelPlan.
+    through one LabelPlan over one ChainTable of the simplex's chains.
 
     A k-face (i_0 < ... < i_k) is the chart path of its ladder phi[i_{r-1}, i_r]
     (r = 1..k), its pullbacks phi[i_r, i_k] (r = 1..k-1) and its top chart
     rho_{i_k}, counted with add_label. A face whose label vanishes
     (label_vanishes) is the structural zero, and no map is evaluated for it.
     """
-    plan, P, k = LabelPlan(T), s.source_points, T.arity
-    # every chain of the simplex is interned before any label reads the table
-    transitions = {pq: plan.chain(f) for pq, f in s.transitions.items()}
-    charts = [plan.chain(c) for c in s.charts]
+    table = ChainTable(s.inverses)
+    plan, P, k = LabelPlan(T, table), s.source_points, T.arity
+    transitions = {pq: table.chain(tuple(map(table.map, f))) for pq, f in s.transitions.items()}
+    charts = [table.chain(tuple(map(table.map, c))) for c in s.charts]
     pid, keys = plan.cloud(P), []
     for face in faces:
         ladder = tuple(transitions[(a, b)] for a, b in zip(face, face[1:]))
-        keys.append(None if label_vanishes(T, s.n, ladder, plan.chains) else plan.add_label(
+        keys.append(None if label_vanishes(T, s.n, ladder, table) else plan.add_label(
             ladder, tuple(transitions[(i, face[-1])] for i in face[1:-1]), charts[face[-1]],
             pid))
     return [SampledForm.zeros(s.n, k, P, ()) if key is None else plan.take(key) for key in keys]

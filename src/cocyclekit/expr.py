@@ -12,7 +12,7 @@ rather than copying them, and every walk goes over distinct nodes once.
   once, and second derivatives reuse the first ones' nodes.
 - substitute rebuilds each distinct node once per memo (by identity), so the
   sharing of its input survives composition. The pass composes maps as
-  chains of named maps (holomap.MapChain) and differentiates only those;
+  chains of named maps (holomap.ChainTable) and differentiates only those;
   substitution serves the symbolic compose oracle and the letter pairs that
   GroupActionSpec.fold checks for an affine composite.
 - max_var is computed once per node.

@@ -163,9 +163,9 @@ def parse_map(text, n, constants=None, name=""):
 def compose(f, g):
     """f after g, by symbolic substitution of g's components into f.
 
-    The pass composes maps as MapChains; this symbolic composite is the
-    independent oracle that the theta-composition check and the tests
-    compare chains and the composition rule against.
+    The pass composes maps as chains of named maps (ChainTable); this
+    symbolic composite is the independent oracle that the theta-composition
+    check and the tests compare chains and the composition rule against.
 
     One substitution memo serves all of f's components, so a subtree shared
     between them is rebuilt once and stays shared in the result.
@@ -186,68 +186,17 @@ def compose(f, g):
     return composed
 
 
-class MapChain:
-    """Composite p_1 . ... . p_m of named maps, applied right to left on point arrays.
-
-    This is how the pass composes maps: transitions, word maps and chart
-    simplices are chains of the scenario's named maps, never new expressions.
-    The constructor drops identity pieces and every adjacent pair (f, g)
-    listed in `inverses` (declared f . g = id), as Word reduces letters, so a
-    chain that is the identity holds no piece. Chains compare and hash by
-    their pieces. A MapChain is how a chain comes in from outside (a chart
-    simplex, the theta-composition check, the tests); inside a pass a chain
-    is an id of a ChainTable, which a label plan (cocycle.LabelPlan) reads
-    only through its pieces: it walks a cloud through them, multiplies their
-    Jacobians (chain rule) and adds their thetas by the composition rule, so
-    only named maps are evaluated and differentiated.
-    """
-
-    def __init__(self, pieces, n=None, inverses=frozenset()):
-        if n is None:
-            if not pieces:
-                raise ValidationError("empty map chain")
-            n = pieces[0].n
-        if any(p.n != n for p in pieces):
-            raise ValidationError("chain pieces disagree on dimension")
-        self.n = n
-        self.inverses = inverses
-        self.pieces = reduced(pieces, inverses)
-        self._hash = hash(self.pieces)
-        self._affine = None
-
-    def __eq__(self, other):
-        return isinstance(other, MapChain) and self.pieces == other.pieces
-
-    def __hash__(self):
-        return self._hash
-
-    def is_affine(self):
-        """True when every piece is affine; theta of the chain then vanishes structurally."""
-        if self._affine is None:
-            self._affine = all(p.is_affine() for p in self.pieces)
-        return self._affine
-
-    def __repr__(self):
-        return "MapChain(%s)" % " . ".join(p.name or "?" for p in self.pieces)
-
-
-def reduced(pieces, inverses):
-    """The maps `pieces` without identities and adjacent pairs (f, g) in `inverses`,
-    cancelling as a free word reduces."""
+def reduced(items, pairs):
+    """`items` with every adjacent pair (a, b) in `pairs` cancelled, as a free word
+    reduces: word letters under the action's letter pairs (cechgroup.letter_pairs),
+    or the map pieces of a chain under its declared inverse pairs."""
     kept = []
-    for p in pieces:
-        if p._identity:
-            continue
-        if kept and (kept[-1], p) in inverses:
+    for x in items:
+        if kept and (kept[-1], x) in pairs:
             kept.pop()
         else:
-            kept.append(p)
+            kept.append(x)
     return tuple(kept)
-
-
-def as_chain(m):
-    """A map as a chain: a MapChain itself, a HoloMap as its one piece."""
-    return m if isinstance(m, MapChain) else MapChain([m])
 
 
 class ChainTable:
@@ -255,22 +204,23 @@ class ChainTable:
     its label plans.
 
     maps[p] is the named map with id p; chains[c] is the tuple of map ids of the
-    chain with id c, outermost first, reduced as MapChain reduces under the
-    table's declared inverse pairs. Equal tuples get one id, so chains compare
-    and hash as ints; id 0 is the identity chain. Whether a chain is affine, and
-    the composition-rule terms of theta_r (rungs), are decided once per id.
+    chain with id c, outermost first: a composite p_1 . ... . p_m applied right
+    to left, without identity pieces and reduced under the declared inverse
+    pairs (f, g) with f . g = id that the table is built with, so the identity
+    chain holds no piece. Equal tuples get one id, so chains compare and hash
+    as ints; id 0 is the identity chain. Whether a chain is affine, and the
+    composition-rule terms of theta_r (rungs), are decided once per id.
     """
 
     def __init__(self, inverses=frozenset()):
         self.maps = []
         self._map_ids = {}
-        self._inverses = frozenset()  # declared (f, g) pairs of maps with f . g = id
+        self._inverses = inverses
         self.chains = [()]
         self._chain_ids = {(): 0}
         self._affine = [True]   # chain id -> every piece affine, None until asked
         self._reduced = {}      # tuple of map ids -> id of its reduced chain
         self._rungs = {}        # (f, phi) chain ids -> theta_r terms
-        self.declare(inverses)
 
     def map(self, m):
         """Id of a named map."""
@@ -280,37 +230,21 @@ class ChainTable:
             self.maps.append(m)
         return p
 
-    def declare(self, inverses):
-        """Add declared (f, g) pairs with f . g = id, as inverse_pairs gives them."""
-        if not self._inverses >= inverses:
-            self._inverses |= inverses
-            self._reduced.clear()
-            self._rungs.clear()
-
     def chain(self, pieces):
-        """Id of the chain of the map ids `pieces`, outermost first, reduced as a
-        MapChain reduces (holomap.reduced) under the declared pairs; once per
-        distinct tuple."""
+        """Id of the chain of the map ids `pieces`, outermost first, reduced under the
+        declared pairs; once per distinct tuple."""
         c = self._reduced.get(pieces)
         if c is None:
-            kept = reduced([self.maps[p] for p in pieces], self._inverses)
-            c = self._reduced[pieces] = self._intern(tuple(map(self.map, kept)))
+            kept = tuple(map(self.map, reduced(
+                [m for m in map(self.maps.__getitem__, pieces) if not m._identity],
+                self._inverses)))
+            c = self._chain_ids.get(kept)
+            if c is None:
+                c = self._chain_ids[kept] = len(self.chains)
+                self.chains.append(kept)
+                self._affine.append(None)
+            self._reduced[pieces] = c
         return c
-
-    def _intern(self, pieces):
-        c = self._chain_ids.get(pieces)
-        if c is None:
-            c = self._chain_ids[pieces] = len(self.chains)
-            self.chains.append(pieces)
-            self._affine.append(None)
-        return c
-
-    def intern(self, chain):
-        """Id of a MapChain, or of a named map as its one piece, as it stands; its
-        declared inverse pairs join the table's."""
-        chain = as_chain(chain)
-        self.declare(chain.inverses)
-        return self._intern(tuple(map(self.map, chain.pieces)))
 
     def is_affine(self, c):
         """True when every piece of chain c is affine; theta of it then vanishes."""
@@ -333,5 +267,6 @@ class ChainTable:
 
 
 def inverse_pairs(pairs):
-    """The pairs (f, g) with f . g = id that chains drop, from declared (map, inverse) pairs."""
+    """The adjacent pairs that cancel (reduced), both ways round, from declared (item,
+    inverse) pairs: maps f, g with f . g = id, or a word's letters."""
     return frozenset(pair for f, g in pairs for pair in ((f, g), (g, f)))

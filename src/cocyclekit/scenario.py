@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import holomap
-from .cechgroup import (Atlas, CoverSpec, GroupActionSpec, Word, tau_invariant,
+from .cechgroup import (Atlas, CoverSpec, GroupActionSpec, letter_pairs, tau_invariant,
                         trivial_action)
 from .cocycle import MIN_SAMPLE_WARN, ChartSimplex
 from .errors import DslSyntaxError, ScenarioError, ValidationError
@@ -155,6 +155,9 @@ class Scenario:
         loc = "cover"
         _require_object(section, loc)
         indices = _index_list(section.get("indices"), "cover/indices")
+        repeated = [i for k, i in enumerate(indices) if i in indices[:k]]
+        if repeated:
+            raise ScenarioError("repeated cover index %r" % repeated[0], "cover/indices")
         clouds = {}
         for k, entry in enumerate(_require_list(section.get("clouds", []), "cover/clouds")):
             cloc = "cover/clouds[%d]" % k
@@ -191,6 +194,9 @@ class Scenario:
             name = gen.get("name")
             if not name or not isinstance(name, str):
                 raise ScenarioError("generator needs a name string", "action/generators[%d]" % i)
+            if name in generators:
+                raise ScenarioError("repeated generator name %r" % name,
+                                    "action/generators[%d]" % i)
             gloc = "action/%s" % name
             fwd = self.map_named(gen.get("map", ""), gloc)
             inv = self.map_named(gen.get("inverse", ""), gloc)
@@ -203,7 +209,11 @@ class Scenario:
         words = []
         for i, w in enumerate(_require_list(section.get("words", []), "action/words")):
             wloc = "action/words[%d]" % i
-            words.append(parse_word(_require_list(w, wloc), generators, wloc))
+            word = parse_word(_require_list(w, wloc), generators, wloc)
+            if word in words:
+                raise ScenarioError("word %s reduces to action/words[%d]"
+                                    % (json.dumps(w), words.index(word)), wloc)
+            words.append(word)
         try:
             action = GroupActionSpec(generators, index_action, self.cover.indices,
                                      words=words)
@@ -330,15 +340,15 @@ class Scenario:
         the transition phi[p, q] is the chain chart_p . inverse_q."""
         charts = [self.maps[spec["chart"]] for spec in entry["charts"]]
         inverses = [self.maps[spec["inverse"]] for spec in entry["charts"]]
-        pairs = holomap.inverse_pairs(zip(charts, inverses))
         transitions = {}
         for p in range(len(charts)):
             for q in range(p + 1, len(charts)):
-                transitions[(p, q)] = holomap.MapChain([charts[p], inverses[q]], self.n, pairs)
+                transitions[(p, q)] = (charts[p], inverses[q])
         corrupt = entry.get("corrupt")
         if corrupt:
-            transitions[tuple(corrupt["replace"])] = self.maps[corrupt["with_map"]]
-        return ChartSimplex(charts, transitions, entry["source_points"])
+            transitions[tuple(corrupt["replace"])] = (self.maps[corrupt["with_map"]],)
+        return ChartSimplex([(chart,) for chart in charts], transitions, entry["source_points"],
+                            holomap.inverse_pairs(zip(charts, inverses)))
 
 
 def _require_round_trip(worst, tol, what, section):
@@ -433,7 +443,7 @@ def validate_bm_fields(entry, location):
 
 
 def parse_word(tokens, generators, location):
-    """["h", "h^-1", ...] -> Word."""
+    """["h", "h^-1", ...] -> the reduced tuple of its (generator name, +1 or -1) letters."""
     letters = []
     for tok in tokens:
         if not isinstance(tok, str):
@@ -445,4 +455,4 @@ def parse_word(tokens, generators, location):
         if name not in generators:
             raise ScenarioError("word uses unknown generator %r" % name, location)
         letters.append((name, sgn))
-    return Word(letters)
+    return holomap.reduced(letters, letter_pairs(generators))

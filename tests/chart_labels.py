@@ -13,7 +13,8 @@ import numpy as np
 from cocyclekit.cocycle import ChartSimplex, LabelPlan, label_vanishes
 from cocyclekit.errors import ValidationError, nan_worst
 from cocyclekit.forms import SampledForm
-from cocyclekit.holomap import MapChain, as_cloud
+from cocyclekit.holomap import ChainTable, as_cloud
+from free_words import Chain
 from map_values import image
 
 COHERENCE_TOL = 1e-9
@@ -24,10 +25,14 @@ def validate(s):
     worst deviation, NaN ranking above every number."""
     worst = 0.0
     W = s.source_points
+
+    def chain(maps):
+        return Chain(maps, s.n, s.inverses)
+
     for (p, q), phi in s.transitions.items():
         if len(W):
-            lhs = image(phi, image(s.charts[q], W))
-            worst = max(worst, float(np.max(np.abs(lhs - image(s.charts[p], W)))),
+            lhs = image(chain(phi), image(chain(s.charts[q]), W))
+            worst = max(worst, float(np.max(np.abs(lhs - image(chain(s.charts[p]), W)))),
                         key=nan_worst)
     if not worst <= COHERENCE_TOL:
         raise ValidationError("chart simplex incoherent: max deviation %.3e > %.1e"
@@ -44,17 +49,24 @@ def theta_r(s, r, points):
     Q = as_cloud(points, s.n)
     if not 1 <= r <= s.level:
         raise ValidationError("r must be in 1..%d" % s.level)
-    phi = s.transition(r, s.level) if r < s.level else MapChain((), s.n)
-    return LabelPlan(None).theta(s.transition(r - 1, r), phi, Q)
+    table = ChainTable(s.inverses)
+    phi = chain_id(table, s.transition(r, s.level)) if r < s.level else 0
+    return LabelPlan(None, table).theta(chain_id(table, s.transition(r - 1, r)), phi, Q)
+
+
+def chain_id(table, maps):
+    """Id of the chain of the named maps `maps`, outermost first, in a ChainTable."""
+    return table.chain(tuple(map(table.map, maps)))
 
 
 def add_top_label(plan, s, points):
     """Count the top label of the chart simplex s, at level k = plan.T.arity, on
-    `points` in the plan (LabelPlan.add_label); its key, None for a structural zero."""
+    `points` in the plan (LabelPlan.add_label), whose chain table reduces under
+    the simplex's inverse pairs; its key, None for a structural zero."""
     k = plan.T.arity
     if s.level != k:
         raise ValidationError("level %d does not match arity %d" % (s.level, k))
-    chains = [plan.chain(f) for f in s.charts + list(s.transitions.values())]
+    chains = [chain_id(plan.chains, f) for f in s.charts + list(s.transitions.values())]
     top, transitions = chains[k], dict(zip(s.transitions, chains[k + 1:]))
     ladder = tuple(transitions[(r - 1, r)] for r in range(1, k + 1))
     if label_vanishes(plan.T, s.n, ladder, plan.chains):
@@ -71,7 +83,7 @@ def cf_label_top(s, T, points):
     transition.
     """
     P = as_cloud(points, s.n)
-    plan = LabelPlan(T)
+    plan = LabelPlan(T, ChainTable(s.inverses))
     key = add_top_label(plan, s, P)
     return SampledForm.zeros(s.n, T.arity, P, ()) if key is None else plan.take(key)
 
@@ -86,4 +98,4 @@ def sub_simplex(s, indices):
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
             trans[(a, b)] = s.transition(indices[a], indices[b])
-    return ChartSimplex(charts, trans, s.source_points)
+    return ChartSimplex(charts, trans, s.source_points, s.inverses)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import cocyclekit.expr as ex
-from cocyclekit.cechgroup import TermPlan, Word, enumerate_cells
+from cocyclekit.cechgroup import TermPlan, enumerate_cells
 from cocyclekit.holomap import compose
 from cocyclekit.forms import SampledForm
+from free_words import Word
 from map_values import word_pullback
 
 
@@ -24,7 +25,7 @@ def id_cell(action, J, G):
 
 
 def object_word(action, w):
-    """The Word with id w of the action's tables."""
+    """The Word with id w of the action's tables (free_words.Word)."""
     return Word(action.ids().words[w])
 
 
@@ -33,9 +34,9 @@ def object_cell(action, J, G):
     return tuple(action.ids().indices[i] for i in J), tuple(object_word(action, g) for g in G)
 
 
-def object_cells(cover, action, m, q, words=None):
+def object_cells(cover, action, m, q):
     """The cells of enumerate_cells, in its order, as cover indices and Words."""
-    J, G = enumerate_cells(cover, action, m, q, words)
+    J, G = enumerate_cells(cover, action, m, q)
     return [object_cell(action, j, g) for j, g in zip(J.tolist(), G.tolist())]
 
 

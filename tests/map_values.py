@@ -17,13 +17,14 @@ import numpy as np
 
 from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm, jacobian_minors, minor_pullback
-from cocyclekit.holomap import MapChain, as_cloud, invert_jacobians
+from cocyclekit.holomap import as_cloud, invert_jacobians
+from free_words import Chain
 
 
 def image(m, points):
     """The image of the (N, n) cloud `points` under a map or a chain m."""
     P = as_cloud(points, m.n)
-    if not isinstance(m, MapChain):
+    if not isinstance(m, Chain):
         return m.eval(P)
     for p in reversed(m.pieces):
         P = p.eval(P)
@@ -34,7 +35,7 @@ def jacobian(m, points):
     """Jacobians of a map or a chain m; for a chain the chain rule, each piece but
     the outermost moving the points on to the next."""
     P = as_cloud(points, m.n)
-    if not isinstance(m, MapChain):
+    if not isinstance(m, Chain):
         return m.jacobian(P)
     pieces = m.pieces
     if not pieces:
@@ -56,7 +57,7 @@ def jacobian_inverse(m, points):
 
 def word_chain(action, word):
     """rho(word) as a chain of the action's generator maps (letter_maps)."""
-    return MapChain(action.letter_maps(word.letters), action.n, action.inverses)
+    return Chain(action.letter_maps(word.letters), action.n, action.inverses)
 
 
 def pullback_kform(phi, w, points):

@@ -1,18 +1,19 @@
-"""Grid paths through a cell one path at a time, as Words and MapChains: the
-reference the id tables of cechgroup.PathLabeler are checked against.
+"""Grid paths through a cell one path at a time, as Words and Chains
+(free_words): the reference the id tables of cechgroup.PathLabeler are
+checked against.
 
 A cell is a tuple of cover indices J and a tuple of Words G. A path's vertex
 is (atlas layer, translated cover index, remaining word tail); its chart is
 the chain chart . tail letters, and the transition between two vertices the
 chain chart_a . letters of ta tb^-1 . inverse_b. Every word product, vertex
-and chain is built afresh for every path, with the Word and MapChain
-arithmetic the pass no longer uses. No check type reaches this, so it lives
-with the tests.
+and chain is built afresh for every path, with the object arithmetic of
+free_words, which the pass does not use. No check type reaches this, so it
+lives with the tests.
 """
 
 import cocyclekit.cechgroup as cg
 from cocyclekit.cocycle import ChartSimplex
-from cocyclekit.holomap import MapChain
+from free_words import Chain, Word
 
 
 class ReferencePaths:
@@ -26,7 +27,7 @@ class ReferencePaths:
         self.inverses = action.inverses.union(*(atlas.inverses for atlas in self.atlases))
 
     def _chain(self, maps):
-        return MapChain(maps, self.n, self.inverses)
+        return Chain(maps, self.n, self.inverses)
 
     def path(self, J, G, seq):
         """Vertices of the grid path that takes the steps `seq` through cell (J, G)."""
@@ -38,20 +39,25 @@ class ReferencePaths:
                 r += 1
             elif kind == cg.G_STEP:
                 s += 1
-            head, tail = cg.Word.product(G[:s]), cg.Word.product(G[s:])
+            head, tail = Word.product(G[:s]), Word.product(G[s:])
             vertices.append((layer, self.action.act_index(J[r], head.letters), tail))
         return vertices
 
-    def chart(self, vertex):
+    def _chart_maps(self, vertex):
         layer, index, tail = vertex
-        return self._chain([self.atlases[layer].chart(index)]
-                           + self.action.letter_maps(tail.letters))
+        return [self.atlases[layer].chart(index)] + self.action.letter_maps(tail.letters)
+
+    def _transition_maps(self, va, vb):
+        (layer_a, ia, ta), (layer_b, ib, tb) = va, vb
+        return ([self.atlases[layer_a].chart(ia)]
+                + self.action.letter_maps((ta * tb.inverse()).letters)
+                + [self.atlases[layer_b].inverse(ib)])
+
+    def chart(self, vertex):
+        return self._chain(self._chart_maps(vertex))
 
     def transition(self, va, vb):
-        (layer_a, ia, ta), (layer_b, ib, tb) = va, vb
-        return self._chain([self.atlases[layer_a].chart(ia)]
-                           + self.action.letter_maps((ta * tb.inverse()).letters)
-                           + [self.atlases[layer_b].inverse(ib)])
+        return self._chain(self._transition_maps(va, vb))
 
     def labels(self, J, G, step_types):
         """(sign, ladder pieces, pullback pieces, top pieces) of the cell's paths whose
@@ -71,6 +77,6 @@ class ReferencePaths:
         """The chart simplex of the path that takes the steps `seq` through (J, G), on
         the source cloud `points`."""
         v = self.path(J, G, seq)
-        return ChartSimplex([self.chart(u) for u in v],
-                            {(a, b): self.transition(v[a], v[b])
-                             for b in range(len(v)) for a in range(b)}, points)
+        return ChartSimplex([tuple(self._chart_maps(u)) for u in v],
+                            {(a, b): tuple(self._transition_maps(v[a], v[b]))
+                             for b in range(len(v)) for a in range(b)}, points, self.inverses)

@@ -29,6 +29,7 @@ from sampled_forms import add, sharp_pullback, sub, theta
 from cochains import base_value
 from hartogs import hartogs_diagonal
 from conftest import object_cells, random_matrices, random_points, well_conditioned
+from free_words import Word
 from test_simplicial import _check_five_identities, random_complex
 
 F = Fraction
@@ -156,8 +157,8 @@ def test_criterion_05_telescoping_and_dk(rng):
         transitions = {}
         for p in range(4):
             for q in range(p + 1, 4):
-                transitions[(p, q)] = hm.compose(charts[p], invs[q])
-        s = co.ChartSimplex(charts, transitions, pts)
+                transitions[(p, q)] = (hm.compose(charts[p], invs[q]),)
+        s = co.ChartSimplex([(c,) for c in charts], transitions, pts)
         validate(s)
         T2 = inv.todd_invariant(2)
         tel = co.verify_telescoping(s, T2, tol=1e-7)
@@ -166,8 +167,8 @@ def test_criterion_05_telescoping_and_dk(rng):
         dk = sim.dk_validate(labeling, sim.shifted_form_complex(2, 2, pts), tol=1e-7)
         assert dk["pass"], dk["max_residual"]
         bad = dict(transitions)
-        bad[(0, 2)] = lib.henon_map()
-        s_bad = co.ChartSimplex(charts, bad, pts)
+        bad[(0, 2)] = (lib.henon_map(),)
+        s_bad = co.ChartSimplex([(c,) for c in charts], bad, pts)
         tel_bad = co.verify_telescoping(s_bad, T2, tol=1e-7)
         assert not tel_bad["pass"]
 
@@ -196,7 +197,7 @@ def test_criterion_07_henon_cocycle_closedness():
         report = cg.closedness_report(tau, tol=1e-7)
         assert report["pass"], report["max_residual"]
         # nonzero cocycle, so the check is not vacuous
-        h = cg.Word.gen("h")
+        h = Word.gen("h")
         assert base_value(tau, (0, 2), ("u",), (h, h)).max_abs() > 1e-6
 
 

@@ -25,6 +25,7 @@ import map_values as mv
 import sampled_forms as sf
 from cochains import base_value, cech_differential
 from conftest import cell_value, object_cells, per_cell, random_matrices, random_points
+from free_words import Chain
 
 RTOL = 1e-12
 
@@ -167,7 +168,7 @@ def test_map_eval_and_jacobian_match_oracle(name):
 
 def test_map_chain_applies_chain_rule_on_arrays():
     f, g = LIBRARY["shear"], LIBRARY["henon"]
-    chain = hm.MapChain([f, g])
+    chain = Chain([f, g], 2)
     pts = cloud_of("henon")
     assert_close(mv.image(chain, pts), [map_at(f, map_at(g, p)) for p in pts])
     assert_close(mv.jacobian(chain, pts),
@@ -244,7 +245,7 @@ def test_pullback_kform_top_degree_matches_oracle_n3():
     t = square_transitions()
     pts = right_half_cloud(3, 10, 11)
     T = inv.todd_invariant(3)
-    chain = hm.MapChain([t[3]])
+    chain = Chain([t[3]], 3)
     Q = mv.image(chain, pts)
     w_form = fo.apply_invariant(T, [sf.theta(t[0], Q), sf.theta(t[1], Q), sf.theta(t[2], Q)])
     got = mv.pullback_kform(chain, w_form, pts).values
@@ -298,7 +299,7 @@ def test_affine_atlas_tau_cells_exactly_zero():
     tr = lib.affine_map([[1, 0], [0, 1]], [1, Fraction(1, 2)], name="tr")
     tr_inv = lib.affine_map([[1, 0], [0, 1]], [-1, Fraction(-1, 2)], name="tr_inv")
     action = cg.GroupActionSpec({"t": (tr, tr_inv)}, {"t": {"p": "q", "q": "p"}},
-                                ["p", "q"], words=[cg.Word.gen("t")])
+                                ["p", "q"], words=[(("t", 1),)])
     atlas = cg.Atlas({
         "p": (lib.affine_map([[2, 1], [1, 1]], [0, 0]),
               lib.affine_map([[1, -1], [-1, 2]], [0, 0])),

@@ -1,4 +1,4 @@
-"""Composite maps as chains of named maps (holomap.MapChain).
+"""Composite maps as chains of named maps (holomap.ChainTable).
 
 The pass never composes two maps into a new expression: a transition is a
 chain, and the label plan evaluates theta of a chain from its pieces by the
@@ -26,6 +26,7 @@ from cocyclekit.errors import ValidationError
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 from conftest import word_composite
+from free_words import Chain, Word
 from test_batched import assert_close
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -37,7 +38,7 @@ def simplex_of(f01, f12, f02, P):
     """A level-2 chart simplex whose theta_r read only its transitions; the charts
     are identities on the cloud P."""
     ident = lib.identity_map(2)
-    return co.ChartSimplex([ident] * 3, {(0, 1): f01, (1, 2): f12, (0, 2): f02}, P)
+    return co.ChartSimplex([(ident,)] * 3, {(0, 1): f01, (1, 2): f12, (0, 2): f02}, P)
 
 
 def composite(pieces):
@@ -51,8 +52,8 @@ def composite(pieces):
 def assert_theta_rs_match(chains, P):
     """theta_1 and theta_2 of a simplex of chains against the simplex of their composites:
     equal values, and the chain structurally zero wherever the composite is."""
-    got = simplex_of(*[hm.MapChain(c) for c in chains], P)
-    want = simplex_of(*[composite(c) for c in chains], P)
+    got = simplex_of(*[tuple(c) for c in chains], P)
+    want = simplex_of(*[(composite(c),) for c in chains], P)
     for r in (1, 2):
         a, b = theta_r(got, r, P), theta_r(want, r, P)
         assert a.structurally_zero >= b.structurally_zero
@@ -88,11 +89,11 @@ def test_group_witness_word_chains_match_their_symbolic_composites(seed, tmp_pat
     @given(st.lists(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4),
                     min_size=3, max_size=3))
     def words_match(letters):
-        words = [cg.Word(w) for w in letters]
+        words = [Word(w) for w in letters]
         if any(w.is_identity() for w in words):
             return
-        got = simplex_of(*[mv.word_chain(action, w) for w in words], P)
-        want = simplex_of(*[word_composite(action, w) for w in words], P)
+        got = simplex_of(*[mv.word_chain(action, w).pieces for w in words], P)
+        want = simplex_of(*[(word_composite(action, w),) for w in words], P)
         for r in (1, 2):
             a, b = theta_r(got, r, P), theta_r(want, r, P)
             # a chain may be found zero where symbolic folding misses it (h^-1 s h^-1 s
@@ -107,24 +108,38 @@ def test_chains_drop_identity_pieces_and_declared_inverse_pairs():
     h, h_inv, s, s_inv = lib.henon_map(), lib.henon_inverse(), lib.shear_map(), lib.shear_inverse()
     ident = hm.parse_map("z1; z2", 2, name="ident")
     pairs = hm.inverse_pairs([(h, h_inv), (s, s_inv)])
-    assert hm.MapChain([ident, h, ident], 2, pairs).pieces == (h,)
-    assert hm.MapChain([h, h_inv], 2, pairs).pieces == ()
-    assert hm.MapChain([h_inv, h], 2, pairs).pieces == ()
+    table, bare = hm.ChainTable(pairs), hm.ChainTable()
+
+    def chain(t, maps):
+        """Id of the chain of the named maps `maps` in the table t."""
+        return t.chain(tuple(map(t.map, maps)))
+
+    def pieces(t, maps):
+        """The named maps of that chain, reduced."""
+        return tuple(t.maps[p] for p in t.chains[chain(t, maps)])
+
+    assert pieces(table, [ident, h, ident]) == (h,)
+    assert pieces(table, [h, h_inv]) == ()
+    assert pieces(table, [h_inv, h]) == ()
     # drops cascade, as in a reduced word, and an identity between a pair is no barrier
-    assert hm.MapChain([s, h, ident, h_inv, s_inv, h], 2, pairs).pieces == (h,)
+    assert pieces(table, [s, h, ident, h_inv, s_inv, h]) == (h,)
     # only declared pairs are dropped
-    assert hm.MapChain([h, h_inv], 2).pieces == (h, h_inv)
-    assert hm.MapChain([h, s_inv], 2, pairs).pieces == (h, s_inv)
-    # equal pieces make equal chains; the identity is affine, so its theta vanishes
-    assert hm.MapChain([h, ident], 2, pairs) == hm.MapChain([h], 2)
-    assert hash(hm.MapChain([ident, s], 2)) == hash(hm.MapChain([s]))
-    empty = hm.MapChain([h, h_inv], 2, pairs)
-    assert empty.is_affine() and not hm.MapChain([h], 2).is_affine()
+    assert pieces(bare, [h, h_inv]) == (h, h_inv)
+    assert pieces(table, [h, s_inv]) == (h, s_inv)
+    # equal pieces make one chain id; the identity chain is id 0, and affine, so its
+    # theta vanishes
+    assert chain(table, [h, ident]) == chain(table, [h])
+    assert chain(bare, [ident, s]) == chain(bare, [s])
+    assert chain(table, [h, h_inv]) == chain(table, []) == 0
+    assert table.is_affine(0) and not table.is_affine(chain(table, [h]))
+    # the table reduces as the reference chain does
+    for maps in ([ident, h, ident], [s, h, ident, h_inv, s_inv, h], [h, s_inv, s, h_inv]):
+        assert pieces(table, maps) == Chain(maps, 2, pairs).pieces
+    empty = Chain([h, h_inv], 2, pairs)
+    assert empty.pieces == () and empty.is_affine()
     P = CLOUDS["henon"][:3]
     assert mv.image(empty, P).tobytes() == P.tobytes()
     assert np.array_equal(mv.jacobian(empty, P), np.broadcast_to(np.eye(2), (3, 2, 2)))
-    with pytest.raises(ValidationError):
-        hm.MapChain([])
 
 
 def test_transitions_are_chains_of_named_maps():
@@ -133,7 +148,7 @@ def test_transitions_are_chains_of_named_maps():
     h, h_inv = scn.action.generators["h"]
     ids = scn.action.ids()
     u = ids.index(scn.cover.indices[0])
-    e, hw = cg.Word(), cg.Word.gen("h")
+    e, hw = Word(), Word.gen("h")
     eu, hu = (labeler.vertex(0, u, ids.word(w.letters)) for w in (e, hw))
 
     def pieces(va, vb):
@@ -156,11 +171,11 @@ def test_an_affine_letter_pair_is_one_folded_piece():
     h, h_inv, s, s_inv = lib.henon_map(), lib.henon_inverse(), lib.shear_map(), lib.shear_inverse()
     action = cg.GroupActionSpec({"h": (h, h_inv), "s": (s, s_inv)},
                                 {"h": {"u": "u"}, "s": {"u": "u"}}, ["u"])
-    (piece,) = mv.word_chain(action, cg.Word([("h", -1), ("s", 1)])).pieces
+    (piece,) = mv.word_chain(action, Word([("h", -1), ("s", 1)])).pieces
     assert piece.is_affine() and piece is action.fold(h_inv, s)
-    assert mv.word_chain(action, cg.Word([("h", -1), ("s", 1), ("h", 1)])).pieces == (piece, h)
+    assert mv.word_chain(action, Word([("h", -1), ("s", 1), ("h", 1)])).pieces == (piece, h)
     assert action.fold(h, s) is None
-    assert mv.word_chain(action, cg.Word([("h", 1), ("s", 1)])).pieces == (h, s)
+    assert mv.word_chain(action, Word([("h", 1), ("s", 1)])).pieces == (h, s)
 
 
 def structural_zeros(scns, monkeypatch):
@@ -229,9 +244,10 @@ def test_theta_composition_sides_equal_the_one_map_references(source, tmp_path, 
     P = entry["points"]
     for fname, gname in entry["pairs"]:
         f, g = scn.maps[fname], scn.maps[gname]
-        plan, identity = co.LabelPlan(None), hm.MapChain((), f.n)
-        lhs = plan.theta(hm.MapChain([hm.compose(f, g)]), identity, P)
-        rhs = plan.theta(hm.MapChain([f, g]), identity, P)
+        plan = co.LabelPlan(None)
+        table = plan.chains
+        lhs = plan.theta(table.chain((table.map(hm.compose(f, g)),)), 0, P)
+        rhs = plan.theta(table.chain((table.map(f), table.map(g))), 0, P)
         assert len(plan) == 0 and not plan._store
         want = sf.add(sf.sharp_pullback(g, sf.theta(f, g.eval(P)), P), sf.theta(g, P))
         assert lhs.values.tobytes() == sf.theta(hm.compose(f, g), P).values.tobytes()
@@ -239,7 +255,8 @@ def test_theta_composition_sides_equal_the_one_map_references(source, tmp_path, 
 
 
 def test_validate_keeps_a_nan_deviation():
-    s = co.ChartSimplex([lib.identity_map(2), lib.shear_map()], {(0, 1): lib.shear_inverse()},
+    s = co.ChartSimplex([(lib.identity_map(2),), (lib.shear_map(),)],
+                        {(0, 1): (lib.shear_inverse(),)},
                         np.array([[0.1, 0.2], [np.nan, 0.3]]))
     with pytest.raises(ValidationError, match="nan"):
         validate(s)
@@ -257,9 +274,8 @@ def test_a_chain_transition_validates_like_its_symbolic_composite(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     scn = Scenario.load(path)
     good, bad = (scn.chart_simplex(entry) for entry in scn.checks)
-    assert isinstance(good.transition(1, 2), hm.MapChain)
-    symbolic = co.ChartSimplex(good.charts, {pq: composite(list(t.pieces)) if t.pieces
-                                             else lib.identity_map(2)
+    assert good.transition(1, 2) == (scn.maps["shear"], scn.maps["henon_inv"])
+    symbolic = co.ChartSimplex(good.charts, {pq: (composite(list(t)),)
                                              for pq, t in good.transitions.items()},
                                good.source_points)
     assert validate(good) == pytest.approx(validate(symbolic), abs=1e-15)

@@ -11,6 +11,7 @@ from cocyclekit.errors import DomainError, DslSyntaxError
 from cocyclekit.scenario import Scenario
 import library as lib
 from conftest import numeric_partial, word_composite
+from free_words import Word
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).with_name("golden_derivatives.json")
@@ -193,7 +194,8 @@ def _golden_maps():
         for name, f in scn.maps.items():
             out["%s/%s" % (scn_name, name)] = f
         atlas, action = scn.atlas, scn.action
-        words = list(action.words) + [u * v for u in action.words for v in action.words]
+        declared = [Word(w) for w in action.words]
+        words = declared + [u * v for u in declared for v in declared]
         for i in atlas.indices():
             for j in atlas.indices():
                 if i != j:

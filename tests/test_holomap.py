@@ -16,6 +16,7 @@ from cocyclekit.scenario import Scenario
 import library as lib
 import map_values as mv
 from conftest import holds_arrays, id_cell, numeric_jacobian, random_points
+from free_words import Chain, Word
 
 F = Fraction
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -168,7 +169,7 @@ def test_map_chain_jacobian_evaluates_all_but_the_outermost_piece(monkeypatch, r
     pieces = [lib.shear_map(), lib.henon_map(), lib.shear_inverse(), lib.henon_inverse()]
     pts = random_points(rng, 4, radius=0.3)
     for m in range(1, len(pieces) + 1):
-        chain = hm.MapChain(pieces[:m])
+        chain = Chain(pieces[:m], 2)
         calls.clear()
         mv.jacobian(chain, pts)
         assert calls == [p.name for p in reversed(pieces[1:m])]
@@ -260,10 +261,10 @@ def test_a_word_pullback_equals_the_value_at_the_moved_points_pulled_back(monkey
     P = np.array(random_points(rng, 6, radius=0.3))
     cover = cg.CoverSpec(["u"], {frozenset(["u"]): P}, 2)
     action = cg.GroupActionSpec({"h": (lib.henon_map(), lib.henon_inverse())},
-                                {"h": {"u": "u"}}, ["u"], words=[cg.Word.gen("h")])
+                                {"h": {"u": "u"}}, ["u"], words=[(("h", 1),)])
     ident = lib.identity_map(2)
     tau = cg.tau_invariant(cover, action, cg.Atlas({"u": (ident, ident)}), todd_invariant(2))
-    h, hh = cg.Word.gen("h"), cg.Word([("h", 1), ("h", 1)])
+    h, hh = Word.gen("h"), Word([("h", 1), ("h", 1)])
     runs = compiled_runs(monkeypatch)
     ids = action.ids()
     got, = tau.evaluate_all([((0, 2), *id_cell(action, ("u",), (h, h)), P,
@@ -300,7 +301,7 @@ def test_henon_inverse_round_trip(rng):
 
 def test_map_chain_matches_symbolic_composition(rng):
     f, g = lib.shear_map(), lib.henon_map()
-    chain = hm.MapChain([f, g])
+    chain = Chain([f, g], 2)
     comp = hm.compose(f, g)
     for p in random_points(rng, 5, radius=0.4):
         assert np.allclose(mv.image(chain, [p]), comp.eval([p]))

@@ -3,8 +3,8 @@
 A pass builds a cell's paths, vertices, transitions and top charts from the
 action's id tables (cechgroup._Ids) and the labeler's chain table
 (holomap.ChainTable). The references here build the same things one path
-at a time from Words and MapChains (path_labels.ReferencePaths), and from
-itertools for the cells.
+at a time from the Words and Chains of free_words (path_labels.ReferencePaths),
+and from itertools for the cells.
 """
 
 import collections
@@ -12,15 +12,17 @@ import itertools
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import cocyclekit.cechgroup as cg
 import cocyclekit.cocycle as co
-import cocyclekit.holomap as hm
+import library as lib
 from cocyclekit import cli
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 from conftest import object_cell, object_cells, object_word
+from free_words import Chain, Word
 from path_labels import ReferencePaths
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -97,9 +99,9 @@ def test_pulled_top_charts_extend_the_top_by_the_word_letters(tmp_path, monkeypa
     assert tops
     for top in tops:
         for word in scn.action.words:
-            w = ids.word(word.letters)
-            want = hm.MapChain(pieces(chains, top) + tuple(scn.action.letter_maps(word.letters)),
-                               scn.n, labeler.inverses).pieces
+            w = ids.word(word)
+            want = Chain(pieces(chains, top) + tuple(scn.action.letter_maps(word)), scn.n,
+                         labeler.inverses).pieces
             assert pieces(chains, labeler.pulled_top(top, w)) == want
             assert labeler.pulled_top(top, w) == labeler.pulled_top(top, w)
         assert labeler.pulled_top(top, 0) == top
@@ -123,13 +125,18 @@ def test_face_label_chains_are_the_simplex_transitions(tmp_path, monkeypatch):
         added.clear()
         faces = list(itertools.combinations(range(s.level + 1), k + 1))
         co.face_labels(s, faces, todd_invariant(k))
+
+        def chain(maps):
+            return Chain(maps, s.n, s.inverses)
+
         want = []
         for face in faces:
-            ladder = [s.transition(a, b) for a, b in zip(face, face[1:])]
+            ladder = [chain(s.transition(a, b)) for a, b in zip(face, face[1:])]
             if not any(f.is_affine() for f in ladder):
                 want.append((tuple(f.pieces for f in ladder),
-                             tuple(s.transition(i, face[-1]).pieces for i in face[1:-1]),
-                             s.charts[face[-1]].pieces))
+                             tuple(chain(s.transition(i, face[-1])).pieces
+                                   for i in face[1:-1]),
+                             chain(s.charts[face[-1]]).pieces))
         assert want and added == want, entry["name"]
 
 
@@ -140,8 +147,8 @@ def test_enumerated_cells_follow_the_itertools_order(name):
     for m, q in itertools.product(range(4), range(4)):
         want = []
         for J in itertools.product(scn.cover.indices, repeat=m + 1):
-            for G in itertools.product(action.words, repeat=q):
-                letters = cg.Word.product(G).letters
+            for G in itertools.product(map(Word, action.words), repeat=q):
+                letters = Word.product(G).letters
                 if len(scn.cover.cloud(tuple(action.act_index(i, letters) for i in J))):
                     want.append((J, G))
         assert object_cells(scn.cover, action, m, q) == want, (m, q)
@@ -195,15 +202,31 @@ def test_each_product_reduction_and_transition_is_computed_once(tmp_path, monkey
         assert len(memo) == len(memo.stores)
 
 
-def test_a_pass_hashes_no_word_and_no_chain(tmp_path, monkeypatch):
-    scns = [workload_scenario(name, 2, tmp_path, monkeypatch)
-            for name in ("group-witness", "chart-kernel")]
-    calls = collections.Counter()
-    for cls in (cg.Word, hm.MapChain):
-        def counted(self, cls=cls, hash_=cls.__hash__):
-            calls[cls.__name__] += 1
-            return hash_(self)
-        monkeypatch.setattr(cls, "__hash__", counted)
-    for scn in scns:
-        assert all(r["status"] == "pass" for r in cli.execute_checks(scn))
-    assert not calls
+@pytest.mark.parametrize("count", [3, 64, 65])
+def test_index_sets_and_cells_of_large_covers_equal_the_per_cell_references(count):
+    # past 64 cover indices, cell_sets keys an index set by a bit mask of several words
+    indices = ["i%d" % k for k in range(count)]
+    rng = np.random.default_rng(count)
+    declared = [(indices[0],), (indices[-1],), (indices[-2], indices[-1]),
+                (indices[0], indices[-1]), (indices[1], indices[-2], indices[-1])]
+    cover = cg.CoverSpec(indices, {frozenset(key): 0.3 * (rng.uniform(-1, 1, (2, 2))
+                                                          + 1j * rng.uniform(-1, 1, (2, 2)))
+                                   for key in declared}, 2)
+    tr = lib.affine_map([[1, 0], [0, 1]], [1, 0], name="tr")
+    tr_inv = lib.affine_map([[1, 0], [0, 1]], [-1, 0], name="tr_inv")
+    action = cg.GroupActionSpec({"t": (tr, tr_inv)}, {"t": dict(zip(indices, indices[-1:]
+                                                                    + indices[:-1]))},
+                                indices, words=[(("t", 1),), (("t", -1),)])
+    ids = action.ids()
+    for m, q in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]:
+        cells = [(J, G) for J in itertools.product(indices, repeat=m + 1)
+                 for G in itertools.product(map(Word, action.words), repeat=q)]
+        J = np.array([[ids.index(i) for i in J] for J, _ in cells]).reshape(len(cells), m + 1)
+        G = np.array([[ids.word(g.letters) for g in G] for _, G in cells]).reshape(len(cells), q)
+        want = [frozenset(action.act_index(i, Word.product(G).letters) for i in J)
+                for J, G in cells]
+        got = [ids.sets[s] for s in ids.cell_sets(J, G).tolist()]
+        assert got == want == [ids.cell_set(tuple(j), tuple(g))
+                               for j, g in zip(J.tolist(), G.tolist())], (m, q)
+        nonempty = [cell for cell, key in zip(cells, want) if len(cover.cloud(key))]
+        assert nonempty and object_cells(cover, action, m, q) == nonempty, (m, q)

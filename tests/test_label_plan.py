@@ -139,7 +139,7 @@ def test_planned_labels_equal_one_plan_per_label(name):
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
     paths = labeler_of(scn, scn.atlas)
-    plan = co.LabelPlan(paths.T)
+    plan = co.LabelPlan(paths.T, hm.ChainTable(paths.inverses))
     planned = []
     for bd, J, G in base_cells(tau):
         P = tau.cell_points(J, G)
@@ -278,10 +278,9 @@ def chart_paths(draw):
     for _ in range(draw(st.integers(1, 10))):
         c = draw(st.integers(0, len(clouds) - 1))
         top = draw(st.sampled_from(MAPS[n][:2]))
-        if draw(st.booleans()):
-            top = hm.MapChain([top, MAPS[n][2]])
-        charts = [draw(pool) for _ in range(n)] + [top]
-        transitions = {(p, q): draw(pool) for q in range(n + 1) for p in range(q)}
+        top = (top, MAPS[n][2]) if draw(st.booleans()) else (top,)
+        charts = [(draw(pool),) for _ in range(n)] + [top]
+        transitions = {(p, q): (draw(pool),) for q in range(n + 1) for p in range(q)}
         simplices.append((co.ChartSimplex(charts, transitions, clouds[c]), c))
     return n, clouds, simplices, draw(st.permutations(range(len(simplices))))
 
@@ -340,9 +339,9 @@ def test_an_error_after_a_shared_key_leaves_every_count_whole():
         "z1^2; z2; z3"))
 
     def simplex(t12):
-        transitions = {(0, 1): s1, (0, 2): ident, (0, 3): ident, (1, 2): t12, (1, 3): s4,
-                       (2, 3): s3}
-        return co.ChartSimplex([ident] * 4, transitions, P)
+        transitions = {(0, 1): (s1,), (0, 2): (ident,), (0, 3): (ident,), (1, 2): (t12,),
+                       (1, 3): (s4,), (2, 3): (s3,)}
+        return co.ChartSimplex([(ident,)] * 4, transitions, P)
 
     plan = co.LabelPlan(todd_invariant(3))
     good, bad = add_top_label(plan, simplex(s2), P), add_top_label(plan, simplex(sq), P)

@@ -1009,6 +1009,26 @@ def test_theta_composition_over_nothing_exits_2(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, edit, location", [
+    ("cech_todd3.scn", lambda d: d["cover"]["indices"].append(d["cover"]["indices"][0]),
+     "cover/indices: repeated cover index 'p'"),
+    ("henon_z.scn", lambda d: d["action"]["generators"].append(
+        dict(d["action"]["generators"][0], map="shear", inverse="shear_inv")),
+     "action/generators[1]: repeated generator name 'h'"),
+    ("henon_z.scn", lambda d: d["action"]["words"].append(["h", "h^-1", "h^-1"]),
+     "action/words[2]: word [\"h\", \"h^-1\", \"h^-1\"] reduces to action/words[1]"),
+], ids=["cover-index", "generator-name", "word-after-reduction"])
+def test_a_repeated_index_generator_or_word_exits_2_with_location(tmp_path, capsys, name,
+                                                                   edit, location):
+    # each used to load: a cover index twice doubled the cells of every tuple through
+    # it, a later generator replaced the earlier, a word walked its cells twice
+    data = load_scn(name)
+    edit(data)
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert location in err and "Traceback" not in err
+
+
 def test_words_without_generators_exit_2(tmp_path, capsys):
     data = load_scn("henon_z.scn")
     data["action"]["generators"] = []

@@ -29,6 +29,7 @@ import map_values as mv
 from cochains import cech_differential, group_differential
 from conftest import (cell_arrays, cell_value, id_cell, object_cell, object_cells, per_cell,
                       plan_form, random_points)
+from free_words import Word
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -59,7 +60,7 @@ def oracle_terms(node, J, G, action):
         return {}
     kind = node[0]
     if kind == "base":
-        return {(node[1], tuple(J), tuple(G), cg.IDENTITY_WORD): 1}
+        return {(node[1], tuple(J), tuple(G), Word()): 1}
     if kind == "sum":
         return _signed_sum((sign, oracle_terms(child, J, G, action)) for sign, child in node[1])
     _, m, q, child = node
@@ -92,7 +93,7 @@ def oracle_term_value(base, term, points):
 
 def oracle_value(expr, bd, J, G):
     base = expr.base
-    word = cg.Word.product(G)
+    word = Word.product(G)
     points = base.cover.cloud(tuple(base.action.act_index(i, word.letters) for i in J))
     terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
                    key=lambda kv: repr(kv[0]))
@@ -124,12 +125,12 @@ def setups(draw):
     cover = cg.CoverSpec(indices, clouds, 2)
     names = draw(st.lists(st.sampled_from(sorted(GENERATORS)), max_size=2, unique=True))
     tables = {g: dict(zip(indices, draw(st.permutations(indices)))) for g in names}
-    letters = [cg.Word.gen(g, sgn) for g in names for sgn in (1, -1)]
+    letters = [Word.gen(g, sgn) for g in names for sgn in (1, -1)]
     words = draw(st.lists(st.sampled_from(letters), max_size=2, unique=True)) if letters else []
     if len(words) == 2 and draw(st.booleans()):
         words.append(words[0] * words[1])
     action = cg.GroupActionSpec({g: GENERATORS[g] for g in names}, tables, indices,
-                                words=words, n=2)
+                                words=[w.letters for w in words], n=2)
     return cover, action
 
 
