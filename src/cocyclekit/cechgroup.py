@@ -27,7 +27,6 @@ import numpy as np
 from . import forms
 from .cocycle import LabelPlan, label_vanishes
 from .errors import ValidationError, nan_worst
-from .forms import signed_sum
 from .holomap import ChainTable, compose, inverse_pairs, reduced
 
 # ---------------------------------------------------------------------------
@@ -581,27 +580,26 @@ def _scaled(block, sign):
 class TermPlan:
     """The terms of one expression in one bidegree over cells, as integer arrays.
 
-    The cells come as the (C, r) index-id and (C, s) word-id arrays of the
-    action's id tables (_Ids) that enumerate_cells gives, and a term key is a
-    tuple of ids: (base bidegree, base J, base G, pullback word). Built once:
-    the component is expanded over all cells at once, every word product and
-    moved index read from the id tables; equal keys of a cell cancel in
-    integer coefficients, and each cell's terms are ordered by the repr of
-    their keys' indices and words, ranked once per distinct key from strings
-    made once per id. Then every value the terms read is evaluated in one
-    batch (_build_slots), and a term whose value is structurally zero is
-    dropped. Each remaining term has a signed coefficient and a slot in the
-    value table: its base value evaluated on the cell's cloud, pulled back
-    along the term's group word if it has one.
+    The cells come as enumerate_cells gives them: (C, r) index-id and (C, s)
+    word-id arrays of the action's id tables (_Ids) and the (C,) ids of their
+    index sets. A term key is a tuple of ids: (base bidegree, base J, base G,
+    pullback word). Built once: the component is expanded over all cells at
+    once, every word product and moved index read from the id tables; equal
+    keys of a cell cancel in integer coefficients, and each cell's terms are
+    ordered by the repr of their keys' indices and words, ranked once per
+    distinct key from strings made once per id. Then every value the terms
+    read is evaluated in one batch (_build_slots), and a term whose value is
+    structurally zero is dropped. Each remaining term has a signed
+    coefficient and a slot in the value table: its base value evaluated on
+    the cell's cloud, pulled back along the term's group word if it has one.
     """
 
     def __init__(self, expr, bidegree, cells):
         base = self.base = expr.base
         ids = self._ids = base.ids
-        J, G = cells
+        J, G, self._target = cells
         self.cells = list(zip(map(tuple, J.tolist()), map(tuple, G.tolist())))
         node = expr.components.get(bidegree)
-        self._target = ids.cell_sets(J, G)
         blocks = [] if node is None or not len(J) else _expand(node, J, G, ids)
         cell, key, coeff = self._cancel(blocks, ids)
         order = np.lexsort((self._rank[key], cell))
@@ -682,10 +680,9 @@ class TermPlan:
 
         `cells` (B,) are positions in the plan's cell list, `terms` (B, t) the
         plan's term positions in sum order, `values` (B, t, N, ...) the gathered
-        term values and `total` (B, N, ...) the sum of coeff * value, left to
-        right as in forms.signed_sum. A batch of cells without terms has values
-        and total None: those cells are the structural zero. A batch holds at
-        most forms.BATCH_ENTRIES gathered entries, or one cell.
+        term values and `total` (B, N, ...) their sum (forms.signed_total). A
+        batch of cells without terms has values and total None: those cells are
+        the structural zero. Batches are cut by forms.batches.
         """
         if not self.cells:
             return
@@ -693,18 +690,14 @@ class TermPlan:
         shapes, _, inverse = _unique_rows(np.stack([self.count, self._size], 1))
         for s, (t, N) in enumerate(shapes.tolist()):
             cells = np.flatnonzero(inverse == s)
-            step = max(1, forms.BATCH_ENTRIES // max(1, t * N * per_point))
-            for lo in range(0, len(cells), step):
-                batch = cells[lo:lo + step]
+            for part in forms.batches(len(cells), t * N * per_point):
+                batch = cells[part]
                 terms = self._first[batch][:, None] + np.arange(t)
                 if not t:
                     yield batch, terms, None, None
                     continue
                 values = self.table[self._slot_start[terms][..., None] + np.arange(N)]
-                coeff = self.coeff[terms].reshape(terms.shape + (1,) * (values.ndim - 2))
-                total = coeff[:, 0] * values[:, 0]
-                for j in range(1, t):
-                    total = total + coeff[:, j] * values[:, j]
+                total = forms.signed_total(self.coeff[terms], values)
                 yield batch, terms, values, total
                 # the consumer drops its batch too, so only one is alive at a time
                 del values, total
@@ -954,8 +947,8 @@ class PathLabeler:
         ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
         out = [None] * len(requests)
         for i in sorted(range(len(requests)), key=ranks.__getitem__):
-            out[i] = signed_sum(self.n, self.T.arity, requests[i][2],
-                                ((sign, plan.take(key)) for sign, key in labels[i]))
+            out[i] = forms.signed_sum(self.n, self.T.arity, requests[i][2],
+                                      ((sign, plan.take(key)) for sign, key in labels[i]))
         return out
 
     def cochain(self, form_degree, steps, name):
@@ -1000,9 +993,10 @@ SIGN_CONVENTION = "cech + (-1)^m group"
 
 def enumerate_cells(cover, action, m, q):
     """All (J, G) cells of a bidegree with a nonempty translated cloud, as (C, m+1)
-    index-id and (C, q) word-id arrays of the action's id tables (_Ids): J over
-    the cover indices in itertools.product order and, within each J, G over the
-    action's declared words in the same order."""
+    index-id and (C, q) word-id arrays of the action's id tables (_Ids), with the
+    (C,) ids of the cells' index sets (_Ids.cell_sets): J over the cover indices
+    in itertools.product order and, within each J, G over the action's declared
+    words in the same order."""
     ids = action.ids()
     alphabet = list(map(ids.word, action.words))
     Js = _grid([ids.index(i) for i in cover.indices], m + 1)
@@ -1011,7 +1005,7 @@ def enumerate_cells(cover, action, m, q):
     sets = ids.cell_sets(J, G)
     nonempty = np.array([len(cover.clouds.get(s, ())) > 0 for s in ids.sets], dtype=bool)
     keep = nonempty[sets] if len(sets) else np.zeros(0, dtype=bool)
-    return J[keep], G[keep]
+    return J[keep], G[keep], sets[keep]
 
 
 def _grid(alphabet, r):
@@ -1028,7 +1022,7 @@ def cell_values(cochain, bidegrees=None):
     words; the base values of each bidegree are evaluated in one batch.
     """
     for bd in cochain.bidegrees() if bidegrees is None else bidegrees:
-        J, G = enumerate_cells(cochain.cover, cochain.action, *bd)
+        J, G, _ = enumerate_cells(cochain.cover, cochain.action, *bd)
         cells = list(zip(map(tuple, J.tolist()), map(tuple, G.tolist())))
         for (J, G), value in zip(cells, cochain.base_values([(bd, J, G) for J, G in cells])):
             yield bd, J, G, value
@@ -1047,9 +1041,9 @@ def residual_rows(diff, bidegree, subtracted=()):
     The residual of a cell is its value under `diff`, minus the difference of
     the `subtracted` cochains' base values when two are given (as in
     witness_report: d(witness) - (tau_a - tau_b)). Each row names its worst
-    point and the term that dominates there: the largest |coeff * value| over
-    the cell's terms in sum order, the subtracted base values counting as terms
-    with coefficients -1 and +1; on a tie the first.
+    point and its dominant term, found per batch of TermPlan.sums by
+    forms.residual_facts; the subtracted base values count as terms with
+    coefficients -1 and +1, after the cell's own.
     """
     base = diff.base
     ids = base.ids
@@ -1059,58 +1053,40 @@ def residual_rows(diff, bidegree, subtracted=()):
     for c in subtracted:
         c.base_values([(bidegree,) + cell for cell in plan.cells])
     for cells, terms, values, total in plan.sums():
-        B = len(cells)
-        N = len(plan.points(cells[0]))
+        B, t = terms.shape
+        coeff = plan.coeff[terms]
         if total is None:
+            N = len(plan.points(cells[0]))
             total = np.zeros((B, N, math.comb(base.n, base.form_degree)), dtype=complex)
-        extra = []
+            values = np.zeros((B, 0) + total.shape[1:], dtype=complex)
+        zero = np.zeros((B, t), dtype=bool)
         if subtracted:
             a, b = (c.base_values([(bidegree,) + plan.cells[i] for i in cells])
                     for c in subtracted)
-            A = np.stack([f.values for f in a])
-            Bv = np.stack([f.values for f in b])
+            A, Bv = (np.stack([f.values for f in x]) for x in (a, b))
             total = total - (A - Bv)
-            extra = [(-1, A, [f.structurally_zero for f in a]),
-                     (1, Bv, [f.structurally_zero for f in b])]
-        flat = np.abs(total).reshape(B, N, -1)
-        per_point = flat.max(axis=2) if flat.shape[2] else np.zeros((B, N))
-        worst = per_point.argmax(axis=1)
-        at = np.arange(B)
-        moduli = []
-        if values is not None:
-            coeff = plan.coeff[terms].reshape(terms.shape + (1,) * (values.ndim - 3))
-            moduli.append(_moduli(coeff * values[at, :, worst]))
-        for sign, X, zero in extra:
-            m = _moduli(sign * X[at, worst][:, None])
-            m[np.array(zero)] = -1.0
-            moduli.append(m)
-        moduli = np.concatenate(moduli, axis=1) if moduli else np.full((B, 1), -1.0)
-        best = moduli.argmax(axis=1)
-        best_modulus = moduli[at, best].tolist()
-        t = terms.shape[1]
+            coeff = np.column_stack([coeff, np.tile([-1, 1], (B, 1))])
+            values = np.concatenate([values, A[:, None], Bv[:, None]], axis=1)
+            zero = np.column_stack([zero] + [[f.structurally_zero for f in x] for x in (a, b)])
+        residual, worst, dominant, modulus = forms.residual_facts(total, coeff, values, zero)
         for r, c in enumerate(cells.tolist()):
             J, G = plan.cells[c]
-            i, j, modulus = int(worst[r]), int(best[r]), best_modulus[r]
-            if modulus < 0:
-                dominant = None
+            j = int(dominant[r])
+            if j < 0:
+                term = None
             elif j < t:
-                dominant = plan.describe(int(terms[r, j]), modulus)
+                term = plan.describe(int(terms[r, j]), float(modulus[r]))
             else:
-                dominant = _term_entry(names[j - t], bidegree, ids.index_names(J),
-                                       ids.word_names(G), ids.word_name(0), extra[j - t][0],
-                                       modulus)
+                term = _term_entry(names[j - t], bidegree, ids.index_names(J),
+                                   ids.word_names(G), ids.word_name(0), int(coeff[r, j]),
+                                   float(modulus[r]))
             rows[c] = {"bidegree": list(bidegree), "indices": ids.index_names(J),
-                       "words": ids.word_names(G), "residual": float(per_point[r, i]),
-                       "worst_point": [[z.real, z.imag] for z in plan.points(c)[i].tolist()],
-                       "dominant_term": dominant}
-        del values, total, extra, flat
+                       "words": ids.word_names(G), "residual": float(residual[r]),
+                       "worst_point": [[z.real, z.imag]
+                                       for z in plan.points(c)[int(worst[r])].tolist()],
+                       "dominant_term": term}
+        del values, total
     return rows
-
-
-def _moduli(contributions):
-    """max |entry| per (cell, term) of (B, t, ...) term contributions at one point."""
-    flat = np.abs(contributions).reshape(contributions.shape[:2] + (-1,))
-    return flat.max(axis=2) if flat.shape[2] else np.zeros(flat.shape[:2])
 
 
 def residual_report(rows, bidegrees, tol):

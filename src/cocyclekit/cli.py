@@ -118,16 +118,12 @@ def run_bm_reproducing(scn, entry):
 
 def _residual_fields(report):
     """(pass flag, report fields) of a closedness, witness or face-sum report."""
-    out = {"max_residual": report.get("max_residual", 0.0)}
-    worst = report.get("worst_cell")
-    if worst:
-        out["worst_cell"] = str(worst)
-    for key in ("worst_point", "dominant_term"):
-        if key in report:
-            out[key] = report[key]
-    cells = report.get("cells")
-    if cells:
-        out["worst"] = cells[0]
+    out = {key: report[key] for key in ("max_residual", "worst_point", "dominant_term")
+           if key in report}
+    if "worst_cell" in report:
+        out["worst_cell"] = str(report["worst_cell"])
+    if "cells" in report:
+        out["worst"] = report["cells"][0]
     return report["pass"], out
 
 
@@ -159,6 +155,10 @@ CHECK_RUNNERS = {
 }
 
 
+# check types no tolerance decides, whose results report none: bm-dbar, affine-vanishing
+TOLERANCE_FREE = frozenset({"affine-vanishing", "bm-dbar"})
+
+
 def execute_checks(scn):
     """Run all checks in declaration order on the calling thread."""
 
@@ -170,8 +170,10 @@ def execute_checks(scn):
             held, fields = None, {"error": "%s: %s" % (type(err).__name__, err)}
         result = verdict(entry, held, fields)
         result["seconds"] = round(time.monotonic() - started, 4)
-        return dict(result, name=entry["name"], type=entry["type"],
-                    tolerance=entry["tolerance"])
+        result.update(name=entry["name"], type=entry["type"])
+        if entry["type"] not in TOLERANCE_FREE:
+            result["tolerance"] = entry["tolerance"]
+        return result
 
     return [one(e) for e in scn.checks]
 

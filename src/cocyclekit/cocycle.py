@@ -17,9 +17,9 @@ import warnings
 import numpy as np
 
 from . import forms
-from .errors import DomainError, ValidationError, nan_worst
+from .errors import DomainError, ValidationError
 from .forms import (SampledForm, apply_invariant, jacobian_minors, minor_pullback,
-                    sharp_values, signed_sum, theta_values)
+                    sharp_values, theta_values)
 from .holomap import ChainTable, as_cloud, invert_jacobians, split_rows, stack
 
 MIN_SAMPLE_WARN = 8
@@ -482,16 +482,18 @@ def verify_telescoping(s, T, tol):
 
     Every k-face is labeled once, through one plan (face_labels). On each
     (k+1)-cell, in itertools.combinations order, the labels of its k+2 faces
-    are added with signs (-1)^j (signed_sum). A telescoping simplex, at level
-    k+1, is the case of a single cell. Every face label is built from the
-    supplied transitions, so an incoherent transition shows up as a residual
-    above tolerance.
+    are added left to right with signs (-1)^j (forms.signed_total), a
+    structurally zero label as its exact zeros, gathered at most
+    forms.BATCH_ENTRIES entries at a time (forms.batches). A telescoping
+    simplex, at level k+1, is the case of a single cell. Every face label is
+    built from the supplied transitions, so an incoherent transition shows up
+    as a residual above tolerance.
 
-    Returns the per-cell residuals, their maximum and the worst cell (the
-    first maximum, NaN ranking above every number), the point where that
-    cell's sum peaks, the face that dominates there (_dominant_face), and the
-    pass flag.
-    """
+    Returns the per-cell residuals, their maximum, the worst cell (the first
+    maximum, NaN ranking above every number), the pass flag, and that cell's
+    worst point and dominant face by forms.residual_facts: the face's chart
+    positions, sign and modulus, None when every face label is the structural
+    zero."""
     k = T.arity
     if s.level < k + 1:
         raise ValidationError("need a level of at least %d for arity %d" % (k + 1, k))
@@ -501,37 +503,27 @@ def verify_telescoping(s, T, tol):
                       % len(P))
     vertices = range(s.level + 1)
     faces = list(itertools.combinations(vertices, k + 1))
-    labels = dict(zip(faces, face_labels(s, faces, T)))
-    sums = {cell: signed_sum(s.n, k, P, (((-1) ** j, labels[cell[:j] + cell[j + 1:]])
-                                         for j in range(k + 2)))
-            for cell in itertools.combinations(vertices, k + 2)}
-    residuals = {cell: total.max_abs() for cell, total in sums.items()}
-    worst_cell = max(residuals, key=lambda cell: nan_worst(residuals[cell]))
-    row, _ = sums[worst_cell].worst_point() or (None, 0.0)
-    worst = residuals[worst_cell]
+    labels = face_labels(s, faces, T)
+    position = {face: i for i, face in enumerate(faces)}
+    cells = list(itertools.combinations(vertices, k + 2))
+    of = np.array([[position[cell[:j] + cell[j + 1:]] for j in range(k + 2)] for cell in cells])
+    zero = np.array([label.structurally_zero for label in labels])[of]
+    sign = np.tile((-1) ** np.arange(k + 2), (len(cells), 1))
+    facts = []
+    for part in forms.batches(len(cells), (k + 2) * labels[0].values.size):
+        values = np.stack([np.stack([labels[i].values for i in row]) for row in of[part]])
+        facts.append(forms.residual_facts(forms.signed_total(sign[part], values), sign[part],
+                                          values, zero[part]))
+        del values
+    residual, worst, dominant, modulus = map(np.concatenate, zip(*facts))
+    i = int(np.argmax(residual))
+    cell, j, max_residual = cells[i], int(dominant[i]), float(residual[i])
     return {
-        "residuals": residuals,
-        "max_residual": worst,
-        "worst_cell": worst_cell,
-        "pass": worst <= tol,
-        "tolerance": tol,
-        "worst_point": [] if row is None else [[c.real, c.imag] for c in P[row].tolist()],
-        "dominant_term": None if row is None else _dominant_face(worst_cell, labels, row),
+        "residuals": dict(zip(cells, residual.tolist())),
+        "max_residual": max_residual,
+        "worst_cell": cell,
+        "pass": max_residual <= tol,
+        "worst_point": [[c.real, c.imag] for c in P[int(worst[i])].tolist()],
+        "dominant_term": None if j < 0 else {"face": list(cell[:j] + cell[j + 1:]),
+                                             "sign": (-1) ** j, "modulus": float(modulus[i])},
     }
-
-
-def _dominant_face(cell, labels, row):
-    """The face of `cell` with the largest |sign * label| at point `row` (the largest
-    coefficient modulus there), the first in sum order on a tie: its chart
-    positions, its sign and that modulus. None when every face label is the
-    structural zero."""
-    best = None
-    for j in range(len(cell)):
-        face = cell[:j] + cell[j + 1:]
-        label = labels[face]
-        if label.structurally_zero:
-            continue
-        modulus = float(np.abs(label.values[row]).max())
-        if best is None or nan_worst(modulus) > nan_worst(best["modulus"]):
-            best = {"face": list(face), "sign": (-1) ** j, "modulus": modulus}
-    return best

@@ -56,17 +56,6 @@ class SampledForm:
     def max_abs(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def worst_point(self):
-        """(row, largest coefficient modulus there) of the point where that peaks; None
-        when empty."""
-        N = len(self.points)
-        if not N:
-            return None
-        per_point = np.max(np.abs(self.values).reshape(N, -1), axis=1) if self.values.size \
-            else np.zeros(N)
-        i = int(np.argmax(per_point))
-        return i, float(per_point[i])
-
     def to_json(self):
         indices = itertools.combinations(range(1, self.n + 1), self.k)
         keys = [",".join(map(str, idx)) for idx in indices]
@@ -90,6 +79,45 @@ def signed_sum(n, k, points, terms):
     if acc is None:
         return SampledForm.zeros(n, k, points, ())
     return SampledForm(n, k, points, acc)
+
+
+def batches(count, entries):
+    """Slices over `count` cells of `entries` gathered entries each: at most
+    BATCH_ENTRIES entries per slice, or one cell."""
+    step = max(1, BATCH_ENTRIES // max(1, entries))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def signed_total(coeff, values):
+    """Per cell of a batch, the sum of coeff (B, t) times values (B, t, N, ...) over
+    its t >= 1 terms, added left to right as in signed_sum: (B, N, ...)."""
+    coeff = coeff.reshape(coeff.shape + (1,) * (values.ndim - 2))
+    total = coeff[:, 0] * values[:, 0]
+    for j in range(1, values.shape[1]):
+        total = total + coeff[:, j] * values[:, j]
+    return total
+
+
+def residual_facts(total, coeff, values, zero):
+    """(residual, worst, dominant, modulus) of each cell of a batch, as (B,) arrays.
+
+    total (B, N, ...) holds the cells' sums, and coeff (B, t), values
+    (B, t, N, ...) and zero (B, t) their terms in sum order, zero marking the
+    structurally zero ones. A residual is the largest coefficient modulus of a
+    sum, which peaks at row `worst`; `dominant` is the live term with the
+    largest |coeff * value| there (-1 if none), of modulus `modulus`. The first
+    maximum wins; NaN ranks above every number."""
+    fibre = tuple(range(2, total.ndim))
+    per_point = np.abs(total).max(axis=fibre, initial=0.0)
+    worst = per_point.argmax(axis=1)
+    at = np.arange(len(total))
+    moduli = np.abs(coeff.reshape(coeff.shape + (1,) * len(fibre))
+                    * values[at, :, worst]).max(axis=fibre, initial=0.0)
+    # a structurally zero term, and the last column, rank below every live one
+    moduli = np.column_stack([np.where(zero, -1.0, moduli), np.full(len(total), -1.0)])
+    dominant = moduli.argmax(axis=1)
+    modulus = moduli[at, dominant]
+    return per_point[at, worst], worst, np.where(modulus < 0, -1, dominant), modulus
 
 
 def theta_values(Jinv, dJ):

@@ -36,15 +36,17 @@ def object_cell(action, J, G):
 
 def object_cells(cover, action, m, q):
     """The cells of enumerate_cells, in its order, as cover indices and Words."""
-    J, G = enumerate_cells(cover, action, m, q)
+    J, G, _ = enumerate_cells(cover, action, m, q)
     return [object_cell(action, j, g) for j, g in zip(J.tolist(), G.tolist())]
 
 
 def cell_arrays(action, cells):
-    """(C, r) index-id and (C, s) word-id arrays of cells of cover indices and Words."""
+    """(C, r) index-id and (C, s) word-id arrays of cells of cover indices and Words,
+    with the (C,) ids of their index sets, as enumerate_cells gives them."""
     rows = [id_cell(action, J, G) for J, G in cells]
-    return tuple(np.array([row[i] for row in rows], dtype=np.int64).reshape(
+    J, G = (np.array([row[i] for row in rows], dtype=np.int64).reshape(
         len(rows), len(rows[0][i]) if rows else 0) for i in (0, 1))
+    return J, G, action.ids().cell_sets(J, G)
 
 
 def per_cell(provider, action):

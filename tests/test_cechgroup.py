@@ -279,6 +279,23 @@ def test_dominant_term_tie_goes_to_the_first_in_sum_order(rng):
     assert (dominant["indices"], dominant["coefficient"], dominant["modulus"]) == (["a"], -1, 2.0)
 
 
+def test_a_nan_cell_is_the_worst_and_fails(rng):
+    cover, action = two_index_cover(rng)
+    c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
+        {("a",): np.nan, ("b",): 5.0}, action)}, name="c")
+    report = cg.closedness_report(c, tol=1.0)
+    assert np.isnan(report["max_residual"]) and not report["pass"]
+    # (a, b) and (b, a) are NaN; the first in cell order leads, at its first point
+    worst = report["cells"][0]
+    assert worst["indices"] == ["a", "b"] and np.isnan(worst["residual"])
+    assert worst["worst_point"] == [[z.real, z.imag] for z in cover.cloud(("a", "b"))[0].tolist()]
+    # the NaN sample c_a, first in sum order, dominates
+    dominant = worst["dominant_term"]
+    assert (dominant["indices"], dominant["coefficient"]) == (["a"], -1)
+    assert np.isnan(dominant["modulus"])
+    assert [r["residual"] for r in report["cells"][2:]] == [0.0, 0.0]
+
+
 def test_witness_dominant_term_can_be_a_tau_sample(rng):
     cover, action = two_index_cover(rng)
     w = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import struct
 from fractions import Fraction
@@ -9,7 +10,9 @@ import pytest
 
 import cocyclekit.cocycle as co
 import cocyclekit.holomap as hm
+from cocyclekit.cli import verdict
 from cocyclekit.errors import ValidationError
+from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
@@ -280,6 +283,63 @@ def test_verify_telescoping_warns_on_few_points(rng):
     T2 = todd_invariant(2)
     with pytest.warns(UserWarning):
         co.verify_telescoping(few, T2, 1e-7)
+
+
+def crafted_face_sums(rng, monkeypatch, count, labels):
+    """verify_telescoping at arity 1 on an affine simplex of `count` charts, with its
+    face labels replaced: face -> (N, 2) values, a face not listed being the
+    structural zero."""
+    s, P = affine_simplex(rng, count=count)
+
+    def face_labels(simplex, faces, T):
+        return [SampledForm(2, 1, P, labels[f]) if f in labels
+                else SampledForm.zeros(2, 1, P, ()) for f in faces]
+
+    monkeypatch.setattr(co, "face_labels", face_labels)
+    return co.verify_telescoping(s, todd_invariant(1), 1e-7), as_json_points(s.source_points)
+
+
+def as_json_points(P):
+    return [[[z.real, z.imag] for z in p] for p in P.tolist()]
+
+
+def test_face_sum_ties_go_to_the_first_point_and_the_first_face(rng, monkeypatch):
+    peak = np.zeros((10, 2), dtype=complex)
+    peak[[3, 7]] = [0, 2]
+    # on the cell (0, 1, 2): + (1, 2) - (0, 2) + (0, 1); the last two reach 2 at
+    # rows 3 and 7, the structural zero (1, 2) comes first and never dominates
+    report, points = crafted_face_sums(rng, monkeypatch, 3, {(0, 2): peak[:, ::-1],
+                                                            (0, 1): -peak})
+    assert report["max_residual"] == 2.0 and not report["pass"]
+    assert report["worst_point"] == points[3]
+    assert report["dominant_term"] == {"face": [0, 2], "sign": -1, "modulus": 2.0}
+
+
+def test_a_nan_face_label_makes_its_cells_the_worst(rng, monkeypatch):
+    nan_at_5 = np.ones((10, 2), dtype=complex)
+    nan_at_5[5, 1] = np.nan
+    report, points = crafted_face_sums(rng, monkeypatch, 4, {
+        (0, 1): np.full((10, 2), 100.0, dtype=complex), (2, 3): nan_at_5})
+    assert report["residuals"][(0, 1, 2)] == 100.0
+    assert math.isnan(report["residuals"][(1, 2, 3)])
+    # the first cell holding (2, 3), in combinations order, is the worst
+    assert report["worst_cell"] == (0, 2, 3)
+    assert math.isnan(report["max_residual"]) and not report["pass"]
+    assert verdict({}, report["pass"], {})["status"] == "fail"
+    assert report["worst_point"] == points[5]
+    dominant = report["dominant_term"]
+    assert (dominant["face"], dominant["sign"]) == ([2, 3], 1)
+    assert math.isnan(dominant["modulus"])
+
+
+def test_a_face_sum_of_structural_zeros_has_no_dominant_face(rng, monkeypatch):
+    report, points = crafted_face_sums(rng, monkeypatch, 3, {})
+    assert report["max_residual"] == 0.0 and report["pass"]
+    assert report["worst_point"] == points[0]
+    assert report["dominant_term"] is None
+    # a live label that is zero there still beats the structural zeros
+    report, _ = crafted_face_sums(rng, monkeypatch, 3, {(0, 1): np.zeros((10, 2))})
+    assert report["dominant_term"] == {"face": [0, 1], "sign": 1, "modulus": 0.0}
 
 
 # six charts over the benchmark's chart-kernel maps; the first four are its own

@@ -4,7 +4,7 @@ import pytest
 import cocyclekit.expr as ex
 import cocyclekit.forms as fo
 import cocyclekit.holomap as hm
-from cocyclekit.errors import SingularJacobianError, ValidationError
+from cocyclekit.errors import SingularJacobianError, ValidationError, nan_worst
 from cocyclekit.invariants import InvariantMap, todd_invariant
 import library as lib
 import map_values as mv
@@ -197,3 +197,37 @@ def test_sampled_form_round_trip(rng):
 def test_apply_invariant_arity_mismatch():
     with pytest.raises(ValidationError):
         fo.apply_invariant(todd_invariant(2), [sf.theta(lib.henon_map(), [(0.1, 0.2)])])
+
+
+def loop_residual_facts(total, coeff, values, zero):
+    """forms.residual_facts one cell, point and term at a time, NaN ranking first."""
+    out = []
+    for c in range(len(total)):
+        per_point = [float(np.max(np.abs(p), initial=0.0)) for p in total[c]]
+        worst = max(range(len(per_point)), key=lambda i: nan_worst(per_point[i]))
+        best, modulus = -1, -1.0
+        for j in range(len(coeff[c])):
+            m = float(np.max(np.abs(coeff[c, j] * values[c, j, worst]), initial=0.0))
+            if not zero[c, j] and (best < 0 or nan_worst(m) > nan_worst(modulus)):
+                best, modulus = j, m
+        out.append((per_point[worst], worst, best, modulus))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_residual_facts_equal_the_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    B, t, N = 5, 4, 6
+    # small integers make ties between points and between terms common
+    values = (rng.integers(-2, 3, (B, t, N, 3)) + 1j * rng.integers(-2, 3, (B, t, N, 3)))
+    values[rng.random(values.shape) < 0.02] = np.nan
+    zero = rng.random((B, t)) < 0.4
+    zero[0] = True  # a cell of structural zeros has no dominant term
+    values[zero] = 0
+    coeff = rng.choice([-2, -1, 1, 3], (B, t))
+    total = fo.signed_total(coeff, values)
+    got = fo.residual_facts(total, coeff, values, zero)
+    for (r, worst, best, modulus), cell in zip(zip(*got), loop_residual_facts(
+            total, coeff, values, zero)):
+        assert (worst, best) == cell[1:3]
+        np.testing.assert_array_equal([r, modulus], [cell[0], cell[3]])

@@ -69,7 +69,7 @@ def pieces(chains, c):
 
 
 def id_cells(cover, action, m, q):
-    J, G = cg.enumerate_cells(cover, action, m, q)
+    J, G, _ = cg.enumerate_cells(cover, action, m, q)
     return [(tuple(j), tuple(g)) for j, g in zip(J.tolist(), G.tolist())]
 
 

@@ -74,7 +74,7 @@ def base_cells(cochain):
     """(bidegree, J, G) of every nonempty cell of the cochain, as id tuples."""
     cells = []
     for bd in cochain.bidegrees():
-        J, G = cg.enumerate_cells(cochain.cover, cochain.action, *bd)
+        J, G, _ = cg.enumerate_cells(cochain.cover, cochain.action, *bd)
         cells += [(bd, tuple(j), tuple(g)) for j, g in zip(J.tolist(), G.tolist())]
     return cells
 

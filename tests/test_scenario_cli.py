@@ -531,6 +531,17 @@ def test_a_negative_control_that_does_not_trip_fails(tmp_path, capsys, base, ent
     assert "[FAIL] check" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("base, entry", HOLDING, ids=[e["type"] for _, e in HOLDING])
+def test_a_result_reports_its_tolerance_only_when_the_tolerance_decides(tmp_path, base, entry):
+    # bm-dbar decides by its order-two fit and affine-vanishing by an exact zero: a
+    # tolerance below every residual leaves them passing, and they report none
+    code, check = run_check(tmp_path, base, entry, tolerance=1e-300)
+    if entry["type"] in ("affine-vanishing", "bm-dbar"):
+        assert check["status"] == "pass" and "tolerance" not in check
+    else:
+        assert check["tolerance"] == 1e-300
+
+
 @pytest.mark.parametrize("base, entry", FAILING, ids=[e["type"] for _, e in FAILING])
 def test_a_negative_control_that_trips_passes(tmp_path, capsys, base, entry):
     code, check = run_check(tmp_path, base, entry)
