@@ -116,10 +116,6 @@ class GroupActionSpec:
             if sorted(map(str, table.values())) != sorted(map(str, self.indices)):
                 raise ValidationError("index action for %r is not a bijection" % name)
             self.index_action[name] = table
-        self._inverse_action = {
-            name: {v: k for k, v in table.items()}
-            for name, table in self.index_action.items()
-        }
         self.words = list(words)
         self.inverses = inverse_pairs(self.generators.values())
         self._folds = {}
@@ -135,13 +131,6 @@ class GroupActionSpec:
     def letter_map(self, name, sgn):
         fwd, inv = self.generators[name]
         return fwd if sgn > 0 else inv
-
-    def act_index(self, index, letters):
-        """The cover index that a word's letters move `index` to, first letter first."""
-        for name, sgn in letters:
-            table = self.index_action[name] if sgn > 0 else self._inverse_action[name]
-            index = table[index]
-        return index
 
     def letter_maps(self, letters):
         """The generator maps of a word's letters, outermost first; two adjacent
@@ -257,10 +246,6 @@ class MixedCochain:
     def bidegrees(self):
         return sorted(self.components)
 
-    def base_values(self, keys):
-        """Base values of (bidegree, J, G) keys on their cells' own clouds, in key order."""
-        return self.evaluate_all([(bd, J, G, self.cell_points(J, G), 0) for bd, J, G in keys])
-
     def structurally_zero(self, bidegree, J, G):
         """True when the base value of (J, G) is known to vanish before it is evaluated."""
         return self._vanishes is not None and self._vanishes(bidegree, tuple(J), tuple(G))
@@ -290,10 +275,6 @@ class MixedCochain:
             values = self.components[bd]([k[1:3] + (fresh[k], k[3]) for k in batch])
             self._cache.update(zip(batch, values))
         return [self._cache[k] for k in keys]
-
-    def cell_points(self, J, G):
-        """The cloud of the translated intersection of the cell (J, G)."""
-        return self.cover.cloud(self.ids.cell_set(J, G))
 
     def expression(self):
         return CochainExpression(self, {bd: ("base", bd) for bd in self.components})
@@ -366,13 +347,15 @@ class _Ids:
     def __init__(self, action):
         self.indices = list(action.indices)
         self._index_ids = {index: i for i, index in enumerate(self.indices)}
-        # letter -> the index id each index id moves to
-        self._perms = {(name, sgn): [self._index_ids[action.act_index(index, ((name, sgn),))]
-                                     for index in self.indices]
-                       for name in action.index_action for sgn in (1, -1)}
+        # letter -> the index id each index id moves to; an inverse letter's
+        # permutation is the inverse permutation
+        self._perms = {}
+        for name, table in action.index_action.items():
+            perm = [self._index_ids[table[index]] for index in self.indices]
+            self._perms[(name, 1)], self._perms[(name, -1)] = perm, np.argsort(perm).tolist()
         self._pairs = letter_pairs(action.generators)
         self.words, self.moves, self._word_ids = [], [], {}
-        self._products, self._inverses, self._cells = {}, {}, {}
+        self._products, self._inverses = {}, {}
         self._move_table = np.zeros((0, len(self.indices)), dtype=np.int64)
         self.sets, self._set_ids = [], {}
         self._index_names = [str(index) for index in self.indices]
@@ -412,22 +395,6 @@ class _Ids:
             w = self._inverses[a] = self.word(tuple((name, -sgn)
                                                     for name, sgn in reversed(self.words[a])))
         return w
-
-    def moved(self, J, G):
-        """The index ids of the cell (J, G) of id tuples, each moved by the product of
-        the cell's words."""
-        w = 0
-        for g in G:
-            w = self.mul(w, g)
-        move = self.moves[w]
-        return tuple(move[i] for i in J)
-
-    def cell_set(self, J, G):
-        """The translated index set of the cell (J, G), as its cloud's key."""
-        s = self._cells.get((J, G))
-        if s is None:
-            s = self._cells[(J, G)] = frozenset(self.indices[i] for i in self.moved(J, G))
-        return s
 
     def index_names(self, J):
         return [self._index_names[i] for i in J]
@@ -469,15 +436,20 @@ class _Ids:
                 len(self.moves), len(self.indices))
         return self._move_table[w[:, None], J]
 
-    def cell_sets(self, J, G):
-        """Index-set ids of the cells of the (C, r) index-id and (C, s) word-id rows
-        J and G, translated as cell_set translates them."""
-        if not len(J):
-            return np.zeros(0, dtype=np.int64)
+    def moved(self, J, G):
+        """Index ids of the cells of the (C, r) index-id and (C, s) word-id rows J and
+        G: each row of J moved by the product of its row of G. Repeats stay."""
         w = G[:, 0] if G.shape[1] else np.zeros(len(J), dtype=np.int64)
         for column in G.T[1:]:
             w = self.mul_ids(w, column)
-        moved = self.act(w, J).astype(np.uint64)
+        return self.act(w, J)
+
+    def cell_sets(self, J, G):
+        """Index-set ids of the cells of the rows J and G: the sets of their moved
+        indices (moved), the keys of their clouds."""
+        if not len(J):
+            return np.zeros(0, dtype=np.int64)
+        moved = self.moved(J, G).astype(np.uint64)
         # one bit per index id, so equal sets give equal rows
         if len(self.indices) <= 64:
             bits = np.bitwise_or.reduce(np.left_shift(np.uint64(1), moved), axis=1)
@@ -783,7 +755,7 @@ class PathLabeler:
     under the declared inverse pairs: the identity when nothing moves. The
     heads and tails of a cell's words, the vertices, transitions, top charts
     and pulled top charts are each built once per distinct id key, and a
-    cell's paths and labels once per (J, G, step types). Only pairs of
+    cell's labels once per (J, G, step types). Only pairs of
     letters are composed symbolically, once each (GroupActionSpec.fold); the
     label plan evaluates theta of a chain from its pieces.
     """
@@ -806,7 +778,6 @@ class PathLabeler:
         self._pulled = {}       # (top chart, pull word) -> chain id
         self._words = {}        # word ids G -> (heads, tails)
         self._shuffles = {}     # step types -> [(sign, grid states)]
-        self._live_paths = {}   # (J, G, step types) -> [(sign, vertex ids, ladder)]
         self._labels = {}       # (J, G, step types) -> labels
 
     def _letter_maps(self, w):
@@ -847,34 +818,6 @@ class PathLabeler:
             self._vertex.append(key)
         return v
 
-    def _live(self, J, G, step_types):
-        """(sign, vertex ids, ladder) of the cell's grid paths whose labels are not
-        structurally zero (label_vanishes), in shuffle order; built once per cell and
-        step types. The vertex of grid state (layer, r, s) is
-        (layer, J[r] moved by G[0] ... G[s-1], G[s] ... G[-1])."""
-        key = (J, G, step_types)
-        live = self._live_paths.get(key)
-        if live is None:
-            shuffles = self._shuffles.get(step_types)
-            if shuffles is None:
-                shuffles = self._shuffles[step_types] = [
-                    (sign, _grid_states(seq)) for seq, sign in _shuffles(step_types)]
-            heads, tails = self._heads_tails(G)
-            moves, grid, live = self.ids.moves, {}, []
-            for sign, states in shuffles:
-                path = []
-                for state in states:
-                    v = grid.get(state)
-                    if v is None:
-                        layer, r, s = state
-                        v = grid[state] = self.vertex(layer, moves[heads[s]][J[r]], tails[s])
-                    path.append(v)
-                ladder = tuple(self.transition(a, b) for a, b in zip(path, path[1:]))
-                if not label_vanishes(self.T, self.n, ladder, self.chains):
-                    live.append((sign, path, ladder))
-            self._live_paths[key] = live
-        return live
-
     def top(self, v):
         """Chain id of the chart of vertex v: its chart followed by its tail's letters."""
         c = self._tops.get(v)
@@ -898,21 +841,39 @@ class PathLabeler:
         return c
 
     def labels(self, J, G, step_types):
-        """The cell's path labels that are not structurally zero, in shuffle order:
-        (sign, ladder, pullbacks, top chart), the chain ids that LabelPlan.add_label
-        reads. Each cell's labels are built once."""
+        """The cell's path labels that are not structurally zero (label_vanishes), in
+        shuffle order: (sign, ladder, pullbacks, top chart), the chain ids that
+        LabelPlan.add_label reads. Built once per cell and step types; the vertex of
+        grid state (layer, r, s) is (layer, J[r] moved by G[0] ... G[s-1],
+        G[s] ... G[-1])."""
         key = (J, G, step_types)
         labels = self._labels.get(key)
         if labels is None:
-            labels = self._labels[key] = [
-                (sign, ladder, tuple(self.transition(u, path[-1]) for u in path[1:-1]),
-                 self.top(path[-1])) for sign, path, ladder in self._live(J, G, step_types)]
+            shuffles = self._shuffles.get(step_types)
+            if shuffles is None:
+                shuffles = self._shuffles[step_types] = [
+                    (sign, _grid_states(seq)) for seq, sign in _shuffles(step_types)]
+            heads, tails = self._heads_tails(G)
+            moves, grid, labels = self.ids.moves, {}, []
+            for sign, states in shuffles:
+                path = []
+                for state in states:
+                    v = grid.get(state)
+                    if v is None:
+                        layer, r, s = state
+                        v = grid[state] = self.vertex(layer, moves[heads[s]][J[r]], tails[s])
+                    path.append(v)
+                ladder = tuple(self.transition(a, b) for a, b in zip(path, path[1:]))
+                if not label_vanishes(self.T, self.n, ladder, self.chains):
+                    labels.append((sign, ladder,
+                                   tuple(self.transition(u, path[-1]) for u in path[1:-1]),
+                                   self.top(path[-1])))
+            self._labels[key] = labels
         return labels
 
     def cell_vanishes(self, J, G, step_types):
-        """True when every path label of the cell vanishes, so its cell form does; reads
-        only the ladders of the cell's paths."""
-        return not self._live(J, G, step_types)
+        """True when every path label of the cell vanishes, so its cell form does."""
+        return not self.labels(J, G, step_types)
 
     def pulled_top(self, top, pull):
         """The top chart chain followed by the letter maps of the word pull, built once
@@ -1015,17 +976,16 @@ def _grid(alphabet, r):
 
 
 def cell_values(cochain, bidegrees=None):
-    """(bidegree, J, G, SampledForm) for every nonempty cell of a MixedCochain, J and
-    G tuples of the action's index and word ids.
-
-    Walks `bidegrees` (default: the cochain's own) over the action's declared
-    words; the base values of each bidegree are evaluated in one batch.
+    """(bidegree, J, G, values) per bidegree walked (default: the cochain's own): the
+    index-id and word-id arrays of its nonempty cells (enumerate_cells) and the
+    cochain's base value on each cell's cloud, in cell order, evaluated in one batch.
     """
+    ids = cochain.ids
     for bd in cochain.bidegrees() if bidegrees is None else bidegrees:
-        J, G, _ = enumerate_cells(cochain.cover, cochain.action, *bd)
-        cells = list(zip(map(tuple, J.tolist()), map(tuple, G.tolist())))
-        for (J, G), value in zip(cells, cochain.base_values([(bd, J, G) for J, G in cells])):
-            yield bd, J, G, value
+        J, G, sets = enumerate_cells(cochain.cover, cochain.action, *bd)
+        yield bd, J, G, cochain.evaluate_all([
+            (bd, j, g, cochain.cover.cloud(ids.sets[s]), 0)
+            for j, g, s in zip(J.tolist(), G.tolist(), sets.tolist())])
 
 
 def require_cells(count, bidegrees):
@@ -1040,18 +1000,18 @@ def residual_rows(diff, bidegree, subtracted=()):
 
     The residual of a cell is its value under `diff`, minus the difference of
     the `subtracted` cochains' base values when two are given (as in
-    witness_report: d(witness) - (tau_a - tau_b)). Each row names its worst
-    point and its dominant term, found per batch of TermPlan.sums by
-    forms.residual_facts; the subtracted base values count as terms with
-    coefficients -1 and +1, after the cell's own.
+    witness_report: d(witness) - (tau_a - tau_b)), each requested once per cell,
+    on the cell's cloud. Each row names its worst point and its dominant term,
+    found per batch of TermPlan.sums by forms.residual_facts; the subtracted
+    base values count as terms with coefficients -1 and +1, after the cell's own.
     """
     base = diff.base
     ids = base.ids
     plan = TermPlan(diff, bidegree, enumerate_cells(base.cover, base.action, *bidegree))
     rows = [None] * len(plan.cells)
     names = ("tau_a", "tau_b")
-    for c in subtracted:
-        c.base_values([(bidegree,) + cell for cell in plan.cells])
+    sub = [c.evaluate_all([(bidegree,) + cell + (plan.points(i), 0)
+                           for i, cell in enumerate(plan.cells)]) for c in subtracted]
     for cells, terms, values, total in plan.sums():
         B, t = terms.shape
         coeff = plan.coeff[terms]
@@ -1061,8 +1021,7 @@ def residual_rows(diff, bidegree, subtracted=()):
             values = np.zeros((B, 0) + total.shape[1:], dtype=complex)
         zero = np.zeros((B, t), dtype=bool)
         if subtracted:
-            a, b = (c.base_values([(bidegree,) + plan.cells[i] for i in cells])
-                    for c in subtracted)
+            a, b = ([x[i] for i in cells.tolist()] for x in sub)
             A, Bv = (np.stack([f.values for f in x]) for x in (a, b))
             total = total - (A - Bv)
             coeff = np.column_stack([coeff, np.tile([-1, 1], (B, 1))])

@@ -33,7 +33,7 @@ from .scenario import Scenario, validate_bm_fields, validate_check_fields
 
 def run_affine_vanishing(scn, entry):
     tau = scn.tau(scn.atlas, entry.get("arity", scn.n))
-    moduli = [sampled.max_abs() for _, _, _, sampled in cell_values(tau)]
+    moduli = [v.max_abs() for _, _, _, values in cell_values(tau) for v in values]
     require_cells(len(moduli), tau.bidegrees())
     worst = max(moduli, key=nan_worst)
     return worst == 0.0, {"max_residual": worst, "cells": len(moduli),
@@ -238,8 +238,9 @@ def cmd_symfun(args):
                     payload = json.load(fh)
             else:
                 payload = json.load(sys.stdin)
-        except json.JSONDecodeError as err:
-            raise ValidationError("SymFun input is not valid JSON: %s" % err) from None
+        except ValueError as err:  # bad JSON, non-UTF-8 bytes or an integer past int()'s limit
+            raise ValidationError("SymFun input %s is not valid JSON: %s"
+                                  % (args.input or "<stdin>", err)) from None
         if not (isinstance(payload, dict) and "basis" in payload and "terms" in payload):
             raise ValidationError("SymFun JSON needs 'basis' and 'terms'")
         f = SymFun.from_json(payload)
@@ -285,15 +286,16 @@ def tau_cell_rows(scn, bidegrees=None):
     bidegrees = tau.bidegrees() if bidegrees is None else bidegrees
     rows = []
     ids = tau.ids
-    for (m, q), J, G, sampled in cell_values(tau, bidegrees):
-        rows.append({
-            "bidegree": [m, q],
-            "indices": ids.index_names(J),
-            "words": ids.word_names(G),
-            "on": sorted(ids.index_names(ids.moved(J, G))),
-            "max_abs": sampled.max_abs(),
-            "values": sampled.to_json(),
-        })
+    for bd, J, G, values in cell_values(tau, bidegrees):
+        for j, g, on, sampled in zip(J.tolist(), G.tolist(), ids.moved(J, G).tolist(), values):
+            rows.append({
+                "bidegree": list(bd),
+                "indices": ids.index_names(j),
+                "words": ids.word_names(g),
+                "on": sorted(ids.index_names(on)),
+                "max_abs": sampled.max_abs(),
+                "values": sampled.to_json(),
+            })
     require_cells(len(rows), bidegrees)
     return rows
 

@@ -101,7 +101,7 @@ class Scenario:
             raw = fh.read()
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, non-UTF-8 bytes or an integer past int()'s limit
             raise ScenarioError("not valid JSON: %s" % err, str(path)) from None
         return cls(data, raw)
 
@@ -301,11 +301,15 @@ class Scenario:
         if ctype == "witness":
             if self.atlas is None or self.atlas_b is None:
                 raise ScenarioError("witness needs atlas and atlas_b", loc)
-        # a point of any cloud makes a cell, since a Cech tuple may repeat its index
-        if ctype in ("affine-vanishing", "tau-closedness", "witness") and not any(
-                map(len, self.cover.clouds.values())):
-            raise ScenarioError("no cover cloud holds a point, so %s has no cell to check"
-                                % ctype, loc)
+        if ctype in ("affine-vanishing", "tau-closedness", "witness"):
+            # a point of any cloud makes a cell, since a Cech tuple may repeat its index
+            if not any(map(len, self.cover.clouds.values())):
+                raise ScenarioError("no cover cloud holds a point, so %s has no cell to check"
+                                    % ctype, loc)
+            # above the dimension every label vanishes, so the check would check nothing
+            if entry.get("arity", self.n) > self.n:
+                raise ScenarioError("arity %d is outside 1..%d, the dimension"
+                                    % (entry["arity"], self.n), loc)
         if ctype in ("telescoping", "dk-validate"):
             charts = _require_list(entry.get("charts", []), loc)
             if not entry.get("source_points"):

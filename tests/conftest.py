@@ -5,7 +5,7 @@ import cocyclekit.expr as ex
 from cocyclekit.cechgroup import TermPlan, enumerate_cells
 from cocyclekit.holomap import compose
 from cocyclekit.forms import SampledForm
-from free_words import Word
+from free_words import Word, act_index
 from map_values import word_pullback
 
 
@@ -22,6 +22,13 @@ def id_cell(action, J, G):
     """The cell of cover indices J and Words G as id tuples of the action's tables."""
     ids = action.ids()
     return tuple(map(ids.index, J)), tuple(ids.word(g.letters) for g in G)
+
+
+def reference_points(cover, action, J, G):
+    """The cloud of the cell of cover indices J and Words G: the indices of J moved by
+    the product of G (free_words.act_index), as its key."""
+    letters = Word.product(G).letters
+    return cover.cloud(tuple(act_index(action, i, letters) for i in J))
 
 
 def object_word(action, w):

@@ -1,5 +1,6 @@
-"""Free words and chains of named maps as objects: the references the id tables
-(cechgroup._Ids, holomap.ChainTable) are checked against.
+"""Free words and chains of named maps as objects, and the index action of a word:
+the references the id tables (cechgroup._Ids, holomap.ChainTable) are checked
+against.
 
 A Word is a reduced tuple of letters (generator name, +1 or -1); a Chain is a
 composite p_1 . ... . p_m of named maps, outermost first, without identity
@@ -57,6 +58,15 @@ class Word:
     @classmethod
     def product(cls, words):
         return cls(letter for w in words for letter in w.letters)
+
+
+def act_index(action, index, letters):
+    """The cover index that a word's letters move `index` to, first letter first, read
+    from the action's index tables: an inverse letter looks its image up backwards."""
+    for name, sgn in letters:
+        table = action.index_action[name]
+        index = table[index] if sgn > 0 else next(k for k, v in table.items() if v == index)
+    return index
 
 
 def is_identity_map(m):

@@ -13,7 +13,7 @@ lives with the tests.
 
 import cocyclekit.cechgroup as cg
 from cocyclekit.cocycle import ChartSimplex
-from free_words import Chain, Word
+from free_words import Chain, Word, act_index
 
 
 class ReferencePaths:
@@ -40,7 +40,7 @@ class ReferencePaths:
             elif kind == cg.G_STEP:
                 s += 1
             head, tail = Word.product(G[:s]), Word.product(G[s:])
-            vertices.append((layer, self.action.act_index(J[r], head.letters), tail))
+            vertices.append((layer, act_index(self.action, J[r], head.letters), tail))
         return vertices
 
     def _chart_maps(self, vertex):

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -11,17 +13,18 @@ import cocyclekit.holomap as hm
 from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
-from cocyclekit.scenario import parse_word
+from cocyclekit.scenario import Scenario, parse_word
 import library as lib
 import map_values as mv
 import sampled_forms as sf
 from cochains import base_value, cech_differential, group_differential
 from conftest import (cell_value, id_cell, object_cells, per_cell, random_points,
-                      word_composite)
+                      reference_points, word_composite)
 from free_words import Word
 
 F = Fraction
 T2 = todd_invariant(2)
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def word_ids():
@@ -152,7 +155,7 @@ def max_residual(expr, cover, action):
     worst = 0.0
     for (m, q) in expr.bidegrees():
         for J, G in object_cells(cover, action, m, q):
-            if len(expr.base.cell_points(*id_cell(action, J, G))):
+            if len(reference_points(cover, action, J, G)):
                 worst = max(worst, cell_value(expr, (m, q), J, G).max_abs())
     return worst
 
@@ -561,3 +564,25 @@ def test_generator_round_trip_keeps_a_nan_error():
                                 {"g": {"a": "a", "b": "b"}}, ["a", "b"])
     error, name = action.round_trip(nan_then_finite_cover())
     assert np.isnan(error) and name == "g"
+
+
+def test_the_witness_requests_each_subtracted_base_value_once_per_cell(monkeypatch):
+    scn = Scenario.load(SCENARIOS / "witness_reparam.scn")
+    taus = [scn.tau(scn.atlas, scn.n), scn.tau(scn.atlas_b, scn.n)]
+    requests = {id(tau): collections.Counter() for tau in taus}
+    evaluate_all = cg.MixedCochain.evaluate_all
+
+    def counted(self, batch):
+        if id(self) in requests:
+            requests[id(self)].update((bd, tuple(J), tuple(G), P.tobytes(), pull)
+                                      for bd, J, G, P, pull in batch)
+        return evaluate_all(self, batch)
+
+    monkeypatch.setattr(cg.MixedCochain, "evaluate_all", counted)
+    witness = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
+                                      todd_invariant(scn.n))
+    report = cg.witness_report(witness, *taus, tol=1e-7)
+    assert report["pass"]
+    for counts in requests.values():
+        assert set(counts.values()) == {1}
+        assert sum(counts.values()) == len(report["cells"])

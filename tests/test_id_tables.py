@@ -21,8 +21,8 @@ import library as lib
 from cocyclekit import cli
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
-from conftest import object_cell, object_cells, object_word
-from free_words import Chain, Word
+from conftest import object_cell, object_cells, object_word, reference_points
+from free_words import Chain, Word, act_index
 from path_labels import ReferencePaths
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -148,8 +148,7 @@ def test_enumerated_cells_follow_the_itertools_order(name):
         want = []
         for J in itertools.product(scn.cover.indices, repeat=m + 1):
             for G in itertools.product(map(Word, action.words), repeat=q):
-                letters = Word.product(G).letters
-                if len(scn.cover.cloud(tuple(action.act_index(i, letters) for i in J))):
+                if len(reference_points(scn.cover, action, J, G)):
                     want.append((J, G))
         assert object_cells(scn.cover, action, m, q) == want, (m, q)
 
@@ -223,10 +222,22 @@ def test_index_sets_and_cells_of_large_covers_equal_the_per_cell_references(coun
                  for G in itertools.product(map(Word, action.words), repeat=q)]
         J = np.array([[ids.index(i) for i in J] for J, _ in cells]).reshape(len(cells), m + 1)
         G = np.array([[ids.word(g.letters) for g in G] for _, G in cells]).reshape(len(cells), q)
-        want = [frozenset(action.act_index(i, Word.product(G).letters) for i in J)
-                for J, G in cells]
+        moved = [tuple(act_index(action, i, Word.product(G).letters) for i in J)
+                 for J, G in cells]
+        assert [tuple(ids.indices[i] for i in row)
+                for row in ids.moved(J, G).tolist()] == moved, (m, q)
         got = [ids.sets[s] for s in ids.cell_sets(J, G).tolist()]
-        assert got == want == [ids.cell_set(tuple(j), tuple(g))
-                               for j, g in zip(J.tolist(), G.tolist())], (m, q)
-        nonempty = [cell for cell, key in zip(cells, want) if len(cover.cloud(key))]
+        assert got == list(map(frozenset, moved)), (m, q)
+        nonempty = [cell for cell, key in zip(cells, moved) if len(cover.cloud(key))]
         assert nonempty and object_cells(cover, action, m, q) == nonempty, (m, q)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_todd_cocycle_rows_are_on_the_moved_indices_with_their_repeats(name):
+    # "on" lists a cell's indices moved by the product of its words, not its index set
+    scn = Scenario.load(ROOT / "scenarios" / name)
+    want = [sorted(str(act_index(scn.action, i, Word.product(G).letters)) for i in J)
+            for bd in scn.tau(scn.atlas, scn.n).bidegrees()
+            for J, G in object_cells(scn.cover, scn.action, *bd)]
+    assert [row["on"] for row in cli.tau_cell_rows(scn)] == want
+    assert any(len(set(on)) < len(on) for on in want)

@@ -71,11 +71,13 @@ def per_path_cochain(labeled, paths):
 
 
 def base_cells(cochain):
-    """(bidegree, J, G) of every nonempty cell of the cochain, as id tuples."""
-    cells = []
+    """(bidegree, J, G, cloud) of every nonempty cell of the cochain, J and G as id
+    tuples, the cloud that of the cell's index set."""
+    cells, sets = [], cochain.ids.sets
     for bd in cochain.bidegrees():
-        J, G, _ = cg.enumerate_cells(cochain.cover, cochain.action, *bd)
-        cells += [(bd, tuple(j), tuple(g)) for j, g in zip(J.tolist(), G.tolist())]
+        J, G, S = cg.enumerate_cells(cochain.cover, cochain.action, *bd)
+        cells += [(bd, tuple(j), tuple(g), cochain.cover.cloud(sets[s]))
+                  for j, g, s in zip(J.tolist(), G.tolist(), S.tolist())]
     return cells
 
 
@@ -141,8 +143,7 @@ def test_planned_labels_equal_one_plan_per_label(name):
     paths = labeler_of(scn, scn.atlas)
     plan = co.LabelPlan(paths.T, hm.ChainTable(paths.inverses))
     planned = []
-    for bd, J, G in base_cells(tau):
-        P = tau.cell_points(J, G)
+    for bd, J, G, P in base_cells(tau):
         for seq, _ in cg._shuffles(step_types(tau, bd)):
             simplex = paths.simplex(*object_cell(scn.action, J, G), seq, P)
             planned.append((simplex, P, add_top_label(plan, simplex, P)))
@@ -162,9 +163,9 @@ def test_planned_base_values_equal_per_path_sums(name, bound, monkeypatch):
     monkeypatch.setattr(fo, "BATCH_ENTRIES", bound)
     scn = Scenario.load(SCENARIOS / name)
     tau = scn.tau(scn.atlas, scn.n)
-    cells = base_cells(tau)
+    cells = [cell + (0,) for cell in base_cells(tau)]
     twin = per_path_cochain(tau, labeler_of(scn, scn.atlas))
-    for got, want in zip(tau.base_values(cells), twin.base_values(cells)):
+    for got, want in zip(tau.evaluate_all(cells), twin.evaluate_all(cells)):
         assert same_bits(got, want)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -231,6 +232,41 @@ def test_bad_scenario_type_exits_2_with_location(tmp_path, capsys, edit, locatio
     assert location in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, entry", [
+    ("henon_z.scn", {"type": "affine-vanishing", "arity": 3}),
+    ("henon_z.scn", {"type": "tau-closedness", "arity": 3}),
+    ("henon_z.scn", {"type": "tau-closedness", "arity": 3, "tolerance": 1e-300,
+                     "expect": "fail"}),
+    ("witness_reparam.scn", {"type": "witness", "arity": 3}),
+], ids=["affine-vanishing", "tau-closedness", "tau-closedness-control", "witness"])
+def test_an_arity_above_the_dimension_exits_2_naming_the_check(tmp_path, capsys, name, entry):
+    # every label of an arity above n vanishes, so such a check would pass on nothing
+    data = load_scn(name)
+    data["checks"].append(entry)
+    assert main(["run", write_scn(tmp_path, data), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[%d]" % (len(data["checks"]) - 1) in err and "arity 3" in err
+    assert "Traceback" not in err and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("raw", [b'\xff\xff{"dimension": 2}',
+                                 b'{"dimension": 1%s}' % (b"0" * 5000)],
+                         ids=["not-utf8", "integer-beyond-the-digit-limit"])
+def test_input_that_json_cannot_read_exits_2_naming_the_file(tmp_path, capsys, monkeypatch, raw):
+    # both raise a ValueError other than JSONDecodeError inside json
+    bad = tmp_path / "s.scn"
+    bad.write_bytes(raw)
+    for argv in (["run", str(bad)], ["symfun", "convert", "--input", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not valid JSON" in err and "Traceback" not in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()),
+                                                       encoding="utf-8"))
+    assert main(["symfun", "convert"]) == 2
+    err = capsys.readouterr().err
+    assert "<stdin>" in err and "not valid JSON" in err
+
+
 @pytest.mark.parametrize("top, kind", [(5, "number"), (None, "null"), (True, "boolean"),
                                        ([1, 2], "array"), ("x", "string")],
                          ids=["number", "null", "bool", "array", "string"])
@@ -454,7 +490,7 @@ def test_affine_vanishing_fails_on_a_nan_value(monkeypatch):
     P = np.zeros((1, 2), dtype=complex)
     forms = [SampledForm(2, 2, P, [[0j]]), SampledForm(2, 2, P, [[complex(math.nan, 0)]]),
              SampledForm(2, 2, P, [[0j]])]
-    monkeypatch.setattr(cli, "cell_values", lambda tau: [((0, 2), ("u",), (), f) for f in forms])
+    monkeypatch.setattr(cli, "cell_values", lambda tau: [((0, 2), None, None, forms)])
     tau = types.SimpleNamespace(bidegrees=lambda: [(0, 2)])
     scn = types.SimpleNamespace(n=2, atlas=None, tau=lambda atlas, arity: tau)
     result = cli.verdict({}, *cli.run_affine_vanishing(scn, {}))

@@ -28,8 +28,8 @@ import library as lib
 import map_values as mv
 from cochains import cech_differential, group_differential
 from conftest import (cell_arrays, cell_value, id_cell, object_cell, object_cells, per_cell,
-                      plan_form, random_points)
-from free_words import Word
+                      plan_form, random_points, reference_points)
+from free_words import Word, act_index
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -68,7 +68,7 @@ def oracle_terms(node, J, G, action):
         return _signed_sum(((-1) ** k, oracle_terms(child, J[:k] + J[k + 1:], G, action))
                            for k in range(m + 2))
     g1 = G[0]
-    parts = [(1, oracle_terms(child, tuple(action.act_index(i, g1.letters) for i in J), G[1:],
+    parts = [(1, oracle_terms(child, tuple(act_index(action, i, g1.letters) for i in J), G[1:],
                               action))]
     for k in range(1, q + 1):
         merged = G[:k - 1] + (G[k - 1] * G[k],) + G[k + 1:]
@@ -93,8 +93,7 @@ def oracle_term_value(base, term, points):
 
 def oracle_value(expr, bd, J, G):
     base = expr.base
-    word = Word.product(G)
-    points = base.cover.cloud(tuple(base.action.act_index(i, word.letters) for i in J))
+    points = reference_points(base.cover, base.action, J, G)
     terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
                    key=lambda kv: repr(kv[0]))
     return signed_sum(base.n, base.form_degree, points,
@@ -251,7 +250,7 @@ def test_face_value_on_a_nested_cell_cloud_is_its_own_value_at_those_points(rng)
     action = cg.trivial_action(list("pqrs"), 2)
     tau = cg.tau_invariant(cover, action, atlas, todd_invariant(2))
     face = ((2, 0),) + id_cell(action, ("p", "q", "r"), ())
-    own, = tau.base_values([face])
+    own, = tau.evaluate_all([face + (cover.cloud(("p", "q", "r")), 0)])
     P = cover.cloud(("p", "q", "r", "s"))
     on_cell, = tau.evaluate_all([face + (P, 0)])
     rows = {point.tobytes(): i for i, point in enumerate(cover.cloud(("p", "q", "r")))}

@@ -18,10 +18,11 @@ exits 1 if anything differs.
 
 Each (input, command) pair that differs is also classified. It is "digits
 only" when the exit codes are equal, every `status` and `pass` is equal, the
-JSON keys are the same, every number that is bitwise zero in the parent is
-bitwise zero in the change, and every residual (`max_residual`, `residual`,
-`max_residual_h`, `max_residual_h_half`, a numeric `error`, and every number
-in a printed line that is not JSON) is within a factor of 10 of the parent's.
+JSON keys are the same in every list item and every cell row, every number
+that is bitwise zero in the parent is bitwise zero in the change, and every
+residual (`max_residual`, `residual`, `max_residual_h`, `max_residual_h_half`,
+a numeric `error`, and every number in a printed line that is not JSON) is
+within a factor of 10 of the parent's.
 Otherwise it is "substantive", with the reasons. Rows of cells (objects with
 `indices` and `words`) are matched by cell, not by position, since reports
 sort them by residual. Sample coordinates (`point`, `worst_point`) and the
@@ -100,15 +101,16 @@ def canonical(obj):
 
 
 def key_paths(obj, path=""):
-    """The paths of obj's keys, list positions and cells left out."""
+    """The paths of obj's keys: the items of a list by position, rows of cells by
+    their cell, as canonical keys them."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            inner = path + "/" + (k if not k.startswith("[") else "<cell>")
+            inner = path + "/" + k
             yield inner
             yield from key_paths(v, inner)
     elif isinstance(obj, list):
-        for v in obj:
-            yield from key_paths(v, path + "[]")
+        for i, v in enumerate(obj):
+            yield from key_paths(v, "%s[%d]" % (path, i))
 
 
 class Verdict:
