@@ -19,6 +19,7 @@ top Chern-Weil label of its chart simplex. Pure Cech cells and pure group
 cells reduce to the single interleaved simplex.
 """
 
+import bisect
 import itertools
 import math
 
@@ -995,84 +996,131 @@ def require_cells(count, bidegrees):
                               % ", ".join("(%d, %d)" % tuple(bd) for bd in bidegrees))
 
 
-def residual_rows(diff, bidegree, subtracted=()):
-    """Report rows of the cells of one bidegree, in cell order, from one term plan.
+def worst_first(residual):
+    """Positions of a (C,) residual array, worst first: NaN above every number, and
+    of equal residuals the first. This is a stable sort by nan_worst, descending."""
+    return np.lexsort((-residual, ~np.isnan(residual)))
 
-    The residual of a cell is its value under `diff`, minus the difference of
-    the `subtracted` cochains' base values when two are given (as in
-    witness_report: d(witness) - (tau_a - tau_b)), each requested once per cell,
-    on the cell's cloud. Each row names its worst point and its dominant term,
-    found per batch of TermPlan.sums by forms.residual_facts; the subtracted
-    base values count as terms with coefficients -1 and +1, after the cell's own.
+
+class ResidualReport:
+    """Residuals of a differential over the cells of some bidegrees; report rows
+    are built only for the cells a caller reads.
+
+    Per bidegree one TermPlan sums the cells in batches, and
+    forms.residual_facts gives each cell's residual, worst point, dominant term
+    and that term's modulus. Those stay in (C,) arrays, in bidegree order and
+    then cell order, and `order` ranks the cells by worst_first. The residual
+    of a cell is its value under `diff`, minus the difference of the
+    `subtracted` cochains' base values when two are given (as in
+    witness_report: d(witness) - (tau_a - tau_b)), each requested once per
+    cell, on the cell's cloud; they count as terms with coefficients -1 and
+    +1, after the cell's own. No cell at all is a ValidationError.
     """
-    base = diff.base
-    ids = base.ids
-    plan = TermPlan(diff, bidegree, enumerate_cells(base.cover, base.action, *bidegree))
-    rows = [None] * len(plan.cells)
-    names = ("tau_a", "tau_b")
-    sub = [c.evaluate_all([(bidegree,) + cell + (plan.points(i), 0)
-                           for i, cell in enumerate(plan.cells)]) for c in subtracted]
-    for cells, terms, values, total in plan.sums():
-        B, t = terms.shape
-        coeff = plan.coeff[terms]
-        if total is None:
-            N = len(plan.points(cells[0]))
-            total = np.zeros((B, N, math.comb(base.n, base.form_degree)), dtype=complex)
-            values = np.zeros((B, 0) + total.shape[1:], dtype=complex)
-        zero = np.zeros((B, t), dtype=bool)
-        if subtracted:
-            a, b = ([x[i] for i in cells.tolist()] for x in sub)
-            A, Bv = (np.stack([f.values for f in x]) for x in (a, b))
-            total = total - (A - Bv)
-            coeff = np.column_stack([coeff, np.tile([-1, 1], (B, 1))])
-            values = np.concatenate([values, A[:, None], Bv[:, None]], axis=1)
-            zero = np.column_stack([zero] + [[f.structurally_zero for f in x] for x in (a, b)])
-        residual, worst, dominant, modulus = forms.residual_facts(total, coeff, values, zero)
-        for r, c in enumerate(cells.tolist()):
-            J, G = plan.cells[c]
-            j = int(dominant[r])
-            if j < 0:
-                term = None
-            elif j < t:
-                term = plan.describe(int(terms[r, j]), float(modulus[r]))
-            else:
-                term = _term_entry(names[j - t], bidegree, ids.index_names(J),
-                                   ids.word_names(G), ids.word_name(0), int(coeff[r, j]),
-                                   float(modulus[r]))
-            rows[c] = {"bidegree": list(bidegree), "indices": ids.index_names(J),
-                       "words": ids.word_names(G), "residual": float(residual[r]),
-                       "worst_point": [[z.real, z.imag]
-                                       for z in plan.points(c)[int(worst[r])].tolist()],
-                       "dominant_term": term}
-        del values, total
-    return rows
 
+    SUBTRACTED = ("tau_a", "tau_b")
 
-def residual_report(rows, bidegrees, tol):
-    """Report over the residual rows of `bidegrees`, worst cell first; no rows at all
-    is a ValidationError."""
-    require_cells(len(rows), bidegrees)
-    rows.sort(key=lambda r: nan_worst(r["residual"]), reverse=True)
-    worst = rows[0]["residual"]
-    return {
-        "max_residual": worst,
-        "pass": worst <= tol,
-        "tolerance": tol,
-        "sign_convention": SIGN_CONVENTION,
-        "cells": rows,
-    }
+    def __init__(self, diff, bidegrees, tol, subtracted=()):
+        base = diff.base
+        self._plans, self._start, facts = [], [], []
+        size = 0
+        for bd in bidegrees:
+            plan = TermPlan(diff, bd, enumerate_cells(base.cover, base.action, *bd))
+            self._plans.append((bd, plan))
+            self._start.append(size)
+            size += len(plan.cells)
+            facts.append(self._facts(plan, bd, subtracted))
+        require_cells(size, bidegrees)
+        self.residual, self.worst_index, self.dominant, self.modulus = map(np.concatenate,
+                                                                           zip(*facts))
+        self.order = worst_first(self.residual)
+        self.max_residual = float(self.residual[self.order[0]])
+        self.passed = self.max_residual <= tol
+        self.tolerance = tol
+
+    @staticmethod
+    def _facts(plan, bidegree, subtracted):
+        """(residual, worst point, dominant term, modulus) of the plan's cells in cell
+        order. The term is its position in the plan, len(plan.coeff) + k for the
+        k-th subtracted cochain's value, -1 for none."""
+        base = plan.base
+        C = len(plan.cells)
+        residual, modulus = np.zeros(C), np.zeros(C)
+        worst, dominant_term = np.zeros(C, dtype=np.int64), np.full(C, -1, dtype=np.int64)
+        sub = [c.evaluate_all([(bidegree,) + cell + (plan.points(i), 0)
+                               for i, cell in enumerate(plan.cells)]) for c in subtracted]
+        for cells, terms, values, total in plan.sums():
+            B, t = terms.shape
+            coeff = plan.coeff[terms]
+            if total is None:
+                N = len(plan.points(cells[0]))
+                total = np.zeros((B, N, math.comb(base.n, base.form_degree)), dtype=complex)
+                values = np.zeros((B, 0) + total.shape[1:], dtype=complex)
+            zero = np.zeros((B, t), dtype=bool)
+            if subtracted:
+                a, b = ([x[i] for i in cells.tolist()] for x in sub)
+                A, Bv = (np.stack([f.values for f in x]) for x in (a, b))
+                total = total - (A - Bv)
+                coeff = np.column_stack([coeff, np.tile([-1, 1], (B, 1))])
+                values = np.concatenate([values, A[:, None], Bv[:, None]], axis=1)
+                zero = np.column_stack([zero] + [[f.structurally_zero for f in x]
+                                                 for x in (a, b)])
+            residual[cells], worst[cells], dominant, modulus[cells] = forms.residual_facts(
+                total, coeff, values, zero)
+            own = (dominant >= 0) & (dominant < t)
+            dominant_term[cells[own]] = terms[own, dominant[own]]
+            other = dominant >= t
+            dominant_term[cells[other]] = len(plan.coeff) + dominant[other] - t
+            del values, total
+        return residual, worst, dominant_term, modulus
+
+    def row(self, i):
+        """The report row of cell i, counted in bidegree order and then cell order."""
+        p = bisect.bisect_right(self._start, i) - 1
+        (bd, plan), c = self._plans[p], i - self._start[p]
+        J, G = plan.cells[c]
+        ids = plan.base.ids
+        k, modulus = int(self.dominant[i]), float(self.modulus[i])
+        if k < 0:
+            term = None
+        elif k < len(plan.coeff):
+            term = plan.describe(k, modulus)
+        else:
+            k -= len(plan.coeff)
+            term = _term_entry(self.SUBTRACTED[k], bd, ids.index_names(J), ids.word_names(G),
+                               ids.word_name(0), (-1, 1)[k], modulus)
+        point = plan.points(c)[int(self.worst_index[i])]
+        return {"bidegree": list(bd), "indices": ids.index_names(J),
+                "words": ids.word_names(G), "residual": float(self.residual[i]),
+                "worst_point": [[z.real, z.imag] for z in point.tolist()],
+                "dominant_term": term}
+
+    def worst(self):
+        """The row of the worst cell."""
+        return self.row(int(self.order[0]))
+
+    def rows(self):
+        """Every cell's row, worst first."""
+        return [self.row(i) for i in self.order.tolist()]
+
+    def to_json(self):
+        """The report that verify-cocycle and witness write: every row, worst first."""
+        return {
+            "max_residual": self.max_residual,
+            "pass": self.passed,
+            "tolerance": self.tolerance,
+            "sign_convention": SIGN_CONVENTION,
+            "cells": self.rows(),
+        }
 
 
 def closedness_report(cochain, tol):
-    """Max residual of the mixed differential over all next-degree cells."""
+    """The ResidualReport of the mixed differential over all next-degree cells."""
     diff = mixed_differential(cochain)
-    return residual_report([row for bd in diff.bidegrees() for row in residual_rows(diff, bd)],
-                           diff.bidegrees(), tol)
+    return ResidualReport(diff, diff.bidegrees(), tol)
 
 
 def witness_report(witness, tau_a, tau_b, tol):
-    """Residual of d(witness) - (tau_a - tau_b) over all degree-n cells."""
+    """The ResidualReport of d(witness) - (tau_a - tau_b) over all degree-n cells."""
     diff = mixed_differential(witness)
     bidegrees = sorted(set(diff.bidegrees()) | set(tau_a.bidegrees()) | set(tau_b.bidegrees()))
-    return residual_report([row for bd in bidegrees
-                            for row in residual_rows(diff, bd, (tau_a, tau_b))], bidegrees, tol)
+    return ResidualReport(diff, bidegrees, tol, (tau_a, tau_b))

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bm import dbar_closed_check, reproducing_integral
+from .bm import dbar_closed_check, gauss_legendre, reproducing_integral, sphere_probes
 from .cechgroup import (SIGN_CONVENTION, cell_values, closedness_report, cohomologous_witness,
                         require_cells, witness_report)
 from .cocycle import LabelPlan, verify_telescoping
@@ -64,9 +64,10 @@ def run_face_sums(scn, entry):
     simplex. A telescoping simplex is a single (k+1)-cell, so its result names none."""
     simplex = scn.chart_simplex(entry)
     report = verify_telescoping(simplex, todd_invariant(entry["arity"]), tol=entry["tolerance"])
-    if entry["type"] == "telescoping":
-        del report["worst_cell"]
-    return _residual_fields(report)
+    fields = {key: report[key] for key in ("max_residual", "worst_point", "dominant_term")}
+    if entry["type"] == "dk-validate":
+        fields["worst_cell"] = str(report["worst_cell"])
+    return report["pass"], fields
 
 
 def run_theta_composition(scn, entry):
@@ -92,13 +93,7 @@ def run_bm_dbar(scn, entry):
     h = entry.get("step", 1e-3)
     count = entry.get("probes", 12)
     z = tuple(entry.get("z", [0.0] * n))
-    rng = np.random.default_rng(entry.get("seed", 5))
-    probes = []
-    for _ in range(count):
-        v = rng.normal(size=2 * n).reshape(n, 2)
-        v = v / np.linalg.norm(v)
-        probes.append(tuple(z[i] + complex(v[i, 0], v[i, 1]) for i in range(n)))
-    report = dbar_closed_check(n, z, probes, h)
+    report = dbar_closed_check(n, z, sphere_probes(z, count, entry.get("seed", 5)), h)
     held = report["pass"] and report["order_two"]
     return held, dict(report, max_residual=report["max_residual_h"])
 
@@ -106,7 +101,7 @@ def run_bm_dbar(scn, entry):
 def run_bm_reproducing(scn, entry):
     order = entry.get("order", 32)
     radii = entry.get("radii", [0.5, 1.0, 2.0])
-    rule = np.polynomial.legendre.leggauss(order)
+    rule = gauss_legendre(order)
     rows = []
     for r in radii:
         val = reproducing_integral(radius=r, order=order, rule=rule)
@@ -117,14 +112,9 @@ def run_bm_reproducing(scn, entry):
 
 
 def _residual_fields(report):
-    """(pass flag, report fields) of a closedness, witness or face-sum report."""
-    out = {key: report[key] for key in ("max_residual", "worst_point", "dominant_term")
-           if key in report}
-    if "worst_cell" in report:
-        out["worst_cell"] = str(report["worst_cell"])
-    if "cells" in report:
-        out["worst"] = report["cells"][0]
-    return report["pass"], out
+    """(pass flag, report fields) of a closedness or witness ResidualReport: its
+    maximum and the row of its worst cell, the only row built."""
+    return report.passed, {"max_residual": report.max_residual, "worst": report.worst()}
 
 
 def verdict(entry, held, fields):
@@ -317,8 +307,8 @@ def cmd_verify_cocycle(args):
     scn = Scenario.load(args.scenario)
     report = closedness_report(scn.tau(scn.atlas, scn.n), tol=args.tolerance)
     report = {"tool": "cocyclekit", "version": __version__,
-              "scenario_hash": scn.hash, "closedness": report,
-              "pass": report["pass"]}
+              "scenario_hash": scn.hash, "closedness": report.to_json(),
+              "pass": report.passed}
     write_report(report, args.output or "cocycle-report.json")
     status = "PASS" if report["pass"] else "FAIL"
     print("[%s] mixed-differential residual %.3e (tol %.1e)"
@@ -342,11 +332,11 @@ def cmd_witness(args):
     if scn.atlas_b is None:
         raise ScenarioError("scenario has no atlas_b section")
     report = scenario_witness_report(scn, scn.n, args.tolerance)
-    write_report({"witness": report, "scenario_hash": scn.hash}, args.output)
-    status = "PASS" if report["pass"] else "FAIL"
+    write_report({"witness": report.to_json(), "scenario_hash": scn.hash}, args.output)
+    status = "PASS" if report.passed else "FAIL"
     print("[%s] d(witness) vs tau difference: residual %.3e (tol %.1e)"
-          % (status, report["max_residual"], args.tolerance))
-    return 0 if report["pass"] else 1
+          % (status, report.max_residual, args.tolerance))
+    return 0 if report.passed else 1
 
 
 def build_parser():

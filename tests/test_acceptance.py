@@ -195,7 +195,7 @@ def test_criterion_07_henon_cocycle_closedness():
         T = inv.todd_invariant(2)
         tau = cg.tau_invariant(scn.cover, scn.action, scn.atlas, T)
         report = cg.closedness_report(tau, tol=1e-7)
-        assert report["pass"], report["max_residual"]
+        assert report.passed, report.max_residual
         # nonzero cocycle, so the check is not vacuous
         h = Word.gen("h")
         assert base_value(tau, (0, 2), ("u",), (h, h)).max_abs() > 1e-6
@@ -209,7 +209,7 @@ def test_criterion_08_cohomologous_witness():
         tau_b = cg.tau_invariant(scn.cover, scn.action, scn.atlas_b, T)
         wit = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b, T)
         report = cg.witness_report(wit, tau_a, tau_b, tol=1e-7)
-        assert report["pass"], report["max_residual"]
+        assert report.passed, report.max_residual
 
 
 def test_criterion_09_bm_kernel(rng):

@@ -314,7 +314,7 @@ def test_affine_atlas_tau_cells_exactly_zero():
             cells += 1
     assert cells > 0
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["max_residual"] == 0.0
+    assert report.max_residual == 0.0
 
 
 def test_cech_face_on_undeclared_cloud_is_evaluated_at_the_cell_points():

@@ -204,13 +204,45 @@ def test_a_check_computes_one_quadrature_rule_for_every_radius(monkeypatch):
     # rule per axis and radius
     want = [bm.reproducing_integral(radius=r, order=32) for r in (0.5, 1.0, 2.0)]
     rules = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda order: rules.append(order) or leggauss(order))
+    gauss_legendre = bm.gauss_legendre
+    for module in (bm, cli):
+        monkeypatch.setattr(module, "gauss_legendre",
+                            lambda order: rules.append(order) or gauss_legendre(order))
     entry = {"order": 32, "radii": [0.5, 1.0, 2.0], "tolerance": 1e-3}
     held, fields = cli.run_bm_reproducing(None, entry)
     assert held and rules == [32]
     assert [complex(*row["value"]) for row in fields["radii"]] == want
+
+
+@pytest.mark.parametrize("order", range(4, 65))
+def test_gauss_legendre_matches_numpy_and_is_exact(order):
+    x, w = bm.gauss_legendre(order)
+    want_x, want_w = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(x - want_x)) <= 2.5e-16
+    assert np.max(np.abs(w - want_w)) <= 1e-14
+    # exact for every monomial x^k with k < 2 * order
+    for k in range(2 * order):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x ** k) - exact) <= 4e-15, k
+
+
+def test_sphere_probes_are_seeded_unit_offsets():
+    z = (0.3, -1.2, 0.5)
+    probes = bm.sphere_probes(z, 12, 5)
+    assert len(probes) == 12 and all(len(p) == 3 for p in probes)
+    assert bm.sphere_probes(z, 12, 5) == probes
+    assert bm.sphere_probes(z, 12, 6) != probes
+    for p in probes:
+        assert abs(math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p, z))) - 1.0) <= 1e-15
+    # the first probes of a longer draw are the shorter draw
+    assert bm.sphere_probes(z, 20, 5)[:12] == probes
+
+
+def test_the_default_bm_dbar_entry_converges_at_order_two():
+    for n in (2, 3):
+        held, fields = cli.run_bm_dbar(None, {"type": "bm-dbar", "n": n})
+        assert held and fields["order_two"] and fields["pass"]
+        assert len(fields["per_probe"]) == 12
 
 
 def test_reproducing_integral_converges():

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import pathlib
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import cocyclekit.cechgroup as cg
 import cocyclekit.holomap as hm
-from cocyclekit.errors import ValidationError
+from cocyclekit import cli
+from cocyclekit.errors import ValidationError, nan_worst
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
 from cocyclekit.scenario import Scenario, parse_word
@@ -261,7 +263,7 @@ def test_report_rows_name_the_dominant_term(rng):
     cover, action = two_index_cover(rng)
     c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
         {("a",): 1.0, ("b",): 5.0}, action)}, name="c")
-    rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1.0)["cells"]}
+    rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1.0).rows()}
     # (dc)(a, b) = c_b - c_a: the c_b term dominates, with its sign
     assert rows[("a", "b")]["dominant_term"] == {
         "cochain": "c", "bidegree": [0, 0], "indices": ["b"], "words": [], "pullback": "e",
@@ -276,7 +278,7 @@ def test_dominant_term_tie_goes_to_the_first_in_sum_order(rng):
     cover, action = two_index_cover(rng)
     c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
         {("a",): 2.0, ("b",): 2.0}, action)})
-    rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1e-7)["cells"]}
+    rows = {tuple(r["indices"]): r for r in cg.closedness_report(c, tol=1e-7).rows()}
     assert rows[("a", "b")]["residual"] == 0.0
     dominant = rows[("a", "b")]["dominant_term"]
     assert (dominant["indices"], dominant["coefficient"], dominant["modulus"]) == (["a"], -1, 2.0)
@@ -287,16 +289,34 @@ def test_a_nan_cell_is_the_worst_and_fails(rng):
     c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
         {("a",): np.nan, ("b",): 5.0}, action)}, name="c")
     report = cg.closedness_report(c, tol=1.0)
-    assert np.isnan(report["max_residual"]) and not report["pass"]
+    assert np.isnan(report.max_residual) and not report.passed
     # (a, b) and (b, a) are NaN; the first in cell order leads, at its first point
-    worst = report["cells"][0]
+    rows = report.rows()
+    worst = rows[0]
     assert worst["indices"] == ["a", "b"] and np.isnan(worst["residual"])
     assert worst["worst_point"] == [[z.real, z.imag] for z in cover.cloud(("a", "b"))[0].tolist()]
     # the NaN sample c_a, first in sum order, dominates
     dominant = worst["dominant_term"]
     assert (dominant["indices"], dominant["coefficient"]) == (["a"], -1)
     assert np.isnan(dominant["modulus"])
-    assert [r["residual"] for r in report["cells"][2:]] == [0.0, 0.0]
+    assert [r["residual"] for r in rows[2:]] == [0.0, 0.0]
+    # run's path builds that row alone, byte for byte
+    held, fields = cli._residual_fields(report)
+    assert not held and json.dumps(fields["worst"]) == json.dumps(worst)
+
+
+def test_run_reads_the_first_of_tied_worst_cells(rng):
+    cover, action = two_index_cover(rng)
+    c = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
+        {("a",): 2.0, ("b",): 5.0}, action)}, name="c")
+    report = cg.closedness_report(c, tol=1.0)
+    rows = report.rows()
+    # (a, b) and (b, a) tie at |5 - 2|; the first in cell order leads
+    assert [(r["indices"], r["residual"]) for r in rows] == [
+        (["a", "b"], 3.0), (["b", "a"], 3.0), (["a", "a"], 0.0), (["b", "b"], 0.0)]
+    held, fields = cli._residual_fields(report)
+    assert not held and fields["max_residual"] == 3.0
+    assert json.dumps(fields["worst"]) == json.dumps(rows[0])
 
 
 def test_witness_dominant_term_can_be_a_tau_sample(rng):
@@ -308,7 +328,7 @@ def test_witness_dominant_term_can_be_a_tau_sample(rng):
     tau_b = cg.MixedCochain(cover, action, 2, 2, {(1, 0): constant_forms(
         {J: 7.0 for J in pair_values}, action)})
     report = cg.witness_report(w, tau_a, tau_b, tol=1.0)
-    rows = {tuple(r["indices"]): r for r in report["cells"]}
+    rows = {tuple(r["indices"]): r for r in report.rows()}
     # d(w) - (tau_a - tau_b) on (a, b): 1.0 + 6.5, the tau_b sample dominates
     assert rows[("a", "b")]["residual"] == 7.5
     assert rows[("a", "b")]["dominant_term"] == {
@@ -339,7 +359,7 @@ def test_tau_trivial_group_cech_cocycle(rng):
     cover, action, atlas = three_chart_setup(rng)
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
     # it has teeth: some component is nonzero
     worst = max(base_value(tau, bd, J, G).max_abs()
                 for bd in tau.bidegrees()
@@ -351,7 +371,7 @@ def test_tau_henon_action_group_cocycle(rng):
     cover, action, atlas = one_chart_setup(rng)
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
     val = base_value(tau, (0, 2), ("u",), (Word.gen("h"), Word.gen("h"))).max_abs()
     assert val > 1e-6
 
@@ -368,7 +388,7 @@ def test_tau_mixed_cover_and_action(rng):
                       "b": (lib.henon_map(), lib.henon_inverse())})
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
     mixed_val = base_value(tau, (1, 1), ("a", "b"), (Word.gen("s"),)).max_abs()
     assert mixed_val > 1e-8
 
@@ -398,7 +418,7 @@ def test_witness_global_affine_recoordination(rng):
     tau_b = cg.tau_invariant(cover, action, atlas_b, T2)
     w = cg.cohomologous_witness(cover, action, atlas, atlas_b, T2)
     report = cg.witness_report(w, tau_a, tau_b, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
 
 
 def test_witness_nonaffine_reparametrization(rng):
@@ -412,10 +432,10 @@ def test_witness_nonaffine_reparametrization(rng):
     tau_b = cg.tau_invariant(cover, action, atlas_b, T2)
     w = cg.cohomologous_witness(cover, action, atlas, atlas_b, T2)
     report = cg.witness_report(w, tau_a, tau_b, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
     cloud = [[[c.real, c.imag] for c in p] for p in cover.cloud(("p",))]
-    assert report["cells"]
-    for row in report["cells"]:
+    assert report.rows()
+    for row in report.rows():
         assert row["worst_point"] in cloud
     # the two cocycles genuinely differ somewhere
     diff = max(float(np.max(np.abs(base_value(tau_a, bd, J, G).values[:3, 0]
@@ -455,7 +475,7 @@ def test_tau_nonconstant_jacobian_determinant_n2(rng):
                                InvariantMap(2, {(2,): F(-1, 24)}))
     assert abs(full - base_value(t2_only, (2, 0), ("a", "b", "c"), ()).max_abs()) > 1e-3
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
 
 
 def test_tau_dimension_three(rng):
@@ -480,7 +500,7 @@ def test_tau_dimension_three(rng):
     tau = cg.tau_invariant(cover, action, atlas, todd_invariant(3))
     assert base_value(tau, (3, 0), ("a", "b", "c", "d"), ()).max_abs() > 1e-3
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
 
 
 def test_tau_two_generator_free_action(rng):
@@ -494,7 +514,7 @@ def test_tau_two_generator_free_action(rng):
     atlas = cg.Atlas({"u": (lib.identity_map(2), lib.identity_map(2))})
     tau = cg.tau_invariant(cover, action, atlas, T2)
     report = cg.closedness_report(tau, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
     mixed_word_cell = base_value(tau, (0, 2), ("u",),
                                  (Word.gen("h"), Word.gen("s"))).max_abs()
     assert mixed_word_cell > 1e-6
@@ -507,7 +527,7 @@ def test_witness_group_direction(rng):
     tau_b = cg.tau_invariant(cover, action, atlas_b, T2)
     w = cg.cohomologous_witness(cover, action, atlas, atlas_b, T2)
     report = cg.witness_report(w, tau_a, tau_b, tol=1e-7)
-    assert report["pass"], report["max_residual"]
+    assert report.passed, report.max_residual
 
 
 def test_signed_zero_copies_of_a_point_are_one_point_and_keep_their_signs():
@@ -537,11 +557,12 @@ def test_restriction_after_nesting_matches_the_tuple_rows(rng):
 
 
 def test_residual_report_keeps_a_nan_residual_as_the_worst():
-    rows = [{"residual": 0.5}, {"residual": float("nan")}, {"residual": 0.25}]
-    report = cg.residual_report(rows, [(1, 0)], tol=1.0)
-    assert np.isnan(report["max_residual"]) and not report["pass"]
-    assert np.isnan(report["cells"][0]["residual"])
-    assert [r["residual"] for r in report["cells"][1:]] == [0.5, 0.25]
+    # NaN first, then descending, ties in cell order: a stable sort by nan_worst
+    residual = np.array([0.5, np.nan, 0.25, np.nan, 0.5, 0.0])
+    order = cg.worst_first(residual).tolist()
+    assert order == [1, 3, 0, 4, 2, 5]
+    assert order == sorted(range(len(residual)), key=lambda i: nan_worst(residual[i]),
+                           reverse=True)
 
 
 def nan_then_finite_cover():
@@ -582,7 +603,7 @@ def test_the_witness_requests_each_subtracted_base_value_once_per_cell(monkeypat
     witness = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
                                       todd_invariant(scn.n))
     report = cg.witness_report(witness, *taus, tol=1e-7)
-    assert report["pass"]
+    assert report.passed
     for counts in requests.values():
         assert set(counts.values()) == {1}
-        assert sum(counts.values()) == len(report["cells"])
+        assert sum(counts.values()) == len(report.residual)

@@ -188,6 +188,7 @@ def test_report_rows_equal_per_path_sums(name, bound, monkeypatch):
             per_path_cochain(witness, labeler_of(scn, scn.atlas_b, scn.atlas)),
             per_path_cochain(tau, labeler_of(scn, scn.atlas)),
             per_path_cochain(tau_b, labeler_of(scn, scn.atlas_b)), tol=1e-7)
+    got, want = got.to_json(), want.to_json()
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert got["cells"]
 

@@ -269,6 +269,6 @@ def test_index_sets_with_byte_equal_clouds_share_one_request_per_key(monkeypatch
     tau = scn.tau(scn.atlas, 3)
     requests, provider = [], tau.components[(3, 0)]
     tau.components[(3, 0)] = lambda batch: requests.extend(batch) or provider(batch)
-    assert cg.closedness_report(tau, 1e-7)["pass"]
+    assert cg.closedness_report(tau, 1e-7).passed
     assert len(requests) == 108
     assert len({(J, G, pull) for J, G, _, pull in requests}) == 108
