@@ -152,6 +152,10 @@ def cech_todd3():
         },
         "checks": [
             {"name": "cech-closed", "type": "tau-closedness", "tolerance": 1e-7},
+            # at arity 1 the Jacobian minors are 1 x 1 entries, so a transposed
+            # minor reads a wrong entry; at arity n = 2 it is the same determinant
+            {"name": "cech-closed-arity1", "type": "tau-closedness", "arity": 1,
+             "tolerance": 1e-7},
         ],
         "output": "cech_todd3-report.json",
     }
@@ -163,6 +167,7 @@ def witness_reparam():
     base["atlas_b"]["p"] = {"chart": "shear3", "inverse": "shear3_inv"}
     base["checks"] = [
         {"name": "witness-matches", "type": "witness", "tolerance": 1e-7},
+        {"name": "witness-matches-arity1", "type": "witness", "arity": 1, "tolerance": 1e-7},
     ]
     base["output"] = "witness_reparam-report.json"
     return base

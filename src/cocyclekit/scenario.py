@@ -8,7 +8,6 @@ load on.
 """
 
 import contextlib
-import hashlib
 import json
 import sys
 import warnings
@@ -23,6 +22,16 @@ from .cocycle import MIN_SAMPLE_WARN, ChartSimplex
 from .errors import DslSyntaxError, ScenarioError, ValidationError
 from .expr import CRat
 from .invariants import todd_invariant
+
+# hashlib maps OpenSSL (3.5 MB of RSS) for one digest per load; the interpreter's
+# builtin module gives the same SHA-256: _sha2 from 3.12, _sha256 before
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 KNOWN_CHECKS = ("affine-vanishing", "tau-closedness", "witness", "telescoping",
                 "dk-validate", "theta-composition", "bm-dbar", "bm-reproducing")
@@ -77,7 +86,7 @@ class Scenario:
 
     def __init__(self, data, source_bytes=b""):
         self.data = data
-        self.hash = hashlib.sha256(source_bytes).hexdigest()
+        self.hash = sha256(source_bytes).hexdigest()
         _require_object(data, "scenario")
         if "dimension" not in data:
             raise ScenarioError("missing 'dimension'", "scenario")

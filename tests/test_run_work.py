@@ -1,10 +1,12 @@
 """What a `run` pays for: the modules it imports and the report rows it builds.
 
-A run's BM checks use numpy core and nothing else of numpy, and its residual
-checks build one report row each, the worst cell's, the same row that
+A run's BM checks use numpy core and nothing else of numpy, its scenario hash
+comes from the interpreter's builtin SHA-256 rather than OpenSSL's, and its
+residual checks build one report row each, the worst cell's, the same row that
 verify-cocycle and witness print first.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -21,7 +23,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SHIPPED = sorted((ROOT / "scenarios").glob("*.scn"))
 
 GUARD = """
-import pathlib, sys
+import contextlib, io, pathlib, sys
 from cocyclekit import cli
 from cocyclekit.scenario import Scenario
 import workloads
@@ -36,9 +38,20 @@ for path in paths:
     results = cli.execute_checks(scn)
     assert all(r["status"] == "pass" for r in results), (path, results)
     cli.write_report(cli.build_report(scn, results), str(out / (path.stem + "-report.json")))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", str(paths[0]), "--output", str(out / "cli-report.json")])
+assert code == 0, code
 loaded = sorted(m for m in sys.modules
-                if m.split(".")[:2] in (["numpy", "random"], ["numpy", "polynomial"]))
+                if m.split(".")[:2] in (["numpy", "random"], ["numpy", "polynomial"])
+                or m in ("hashlib", "_hashlib"))
 print(" ".join(loaded))
+"""
+
+FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from cocyclekit.scenario import Scenario
+print(Scenario.load(sys.argv[1]).hash, "hashlib" in sys.modules)
 """
 
 
@@ -51,6 +64,21 @@ def test_a_run_imports_neither_numpy_random_nor_numpy_polynomial(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
     assert (tmp_path / "chart-kernel-report.json").exists()
+    assert (tmp_path / "cli-report.json").exists()
+
+
+def test_the_scenario_hash_is_the_sha256_of_the_file_bytes():
+    for path in SHIPPED:
+        assert Scenario.load(path).hash == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_without_a_builtin_sha256_the_hash_comes_from_hashlib():
+    path = SHIPPED[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", FALLBACK, str(path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [hashlib.sha256(path.read_bytes()).hexdigest(), "True"]
 
 
 @pytest.fixture(scope="module")

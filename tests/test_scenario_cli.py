@@ -41,6 +41,25 @@ def test_shipped_scenarios_validate():
         Scenario.load(SCENARIOS / name)
 
 
+@pytest.mark.parametrize("name, check", [("cech_todd3.scn", "cech-closed"),
+                                         ("witness_reparam.scn", "witness-matches")])
+def test_the_arity_1_rows_kill_transposed_jacobian_minors(name, check, monkeypatch):
+    def checked():
+        return {r["name"]: r for r in cli.execute_checks(Scenario.load(SCENARIOS / name))}
+
+    minors = co.jacobian_minors
+    clean = checked()
+    monkeypatch.setattr(co, "jacobian_minors",
+                        lambda J, k: np.swapaxes(minors(J, k), -1, -2))
+    mutant = checked()
+    # at arity n = 2 the one minor is the determinant, which the transpose keeps
+    assert clean[check]["status"] == mutant[check]["status"] == "pass"
+    assert clean[check + "-arity1"]["status"] == "pass"
+    assert clean[check + "-arity1"]["max_residual"] < 1e-14
+    assert mutant[check + "-arity1"]["status"] == "fail"
+    assert mutant[check + "-arity1"]["max_residual"] > 0.1
+
+
 def test_undefined_map_name_is_reported(tmp_path):
     data = load_scn("henon_z.scn")
     data["atlas"]["u"]["chart"] = "nonexistent"
@@ -139,9 +158,11 @@ def test_tau_built_once_per_atlas_per_run(tmp_path, monkeypatch):
         built.clear()
         out = tmp_path / ("r%d.json" % run)
         assert main(["run", path, "--output", str(out)]) == 0
-        assert built == ["henon", "henon_shear3"]  # atlas, then atlas_b
+        # atlas, then atlas_b, once per arity: 2, then the arity-1 witness
+        assert built == ["henon", "henon_shear3"] * 2
         report = json.loads(out.read_text())
-        assert [c["name"] for c in report["checks"]] == ["closed", "witness-matches"]
+        assert [c["name"] for c in report["checks"]] == ["closed", "witness-matches",
+                                                         "witness-matches-arity1"]
 
 
 @pytest.mark.parametrize("command", ["todd-cocycle", "verify-cocycle", "group-invariant"])

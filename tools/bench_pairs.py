@@ -9,9 +9,13 @@
 from the root of each tree, for every workload of BENCHMARK.json and its
 run_seconds (60), one pair per seed and workload, one run at a time; the side
 that runs first alternates (the parent on odd seeds). Each run's last output
-line is kept as RAW/<workload>-<seed>-<side>.json.
+line is kept as RAW/<workload>-<seed>-<side>.json, with this interpreter's
+sys.flags.dont_write_bytecode, which the runs inherit (as PYTHONDONTWRITEBYTECODE).
+It exits 2 before any run when either tree holds a __pycache__ under src/: a
+cache on one side only skews setup_s by about 30%.
 
-`build` reads those files and prints the BENCH JSON: every pair, and per
+`build` reads those files and prints the BENCH JSON: the runs' common
+dont_write_bytecode (it refuses runs that differ), every pair, and per
 workload and end-to-end metric of BENCHMARK.json the medians and quartiles of
 each side (statistics.quantiles(n=4, method="inclusive")), how many pairs the
 change wins, the relative change of the medians against the metric's bound,
@@ -22,6 +26,7 @@ JSON object (sweep rows, notes) into the result.
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -51,9 +56,17 @@ def parse_args(argv):
 
 
 def run_pairs(args):
+    roots = {"parent": args.parent, "change": args.change}
+    for side in SIDES:
+        cached = sorted(pathlib.Path(roots[side], "src").rglob("__pycache__"))
+        if cached:
+            print("bench_pairs: the %s tree %s holds %s; delete its bytecode caches under "
+                  "src/ first" % (side, roots[side], cached[0]), file=sys.stderr)
+            return 2
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    roots = {"parent": args.parent, "change": args.change}
+    no_bytecode = bool(sys.flags.dont_write_bytecode)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1") if no_bytecode else None
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -61,13 +74,15 @@ def run_pairs(args):
                 done = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                      str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
-                    cwd=roots[side], capture_output=True, text=True, check=True)
+                    cwd=roots[side], env=env, capture_output=True, text=True, check=True)
                 result = json.loads(done.stdout.strip().splitlines()[-1])
-                result.update(workload=workload, seed=seed, side=side, position=position)
+                result.update(workload=workload, seed=seed, side=side, position=position,
+                              dont_write_bytecode=no_bytecode)
                 path = out / ("%s-%d-%s.json" % (workload, seed, side))
                 path.write_text(json.dumps(result, sort_keys=True) + "\n", encoding="utf-8")
                 print("%s seed %d %s: %s" % (workload, seed, side, {
                     k: round(v["value"], 4) for k, v in result["metrics"].items()}), flush=True)
+    return 0
 
 
 def quartiles(values):
@@ -95,6 +110,9 @@ def build(args):
     for path in sorted(pathlib.Path(args.raw).glob("*.json")):
         r = json.loads(path.read_text(encoding="utf-8"))
         runs.setdefault((r["workload"], r["seed"]), {})[r["side"]] = r
+    flags = {r.get("dont_write_bytecode") for sides in runs.values() for r in sides.values()}
+    if len(flags) > 1:
+        raise SystemExit("the runs differ in dont_write_bytecode: %s" % sorted(map(str, flags)))
     pairs = []
     for (workload, seed), sides in sorted(runs.items()):
         if set(sides) != set(SIDES):
@@ -115,6 +133,7 @@ def build(args):
     result = {"pr": args.pr, "change": args.change, "parent_commit": args.parent_commit,
               "harness": "python3 perfbench/run.py --workload <w> --seed <s> --seconds 60 "
                          "--trace 0, from the root of each tree (tools/bench_pairs.py run)",
+              "dont_write_bytecode": flags.pop() if flags else None,
               "seeds": sorted({p["seed"] for p in pairs}), "summary": summary}
     if args.claim:
         workload, name = args.claim.split(":")
@@ -138,9 +157,8 @@ def build(args):
 def main(argv=None):
     args = parse_args(argv)
     if args.command == "run":
-        run_pairs(args)
-    else:
-        build(args)
+        return run_pairs(args)
+    build(args)
     return 0
 
 

@@ -11,7 +11,10 @@ times --passes verification passes, each on a freshly loaded scenario, as
 It prints one JSON line per size: the time of the first Scenario.load
 (`load_s`, after the import) and of json.loads on the same file (`json_s`), so
 `load_s - json_s` is the load outside JSON parsing; every pass time, their
-median and the process's peak RSS (ru_maxrss). Pointing --src at another
+median and the process's peak RSS (ru_maxrss). Peak RSS also follows where
+glibc places the heap, so after it is read one extra untimed pass, its
+Scenario.load included, runs under tracemalloc: `traced_peak_mb` is the peak of
+the Python and numpy allocations it holds at once. Pointing --src at another
 tree, for example a git worktree of an older commit, runs that tree in the
 same harness. perfbench/ is imported, never changed.
 """
@@ -41,6 +44,7 @@ def parse_args(argv):
 def child(args, workdir):
     """One size in this interpreter: write, load and time passes; print one JSON line."""
     import resource
+    import tracemalloc
     import warnings
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -61,19 +65,25 @@ def child(args, workdir):
     started = time.perf_counter()
     json.loads(path.read_bytes())
     json_s = time.perf_counter() - started
-    passes = []
-    for k in range(args.passes):
+
+    def verified_pass(k):
         scn = Scenario.load(path)
         wall, outputs = verify_pass(cli, [scn], [path], pathlib.Path(workdir), "%d-" % k)
         results = outputs[0][2]
         if any(r["status"] != "pass" for r in results):
             raise SystemExit("pass %d at %d points failed: %r" % (k, args.child, results))
-        passes.append(round(wall, 4))
+        return round(wall, 4)
+
+    passes = [verified_pass(k) for k in range(args.passes)]
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+    tracemalloc.start()
+    verified_pass(args.passes)
+    traced_peak_mb = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+    tracemalloc.stop()
     print(json.dumps({"points": args.child, "src": args.src, "load_s": round(load_s, 4),
                       "json_s": round(json_s, 4),
                       "pass_s": passes, "median_s": statistics.median(passes),
-                      "peak_rss_mb": round(resource.getrusage(
-                          resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)}))
+                      "peak_rss_mb": peak_rss_mb, "traced_peak_mb": traced_peak_mb}))
 
 
 def main(argv=None):
