@@ -5,8 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
@@ -24,28 +22,26 @@ def test_run_refuses_a_tree_with_a_bytecode_cache_under_src(tmp_path, capsys):
     assert not out.exists()
 
 
-def write_raw(raw, flags):
-    """One todd3-cech pair per seed, the change's runs each carrying its flag."""
-    raw.mkdir()
-    for seed, flag in enumerate(flags):
-        for position, side in enumerate(bench_pairs.SIDES):
-            metrics = {m["name"]: {"value": 1.0 + position}
-                       for m in bench_pairs.BENCHMARK["end_to_end"]}
-            run = {"metrics": metrics, "attempted": 1, "failed": 0, "correct": True,
-                   "workload": "todd3-cech", "seed": seed, "side": side, "position": position,
-                   "dont_write_bytecode": flag if side == "change" else True}
-            (raw / ("%d-%s.json" % (seed, side))).write_text(json.dumps(run))
+def test_run_compiles_every_run_cold(tmp_path, monkeypatch):
+    envs = []
 
+    def fake_run(argv, cwd, env, **kwargs):
+        envs.append(env)
+        metrics = {m["name"]: {"value": 1.0} for m in bench_pairs.BENCHMARK["end_to_end"]}
+        line = json.dumps({"metrics": metrics, "attempted": 1, "failed": 0, "correct": True})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
 
-def test_build_records_the_runs_dont_write_bytecode(tmp_path, capsys):
-    write_raw(tmp_path / "raw", [True, True])
-    argv = ["build", str(tmp_path / "raw"), "--pr", "1", "--parent-commit", "x", "--change", "y"]
-    assert bench_pairs.main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["dont_write_bytecode"] is True
-    write_raw(tmp_path / "mixed", [True, False])
-    argv[1] = str(tmp_path / "mixed")
-    with pytest.raises(SystemExit, match="differ in dont_write_bytecode"):
-        bench_pairs.main(argv)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "src").mkdir(parents=True)
+    out = tmp_path / "raw"
+    assert bench_pairs.main(["run", "--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--seeds", "1", "--out", str(out)]) == 0
+    # one run per side and workload, none of which may write a __pycache__ into src/
+    assert len(envs) == 2 * len(bench_pairs.BENCHMARK["workloads"])
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in envs)
+    assert len(list(out.glob("*.json"))) == len(envs)
 
 
 def test_points_sweep_reports_the_traced_peak_next_to_peak_rss():

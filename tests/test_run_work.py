@@ -54,6 +54,24 @@ from cocyclekit.scenario import Scenario
 print(Scenario.load(sys.argv[1]).hash, "hashlib" in sys.modules)
 """
 
+# a _sha2 module as Python 3.12+ has it, whose sha256 counts its calls
+BUILTIN_SHA2 = """
+import importlib, sys, types
+try:
+    real = importlib.import_module("_sha2").sha256
+except ImportError:
+    real = importlib.import_module("_sha256").sha256
+calls = []
+def sha256(data=b""):
+    calls.append(len(data))
+    return real(data)
+sys.modules["_sha2"] = types.SimpleNamespace(sha256=sha256)
+from cocyclekit import scenario
+digest = scenario.Scenario.load(sys.argv[1]).hash
+print(digest, scenario.sha256 is sha256, len(calls),
+      "hashlib" in sys.modules or "_hashlib" in sys.modules)
+"""
+
 
 def test_a_run_imports_neither_numpy_random_nor_numpy_polynomial(tmp_path):
     # every shipped scenario and the mixed-checks ones (chart-kernel holds the BM checks)
@@ -79,6 +97,16 @@ def test_without_a_builtin_sha256_the_hash_comes_from_hashlib():
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [hashlib.sha256(path.read_bytes()).hexdigest(), "True"]
+
+
+def test_with_a_builtin_sha2_the_hash_comes_from_it():
+    path = SHIPPED[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", BUILTIN_SHA2, str(path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [hashlib.sha256(path.read_bytes()).hexdigest(),
+                                   "True", "1", "False"]
 
 
 @pytest.fixture(scope="module")

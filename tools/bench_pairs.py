@@ -9,13 +9,12 @@
 from the root of each tree, for every workload of BENCHMARK.json and its
 run_seconds (60), one pair per seed and workload, one run at a time; the side
 that runs first alternates (the parent on odd seeds). Each run's last output
-line is kept as RAW/<workload>-<seed>-<side>.json, with this interpreter's
-sys.flags.dont_write_bytecode, which the runs inherit (as PYTHONDONTWRITEBYTECODE).
-It exits 2 before any run when either tree holds a __pycache__ under src/: a
-cache on one side only skews setup_s by about 30%.
+line is kept as RAW/<workload>-<seed>-<side>.json. The runs get
+PYTHONDONTWRITEBYTECODE=1, and `run` exits 2 before any run when either tree
+holds a __pycache__ under src/ (a cache on one side only skews setup_s by about
+30%), so every run on both sides compiles the package cold.
 
-`build` reads those files and prints the BENCH JSON: the runs' common
-dont_write_bytecode (it refuses runs that differ), every pair, and per
+`build` reads those files and prints the BENCH JSON: every pair, and per
 workload and end-to-end metric of BENCHMARK.json the medians and quartiles of
 each side (statistics.quantiles(n=4, method="inclusive")), how many pairs the
 change wins, the relative change of the medians against the metric's bound,
@@ -65,8 +64,7 @@ def run_pairs(args):
             return 2
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    no_bytecode = bool(sys.flags.dont_write_bytecode)
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1") if no_bytecode else None
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -76,8 +74,7 @@ def run_pairs(args):
                      str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
                     cwd=roots[side], env=env, capture_output=True, text=True, check=True)
                 result = json.loads(done.stdout.strip().splitlines()[-1])
-                result.update(workload=workload, seed=seed, side=side, position=position,
-                              dont_write_bytecode=no_bytecode)
+                result.update(workload=workload, seed=seed, side=side, position=position)
                 path = out / ("%s-%d-%s.json" % (workload, seed, side))
                 path.write_text(json.dumps(result, sort_keys=True) + "\n", encoding="utf-8")
                 print("%s seed %d %s: %s" % (workload, seed, side, {
@@ -110,9 +107,6 @@ def build(args):
     for path in sorted(pathlib.Path(args.raw).glob("*.json")):
         r = json.loads(path.read_text(encoding="utf-8"))
         runs.setdefault((r["workload"], r["seed"]), {})[r["side"]] = r
-    flags = {r.get("dont_write_bytecode") for sides in runs.values() for r in sides.values()}
-    if len(flags) > 1:
-        raise SystemExit("the runs differ in dont_write_bytecode: %s" % sorted(map(str, flags)))
     pairs = []
     for (workload, seed), sides in sorted(runs.items()):
         if set(sides) != set(SIDES):
@@ -133,7 +127,6 @@ def build(args):
     result = {"pr": args.pr, "change": args.change, "parent_commit": args.parent_commit,
               "harness": "python3 perfbench/run.py --workload <w> --seed <s> --seconds 60 "
                          "--trace 0, from the root of each tree (tools/bench_pairs.py run)",
-              "dont_write_bytecode": flags.pop() if flags else None,
               "seeds": sorted({p["seed"] for p in pairs}), "summary": summary}
     if args.claim:
         workload, name = args.claim.split(":")
