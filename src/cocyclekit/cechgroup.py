@@ -655,7 +655,8 @@ class TermPlan:
         plan's term positions in sum order, `values` (B, t, N, ...) the gathered
         term values and `total` (B, N, ...) their sum (forms.signed_total). A
         batch of cells without terms has values and total None: those cells are
-        the structural zero. Batches are cut by forms.batches.
+        the structural zero. A batch gathers at most forms.BATCH_ENTRIES
+        entries, or one cell.
         """
         if not self.cells:
             return
@@ -663,8 +664,9 @@ class TermPlan:
         shapes, _, inverse = _unique_rows(np.stack([self.count, self._size], 1))
         for s, (t, N) in enumerate(shapes.tolist()):
             cells = np.flatnonzero(inverse == s)
-            for part in forms.batches(len(cells), t * N * per_point):
-                batch = cells[part]
+            step = max(1, forms.BATCH_ENTRIES // max(1, t * N * per_point))
+            for lo in range(0, len(cells), step):
+                batch = cells[lo:lo + step]
                 terms = self._first[batch][:, None] + np.arange(t)
                 if not t:
                     yield batch, terms, None, None
@@ -759,9 +761,12 @@ class PathLabeler:
     cell's labels once per (J, G, step types). Only pairs of
     letters are composed symbolically, once each (GroupActionSpec.fold); the
     label plan evaluates theta of a chain from its pieces.
+    `transitions` maps ordered pairs (a, b) of cover indices to maps, outermost
+    first, that replace chart_a . inverse_b: a chart simplex's corrupt control,
+    on a trivial action.
     """
 
-    def __init__(self, cover, action, atlases, T):
+    def __init__(self, cover, action, atlases, T, transitions=None):
         self.cover = cover
         self.action = action
         self.atlases = list(atlases)
@@ -770,6 +775,8 @@ class PathLabeler:
         self.inverses = action.inverses.union(*(atlas.inverses for atlas in self.atlases))
         self.ids = action.ids()
         self.chains = ChainTable(self.inverses)
+        self._overrides = {(self.ids.index(a), self.ids.index(b)): tuple(map(self.chains.map, f))
+                           for (a, b), f in (transitions or {}).items()}
         self._letters = {}      # word id -> map ids of its letter maps
         self._charts = {}       # (layer, index id) -> map ids of the chart and its inverse
         self._vertices = {}     # (layer, index id, tail word id) -> vertex id
@@ -836,9 +843,12 @@ class PathLabeler:
             layer_a, ia, ta = self._vertex[va]
             layer_b, ib, tb = self._vertex[vb]
             ids = self.ids
-            c = self._transitions[key] = self.chains.chain(
-                (self._chart(layer_a, ia)[0],) + self._letter_maps(ids.mul(ta, ids.inverse(tb)))
-                + (self._chart(layer_b, ib)[1],))
+            pieces = self._overrides.get((ia, ib))
+            if pieces is None:
+                pieces = ((self._chart(layer_a, ia)[0],)
+                          + self._letter_maps(ids.mul(ta, ids.inverse(tb)))
+                          + (self._chart(layer_b, ib)[1],))
+            c = self._transitions[key] = self.chains.chain(pieces)
         return c
 
     def labels(self, J, G, step_types):
@@ -923,10 +933,11 @@ class PathLabeler:
             name=name, vanishes=lambda bd, J, G: self.cell_vanishes(J, G, steps[bd]))
 
 
-def tau_invariant(cover, action, atlas, T):
-    """The total-degree-n cocycle of an equivariant atlas under the invariant T."""
+def tau_invariant(cover, action, atlas, T, transitions=None):
+    """The total-degree-n cocycle of an equivariant atlas under the invariant T, its
+    transitions overridden by `transitions` (PathLabeler)."""
     n_total = T.arity
-    labeler = PathLabeler(cover, action, [atlas], T)
+    labeler = PathLabeler(cover, action, [atlas], T, transitions)
     steps = {(m, n_total - m): (C_STEP,) * m + (G_STEP,) * (n_total - m)
              for m in range(n_total + 1) if m == n_total or action.generators}
     return labeler.cochain(n_total, steps, "tau")
@@ -953,15 +964,15 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
 SIGN_CONVENTION = "cech + (-1)^m group"
 
 
-def enumerate_cells(cover, action, m, q):
+def enumerate_cells(cover, action, m, q, increasing=False):
     """All (J, G) cells of a bidegree with a nonempty translated cloud, as (C, m+1)
     index-id and (C, q) word-id arrays of the action's id tables (_Ids), with the
     (C,) ids of the cells' index sets (_Ids.cell_sets): J over the cover indices
     in itertools.product order and, within each J, G over the action's declared
-    words in the same order."""
+    words in the same order. With `increasing`, only J whose ids strictly increase."""
     ids = action.ids()
     alphabet = list(map(ids.word, action.words))
-    Js = _grid([ids.index(i) for i in cover.indices], m + 1)
+    Js = _grid([ids.index(i) for i in cover.indices], m + 1, increasing)
     Gs = _grid(alphabet, q)
     J, G = np.repeat(Js, len(Gs), axis=0), np.tile(Gs, (len(Js), 1))
     sets = ids.cell_sets(J, G)
@@ -970,9 +981,11 @@ def enumerate_cells(cover, action, m, q):
     return J[keep], G[keep], sets[keep]
 
 
-def _grid(alphabet, r):
-    """The r-tuples over the alphabet, in itertools.product order, as an (A^r, r) array."""
-    rows = list(itertools.product(alphabet, repeat=r))
+def _grid(alphabet, r, increasing=False):
+    """The r-tuples over the alphabet, in itertools.product order, as an (A^r, r) array;
+    with `increasing`, only those that strictly increase in alphabet order."""
+    rows = list(itertools.combinations(alphabet, r) if increasing
+                else itertools.product(alphabet, repeat=r))
     return np.array(rows, dtype=np.int64).reshape(len(rows), r)
 
 
@@ -1014,17 +1027,18 @@ class ResidualReport:
     `subtracted` cochains' base values when two are given (as in
     witness_report: d(witness) - (tau_a - tau_b)), each requested once per
     cell, on the cell's cloud; they count as terms with coefficients -1 and
-    +1, after the cell's own. No cell at all is a ValidationError.
+    +1, after the cell's own. `increasing` walks only strictly increasing Cech
+    tuples (enumerate_cells). No cell at all is a ValidationError.
     """
 
     SUBTRACTED = ("tau_a", "tau_b")
 
-    def __init__(self, diff, bidegrees, tol, subtracted=()):
+    def __init__(self, diff, bidegrees, tol, subtracted=(), increasing=False):
         base = diff.base
         self._plans, self._start, facts = [], [], []
         size = 0
         for bd in bidegrees:
-            plan = TermPlan(diff, bd, enumerate_cells(base.cover, base.action, *bd))
+            plan = TermPlan(diff, bd, enumerate_cells(base.cover, base.action, *bd, increasing))
             self._plans.append((bd, plan))
             self._start.append(size)
             size += len(plan.cells)
@@ -1113,10 +1127,11 @@ class ResidualReport:
         }
 
 
-def closedness_report(cochain, tol):
-    """The ResidualReport of the mixed differential over all next-degree cells."""
+def closedness_report(cochain, tol, increasing=False):
+    """The ResidualReport of the mixed differential over all next-degree cells, or
+    with `increasing` over those whose Cech tuple strictly increases."""
     diff = mixed_differential(cochain)
-    return ResidualReport(diff, diff.bidegrees(), tol)
+    return ResidualReport(diff, diff.bidegrees(), tol, increasing=increasing)
 
 
 def witness_report(witness, tau_a, tau_b, tol):

@@ -19,7 +19,7 @@ from . import __version__
 from .bm import dbar_closed_check, gauss_legendre, reproducing_integral, sphere_probes
 from .cechgroup import (SIGN_CONVENTION, cell_values, closedness_report, cohomologous_witness,
                         require_cells, witness_report)
-from .cocycle import LabelPlan, verify_telescoping
+from .cocycle import LabelPlan
 from .errors import DomainError, ScenarioError, ValidationError, nan_worst
 from .holomap import ChainTable, compose
 from .invariants import (ELEMENTARY, POWER, SymFun, chern_character_component,
@@ -59,15 +59,20 @@ def run_witness(scn, entry):
                                                     entry["tolerance"]))
 
 
-def run_face_sums(scn, entry):
+def run_simplex_faces(scn, entry):
     """telescoping and dk-validate: the face sums on every (k+1)-cell of the chart
-    simplex. A telescoping simplex is a single (k+1)-cell, so its result names none."""
-    simplex = scn.chart_simplex(entry)
-    report = verify_telescoping(simplex, todd_invariant(entry["arity"]), tol=entry["tolerance"])
-    fields = {key: report[key] for key in ("max_residual", "worst_point", "dominant_term")}
+    simplex, its tau's Cech differential on increasing tuples, with the worst cell
+    and dominant face named by chart positions. A telescoping simplex is a single
+    (k+1)-cell, so its result names no cell."""
+    report = closedness_report(scn.tau(*entry["simplex"]), tol=entry["tolerance"], increasing=True)
+    row = report.worst()
+    term = row["dominant_term"]
+    fields = {"max_residual": report.max_residual, "worst_point": row["worst_point"],
+              "dominant_term": term and {"face": list(map(int, term["indices"])),
+                                         "sign": term["coefficient"], "modulus": term["modulus"]}}
     if entry["type"] == "dk-validate":
-        fields["worst_cell"] = str(report["worst_cell"])
-    return report["pass"], fields
+        fields["worst_cell"] = str(tuple(map(int, row["indices"])))
+    return report.passed, fields
 
 
 def run_theta_composition(scn, entry):
@@ -137,8 +142,8 @@ CHECK_RUNNERS = {
     "affine-vanishing": run_affine_vanishing,
     "tau-closedness": run_tau_closedness,
     "witness": run_witness,
-    "telescoping": run_face_sums,
-    "dk-validate": run_face_sums,
+    "telescoping": run_simplex_faces,
+    "dk-validate": run_simplex_faces,
     "theta-composition": run_theta_composition,
     "bm-dbar": run_bm_dbar,
     "bm-reproducing": run_bm_reproducing,

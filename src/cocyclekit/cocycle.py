@@ -1,63 +1,24 @@
-"""Chart simplices and their Chern-Weil Dold-Kan labelings.
+"""Chern-Weil labels of chart paths, read through one shared, counted plan.
 
-A level-l chart simplex is l+1 charts off a common source together with the
-transition maps between their images. Applying a GL-invariant map of arity k
-labels each k-cell with a holomorphic k-form pulled back to the source and
-sampled on a cloud there (a SampledForm). The explicit Dold-Kan labeling puts
-these labels on the k-cells and zero on every other cell, into a complex with
-the zero differential; it is a cocycle exactly when the alternating face sums
-of the labels vanish on every (k+1)-cell. verify_telescoping measures those
-sums, and is what both the telescoping and the dk-validate checks run.
+A chart path is charts off a common source together with the transition maps
+between their images: a path through a Cech/group cell of cechgroup's tau, or
+the faces of a chart simplex, which is a cover whose charts share one cloud.
+Applying a GL-invariant map of arity k labels the path's top k-cell with a
+holomorphic k-form pulled back to the source and sampled on a cloud there (a
+SampledForm). On a chart simplex these labels are tau's (k, 0) values on
+increasing tuples, and their alternating face sums its Cech differential there,
+which the telescoping and dk-validate checks measure.
 """
 
-import itertools
 import math
-import warnings
 
 import numpy as np
 
 from . import forms
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .forms import (SampledForm, apply_invariant, jacobian_minors, minor_pullback,
                     sharp_values, theta_values)
-from .holomap import ChainTable, as_cloud, invert_jacobians, split_rows, stack
-
-MIN_SAMPLE_WARN = 8
-
-
-class ChartSimplex:
-    """Charts rho_0..rho_l on a common source cloud plus transitions phi[p,q].
-
-    Transitions are scenario-supplied maps V_q -> V_p for p < q, never derived
-    by inversion. Each chart and each transition is a chain of named maps: a
-    tuple of HoloMaps, outermost first, that reduces under the declared pairs
-    `inverses` (f, g) with f . g = id (holomap.inverse_pairs), as the
-    ChainTable of face_labels reduces it. The constructor checks only the
-    shape (a transition for every p < q), not coherence (phi[p,q] of rho_q =
-    rho_p on the samples): an incoherent transition shows up in the face sums
-    of verify_telescoping.
-    """
-
-    def __init__(self, charts, transitions, source_points, inverses=frozenset()):
-        self.charts = list(charts)
-        self.level = len(self.charts) - 1
-        if self.level < 0:
-            raise ValidationError("need at least one chart")
-        self.n = self.charts[0][0].n
-        self.source_points = as_cloud(source_points, self.n)
-        self.inverses = inverses
-        self.transitions = dict(transitions)
-        for p, q in self.transitions:
-            if not 0 <= p < q <= self.level:
-                raise ValidationError("bad transition key (%d, %d)" % (p, q))
-        for p in range(self.level + 1):
-            for q in range(p + 1, self.level + 1):
-                if (p, q) not in self.transitions:
-                    raise ValidationError("missing transition (%d, %d)" % (p, q))
-
-    def transition(self, p, q):
-        """phi[p,q]: V_q -> V_p, for p < q."""
-        return self.transitions[(p, q)]
+from .holomap import ChainTable, invert_jacobians, split_rows, stack
 
 
 def label_vanishes(T, n, ladder, chains):
@@ -69,11 +30,12 @@ def label_vanishes(T, n, ladder, chains):
 
 
 class LabelPlan:
-    """Top Chern-Weil labels of chart simplices, read through shared, counted keys.
+    """Top Chern-Weil labels of chart paths, read through shared, counted keys.
 
     Transitions and charts are chains of named maps, held as ids of a
-    holomap.ChainTable that the plan shares with whoever built them (a
-    PathLabeler's table, or the one face_labels builds for a chart simplex).
+    holomap.ChainTable that the plan shares with whoever built them: a
+    cechgroup.PathLabeler, whose cells' paths include every face of a chart
+    simplex (Scenario._simplex), or the theta-composition check.
     By the composition rule theta(f . g) = g^# theta(f) + theta(g), for
     f = p_1 . ... . p_m and a pullback chain phi,
     phi^# theta(f) = sum over j of (p_{j+1} . ... . p_m . phi)^# theta(p_j),
@@ -453,77 +415,3 @@ class LabelPlan:
                     self._use(t)
             self._use(m)
         return [SampledForm(n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
-
-
-def face_labels(s, faces, T):
-    """Top labels of the k-faces `faces` of the chart simplex s on its source cloud,
-    through one LabelPlan over one ChainTable of the simplex's chains.
-
-    A k-face (i_0 < ... < i_k) is the chart path of its ladder phi[i_{r-1}, i_r]
-    (r = 1..k), its pullbacks phi[i_r, i_k] (r = 1..k-1) and its top chart
-    rho_{i_k}, counted with add_label. A face whose label vanishes
-    (label_vanishes) is the structural zero, and no map is evaluated for it.
-    """
-    table = ChainTable(s.inverses)
-    plan, P, k = LabelPlan(T, table), s.source_points, T.arity
-    transitions = {pq: table.chain(tuple(map(table.map, f))) for pq, f in s.transitions.items()}
-    charts = [table.chain(tuple(map(table.map, c))) for c in s.charts]
-    pid, keys = plan.cloud(P), []
-    for face in faces:
-        ladder = tuple(transitions[(a, b)] for a, b in zip(face, face[1:]))
-        keys.append(None if label_vanishes(T, s.n, ladder, table) else plan.add_label(
-            ladder, tuple(transitions[(i, face[-1])] for i in face[1:-1]), charts[face[-1]],
-            pid))
-    return [SampledForm.zeros(s.n, k, P, ()) if key is None else plan.take(key) for key in keys]
-
-
-def verify_telescoping(s, T, tol):
-    """Alternating face sums of the top labels on every (k+1)-cell of a chart simplex.
-
-    Every k-face is labeled once, through one plan (face_labels). On each
-    (k+1)-cell, in itertools.combinations order, the labels of its k+2 faces
-    are added left to right with signs (-1)^j (forms.signed_total), a
-    structurally zero label as its exact zeros, gathered at most
-    forms.BATCH_ENTRIES entries at a time (forms.batches). A telescoping
-    simplex, at level k+1, is the case of a single cell. Every face label is
-    built from the supplied transitions, so an incoherent transition shows up
-    as a residual above tolerance.
-
-    Returns the per-cell residuals, their maximum, the worst cell (the first
-    maximum, NaN ranking above every number), the pass flag, and that cell's
-    worst point and dominant face by forms.residual_facts: the face's chart
-    positions, sign and modulus, None when every face label is the structural
-    zero."""
-    k = T.arity
-    if s.level < k + 1:
-        raise ValidationError("need a level of at least %d for arity %d" % (k + 1, k))
-    P = s.source_points
-    if len(P) < MIN_SAMPLE_WARN:
-        warnings.warn("only %d sample points supplied; pointwise verification is weak"
-                      % len(P))
-    vertices = range(s.level + 1)
-    faces = list(itertools.combinations(vertices, k + 1))
-    labels = face_labels(s, faces, T)
-    position = {face: i for i, face in enumerate(faces)}
-    cells = list(itertools.combinations(vertices, k + 2))
-    of = np.array([[position[cell[:j] + cell[j + 1:]] for j in range(k + 2)] for cell in cells])
-    zero = np.array([label.structurally_zero for label in labels])[of]
-    sign = np.tile((-1) ** np.arange(k + 2), (len(cells), 1))
-    facts = []
-    for part in forms.batches(len(cells), (k + 2) * labels[0].values.size):
-        values = np.stack([np.stack([labels[i].values for i in row]) for row in of[part]])
-        facts.append(forms.residual_facts(forms.signed_total(sign[part], values), sign[part],
-                                          values, zero[part]))
-        del values
-    residual, worst, dominant, modulus = map(np.concatenate, zip(*facts))
-    i = int(np.argmax(residual))
-    cell, j, max_residual = cells[i], int(dominant[i]), float(residual[i])
-    return {
-        "residuals": dict(zip(cells, residual.tolist())),
-        "max_residual": max_residual,
-        "worst_cell": cell,
-        "pass": max_residual <= tol,
-        "worst_point": [[c.real, c.imag] for c in P[int(worst[i])].tolist()],
-        "dominant_term": None if j < 0 else {"face": list(cell[:j] + cell[j + 1:]),
-                                             "sign": (-1) ** j, "modulus": float(modulus[i])},
-    }

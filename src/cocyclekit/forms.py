@@ -81,13 +81,6 @@ def signed_sum(n, k, points, terms):
     return SampledForm(n, k, points, acc)
 
 
-def batches(count, entries):
-    """Slices over `count` cells of `entries` gathered entries each: at most
-    BATCH_ENTRIES entries per slice, or one cell."""
-    step = max(1, BATCH_ENTRIES // max(1, entries))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
 def signed_total(coeff, values):
     """Per cell of a batch, the sum of coeff (B, t) times values (B, t, N, ...) over
     its t >= 1 terms, added left to right as in signed_sum: (B, N, ...)."""

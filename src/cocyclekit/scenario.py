@@ -8,6 +8,7 @@ load on.
 """
 
 import contextlib
+import itertools
 import json
 import sys
 import warnings
@@ -18,7 +19,6 @@ import numpy as np
 from . import holomap
 from .cechgroup import (Atlas, CoverSpec, GroupActionSpec, letter_pairs, tau_invariant,
                         trivial_action)
-from .cocycle import MIN_SAMPLE_WARN, ChartSimplex
 from .errors import DslSyntaxError, ScenarioError, ValidationError
 from .expr import CRat
 from .invariants import todd_invariant
@@ -35,6 +35,8 @@ except ImportError:
 
 KNOWN_CHECKS = ("affine-vanishing", "tau-closedness", "witness", "telescoping",
                 "dk-validate", "theta-composition", "bm-dbar", "bm-reproducing")
+
+MIN_SAMPLE_WARN = 8
 
 # largest round-trip error, over the declared clouds, of a generator against its
 # inverse and of a chart against its inverse
@@ -79,9 +81,10 @@ def _point(obj, n, location):
 class Scenario:
     """Validated scenario: named maps, cover, action, atlases and a check list.
 
-    The tau cochains the checks need are built on first request and kept
-    here, one per (atlas, arity), so checks that read the same tau share its
-    base values and sampled arrays. A reloaded scenario starts with none.
+    The tau cochains the checks need are built on first request and kept here,
+    one per (atlas, arity, transitions), so checks that read the same tau, as the
+    face-sum checks of one chart simplex do (_simplex), share its base values
+    and sampled arrays. A reloaded scenario starts with none.
     """
 
     def __init__(self, data, source_bytes=b""):
@@ -98,6 +101,8 @@ class Scenario:
         self.action = self._load_action(data.get("action"))
         self.atlas = self._load_atlas(data.get("atlas"), "atlas")
         self.atlas_b = self._load_atlas(data.get("atlas_b"), "atlas_b")
+        self._simplices = {}  # (chart pairs, source point bytes, arity) -> atlas
+        self._spaces = {}     # a chart simplex's atlas -> its (cover, action)
         self.checks = self._load_checks(data.get("checks", []))
         self.output = data.get("output")
         if self.output is not None and not isinstance(self.output, str):
@@ -114,15 +119,17 @@ class Scenario:
             raise ScenarioError("not valid JSON: %s" % err, str(path)) from None
         return cls(data, raw)
 
-    def tau(self, atlas, arity):
-        """tau of `atlas` (self.atlas or self.atlas_b) under todd_invariant(arity), once."""
-        key = (atlas, arity)
+    def tau(self, atlas, arity, transitions=()):
+        """tau of `atlas` (self.atlas, self.atlas_b or a chart simplex's) under
+        todd_invariant(arity) and the ((a, b), maps) items `transitions`, once."""
+        key = (atlas, arity, transitions)
         tau = self._tau.get(key)
         if tau is None:
-            if self.cover is None or atlas is None:
+            cover, action = self._spaces.get(atlas, (self.cover, self.action))
+            if cover is None or atlas is None:
                 raise ScenarioError("scenario has no cover/atlas sections")
-            tau = self._tau[key] = tau_invariant(self.cover, self.action, atlas,
-                                                 todd_invariant(arity))
+            tau = self._tau[key] = tau_invariant(cover, action, atlas, todd_invariant(arity),
+                                                 dict(transitions))
         return tau
 
     def _load_constants(self, section):
@@ -177,13 +184,7 @@ class Scenario:
                     raise ScenarioError("cloud over unknown index %r" % i, cloc)
             key, P = frozenset(on), _cloud(entry.get("points", []), self.n, cloc)
             clouds[key] = np.concatenate([clouds[key], P]) if key in clouds else P
-        cover = CoverSpec(indices, clouds, self.n)
-        thin = [sorted(map(str, key)) for key, pts in cover.clouds.items()
-                if len(pts) < MIN_SAMPLE_WARN]
-        if thin:
-            warnings.warn("clouds with fewer than %d sample points weaken the "
-                          "pointwise checks: %s" % (MIN_SAMPLE_WARN, thin))
-        return cover
+        return _thin_warned(CoverSpec(indices, clouds, self.n))
 
     def _load_action(self, section):
         if self.cover is None:
@@ -240,16 +241,17 @@ class Scenario:
         for index in self.cover.indices:
             if index not in section:
                 raise ScenarioError("missing chart for index %r" % index, key)
-            entry = section[index]
-            loc = "%s/%s" % (key, index)
-            _require_object(entry, loc)
-            chart = self.map_named(entry.get("chart", ""), loc)
-            inverse = self.map_named(entry.get("inverse", ""), loc)
-            charts[index] = (chart, inverse)
+            charts[index] = self._chart_pair(section[index], "%s/%s" % (key, index))
         atlas = Atlas(charts)
         _require_round_trip(atlas.round_trip(self.cover), CHART_ROUND_TRIP_TOL,
                             "chart/inverse", key)
         return atlas
+
+    def _chart_pair(self, entry, location):
+        """(chart, inverse) of an atlas entry or a chart-simplex chart: two map names."""
+        _require_object(entry, location)
+        return (self.map_named(entry.get("chart", ""), location),
+                self.map_named(entry.get("inverse", ""), location))
 
     def _load_checks(self, section):
         checks = []
@@ -273,6 +275,7 @@ class Scenario:
                                **self._parse_check_points(entry, loc)))
             if ctype in ("telescoping", "dk-validate"):
                 checks[-1]["arity"] = self._simplex_arity(ctype, entry, loc)
+                checks[-1]["simplex"] = self._simplex(checks[-1], loc)
         return checks
 
     def _simplex_arity(self, ctype, entry, loc):
@@ -323,10 +326,6 @@ class Scenario:
             charts = _require_list(entry.get("charts", []), loc)
             if not entry.get("source_points"):
                 raise ScenarioError("need source_points", loc)
-            for chart in charts:
-                _require_object(chart, loc)
-                self.map_named(chart.get("chart", ""), loc)
-                self.map_named(chart.get("inverse", ""), loc)
             if "corrupt" in entry:
                 corrupt = entry["corrupt"]
                 _require_object(corrupt, loc)
@@ -348,20 +347,39 @@ class Scenario:
         if ctype in ("bm-dbar", "bm-reproducing"):
             validate_bm_fields(entry, loc)
 
-    def chart_simplex(self, entry):
-        """Build the chart simplex a telescoping/dk check describes (checked at load):
-        the transition phi[p, q] is the chain chart_p . inverse_q."""
-        charts = [self.maps[spec["chart"]] for spec in entry["charts"]]
-        inverses = [self.maps[spec["inverse"]] for spec in entry["charts"]]
-        transitions = {}
-        for p in range(len(charts)):
-            for q in range(p + 1, len(charts)):
-                transitions[(p, q)] = (charts[p], inverses[q])
+    def _simplex(self, entry, loc):
+        """The (atlas, arity, transitions) of a telescoping/dk-validate entry's tau.
+
+        The simplex is a cover whose charts share one cloud: index "p" holds chart
+        p and its inverse, so phi[p, q] is chart_p . inverse_q, and the source
+        points are the cloud of every (arity+1)-cell. Its face labels are tau's
+        (arity, 0) values on increasing tuples. Equal charts, points and arity
+        share one atlas, so one tau; the corrupt control overrides phi[p, q].
+        """
+        P, arity = entry["source_points"], entry["arity"]
+        charts = tuple(self._chart_pair(spec, loc) for spec in entry["charts"])
+        key = (charts, P.tobytes(), arity)
+        if key not in self._simplices:
+            indices = [str(p) for p in range(len(charts))]
+            clouds = {cell: P for cell in itertools.combinations(indices, arity + 2)}
+            atlas = Atlas(dict(zip(indices, charts)))
+            self._spaces[atlas] = (_thin_warned(CoverSpec(indices, clouds, self.n)),
+                                   trivial_action(indices, self.n))
+            self._simplices[key] = atlas
         corrupt = entry.get("corrupt")
-        if corrupt:
-            transitions[tuple(corrupt["replace"])] = (self.maps[corrupt["with_map"]],)
-        return ChartSimplex([(chart,) for chart in charts], transitions, entry["source_points"],
-                            holomap.inverse_pairs(zip(charts, inverses)))
+        transitions = (((tuple(map(str, corrupt["replace"])), (self.maps[corrupt["with_map"]],)),)
+                       if corrupt else ())
+        return self._simplices[key], arity, transitions
+
+
+def _thin_warned(cover):
+    """The cover, after a warning naming its clouds with fewer than MIN_SAMPLE_WARN points."""
+    thin = [sorted(map(str, key)) for key, pts in cover.clouds.items()
+            if len(pts) < MIN_SAMPLE_WARN]
+    if thin:
+        warnings.warn("clouds with fewer than %d sample points weaken the "
+                      "pointwise checks: %s" % (MIN_SAMPLE_WARN, thin))
+    return cover
 
 
 def _require_round_trip(worst, tol, what, section):

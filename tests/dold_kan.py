@@ -7,18 +7,21 @@ with add/scale/norm supplied through ElementOps works (exact rational vectors,
 or sampled holomorphic forms).
 
 cf_map is the Dold-Kan labeling of a chart simplex: face labels on the k-cells,
-zero elsewhere, in shifted_form_complex, whose differential is zero. Its
-dk_validate residuals on the (k+1)-cells are what cocycle.verify_telescoping
-computes directly, which the dk-validate check runs; every other cell reads 0.
-dk_face, dk_degeneracy and vector_ops are the simplicial structure maps and
-exact elements that acceptance criterion 11 tests the labelings against. No
-check type reaches this module, so it lives with the tests as a reference.
+zero elsewhere, in shifted_form_complex, whose differential is zero. A chart
+simplex is a cover whose charts share one cloud (simplex_tau), and its face
+labels are tau's (k, 0) values on the increasing tuples; the dk_validate
+residuals of cf_map on the (k+1)-cells are then tau's Cech differential on
+those tuples, which the telescoping and dk-validate checks compute; every other
+cell reads 0. dk_face, dk_degeneracy and vector_ops are the simplicial
+structure maps and exact elements that acceptance criterion 11 tests the
+labelings against. No check type reaches this module, so it lives with the
+tests as a reference.
 """
 
 import itertools
 from fractions import Fraction
 
-from cocyclekit.cocycle import face_labels
+import cocyclekit.cechgroup as cg
 from cocyclekit.errors import ValidationError, nan_worst
 from cocyclekit.forms import SampledForm
 from cocyclekit.holomap import as_cloud
@@ -107,6 +110,11 @@ class DKSimplex:
 def dk_validate(s, complex_, tol=1e-10):
     """Residual of the boundary condition on every cell of dimension >= 1.
 
+    A cell's faces are added last to first, j = l, ..., 0: the order of the
+    terms of tau's Cech differential on an increasing tuple of fewer than 11
+    charts, whose index names sort as their numbers, so that float residuals
+    compare bit for bit.
+
     Returns a report dict: per-cell residuals, the worst offender, pass flag.
     """
     ops = complex_.ops
@@ -116,7 +124,7 @@ def dk_validate(s, complex_, tol=1e-10):
         if l < 1:
             continue
         acc = None
-        for j in range(l + 1):
+        for j in reversed(range(l + 1)):
             face = cell[:j] + cell[j + 1:]
             term = ops.scale((-1) ** j, s.label(face))
             acc = term if acc is None else ops.add(acc, term)
@@ -167,19 +175,36 @@ def dk_degeneracy(j, s, ops):
     return DKSimplex(s.dim + 1, labels)
 
 
-def cf_map(s, T):
-    """Dold-Kan labeling of a chart simplex: k-cells get face labels, the rest zero."""
-    k = T.arity
-    P = s.source_points
-    top = list(itertools.combinations(range(s.level + 1), k + 1)) if s.level >= k else []
-    faces = dict(zip(top, face_labels(s, top, T)))
+def simplex_tau(charts, inverses, points, T, transitions=None):
+    """tau under T of the chart simplex of `charts`, each with its inverse, on the
+    cloud `points`, as the scenario loader builds it: cover index "p" for chart
+    position p, the cloud on every (arity+1)-cell, the trivial action, and the
+    maps `transitions` maps (p, q) to in place of phi[p, q] = chart_p . inverse_q."""
+    indices = [str(p) for p in range(len(charts))]
+    n = charts[0].n
+    P = as_cloud(points, n)
+    cover = cg.CoverSpec(indices, {cell: P for cell in
+                                   itertools.combinations(indices, T.arity + 2)}, n)
+    atlas = cg.Atlas(dict(zip(indices, zip(charts, inverses))))
+    return cg.tau_invariant(cover, cg.trivial_action(indices, n), atlas, T,
+                            {(str(p), str(q)): f for (p, q), f in (transitions or {}).items()})
+
+
+def cf_map(tau, level, points):
+    """Dold-Kan labeling of a chart simplex of `level` + 1 charts on the cloud `points`:
+    each k-cell gets its face label, tau's (k, 0) value on that increasing tuple of
+    the simplex cover (simplex_tau), and every other cell zero."""
+    k, n = tau.form_degree, tau.n
+    P = as_cloud(points, n)
+    top = list(itertools.combinations(range(level + 1), k + 1)) if level >= k else []
+    faces = dict(zip(top, tau.evaluate_all([((k, 0), face, (), P, 0) for face in top])))
     labels = {}
-    for l in range(1, s.level + 1):
-        for cell in itertools.combinations(range(s.level + 1), l + 1):
-            labels[cell] = faces[cell] if l == k else SampledForm.zeros(s.n, min(l, s.n), P, ())
-    for i in range(s.level + 1):
-        labels[(i,)] = SampledForm.zeros(s.n, 0, P, ())
-    return DKSimplex(s.level, labels)
+    for l in range(1, level + 1):
+        for cell in itertools.combinations(range(level + 1), l + 1):
+            labels[cell] = faces[cell] if l == k else SampledForm.zeros(n, min(l, n), P, ())
+    for i in range(level + 1):
+        labels[(i,)] = SampledForm.zeros(n, 0, P, ())
+    return DKSimplex(level, labels)
 
 
 def shifted_form_complex(n, k, points):

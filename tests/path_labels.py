@@ -12,7 +12,7 @@ lives with the tests.
 """
 
 import cocyclekit.cechgroup as cg
-from cocyclekit.cocycle import ChartSimplex
+from chart_labels import chart_path
 from free_words import Chain, Word, act_index
 
 
@@ -74,9 +74,9 @@ class ReferencePaths:
         return out
 
     def simplex(self, J, G, seq, points):
-        """The chart simplex of the path that takes the steps `seq` through (J, G), on
-        the source cloud `points`."""
+        """The chart path (chart_labels.ChartPath) of the path that takes the steps
+        `seq` through (J, G), on the source cloud `points`."""
         v = self.path(J, G, seq)
-        return ChartSimplex([tuple(self._chart_maps(u)) for u in v],
-                            {(a, b): tuple(self._transition_maps(v[a], v[b]))
-                             for b in range(len(v)) for a in range(b)}, points, self.inverses)
+        return chart_path([tuple(self._chart_maps(u)) for u in v],
+                          {(a, b): tuple(self._transition_maps(v[a], v[b]))
+                           for b in range(len(v)) for a in range(b)}, points, self.inverses)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import cocyclekit.cechgroup as cg
-import cocyclekit.cocycle as co
 import cocyclekit.holomap as hm
 import cocyclekit.invariants as inv
 from cocyclekit.bm import dbar_closed_check, reproducing_integral
@@ -24,7 +23,7 @@ from cocyclekit.scenario import Scenario
 import library as lib
 import dold_kan as sim
 import permutations as perm
-from chart_labels import validate
+from chart_labels import chart_path, validate
 from sampled_forms import add, sharp_pullback, sub, theta
 from cochains import base_value
 from hartogs import hartogs_diagonal
@@ -154,23 +153,20 @@ def test_criterion_05_telescoping_and_dk(rng):
                   lib.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0])]
         invs = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
                 lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0])]
-        transitions = {}
-        for p in range(4):
-            for q in range(p + 1, 4):
-                transitions[(p, q)] = (hm.compose(charts[p], invs[q]),)
-        s = co.ChartSimplex([(c,) for c in charts], transitions, pts)
-        validate(s)
+        validate(chart_path([(c,) for c in charts],
+                            {(p, q): (charts[p], invs[q]) for q in range(4) for p in range(q)},
+                            pts))
         T2 = inv.todd_invariant(2)
-        tel = co.verify_telescoping(s, T2, tol=1e-7)
-        assert tel["pass"], tel["max_residual"]
-        labeling = sim.cf_map(s, T2)
+        tau = sim.simplex_tau(charts, invs, pts, T2)
+        tel = cg.closedness_report(tau, tol=1e-7, increasing=True)
+        assert tel.passed, tel.max_residual
+        labeling = sim.cf_map(tau, 3, pts)
         dk = sim.dk_validate(labeling, sim.shifted_form_complex(2, 2, pts), tol=1e-7)
         assert dk["pass"], dk["max_residual"]
-        bad = dict(transitions)
-        bad[(0, 2)] = (lib.henon_map(),)
-        s_bad = co.ChartSimplex([(c,) for c in charts], bad, pts)
-        tel_bad = co.verify_telescoping(s_bad, T2, tol=1e-7)
-        assert not tel_bad["pass"]
+        assert dk["max_residual"] == tel.max_residual
+        bad = sim.simplex_tau(charts, invs, pts, T2, {(0, 2): (lib.henon_map(),)})
+        tel_bad = cg.closedness_report(bad, tol=1e-7, increasing=True)
+        assert not tel_bad.passed
 
 
 def test_criterion_06_affine_vanishing():

@@ -20,7 +20,7 @@ import cocyclekit.holomap as hm
 import library as lib
 import map_values as mv
 import sampled_forms as sf
-from chart_labels import COHERENCE_TOL, theta_r, validate
+from chart_labels import COHERENCE_TOL, chart_path, entry_path, theta_r, validate
 from cocyclekit import cli
 from cocyclekit.errors import ValidationError
 from cocyclekit.invariants import todd_invariant
@@ -35,10 +35,10 @@ MAPS, CLOUDS, PAIRS = lib.builtin_library()
 
 
 def simplex_of(f01, f12, f02, P):
-    """A level-2 chart simplex whose theta_r read only its transitions; the charts
-    are identities on the cloud P."""
+    """A level-2 chart path whose theta_r read only its transitions; the charts are
+    identities on the cloud P."""
     ident = lib.identity_map(2)
-    return co.ChartSimplex([(ident,)] * 3, {(0, 1): f01, (1, 2): f12, (0, 2): f02}, P)
+    return chart_path([(ident,)] * 3, {(0, 1): f01, (1, 2): f12, (0, 2): f02}, P)
 
 
 def composite(pieces):
@@ -256,9 +256,8 @@ def test_theta_composition_sides_equal_the_one_map_references(source, tmp_path, 
 
 
 def test_validate_keeps_a_nan_deviation():
-    s = co.ChartSimplex([(lib.identity_map(2),), (lib.shear_map(),)],
-                        {(0, 1): (lib.shear_inverse(),)},
-                        np.array([[0.1, 0.2], [np.nan, 0.3]]))
+    s = chart_path([(lib.identity_map(2),), (lib.shear_map(),)],
+                   {(0, 1): (lib.shear_inverse(),)}, np.array([[0.1, 0.2], [np.nan, 0.3]]))
     with pytest.raises(ValidationError, match="nan"):
         validate(s)
 
@@ -274,11 +273,12 @@ def test_a_chain_transition_validates_like_its_symbolic_composite(tmp_path):
     path = tmp_path / "simplex.scn"
     path.write_text(json.dumps(data), encoding="utf-8")
     scn = Scenario.load(path)
-    good, bad = (scn.chart_simplex(entry) for entry in scn.checks)
-    assert good.transition(1, 2) == (scn.maps["shear"], scn.maps["henon_inv"])
-    symbolic = co.ChartSimplex(good.charts, {pq: (composite(list(t)),)
-                                             for pq, t in good.transitions.items()},
-                               good.source_points)
+    good, bad = (entry_path(entry) for entry in scn.checks)
+    assert good.transitions[1, 2] == (scn.maps["shear"], scn.maps["henon_inv"])
+    assert bad.transitions[0, 2] == (scn.maps["henon"],)
+    symbolic = chart_path(good.charts, {pq: (composite(list(t)),)
+                                        for pq, t in good.transitions.items()},
+                          good.source_points)
     assert validate(good) == pytest.approx(validate(symbolic), abs=1e-15)
     assert validate(good) < COHERENCE_TOL
     with pytest.raises(ValidationError, match="incoherent"):

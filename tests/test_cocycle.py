@@ -1,16 +1,21 @@
+"""Chart simplices: one label at a time (chart_labels), the Dold-Kan labeling of
+their face labels (dold_kan), and the face sums the telescoping and dk-validate
+checks run as the Cech differential of tau on increasing tuples."""
+
 import itertools
 import json
 import math
 import pathlib
 import struct
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import cocyclekit.cocycle as co
+import cocyclekit.cechgroup as cg
 import cocyclekit.holomap as hm
-from cocyclekit.cli import verdict
+from cocyclekit.cli import run_simplex_faces, verdict
 from cocyclekit.errors import ValidationError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import InvariantMap, todd_invariant
@@ -19,7 +24,7 @@ import library as lib
 import dold_kan as sim
 import map_values as mv
 import sampled_forms as sf
-from chart_labels import cf_label_top, sub_simplex, theta_r, validate
+from chart_labels import cf_label_top, chart_path, sub_simplex, theta_r, validate
 from conftest import random_points
 
 F = Fraction
@@ -27,35 +32,48 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_simplex(charts, inverses, points, corrupt=None):
+    """The ChartPath of charts whose transition phi[p, q] is the one symbolic map
+    chart_p . inverse_q, with corrupt = ((p, q), map) replacing one; checked
+    coherent when not corrupted. tau reads the same simplex as chains
+    (sim.simplex_tau)."""
     transitions = {}
     for p in range(len(charts)):
         for q in range(p + 1, len(charts)):
             transitions[(p, q)] = (hm.compose(charts[p], inverses[q]),)
     if corrupt:
         transitions[corrupt[0]] = (corrupt[1],)
-    s = co.ChartSimplex([(c,) for c in charts], transitions, points)
+    s = chart_path([(c,) for c in charts], transitions, points)
     if corrupt is None:
         validate(s)
     return s
 
 
 def named(chain):
-    """The one named map of a chart simplex's chart or transition, made by make_simplex."""
+    """The one named map of a chart path's chart or transition, made by make_simplex."""
     (piece,) = chain
     return piece
 
 
-def library_simplex(rng, count=4, points=20):
-    pts = random_points(rng, points, radius=0.4)
+def library_maps(count=4):
+    """The first `count` charts of the library simplex and their inverses."""
     charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map(),
               lib.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0], name="aff")]
     inverses = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
                 lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")]
-    return make_simplex(charts[:count], inverses[:count], pts), pts
+    return charts[:count], inverses[:count]
 
 
-def affine_simplex(rng, count=3):
-    pts = random_points(rng, 10)
+def library_simplex(rng, count=4, points=20):
+    pts = random_points(rng, points, radius=0.4)
+    return make_simplex(*library_maps(count), pts), pts
+
+
+def library_tau(pts, count, T, transitions=None):
+    """tau of the library simplex of `count` charts on pts (sim.simplex_tau)."""
+    return sim.simplex_tau(*library_maps(count), pts, T, transitions)
+
+
+def affine_maps(count=3):
     mats = [([[1, 0], [0, 1]], [0, 0]),
             ([[2, 1], [1, 1]], [F(1, 4), 0]),
             ([[1, 0], [F(1, 2), 1]], [0, F(-1, 3)]),
@@ -64,9 +82,13 @@ def affine_simplex(rng, count=3):
                 ([[1, -1], [-1, 2]], [F(-1, 4), F(1, 4)]),
                 ([[1, 0], [F(-1, 2), 1]], [0, F(1, 3)]),
                 ([[1, -1], [0, 1]], [F(1, 7), F(-2, 7)])]
-    charts = [lib.affine_map(A, b) for A, b in mats[:count]]
-    inverses = [lib.affine_map(A, b) for A, b in inv_mats[:count]]
-    return make_simplex(charts, inverses, pts), pts
+    return ([lib.affine_map(A, b) for A, b in mats[:count]],
+            [lib.affine_map(A, b) for A, b in inv_mats[:count]])
+
+
+def affine_simplex(rng, count=3):
+    pts = random_points(rng, 10)
+    return make_simplex(*affine_maps(count), pts), pts
 
 
 def test_coherence_validation_accepts_consistent_transitions(rng):
@@ -84,14 +106,14 @@ def test_coherence_validation_rejects_corruption(rng):
             for q in range(p + 1, 3):
                 transitions[(p, q)] = (hm.compose(charts[p], invs[q]),)
         transitions[(0, 2)] = (lib.henon_map(),)
-        validate(co.ChartSimplex([(c,) for c in charts], transitions, pts))
+        validate(chart_path([(c,) for c in charts], transitions, pts))
 
 
 def test_theta_r_at_top_is_plain_theta(rng):
     s, pts = library_simplex(rng, count=3)
     P = named(s.charts[-1]).eval(pts[:5])
     top = theta_r(s, s.level, P)
-    direct = sf.theta(named(s.transition(s.level - 1, s.level)), P)
+    direct = sf.theta(named(s.transitions[s.level - 1, s.level]), P)
     for a, b in zip(top.values, direct.values):
         assert max(np.max(np.abs(x - y)) for x, y in zip(a, b)) < 1e-12
 
@@ -108,11 +130,11 @@ def test_theta_r_matches_direct_composition(rng):
     r = 1
     X = named(s.charts[-1]).eval(pts[:10])
     th = theta_r(s, r, X)
-    phi = named(s.transition(r, s.level))
+    phi = named(s.transitions[r, s.level])
     for x, got in zip(X, th.values):
         J = mv.jacobian(phi, [x])[0]
         Jinv = np.linalg.inv(J)
-        mats = sf.theta(named(s.transition(r - 1, r)), mv.image(phi, [x])).values[0]
+        mats = sf.theta(named(s.transitions[r - 1, r]), mv.image(phi, [x])).values[0]
         conj = [Jinv @ m @ J for m in mats]
         want = [sum(J[a, b] * conj[a] for a in range(2)) for b in range(2)]
         assert max(np.max(np.abs(x_ - y_)) for x_, y_ in zip(got, want)) < 1e-10
@@ -134,7 +156,7 @@ def test_cf_label_top_with_one_affine_transition_evaluates_no_map(rng, monkeypat
     aff_inv = lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0], name="aff_inv")
     s = make_simplex([aff, lib.identity_map(2), lib.henon_map()],
                      [aff_inv, lib.identity_map(2), lib.henon_inverse()], pts)
-    assert named(s.transition(0, 1)).is_affine() and not named(s.transition(1, 2)).is_affine()
+    assert named(s.transitions[0, 1]).is_affine() and not named(s.transitions[1, 2]).is_affine()
     calls = []
     for name in ("eval", "jacobian", "djacobian"):
         def counted(self, points, _original=getattr(hm.HoloMap, name), _name=name):
@@ -154,7 +176,7 @@ def test_cf_label_top_trace_on_square_transition(rng):
     # inverse of z -> (z1^2, z2) is not entire; supply the transition directly
     charts = [(sq,), (lib.identity_map(2),)]
     transitions = {(0, 1): (sq,)}
-    s = co.ChartSimplex(charts, transitions, pts)
+    s = chart_path(charts, transitions, pts)
     validate(s)
     T = InvariantMap(1, {(1,): F(1, 2)})
     label = cf_label_top(s, T, pts)
@@ -171,28 +193,28 @@ def test_cf_label_top_wedge_beyond_dimension(rng):
 
 
 def test_cf_map_low_level_is_zero(rng):
-    s, pts = library_simplex(rng, count=2)  # level 1 < arity 2
+    pts = random_points(rng, 20, radius=0.4)
     T2 = todd_invariant(2)
-    labeling = sim.cf_map(s, T2)
+    labeling = sim.cf_map(library_tau(pts, 2, T2), 1, pts)  # level 1 < arity 2
     assert all(np.all(labeling.label(c).values == 0) for c in labeling.cells())
-    C = sim.shifted_form_complex(2, 2, s.source_points)
+    C = sim.shifted_form_complex(2, 2, pts)
     assert sim.dk_validate(labeling, C)["pass"]
 
 
 def test_cf_map_level_equals_arity_validates(rng):
-    s, pts = library_simplex(rng, count=3)
+    pts = random_points(rng, 20, radius=0.4)
     T2 = todd_invariant(2)
-    labeling = sim.cf_map(s, T2)
-    C = sim.shifted_form_complex(2, 2, s.source_points)
+    labeling = sim.cf_map(library_tau(pts, 3, T2), 2, pts)
+    C = sim.shifted_form_complex(2, 2, pts)
     report = sim.dk_validate(labeling, C, tol=1e-7)
     assert report["pass"]
     assert not np.all(labeling.label((0, 1, 2)).values == 0)
 
 
-def test_cf_map_face_labels_match_independent_recomputation(rng):
+def test_cf_map_labels_match_independent_recomputation(rng):
     s, pts = library_simplex(rng, count=4)  # level 3, arity 2
     T2 = todd_invariant(2)
-    labeling = sim.cf_map(s, T2)
+    labeling = sim.cf_map(library_tau(pts, 4, T2), 3, pts)
     for cell in labeling.cells(3):
         face = sub_simplex(s, cell)
         direct = cf_label_top(face, T2, s.source_points)
@@ -200,13 +222,15 @@ def test_cf_map_face_labels_match_independent_recomputation(rng):
 
 
 def test_cf_map_commutes_with_faces(rng):
-    s, _ = library_simplex(rng, count=4)
+    pts = random_points(rng, 20, radius=0.4)
+    charts, inverses = library_maps(4)
     T2 = todd_invariant(2)
-    labeling = sim.cf_map(s, T2)
-    for j in range(s.level + 1):
-        sub = sub_simplex(s, tuple(i for i in range(s.level + 1) if i != j))
+    labeling = sim.cf_map(sim.simplex_tau(charts, inverses, pts, T2), 3, pts)
+    for j in range(4):
+        keep = [i for i in range(4) if i != j]
+        sub = sim.simplex_tau([charts[i] for i in keep], [inverses[i] for i in keep], pts, T2)
         a = sim.dk_face(j, labeling)
-        b = sim.cf_map(sub, T2)
+        b = sim.cf_map(sub, 2, pts)
         for cell in a.cells():
             assert sf.sub(a.label(cell), b.label(cell)).max_abs() < 1e-12
 
@@ -216,130 +240,149 @@ def test_cf_map_degeneracy_compatibility(rng):
     pts = random_points(rng, 10, radius=0.4)
     charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map()]
     invs = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse()]
-    s = make_simplex(charts, invs, pts)
     T2 = todd_invariant(2)
-    labeling = sim.cf_map(s, T2)
+    labeling = sim.cf_map(sim.simplex_tau(charts, invs, pts, T2), 2, pts)
     C = sim.shifted_form_complex(2, 2, pts)
-    for j in range(s.level + 1):
-        doubled_charts = charts[:j + 1] + charts[j:]
-        doubled_invs = invs[:j + 1] + invs[j:]
-        doubled = make_simplex(doubled_charts, doubled_invs, pts)
-        a = sim.cf_map(doubled, T2)
+    for j in range(3):
+        doubled = sim.simplex_tau(charts[:j + 1] + charts[j:], invs[:j + 1] + invs[j:], pts, T2)
+        a = sim.cf_map(doubled, 3, pts)
         b = sim.dk_degeneracy(j, labeling, C.ops)
         for cell in a.cells():
             assert sf.sub(a.label(cell), b.label(cell)).max_abs() < 1e-8, (j, cell)
 
 
 def test_cf_map_naturality_under_restriction(rng):
-    s, pts = library_simplex(rng, count=3)
+    pts = random_points(rng, 20, radius=0.4)
     T2 = todd_invariant(2)
     sub_pts = pts[:7]
-    full = sim.cf_map(s, T2)
-    restricted_simplex = co.ChartSimplex(s.charts, s.transitions, sub_pts)
-    restricted = sim.cf_map(restricted_simplex, T2)
+    full = sim.cf_map(library_tau(pts, 3, T2), 2, pts)
+    restricted = sim.cf_map(library_tau(sub_pts, 3, T2), 2, sub_pts)
     for cell in full.cells():
         a = full.label(cell)
         keep = [a.points.tolist().index(list(p)) for p in sub_pts]
         assert np.allclose(a.values[keep], restricted.label(cell).values)
 
 
-def test_verify_telescoping_affine_exact(rng):
-    s, _ = affine_simplex(rng, count=4)  # level 3 = k + 1 for k = 2
-    T2 = todd_invariant(2)
-    report = co.verify_telescoping(s, T2, tol=0.0)
-    assert report["max_residual"] == 0.0 and report["pass"]
+def face_sums(tau, tol=1e-7):
+    """The face-sum report of a chart simplex's tau: its closedness on increasing tuples."""
+    return cg.closedness_report(tau, tol=tol, increasing=True)
 
 
-def test_verify_telescoping_polynomial_automorphisms(rng):
-    s, _ = library_simplex(rng, count=4)
-    T2 = todd_invariant(2)
-    report = co.verify_telescoping(s, T2, tol=1e-7)
-    assert report["pass"]
-    assert report["max_residual"] <= 1e-7
+def test_face_sums_of_an_affine_simplex_are_exact_zeros(rng):
+    pts = random_points(rng, 10)
+    report = face_sums(sim.simplex_tau(*affine_maps(4), pts, todd_invariant(2)), tol=0.0)
+    assert report.max_residual == 0.0 and report.passed
 
 
-def test_verify_telescoping_negative_control(rng):
+def test_face_sums_hold_on_polynomial_automorphisms(rng):
     pts = random_points(rng, 20, radius=0.4)
-    charts = [lib.identity_map(2), lib.shear_map(), lib.henon_map(),
-              lib.affine_map([[1, F(1, 3)], [0, 1]], [F(1, 5), 0])]
-    invs = [lib.identity_map(2), lib.shear_inverse(), lib.henon_inverse(),
-            lib.affine_map([[1, F(-1, 3)], [0, 1]], [F(-1, 5), 0])]
-    bad = make_simplex(charts, invs, pts, corrupt=((0, 2), lib.henon_map()))
-    T2 = todd_invariant(2)
-    report = co.verify_telescoping(bad, T2, tol=1e-7)
-    assert not report["pass"]
-    assert report["max_residual"] > 1e-7
+    report = face_sums(library_tau(pts, 4, todd_invariant(2)))
+    assert report.passed
+    assert report.max_residual <= 1e-7
 
 
-def test_verify_telescoping_needs_a_cell_above_the_arity(rng):
-    s, _ = library_simplex(rng, count=3)  # level 2 = k: no 3-cell to sum faces on
-    with pytest.raises(ValidationError):
-        co.verify_telescoping(s, todd_invariant(2), 1e-7)
+def test_face_sums_trip_on_a_corrupted_transition(rng):
+    pts = random_points(rng, 20, radius=0.4)
+    report = face_sums(library_tau(pts, 4, todd_invariant(2), {(0, 2): (lib.henon_map(),)}))
+    assert not report.passed
+    assert report.max_residual > 1e-7
 
 
-def test_verify_telescoping_warns_on_few_points(rng):
-    s, _ = affine_simplex(rng, count=4)
-    few = co.ChartSimplex(s.charts, s.transitions, s.source_points[:3])
-    T2 = todd_invariant(2)
-    with pytest.warns(UserWarning):
-        co.verify_telescoping(few, T2, 1e-7)
+def test_face_sums_need_a_cell_above_the_arity(rng):
+    pts = random_points(rng, 20, radius=0.4)
+    # level 2 = k: no 3-cell to sum faces on
+    with pytest.raises(ValidationError, match="no nonempty cells"):
+        face_sums(library_tau(pts, 3, todd_invariant(2)))
 
 
-def crafted_face_sums(rng, monkeypatch, count, labels):
-    """verify_telescoping at arity 1 on an affine simplex of `count` charts, with its
-    face labels replaced: face -> (N, 2) values, a face not listed being the
-    structural zero."""
-    s, P = affine_simplex(rng, count=count)
+def test_corrupting_a_transition_changes_only_the_faces_that_use_it(rng):
+    # the override replaces phi[0, 2] alone. The label of a face (i_0 < ... < i_k)
+    # reads phi[i_(r-1), i_r] in its ladder and phi[i_r, i_k] in its pullbacks, so
+    # the pair (0, 2) only where 0 and 2 are adjacent
+    pts = random_points(rng, 12, radius=0.4)
+    for arity, count in ((1, 3), (1, 4), (2, 4)):
+        T = todd_invariant(arity)
+        clean = sim.cf_map(library_tau(pts, count, T), count - 1, pts)
+        bad = sim.cf_map(library_tau(pts, count, T, {(0, 2): (lib.henon_map(),)}), count - 1,
+                         pts)
+        changed = []
+        for face in clean.cells(arity + 1):
+            a, b = clean.label(face).values.tobytes(), bad.label(face).values.tobytes()
+            if a != b:
+                changed.append(face)
+        assert changed == [face for face in clean.cells(arity + 1)
+                           if (0, 2) in zip(face, face[1:])], (arity, count)
+        assert changed and len(changed) < len(clean.cells(arity + 1))
 
-    def face_labels(simplex, faces, T):
-        return [SampledForm(2, 1, P, labels[f]) if f in labels
-                else SampledForm.zeros(2, 1, P, ()) for f in faces]
 
-    monkeypatch.setattr(co, "face_labels", face_labels)
-    return co.verify_telescoping(s, todd_invariant(1), 1e-7), as_json_points(s.source_points)
+def crafted_face_sums(rng, count, labels):
+    """The dk-validate runner at arity 1 on a simplex of `count` charts whose tau's
+    (1, 0) values are replaced: face -> (N, 2) values, a face not listed being the
+    structural zero. (runner fields, face-sum report, the source cloud as JSON)."""
+    P = hm.as_cloud(random_points(rng, 10), 2)
+    indices = [str(p) for p in range(count)]
+    cover = cg.CoverSpec(indices, {cell: P for cell in itertools.combinations(indices, 3)}, 2)
+
+    def values(requests):
+        return [SampledForm(2, 1, Q, labels[J]) if J in labels else SampledForm.zeros(2, 1, Q, ())
+                for J, _, Q, _ in requests]
+
+    tau = cg.MixedCochain(cover, cg.trivial_action(indices, 2), 2, 1, {(1, 0): values},
+                          name="tau", vanishes=lambda bd, J, G: J not in labels)
+    scn = types.SimpleNamespace(tau=lambda atlas, arity, transitions: tau)
+    entry = {"type": "dk-validate", "arity": 1, "tolerance": 1e-7, "simplex": (None, 1, ())}
+    held, fields = run_simplex_faces(scn, entry)
+    return dict(fields, passed=held), face_sums(tau), as_json_points(P)
 
 
 def as_json_points(P):
     return [[[z.real, z.imag] for z in p] for p in P.tolist()]
 
 
-def test_face_sum_ties_go_to_the_first_point_and_the_first_face(rng, monkeypatch):
+def cell_residuals(report):
+    """{cell as chart positions: residual} of a face-sum report, in cell order."""
+    rows = (report.row(i) for i in range(len(report.residual)))
+    return {tuple(map(int, row["indices"])): row["residual"] for row in rows}
+
+
+def test_face_sum_ties_go_to_the_first_point_and_the_first_face(rng):
     peak = np.zeros((10, 2), dtype=complex)
     peak[[3, 7]] = [0, 2]
-    # on the cell (0, 1, 2): + (1, 2) - (0, 2) + (0, 1); the last two reach 2 at
-    # rows 3 and 7, the structural zero (1, 2) comes first and never dominates
-    report, points = crafted_face_sums(rng, monkeypatch, 3, {(0, 2): peak[:, ::-1],
-                                                            (0, 1): -peak})
-    assert report["max_residual"] == 2.0 and not report["pass"]
-    assert report["worst_point"] == points[3]
-    assert report["dominant_term"] == {"face": [0, 2], "sign": -1, "modulus": 2.0}
+    # on the cell (0, 1, 2) the Cech differential adds + (0, 1) - (0, 2) + (1, 2), its
+    # faces in the order of their index names; (0, 1) and (0, 2) reach 2 at rows 3 and
+    # 7, and the structural zero (1, 2) never dominates
+    fields, _, points = crafted_face_sums(rng, 3, {(0, 2): peak[:, ::-1], (0, 1): -peak})
+    assert fields["max_residual"] == 2.0 and not fields["passed"]
+    assert fields["worst_point"] == points[3]
+    assert fields["dominant_term"] == {"face": [0, 1], "sign": 1, "modulus": 2.0}
 
 
-def test_a_nan_face_label_makes_its_cells_the_worst(rng, monkeypatch):
+def test_a_nan_face_label_makes_its_cells_the_worst(rng):
     nan_at_5 = np.ones((10, 2), dtype=complex)
     nan_at_5[5, 1] = np.nan
-    report, points = crafted_face_sums(rng, monkeypatch, 4, {
+    fields, report, points = crafted_face_sums(rng, 4, {
         (0, 1): np.full((10, 2), 100.0, dtype=complex), (2, 3): nan_at_5})
-    assert report["residuals"][(0, 1, 2)] == 100.0
-    assert math.isnan(report["residuals"][(1, 2, 3)])
+    residuals = cell_residuals(report)
+    assert residuals[(0, 1, 2)] == 100.0
+    assert math.isnan(residuals[(1, 2, 3)])
     # the first cell holding (2, 3), in combinations order, is the worst
-    assert report["worst_cell"] == (0, 2, 3)
-    assert math.isnan(report["max_residual"]) and not report["pass"]
-    assert verdict({}, report["pass"], {})["status"] == "fail"
-    assert report["worst_point"] == points[5]
-    dominant = report["dominant_term"]
+    assert fields["worst_cell"] == "(0, 2, 3)"
+    assert math.isnan(fields["max_residual"]) and not fields["passed"]
+    assert verdict({}, fields["passed"], {})["status"] == "fail"
+    assert fields["worst_point"] == points[5]
+    dominant = fields["dominant_term"]
     assert (dominant["face"], dominant["sign"]) == ([2, 3], 1)
     assert math.isnan(dominant["modulus"])
 
 
-def test_a_face_sum_of_structural_zeros_has_no_dominant_face(rng, monkeypatch):
-    report, points = crafted_face_sums(rng, monkeypatch, 3, {})
-    assert report["max_residual"] == 0.0 and report["pass"]
-    assert report["worst_point"] == points[0]
-    assert report["dominant_term"] is None
+def test_a_face_sum_of_structural_zeros_has_no_dominant_face(rng):
+    fields, _, points = crafted_face_sums(rng, 3, {})
+    assert fields["max_residual"] == 0.0 and fields["passed"]
+    assert fields["worst_point"] == points[0]
+    assert fields["dominant_term"] is None
     # a live label that is zero there still beats the structural zeros
-    report, _ = crafted_face_sums(rng, monkeypatch, 3, {(0, 1): np.zeros((10, 2))})
-    assert report["dominant_term"] == {"face": [0, 1], "sign": 1, "modulus": 0.0}
+    fields, _, _ = crafted_face_sums(rng, 3, {(0, 1): np.zeros((10, 2))})
+    assert fields["dominant_term"] == {"face": [0, 1], "sign": 1, "modulus": 0.0}
 
 
 # six charts over the benchmark's chart-kernel maps; the first four are its own
@@ -348,8 +391,8 @@ CHART_KERNEL_CHARTS = [("ident", "ident"), ("shear", "shear_inv"), ("henon", "he
                        ("henon_inv", "henon")]
 
 
-def chart_kernel_simplex(seed, count, arity, tmp_path, monkeypatch, corrupt=None):
-    """The chart simplex of the benchmark's chart-kernel dk-validate entry, on its
+def chart_kernel_entry(seed, count, arity, tmp_path, monkeypatch, corrupt=None):
+    """(scenario, entry) of the benchmark's chart-kernel dk-validate entry, on its
     seeded source cloud, over the first `count` charts above."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
@@ -364,28 +407,33 @@ def chart_kernel_simplex(seed, count, arity, tmp_path, monkeypatch, corrupt=None
     path = tmp_path / "chart-kernel.scn"
     path.write_text(json.dumps(data), encoding="utf-8")
     scn = Scenario.load(path)
-    return scn.chart_simplex(scn.checks[0])
+    return scn, scn.checks[0]
 
 
 def bits(x):
     return struct.pack("<d", x)
 
 
-def assert_face_sums_match_the_oracle(s, arity):
-    T = todd_invariant(arity)
-    got = co.verify_telescoping(s, T, 1e-7)
-    want = sim.dk_validate(sim.cf_map(s, T), sim.shifted_form_complex(s.n, arity, s.source_points))
-    top = list(itertools.combinations(range(s.level + 1), arity + 2))
-    assert list(got["residuals"]) == top
+def assert_face_sums_match_the_oracle(scn, entry):
+    """The dk-validate runner's face sums on every cell against dk_validate of the
+    Dold-Kan labeling of the same tau's face labels, bit for bit; the runner's fields."""
+    arity, P = entry["arity"], entry["source_points"]
+    level = len(entry["charts"]) - 1
+    tau = scn.tau(*entry["simplex"])
+    held, fields = run_simplex_faces(scn, entry)
+    got = cell_residuals(face_sums(tau))
+    want = sim.dk_validate(sim.cf_map(tau, level, P), sim.shifted_form_complex(scn.n, arity, P))
+    top = list(itertools.combinations(range(level + 1), arity + 2))
+    assert list(got) == top
     for key, residual in want["residuals"].items():
         cell = tuple(int(i) for i in key.split(","))
-        if cell in got["residuals"]:
-            assert bits(got["residuals"][cell]) == bits(residual), cell
+        if cell in got:
+            assert bits(got[cell]) == bits(residual), cell
         else:
             assert bits(residual) == bits(0.0), cell
-    assert bits(got["max_residual"]) == bits(want["max_residual"])
-    assert got["worst_cell"] == (want["worst_cell"] if want["max_residual"] else top[0])
-    return got
+    assert bits(fields["max_residual"]) == bits(want["max_residual"])
+    assert fields["worst_cell"] == str(want["worst_cell"] if want["max_residual"] else top[0])
+    return dict(fields, passed=held, residuals=got)
 
 
 @pytest.mark.parametrize("seed", (2, 3, 7))
@@ -394,18 +442,18 @@ def assert_face_sums_match_the_oracle(s, arity):
 def test_face_sums_equal_the_dold_kan_oracle_bit_for_bit(seed, arity, above, tmp_path,
                                                          monkeypatch):
     # level k + above, so k + above + 1 charts
-    s = chart_kernel_simplex(seed, arity + above + 1, arity, tmp_path, monkeypatch)
-    report = assert_face_sums_match_the_oracle(s, arity)
-    assert report["pass"]
+    scn, entry = chart_kernel_entry(seed, arity + above + 1, arity, tmp_path, monkeypatch)
+    report = assert_face_sums_match_the_oracle(scn, entry)
+    assert report["passed"]
 
 
 def test_face_sums_of_a_corrupted_transition_equal_the_oracle(tmp_path, monkeypatch):
-    s = chart_kernel_simplex(2, 5, 2, tmp_path, monkeypatch,
-                             corrupt={"replace": [0, 2], "with_map": "henon"})
-    report = assert_face_sums_match_the_oracle(s, 2)
-    assert not report["pass"]
+    scn, entry = chart_kernel_entry(2, 5, 2, tmp_path, monkeypatch,
+                                    corrupt={"replace": [0, 2], "with_map": "henon"})
+    report = assert_face_sums_match_the_oracle(scn, entry)
+    assert not report["passed"]
     # only the 3-cells holding the face (0, 2) see the corrupted transition
     assert all(report["residuals"][cell] < 1e-7
                for cell in report["residuals"] if not {0, 2} <= set(cell))
-    assert 0 in report["worst_cell"] and 2 in report["worst_cell"]
-
+    worst = report["worst_cell"]
+    assert "0" in worst and "2" in worst

@@ -50,3 +50,36 @@ def test_a_difference_only_in_digits_is_digits_only():
 def test_equal_reports_give_no_reasons():
     verdict = compare_reports.classify(result(), result())
     assert verdict.reasons == [] and verdict.rose == verdict.fell == 1.0
+
+
+def test_each_tree_runs_its_own_scenarios_and_an_unpaired_one_differs(tmp_path, monkeypatch,
+                                                                      capsys):
+    shipped = compare_reports.ROOT / "scenarios"
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "scenarios").mkdir(parents=True)
+        # the mixed-checks workload reads this shipped scenario from the tree
+        (tree / "scenarios" / "affine_torus.scn").write_text(
+            (shipped / "affine_torus.scn").read_text(encoding="utf-8"), encoding="utf-8")
+    (trees["parent"] / "scenarios" / "edited.scn").write_text('{"v": 1}', encoding="utf-8")
+    (trees["change"] / "scenarios" / "edited.scn").write_text('{"v": 2}', encoding="utf-8")
+    (trees["parent"] / "scenarios" / "dropped.scn").write_text("{}", encoding="utf-8")
+    (trees["change"] / "scenarios" / "added.scn").write_text("{}", encoding="utf-8")
+    seen = []
+
+    def outputs(tree, scenario, command, writes, workdir):
+        seen.append((pathlib.Path(tree).name, scenario.name))
+        return 0, "", "", {"scenario": scenario.read_text(encoding="utf-8")}
+
+    monkeypatch.setattr(compare_reports, "outputs", outputs)
+    assert compare_reports.main(["--parent", str(trees["parent"]),
+                                 "--change", str(trees["change"])]) == 1
+    out = capsys.readouterr().out
+    assert "DIFF added.scn: only in the change tree" in out
+    assert "DIFF dropped.scn: only in the parent tree" in out
+    for command, _ in compare_reports.COMMANDS:
+        assert "DIFF edited.scn %s: report" % command in out
+        assert "DIFF affine_torus.scn %s" % command not in out
+    assert ("parent", "dropped.scn") not in seen and ("change", "added.scn") not in seen
+    assert {("parent", "edited.scn"), ("change", "edited.scn")} <= set(seen)
+    assert "2 inputs in one tree only" in out

@@ -24,7 +24,7 @@ from cocyclekit.forms import signed_sum
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 import library as lib
-from chart_labels import add_top_label, cf_label_top
+from chart_labels import add_top_label, cf_label_top, chart_path
 from conftest import holds_arrays, object_cell, per_cell
 from path_labels import ReferencePaths
 
@@ -269,9 +269,9 @@ MAPS = {
 
 @st.composite
 def chart_paths(draw):
-    """(n, clouds of unequal sizes, [(chart simplex, cloud index)], take order): chart
-    simplices of level n over a few shared maps and two top charts, so keys and
-    batches repeat across simplices."""
+    """(n, clouds of unequal sizes, [(chart path, cloud index)], take order): chart
+    paths (chart_labels.ChartPath) of level n over a few shared maps and two top
+    charts, so keys and batches repeat across paths."""
     n = draw(st.sampled_from(sorted(MAPS)))
     pool = st.sampled_from(MAPS[n])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -285,7 +285,7 @@ def chart_paths(draw):
         top = (top, MAPS[n][2]) if draw(st.booleans()) else (top,)
         charts = [(draw(pool),) for _ in range(n)] + [top]
         transitions = {(p, q): (draw(pool),) for q in range(n + 1) for p in range(q)}
-        simplices.append((co.ChartSimplex(charts, transitions, clouds[c]), c))
+        simplices.append((chart_path(charts, transitions, clouds[c]), c))
     return n, clouds, simplices, draw(st.permutations(range(len(simplices))))
 
 
@@ -345,7 +345,7 @@ def test_an_error_after_a_shared_key_leaves_every_count_whole():
     def simplex(t12):
         transitions = {(0, 1): (s1,), (0, 2): (ident,), (0, 3): (ident,), (1, 2): (t12,),
                        (1, 3): (s4,), (2, 3): (s3,)}
-        return co.ChartSimplex([(ident,)] * 4, transitions, P)
+        return chart_path([(ident,)] * 4, transitions, P)
 
     plan = co.LabelPlan(todd_invariant(3))
     good, bad = add_top_label(plan, simplex(s2), P), add_top_label(plan, simplex(sq), P)

@@ -19,7 +19,7 @@ from cocyclekit.errors import ScenarioError
 from cocyclekit.forms import SampledForm
 from cocyclekit.invariants import POWER, SymFun, newton_convert, todd_invariant
 from cocyclekit.scenario import Scenario
-from chart_labels import cf_label_top, sub_simplex
+from chart_labels import cf_label_top, entry_path, sub_simplex
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -145,9 +145,9 @@ def test_tau_built_once_per_atlas_per_run(tmp_path, monkeypatch):
     built = []
     real = scenario_mod.tau_invariant
 
-    def recording(cover, action, atlas, T):
+    def recording(cover, action, atlas, T, transitions):
         built.append(atlas.chart("q").name)
-        return real(cover, action, atlas, T)
+        return real(cover, action, atlas, T, transitions)
 
     monkeypatch.setattr(scenario_mod, "tau_invariant", recording)
     data = load_scn("witness_reparam.scn")
@@ -323,6 +323,57 @@ def test_three_chart_dk_validate_corrupt_control_trips(tmp_path):
     assert dk["max_residual"] > 1.0
 
 
+def test_face_sum_checks_on_one_simplex_share_one_tau(tmp_path, monkeypatch):
+    """telescoping and dk-validate on one simplex label each face once per run: the
+    second check adds no label and no value to the shared tau's cache, and the
+    corrupt control, whose transition differs, gets a tau of its own."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    data = workloads.chart_kernel(2)
+    data["checks"] = [c for c in data["checks"] if c["type"] in ("telescoping", "dk-validate")]
+    scn = Scenario.load(write_scn(tmp_path, data))
+    telescoping, corrupt, dk = scn.checks
+    assert telescoping["simplex"][0] is corrupt["simplex"][0] is dk["simplex"][0]
+    added = []
+    add_label = co.LabelPlan.add_label
+
+    def recorded(plan, *args):
+        added.append(args)
+        return add_label(plan, *args)
+
+    monkeypatch.setattr(co.LabelPlan, "add_label", recorded)
+    tau = scn.tau(telescoping["simplex"][0], telescoping["arity"])
+    labels, cached = [], []
+    for entry in scn.checks:
+        cli.CHECK_RUNNERS[entry["type"]](scn, entry)
+        labels.append(len(added))
+        cached.append(len(tau._cache))
+    assert 0 < labels[0] == len(set(added[:labels[0]])) and labels[1] > labels[0]
+    assert labels[2] == labels[1] and cached[2] == cached[1] == cached[0] > 0
+    assert len(scn._tau) == 2
+
+
+def test_a_thin_simplex_cloud_warns_once_through_the_cover_loader(tmp_path):
+    data = load_scn("henon_z.scn")
+    thin = dict(TELESCOPING, source_points=TELESCOPING["source_points"][:3])
+    data["checks"] = [dict(thin, name="t"), dict(thin, name="d", type="dk-validate")]
+    with pytest.warns(UserWarning) as warned:
+        Scenario.load(write_scn(tmp_path, data))
+    assert [str(w.message) for w in warned] == [
+        "clouds with fewer than 8 sample points weaken the pointwise checks: [['0', '1', '2']]"]
+
+
+def test_tau_closedness_walks_every_ordered_tuple():
+    # the face sums walk only increasing tuples; tau-closedness keeps every ordered
+    # one, repeated indices included: 3^5 cells at arity 3 and 3^3 at arity 1
+    scn = Scenario.load(SCENARIOS / "cech_todd3.scn")
+    assert len(scn.cover.indices) == 3
+    for arity in (3, 1):
+        report = cli.closedness_report(scn.tau(scn.atlas, arity), tol=1e-7)
+        assert len(report.residual) == 3 ** (arity + 2)
+
+
 def test_dk_validate_on_an_affine_simplex_names_its_first_2_cell(tmp_path):
     # every face sum of an affine simplex is an exact zero; the worst cell is then
     # the first cell whose face sum is checked, the 2-cell at arity 1
@@ -343,7 +394,8 @@ def test_dk_validate_on_an_affine_simplex_names_its_first_2_cell(tmp_path):
 
 def dk5_data():
     """henon_z.scn with the face-sum checks of CI smoke: a 5-chart simplex at arity 1
-    and 2, and at arity 2 with a corrupted (1, 3) transition, a control that trips."""
+    and 2, and at arity 2 with a corrupted (1, 3) transition, a control that trips;
+    a telescoping and a dk-validate entry on its first 4 charts."""
     data = load_scn("henon_z.scn")
     charts = [{"chart": c, "inverse": i} for c, i in
               (("ident", "ident"), ("shear", "shear_inv"), ("henon", "henon_inv"),
@@ -353,8 +405,21 @@ def dk5_data():
     data["checks"] = [dict(simplex, name="dk5-arity1", arity=1),
                       dict(simplex, name="dk5-arity2", arity=2),
                       dict(simplex, name="dk5-corrupt", arity=2, expect="fail",
-                           corrupt={"replace": [1, 3], "with_map": "henon"})]
+                           corrupt={"replace": [1, 3], "with_map": "henon"}),
+                      dict(simplex, name="tel4", type="telescoping", charts=charts[:4]),
+                      dict(simplex, name="dk4", charts=charts[:4])]
     return data
+
+
+def test_ci_dk5_telescoping_names_no_cell_and_dk_validate_one(tmp_path):
+    path, out = write_scn(tmp_path, dk5_data()), tmp_path / "r.json"
+    assert main(["run", path, "--output", str(out)]) == 0
+    r = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert "worst_cell" not in r["tel4"] and r["dk4"]["worst_cell"] == "(0, 1, 2, 3)"
+    assert r["tel4"]["max_residual"] == r["dk4"]["max_residual"]
+    scn = Scenario.load(path)
+    tel4, dk4 = scn.checks[3:]
+    assert tel4["simplex"] == dk4["simplex"]
 
 
 def three_chart_controls_data():
@@ -378,7 +443,7 @@ def test_a_tripped_face_sum_control_names_the_point_where_its_sum_peaks(tmp_path
     assert result["status"] == "pass" and "observed" in result["detail"]
     scn = Scenario.load(path)
     entry = next(e for e in scn.checks if e["name"] == name)
-    simplex = scn.chart_simplex(entry)
+    simplex = entry_path(entry)
     P, k = simplex.source_points, entry["arity"]
     as_json = [[[z.real, z.imag] for z in p] for p in P.tolist()]
     assert result["worst_point"] in as_json
@@ -415,7 +480,7 @@ def test_subcommand_tolerance_is_refused_like_a_checks(tmp_path, capsys, command
     assert "Traceback" not in err and not out.exists()
 
 
-def test_chart_simplex_default_arities(tmp_path):
+def test_simplex_entry_default_arities(tmp_path):
     data = load_scn("henon_z.scn")
     four = TELESCOPING["charts"] + [{"chart": "shear3", "inverse": "shear3_inv"}]
     data["checks"] = [dict(TELESCOPING, name="t3"), dict(TELESCOPING, name="t4", charts=four),
@@ -625,7 +690,7 @@ def test_check_points_are_parsed_once_at_load(tmp_path):
     assert scn.checks[0]["source_points"].shape == (9, 2)
     assert scn.checks[0]["source_points"].tolist()[0] == [0.1 + 0.2j, 0.3 - 0.1j]
     assert scn.checks[1]["points"].tolist() == [[0.1 + 0.2j, 0.3 - 0.1j]]
-    assert scn.chart_simplex(scn.checks[0]).source_points.tolist()[0] == [0.1 + 0.2j, 0.3 - 0.1j]
+    assert entry_path(scn.checks[0]).source_points.tolist()[0] == [0.1 + 0.2j, 0.3 - 0.1j]
 
 
 def test_check_types_listed_alike_in_loader_runners_and_schema():

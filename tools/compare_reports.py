@@ -3,18 +3,22 @@
 
     python tools/compare_reports.py --parent DIR --change DIR
 
-The inputs are every `scenarios/*.scn` of the change tree and the scenarios of
-both benchmark workloads at seeds 2, 3 and 7, written by
-`perfbench/workloads.py` of this checkout (imported, never changed). Each tree
-runs `run`, `todd-cocycle`, `verify-cocycle`, `group-invariant` and `witness`
-on every input, one process at a time, with its own `src/` on PYTHONPATH. A
-subcommand that does not apply to an input (`witness` without a second atlas)
-exits 2, and that exit and its message are compared too.
+Each tree's inputs are its own `scenarios/*.scn` and the scenarios of both
+benchmark workloads at seeds 2, 3 and 7, written by `perfbench/workloads.py`
+of this checkout (imported, never changed), a shipped scenario of a workload
+read from the tree. Inputs are paired by file name, and an input that only one
+tree has is a difference. Each tree runs `run`, `todd-cocycle`,
+`verify-cocycle`, `group-invariant` and `witness` on every one of its paired
+inputs, one process at a time, with its own `src/` on PYTHONPATH. A subcommand
+that does not apply to an input (`witness` without a second atlas) exits 2,
+and that exit and its message are compared too.
 
 For every (input, command) pair the exit code, standard output, standard error
 and written report must be equal; reports are compared as JSON with every
-`seconds` key removed. It prints one line per difference and a summary, and
-exits 1 if anything differs.
+`seconds` key removed, and the directories of the run and of the input are
+written as `<dir>` and `<inputs>` in printed text. An edited shipped scenario
+differs at least in its `scenario_hash`. It prints one line per difference and
+a summary, and exits 1 if anything differs.
 
 Each (input, command) pair that differs is also classified. It is "digits
 only" when the exit codes are equal, every `status` and `pass` is equal, the
@@ -60,23 +64,25 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def write_inputs(change, workdir):
-    """Paths of the input scenarios, written into workdir; equal texts are written once."""
+def write_inputs(tree, workdir):
+    """{file name: path} of one tree's input scenarios, written into workdir; equal
+    texts are written once."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    tree = pathlib.Path(tree)
     texts = {p.name: p.read_text(encoding="utf-8")
-             for p in sorted((pathlib.Path(change) / "scenarios").glob("*.scn"))}
+             for p in sorted((tree / "scenarios").glob("*.scn"))}
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
-            for name, text in workloads.scenario_texts(workload, seed, ROOT).items():
+            for name, text in workloads.scenario_texts(workload, seed, tree).items():
                 if text not in texts.values():
                     texts["%s-%d-%s" % (workload, seed, name)] = text
-    paths = []
+    workdir.mkdir()
+    paths = {}
     for name, text in texts.items():
-        path = workdir / name
-        path.write_text(text, encoding="utf-8")
-        paths.append(path)
+        paths[name] = workdir / name
+        paths[name].write_text(text, encoding="utf-8")
     return paths
 
 
@@ -209,31 +215,41 @@ def outputs(tree, scenario, command, writes, workdir):
                          check=False)
     written = (without_seconds(json.loads(report.read_text(encoding="utf-8")))
                if report.exists() else None)
-    return out.returncode, out.stdout.replace(str(workdir), "<dir>"), \
-        out.stderr.replace(str(workdir), "<dir>"), written
+
+    def text(s):
+        return s.replace(str(workdir), "<dir>").replace(str(scenario.parent), "<inputs>")
+
+    return out.returncode, text(out.stdout), text(out.stderr), written
 
 
 def main(argv=None):
     args = parse_args(argv)
-    differences = compared = differing = substantive = lower = 0
+    differences = compared = differing = substantive = lower = unpaired = 0
     rose = fell = 1.0
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         tmp = pathlib.Path(tmp)
-        inputs = tmp / "inputs"
-        inputs.mkdir()
         runs = {side: tmp / side for side in ("parent", "change")}
         for workdir in runs.values():
             workdir.mkdir()
-        for scenario in write_inputs(args.change, inputs):
+        inputs = {side: write_inputs(getattr(args, side), tmp / ("inputs-" + side))
+                  for side in runs}
+        for name in sorted(inputs["parent"].keys() | inputs["change"].keys()):
+            only = [side for side in runs if name in inputs[side]]
+            if len(only) == 1:
+                differences += 1
+                unpaired += 1
+                print("DIFF %s: only in the %s tree" % (name, only[0]), flush=True)
+                continue
             for command, writes in COMMANDS:
-                got = {side: outputs(getattr(args, side), scenario, command, writes, workdir)
+                got = {side: outputs(getattr(args, side), inputs[side][name], command, writes,
+                                     workdir)
                        for side, workdir in runs.items()}
                 compared += 1
                 parts = [part for part, a, b in zip(("exit code", "stdout", "stderr", "report"),
                                                     got["parent"], got["change"]) if a != b]
                 for part in parts:
                     differences += 1
-                    print("DIFF %s %s: %s" % (scenario.name, command, part), flush=True)
+                    print("DIFF %s %s: %s" % (name, command, part), flush=True)
                 if not parts:
                     continue
                 verdict = classify(got["parent"], got["change"])
@@ -242,12 +258,13 @@ def main(argv=None):
                 lower += bool(verdict.reasons) and verdict.only_lower
                 rose, fell = max(rose, verdict.rose), max(fell, verdict.fell)
                 print("  %s %s: %s; residuals up to %.3gx higher, %.3gx lower" % (
-                    scenario.name, command,
+                    name, command,
                     "substantive" if verdict.reasons else "digits only", verdict.rose,
                     verdict.fell))
                 for reason in verdict.reasons:
                     print("    " + reason)
-    print("%d (input, command) pairs compared, %d differences" % (compared, differences))
+    print("%d (input, command) pairs compared, %d inputs in one tree only, %d differences"
+          % (compared, unpaired, differences))
     print("%d differing pairs: %d digits only, %d substantive (%d of them only by residuals "
           "that fell more than %gx or became exact zeros)"
           % (differing, differing - substantive, substantive, lower, FACTOR))
