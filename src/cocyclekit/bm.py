@@ -57,13 +57,27 @@ def bm_coefficients(n, z, xi):
     if xi.ndim != 2 or xi.shape[1] != n or z.shape not in ((n,), xi.shape):
         raise ValidationError("points must have %d coordinates" % n)
     diff = xi - z
-    dist2 = np.sum(np.abs(diff) ** 2, axis=1)
+    square = np.abs(diff)
+    square *= square
+    if n < 8:
+        # np.sum adds fewer than 8 terms in order, so column adds give its sums
+        dist2 = square[:, 0] + square[:, 1]
+        for j in range(2, n):
+            dist2 += square[:, j]
+    else:
+        dist2 = np.sum(square, axis=1)
     if len(dist2) and math.sqrt(dist2.min()) < DIAGONAL_CUTOFF:
         i = int(np.argmax(np.sqrt(dist2) < DIAGONAL_CUTOFF))
         raise DomainError("point xi = %s within %.0e of the diagonal"
                           % (tuple(complex(c) for c in xi[i]), DIAGONAL_CUTOFF))
     signs = (-1.0) ** np.arange(1, n + 1)
-    return bm_constant(n) * signs * np.conj(diff) / (dist2 ** n)[:, None]
+    coeffs = bm_constant(n) * signs * np.conj(diff)
+    # numpy divides a complex number by a real one as both parts times its
+    # reciprocal; a zero part may keep its sign here where numpy's loses it
+    scale = (1.0 / dist2 ** n)[:, None]
+    coeffs.real *= scale
+    coeffs.imag *= scale
+    return coeffs
 
 
 # +h, -h, +ih, -ih along one coordinate

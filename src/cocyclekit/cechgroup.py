@@ -224,7 +224,8 @@ class MixedCochain:
     pullbacks then vanish too. Each value is computed once per (bidegree, J,
     G, pull, cloud) and cached in _cache, the cloud named by its interned id
     (cloud_id). A scenario builds each tau once (Scenario.tau), so every check
-    reading it shares the cache.
+    reading it shares the cache; a tau with overridden transitions takes the
+    values its overrides leave alone from the cache of the tau without them.
     """
 
     def __init__(self, cover, action, n, form_degree, components, name="cochain",
@@ -763,10 +764,13 @@ class PathLabeler:
     label plan evaluates theta of a chain from its pieces.
     `transitions` maps ordered pairs (a, b) of cover indices to maps, outermost
     first, that replace chart_a . inverse_b: a chart simplex's corrupt control,
-    on a trivial action.
+    on a trivial action. The chain ids of the transitions so replaced are
+    recorded, and so is each (J, G, step types) one of whose paths reads one in
+    its ladder or pullbacks. `base`, the cochain of the same labels without
+    the replacements, then gives the value of every other request (cell_forms).
     """
 
-    def __init__(self, cover, action, atlases, T, transitions=None):
+    def __init__(self, cover, action, atlases, T, transitions=None, base=None):
         self.cover = cover
         self.action = action
         self.atlases = list(atlases)
@@ -777,6 +781,9 @@ class PathLabeler:
         self.chains = ChainTable(self.inverses)
         self._overrides = {(self.ids.index(a), self.ids.index(b)): tuple(map(self.chains.map, f))
                            for (a, b), f in (transitions or {}).items()}
+        self.base = base
+        self._replaced = set()   # chain ids of the transitions _overrides gave
+        self._replacing = set()  # (J, G, step types) whose paths read one of them
         self._letters = {}      # word id -> map ids of its letter maps
         self._charts = {}       # (layer, index id) -> map ids of the chart and its inverse
         self._vertices = {}     # (layer, index id, tail word id) -> vertex id
@@ -845,10 +852,13 @@ class PathLabeler:
             ids = self.ids
             pieces = self._overrides.get((ia, ib))
             if pieces is None:
-                pieces = ((self._chart(layer_a, ia)[0],)
-                          + self._letter_maps(ids.mul(ta, ids.inverse(tb)))
-                          + (self._chart(layer_b, ib)[1],))
-            c = self._transitions[key] = self.chains.chain(pieces)
+                c = self.chains.chain((self._chart(layer_a, ia)[0],)
+                                      + self._letter_maps(ids.mul(ta, ids.inverse(tb)))
+                                      + (self._chart(layer_b, ib)[1],))
+            else:
+                c = self.chains.chain(pieces)
+                self._replaced.add(c)
+            self._transitions[key] = c
         return c
 
     def labels(self, J, G, step_types):
@@ -856,7 +866,9 @@ class PathLabeler:
         shuffle order: (sign, ladder, pullbacks, top chart), the chain ids that
         LabelPlan.add_label reads. Built once per cell and step types; the vertex of
         grid state (layer, r, s) is (layer, J[r] moved by G[0] ... G[s-1],
-        G[s] ... G[-1])."""
+        G[s] ... G[-1]). A key one of whose paths reads a replaced transition, in
+        its ladder or, when the label is not zero, in its pullbacks, joins
+        _replacing."""
         key = (J, G, step_types)
         labels = self._labels.get(key)
         if labels is None:
@@ -875,16 +887,24 @@ class PathLabeler:
                         v = grid[state] = self.vertex(layer, moves[heads[s]][J[r]], tails[s])
                     path.append(v)
                 ladder = tuple(self.transition(a, b) for a, b in zip(path, path[1:]))
+                pullbacks = ()
                 if not label_vanishes(self.T, self.n, ladder, self.chains):
-                    labels.append((sign, ladder,
-                                   tuple(self.transition(u, path[-1]) for u in path[1:-1]),
-                                   self.top(path[-1])))
+                    pullbacks = tuple(self.transition(u, path[-1]) for u in path[1:-1])
+                    labels.append((sign, ladder, pullbacks, self.top(path[-1])))
+                if self._replaced and not self._replaced.isdisjoint(ladder + pullbacks):
+                    self._replacing.add(key)
             self._labels[key] = labels
         return labels
 
     def cell_vanishes(self, J, G, step_types):
         """True when every path label of the cell vanishes, so its cell form does."""
         return not self.labels(J, G, step_types)
+
+    def replaces(self, J, G, step_types):
+        """True when a path of the cell reads a transition that `transitions` replaced
+        (labels), so its value differs from base's."""
+        self.labels(J, G, step_types)
+        return (J, G, step_types) in self._replacing
 
     def pulled_top(self, top, pull):
         """The top chart chain followed by the letter maps of the word pull, built once
@@ -899,26 +919,38 @@ class PathLabeler:
                 self.chains.chains[top] + self._letter_maps(pull))
         return c
 
-    def cell_forms(self, step_types, requests):
+    def cell_forms(self, bidegree, step_types, requests):
         """Signed shuffle sums of the path labels of (J, G, points, pull) requests, in
         order, each label's top chart extended by the letters of pull (pulled_top).
 
-        Every path label of every request is counted in one LabelPlan before
-        any is evaluated, so a request whose labels are all structurally zero
-        is the structural zero without a map being evaluated. The others are
-        evaluated in the rank order of their labels, so that requests sharing
-        label keys run together and the plan drops each key soon after its
-        first use. Each sum still adds its labels in shuffle order.
+        With a base cochain, a request none of whose paths reads a replaced
+        transition takes the base's value, cached there (MixedCochain.evaluate_all),
+        and only the others are labeled here. Every path label of every request
+        labeled here is counted in one LabelPlan before any is evaluated, so a
+        request whose labels are all structurally zero is the structural zero
+        without a map being evaluated. The others are evaluated in the rank order
+        of their labels, so that requests sharing label keys run together and the
+        plan drops each key soon after its first use. Each sum still adds its
+        labels in shuffle order.
         """
-        plan, labels = LabelPlan(self.T, self.chains), []
-        for J, G, P, pull in requests:
-            pid = plan.cloud(P)
-            labels.append([(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull),
-                                                 pid))
-                           for sign, ladder, pullbacks, top in self.labels(J, G, step_types)])
-        ranks = [min((plan.rank(key) for _, key in cell), default=()) for cell in labels]
         out = [None] * len(requests)
-        for i in sorted(range(len(requests)), key=ranks.__getitem__):
+        own = range(len(requests))
+        if self.base is not None:
+            replacing = [self.replaces(J, G, step_types) for J, G, _, _ in requests]
+            own = [i for i, r in enumerate(replacing) if r]
+            shared = [i for i, r in enumerate(replacing) if not r]
+            values = self.base.evaluate_all([(bidegree, *requests[i]) for i in shared])
+            for i, value in zip(shared, values):
+                out[i] = value
+        plan, labels = LabelPlan(self.T, self.chains), {}
+        for i in own:
+            J, G, P, pull = requests[i]
+            pid = plan.cloud(P)
+            labels[i] = [(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull), pid))
+                         for sign, ladder, pullbacks, top in self.labels(J, G, step_types)]
+        ranks = {i: min((plan.rank(key) for _, key in cell), default=())
+                 for i, cell in labels.items()}
+        for i in sorted(labels, key=ranks.__getitem__):
             out[i] = forms.signed_sum(self.n, self.T.arity, requests[i][2],
                                       ((sign, plan.take(key)) for sign, key in labels[i]))
         return out
@@ -928,16 +960,18 @@ class PathLabeler:
         of the path labels over the step types steps[bd] (cell_forms)."""
         return MixedCochain(
             self.cover, self.action, self.n, form_degree,
-            {bd: (lambda requests, s=s: self.cell_forms(s, requests))
+            {bd: (lambda requests, bd=bd, s=s: self.cell_forms(bd, s, requests))
              for bd, s in steps.items()},
             name=name, vanishes=lambda bd, J, G: self.cell_vanishes(J, G, steps[bd]))
 
 
-def tau_invariant(cover, action, atlas, T, transitions=None):
+def tau_invariant(cover, action, atlas, T, transitions=None, base=None):
     """The total-degree-n cocycle of an equivariant atlas under the invariant T, its
-    transitions overridden by `transitions` (PathLabeler)."""
+    transitions overridden by `transitions` (PathLabeler). `base`, the tau of the
+    same cover, action, atlas and T without overrides, gives the values of the
+    cells whose paths read no overridden transition."""
     n_total = T.arity
-    labeler = PathLabeler(cover, action, [atlas], T, transitions)
+    labeler = PathLabeler(cover, action, [atlas], T, transitions, base)
     steps = {(m, n_total - m): (C_STEP,) * m + (G_STEP,) * (n_total - m)
              for m in range(n_total + 1) if m == n_total or action.generators}
     return labeler.cochain(n_total, steps, "tau")

@@ -77,16 +77,38 @@ def run_simplex_faces(scn, entry):
 
 def run_theta_composition(scn, entry):
     """The label plan's composition rule against the symbolic oracle: per pair (f, g),
-    theta of compose(f, g) (left) and of the chain f . g (right), each through
-    LabelPlan.theta, on the check's points; residual max|L - R| / (1 + max|L|)."""
+    theta of compose(f, g) (left) and of the chain f . g (right) on the check's
+    points; residual max|L - R| / (1 + max|L|).
+
+    One LabelPlan counts both sides of every pair before it takes any
+    (LabelPlan.count_theta), so a theta of one map on one cloud that several
+    pairs read is evaluated once, and the thetas of a map are evaluated in one
+    batch. The sides are then taken pair by pair, left before right. An error
+    raised while a pair is counted (a map evaluated on a cloud) is raised in
+    that pair's turn, after the left side is taken, so the check reports the
+    error of the first pair that fails, as if the pairs ran one after another.
+    """
     P = entry["points"]
-    rows, table = [], ChainTable()
+    table = ChainTable()
+    plan = LabelPlan(None, table)
+    counted = []  # per pair: (its sides' keys, the error its counting raised)
     for fname, gname in entry["pairs"]:
-        f = scn.map_named(fname, "theta-composition")
-        g = scn.map_named(gname, "theta-composition")
-        plan = LabelPlan(None, table)
-        lhs = plan.theta(table.chain((table.map(compose(f, g)),)), 0, P)
-        rhs = plan.theta(table.chain((table.map(f), table.map(g))), 0, P)
+        keys = []
+        try:
+            f = scn.map_named(fname, "theta-composition")
+            g = scn.map_named(gname, "theta-composition")
+            for chain in ((table.map(compose(f, g)),), (table.map(f), table.map(g))):
+                keys.append(plan.count_theta(table.chain(chain), 0, P))
+        except ValueError as err:  # raised in this pair's turn; later pairs never run
+            counted.append((keys, err))
+            break
+        counted.append((keys, None))
+    rows = []
+    for (fname, gname), (keys, err) in zip(entry["pairs"], counted):
+        sides = [plan.take_theta(k, P) for k in keys]
+        if err is not None:
+            raise err
+        lhs, rhs = sides
         rel = float(np.max(np.abs(lhs.values - rhs.values))) / (1.0 + lhs.max_abs())
         rows.append({"pair": [fname, gname], "residual": rel})
     worst = max((row["residual"] for row in rows), key=nan_worst)

@@ -43,7 +43,8 @@ class LabelPlan:
     The terms of a rung are the table's (ChainTable.rungs), decided once per
     (f, phi) for every plan of the table. theta(f, phi, Q) returns that sum
     itself, which the theta-composition check compares with theta of the
-    symbolic composite.
+    symbolic composite; count_theta and take_theta split it, so that the
+    check counts every pair's thetas before it takes any.
 
     add_label, with the chain ids of a chart path, counts one use of a label
     before anything is evaluated and, once per distinct label, the keys it
@@ -267,11 +268,20 @@ class LabelPlan:
 
     def theta(self, f, phi, Q):
         """phi^# theta(f) of the transition chain f pulled back along the chain phi
-        (chain ids of the plan's table), on the (N, n) cloud Q: its theta_r terms
-        counted, taken and added in order, or the structural zero when every piece
-        of f is affine."""
+        (chain ids of the plan's table), on the (N, n) cloud Q: count_theta, then
+        take_theta."""
+        return self.take_theta(self.count_theta(f, phi, Q), Q)
+
+    def count_theta(self, f, phi, Q):
+        """Count phi^# theta(f) on the (N, n) cloud Q, evaluating nothing but the maps
+        that carry Q to the clouds its terms read; the keys of its theta_r terms,
+        for take_theta. Thetas counted together are evaluated together."""
+        return self._add_rung(f, phi, self.cloud(Q))[0]
+
+    def take_theta(self, keys, Q):
+        """phi^# theta(f) on Q from the keys count_theta gave: its theta_r terms taken
+        and added in order, or the structural zero when every piece of f is affine."""
         n = Q.shape[1]
-        keys, _ = self._add_rung(f, phi, self.cloud(Q))
         if not keys:
             return SampledForm.zeros(n, 1, Q, (n, n))
         values = [self.take(key) for key in keys]

@@ -84,7 +84,8 @@ class Scenario:
     The tau cochains the checks need are built on first request and kept here,
     one per (atlas, arity, transitions), so checks that read the same tau, as the
     face-sum checks of one chart simplex do (_simplex), share its base values
-    and sampled arrays. A reloaded scenario starts with none.
+    and sampled arrays; a corrupt control's tau reads the faces its override
+    leaves alone from the clean one (tau). A reloaded scenario starts with none.
     """
 
     def __init__(self, data, source_bytes=b""):
@@ -121,15 +122,18 @@ class Scenario:
 
     def tau(self, atlas, arity, transitions=()):
         """tau of `atlas` (self.atlas, self.atlas_b or a chart simplex's) under
-        todd_invariant(arity) and the ((a, b), maps) items `transitions`, once."""
+        todd_invariant(arity) and the ((a, b), maps) items `transitions`, once. A
+        tau with transitions takes the value of every cell whose paths read none
+        of them from the tau without, of the same atlas and arity."""
         key = (atlas, arity, transitions)
         tau = self._tau.get(key)
         if tau is None:
             cover, action = self._spaces.get(atlas, (self.cover, self.action))
             if cover is None or atlas is None:
                 raise ScenarioError("scenario has no cover/atlas sections")
+            base = self.tau(atlas, arity) if transitions else None
             tau = self._tau[key] = tau_invariant(cover, action, atlas, todd_invariant(arity),
-                                                 dict(transitions))
+                                                 dict(transitions), base)
         return tau
 
     def _load_constants(self, section):

@@ -175,11 +175,12 @@ def dk_degeneracy(j, s, ops):
     return DKSimplex(s.dim + 1, labels)
 
 
-def simplex_tau(charts, inverses, points, T, transitions=None):
+def simplex_tau(charts, inverses, points, T, transitions=None, base=None):
     """tau under T of the chart simplex of `charts`, each with its inverse, on the
     cloud `points`, as the scenario loader builds it: cover index "p" for chart
     position p, the cloud on every (arity+1)-cell, the trivial action, and the
-    maps `transitions` maps (p, q) to in place of phi[p, q] = chart_p . inverse_q."""
+    maps `transitions` maps (p, q) to in place of phi[p, q] = chart_p . inverse_q;
+    `base`, the tau without them, gives the faces they leave alone."""
     indices = [str(p) for p in range(len(charts))]
     n = charts[0].n
     P = as_cloud(points, n)
@@ -187,7 +188,8 @@ def simplex_tau(charts, inverses, points, T, transitions=None):
                                    itertools.combinations(indices, T.arity + 2)}, n)
     atlas = cg.Atlas(dict(zip(indices, zip(charts, inverses))))
     return cg.tau_invariant(cover, cg.trivial_action(indices, n), atlas, T,
-                            {(str(p), str(q)): f for (p, q), f in (transitions or {}).items()})
+                            {(str(p), str(q)): f for (p, q), f in (transitions or {}).items()},
+                            base)
 
 
 def cf_map(tau, level, points):

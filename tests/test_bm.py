@@ -82,6 +82,32 @@ def test_cloud_diagonal_point_is_named():
     assert str(tuple(complex(c) for c in near)) in str(err.value)
 
 
+def numpy_coefficients(n, z, xi):
+    """The coefficients by numpy's sum over each row and complex division by the
+    real |xi - z|^{2n}, the formula the kernel's column adds and reciprocal
+    multiply reproduce."""
+    diff = np.asarray(xi, dtype=complex) - np.asarray(z, dtype=complex)
+    dist2 = np.sum(np.abs(diff) ** 2, axis=1)
+    signs = (-1.0) ** np.arange(1, n + 1)
+    return bm.bm_constant(n) * signs * np.conj(diff) / (dist2 ** n)[:, None]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_coefficients_equal_numpy_sum_and_division_bit_for_bit(rng, n):
+    cloud = rng.uniform(-2, 2, (300, n)) + 1j * rng.uniform(-2, 2, (300, n))
+    z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    zs = rng.uniform(-1, 1, (300, n)) + 1j * rng.uniform(-1, 1, (300, n))
+    for point in (z, zs):
+        got = bm.bm_coefficients(n, point, cloud)
+        assert got.tobytes() == numpy_coefficients(n, point, cloud).tobytes()
+    # the diagonal guard names the first point within the cutoff, as it always did
+    cloud[17] = z + 1e-13
+    with pytest.raises(DomainError) as err:
+        bm.bm_coefficients(n, z, cloud)
+    assert str(err.value) == "point xi = %s within 1e-12 of the diagonal" % (
+        tuple(complex(c) for c in cloud[17]),)
+
+
 def test_bm_eval_dimension_one_rejected():
     with pytest.raises(ValidationError):
         bm.bm_coefficients(1, (0,), [(1,)])

@@ -22,7 +22,7 @@ import map_values as mv
 import sampled_forms as sf
 from chart_labels import COHERENCE_TOL, chart_path, entry_path, theta_r, validate
 from cocyclekit import cli
-from cocyclekit.errors import ValidationError
+from cocyclekit.errors import DomainError, ValidationError
 from cocyclekit.invariants import todd_invariant
 from cocyclekit.scenario import Scenario
 from conftest import word_composite
@@ -253,6 +253,84 @@ def test_theta_composition_sides_equal_the_one_map_references(source, tmp_path, 
         want = sf.add(sf.sharp_pullback(g, sf.theta(f, g.eval(P)), P), sf.theta(g, P))
         assert lhs.values.tobytes() == sf.theta(hm.compose(f, g), P).values.tobytes()
         assert rhs.values.tobytes() == want.values.tobytes(), (fname, gname)
+
+
+def per_pair_theta_composition(scn, entry):
+    """The theta-composition check with one label plan per pair, the pairs one after
+    another: (residuals, None), or (None, the error of the first pair that raises)
+    as a check result reports it."""
+    P, table, residuals = entry["points"], hm.ChainTable(), []
+    try:
+        for fname, gname in entry["pairs"]:
+            f, g = scn.maps[fname], scn.maps[gname]
+            plan = co.LabelPlan(None, table)
+            lhs = plan.theta(table.chain((table.map(hm.compose(f, g)),)), 0, P)
+            rhs = plan.theta(table.chain((table.map(f), table.map(g))), 0, P)
+            residuals.append(float(np.max(np.abs(lhs.values - rhs.values)))
+                             / (1.0 + lhs.max_abs()))
+    except DomainError as err:
+        return None, "%s: %s" % (type(err).__name__, err)
+    return residuals, None
+
+
+@pytest.mark.parametrize("source", SEEDS + ("tests/every_check_field.scn",))
+def test_one_plan_theta_composition_equals_a_plan_per_pair(source, tmp_path, monkeypatch):
+    # the check counts every pair in one plan: its residuals are those of a plan per
+    # pair, bit for bit, and it evaluates theta of a map on a cloud once, the thetas
+    # of one map in one batch
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    scn, entry = theta_composition_case(source, tmp_path)
+    want, error = per_pair_theta_composition(scn, entry)
+    assert error is None
+    batches = []
+    thetas = co.LabelPlan._thetas
+
+    def recorded(plan, batch):
+        batches.append([(p, xid) for p, _, xid in batch])
+        return thetas(plan, batch)
+
+    monkeypatch.setattr(co.LabelPlan, "_thetas", recorded)
+    held, fields = cli.run_theta_composition(scn, entry)
+    assert held and [row["residual"] for row in fields["pairs"]] == want
+    keys = [key for batch in batches for key in batch]
+    assert len(keys) == len(set(keys))
+    maps = [batch[0][0] for batch in batches]
+    assert len(maps) == len(set(maps))
+
+
+# maps that raise on the points below: cube and cube2 have singular Jacobians where
+# z1 = 0 and where z2 = 0, so their theta raises when it is taken; recip has a pole
+# where z1 = 0, so a chain through it raises when it is counted, at its image
+RAISING_MAPS = {"cube": {"components": "z1^3; z2"}, "cube2": {"components": "z1; z2^3"},
+                "recip": {"components": "1/z1; z2"}}
+RAISING_POINTS = [[[0.1, 0.2], [0.3, -0.1]], [[0.0, 0.0], [0.2, 0.1]],
+                  [[0.3, 0.1], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("pairs", [
+    [["henon", "shear"], ["cube", "shear"], ["cube2", "ident"]],
+    [["henon", "shear"], ["cube2", "ident"], ["cube", "shear"]],
+    [["henon", "shear"], ["cube", "shear"], ["henon", "recip"]],
+    [["henon", "shear"], ["henon", "recip"], ["cube", "shear"]],
+    [["henon", "recip"], ["cube2", "ident"]],
+], ids=["taken-taken", "taken-taken-swapped", "taken-counted", "counted-taken", "counted-first"])
+def test_one_plan_theta_composition_reports_the_first_failing_pair(tmp_path, pairs):
+    # two pairs raise: the check reports the error of the earlier one, as with a plan
+    # per pair, also when the later one raises while it is counted, before any take
+    data = json.loads((ROOT / "scenarios" / "henon_z.scn").read_text(encoding="utf-8"))
+    data["maps"].update(RAISING_MAPS)
+    data["checks"] = [{"name": "th", "type": "theta-composition", "pairs": pairs,
+                       "points": RAISING_POINTS}]
+    path = tmp_path / "raising.scn"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    scn = Scenario.load(path)
+    _, want = per_pair_theta_composition(scn, scn.checks[0])
+    assert want is not None
+    result, = cli.execute_checks(scn)
+    assert result["status"] == "error" and result["error"] == want
+    first = next(i for i, pair in enumerate(pairs) if pair[0] != "henon" or pair[1] != "shear")
+    alone = dict(scn.checks[0], pairs=[pairs[first]])
+    assert per_pair_theta_composition(scn, alone)[1] == want
 
 
 def test_validate_keeps_a_nan_deviation():

@@ -68,9 +68,9 @@ def library_simplex(rng, count=4, points=20):
     return make_simplex(*library_maps(count), pts), pts
 
 
-def library_tau(pts, count, T, transitions=None):
+def library_tau(pts, count, T, transitions=None, base=None):
     """tau of the library simplex of `count` charts on pts (sim.simplex_tau)."""
-    return sim.simplex_tau(*library_maps(count), pts, T, transitions)
+    return sim.simplex_tau(*library_maps(count), pts, T, transitions, base)
 
 
 def affine_maps(count=3):
@@ -313,6 +313,55 @@ def test_corrupting_a_transition_changes_only_the_faces_that_use_it(rng):
         assert changed == [face for face in clean.cells(arity + 1)
                            if (0, 2) in zip(face, face[1:])], (arity, count)
         assert changed and len(changed) < len(clean.cells(arity + 1))
+
+
+@pytest.mark.parametrize("clean_first", [True, False], ids=["clean-first", "corrupt-first"])
+@pytest.mark.parametrize("count, arity", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_a_corrupt_tau_labels_only_the_faces_that_read_its_override(rng, monkeypatch, count,
+                                                                    arity, clean_first):
+    # a tau whose override reads the clean tau takes every face that reads no overridden
+    # transition from it, the clean tau's own value object, and labels the others; its
+    # values equal those of a standalone override tau bit for bit, whichever of the
+    # clean and the corrupt tau is evaluated first
+    pts = random_points(rng, 12, radius=0.4)
+    T = todd_invariant(arity)
+    override = {(0, 2): (lib.henon_map(),)}
+    labels = []
+    add_label = cg.LabelPlan.add_label
+
+    def counted(plan, *args):
+        labels.append(args)
+        return add_label(plan, *args)
+
+    monkeypatch.setattr(cg.LabelPlan, "add_label", counted)
+    clean = library_tau(pts, count, T)
+    derived = library_tau(pts, count, T, override, base=clean)
+    P = hm.as_cloud(pts, 2)
+    faces = list(itertools.combinations(range(count), arity + 1))
+    requests = [((arity, 0), face, (), P, 0) for face in faces]
+    values = {tau: tau.evaluate_all(requests)
+              for tau in ((clean, derived) if clean_first else (derived, clean))}
+    # a face reads phi[i_(r-1), i_r] in its ladder and phi[i_r, i_k] in its pullbacks,
+    # at arity <= 2 a ladder pair too; the one face of 3 charts at arity 2 reads none
+    replaced = [face for face in faces if (0, 2) in zip(face, face[1:])]
+    assert len(replaced) == {(3, 1): 1, (3, 2): 0, (4, 1): 1, (4, 2): 1}[count, arity]
+    assert [face for face, a, b in zip(faces, values[clean], values[derived])
+            if a is not b] == replaced
+    # each face of the clean tau labeled once, and the replaced ones again; a face whose
+    # ladder holds an affine transition has no label (cechgroup.label_vanishes)
+    live = [not v.structurally_zero for v in values[clean]]
+    live += [not v.structurally_zero for v, face in zip(values[derived], faces)
+             if face in replaced]
+    assert len(labels) == sum(live)
+    monkeypatch.undo()
+    alone = library_tau(pts, count, T, override).evaluate_all(requests)
+    fresh = library_tau(pts, count, T).evaluate_all(requests)
+    for face, got, want in zip(faces, values[derived], alone):
+        assert got.values.tobytes() == want.values.tobytes(), face
+    for face, got, want in zip(faces, values[clean], fresh):
+        assert got.values.tobytes() == want.values.tobytes(), face
+    assert all(a.values.tobytes() != b.values.tobytes() for a, b, face in
+               zip(values[derived], fresh, faces) if face in replaced)
 
 
 def crafted_face_sums(rng, count, labels):

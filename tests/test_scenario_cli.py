@@ -145,9 +145,11 @@ def test_tau_built_once_per_atlas_per_run(tmp_path, monkeypatch):
     built = []
     real = scenario_mod.tau_invariant
 
-    def recording(cover, action, atlas, T, transitions):
+    def recording(cover, action, atlas, T, transitions, base):
+        # no entry overrides a transition, so no tau reads another's values
+        assert not transitions and base is None
         built.append(atlas.chart("q").name)
-        return real(cover, action, atlas, T, transitions)
+        return real(cover, action, atlas, T, transitions, base)
 
     monkeypatch.setattr(scenario_mod, "tau_invariant", recording)
     data = load_scn("witness_reparam.scn")
@@ -163,6 +165,42 @@ def test_tau_built_once_per_atlas_per_run(tmp_path, monkeypatch):
         report = json.loads(out.read_text())
         assert [c["name"] for c in report["checks"]] == ["closed", "witness-matches",
                                                          "witness-matches-arity1"]
+
+
+def test_a_corrupt_simplex_tau_reads_the_clean_one_whichever_runs_first(tmp_path, monkeypatch):
+    # chart-kernel at seed 2, its corrupt control last and first: two taus are built,
+    # the corrupt one over the clean one, and every result is the same
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    built = []
+    real = scenario_mod.tau_invariant
+
+    def recording(cover, action, atlas, T, transitions, base):
+        tau = real(cover, action, atlas, T, transitions, base)
+        built.append((bool(transitions), base, tau))
+        return tau
+
+    monkeypatch.setattr(scenario_mod, "tau_invariant", recording)
+    data = workloads.chart_kernel(2)
+    simplex = [c for c in data["checks"] if c["type"] == "telescoping"]
+    assert [c["name"] for c in simplex] == ["telescoping", "telescoping-corrupt"]
+    reports = []
+    for order in (data["checks"], simplex[::-1] + [c for c in data["checks"]
+                                                    if c not in simplex]):
+        built.clear()
+        out = tmp_path / "r.json"
+        assert main(["run", write_scn(tmp_path, dict(data, checks=order)), "--output",
+                     str(out)]) == 0
+        clean, corrupt = sorted(built, key=lambda b: b[0])
+        assert len(built) == 2 and clean[1] is None and corrupt[1] is clean[2]
+        results = {c.pop("name"): c for c in json.loads(out.read_text())["checks"]}
+        for c in results.values():
+            c.pop("seconds")
+        reports.append(results)
+    assert reports[0] == reports[1]
+    corrupt = reports[0]["telescoping-corrupt"]
+    assert corrupt["status"] == "pass" and corrupt["max_residual"] == 0.16666666666666674
 
 
 @pytest.mark.parametrize("command", ["todd-cocycle", "verify-cocycle", "group-invariant"])
