@@ -56,7 +56,11 @@ def bm_coefficients(n, z, xi):
     xi = np.asarray(xi, dtype=complex)
     if xi.ndim != 2 or xi.shape[1] != n or z.shape not in ((n,), xi.shape):
         raise ValidationError("points must have %d coordinates" % n)
-    diff = xi - z
+    # Elementwise work runs column by column: broadcasting along the length-n
+    # axis would run numpy's inner loop n elements at a time.
+    diff = np.empty_like(xi)
+    for j in range(n):
+        np.subtract(xi[:, j], z[..., j], out=diff[:, j])
     square = np.abs(diff)
     square *= square
     if n < 8:
@@ -70,13 +74,16 @@ def bm_coefficients(n, z, xi):
         i = int(np.argmax(np.sqrt(dist2) < DIAGONAL_CUTOFF))
         raise DomainError("point xi = %s within %.0e of the diagonal"
                           % (tuple(complex(c) for c in xi[i]), DIAGONAL_CUTOFF))
-    signs = (-1.0) ** np.arange(1, n + 1)
-    coeffs = bm_constant(n) * signs * np.conj(diff)
     # numpy divides a complex number by a real one as both parts times its
     # reciprocal; a zero part may keep its sign here where numpy's loses it
-    scale = (1.0 / dist2 ** n)[:, None]
-    coeffs.real *= scale
-    coeffs.imag *= scale
+    scale = 1.0 / dist2 ** n
+    signed = bm_constant(n) * (-1.0) ** np.arange(1, n + 1)
+    coeffs = np.conj(diff)
+    for j in range(n):
+        column = coeffs[:, j]
+        np.multiply(signed[j], column, out=column)
+        column.real *= scale
+        column.imag *= scale
     return coeffs
 
 

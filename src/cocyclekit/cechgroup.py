@@ -934,17 +934,16 @@ class PathLabeler:
         labels in shuffle order.
         """
         out = [None] * len(requests)
-        own = range(len(requests))
         if self.base is not None:
-            replacing = [self.replaces(J, G, step_types) for J, G, _, _ in requests]
-            own = [i for i, r in enumerate(replacing) if r]
-            shared = [i for i, r in enumerate(replacing) if not r]
+            shared = [i for i, (J, G, _, _) in enumerate(requests)
+                      if not self.replaces(J, G, step_types)]
             values = self.base.evaluate_all([(bidegree, *requests[i]) for i in shared])
             for i, value in zip(shared, values):
                 out[i] = value
         plan, labels = LabelPlan(self.T, self.chains), {}
-        for i in own:
-            J, G, P, pull = requests[i]
+        for i, (J, G, P, pull) in enumerate(requests):
+            if out[i] is not None:
+                continue
             pid = plan.cloud(P)
             labels[i] = [(sign, plan.add_label(ladder, pullbacks, self.pulled_top(top, pull), pid))
                          for sign, ladder, pullbacks, top in self.labels(J, G, step_types)]
