@@ -63,13 +63,9 @@ def bm_coefficients(n, z, xi):
         np.subtract(xi[:, j], z[..., j], out=diff[:, j])
     square = np.abs(diff)
     square *= square
-    if n < 8:
-        # np.sum adds fewer than 8 terms in order, so column adds give its sums
-        dist2 = square[:, 0] + square[:, 1]
-        for j in range(2, n):
-            dist2 += square[:, j]
-    else:
-        dist2 = np.sum(square, axis=1)
+    dist2 = square[:, 0] + square[:, 1]
+    for j in range(2, n):
+        dist2 += square[:, j]
     if len(dist2) and math.sqrt(dist2.min()) < DIAGONAL_CUTOFF:
         i = int(np.argmax(np.sqrt(dist2) < DIAGONAL_CUTOFF))
         raise DomainError("point xi = %s within %.0e of the diagonal"

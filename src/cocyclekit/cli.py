@@ -99,7 +99,7 @@ def run_theta_composition(scn, entry):
             g = scn.map_named(gname, "theta-composition")
             for chain in ((table.map(compose(f, g)),), (table.map(f), table.map(g))):
                 keys.append(plan.count_theta(table.chain(chain), 0, P))
-        except ValueError as err:  # raised in this pair's turn; later pairs never run
+        except Exception as err:  # raised in this pair's turn; later pairs never run
             counted.append((keys, err))
             break
         counted.append((keys, None))

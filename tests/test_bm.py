@@ -108,6 +108,17 @@ def test_coefficients_equal_numpy_sum_and_division_bit_for_bit(rng, n):
         tuple(complex(c) for c in cloud[17]),)
 
 
+@pytest.mark.parametrize("n", (8, 9, 12))
+def test_coefficients_from_eight_terms_agree_with_numpy_to_rounding(rng, n):
+    # from 8 terms numpy's sum adds in a pairwise order, so the in-order column
+    # adds may differ from it in the last bits
+    cloud = rng.uniform(-2, 2, (300, n)) + 1j * rng.uniform(-2, 2, (300, n))
+    z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    want = numpy_coefficients(n, z, cloud)
+    got = bm.bm_coefficients(n, z, cloud)
+    assert np.all(np.abs(got - want) <= 8 * n * np.finfo(float).eps * np.abs(want))
+
+
 def test_bm_eval_dimension_one_rejected():
     with pytest.raises(ValidationError):
         bm.bm_coefficients(1, (0,), [(1,)])

@@ -307,6 +307,16 @@ RAISING_POINTS = [[[0.1, 0.2], [0.3, -0.1]], [[0.0, 0.0], [0.2, 0.1]],
                   [[0.3, 0.1], [0.0, 0.0]]]
 
 
+def raising_scenario(tmp_path, pairs):
+    data = json.loads((ROOT / "scenarios" / "henon_z.scn").read_text(encoding="utf-8"))
+    data["maps"].update(RAISING_MAPS)
+    data["checks"] = [{"name": "th", "type": "theta-composition", "pairs": pairs,
+                       "points": RAISING_POINTS}]
+    path = tmp_path / "raising.scn"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return Scenario.load(path)
+
+
 @pytest.mark.parametrize("pairs", [
     [["henon", "shear"], ["cube", "shear"], ["cube2", "ident"]],
     [["henon", "shear"], ["cube2", "ident"], ["cube", "shear"]],
@@ -317,13 +327,7 @@ RAISING_POINTS = [[[0.1, 0.2], [0.3, -0.1]], [[0.0, 0.0], [0.2, 0.1]],
 def test_one_plan_theta_composition_reports_the_first_failing_pair(tmp_path, pairs):
     # two pairs raise: the check reports the error of the earlier one, as with a plan
     # per pair, also when the later one raises while it is counted, before any take
-    data = json.loads((ROOT / "scenarios" / "henon_z.scn").read_text(encoding="utf-8"))
-    data["maps"].update(RAISING_MAPS)
-    data["checks"] = [{"name": "th", "type": "theta-composition", "pairs": pairs,
-                       "points": RAISING_POINTS}]
-    path = tmp_path / "raising.scn"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    scn = Scenario.load(path)
+    scn = raising_scenario(tmp_path, pairs)
     _, want = per_pair_theta_composition(scn, scn.checks[0])
     assert want is not None
     result, = cli.execute_checks(scn)
@@ -331,6 +335,29 @@ def test_one_plan_theta_composition_reports_the_first_failing_pair(tmp_path, pai
     first = next(i for i, pair in enumerate(pairs) if pair[0] != "henon" or pair[1] != "shear")
     alone = dict(scn.checks[0], pairs=[pairs[first]])
     assert per_pair_theta_composition(scn, alone)[1] == want
+
+
+def test_a_count_time_error_of_any_type_waits_for_its_pair(tmp_path, monkeypatch):
+    # an error that is no ValueError, raised while a later pair is counted, still
+    # comes after the take-time error of an earlier pair
+    scn = raising_scenario(tmp_path, [["henon", "shear"], ["cube", "shear"],
+                                      ["ident", "ident"]])
+    _, want = per_pair_theta_composition(scn, dict(scn.checks[0],
+                                                   pairs=[["cube", "shear"]]))
+    assert want is not None
+    named = scn.map_named
+
+    def map_named(name, location):
+        if name == "ident":
+            raise RuntimeError("no map for this pair")
+        return named(name, location)
+
+    monkeypatch.setattr(scn, "map_named", map_named)
+    result, = cli.execute_checks(scn)
+    assert result["status"] == "error" and result["error"] == want
+    alone = dict(scn.checks[0], pairs=[["ident", "ident"]])
+    with pytest.raises(RuntimeError):
+        cli.run_theta_composition(scn, alone)
 
 
 def test_validate_keeps_a_nan_deviation():
