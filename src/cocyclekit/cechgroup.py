@@ -279,16 +279,19 @@ class MixedCochain:
         return [self._cache[k] for k in keys]
 
     def expression(self):
-        return CochainExpression(self, {bd: ("base", bd) for bd in self.components})
+        return CochainExpression(((self.name, self),),
+                                 {bd: ("base", 0, bd) for bd in self.components})
 
 
 class CochainExpression:
-    """Formal integer combination of base-cochain values pulled back along words.
+    """Formal integer combination of named base cochains' values pulled back along words.
 
-    A term key is (base bidegree, base J, base G, pullback word). Each
-    component says how a cell's terms arise, as a tree of tuples:
+    `bases` is a tuple of (name, MixedCochain) pairs sharing one cover, action,
+    dimension and form degree. A term key is (base position, base bidegree,
+    base J, base G, pullback word). Each component says how a cell's terms
+    arise, as a tree of tuples:
 
-    - ("base", bd): the cell's own base value, key (bd, J, G, e);
+    - ("base", b, bd): the cell's own value under base b, key (b, bd, J, G, e);
     - ("cech", m, q, node): sum over k of (-1)^k node(J without J[k], G), where
       node is a component of bidegree (m, q);
     - ("group", m, q, node): the bar differential of node;
@@ -298,20 +301,23 @@ class CochainExpression:
     exactly in integers (TermPlan) and never reach floating point.
     """
 
-    def __init__(self, base, components):
-        self.base = base
+    def __init__(self, bases, components):
+        self.bases = tuple(bases)
+        if len({(c.cover, c.ids, c.n, c.form_degree) for _, c in self.bases}) != 1:
+            raise ValidationError("the bases of an expression must share cover, action, "
+                                  "dimension and form degree")
         self.components = dict(components)
 
     def bidegrees(self):
         return sorted(self.components)
 
 
-def _combination(base, parts):
+def _combination(bases, parts):
     """CochainExpression summing sign * node per bidegree over (sign, bidegree, node) parts."""
     by_bidegree = {}
     for sign, bd, node in parts:
         by_bidegree.setdefault(bd, []).append((sign, node))
-    return CochainExpression(base, {bd: ("sum", tuple(p)) for bd, p in by_bidegree.items()})
+    return CochainExpression(bases, {bd: ("sum", tuple(p)) for bd, p in by_bidegree.items()})
 
 
 def as_expression(c):
@@ -324,7 +330,7 @@ def mixed_differential(c):
     parts = [(1, (m + 1, q), ("cech", m, q, node)) for (m, q), node in c.components.items()]
     parts += [((-1) ** m, (m, q + 1), ("group", m, q, node))
               for (m, q), node in c.components.items()]
-    return _combination(c.base, parts)
+    return _combination(c.bases, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +520,8 @@ def _unique_rows(M):
 
 
 def _expand(node, J, G, ids):
-    """Signed term blocks (bd, cell, J, G, pull, coeff) of a component over cells.
+    """Signed term blocks ((b, bd), cell, J, G, pull, coeff) of a component over cells,
+    (b, bd) the base position and bidegree the block reads.
 
     J (C, r) and G (C, s) hold index and word ids, one cell per row; `cell` in
     each block is that row. The differentials act on whole columns.
@@ -522,7 +529,7 @@ def _expand(node, J, G, ids):
     kind = node[0]
     C = len(J)
     if kind == "base":
-        return [(node[1], np.arange(C), J, G, np.zeros(C, dtype=np.int64),
+        return [(node[1:], np.arange(C), J, G, np.zeros(C, dtype=np.int64),
                  np.ones(C, dtype=np.int64))]
     if kind == "sum":
         return [_scaled(block, sign) for sign, child in node[1]
@@ -541,8 +548,8 @@ def _expand(node, J, G, ids):
                                   G[:, k + 1:]])
         blocks += [_scaled(block, (-1) ** k) for block in _expand(child, J, merged, ids)]
     # right multiplication by one word is injective, so no two keys collide
-    for bd, cell, Jb, Gb, pull, coeff in _expand(child, J, G[:, :-1], ids):
-        blocks.append((bd, cell, Jb, Gb, ids.mul_ids(pull, G[cell, -1]),
+    for src, cell, Jb, Gb, pull, coeff in _expand(child, J, G[:, :-1], ids):
+        blocks.append((src, cell, Jb, Gb, ids.mul_ids(pull, G[cell, -1]),
                        (-1) ** (q + 1) * coeff))
     return blocks
 
@@ -556,21 +563,23 @@ class TermPlan:
 
     The cells come as enumerate_cells gives them: (C, r) index-id and (C, s)
     word-id arrays of the action's id tables (_Ids) and the (C,) ids of their
-    index sets. A term key is a tuple of ids: (base bidegree, base J, base G,
-    pullback word). Built once: the component is expanded over all cells at
-    once, every word product and moved index read from the id tables; equal
-    keys of a cell cancel in integer coefficients, and each cell's terms are
-    ordered by the repr of their keys' indices and words, ranked once per
+    index sets. A term key is a tuple of ids: (base position, base bidegree,
+    base J, base G, pullback word). Built once: the component is expanded over
+    all cells at once, every word product and moved index read from the id
+    tables; equal keys of a cell cancel in integer coefficients, and each
+    cell's terms are ordered by their base's position in expr.bases and then
+    by the repr of their keys' bidegree, indices and words, ranked once per
     distinct key from strings made once per id. Then every value the terms
-    read is evaluated in one batch (_build_slots), and a term whose value is
-    structurally zero is dropped. Each remaining term has a signed
+    read is evaluated in one batch per base (_build_slots), and a term whose
+    value is structurally zero is dropped. Each remaining term has a signed
     coefficient and a slot in the value table: its base value evaluated on
     the cell's cloud, pulled back along the term's group word if it has one.
     """
 
     def __init__(self, expr, bidegree, cells):
-        base = self.base = expr.base
-        ids = self._ids = base.ids
+        self.bases = expr.bases
+        self.cover = expr.bases[0][1].cover
+        ids = self._ids = expr.bases[0][1].ids
         J, G, self._target = cells
         self.cells = list(zip(map(tuple, J.tolist()), map(tuple, G.tolist())))
         node = expr.components.get(bidegree)
@@ -580,13 +589,14 @@ class TermPlan:
         self._build_slots(cell[order], key[order], coeff[order])
 
     def _cancel(self, blocks, ids):
-        """Sum equal (cell, key) coefficients, drop zeros; name and rank the keys."""
+        """Sum equal (cell, key) coefficients, drop zeros; name and rank the keys. Key
+        ids run in base order."""
         groups = {}
-        for bd, cell, Jb, Gb, pull, coeff in blocks:
-            groups.setdefault((bd, Jb.shape[1], Gb.shape[1]), []).append(
+        for src, cell, Jb, Gb, pull, coeff in blocks:
+            groups.setdefault(src + (Jb.shape[1], Gb.shape[1]), []).append(
                 (np.column_stack([cell, Jb, Gb, pull]), coeff))
         self.keys, cells, keys, coeffs = [], [], [], []
-        for (bd, r, s), parts in groups.items():
+        for (b, bd, r, s), parts in sorted(groups.items(), key=lambda g: g[0][0]):
             rows, _, inverse = _unique_rows(np.concatenate([p[0] for p in parts]))
             total = np.zeros(len(rows), dtype=np.int64)
             np.add.at(total, inverse, np.concatenate([p[1] for p in parts]))
@@ -595,10 +605,11 @@ class TermPlan:
             cells.append(rows[:, 0])
             keys.append(key_of + len(self.keys))
             coeffs.append(total)
-            self.keys += [(bd, tuple(k[:r]), tuple(k[r:r + s]), k[-1]) for k in key_rows.tolist()]
-        reprs = [ids.key_repr(*k) for k in self.keys]
-        self._rank = np.empty(len(reprs), dtype=np.int64)
-        self._rank[sorted(range(len(reprs)), key=reprs.__getitem__)] = np.arange(len(reprs))
+            self.keys += [(b, bd, tuple(k[:r]), tuple(k[r:r + s]), k[-1])
+                          for k in key_rows.tolist()]
+        ranked = [(k[0], ids.key_repr(*k[1:])) for k in self.keys]
+        self._rank = np.empty(len(ranked), dtype=np.int64)
+        self._rank[sorted(range(len(ranked)), key=ranked.__getitem__)] = np.arange(len(ranked))
         if not cells:
             return (np.zeros(0, dtype=np.int64),) * 3
         return np.concatenate(cells), np.concatenate(keys), np.concatenate(coeffs)
@@ -610,24 +621,28 @@ class TermPlan:
         along the term's group word, once per (key, cloud): cells whose clouds
         have equal bytes share it whatever their index sets. A key known to
         vanish is never evaluated. The values are requested in one
-        evaluate_all call, so the labels of all of them share one label plan
-        per base bidegree, and a term is dropped when the value it reads is
-        structurally zero. Every value is stored once, in the table, and the
-        cochain's _cache keeps views into it.
+        evaluate_all call per base, so the labels of all of them share one
+        label plan per base bidegree, and a term is dropped when the value it
+        reads is structurally zero. Every value is stored once, in the table,
+        and each base's _cache keeps views into it.
         """
-        base = self.base
-        live = ~np.array([base.structurally_zero(*k[:3]) for k in self.keys], dtype=bool)[key]
+        keys, bases = self.keys, self.bases
+        live = ~np.array([bases[k[0]][1].structurally_zero(*k[1:4]) for k in keys],
+                         dtype=bool)[key]
         cell, key, coeff = cell[live], key[live], coeff[live]
         clouds = {s: self.points_of(s) for s in sorted(set(self._target.tolist()))}
         size = np.zeros(len(self._ids.sets), dtype=np.int64)
         cloud_id = np.zeros(len(self._ids.sets), dtype=np.int64)
         for s, P in clouds.items():
-            size[s], cloud_id[s] = len(P), base.cloud_id(P)
+            size[s], cloud_id[s] = len(P), bases[0][1].cloud_id(P)
         self._size = size[self._target]
         target = self._target[cell]
         pairs, first, pair_of = _unique_rows(np.stack([key, cloud_id[target]], 1))
-        forms = base.evaluate_all([self.keys[k][:3] + (clouds[target[i]], self.keys[k][3])
-                                   for k, i in zip(pairs[:, 0].tolist(), first.tolist())])
+        requests = [keys[k] + (clouds[target[i]],)
+                    for k, i in zip(pairs[:, 0].tolist(), first.tolist())]
+        # pairs run in key order, so in base order
+        forms = [v for b, (_, c) in enumerate(bases) for v in c.evaluate_all(
+            [(bd, J, G, P, pull) for x, bd, J, G, pull, P in requests if x == b])]
         live = np.array([not v.structurally_zero for v in forms], dtype=bool)
         slot = np.where(live, np.cumsum(live) - 1, -1)[pair_of]
         forms = [v for v, ok in zip(forms, live) if ok]
@@ -643,7 +658,7 @@ class TermPlan:
         self._first = np.cumsum(self.count) - self.count
 
     def points_of(self, set_id):
-        return self.base.cover.cloud(self._ids.sets[set_id])
+        return self.cover.cloud(self._ids.sets[set_id])
 
     def points(self, c):
         """The cloud of cell c."""
@@ -680,15 +695,12 @@ class TermPlan:
 
     def describe(self, term, modulus):
         """The dominant_term entry of a report row for one of the plan's terms."""
-        bd, J, G, pull = self.keys[self.term_key[term]]
+        b, bd, J, G, pull = self.keys[self.term_key[term]]
         ids = self._ids
-        return _term_entry(self.base.name, bd, ids.index_names(J), ids.word_names(G),
-                           ids.word_name(pull), int(self.coeff[term]), modulus)
-
-
-def _term_entry(cochain, bd, indices, words, pullback, coeff, modulus):
-    return {"cochain": cochain, "bidegree": list(bd), "indices": indices, "words": words,
-            "pullback": pullback, "coefficient": coeff, "modulus": modulus}
+        return {"cochain": self.bases[b][0], "bidegree": list(bd),
+                "indices": ids.index_names(J), "words": ids.word_names(G),
+                "pullback": ids.word_name(pull), "coefficient": int(self.coeff[term]),
+                "modulus": modulus}
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +993,7 @@ def cohomologous_witness(cover, action, atlas_a, atlas_b, T):
 
     The edge direction enters as one extra step, placed before the Cech and
     group steps in the shuffle ordering; layer 0 holds atlas_b (the vertex
-    whose cocycle is subtracted), layer 1 atlas_a.
+    whose cocycle carries the minus sign), layer 1 atlas_a.
     """
     n_total = T.arity
     labeler = PathLabeler(cover, action, [atlas_b, atlas_a], T)
@@ -1049,34 +1061,28 @@ def worst_first(residual):
 
 
 class ResidualReport:
-    """Residuals of a differential over the cells of some bidegrees; report rows
-    are built only for the cells a caller reads.
+    """Residuals of an expression over the cells of its bidegrees; report rows are
+    built only for the cells a caller reads.
 
     Per bidegree one TermPlan sums the cells in batches, and
     forms.residual_facts gives each cell's residual, worst point, dominant term
     and that term's modulus. Those stay in (C,) arrays, in bidegree order and
-    then cell order, and `order` ranks the cells by worst_first. The residual
-    of a cell is its value under `diff`, minus the difference of the
-    `subtracted` cochains' base values when two are given (as in
-    witness_report: d(witness) - (tau_a - tau_b)), each requested once per
-    cell, on the cell's cloud; they count as terms with coefficients -1 and
-    +1, after the cell's own. `increasing` walks only strictly increasing Cech
-    tuples (enumerate_cells). No cell at all is a ValidationError.
+    then cell order, and `order` ranks the cells by worst_first. `increasing`
+    walks only strictly increasing Cech tuples (enumerate_cells). No cell at
+    all is a ValidationError.
     """
 
-    SUBTRACTED = ("tau_a", "tau_b")
-
-    def __init__(self, diff, bidegrees, tol, subtracted=(), increasing=False):
-        base = diff.base
+    def __init__(self, expr, tol, increasing=False):
+        cover, action = expr.bases[0][1].cover, expr.bases[0][1].action
         self._plans, self._start, facts = [], [], []
         size = 0
-        for bd in bidegrees:
-            plan = TermPlan(diff, bd, enumerate_cells(base.cover, base.action, *bd, increasing))
+        for bd in expr.bidegrees():
+            plan = TermPlan(expr, bd, enumerate_cells(cover, action, *bd, increasing))
             self._plans.append((bd, plan))
             self._start.append(size)
             size += len(plan.cells)
-            facts.append(self._facts(plan, bd, subtracted))
-        require_cells(size, bidegrees)
+            facts.append(self._facts(plan))
+        require_cells(size, expr.bidegrees())
         self.residual, self.worst_index, self.dominant, self.modulus = map(np.concatenate,
                                                                            zip(*facts))
         self.order = worst_first(self.residual)
@@ -1085,38 +1091,19 @@ class ResidualReport:
         self.tolerance = tol
 
     @staticmethod
-    def _facts(plan, bidegree, subtracted):
+    def _facts(plan):
         """(residual, worst point, dominant term, modulus) of the plan's cells in cell
-        order. The term is its position in the plan, len(plan.coeff) + k for the
-        k-th subtracted cochain's value, -1 for none."""
-        base = plan.base
+        order; the term is its position in the plan, -1 for none. A cell without
+        terms is the structural zero: residual 0 at its first point."""
         C = len(plan.cells)
         residual, modulus = np.zeros(C), np.zeros(C)
         worst, dominant_term = np.zeros(C, dtype=np.int64), np.full(C, -1, dtype=np.int64)
-        sub = [c.evaluate_all([(bidegree,) + cell + (plan.points(i), 0)
-                               for i, cell in enumerate(plan.cells)]) for c in subtracted]
         for cells, terms, values, total in plan.sums():
-            B, t = terms.shape
-            coeff = plan.coeff[terms]
             if total is None:
-                N = len(plan.points(cells[0]))
-                total = np.zeros((B, N, math.comb(base.n, base.form_degree)), dtype=complex)
-                values = np.zeros((B, 0) + total.shape[1:], dtype=complex)
-            zero = np.zeros((B, t), dtype=bool)
-            if subtracted:
-                a, b = ([x[i] for i in cells.tolist()] for x in sub)
-                A, Bv = (np.stack([f.values for f in x]) for x in (a, b))
-                total = total - (A - Bv)
-                coeff = np.column_stack([coeff, np.tile([-1, 1], (B, 1))])
-                values = np.concatenate([values, A[:, None], Bv[:, None]], axis=1)
-                zero = np.column_stack([zero] + [[f.structurally_zero for f in x]
-                                                 for x in (a, b)])
+                continue
             residual[cells], worst[cells], dominant, modulus[cells] = forms.residual_facts(
-                total, coeff, values, zero)
-            own = (dominant >= 0) & (dominant < t)
-            dominant_term[cells[own]] = terms[own, dominant[own]]
-            other = dominant >= t
-            dominant_term[cells[other]] = len(plan.coeff) + dominant[other] - t
+                total, plan.coeff[terms], values)
+            dominant_term[cells] = terms[np.arange(len(cells)), dominant]
             del values, total
         return residual, worst, dominant_term, modulus
 
@@ -1125,21 +1112,13 @@ class ResidualReport:
         p = bisect.bisect_right(self._start, i) - 1
         (bd, plan), c = self._plans[p], i - self._start[p]
         J, G = plan.cells[c]
-        ids = plan.base.ids
-        k, modulus = int(self.dominant[i]), float(self.modulus[i])
-        if k < 0:
-            term = None
-        elif k < len(plan.coeff):
-            term = plan.describe(k, modulus)
-        else:
-            k -= len(plan.coeff)
-            term = _term_entry(self.SUBTRACTED[k], bd, ids.index_names(J), ids.word_names(G),
-                               ids.word_name(0), (-1, 1)[k], modulus)
+        ids = plan._ids
+        k = int(self.dominant[i])
         point = plan.points(c)[int(self.worst_index[i])]
         return {"bidegree": list(bd), "indices": ids.index_names(J),
                 "words": ids.word_names(G), "residual": float(self.residual[i]),
                 "worst_point": [[z.real, z.imag] for z in point.tolist()],
-                "dominant_term": term}
+                "dominant_term": None if k < 0 else plan.describe(k, float(self.modulus[i]))}
 
     def worst(self):
         """The row of the worst cell."""
@@ -1163,12 +1142,16 @@ class ResidualReport:
 def closedness_report(cochain, tol, increasing=False):
     """The ResidualReport of the mixed differential over all next-degree cells, or
     with `increasing` over those whose Cech tuple strictly increases."""
-    diff = mixed_differential(cochain)
-    return ResidualReport(diff, diff.bidegrees(), tol, increasing=increasing)
+    return ResidualReport(mixed_differential(cochain), tol, increasing)
 
 
 def witness_report(witness, tau_a, tau_b, tol):
-    """The ResidualReport of d(witness) - (tau_a - tau_b) over all degree-n cells."""
+    """The ResidualReport of d(witness) - tau_a + tau_b over all degree-n cells: one
+    expression whose terms sum in key order, the witness's first, then -tau_a
+    and +tau_b (TermPlan)."""
     diff = mixed_differential(witness)
-    bidegrees = sorted(set(diff.bidegrees()) | set(tau_a.bidegrees()) | set(tau_b.bidegrees()))
-    return ResidualReport(diff, bidegrees, tol, (tau_a, tau_b))
+    bases = diff.bases + (("tau_a", tau_a), ("tau_b", tau_b))
+    parts = [(1, bd, node) for bd, node in diff.components.items()]
+    parts += [(sign, bd, ("base", b, bd)) for b, sign, tau in ((1, -1, tau_a), (2, 1, tau_b))
+              for bd in tau.bidegrees()]
+    return ResidualReport(_combination(bases, parts), tol)

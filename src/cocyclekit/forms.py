@@ -91,26 +91,22 @@ def signed_total(coeff, values):
     return total
 
 
-def residual_facts(total, coeff, values, zero):
+def residual_facts(total, coeff, values):
     """(residual, worst, dominant, modulus) of each cell of a batch, as (B,) arrays.
 
-    total (B, N, ...) holds the cells' sums, and coeff (B, t), values
-    (B, t, N, ...) and zero (B, t) their terms in sum order, zero marking the
-    structurally zero ones. A residual is the largest coefficient modulus of a
-    sum, which peaks at row `worst`; `dominant` is the live term with the
-    largest |coeff * value| there (-1 if none), of modulus `modulus`. The first
-    maximum wins; NaN ranks above every number."""
+    total (B, N, ...) holds the cells' sums, and coeff (B, t) and values
+    (B, t, N, ...) their t >= 1 terms in sum order. A residual is the largest
+    coefficient modulus of a sum, which peaks at row `worst`; `dominant` is the
+    term with the largest |coeff * value| there, of modulus `modulus`. The
+    first maximum wins; NaN ranks above every number."""
     fibre = tuple(range(2, total.ndim))
     per_point = np.abs(total).max(axis=fibre, initial=0.0)
     worst = per_point.argmax(axis=1)
     at = np.arange(len(total))
     moduli = np.abs(coeff.reshape(coeff.shape + (1,) * len(fibre))
                     * values[at, :, worst]).max(axis=fibre, initial=0.0)
-    # a structurally zero term, and the last column, rank below every live one
-    moduli = np.column_stack([np.where(zero, -1.0, moduli), np.full(len(total), -1.0)])
     dominant = moduli.argmax(axis=1)
-    modulus = moduli[at, dominant]
-    return per_point[at, worst], worst, np.where(modulus < 0, -1, dominant), modulus
+    return per_point[at, worst], worst, dominant, moduli[at, dominant]
 
 
 def theta_values(Jinv, dJ):

@@ -55,17 +55,20 @@ def _rational(s, location):
 
 def _cloud(points, n, location):
     """A JSON list of points as an (N, n) complex array, checked as one array: shape
-    (N, n, 2), int or float entries, all finite. Only a refused list is walked
+    (N, n, 2), real entries (_is_real_type), all finite. Only a refused list is walked
     point by point, to name the bad entry."""
     A = np.array(_require_list(points, location), dtype=object)
-    if A.shape == (len(points), n, 2) and set(map(type, A.flat)) <= {int, float}:
+    if A.shape == (len(points), n, 2) and all(map(_is_real_type, set(map(type, A.flat)))):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
             X = A.astype(float)
             if np.isfinite(X).all():
                 return X.view(complex)[..., 0]
     for p in points:
         _point(p, n, location)
-    return np.zeros((0, n), dtype=complex)  # only an empty list gets here
+    if points:
+        raise ScenarioError("points must be lists of %d [re, im] pairs of finite numbers" % n,
+                            location)
+    return np.zeros((0, n), dtype=complex)
 
 
 def _point(obj, n, location):
@@ -398,9 +401,15 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real_type(t):
+    """int, float and their subclasses, such as np.float64, are real number types; bool
+    is not, and neither is np.bool_, which subclasses neither."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _is_finite(v):
     """A real number within the float range: NaN, the infinities and larger ints are not."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    return _is_real_type(type(v)) and abs(v) <= sys.float_info.max
 
 
 # (field, test, what the test requires) for the scalar fields of a scenario,

@@ -13,15 +13,15 @@ from conftest import id_cell, reference_points
 def cech_differential(c):
     """Alternating sum over dropped Cech indices, each face read on the cell's cloud."""
     c = as_expression(c)
-    return CochainExpression(c.base, {(m + 1, q): ("cech", m, q, node)
-                                      for (m, q), node in c.components.items()})
+    return CochainExpression(c.bases, {(m + 1, q): ("cech", m, q, node)
+                                       for (m, q), node in c.components.items()})
 
 
 def group_differential(c):
     """Bar differential: drop-and-translate, merge adjacent letters, act on the last."""
     c = as_expression(c)
-    return CochainExpression(c.base, {(m, q + 1): ("group", m, q, node)
-                                      for (m, q), node in c.components.items()})
+    return CochainExpression(c.bases, {(m, q + 1): ("group", m, q, node)
+                                       for (m, q), node in c.components.items()})
 
 
 def base_value(c, bidegree, J, G):

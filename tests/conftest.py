@@ -69,7 +69,7 @@ def per_cell(provider, action):
 def plan_form(plan, c, total):
     """Cell c of a TermPlan as a SampledForm from its row of a batch total; a total
     of None is the structural zero."""
-    base = plan.base
+    base = plan.bases[0][1]
     if total is None:
         return SampledForm.zeros(base.n, base.form_degree, plan.points(c), ())
     return SampledForm(base.n, base.form_degree, plan.points(c), total)
@@ -78,7 +78,7 @@ def plan_form(plan, c, total):
 def cell_value(expr, bidegree, J, G):
     """An expression's value on one cell of cover indices and Words, from a TermPlan
     over that cell alone."""
-    plan = TermPlan(expr, bidegree, cell_arrays(expr.base.action, [(J, G)]))
+    plan = TermPlan(expr, bidegree, cell_arrays(expr.bases[0][1].action, [(J, G)]))
     (_, _, _, total), = plan.sums()
     return plan_form(plan, 0, None if total is None else total[0])
 

@@ -319,6 +319,19 @@ def test_run_reads_the_first_of_tied_worst_cells(rng):
     assert json.dumps(fields["worst"]) == json.dumps(rows[0])
 
 
+def test_an_expression_refuses_bases_of_another_action(rng):
+    # word and index ids are read in the first base's tables, so a base with
+    # tables of its own would be read with the wrong ones
+    cover, action = two_index_cover(rng)
+    w = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
+        {("a",): 1.0, ("b",): 2.0}, action)}, name="witness")
+    other = cg.trivial_action(["a", "b"], 2)
+    tau = cg.MixedCochain(cover, other, 2, 2, {(1, 0): constant_forms(
+        {J: 0.5 for J in itertools.product("ab", repeat=2)}, other)})
+    with pytest.raises(ValidationError, match="share cover, action"):
+        cg.witness_report(w, tau, tau, tol=1.0)
+
+
 def test_witness_dominant_term_can_be_a_tau_sample(rng):
     cover, action = two_index_cover(rng)
     w = cg.MixedCochain(cover, action, 2, 2, {(0, 0): constant_forms(
@@ -587,10 +600,19 @@ def test_generator_round_trip_keeps_a_nan_error():
     assert np.isnan(error) and name == "g"
 
 
-def test_the_witness_requests_each_subtracted_base_value_once_per_cell(monkeypatch):
-    scn = Scenario.load(SCENARIOS / "witness_reparam.scn")
-    taus = [scn.tau(scn.atlas, scn.n), scn.tau(scn.atlas_b, scn.n)]
-    requests = {id(tau): collections.Counter() for tau in taus}
+def witness_scenario(source, tmp_path, monkeypatch):
+    """A shipped scenario by file name, or a benchmark workload's at seed 2."""
+    if source.endswith(".scn"):
+        return Scenario.load(SCENARIOS / source)
+    monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
+    import workloads
+    path = tmp_path / (source + ".scn")
+    path.write_text(json.dumps(getattr(workloads, source.replace("-", "_"))(2)), encoding="utf-8")
+    return Scenario.load(path)
+
+
+def test_the_witness_requests_each_subtracted_base_value_once_per_cell(tmp_path, monkeypatch):
+    requests = {}
     evaluate_all = cg.MixedCochain.evaluate_all
 
     def counted(self, batch):
@@ -600,10 +622,58 @@ def test_the_witness_requests_each_subtracted_base_value_once_per_cell(monkeypat
         return evaluate_all(self, batch)
 
     monkeypatch.setattr(cg.MixedCochain, "evaluate_all", counted)
+    for source in ("witness_reparam.scn", "group-witness"):
+        scn = witness_scenario(source, tmp_path, monkeypatch)
+        taus = [scn.tau(scn.atlas, scn.n), scn.tau(scn.atlas_b, scn.n)]
+        requests.update({id(tau): collections.Counter() for tau in taus})
+        witness = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
+                                          todd_invariant(scn.n))
+        report = cg.witness_report(witness, *taus, tol=1e-7)
+        assert report.passed
+        sets = scn.action.ids().sets
+        cells = [(bd, tuple(J), tuple(G), scn.cover.cloud(sets[s]).tobytes())
+                 for bd in taus[0].bidegrees()
+                 for J, G, s in zip(*(a.tolist() for a in cg.enumerate_cells(
+                     scn.cover, scn.action, *bd)))]
+        assert len(cells) == len(report.residual)
+        for tau in taus:
+            live = [cell + (0,) for cell in cells if not tau.structurally_zero(*cell[:3])]
+            # each live value once, on its cell's own cloud; a structural zero never
+            assert requests[id(tau)] == collections.Counter(live), source
+            assert 0 < len(live) < len(cells), source
+
+
+def test_a_witness_cell_sums_its_own_terms_then_minus_tau_a_then_plus_tau_b(tmp_path,
+                                                                          monkeypatch):
+    scn = witness_scenario("group-witness", tmp_path, monkeypatch)
+    tau_a, tau_b = scn.tau(scn.atlas, scn.n), scn.tau(scn.atlas_b, scn.n)
     witness = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
                                       todd_invariant(scn.n))
-    report = cg.witness_report(witness, *taus, tol=1e-7)
-    assert report.passed
-    for counts in requests.values():
-        assert set(counts.values()) == {1}
-        assert sum(counts.values()) == len(report.residual)
+    report = cg.witness_report(witness, tau_a, tau_b, tol=1e-7)
+    ids = scn.action.ids()
+    differs = 0
+    for bd, plan in report._plans:
+        for cells, terms, values, total in plan.sums():
+            for r, c in enumerate(cells.tolist()):
+                keys = [plan.keys[k] for k in plan.term_key[terms[r]].tolist()]
+                J, G = plan.cells[c]
+                own = keys[:-2]
+                if not own or keys[-2:] != [(1, bd, J, G, 0), (2, bd, J, G, 0)]:
+                    continue
+                # the witness's terms first, ranked by the repr of their keys
+                assert {k[0] for k in own} == {0}
+                assert own == sorted(own, key=lambda k: ids.key_repr(*k[1:]))
+                coeff = plan.coeff[terms[r]].tolist()
+                assert coeff[-2:] == [-1, 1]
+                A, B = (tau.evaluate_all([(bd, J, G, plan.points(c), 0)])[0].values
+                        for tau in (tau_a, tau_b))
+                assert values[r, -2].tobytes() == A.tobytes()
+                assert values[r, -1].tobytes() == B.tobytes()
+                # left to right: own terms in key order, then -tau_a, then +tau_b
+                own_total = coeff[0] * values[r, 0]
+                for a, v in zip(coeff[1:-2], values[r, 1:-2]):
+                    own_total = own_total + a * v
+                assert total[r].tobytes() == ((own_total + -1 * A) + 1 * B).tobytes()
+                # the grouping shows in the bits: own - (A - B) differs on some cell
+                differs += total[r].tobytes() != (own_total - (A - B)).tobytes()
+    assert differs

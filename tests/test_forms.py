@@ -199,7 +199,7 @@ def test_apply_invariant_arity_mismatch():
         fo.apply_invariant(todd_invariant(2), [sf.theta(lib.henon_map(), [(0.1, 0.2)])])
 
 
-def loop_residual_facts(total, coeff, values, zero):
+def loop_residual_facts(total, coeff, values):
     """forms.residual_facts one cell, point and term at a time, NaN ranking first."""
     out = []
     for c in range(len(total)):
@@ -208,7 +208,7 @@ def loop_residual_facts(total, coeff, values, zero):
         best, modulus = -1, -1.0
         for j in range(len(coeff[c])):
             m = float(np.max(np.abs(coeff[c, j] * values[c, j, worst]), initial=0.0))
-            if not zero[c, j] and (best < 0 or nan_worst(m) > nan_worst(modulus)):
+            if best < 0 or nan_worst(m) > nan_worst(modulus):
                 best, modulus = j, m
         out.append((per_point[worst], worst, best, modulus))
     return out
@@ -221,13 +221,11 @@ def test_residual_facts_equal_the_loop_reference(seed):
     # small integers make ties between points and between terms common
     values = (rng.integers(-2, 3, (B, t, N, 3)) + 1j * rng.integers(-2, 3, (B, t, N, 3)))
     values[rng.random(values.shape) < 0.02] = np.nan
-    zero = rng.random((B, t)) < 0.4
-    zero[0] = True  # a cell of structural zeros has no dominant term
-    values[zero] = 0
+    values[0] = 0  # a cell of zero terms: its first term dominates with modulus 0
     coeff = rng.choice([-2, -1, 1, 3], (B, t))
     total = fo.signed_total(coeff, values)
-    got = fo.residual_facts(total, coeff, values, zero)
+    got = fo.residual_facts(total, coeff, values)
     for (r, worst, best, modulus), cell in zip(zip(*got), loop_residual_facts(
-            total, coeff, values, zero)):
+            total, coeff, values)):
         assert (worst, best) == cell[1:3]
         np.testing.assert_array_equal([r, modulus], [cell[0], cell[3]])

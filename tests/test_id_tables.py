@@ -163,11 +163,32 @@ def test_term_keys_rank_by_the_repr_of_their_objects(tmp_path, monkeypatch):
     keys = 0
     for bd in diff.bidegrees():
         plan = cg.TermPlan(diff, bd, cg.enumerate_cells(scn.cover, action, *bd))
-        for key_bd, J, G, pull in plan.keys:
+        for b, key_bd, J, G, pull in plan.keys:
             objects = (key_bd,) + object_cell(action, J, G) + (object_word(action, pull),)
-            assert ids.key_repr(key_bd, J, G, pull) == repr(objects)
+            assert b == 0 and ids.key_repr(key_bd, J, G, pull) == repr(objects)
             keys += 1
     assert keys
+
+
+def test_witness_terms_rank_own_by_repr_then_tau_a_then_tau_b(tmp_path, monkeypatch):
+    scn = workload_scenario("group-witness", 2, tmp_path, monkeypatch)
+    witness = cg.cohomologous_witness(scn.cover, scn.action, scn.atlas, scn.atlas_b,
+                                      todd_invariant(scn.n))
+    report = cg.witness_report(witness, scn.tau(scn.atlas, scn.n), scn.tau(scn.atlas_b, scn.n),
+                               1e-7)
+    ids, cells = scn.action.ids(), 0
+    for bd, plan in report._plans:
+        for c, (J, G) in enumerate(plan.cells):
+            first = plan._first[c]
+            keys = [plan.keys[k] for k in plan.term_key[first:first + plan.count[c]].tolist()]
+            ranked = sorted(keys, key=lambda k: (k[0], repr((k[1],) + object_cell(
+                scn.action, k[2], k[3]) + (object_word(scn.action, k[4]),))))
+            assert keys == ranked
+            # each tau reads the cell's own value, not pulled back
+            taus = [k for k in keys if k[0]]
+            assert taus == [k for k in ((1, bd, J, G, 0), (2, bd, J, G, 0)) if k in taus]
+            cells += len(keys) > len(taus) == 2
+    assert cells
 
 
 class Stored(dict):

@@ -547,6 +547,49 @@ def test_bad_point_in_check_exits_2_at_load(tmp_path, capsys, entry):
     assert "checks[1]" in err and "coordinate" in err and "Traceback" not in err
 
 
+THETA_POINTS = [[[0.1, 0.2], [0.3, -0.1]], [[0.0, 0.15], [-0.2, 0.25]]]
+
+
+def with_numbers(value, make):
+    """value with every float in it replaced by make(float)."""
+    if isinstance(value, list):
+        return [with_numbers(v, make) for v in value]
+    return make(value) if isinstance(value, float) else value
+
+
+def points_scenario(make, where):
+    """henon_z with a theta-composition check, the floats of its cover points or of
+    the check's points made by `make`: (data, location of those points)."""
+    data = load_scn("henon_z.scn")
+    data["checks"].append({"type": "theta-composition", "pairs": [["henon", "shear"]],
+                           "points": THETA_POINTS})
+    if where == "cover":
+        cloud = data["cover"]["clouds"][0]
+        cloud["points"] = with_numbers(cloud["points"], make)
+        return data, "cover/clouds[0]"
+    data["checks"][-1]["points"] = with_numbers(THETA_POINTS, make)
+    return data, "checks[1]"
+
+
+@pytest.mark.parametrize("where", ["cover", "theta-composition"])
+def test_numpy_float_points_load_as_the_float_ones(where):
+    want = Scenario(points_scenario(float, where)[0])
+    got = Scenario(points_scenario(np.float64, where)[0])
+    for key, P in want.cover.clouds.items():
+        assert len(P) and got.cover.clouds[key].tobytes() == P.tobytes()
+    P = want.checks[1]["points"]
+    assert len(P) == 2 and got.checks[1]["points"].tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda x: True, np.bool_], ids=["True", "np.bool_"])
+@pytest.mark.parametrize("where", ["cover", "theta-composition"])
+def test_boolean_points_are_refused_at_their_location(where, make):
+    data, location = points_scenario(make, where)
+    with pytest.raises(ScenarioError, match="finite numbers") as refused:
+        Scenario(data)
+    assert refused.value.location == location
+
+
 # JSON numbers that are no finite float: the NaN and infinities Python's json
 # reads, a float beyond the range and an integer too large for a float
 BAD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]

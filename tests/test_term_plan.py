@@ -2,10 +2,11 @@
 
 The oracle below is the walk `cechgroup` did for every cell before term plans:
 expand the cell's component into a dict of term keys with nested signed sums,
-order the keys by repr, evaluate each term at the cell's points (its base value
-there, pulled back along its group word if it has one) and add them left to
-right with forms.signed_sum. Plan-evaluated cells must match it bit for bit,
-including the structural-zero flag.
+order the keys by base position and then by the repr of the rest, evaluate
+each term at the cell's points (its base value there, pulled back along its
+group word if it has one) and add them left to right with forms.signed_sum.
+Plan-evaluated cells must match it bit for bit, including the structural-zero
+flag.
 """
 
 import itertools
@@ -60,7 +61,7 @@ def oracle_terms(node, J, G, action):
         return {}
     kind = node[0]
     if kind == "base":
-        return {(node[1], tuple(J), tuple(G), Word()): 1}
+        return {(node[1], node[2], tuple(J), tuple(G), Word()): 1}
     if kind == "sum":
         return _signed_sum((sign, oracle_terms(child, J, G, action)) for sign, child in node[1])
     _, m, q, child = node
@@ -73,16 +74,17 @@ def oracle_terms(node, J, G, action):
     for k in range(1, q + 1):
         merged = G[:k - 1] + (G[k - 1] * G[k],) + G[k + 1:]
         parts.append(((-1) ** k, oracle_terms(child, J, merged, action)))
-    pulled = {(bd, Jb, Gb, pull * G[-1]): c
-              for (bd, Jb, Gb, pull), c in oracle_terms(child, J, G[:-1], action).items()}
+    pulled = {(b, bd, Jb, Gb, pull * G[-1]): c
+              for (b, bd, Jb, Gb, pull), c in oracle_terms(child, J, G[:-1], action).items()}
     parts.append(((-1) ** (q + 1), pulled))
     return _signed_sum(parts)
 
 
-def oracle_term_value(base, term, points):
-    """A term's value at the cell's points, straight from the provider, past the cache:
-    its base value there, or pulled back along its word."""
-    bd, J, G, pull = term
+def oracle_term_value(expr, term, points):
+    """A term's value at the cell's points, straight from its base's provider, past the
+    cache: its base value there, or pulled back along its word."""
+    b, bd, J, G, pull = term
+    base = expr.bases[b][1]
     provider, cell = base.components[bd], id_cell(base.action, J, G)
     if pull.is_identity():
         return provider([cell + (points, 0)])[0]
@@ -92,12 +94,12 @@ def oracle_term_value(base, term, points):
 
 
 def oracle_value(expr, bd, J, G):
-    base = expr.base
+    base = expr.bases[0][1]
     points = reference_points(base.cover, base.action, J, G)
     terms = sorted(oracle_terms(expr.components.get(bd), J, G, base.action).items(),
-                   key=lambda kv: repr(kv[0]))
+                   key=lambda kv: (kv[0][0], repr(kv[0][1:])))
     return signed_sum(base.n, base.form_degree, points,
-                      ((c, oracle_term_value(base, t, points)) for t, c in terms))
+                      ((c, oracle_term_value(expr, t, points)) for t, c in terms))
 
 
 def same_bits(got, want):
@@ -133,11 +135,12 @@ def setups(draw):
     return cover, action
 
 
-def cochain(cover, action, bidegrees, zero_every):
-    """Analytic base values, distinct per cell; every zero_every-th cell is structurally zero."""
+def cochain(cover, action, bidegrees, zero_every, salt=""):
+    """Analytic base values, distinct per cell and salt; every zero_every-th cell is
+    structurally zero."""
     def make(bd):
         def provider(J, G, P):
-            key = zlib.crc32(repr((bd, J, G)).encode())
+            key = zlib.crc32(repr((bd, J, G)).encode() + salt.encode())
             if zero_every and key % zero_every == 0:
                 return SampledForm.zeros(2, 2, P, ())
             c = np.random.default_rng(key).normal(size=(4, 2)) @ np.array([1, 1j])
@@ -154,8 +157,30 @@ def combination(*parts):
     for a, e in parts:
         for bd, node in e.components.items():
             nodes.setdefault(bd, []).append((a, node))
-    return cg.CochainExpression(parts[0][1].base,
+    return cg.CochainExpression(parts[0][1].bases,
                                 {bd: ("sum", tuple(p)) for bd, p in nodes.items()})
+
+
+def witness_like(c):
+    """d(c) - a + b over two more named bases a and b, as witness_report builds its
+    expression, a and b with structural zeros of their own."""
+    diff = cg.mixed_differential(c)
+    a, b = (cochain(c.cover, c.action, diff.bidegrees(), k, salt)
+            for k, salt in ((2, "a"), (3, "b")))
+    return cg.CochainExpression(diff.bases + (("a", a), ("b", b)), {
+        bd: ("sum", ((1, node), (-1, ("base", 1, bd)), (1, ("base", 2, bd))))
+        for bd, node in diff.components.items()})
+
+
+def base_first(c):
+    """-a + d(c) with a the first base: a's terms rank before c's, although the reprs
+    of their higher bidegrees would rank them after."""
+    bidegrees = cg.mixed_differential(c).bidegrees()
+    a = cochain(c.cover, c.action, bidegrees, 2, "a")
+    diff = cg.mixed_differential(cg.CochainExpression(
+        (("a", a), ("c", c)), {bd: ("base", 1, bd) for bd in c.components}))
+    return cg.CochainExpression(diff.bases, {
+        bd: ("sum", ((-1, ("base", 0, bd)), (1, node))) for bd, node in diff.components.items()})
 
 
 EXPRESSIONS = {
@@ -171,13 +196,15 @@ EXPRESSIONS = {
     "difference": lambda c: combination((1, cg.mixed_differential(c)),
                                         (-1, cg.mixed_differential(c))),
     "base": lambda c: combination((2, c.expression()), (1, c.expression())),
+    "witness": witness_like,
+    "base-first": base_first,
 }
 
 
 def plan_values(expr, bd, cells):
     """{cell: SampledForm} from one plan over all cells of cover indices and Words,
     batch by batch."""
-    action = expr.base.action
+    action = expr.bases[0][1].action
     plan = cg.TermPlan(expr, bd, cell_arrays(action, cells))
     out = {}
     for batch, _, _, total in plan.sums():
