@@ -128,10 +128,11 @@ def run_bm_dbar(scn, entry):
 def run_bm_reproducing(scn, entry):
     order = entry.get("order", 32)
     radii = entry.get("radii", [0.5, 1.0, 2.0])
+    z = entry.get("z", [0.0, 0.0])
     rule = gauss_legendre(order)
     rows = []
     for r in radii:
-        val = reproducing_integral(radius=r, order=order, rule=rule)
+        val = reproducing_integral(z=z, radius=r, order=order, rule=rule)
         err = abs(val - 1.0)
         rows.append({"radius": r, "value": [val.real, val.imag], "error": err})
     worst = max((row["error"] for row in rows), key=nan_worst)

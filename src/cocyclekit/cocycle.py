@@ -41,10 +41,10 @@ class LabelPlan:
     phi^# theta(f) = sum over j of (p_{j+1} . ... . p_m . phi)^# theta(p_j),
     an affine piece adding no term; so only named maps are differentiated.
     The terms of a rung are the table's (ChainTable.rungs), decided once per
-    (f, phi) for every plan of the table. theta(f, phi, Q) returns that sum
-    itself, which the theta-composition check compares with theta of the
-    symbolic composite; count_theta and take_theta split it, so that the
-    check counts every pair's thetas before it takes any.
+    (f, phi) for every plan of the table. count_theta and take_theta give
+    that sum, which the theta-composition check compares with theta of the
+    symbolic composite; the check counts every pair's thetas before it takes
+    any.
 
     add_label, with the chain ids of a chart path, counts one use of a label
     before anything is evaluated and, once per distinct label, the keys it
@@ -57,9 +57,11 @@ class LabelPlan:
     - a theta key (p, X), once per distinct theta_r key, on X = psi(Q);
     - a minors key ("minors", top chart, P): the k x k minors of the top
       chart's Jacobian on the source cloud P, which the label's pullback reads;
-    - the map values that evaluation reads, one store entry per (named map,
-      cloud): each piece of psi and of the top chart on the cloud it maps,
-      and p on X.
+    - a Jacobian key ("jacobian", m, X) of the named map m on the cloud X: the
+      minors key reads one per piece of the top chart, on the cloud it maps;
+    - an inverse key ("jacobian_inverse", m, X), whose value is the Jacobians
+      and their inverses: a theta_r key reads one per piece of psi, on the
+      cloud it maps, and a theta key one of p on X. It reads the Jacobian key.
 
     A label's key is the tuple of its ladder's chain ids, the tuple of its
     pullbacks' chain ids, its top chart's chain id and its source cloud's id,
@@ -67,25 +69,23 @@ class LabelPlan:
     Clouds enter keys as ids of their exact bytes, so equal clouds in distinct
     arrays share keys. A structurally zero label (label_vanishes) has the key
     None and reads no map. Maps keep no values (holomap.HoloMap): the plan
-    evaluates a map on a cloud when it counts the cloud's image, and holds
-    Jacobians and inverse Jacobians in its store.
+    evaluates a map on a cloud when it counts the cloud's image.
 
-    Keys are evaluated in batches, one stage at a time: the theta keys of one
-    named map, all theta_r keys, the minors keys of one top chart, and the
-    labels of one top chart. take(key) evaluates a key that is not held
-    together with the other counted keys of its stage and map not yet
-    evaluated, in count order, while the batch's largest array stays within
-    forms.BATCH_ENTRIES complex entries (the first key always joins). A batch
-    stacks its clouds into one array for one kernel call per step (a map's
-    program, the inversion, each einsum, apply_invariant) and splits the rows
-    back per key. A theta_r or minors batch runs each named map once on the
-    clouds its chains bring to it; a chain's Jacobian is the product of its
-    pieces', its inverse the reversed product of theirs, so no composite is
-    inverted. The store fills the clouds of a map it does not hold with one
-    program run on their stack (one inversion for inverse Jacobians) and
-    keeps each cloud's rows under that cloud's id, never a stack's. Each key
-    and each store entry is held from its evaluation to its last read, then
-    dropped, so a plan whose keys are all taken holds nothing.
+    Keys are evaluated in batches, one stage at a time: the Jacobian keys of
+    one named map, its inverse keys, its theta keys, all theta_r keys, the
+    minors keys of one top chart, and the labels of one top chart. take(key)
+    evaluates a key that is not held together with the other counted keys of
+    its stage and map not yet evaluated, in count order, while the batch's
+    largest array stays within forms.BATCH_ENTRIES complex entries (the first
+    key always joins). A batch stacks its clouds into one array for one
+    kernel call per step (a map's program, the inversion, each einsum,
+    apply_invariant) and splits the rows back per key, so a held Jacobian has
+    the rows of one cloud, never of a stack; held Jacobians and inverses are
+    read-only, since every key that reads them shares them. A chain's
+    Jacobian is the product of its pieces', its inverse the reversed product
+    of theirs, so no composite is inverted. Each key is held from its
+    evaluation to its last use, then dropped, so a plan whose keys are all
+    taken holds nothing.
 
     When a batch raises (SingularJacobianError, DomainError), the key taken is
     evaluated again alone, so the error is the one that key raises on its own
@@ -103,15 +103,13 @@ class LabelPlan:
         self._stage = {}    # key not yet evaluated -> its (stage, map or chain id)
         self._pending = {}  # (stage, map or chain id) -> {key: (entries, arguments)}
         self._ranks = {}    # label key -> sort key of the clouds it reads
-        self._reads = {}    # (map id, cloud id) -> keys still to read its store entry
-        self._store = {}    # (map id, cloud id) -> {"jacobian" or "jacobian_inverse": rows}
         self._images = {}   # (map id, cloud id) -> id of the map's image of the cloud
         self._clouds = {}   # exact bytes of a cloud -> its id
         self._points = []   # cloud id -> the cloud
 
     def __len__(self):
-        """Keys counted or held and not yet released."""
-        return len(self._uses) + len(self._held) + len(self._reads)
+        """Keys counted or held and not yet dropped."""
+        return len(self._uses) + len(self._held)
 
     def cloud(self, P):
         """Id of the (N, n) cloud P, equal for clouds with equal bytes."""
@@ -129,15 +127,6 @@ class LabelPlan:
             xid = self._images[(m, cid)] = self.cloud(self._maps[m].eval(self._points[cid]))
         return xid
 
-    def _walk(self, pieces, cid):
-        """Ids of the clouds the pieces of a chain map, innermost first, from the cloud
-        with id cid; each image was made when the chain's key was counted."""
-        cids = []
-        for m in reversed(pieces):
-            cids.append(cid)
-            cid = self._images[(m, cid)]
-        return cids
-
     def _count(self, key):
         """One more use of key; True on the first, when the caller records how to evaluate it."""
         uses = self._uses.get(key, 0)
@@ -149,34 +138,6 @@ class LabelPlan:
         entries of its largest array and the arguments that the stage evaluates it from."""
         self._stage[key] = (stage, m)
         self._pending.setdefault((stage, m), {})[key] = (entries, args)
-
-    def _count_read(self, m, cid):
-        """One more read of the store entry of the named map m on the cloud with id cid."""
-        self._reads[(m, cid)] = self._reads.get((m, cid), 0) + 1
-
-    def _values(self, kind, m, cids):
-        """The "jacobian" or "jacobian_inverse" rows of the named map m on the clouds with
-        ids cids, stacked (_fill holds them)."""
-        self._fill(kind, m, cids)
-        return stack([self._store[(m, cid)][kind] for cid in cids])
-
-    def _fill(self, kind, m, cids):
-        """Hold the "jacobian" or "jacobian_inverse" rows of the named map m on the clouds
-        with ids cids. The clouds not held are computed together, by one program run
-        (or one inversion of their held Jacobians) on their stack, and each cloud's
-        rows are held under its own id, read-only, since every key of the plan that
-        reads them shares them. A raised error is never stored, so a failing cloud
-        fails on every call."""
-        fresh = [cid for cid in dict.fromkeys(cids) if kind not in self._store.get((m, cid), ())]
-        if fresh:
-            clouds = [self._points[cid] for cid in fresh]
-            if kind == "jacobian":
-                rows = self._maps[m].jacobian(stack(clouds))
-            else:
-                rows = invert_jacobians(self._values("jacobian", m, fresh), stack(clouds))
-            rows.flags.writeable = False
-            for cid, block in zip(fresh, split_rows(rows, clouds)):
-                self._store.setdefault((m, cid), {})[kind] = block
 
     def take(self, key):
         """The value of a counted key, evaluated with its batch if not held; dropped after
@@ -225,21 +186,26 @@ class LabelPlan:
             del self._held[key]
             self._ranks.pop(key, None)
 
-    def _release(self, m, cid):
-        """One read of m's store entry on a cloud done; the last drops the entry."""
-        reads = self._reads.pop((m, cid)) - 1
-        if reads:
-            self._reads[(m, cid)] = reads
-        else:
-            del self._store[(m, cid)]
+    def _add_jacobian(self, m, cid, inverse):
+        """Count the Jacobians of the named map m on the cloud with id cid, or with
+        `inverse` the Jacobians and their inverses, which read the former; its key."""
+        key = ("jacobian_inverse" if inverse else "jacobian", m, cid)
+        if self._count(key):
+            P = self._points[cid]
+            entries = len(P) * P.shape[1] ** 2
+            if inverse:
+                self._pend(key, self._inverses, m, entries, self._add_jacobian(m, cid, False))
+            else:
+                self._pend(key, self._jacobians, m, entries, key)
+        return key
 
     def _add_theta(self, p, xid):
         """Count theta(p) of the named map p on the cloud with id xid; its key."""
         key = (p, xid)
         if self._count(key):
             X = self._points[xid]
-            self._pend(key, self._thetas, p, len(X) * X.shape[1] ** 3, (p, X, xid))
-            self._count_read(p, xid)
+            self._pend(key, self._thetas, p, len(X) * X.shape[1] ** 3,
+                       (p, X, self._add_jacobian(p, xid, True)))
         return key
 
     def _add_term(self, p, psi, qid):
@@ -248,16 +214,15 @@ class LabelPlan:
         if not psi:
             return self._add_theta(p, qid), qid
         key = (p, psi, qid)
-        first, xid = self._count(key), qid
-        pieces = self.chains.chains[psi]
-        for m in reversed(pieces):
+        first, xid, reads = self._count(key), qid, []
+        for m in reversed(self.chains.chains[psi]):
             if first:
-                self._count_read(m, xid)
+                reads.append(self._add_jacobian(m, xid, True))
             xid = self._image(m, xid)
         if first:
             Q = self._points[qid]
             self._pend(key, self._theta_rs, None, len(Q) * Q.shape[1] ** 3,
-                       (pieces, self._add_theta(p, xid), Q, qid))
+                       (self._add_theta(p, xid), Q, tuple(reads)))
         return key, xid
 
     def _add_rung(self, f, phi, qid):
@@ -266,16 +231,11 @@ class LabelPlan:
         terms = [self._add_term(p, psi, qid) for p, psi in self.chains.rungs(f, phi)]
         return tuple(key for key, _ in terms), tuple(xid for _, xid in terms)
 
-    def theta(self, f, phi, Q):
-        """phi^# theta(f) of the transition chain f pulled back along the chain phi
-        (chain ids of the plan's table), on the (N, n) cloud Q: count_theta, then
-        take_theta."""
-        return self.take_theta(self.count_theta(f, phi, Q), Q)
-
     def count_theta(self, f, phi, Q):
-        """Count phi^# theta(f) on the (N, n) cloud Q, evaluating nothing but the maps
-        that carry Q to the clouds its terms read; the keys of its theta_r terms,
-        for take_theta. Thetas counted together are evaluated together."""
+        """Count phi^# theta(f) of the transition chain f pulled back along the chain phi
+        (chain ids of the plan's table) on the (N, n) cloud Q, evaluating nothing but
+        the maps that carry Q to the clouds its terms read; the keys of its theta_r
+        terms, for take_theta. Thetas counted together are evaluated together."""
         return self._add_rung(f, phi, self.cloud(Q))[0]
 
     def take_theta(self, keys, Q):
@@ -299,16 +259,15 @@ class LabelPlan:
         if self._count(key):
             P = self._points[pid]
             n, k = P.shape[1], self.T.arity
-            pieces = self.chains.chains[top]
             minors = ("minors", top, pid)
-            first, qid = self._count(minors), pid
-            for m in reversed(pieces):
+            first, qid, reads = self._count(minors), pid, []
+            for m in reversed(self.chains.chains[top]):
                 if first:
-                    self._count_read(m, qid)
+                    reads.append(self._add_jacobian(m, qid, False))
                 qid = self._image(m, qid)
             if first:
                 self._pend(minors, self._minors, top, len(P) * (math.comb(n, k) * k) ** 2,
-                           (pieces, P, pid))
+                           (P, tuple(reads)))
             rungs = [self._add_rung(f, phi, qid) for f, phi in zip(ladder, pullbacks + (0,))]
             self._pend(key, self._labels, top,
                        len(P) * k * math.comb(n, k) * math.factorial(k) * n * n,
@@ -324,88 +283,79 @@ class LabelPlan:
         """
         return self._ranks[key]
 
-    def _chain_jacobians(self, chains, walks, clouds, inverse):
-        """Stacked Jacobians of chains (tuples of map ids) on their clouds, from the
-        clouds their pieces map (walks): products of the pieces' held Jacobians, and
-        with `inverse` also the inverses, the reversed products of the pieces'
-        inverses. A chain without pieces has the identity. Each named map runs once,
-        on every cloud the chains bring to it, and each partial product, that of an
-        innermost run of pieces on a cloud, is formed once however many chains
-        end in it."""
-        # a node is an innermost run of pieces on a start cloud: [id of the cloud its
-        # outermost piece maps, parent node, rows, J, Jinv]; the nodes of one depth
-        # and map are one product
-        nodes, groups, ends = {}, {}, []
-        for pieces, cids, P in zip(chains, walks, clouds):
-            node = None
-            for depth, m in enumerate(reversed(pieces)):
-                key = (m, cids[depth], id(node))
-                if key not in nodes:
-                    nodes[key] = [cids[depth], node, len(P), None, None]
-                    groups.setdefault((depth, m), []).append(nodes[key])
-                node = nodes[key]
-            ends.append(node)
-        runs = {}
-        for (_, m), members in groups.items():
-            runs.setdefault(m, {}).update((node[0], None) for node in members)
-        kind = "jacobian_inverse" if inverse else "jacobian"
-        for m, cids in runs.items():
-            self._fill(kind, m, list(cids))
-        for depth, m in sorted(groups, key=lambda group: group[0]):
-            members = groups[(depth, m)]
-            cids = [node[0] for node in members]
-            J = self._values("jacobian", m, cids)
-            if depth:
-                J = J @ stack([node[1][3] for node in members])
-            if inverse:
-                Jinv = self._values("jacobian_inverse", m, cids)
+    def _chain_jacobians(self, reads, clouds, inverse):
+        """[J] or, with `inverse`, [J, J^-1]: the stacked Jacobians of chains on their
+        clouds, and their inverses, from the held keys of their pieces, innermost
+        first (`reads`, tuples): Jacobian keys, or inverse keys with `inverse`. A
+        chain's Jacobian is the product of its pieces', its inverse the reversed
+        product of theirs, and one without pieces has the identity. Each depth is one
+        stacked product over the distinct runs of innermost pieces that long: a run
+        multiplies its outermost piece's J on the left of its inner run's, and J^-1
+        on the right, so chains that start alike share those products."""
+        sides = 2 if inverse else 1
+        products = {}  # run of piece keys, innermost first -> its [J] or [J, J^-1]
+        for depth in range(max(map(len, reads))):
+            runs = list(dict.fromkeys(keys[:depth + 1] for keys in reads if len(keys) > depth))
+            values = [self._get(run[-1]) for run in runs]
+            parts = [self._points[run[0][2]] for run in runs]
+            blocks = []
+            for side in range(sides):
+                rows = stack([value[side] for value in values] if inverse else values)
                 if depth:
-                    Jinv = stack([node[1][4] for node in members]) @ Jinv
-            lo = 0
-            for node in members:
-                node[3] = J[lo:lo + node[2]]
-                if inverse:
-                    node[4] = Jinv[lo:lo + node[2]]
-                lo += node[2]
+                    below = stack([products[run[:-1]][side] for run in runs])
+                    rows = below @ rows if side else rows @ below
+                blocks.append(split_rows(rows, parts))
+            products.update(zip(runs, zip(*blocks)))
         n = clouds[0].shape[1]
         eye = np.eye(n, dtype=complex)
-        J = np.concatenate([np.broadcast_to(eye, (len(P), n, n)) if node is None else node[3]
-                            for node, P in zip(ends, clouds)])
-        Jinv = np.concatenate([np.broadcast_to(eye, (len(P), n, n)) if node is None else node[4]
-                               for node, P in zip(ends, clouds)]) if inverse else None
-        return J, Jinv
+        return [np.concatenate([products[keys][side] if keys else
+                                np.broadcast_to(eye, (len(P), n, n))
+                                for keys, P in zip(reads, clouds)]) for side in range(sides)]
 
     # the stages: each evaluates a batch of argument tuples, one value per tuple,
-    # and uses up the batch's reads only once every value exists
+    # and uses up the keys it read only once every value exists
+
+    def _jacobians(self, batch):
+        m, clouds = batch[0][1], [self._points[cid] for _, _, cid in batch]
+        rows = self._maps[m].jacobian(stack(clouds))
+        rows.flags.writeable = False
+        return split_rows(rows, clouds)
+
+    def _inverses(self, batch):
+        clouds = [self._points[cid] for _, _, cid in batch]
+        Js = [self._get(key) for key in batch]
+        rows = invert_jacobians(stack(Js), stack(clouds))
+        rows.flags.writeable = False
+        for key in batch:
+            self._use(key)
+        return list(zip(Js, split_rows(rows, clouds)))
 
     def _thetas(self, batch):
         p, clouds = batch[0][0], [X for _, X, _ in batch]
-        Jinv = self._values("jacobian_inverse", p, [xid for _, _, xid in batch])
+        Jinv = stack([self._get(key)[1] for _, _, key in batch])
         values = theta_values(Jinv, self._maps[p].djacobian(stack(clouds)))
-        for _, _, xid in batch:
-            self._release(p, xid)
+        for _, _, key in batch:
+            self._use(key)
         return split_rows(values, clouds)
 
     def _theta_rs(self, batch):
-        walks = [self._walk(psi, qid) for psi, _, _, qid in batch]
-        clouds = [Q for _, _, Q, _ in batch]
-        J, Jinv = self._chain_jacobians([psi for psi, _, _, _ in batch], walks, clouds, True)
-        omegas = stack([self._get(theta_key) for _, theta_key, _, _ in batch])
+        clouds = [Q for _, Q, _ in batch]
+        J, Jinv = self._chain_jacobians([reads for _, _, reads in batch], clouds, True)
+        omegas = stack([self._get(theta_key) for theta_key, _, _ in batch])
         values = split_rows(sharp_values(J, Jinv, omegas), clouds)
-        for (psi, theta_key, _, _), cids in zip(batch, walks):
+        for theta_key, _, reads in batch:
             self._use(theta_key)
-            for m, cid in zip(reversed(psi), cids):
-                self._release(m, cid)
+            for key in reads:
+                self._use(key)
         return values
 
     def _minors(self, batch):
-        pieces, clouds = batch[0][0], [P for _, P, _ in batch]
-        walks = [self._walk(pieces, pid) for _, _, pid in batch]
-        J, _ = self._chain_jacobians([pieces] * len(batch), walks, clouds, False)
+        clouds = [P for P, _ in batch]
+        J, = self._chain_jacobians([reads for _, reads in batch], clouds, False)
         values = jacobian_minors(J, self.T.arity)
-        for cids in walks:
-            for m, cid in zip(reversed(pieces), cids):
-                self._release(m, cid)
+        for _, reads in batch:
+            for key in reads:
+                self._use(key)
         return split_rows(values, clouds)
 
     def _labels(self, batch):
@@ -425,3 +375,4 @@ class LabelPlan:
                     self._use(t)
             self._use(m)
         return [SampledForm(n, k, P, v) for P, v in zip(clouds, split_rows(values, clouds))]
+

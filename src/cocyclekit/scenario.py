@@ -72,11 +72,12 @@ def _cloud(points, n, location):
 
 
 def _point(obj, n, location):
-    """Refuse a point that is not n [re, im] pairs of finite numbers."""
-    if not isinstance(obj, list) or len(obj) != n:
+    """Refuse a point that is not n [re, im] pairs of finite numbers. Points and pairs
+    may be lists, tuples or numpy arrays, the containers np.array reads in _cloud."""
+    if not isinstance(obj, _SEQUENCES) or len(obj) != n:
         raise ScenarioError("point must have %d [re, im] coordinates" % n, location)
     for c in obj:
-        if not (isinstance(c, list) and len(c) == 2 and all(map(_is_finite, c))):
+        if not (isinstance(c, _SEQUENCES) and len(c) == 2 and all(map(_is_finite, c))):
             raise ScenarioError("coordinate must be an [re, im] pair of finite numbers, "
                                 "got %.60r" % (c,), location)
 
@@ -353,6 +354,9 @@ class Scenario:
                     self.map_named(name, loc)
         if ctype in ("bm-dbar", "bm-reproducing"):
             validate_bm_fields(entry, loc)
+        if ctype == "bm-reproducing" and entry.get("n", 2) != 2:
+            raise ScenarioError("'n' must be 2, the spheres of bm-reproducing lie in C^2, "
+                                "got %r" % (entry["n"],), loc)
 
     def _simplex(self, entry, loc):
         """The (atlas, arity, transitions) of a telescoping/dk-validate entry's tau.
@@ -395,6 +399,9 @@ def _require_round_trip(worst, tol, what, section):
     if not error <= tol:
         raise ScenarioError("%s round trip off by %.3e > %.1e" % (what, error, tol),
                             "%s/%s" % (section, name))
+
+
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
 def _is_int(v):

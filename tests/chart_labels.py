@@ -9,10 +9,11 @@ also holds the paths of tau's cells (path_labels) and transitions no atlas can
 express.
 
 cf_label_top and theta_r are plans of a single label or a single theta_r,
-so they share no key with any other label; add_top_label counts the top
-label of a whole chart path in a plan; validate checks that a chart path's
-transitions reproduce its charts on the samples; sub_simplex is the chart
-path of a face. No check type reaches them, so they live with the tests.
+so they share no key with any other label; plan_theta counts and takes one
+theta_r in a given plan; add_top_label counts the top label of a whole chart
+path in a plan; validate checks that a chart path's transitions reproduce its
+charts on the samples; sub_simplex is the chart path of a face. No check type
+reaches them, so they live with the tests.
 """
 
 from typing import NamedTuple
@@ -94,7 +95,14 @@ def theta_r(s, r, points):
         raise ValidationError("r must be in 1..%d" % s.level)
     table = ChainTable(s.inverses)
     phi = chain_id(table, s.transitions[r, s.level]) if r < s.level else 0
-    return LabelPlan(None, table).theta(chain_id(table, s.transitions[r - 1, r]), phi, Q)
+    return plan_theta(LabelPlan(None, table), chain_id(table, s.transitions[r - 1, r]), phi, Q)
+
+
+def plan_theta(plan, f, phi, Q):
+    """phi^# theta(f) of the transition chain f pulled back along the chain phi
+    (chain ids of the plan's table), on the (N, n) cloud Q: counted in the plan
+    (LabelPlan.count_theta), then taken (take_theta)."""
+    return plan.take_theta(plan.count_theta(f, phi, Q), Q)
 
 
 def chain_id(table, maps):

@@ -20,7 +20,7 @@ import cocyclekit.holomap as hm
 import library as lib
 import map_values as mv
 import sampled_forms as sf
-from chart_labels import COHERENCE_TOL, chart_path, entry_path, theta_r, validate
+from chart_labels import COHERENCE_TOL, chart_path, entry_path, plan_theta, theta_r, validate
 from cocyclekit import cli
 from cocyclekit.errors import DomainError, ValidationError
 from cocyclekit.invariants import todd_invariant
@@ -247,9 +247,9 @@ def test_theta_composition_sides_equal_the_one_map_references(source, tmp_path, 
         f, g = scn.maps[fname], scn.maps[gname]
         plan = co.LabelPlan(None)
         table = plan.chains
-        lhs = plan.theta(table.chain((table.map(hm.compose(f, g)),)), 0, P)
-        rhs = plan.theta(table.chain((table.map(f), table.map(g))), 0, P)
-        assert len(plan) == 0 and not plan._store
+        lhs = plan_theta(plan, table.chain((table.map(hm.compose(f, g)),)), 0, P)
+        rhs = plan_theta(plan, table.chain((table.map(f), table.map(g))), 0, P)
+        assert len(plan) == 0 and not plan._held
         want = sf.add(sf.sharp_pullback(g, sf.theta(f, g.eval(P)), P), sf.theta(g, P))
         assert lhs.values.tobytes() == sf.theta(hm.compose(f, g), P).values.tobytes()
         assert rhs.values.tobytes() == want.values.tobytes(), (fname, gname)
@@ -264,8 +264,8 @@ def per_pair_theta_composition(scn, entry):
         for fname, gname in entry["pairs"]:
             f, g = scn.maps[fname], scn.maps[gname]
             plan = co.LabelPlan(None, table)
-            lhs = plan.theta(table.chain((table.map(hm.compose(f, g)),)), 0, P)
-            rhs = plan.theta(table.chain((table.map(f), table.map(g))), 0, P)
+            lhs = plan_theta(plan, table.chain((table.map(hm.compose(f, g)),)), 0, P)
+            rhs = plan_theta(plan, table.chain((table.map(f), table.map(g))), 0, P)
             residuals.append(float(np.max(np.abs(lhs.values - rhs.values)))
                              / (1.0 + lhs.max_abs()))
     except DomainError as err:

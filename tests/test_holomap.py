@@ -197,13 +197,16 @@ def test_equal_clouds_in_distinct_arrays_run_the_jacobian_once_per_plan(monkeypa
     cids = [plan.cloud(pts), plan.cloud(pts.copy()),
             plan.cloud(hm.as_cloud([tuple(p) for p in pts], 2))]
     assert len(set(cids)) == 1
-    first = plan._values("jacobian", f, cids[:1])
-    assert plan._values("jacobian", f, cids[1:2]) is first
-    assert np.array_equal(plan._values("jacobian", f, cids[2:]), first)
+    keys = [plan._add_jacobian(f, cid, False) for cid in cids]
+    inverse = plan._add_jacobian(f, cids[0], True)
+    assert len(set(keys)) == 1
+    first = plan.take(keys[0])
+    assert plan.take(keys[1]) is first and plan.take(keys[2]) is first
     assert [kind for _, kind, _ in runs] == ["jacobian"]
-    # the inverse reuses the held Jacobian; a different cloud is a new run
-    plan._values("jacobian_inverse", f, cids)
-    plan._values("jacobian", f, [plan.cloud(pts[:3])])
+    # the inverse reads the held Jacobian; a different cloud is a new run
+    J, _ = plan.take(inverse)
+    assert J is first and len(plan) == 0
+    plan.take(plan._add_jacobian(f, plan.cloud(pts[:3]), False))
     assert [kind for _, kind, _ in runs] == ["jacobian", "jacobian"]
 
 
@@ -212,11 +215,16 @@ def test_a_plan_runs_a_map_once_on_a_stack_of_the_clouds_it_lacks(monkeypatch, r
     f = lib.henon_map()
     pts = np.array(random_points(rng, 6))
     plan = co.LabelPlan(None)
+    m = plan.chains.map(f)
     a, b, c = (plan.cloud(P) for P in (pts[:2], pts[2:5], pts[5:]))
-    plan._values("jacobian", plan.chains.map(f), [b])
-    rows = plan._values("jacobian", plan.chains.map(f), [a, b, c, a])
+    keys = [plan._add_jacobian(m, b, False) for _ in range(2)]
+    plan.take(keys.pop())  # b alone; its rows are held for the second use
+    keys = [plan._add_jacobian(m, a, False)] + keys + [plan._add_jacobian(m, cid, False)
+                                                       for cid in (c, a)]
+    rows = np.concatenate([plan.take(key) for key in keys])
     # one run for b, then one on the stack of a and c; rows come back in request order
     assert [len(P) // (16 * 2) for _, _, P in runs] == [3, 3]
+    assert len(plan) == 0
     want = np.concatenate([f.jacobian(P) for P in (pts[:2], pts[2:5], pts[5:], pts[:2])])
     assert rows.tobytes() == want.tobytes()
 
@@ -226,11 +234,13 @@ def test_held_values_are_read_only(rng):
     f = plan.chains.map(lib.henon_map())
     pts = np.array(random_points(rng, 3))
     cids = [plan.cloud(pts), plan.cloud(pts[:1])]
-    for kind in ("jacobian", "jacobian_inverse"):
-        for out in (plan._values(kind, f, cids[:1]), plan._values(kind, f, cids[1:])):
-            assert not out.flags.writeable
-            with pytest.raises(ValueError):
-                out[0] = 0
+    for inverse in (False, True):
+        for cid in cids:
+            value = plan.take(plan._add_jacobian(f, cid, inverse))
+            for out in value if inverse else (value,):
+                assert not out.flags.writeable
+                with pytest.raises(ValueError):
+                    out[0] = 0
 
 
 def test_maps_keep_no_values(rng):
@@ -247,12 +257,15 @@ def test_singular_cloud_raises_on_every_read(monkeypatch):
     plan = co.LabelPlan(None)
     sq = plan.chains.map(lib.diagonal_square_map())
     cid = plan.cloud(hm.as_cloud([(0.5, 0.1), (0.0, 0.3 + 0.2j)], 2))
+    key = plan._add_jacobian(sq, cid, True)
     for _ in range(2):
         with pytest.raises(SingularJacobianError) as err:
-            plan._values("jacobian_inverse", sq, [cid])
+            plan.take(key)
         assert err.value.point == (0.0, 0.3 + 0.2j)
+    # the Jacobian ran once and is held for the inverse's next take; no inverse is held
     assert [kind for _, kind, _ in runs] == ["jacobian"]
-    assert "jacobian_inverse" not in plan._store[(sq, cid)]
+    jacobian = ("jacobian", sq, cid)
+    assert list(plan._held) == [jacobian] and plan._uses == {key: 1, jacobian: 1}
 
 
 def test_a_word_pullback_equals_the_value_at_the_moved_points_pulled_back(monkeypatch, rng):

@@ -99,8 +99,8 @@ def test_each_theta_and_theta_r_key_is_evaluated_once_per_pass(monkeypatch):
 
     def counted_theta_rs(self, batch):
         maps = self.chains.maps
-        theta_rs.update((maps[theta_key[0]], tuple(maps[m] for m in psi), Q.tobytes())
-                        for psi, theta_key, Q, _ in batch)
+        theta_rs.update((maps[theta_key[0]], tuple(maps[m] for _, m, _ in reads), Q.tobytes())
+                        for theta_key, Q, reads in batch)
         return theta_r_stage(self, batch)
 
     monkeypatch.setattr(co.LabelPlan, "_thetas", counted_thetas)
@@ -112,7 +112,7 @@ def test_each_theta_and_theta_r_key_is_evaluated_once_per_pass(monkeypatch):
 
 def recorded_plans(monkeypatch):
     """(plans, reads) of every LabelPlan the pass makes: the plans, and (plan, map,
-    cloud) for every store read counted."""
+    cloud) for every read of a Jacobian or inverse key counted."""
     plans, reads = [], []
 
     class Recorded(co.LabelPlan):
@@ -120,9 +120,9 @@ def recorded_plans(monkeypatch):
             super().__init__(*args)
             plans.append(self)
 
-        def _count_read(self, m, cid):
-            super()._count_read(m, cid)
+        def _add_jacobian(self, m, cid, inverse):
             reads.append((self, self.chains.maps[m], self._points[cid]))
+            return super()._add_jacobian(m, cid, inverse)
 
     for module in (co, cg, cli):
         monkeypatch.setattr(module, "LabelPlan", Recorded)
@@ -133,9 +133,8 @@ def test_plans_hold_no_live_entry_after_a_pass(monkeypatch):
     plans, reads = recorded_plans(monkeypatch)
     scn = Scenario.load(SCENARIOS / "cech_todd3.scn")
     assert closedness_pass(scn)["status"] == "pass"
-    assert plans and all(len(plan) == 0 for plan in plans)
-    # the map values the plans read were held in their stores, and are gone too
-    assert reads and not any(plan._store for plan in plans)
+    # the plans read Jacobian and inverse keys, and hold none of them, nor any other key
+    assert reads and plans and all(len(plan) == 0 and not plan._held for plan in plans)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -225,36 +224,63 @@ def run_inputs(tmp_path):
 
 def test_a_run_leaves_no_plan_entry_and_no_map_value(monkeypatch, tmp_path):
     """A run of every shipped scenario and both benchmark workloads (seed 2) leaves
-    every plan empty, its store too, and no map holding arrays; a store holds
-    rows of real clouds only, never of a stack."""
+    every plan empty and no map holding arrays; every Jacobian or inverse a plan
+    holds has the rows of the one real cloud of its key, never of a stack."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    plans, reads = recorded_plans(monkeypatch)
-    maps, rows = [], []
-    init, values = hm.HoloMap.__init__, co.LabelPlan._values
+    plans, _ = recorded_plans(monkeypatch)
+    maps, held = [], []
+    init, evaluate = hm.HoloMap.__init__, co.LabelPlan._evaluate
 
     def recorded_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         maps.append(self)
 
-    def recorded_values(self, kind, m, cids):
-        out = values(self, kind, m, cids)
-        rows.extend(len(held) for entry in self._store.values() for held in entry.values())
-        return out
+    def recorded_evaluate(self, key):
+        evaluate(self, key)
+        for k, value in self._held.items():
+            if k[0] in ("jacobian", "jacobian_inverse"):
+                rows = [len(v) for v in (value if k[0] == "jacobian_inverse" else (value,))]
+                held.append((k[0], len(self._points[k[2]]), rows))
 
     monkeypatch.setattr(hm.HoloMap, "__init__", recorded_init)
-    monkeypatch.setattr(co.LabelPlan, "_values", recorded_values)
-    held = 0
+    monkeypatch.setattr(co.LabelPlan, "_evaluate", recorded_evaluate)
+    kinds = set()
     for path in run_inputs(tmp_path):
         scn = Scenario.load(path)
         results = cli.execute_checks(scn)
         assert results and all(r["status"] == "pass" for r in results), path.name
-        assert plans and all(len(plan) == 0 and not plan._store for plan in plans), path.name
+        assert plans and all(len(plan) == 0 and not plan._held for plan in plans), path.name
         assert maps and not any(holds_arrays(m) for m in maps), path.name
-        assert max(rows, default=0) <= max((len(P) for _, _, P in reads), default=0), path.name
-        held += len(rows)
-        for recorded in (plans, reads, maps, rows):
+        assert all(set(rows) == {n} for _, n, rows in held), path.name
+        kinds.update(kind for kind, _, _ in held)
+        for recorded in (plans, maps, held):
             recorded.clear()
-    assert held
+    assert kinds == {"jacobian", "jacobian_inverse"}
+
+
+def test_a_plan_runs_and_inverts_each_map_once_per_cloud(monkeypatch, tmp_path):
+    """Over every shipped scenario and both benchmark workloads (seed 2): within one
+    plan, each (named map, cloud bytes) is run through its Jacobian program at most
+    once, and inverted at most once."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    runs = collections.defaultdict(collections.Counter)  # (plan, stage) -> (map, bytes)
+    stages = {name: getattr(co.LabelPlan, name) for name in ("_jacobians", "_inverses")}
+
+    def recorded(name):
+        def stage(self, batch):
+            runs[(self, name)].update((self.chains.maps[m], self._points[cid].tobytes())
+                                      for _, m, cid in batch)
+            return stages[name](self, batch)
+        return stage
+
+    for name in stages:
+        monkeypatch.setattr(co.LabelPlan, name, recorded(name))
+    for path in run_inputs(tmp_path):
+        scn = Scenario.load(path)
+        assert all(r["status"] == "pass" for r in cli.execute_checks(scn)), path.name
+    assert {name for _, name in runs} == set(stages)
+    for (_, name), counts in runs.items():
+        assert set(counts.values()) == {1}, name
 
 
 MAPS = {

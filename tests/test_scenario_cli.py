@@ -14,6 +14,7 @@ import pytest
 import cocyclekit.cli as cli
 import cocyclekit.cocycle as co
 import cocyclekit.scenario as scenario_mod
+from cocyclekit.bm import reproducing_integral
 from cocyclekit.cli import CHECK_RUNNERS, MAX_SYMFUN_DEGREE, main
 from cocyclekit.errors import ScenarioError
 from cocyclekit.forms import SampledForm
@@ -581,6 +582,30 @@ def test_numpy_float_points_load_as_the_float_ones(where):
     assert len(P) == 2 and got.checks[1]["points"].tobytes() == P.tobytes()
 
 
+def as_tuples(value):
+    """value with every list in it a tuple."""
+    return tuple(map(as_tuples, value)) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("container, bad", [(as_tuples, "x"), (as_tuples, math.nan),
+                                            (np.array, math.nan)],
+                         ids=["tuple-string", "tuple-nan", "array-nan"])
+def test_a_bad_coordinate_in_tuple_or_array_points_is_named(container, bad):
+    # points and pairs that np.array reads load as the lists do, and one bad coordinate
+    # among them is named as in a list
+    data, location = points_scenario(float, "cover")
+    cloud = data["cover"]["clouds"][0]
+    want = Scenario(data).cover.clouds
+    points = cloud["points"]
+    cloud["points"] = [container(p) for p in points]
+    got = Scenario(data).cover.clouds
+    assert all(got[key].tobytes() == P.tobytes() for key, P in want.items())
+    cloud["points"][0] = container([points[0][0], [0.1, bad]])
+    with pytest.raises(ScenarioError, match="coordinate must be an") as refused:
+        Scenario(data)
+    assert refused.value.location == location and "0.1, %r" % bad in str(refused.value)
+
+
 @pytest.mark.parametrize("make", [lambda x: True, np.bool_], ids=["True", "np.bool_"])
 @pytest.mark.parametrize("where", ["cover", "theta-composition"])
 def test_boolean_points_are_refused_at_their_location(where, make):
@@ -688,8 +713,8 @@ def test_theta_composition_fails_on_a_nan_residual(tmp_path, monkeypatch):
 
 def test_bm_reproducing_fails_on_a_nan_value(monkeypatch):
     monkeypatch.setattr(cli, "reproducing_integral",
-                        lambda radius, order, rule: complex(math.nan if radius < 1 else 1.0,
-                                                            0.0))
+                        lambda z, radius, order, rule: complex(
+                            math.nan if radius < 1 else 1.0, 0.0))
     entry = {"radii": [0.5, 1.0], "tolerance": 1e-3}
     result = cli.verdict(entry, *cli.run_bm_reproducing(None, entry))
     assert [math.isnan(r["error"]) for r in result["radii"]] == [True, False]
@@ -975,6 +1000,7 @@ def test_check_error_does_not_abort_batch(tmp_path):
     ({"type": "bm-reproducing", "order": 3}, "'order'"),
     ({"type": "bm-reproducing", "radii": [1.0, -0.5]}, "'radii'"),
     ({"type": "bm-reproducing", "radii": []}, "'radii'"),
+    ({"type": "bm-reproducing", "n": 3, "z": [0.0, 0.0, 0.0]}, "'n'"),
 ])
 def test_bad_bm_field_exits_2_with_location(tmp_path, capsys, check, field):
     data = load_scn("henon_z.scn")
@@ -990,6 +1016,15 @@ def test_bad_bm_field_exits_2_with_location(tmp_path, capsys, check, field):
     assert "checks[1]" in msg and field in msg
     assert "Traceback" not in msg
     assert not out.exists()
+
+
+def test_bm_reproducing_integrates_around_its_z():
+    entry = {"type": "bm-reproducing", "z": [0.5, 0], "order": 8, "radii": [1.0],
+             "tolerance": 1e-3}
+    result = cli.verdict(entry, *cli.run_bm_reproducing(None, entry))
+    want = reproducing_integral(z=(0.5, 0.0), radius=1.0, order=8)
+    assert result["status"] == "pass" and result["radii"][0]["value"] == [want.real, want.imag]
+    assert want != reproducing_integral(radius=1.0, order=8)
 
 
 def test_bm_check_command_n2(capsys):
